@@ -3,11 +3,18 @@
 Measures, BV functions and Young-measure candidates can be described by
 JSON documents whose numeric fields are expression strings in the
 variables ``x`` (and ``y`` in 2D).  Expressions are evaluated in a
-restricted numpy namespace; no builtins are exposed.
+restricted numpy namespace; no builtins are exposed.  Before compiling,
+every node of the syntax tree is checked against an allow-list:
+arithmetic, comparisons and boolean operators on numbers, the names of
+the namespace and ``x``/``y``, subscripts, and calls of namespace
+functions.  Attributes, comprehensions, lambdas and assignment
+expressions are rejected, so an expression cannot reach any object
+beyond the namespace.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 
 import numpy as np
@@ -33,8 +40,45 @@ _NAMESPACE = {
 }
 
 
+_ALLOWED_NODES = (
+    ast.Expression,
+    ast.Constant,
+    ast.Name,
+    ast.Load,
+    ast.BinOp,
+    ast.UnaryOp,
+    ast.BoolOp,
+    ast.Compare,
+    ast.operator,
+    ast.unaryop,
+    ast.boolop,
+    ast.cmpop,
+    ast.Call,
+    ast.keyword,
+    ast.Subscript,
+    ast.Slice,
+    ast.Tuple,
+)
+
+
 class ExpressionError(ValueError):
     """Raised for malformed or disallowed expression strings."""
+
+
+def _check_tree(tree, expr):
+    for node in ast.walk(tree):
+        if not isinstance(node, _ALLOWED_NODES):
+            raise ExpressionError(f"{type(node).__name__} not allowed in {expr!r}")
+        if isinstance(node, ast.Name) and node.id not in _NAMESPACE and node.id not in ("x", "y"):
+            raise ExpressionError(f"name {node.id!r} not allowed in {expr!r}")
+        if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+            raise ExpressionError(f"string constants not allowed in {expr!r}")
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name) and callable(_NAMESPACE.get(node.func.id))
+        ):
+            raise ExpressionError(f"only namespace functions may be called in {expr!r}")
+        if isinstance(node, ast.keyword) and node.arg is None:
+            raise ExpressionError(f"keyword unpacking not allowed in {expr!r}")
 
 
 def compile_scalar(expr, dim):
@@ -49,12 +93,11 @@ def compile_scalar(expr, dim):
     if not isinstance(expr, str):
         raise ExpressionError(f"expected expression string, got {type(expr)!r}")
     try:
-        code = compile(expr, "<expr>", "eval")
-    except SyntaxError as exc:
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError) as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc}") from exc
-    for name in code.co_names:
-        if name not in _NAMESPACE and name not in ("x", "y"):
-            raise ExpressionError(f"name {name!r} not allowed in {expr!r}")
+    _check_tree(tree, expr)
+    code = compile(tree, "<expr>", "eval")
 
     def fn(nodes):
         nodes = np.asarray(nodes, dtype=float)

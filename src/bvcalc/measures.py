@@ -212,11 +212,11 @@ def _normalize_breaks(breaks, dim):
         return tuple(() for _ in range(dim))
     if dim == 1:
         if len(breaks) and np.isscalar(breaks[0]):
-            return (tuple(float(b) for b in breaks),)
+            return (tuple(map(float, breaks)),)
         breaks = breaks[0] if len(breaks) else ()
-        return (tuple(float(b) for b in breaks),)
+        return (tuple(map(float, breaks)),)
     if len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
-        return tuple(tuple(float(v) for v in b) for b in breaks)
+        return tuple(tuple(map(float, b)) for b in breaks)
     raise MeasureError("2D breakpoints must be a pair (x_breaks, y_breaks)")
 
 

@@ -14,6 +14,7 @@ elementary Young measure of a decomposed derivative is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,12 @@ class ElementaryPolar(OscillationField):
 
 
 class GeneralizedYoungMeasure:
+    """The triple (nu, lam, nu_inf) relative to ``reference_measure``.
+
+    Immutable after construction: its quadrature parts and field values
+    are computed once, on first use, and reused by every pairing.
+    """
+
     def __init__(self, domain, dims, nu, lam, nu_inf, reference_measure, breaks=None,
                  validate=True):
         self.domain = domain
@@ -159,31 +166,53 @@ class GeneralizedYoungMeasure:
         if validate:
             self.validate()
 
+    # Parts and field values are independent of the integrand and of any
+    # localisation, so each is computed once per Young measure; the arrays
+    # are read-only so that a caller cannot change them for later pairings.
+
+    @cached_property
+    def reference_parts(self):
+        return _read_only_parts(measure_parts(self.reference_measure, extra_breaks=self.breaks))
+
+    @cached_property
+    def concentration_parts(self):
+        return _read_only_parts(measure_parts(self.lam))
+
+    @cached_property
+    def oscillation_values(self):
+        """(part, w, A) of ``nu`` on every non-empty reference part."""
+        return [
+            (part, *_read_only(*self.nu.eval(part, part.points)))
+            for part in self.reference_parts
+            if len(part.points)
+        ]
+
+    @cached_property
+    def sphere_values(self):
+        """(part, w, S) of ``nu_inf`` on every charged concentration part."""
+        if self.nu_inf is None:
+            return []
+        return [
+            (part, *_read_only(*self.nu_inf.eval(part, part.points)))
+            for part in self.concentration_parts
+            if len(part.points) and np.max(np.abs(part.masses)) > _ZTOL
+        ]
+
     def validate(self):
-        for part in measure_parts(self.reference_measure, extra_breaks=self.breaks):
-            if not len(part.points):
-                continue
-            w, A = self.nu.eval(part, part.points)
+        for _, w, _ in self.oscillation_values:
             if np.max(np.abs(np.sum(w, axis=1) - 1.0)) > _PROB_TOL:
                 raise YoungMeasureError("oscillation weights must sum to 1 at every node")
             if np.any(w < -_PROB_TOL):
                 raise YoungMeasureError("oscillation weights must be nonnegative")
-        if self.nu_inf is not None:
-            for part in measure_parts(self.lam):
-                if not len(part.points) or np.max(np.abs(part.masses)) <= _ZTOL:
-                    continue
-                w, S = self.nu_inf.eval(part, part.points)
-                if np.max(np.abs(np.sum(w, axis=1) - 1.0)) > _PROB_TOL:
-                    raise YoungMeasureError("sphere weights must sum to 1")
-                mags = np.sqrt(np.sum(S * S, axis=(2, 3)))
-                if np.max(np.abs(mags - 1.0)) > _PROB_TOL:
-                    raise YoungMeasureError("sphere atoms must have unit norm")
+        for _, w, S in self.sphere_values:
+            if np.max(np.abs(np.sum(w, axis=1) - 1.0)) > _PROB_TOL:
+                raise YoungMeasureError("sphere weights must sum to 1")
+            mags = np.sqrt(np.sum(S * S, axis=(2, 3)))
+            if np.max(np.abs(mags - 1.0)) > _PROB_TOL:
+                raise YoungMeasureError("sphere atoms must have unit norm")
         # finite first moment of the oscillation part
         total = 0.0
-        for part in measure_parts(self.reference_measure, extra_breaks=self.breaks):
-            if not len(part.points):
-                continue
-            w, A = self.nu.eval(part, part.points)
+        for part, w, A in self.oscillation_values:
             total += float(np.dot(part.masses, np.sum(w * _mags(A), axis=1)))
         if not np.isfinite(total):
             raise YoungMeasureError("oscillation part has infinite first moment")
@@ -208,6 +237,18 @@ class GeneralizedYoungMeasure:
 
 def _mags(A):
     return np.sqrt(np.sum(A * A, axis=(-2, -1)))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _read_only_parts(parts):
+    for part in parts:
+        _read_only(part.points, part.masses)
+    return parts
 
 
 def _field_from_entries(entries, domain, dims):
@@ -289,10 +330,10 @@ def elementary(gamma, mu):
 # ---------------------------------------------------------------------------
 
 
-def _field_pair(f, field, part, points, sphere=False, x_points=None):
-    """sum_k w_k f(x, A_k) at the given points (recession of f when
+def _field_pair(f, w, A, points, sphere=False):
+    """sum_k w_k f(x, A_k) at the given points, from a field's weights
+    ``w`` (M, K) and atoms ``A`` (M, K, N, n) there (recession of f when
     ``sphere``)."""
-    w, A = field.eval(part, points)
     out = np.zeros(len(points))
     for k in range(w.shape[1]):
         active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
@@ -313,22 +354,12 @@ def pairing(f, nu, localization=None):
     measure and <f^inf(x, .), nu_inf_x> against the concentration measure.
     ``localization`` multiplies both integrands by a scalar cut-off."""
     total = 0.0
-    for part in measure_parts(nu.reference_measure, extra_breaks=nu.breaks):
-        if not len(part.points):
-            continue
-        masses = part.masses
-        if localization is not None:
-            masses = masses * np.asarray(localization(part.points))
-        vals = _field_pair(f, nu.nu, part, part.points)
-        total += float(np.dot(masses, vals))
-    if nu.nu_inf is not None:
-        for part in measure_parts(nu.lam):
-            if not len(part.points) or np.max(np.abs(part.masses)) <= _ZTOL:
-                continue
+    for values, sphere in ((nu.oscillation_values, False), (nu.sphere_values, True)):
+        for part, w, A in values:
             masses = part.masses
             if localization is not None:
                 masses = masses * np.asarray(localization(part.points))
-            vals = _field_pair(f, nu.nu_inf, part, part.points, sphere=True)
+            vals = _field_pair(f, w, A, part.points, sphere=sphere)
             total += float(np.dot(masses, vals))
     return total
 
@@ -351,7 +382,7 @@ def barycenter(nu):
 
     lam_cell_charged = False
     if nu.nu_inf is not None:
-        cell_part = measure_parts(nu.lam)[0]
+        cell_part = nu.concentration_parts[0]
         lam_cell_charged = bool(np.any(np.abs(cell_part.masses) > _ZTOL))
 
     def density(nodes):
@@ -549,7 +580,7 @@ def _jensen_core(F, u, nu, mu, tol, upper_slope):
             du = u_carrier_ratios[part.key](pts)
             dlam = np.asarray(lam_carrier_ratios[part.key](pts))
         lhs = np.asarray(F(pts, du))
-        rhs = _field_pair(F, nu.nu, part, pts)
+        rhs = _field_pair(F, *nu.nu.eval(part, pts), pts)
         charged = dlam > _ZTOL
         if np.any(charged) and nu.nu_inf is not None:
             rhs = rhs.copy()

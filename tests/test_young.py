@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
-from bvcalc.bv import derivative, heaviside_1d, piecewise_affine_1d, ramp_1d, sawtooth_1d
+from bvcalc import young
+from bvcalc.bv import (
+    derivative,
+    heaviside_1d,
+    piecewise_affine_1d,
+    ramp_1d,
+    sawtooth_1d,
+    scalar_bumps,
+)
 from bvcalc.functional import FunctionalSpec, evaluate, geometric_js
-from bvcalc.integrands import Integrand, make_area, make_norm, make_shifted_norm, make_w_shape
+from bvcalc.integrands import (
+    Integrand,
+    make_area,
+    make_norm,
+    make_shifted_norm,
+    make_w_shape,
+    recession_values,
+)
 from bvcalc.measures import (
     CarrierRegistry,
     Domain,
@@ -21,6 +36,7 @@ from bvcalc.young import (
     empirical_generation_check,
     jensen_check_lebesgue,
     jensen_check_mu,
+    measure_parts,
     pairing,
 )
 
@@ -440,3 +456,148 @@ def test_young_from_json_node_entry(setting):
     w, A = nu.nu.eval(None, np.array([[0.5], [0.25]]))
     assert A[0, 0, 0, 0] == 2.0
     assert A[1, 0, 0, 0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# parts and field values computed once per Young measure
+# ---------------------------------------------------------------------------
+
+
+def mixed_elementary_setting(d, reg):
+    """A reference measure with an atom and a BV function with two jumps:
+    one absorbed by the atom, one left in the concentration part."""
+    mu = ScalarRadonMeasure(
+        d,
+        density=lambda n: 1.0 + n[:, 0],
+        atoms=(((0.5,), 0.7),),
+        registry=reg,
+        dominates_lebesgue=True,
+    )
+    u = piecewise_affine_1d(
+        d, breakpoints=(0.25,), slopes=(1.0, -2.0), jumps=((0.5, (1.0,)), (0.75, (-0.5,))),
+        registry=reg,
+    )
+    return mu, u
+
+
+def concentration_candidate_2d():
+    d = Domain(((0.0, 1.0), (0.0, 1.0)), 32)
+    reg = CarrierRegistry()
+    reg.register_segment("mid", (0.5, 0.0), (0.5, 1.0))
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
+    )
+    cand = GeneralizedYoungMeasure(
+        d,
+        (1, 2),
+        constant_field([(np.array([[1.0, 0.5]]), 0.25), (np.array([[-0.5, 0.0]]), 0.75)]),
+        ScalarRadonMeasure(d, carrier_parts=(("mid", lambda p: 1.0 + p[:, 1]),), registry=reg),
+        constant_field([(np.array([[0.6, 0.8]]), 0.5), (np.array([[0.0, -1.0]]), 0.5)]),
+        mu,
+    )
+    return d, cand
+
+
+def fresh_pairing(f, nu, localization=None):
+    """The pairing recomputed from freshly built parts and field values."""
+    terms = [(measure_parts(nu.reference_measure, extra_breaks=nu.breaks), nu.nu, False)]
+    if nu.nu_inf is not None:
+        terms.append((measure_parts(nu.lam), nu.nu_inf, True))
+    total = 0.0
+    for parts, field, sphere in terms:
+        for part in parts:
+            pts = part.points
+            if not len(pts) or (sphere and np.max(np.abs(part.masses)) <= 1e-12):
+                continue
+            w, A = field.eval(part, pts)
+            vals = np.zeros(len(pts))
+            for k in range(w.shape[1]):
+                active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
+                if not np.any(active):
+                    continue
+                fk = (
+                    recession_values(f, pts[active], A[active, k])
+                    if sphere
+                    else np.asarray(f(pts[active], A[active, k]))
+                )
+                vals[active] += w[active, k] * fk
+            masses = part.masses
+            if localization is not None:
+                masses = masses * np.asarray(localization(pts))
+            total += float(np.dot(masses, vals))
+    return total
+
+
+def test_parts_built_once_per_measure(setting, monkeypatch):
+    d, reg, _ = setting
+    mu, u = mixed_elementary_setting(d, reg)
+    built = []
+    original = young.measure_parts
+
+    def counting(m, extra_breaks=None):
+        built.append(m)
+        return original(m, extra_breaks=extra_breaks)
+
+    monkeypatch.setattr(young, "measure_parts", counting)
+    eps = elementary(derivative(u), mu)
+    for f in (make_norm(), make_area(), make_shifted_norm()):
+        for phi in (None, *scalar_bumps(d, per_axis=4)):
+            pairing(f, eps, localization=phi)
+    barycenter(eps)
+    assert len(built) == 2
+    assert built[0] is mu and built[1] is eps.lam
+
+    built.clear()
+    field = constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)])
+    evaluated = []
+
+    def counting_fn(pts, _fn=field.fn):
+        evaluated.append(pts)
+        return _fn(pts)
+
+    field.fn = counting_fn
+    cand = GeneralizedYoungMeasure(
+        d, (1, 1), field, ScalarRadonMeasure(d, registry=reg), None, mu, validate=False
+    )
+    assert built == [] and evaluated == []  # nothing is computed before first use
+    for phi in scalar_bumps(d, per_axis=4):
+        pairing(make_norm(), cand, localization=phi)
+    cand.validate()
+    assert len(built) == 1 and built[0] is mu
+    assert len(evaluated) == 2  # one cell part and one atom part of mu
+
+
+def test_cached_arrays_are_read_only(setting):
+    d, reg, _ = setting
+    mu, u = mixed_elementary_setting(d, reg)
+    eps = elementary(derivative(u), mu)
+    parts = eps.reference_parts + eps.concentration_parts
+    assert {p.kind for p in parts} == {"cells", "atom"}
+    for part in parts:
+        with pytest.raises(ValueError):
+            part.masses[0] = 1.0
+        with pytest.raises(ValueError):
+            part.points[0, 0] = 1.0
+    for _, w, A in eps.oscillation_values + eps.sphere_values:
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            A[0, 0, 0, 0] = 0.0
+
+
+def test_pairing_equals_fresh_recomputation_1d(setting):
+    d, reg, _ = setting
+    mu, u = mixed_elementary_setting(d, reg)
+    eps = elementary(derivative(u), mu)
+    assert eps.sphere_values  # the jump at 0.75 is left to the concentration part
+    for f in (make_norm(), make_area(), make_shifted_norm(), make_w_shape()):
+        for phi in (None, *scalar_bumps(d, per_axis=3)):
+            assert pairing(f, eps, localization=phi) == fresh_pairing(f, eps, phi)
+
+
+def test_pairing_equals_fresh_recomputation_2d():
+    d, cand = concentration_candidate_2d()
+    assert [p.kind for p, _, _ in cand.sphere_values] == ["carrier"]
+    for f in (make_norm(1, 2), make_area(1, 2), make_shifted_norm(N=1, n=2)):
+        for phi in (None, *scalar_bumps(d, per_axis=2)):
+            assert pairing(f, cand, localization=phi) == fresh_pairing(f, cand, phi)
