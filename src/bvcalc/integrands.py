@@ -326,14 +326,6 @@ def generalized_recession(f, A, t_schedule=None):
     return RecessionResult(value, diag, values)
 
 
-def recession_value(f, x, A, t_schedule=None):
-    """F^inf(x, A) for functional evaluation: analytic when available, else
-    the schedule limit (raising if it does not stabilize)."""
-    if isinstance(f, Integrand) and f.has_analytic_recession():
-        return f.recession(x, A)
-    return recession(f, x, A, t_schedule=t_schedule).value
-
-
 def recession_values(f, x, A_batch, t_schedule=None):
     """Vectorized F^inf over a batch of matrices (x batched alike)."""
     A_batch = np.asarray(A_batch, dtype=float)

@@ -1,26 +1,36 @@
 """Deterministic report emission: canonical JSON and CSV tables.
 
 Reports embed the run configuration and a content hash of the scenario
-builder source, and contain no timestamps, so identical configurations
-produce byte-identical files.
+builder and of the whole package source, and contain no timestamps, so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
-import inspect
 import json
 from pathlib import Path
 
 
+def _module_sources():
+    """(file name, source bytes) of every bvcalc module, sorted by name."""
+    return [(p.name, p.read_bytes()) for p in sorted(Path(__file__).parent.glob("*.py"))]
+
+
+@functools.cache
 def builder_hash(fn):
-    """Git-style content hash of a builder: sha1 of its source text."""
-    try:
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        source = repr(fn)
-    blob = source.encode()
+    """Git-style content hash of a builder: sha1 of its qualified name, the
+    bvcalc and numpy versions and the source of every bvcalc module, so an
+    edit anywhere in the package changes it; computed once per process."""
+    import numpy as np
+
+    from . import __version__
+
+    head = f"{getattr(fn, '__qualname__', repr(fn))}\x00{__version__}\x00{np.__version__}"
+    modules = [b"%s\x00%d\x00%s" % (n.encode(), len(src), src) for n, src in _module_sources()]
+    blob = b"\x00".join([head.encode(), *modules])
     return hashlib.sha1(b"blob %d\x00" % len(blob) + blob).hexdigest()
 
 

@@ -709,7 +709,9 @@ def scenario_example1(config):
     for _ in range(40):  # ternary refinement of the convex profile
         lo, hi = max(0.0, best - 0.01), min(1.0, best + 0.01)
         grid = np.linspace(lo, hi, 41)
-        best = min(grid, key=l1_distance_to_const)
+        previous, best = best, min(grid, key=l1_distance_to_const)
+        if best == previous:  # fixed point: the next grid would be the same
+            break
     lower_bound = l1_distance_to_const(best)
 
     clauses = [
@@ -772,35 +774,54 @@ def carpet_holes(depth):
     return holes
 
 
-def _segment_l1_to_const(x0, x1, c):
-    """integral over (x0, x1) of |x - c| dx, exact."""
-
-    def anti(t):
-        return 0.5 * (t - c) * abs(t - c)
-
-    return anti(x1) - anti(x0)
-
-
 def carpet_lower_bound(depth):
     """min over constants c of the integral over the depth-k carpet of
     |x - c|, via exact per-hole sums (holes are axis-aligned squares)."""
-    holes = carpet_holes(depth)
+    x0, x1, y0, y1 = np.array([(0.0, 1.0, 0.0, 1.0)] + carpet_holes(depth)).T
 
     def value(c):
-        total = _segment_l1_to_const(0.0, 1.0, c)  # over the full unit square
-        for x0, x1, y0, y1 in holes:
-            total -= (y1 - y0) * _segment_l1_to_const(x0, x1, c)
-        return total
+        # integral of |x - c| over each square: (y1 - y0) [a|a|/2] from a0 to a1
+        a0, a1 = x0 - c, x1 - c
+        square, *hole_terms = ((y1 - y0) * (0.5 * a1 * np.abs(a1) - 0.5 * a0 * np.abs(a0))).tolist()
+        for term in hole_terms:  # the unit square minus each hole, in order: np.sum rounds differently
+            square -= term
+        return square
 
     lo, hi = 0.0, 1.0
     for _ in range(200):  # ternary search on a convex function
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if value(m1) <= value(m2):
-            hi = m2
-        else:
-            lo = m1
+        bracket = (lo, m2) if value(m1) <= value(m2) else (m1, hi)
+        if bracket == (lo, hi):  # fixed point: every later step repeats this one
+            break
+        lo, hi = bracket
     c = 0.5 * (lo + hi)
     return value(c), c
+
+
+def carpet_indicator(holes):
+    """Indicator of the union of the open squares ``holes`` (x0, x1, y0, y1),
+    and the sorted hole edges per axis at which it jumps.
+
+    A 0/1 table over the cells between consecutive edges classifies a node
+    by one ``searchsorted`` per axis; the few nodes lying exactly on an
+    edge keep the strict per-hole comparisons."""
+    x0, x1, y0, y1 = np.array(holes).reshape(-1, 4).T
+    xb, yb = np.unique([x0, x1]), np.unique([y0, y1])
+    table = np.zeros((len(xb) + 1, len(yb) + 1))
+    cells = np.searchsorted(xb, (x0, x1)) + 1, np.searchsorted(yb, (y0, y1)) + 1
+    for (i0, i1), (j0, j1) in zip(cells[0].T, cells[1].T):
+        table[i0:i1, j0:j1] = 1.0
+
+    def weight(nodes):
+        x, y = nodes[:, 0], nodes[:, 1]
+        i, j = np.searchsorted(xb, x), np.searchsorted(yb, y)
+        out = table[i, j]
+        on_edge = (i != np.searchsorted(xb, x, "right")) | (j != np.searchsorted(yb, y, "right"))
+        for k in np.flatnonzero(on_edge):
+            out[k] = float(any(x0 < x[k] < x1 and y0 < y[k] < y1 for x0, x1, y0, y1 in holes))
+        return out
+
+    return weight, (xb, yb)
 
 
 def scenario_example2(config, max_depth=4):
@@ -817,23 +838,9 @@ def scenario_example2(config, max_depth=4):
     u = affine_2d(d, np.array([[1.0, 0.0]]), registry=reg)  # u(x, y) = x
 
     holes4 = carpet_holes(max_depth)
-
-    def weight(nodes):
-        out = np.zeros(len(nodes))
-        for x0, x1, y0, y1 in holes4:
-            inside = (
-                (nodes[:, 0] > x0)
-                & (nodes[:, 0] < x1)
-                & (nodes[:, 1] > y0)
-                & (nodes[:, 1] < y1)
-            )
-            out[inside] = 1.0
-        return out
-
-    xb = sorted({v for x0, x1, _, _ in holes4 for v in (x0, x1)})
-    yb = sorted({v for _, _, y0, y1 in holes4 for v in (y0, y1)})
+    weight, breaks = carpet_indicator(holes4)
     mu_k = ScalarRadonMeasure(
-        d, density=weight, registry=reg, breaks=(xb, yb), dominates_lebesgue=False
+        d, density=weight, registry=reg, breaks=breaks, dominates_lebesgue=False
     )
     u_admissible = admissibility_check(u, mu_k)
     c0 = bounds[0][1]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bvcalc import reporting
 from bvcalc.bv import BVFunction, derivative, verify_integration_by_parts
 from bvcalc.cli import main as cli_main
 from bvcalc.functional import evaluate
@@ -22,10 +23,13 @@ from bvcalc.scenarios import (
     ScenarioError,
     build_case_1d,
     carpet_holes,
+    carpet_indicator,
     carpet_lower_bound,
     random_case_description,
     run,
     scenario_catalog,
+    scenario_example1,
+    scenario_example2,
 )
 from bvcalc.young import GeneralizedYoungMeasure, pairing
 
@@ -110,6 +114,24 @@ def test_report_embeds_config_and_hash(tmp_path):
     assert report["config"]["resolution"] == 64
     assert len(report["builder_hash"]) == 40
     assert report["passed"] is True
+
+
+def test_builder_hash_sees_every_module(monkeypatch):
+    real = reporting._module_sources()
+    assert "measures.py" in dict(real) and "scenarios.py" in dict(real)
+    reporting.builder_hash.cache_clear()
+    try:
+        before = reporting.builder_hash(scenario_example2)
+        assert before == reporting.builder_hash(scenario_example2)
+        assert before != reporting.builder_hash(scenario_example1)
+        assert int(before, 16) >= 0 and len(before) == 40
+        edited = [(n, s + b"\n# edit\n" if n == "measures.py" else s) for n, s in real]
+        monkeypatch.setattr(reporting, "_module_sources", lambda: edited)
+        assert reporting.builder_hash(scenario_example2) == before  # computed once
+        reporting.builder_hash.cache_clear()
+        assert reporting.builder_hash(scenario_example2) != before
+    finally:
+        reporting.builder_hash.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +220,77 @@ def test_carpet_bound_depth0_analytic():
     bound, c = carpet_lower_bound(0)
     assert bound == pytest.approx(0.25, abs=1e-9)
     assert c == pytest.approx(0.5, abs=1e-6)
+
+
+def _segment_l1_reference(x0, x1, c):
+    def anti(t):
+        return 0.5 * (t - c) * abs(t - c)
+
+    return anti(x1) - anti(x0)
+
+
+def _carpet_lower_bound_reference(depth):
+    """The per-hole scalar loop with a 200-step ternary search."""
+    holes = carpet_holes(depth)
+
+    def value(c):
+        total = _segment_l1_reference(0.0, 1.0, c)
+        for x0, x1, y0, y1 in holes:
+            total -= (y1 - y0) * _segment_l1_reference(x0, x1, c)
+        return total
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if value(m1) <= value(m2):
+            hi = m2
+        else:
+            lo = m1
+    c = 0.5 * (lo + hi)
+    return value(c), c
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_carpet_bound_equals_scalar_loop(depth):
+    assert carpet_lower_bound(depth) == _carpet_lower_bound_reference(depth)
+
+
+def _hole_loop_weight(holes, nodes):
+    out = np.zeros(len(nodes))
+    for x0, x1, y0, y1 in holes:
+        inside = (
+            (nodes[:, 0] > x0) & (nodes[:, 0] < x1) & (nodes[:, 1] > y0) & (nodes[:, 1] < y1)
+        )
+        out[inside] = 1.0
+    return out
+
+
+def test_carpet_indicator_equals_hole_loop():
+    holes = carpet_holes(4)
+    assert len(holes) == 585
+    weight, (xb, yb) = carpet_indicator(holes)
+    assert xb.tolist() == sorted({v for h in holes for v in h[:2]})
+    assert yb.tolist() == sorted({v for h in holes for v in h[2:]})
+    rng = np.random.default_rng(7)
+    rule_nodes, _ = Domain(((0.0, 1.0), (0.0, 1.0)), 256).cell_rule(breaks=(xb, yb))
+    random_nodes = rng.uniform(-0.1, 1.1, size=(20_000, 2))
+    corners = np.array(np.meshgrid(xb, yb, indexing="ij")).reshape(2, -1).T
+    on_x_edge = np.column_stack([rng.choice(xb, 5_000), rng.uniform(0.0, 1.0, 5_000)])
+    on_y_edge = np.column_stack([rng.uniform(0.0, 1.0, 5_000), rng.choice(yb, 5_000)])
+    for nodes in (rule_nodes, random_nodes, corners, on_x_edge, on_y_edge):
+        got = weight(nodes)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _hole_loop_weight(holes, nodes))
+    # every set meets both values; edge nodes inside a larger hole weigh 1
+    for nodes in (rule_nodes, random_nodes, corners, on_x_edge, on_y_edge):
+        assert set(weight(nodes).tolist()) == {0.0, 1.0}
+    assert np.array_equal(carpet_indicator([])[0](random_nodes), np.zeros(len(random_nodes)))
+
+
+def test_example1_bound_pinned_at_cli_defaults():
+    result = scenario_example1(RunConfig(scenario="example1"))
+    assert repr(result.metrics["best_constant"]) == "0.5315000000000001"
+    assert repr(float(result.metrics["l1_lower_bound"])) == "0.06318235101012908"
 
 
 # ---------------------------------------------------------------------------
