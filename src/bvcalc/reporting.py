@@ -20,17 +20,22 @@ def _module_sources():
 
 
 @functools.cache
-def builder_hash(fn):
-    """Git-style content hash of a builder: sha1 of its qualified name, the
-    bvcalc and numpy versions and the source of every bvcalc module, so an
-    edit anywhere in the package changes it; computed once per process."""
+def _package_digest():
+    """sha1 of the bvcalc and numpy versions and the source of every bvcalc
+    module; computed once per process."""
     import numpy as np
 
     from . import __version__
 
-    head = f"{getattr(fn, '__qualname__', repr(fn))}\x00{__version__}\x00{np.__version__}"
+    head = f"{__version__}\x00{np.__version__}".encode()
     modules = [b"%s\x00%d\x00%s" % (n.encode(), len(src), src) for n, src in _module_sources()]
-    blob = b"\x00".join([head.encode(), *modules])
+    return hashlib.sha1(b"\x00".join([head, *modules])).digest()
+
+
+def builder_hash(fn):
+    """Git-style content hash of a builder: sha1 of its qualified name and
+    the package digest, so an edit anywhere in bvcalc changes it."""
+    blob = getattr(fn, "__qualname__", repr(fn)).encode() + b"\x00" + _package_digest()
     return hashlib.sha1(b"blob %d\x00" % len(blob) + blob).hexdigest()
 
 

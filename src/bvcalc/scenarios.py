@@ -802,24 +802,22 @@ def carpet_indicator(holes):
     """Indicator of the union of the open squares ``holes`` (x0, x1, y0, y1),
     and the sorted hole edges per axis at which it jumps.
 
-    A 0/1 table over the cells between consecutive edges classifies a node
-    by one ``searchsorted`` per axis; the few nodes lying exactly on an
-    edge keep the strict per-hole comparisons."""
+    Along each axis a coordinate falls in class 2k on the open interval
+    just below the k-th edge and in class 2k + 1 on that edge, so a 0/1
+    table over pairs of classes reproduces the strict per-hole comparisons
+    exactly, nodes on edges and corners included."""
     x0, x1, y0, y1 = np.array(holes).reshape(-1, 4).T
     xb, yb = np.unique([x0, x1]), np.unique([y0, y1])
-    table = np.zeros((len(xb) + 1, len(yb) + 1))
-    cells = np.searchsorted(xb, (x0, x1)) + 1, np.searchsorted(yb, (y0, y1)) + 1
-    for (i0, i1), (j0, j1) in zip(cells[0].T, cells[1].T):
-        table[i0:i1, j0:j1] = 1.0
+
+    def classes(edges, v):
+        return np.searchsorted(edges, v) + np.searchsorted(edges, v, "right")
+
+    table = np.zeros((2 * len(xb) + 1, 2 * len(yb) + 1))
+    for i0, i1, j0, j1 in zip(*classes(xb, (x0, x1)), *classes(yb, (y0, y1))):
+        table[i0 + 1 : i1, j0 + 1 : j1] = 1.0
 
     def weight(nodes):
-        x, y = nodes[:, 0], nodes[:, 1]
-        i, j = np.searchsorted(xb, x), np.searchsorted(yb, y)
-        out = table[i, j]
-        on_edge = (i != np.searchsorted(xb, x, "right")) | (j != np.searchsorted(yb, y, "right"))
-        for k in np.flatnonzero(on_edge):
-            out[k] = float(any(x0 < x[k] < x1 and y0 < y[k] < y1 for x0, x1, y0, y1 in holes))
-        return out
+        return table[classes(xb, nodes[:, 0]), classes(yb, nodes[:, 1])]
 
     return weight, (xb, yb)
 

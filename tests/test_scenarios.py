@@ -119,7 +119,7 @@ def test_report_embeds_config_and_hash(tmp_path):
 def test_builder_hash_sees_every_module(monkeypatch):
     real = reporting._module_sources()
     assert "measures.py" in dict(real) and "scenarios.py" in dict(real)
-    reporting.builder_hash.cache_clear()
+    reporting._package_digest.cache_clear()
     try:
         before = reporting.builder_hash(scenario_example2)
         assert before == reporting.builder_hash(scenario_example2)
@@ -128,10 +128,10 @@ def test_builder_hash_sees_every_module(monkeypatch):
         edited = [(n, s + b"\n# edit\n" if n == "measures.py" else s) for n, s in real]
         monkeypatch.setattr(reporting, "_module_sources", lambda: edited)
         assert reporting.builder_hash(scenario_example2) == before  # computed once
-        reporting.builder_hash.cache_clear()
+        reporting._package_digest.cache_clear()
         assert reporting.builder_hash(scenario_example2) != before
     finally:
-        reporting.builder_hash.cache_clear()
+        reporting._package_digest.cache_clear()
 
 
 # ---------------------------------------------------------------------------
