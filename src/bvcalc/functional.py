@@ -26,6 +26,7 @@ from .measures import (
     DecompositionError,
     ScalarRadonMeasure,
     area_functional,
+    measure_parts,
     merge_breaks,
     pair_with_test_function,
     rn_decompose,
@@ -108,33 +109,24 @@ def evaluate(u, spec):
     gamma = derivative(u)
     dec = rn_decompose(gamma, mu)
 
-    breaks = merge_breaks(u.domain.dim, gamma.breaks, mu.breaks)
-    nodes, weights = u.domain.cell_rule(breaks=breaks)
-    a = np.asarray(mu.density_at(nodes))
-    ac_cells = float(np.dot(weights * a, F(nodes, dec.cell_fn(nodes))))
-
-    ac_atoms = 0.0
-    for p, w, value in dec.atom_values:
-        ac_atoms += w * F(p, value)
-
-    ac_carriers = 0.0
-    for cid, mfn, ratio in dec.carrier_fns:
-        pts, wts = mu.carrier(cid).rule(u.domain.resolution)
-        dens = np.asarray(mfn(pts))
-        ac_carriers += float(np.dot(wts * dens, F(pts, ratio(pts))))
-
+    ac = {"cells": 0.0, "atom": 0.0, "carrier": 0.0}
+    for part in measure_parts(mu, extra_breaks=gamma.breaks):
+        ac[part.kind] += float(
+            np.dot(part.masses, F(part.points, dec.density_on(part, part.points)))
+        )
     singular = _singular_term(F, dec.remainder, u.domain)
 
     boundary = 0.0
     if spec.include_boundary:
         boundary = boundary_term(u, F)
-    return EvaluationBreakdown(ac_cells, ac_atoms, ac_carriers, singular, boundary)
+    return EvaluationBreakdown(ac["cells"], ac["atom"], ac["carrier"], singular, boundary)
 
 
 def _singular_term(F, remainder, domain):
     """integral F^inf(x, polar) d|remainder|; by positive 1-homogeneity this
     is the recession evaluated directly on the densities, with zero values
-    contributing zero."""
+    contributing zero.  Only the carrier and atom parts are read: a cell
+    density of ``remainder`` is never looked at."""
     total = 0.0
     for cid, fn in remainder.carrier_parts:
         pts, wts = remainder.carrier(cid).rule(domain.resolution)
@@ -392,16 +384,7 @@ def continuity_functional(gamma, f):
     its singular parts."""
     nodes, weights = gamma.domain.cell_rule(breaks=gamma.breaks)
     total = float(np.dot(weights, np.asarray(f(nodes, gamma.density_at(nodes)))))
-    singular_only = type(gamma)(
-        gamma.domain,
-        gamma.shape,
-        density=None,
-        carrier_parts=gamma.carrier_parts,
-        atoms=gamma.atoms,
-        registry=gamma.registry,
-        breaks=gamma.breaks,
-    )
-    return total + _singular_term(f, singular_only, gamma.domain)
+    return total + _singular_term(f, gamma, gamma.domain)
 
 
 def reshetnyak_experiment(
@@ -443,15 +426,15 @@ def reshetnyak_experiment(
         )
     ref_value = continuity_functional(gamma, f)
     gaps = tuple(abs(continuity_functional(g, f) - ref_value) for g in seq)
-    order = _order_fit(js, gaps)
+    order = order_fit(js, gaps, 1e-13, 2)
     return ContinuityReport(True, None, weak_gap, area_gap, js, gaps, gaps[-1], order)
 
 
-def _order_fit(js, gaps):
-    """Least-squares slope of log(gap) against log(1/j), over indices with
-    a meaningful gap."""
-    pts = [(j, g) for j, g in zip(js, gaps) if g > 1e-13]
-    if len(pts) < 2:
+def order_fit(js, gaps, floor, min_points):
+    """Least-squares slope of log(gap) against log(1/j) over the indices
+    whose gap exceeds ``floor``; None with fewer than ``min_points`` of them."""
+    pts = [(j, g) for j, g in zip(js, gaps) if g > floor]
+    if len(pts) < min_points:
         return None
     lx = np.log([1.0 / j for j, _ in pts])
     ly = np.log([g for _, g in pts])

@@ -203,7 +203,7 @@ def make_shifted_norm(A0=0.3, c=0.4, N=1, n=1):
     )
 
 
-def x_modulated(base, spatial_dim=1):
+def x_modulated(base):
     """Spatial modulation (1 + x_1 / 2) F(A); keeps the base convexity in A.
     The declared growth constants assume x_1 >= 0 on the domain."""
     factor = lambda x: 1.0 + 0.5 * x[:, 0]
@@ -231,14 +231,14 @@ CATALOG_BUILDERS = {
 }
 
 
-def catalog_integrand(name, N=1, n=1, modulated=False, spatial_dim=1):
+def catalog_integrand(name, N=1, n=1, modulated=False):
     if name not in CATALOG_BUILDERS:
         raise IntegrandError(f"unknown catalog integrand {name!r}")
     if name == "w-shape":
         f = make_w_shape()
     else:
         f = CATALOG_BUILDERS[name](N=N, n=n)
-    return x_modulated(f, spatial_dim=spatial_dim) if modulated else f
+    return x_modulated(f) if modulated else f
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .functional import (
 )
 from .integrands import (
     Integrand,
+    catalog_integrand,
     make_area,
     make_norm,
     make_shifted_norm,
@@ -980,15 +981,10 @@ def build_case_1d(case, resolution=20000):
         eps=1e-6,
     )
     f_desc = case["F"]
-    base = {
-        "norm": make_norm,
-        "area": make_area,
-        "w-shape": make_w_shape,
-    }
     if f_desc["kind"] == "shifted-norm":
         F = make_shifted_norm(A0=f_desc.get("A0", 0.3), c=f_desc.get("c", 0.4))
     else:
-        F = base[f_desc["kind"]]()
+        F = catalog_integrand(f_desc["kind"])
     if f_desc.get("modulated"):
         F = x_modulated(F)
     return u, FunctionalSpec(F, mu, domain)

@@ -20,12 +20,15 @@ import numpy as np
 
 from . import expressions
 from .bv import derivative
+from .functional import order_fit
 from .integrands import Integrand, generalized_recession, recession_values
 from .measures import (
+    MeasurePart,
     ScalarRadonMeasure,
+    measure_parts,
     merge_breaks,
     rn_decompose,
-    scalar_rn_decompose,
+    singular_densities,
 )
 
 _PROB_TOL = 1e-12
@@ -34,33 +37,6 @@ _ZTOL = 1e-12
 
 class YoungMeasureError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Reference-measure node parts
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MeasurePart:
-    kind: str  # "cells" | "atom" | "carrier"
-    key: object  # None | atom point tuple | carrier id
-    points: np.ndarray  # (M, dim)
-    masses: np.ndarray  # (M,) quadrature weight x density
-
-
-def measure_parts(m, extra_breaks=None):
-    """Flatten a scalar measure into quadrature parts so that
-    sum over parts of sum(g(points) * masses) integrates g against m."""
-    breaks = merge_breaks(m.domain.dim, m.breaks, extra_breaks)
-    nodes, weights = m.domain.cell_rule(breaks=breaks)
-    parts = [MeasurePart("cells", None, nodes, weights * np.asarray(m.density_at(nodes)))]
-    for p, w in m.atoms:
-        parts.append(MeasurePart("atom", tuple(p), p[None, :], np.array([w])))
-    for cid, fn in m.carrier_parts:
-        pts, wts = m.carrier(cid).rule(m.domain.resolution)
-        parts.append(MeasurePart("carrier", cid, pts, wts * np.asarray(fn(pts))))
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +81,9 @@ class ElementaryOscillation(OscillationField):
 
     def __init__(self, decomposition):
         self.dec = decomposition
-        self._atom_values = {tuple(p): v for p, _, v in decomposition.atom_values}
-        self._carrier_ratios = {cid: r for cid, _, r in decomposition.carrier_fns}
 
     def eval(self, part, points):
-        if part.kind == "cells":
-            A = self.dec.cell_fn(points)
-        elif part.kind == "atom":
-            A = np.tile(self._atom_values[part.key][None], (len(points), 1, 1))
-        else:
-            A = self._carrier_ratios[part.key](points)
-        return np.ones((len(points), 1)), A[:, None, :, :]
+        return np.ones((len(points), 1)), self.dec.density_on(part, points)[:, None, :, :]
 
 
 class ElementaryPolar(OscillationField):
@@ -124,16 +92,12 @@ class ElementaryPolar(OscillationField):
 
     def __init__(self, remainder):
         self.remainder = remainder
-        self._carrier_fns = dict(remainder.carrier_parts)
-        self._atoms = {tuple(p): v for p, v in remainder.atoms}
+        self._densities = singular_densities(remainder)
 
     def eval(self, part, points):
-        if part.kind == "carrier":
-            vals = np.asarray(self._carrier_fns[part.key](points))
-        elif part.kind == "atom":
-            vals = np.tile(self._atoms[part.key][None], (len(points), 1, 1))
-        else:
-            raise YoungMeasureError("elementary sphere field has no volume part")
+        if part.key not in self._densities:
+            raise YoungMeasureError("elementary sphere field lives on atoms and carriers only")
+        vals = np.asarray(self._densities[part.key](points))
         mags = np.sqrt(np.sum(vals * vals, axis=(1, 2)))
         safe = np.where(mags > _ZTOL, mags, 1.0)
         polar = vals / safe[:, None, None]
@@ -247,7 +211,7 @@ def _read_only(*arrays):
 
 def _read_only_parts(parts):
     for part in parts:
-        _read_only(part.points, part.masses)
+        _read_only(part.points, part.weights, part.masses)
     return parts
 
 
@@ -386,22 +350,22 @@ def barycenter(nu):
         lam_cell_charged = bool(np.any(np.abs(cell_part.masses) > _ZTOL))
 
     def density(nodes):
-        out = mean_osc(MeasurePart("cells", None, nodes, None), nodes) * np.asarray(
+        out = mean_osc(MeasurePart("cells", None, nodes), nodes) * np.asarray(
             mu.density_at(nodes)
         )[:, None, None]
         if lam_cell_charged:
             out = out + mean_inf(
-                MeasurePart("cells", None, nodes, None), nodes
+                MeasurePart("cells", None, nodes), nodes
             ) * np.asarray(nu.lam.density_at(nodes))[:, None, None]
         return out
 
     atom_acc = {}
     for p, w in mu.atoms:
-        part = MeasurePart("atom", tuple(p), p[None, :], None)
+        part = MeasurePart("atom", tuple(p), p[None, :])
         atom_acc[tuple(p)] = (p, w * mean_osc(part, p[None, :])[0])
     if nu.nu_inf is not None:
         for p, w in nu.lam.atoms:
-            part = MeasurePart("atom", tuple(p), p[None, :], None)
+            part = MeasurePart("atom", tuple(p), p[None, :])
             add = w * mean_inf(part, p[None, :])[0]
             key = tuple(p)
             if key in atom_acc:
@@ -420,7 +384,7 @@ def barycenter(nu):
 
         def part_fn(pts, _cid=cid, _contribs=contribs):
             out = np.zeros((len(pts), N, n))
-            part = MeasurePart("carrier", _cid, pts, None)
+            part = MeasurePart("carrier", _cid, pts)
             for fn, mode in _contribs:
                 mean = mean_osc(part, pts) if mode == "osc" else mean_inf(part, pts)
                 out = out + mean * np.asarray(fn(pts))[:, None, None]
@@ -484,18 +448,9 @@ def empirical_generation_check(sequence, mu, candidate, test_integrands, js,
     final_gap = max(gaps[-1] for gaps in per_probe.values())
     orders = {}
     for fi, f in enumerate(test_integrands):
-        worst = None
-        for pi in range(len(localizations)):
-            gaps = per_probe[(fi, pi)]
-            pts = [(j, g) for j, g in zip(js, gaps) if g > 1e-11]
-            if len(pts) < 3:
-                continue
-            lx = np.log([1.0 / j for j, _ in pts])
-            ly = np.log([g for _, g in pts])
-            slope = float(np.polyfit(lx, ly, 1)[0])
-            worst = slope if worst is None else min(worst, slope)
-        label = getattr(f, "name", f"f{fi}")
-        orders[label] = worst
+        fitted = [order_fit(js, per_probe[(fi, pi)], 1e-11, 3) for pi in range(len(localizations))]
+        fitted = [o for o in fitted if o is not None]
+        orders[getattr(f, "name", f"f{fi}")] = min(fitted, default=None)
     return GenerationReport(js, per_probe, final_gap, orders)
 
 
@@ -558,29 +513,13 @@ def _jensen_core(F, u, nu, mu, tol, upper_slope):
     _check_barycenter(u, nu)
     _lambda_boundary_zero(nu)
     dec_u = rn_decompose(derivative(u), mu)
-    dec_lam = scalar_rn_decompose(nu.lam, mu)
-    lam_atom_vals = {tuple(p): v for p, _, v in dec_lam.atom_values}
-    lam_carrier_ratios = {cid: r for cid, _, r in dec_lam.carrier_fns}
-    u_atom_vals = {tuple(p): v for p, _, v in dec_u.atom_values}
-    u_carrier_ratios = {cid: r for cid, _, r in dec_u.carrier_fns}
+    dec_lam = rn_decompose(nu.lam, mu)
+    report = JensenReport([], [], 0)
 
-    ac_violations = []
-    checked = 0
-    for part in measure_parts(mu, extra_breaks=nu.breaks):
+    def check(part, lhs, rhs, dlam, violations):
+        """Flag the nodes of ``part`` where lhs exceeds rhs plus the
+        concentration term, ``dlam`` being the lambda density there."""
         pts = part.points
-        if not len(pts):
-            continue
-        if part.kind == "cells":
-            du = dec_u.cell_fn(pts)
-            dlam = np.asarray(dec_lam.cell_fn(pts))
-        elif part.kind == "atom":
-            du = np.tile(u_atom_vals[part.key][None], (len(pts), 1, 1))
-            dlam = np.full(len(pts), lam_atom_vals[part.key])
-        else:
-            du = u_carrier_ratios[part.key](pts)
-            dlam = np.asarray(lam_carrier_ratios[part.key](pts))
-        lhs = np.asarray(F(pts, du))
-        rhs = _field_pair(F, *nu.nu.eval(part, pts), pts)
         charged = dlam > _ZTOL
         if np.any(charged) and nu.nu_inf is not None:
             rhs = rhs.copy()
@@ -588,53 +527,33 @@ def _jensen_core(F, u, nu, mu, tol, upper_slope):
                 _sphere_pair(F, nu.nu_inf, part, pts[charged], upper_slope)
                 * dlam[charged]
             )
-        checked += len(pts)
-        bad = lhs > rhs + tol
-        for m in np.nonzero(bad)[0]:
-            ac_violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
+        report.nodes_checked += len(pts)
+        for m in np.nonzero(lhs > rhs + tol)[0]:
+            violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
 
-    singular_violations = []
-    rem_u = dec_u.remainder
-    rem_lam_carriers = dict(dec_lam.remainder.carrier_parts)
-    rem_lam_atoms = {tuple(p): w for p, w in dec_lam.remainder.atoms}
-    for cid, fn in rem_u.carrier_parts:
-        pts, _ = rem_u.carrier(cid).rule(u.domain.resolution)
-        vals = np.asarray(fn(pts))
-        mags = _mags(vals)
+    for part in measure_parts(mu, extra_breaks=nu.breaks):
+        pts = part.points
+        if len(pts):
+            lhs = np.asarray(F(pts, dec_u.density_on(part, pts)))
+            rhs = _field_pair(F, *nu.nu.eval(part, pts), pts)
+            check(part, lhs, rhs, np.asarray(dec_lam.density_on(part, pts)), report.ac_violations)
+
+    # the mu-singular parts of Du (the atoms and carriers of its remainder;
+    # its cell part, first, is zero) against the lambda density on the same
+    # atom or carrier, zero where lambda's remainder has none
+    lam_density = singular_densities(dec_lam.remainder)
+    for part in measure_parts(dec_u.remainder)[1:]:
+        pts, vals = part.points, part.values
         lhs = np.zeros(len(pts))
-        active = mags > _ZTOL
+        active = _mags(vals) > _ZTOL
         if np.any(active):
             lhs[active] = recession_values(F, pts[active], vals[active])
-        lam_dens = (
-            np.asarray(rem_lam_carriers[cid](pts)) if cid in rem_lam_carriers else np.zeros(len(pts))
-        )
-        part = MeasurePart("carrier", cid, pts, None)
-        rhs = np.zeros(len(pts))
-        charged = lam_dens > _ZTOL
-        if np.any(charged) and nu.nu_inf is not None:
-            rhs[charged] = (
-                _sphere_pair(F, nu.nu_inf, part, pts[charged], upper_slope)
-                * lam_dens[charged]
-            )
-        checked += len(pts)
-        bad = lhs > rhs + tol
-        for m in np.nonzero(bad)[0]:
-            singular_violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
-    for p, v in rem_u.atoms:
-        if np.linalg.norm(v) <= _ZTOL:
-            continue
-        lhs = recession_values(F, p[None, :], v[None])[0]
-        lam_w = rem_lam_atoms.get(tuple(p), 0.0)
-        rhs = 0.0
-        if lam_w > _ZTOL and nu.nu_inf is not None:
-            part = MeasurePart("atom", tuple(p), p[None, :], None)
-            rhs = float(
-                _sphere_pair(F, nu.nu_inf, part, p[None, :], upper_slope)[0] * lam_w
-            )
-        checked += 1
-        if lhs > rhs + tol:
-            singular_violations.append((tuple(p), float(lhs), float(rhs)))
-    return JensenReport(ac_violations, singular_violations, checked)
+        if part.key in lam_density:
+            dlam = np.asarray(lam_density[part.key](pts))
+        else:
+            dlam = np.zeros(len(pts))
+        check(part, lhs, np.zeros(len(pts)), dlam, report.singular_violations)
+    return report
 
 
 def jensen_check_mu(F, u, nu, mu, tol=1e-8):
