@@ -21,6 +21,7 @@ from .measures import (
     area_functional,
     merge_breaks,
     pair_with_test_function,
+    singular_parts,
     total_variation,
 )
 
@@ -384,13 +385,9 @@ def verify_integration_by_parts(u, psi, comp_i=0, comp_j=0):
     rhs = float(
         np.dot(weights, np.asarray(psi.value(nodes)) * u.gradient_at(nodes)[:, comp_i, comp_j])
     )
-    for cid, fn in gamma.carrier_parts:
-        pts, w = gamma.carrier(cid).rule(u.domain.resolution)
-        rhs += float(
-            np.dot(w, np.asarray(psi.value(pts)) * np.asarray(fn(pts))[:, comp_i, comp_j])
-        )
-    for p, v in gamma.atoms:
-        rhs += float(np.asarray(psi.value(p[None, :]))[0] * v[comp_i, comp_j])
+    for part in singular_parts(gamma):
+        values = np.asarray(psi.value(part.points)) * part.values[:, comp_i, comp_j]
+        rhs += float(np.dot(part.weights, values))
     return abs(lhs + rhs)
 
 

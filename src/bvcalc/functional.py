@@ -26,10 +26,14 @@ from .measures import (
     DecompositionError,
     ScalarRadonMeasure,
     area_functional,
+    charges_boundary,
+    frobenius,
+    matched_parts,
     measure_parts,
     merge_breaks,
     pair_with_test_function,
     rn_decompose,
+    singular_parts,
     total_variation,
 )
 
@@ -45,7 +49,7 @@ class FunctionalSpec:
     """Integrand + reference measure + domain (+ boundary-term flag).
 
     The reference measure must not charge the boundary; structurally this
-    means no atoms on it and no carrier segments lying along it.
+    means no atoms or point carriers on it and no segments along it.
     """
 
     integrand: Integrand
@@ -56,19 +60,8 @@ class FunctionalSpec:
     def __post_init__(self):
         if self.integrand.growth_M <= 0:
             raise FunctionalError("integrand must declare a positive upper growth constant")
-        for p, w in self.mu.atoms:
-            if w > 0 and not self.domain.strictly_contains(p):
-                raise FunctionalError("mu must not charge the boundary (atom on it)")
-        for cid, _ in self.mu.carrier_parts:
-            carrier = self.mu.carrier(cid)
-            if carrier.kind == "segment":
-                mid = 0.5 * (
-                    np.asarray(carrier.endpoints[0]) + np.asarray(carrier.endpoints[1])
-                )
-                if not self.domain.strictly_contains(mid):
-                    raise FunctionalError("mu carrier lies along the boundary")
-            elif not self.domain.strictly_contains(np.asarray(carrier.point)):
-                raise FunctionalError("mu must not charge the boundary (carrier on it)")
+        if charges_boundary(self.mu, self.domain, 0.0):
+            raise FunctionalError("mu must not charge the boundary")
 
     def without_boundary(self):
         return FunctionalSpec(self.integrand, self.mu, self.domain, include_boundary=False)
@@ -125,22 +118,22 @@ def evaluate(u, spec):
 def _singular_term(F, remainder, domain):
     """integral F^inf(x, polar) d|remainder|; by positive 1-homogeneity this
     is the recession evaluated directly on the densities, with zero values
-    contributing zero.  Only the carrier and atom parts are read: a cell
-    density of ``remainder`` is never looked at."""
+    contributing zero.  Only the atom and carrier parts are read: a cell
+    density of ``remainder`` is never looked at.  ``domain`` is the
+    remainder's own, whose resolution its carrier rules use."""
     total = 0.0
-    for cid, fn in remainder.carrier_parts:
-        pts, wts = remainder.carrier(cid).rule(domain.resolution)
-        vals = np.asarray(fn(pts))
-        mags = np.sqrt(np.sum(vals * vals, axis=(1, 2)))
-        out = np.zeros(len(pts))
-        charged = mags > _ZTOL
-        if np.any(charged):
-            out[charged] = recession_values(F, pts[charged], vals[charged])
-        total += float(np.dot(wts, out))
-    for p, v in remainder.atoms:
-        if np.linalg.norm(v) > _ZTOL:
-            total += recession_values(F, p[None, :], v[None])[0]
+    for part in singular_parts(remainder):
+        total += float(np.dot(part.weights, charged_recession(F, part.points, part.values)))
     return total
+
+
+def charged_recession(F, points, values):
+    """F^inf(x, A) at the points where A is nonzero, 0 elsewhere."""
+    out = np.zeros(len(points))
+    charged = frobenius(values) > _ZTOL
+    if np.any(charged):
+        out[charged] = recession_values(F, points[charged], values[charged])
+    return out
 
 
 def boundary_term(u, F):
@@ -149,13 +142,7 @@ def boundary_term(u, F):
     points with zero trace contribute zero."""
     pts, wts, normals = u.domain.boundary_rule()
     trace = np.asarray(boundary_trace(u)(pts))
-    tensors = trace[:, :, None] * normals[:, None, :]
-    mags = np.linalg.norm(trace, axis=1)
-    vals = np.zeros(len(pts))
-    charged = mags > _ZTOL
-    if np.any(charged):
-        vals[charged] = recession_values(F, pts[charged], tensors[charged])
-    return float(np.dot(wts, vals))
+    return float(np.dot(wts, charged_recession(F, pts, trace[:, :, None] * normals[:, None, :])))
 
 
 # ---------------------------------------------------------------------------
@@ -170,28 +157,13 @@ def admissibility_check(u, mu):
     gamma = derivative(u)
     breaks = merge_breaks(u.domain.dim, gamma.breaks, mu.breaks)
     nodes, _ = u.domain.cell_rule(breaks=breaks)
-    gmag = np.sqrt(np.sum(gamma.density_at(nodes) ** 2, axis=(1, 2)))
+    gmag = frobenius(gamma.density_at(nodes))
     a = np.asarray(mu.density_at(nodes))
     if np.any((gmag > _ZTOL) & (a <= 0.0)):
         return False
-    mu_parts = dict(mu.carrier_parts)
-    for cid, gfn in gamma.carrier_parts:
-        pts, _ = gamma.carrier(cid).rule(u.domain.resolution)
-        gm = np.sqrt(np.sum(np.asarray(gfn(pts)) ** 2, axis=(1, 2)))
-        if not np.any(gm > _ZTOL):
-            continue
-        if cid not in mu_parts:
-            return False
-        mv = np.asarray(mu_parts[cid](pts))
-        if np.any((gm > _ZTOL) & (mv <= 0.0)):
-            return False
-    for p, v in gamma.atoms:
-        if np.linalg.norm(v) <= _ZTOL:
-            continue
-        matched = any(
-            w > 0 and np.linalg.norm(p - q) <= 1e-12 for q, w in mu.atoms
-        )
-        if not matched:
+    for g, m in matched_parts(singular_parts(gamma), singular_parts(mu)):
+        mu_there = 0.0 if m is None else m.values
+        if g is not None and np.any((frobenius(g.values) > _ZTOL) & (mu_there <= 0.0)):
             return False
     return True
 
@@ -271,15 +243,9 @@ def mollify_in_small_set(u, spec, region, j):
     gamma = derivative(u)
     dec = rn_decompose(gamma, spec.mu)
     region = np.asarray(region, dtype=float).reshape(-1, 2)
-    for p, v in dec.remainder.atoms:
-        if np.linalg.norm(v) > _ZTOL and not _inside(p, region):
-            raise FunctionalError("singular part not concentrated in the given region")
-    for cid, fn in dec.remainder.carrier_parts:
-        pts, _ = dec.remainder.carrier(cid).rule(u.domain.resolution)
-        mags = np.sqrt(np.sum(np.asarray(fn(pts)) ** 2, axis=(1, 2)))
-        if np.any(mags > _ZTOL) and not np.all(
-            [_inside(p, region) for p in pts[mags > _ZTOL]]
-        ):
+    for part in singular_parts(dec.remainder):
+        charged = part.points[frobenius(part.values) > _ZTOL]
+        if not all(_inside(p, region) for p in charged):
             raise FunctionalError("singular part not concentrated in the given region")
     if not u.jumps:
         return u

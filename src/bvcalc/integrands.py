@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import frobenius
+
 DEFAULT_T_SCHEDULE = tuple(10.0**k for k in range(2, 9))
 
 
@@ -29,11 +31,6 @@ class RecessionError(RuntimeError):
 
 class IntegrandError(ValueError):
     pass
-
-
-def _norm(A):
-    A = np.asarray(A, dtype=float)
-    return np.sqrt(np.sum(A * A, axis=(-2, -1)))
 
 
 def _as_batch(x, A, dim):
@@ -100,12 +97,12 @@ class Integrand:
         N, n = self.dims
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((samples, N, n))
-        A *= (rng.uniform(0, radius, size=samples) / np.maximum(_norm(A), 1e-12))[
+        A *= (rng.uniform(0, radius, size=samples) / np.maximum(frobenius(A), 1e-12))[
             :, None, None
         ]
         x = rng.uniform(0, 1, size=(samples, self.spatial_dim))
         vals = self(x, A)
-        mags = _norm(A)
+        mags = frobenius(A)
         if np.any(vals < self.growth_m * mags - 1e-9 * (1 + mags)):
             raise IntegrandError(f"{self.name}: lower growth bound violated")
         if np.any(vals > self.growth_M * (1 + mags) + 1e-9 * (1 + mags)):
@@ -132,7 +129,7 @@ class SQIntegrand(Integrand):
         rng = np.random.default_rng(seed)
         N, n = self.dims
         A = rng.standard_normal((samples, N, n))
-        A /= np.maximum(_norm(A), 1e-12)[:, None, None]
+        A /= np.maximum(frobenius(A), 1e-12)[:, None, None]
         mags = rng.uniform(self.radius, 8 * self.radius, size=samples)
         A = A * mags[:, None, None]
         vals = self(None, A)
@@ -140,7 +137,7 @@ class SQIntegrand(Integrand):
         if np.any(np.abs(vals - (rec - self.index)) > 1e-10 * (1 + np.abs(vals))):
             raise IntegrandError("SQ identity F = F^inf - i fails beyond r_i")
         small = A * (rng.uniform(0, 1, size=samples) / mags)[:, None, None]
-        if np.any(self.recession(None, small) < _norm(small) / self.index - 1e-10):
+        if np.any(self.recession(None, small) < frobenius(small) / self.index - 1e-10):
             raise IntegrandError("SQ coercivity F^inf >= |A|/i fails")
         return True
 
@@ -154,10 +151,10 @@ def make_norm(N=1, n=1):
     return Integrand(
         name="norm",
         dims=(N, n),
-        fn=lambda x, A: _norm(A),
+        fn=lambda x, A: frobenius(A),
         growth_m=1.0,
         growth_M=1.0,
-        recession_analytic=lambda x, A: _norm(A),
+        recession_analytic=lambda x, A: frobenius(A),
         convexity="convex",
     )
 
@@ -166,10 +163,10 @@ def make_area(N=1, n=1):
     return Integrand(
         name="area",
         dims=(N, n),
-        fn=lambda x, A: np.sqrt(1.0 + _norm(A) ** 2),
+        fn=lambda x, A: np.sqrt(1.0 + frobenius(A) ** 2),
         growth_m=1.0,
         growth_M=1.0,
-        recession_analytic=lambda x, A: _norm(A),
+        recession_analytic=lambda x, A: frobenius(A),
         convexity="convex",
     )
 
@@ -180,10 +177,10 @@ def make_w_shape():
     return Integrand(
         name="w-shape",
         dims=(1, 1),
-        fn=lambda x, A: np.abs(_norm(A) - 1.0),
+        fn=lambda x, A: np.abs(frobenius(A) - 1.0),
         growth_m=0.0,
         growth_M=1.0,
-        recession_analytic=lambda x, A: _norm(A),
+        recession_analytic=lambda x, A: frobenius(A),
         convexity="not_quasiconvex",
     )
 
@@ -195,10 +192,10 @@ def make_shifted_norm(A0=0.3, c=0.4, N=1, n=1):
     return Integrand(
         name="shifted-norm",
         dims=(N, n),
-        fn=lambda x, A: _norm(A - A0m[None]) + c,
+        fn=lambda x, A: frobenius(A - A0m[None]) + c,
         growth_m=m,
         growth_M=1.0 + abs(A0) + c,
-        recession_analytic=lambda x, A: _norm(A),
+        recession_analytic=lambda x, A: frobenius(A),
         convexity="convex",
     )
 
@@ -254,7 +251,7 @@ def transform_T(f):
         B = np.asarray(B, dtype=float)
         scalar = B.ndim == 2
         Bb = B[None] if scalar else B
-        r = _norm(Bb)
+        r = frobenius(Bb)
         if np.any(r >= 1.0):
             raise IntegrandError("transform argument must satisfy |B| < 1")
         scale = 1.0 - r
@@ -271,7 +268,7 @@ def transform_T_inv(g):
         A = np.asarray(A, dtype=float)
         scalar = A.ndim == 2
         Ab = A[None] if scalar else A
-        scale = 1.0 + _norm(Ab)
+        scale = 1.0 + frobenius(Ab)
         vals = scale * np.asarray(g(x, Ab / scale[:, None, None]))
         return float(vals[0]) if scalar else vals
 
@@ -298,7 +295,7 @@ def recession(f, x, A, t_schedule=None, stabilization_tol=1e-5, cross_check_tol=
     Cauchy tail, and cross-check an analytic recession when available."""
     schedule = tuple(t_schedule) if t_schedule is not None else DEFAULT_T_SCHEDULE
     A = np.asarray(A, dtype=float)
-    mag = float(_norm(A))
+    mag = float(frobenius(A))
     values = tuple(float(np.asarray(f(x, t * A))) / t for t in schedule)
     diag = abs(values[-1] - values[-2]) / (1.0 + mag)
     if diag > stabilization_tol:
@@ -322,7 +319,7 @@ def generalized_recession(f, A, t_schedule=None):
     values = tuple(float(np.asarray(f(None, t * A))) / t for t in schedule)
     tail = max(2, len(values) // 4)
     value = max(values[-tail:])
-    diag = abs(values[-1] - values[-2]) / (1.0 + float(_norm(A)))
+    diag = abs(values[-1] - values[-2]) / (1.0 + float(frobenius(A)))
     return RecessionResult(value, diag, values)
 
 
@@ -350,7 +347,7 @@ def _fixed_directions(N, n, extra=8, seed=2024):
     rng = np.random.default_rng(seed)
     for _ in range(extra):
         D = rng.standard_normal((N, n))
-        dirs.append(D / _norm(D))
+        dirs.append(D / frobenius(D))
     return dirs
 
 
@@ -597,7 +594,7 @@ def sq_envelope(F, i, max_radius_exponent=20, directions=None, seed=9):
     mags = sorted(set(radii) | {1.5 * r for r in radii[:-1]})
 
     def branch(A):
-        return slope(A) + _norm(A) / i - i
+        return slope(A) + frobenius(A) / i - i
 
     ok_radius = None
     values = {}
@@ -631,11 +628,11 @@ def sq_envelope(F, i, max_radius_exponent=20, directions=None, seed=9):
 
     def g_fn(x, A):
         A = np.asarray(A, dtype=float)
-        return np.maximum(np.asarray(F.fn(x, A)), batch_rec(A) + _norm(A) / i - i)
+        return np.maximum(np.asarray(F.fn(x, A)), batch_rec(A) + frobenius(A) / i - i)
 
     def g_rec(x, A):
         A = np.asarray(A, dtype=float)
-        return batch_rec(A) + _norm(A) / i
+        return batch_rec(A) + frobenius(A) / i
 
     out = SQIntegrand(
         name=f"sq[{F.name}, i={i}]",

@@ -63,6 +63,14 @@ def _refined_edges(lo, hi, resolution, breaks):
     return edges
 
 
+def _gl3(edges):
+    """GL3 nodes and weights on each panel between consecutive ``edges``."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * _GL3_NODES[None, :]).ravel()
+    return nodes, (half[:, None] * _GL3_WEIGHTS[None, :]).ravel()
+
+
 @dataclass(frozen=True)
 class Domain:
     """Interval (1D) or axis-aligned rectangle (2D) with a fixed cell grid.
@@ -144,16 +152,10 @@ class Domain:
         """Per-cell 3-point Gauss rule (tensorized in 2D); exact for
         polynomials of degree 5 per axis on each refined cell."""
         axis_breaks = _normalize_breaks(breaks, self.dim)
-        axis_nodes = []
-        axis_weights = []
-        for k, (lo, hi) in enumerate(self.box):
-            edges = _refined_edges(lo, hi, self.resolution, axis_breaks[k])
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * np.diff(edges)
-            pts = (mid[:, None] + half[:, None] * _GL3_NODES[None, :]).ravel()
-            wts = (half[:, None] * _GL3_WEIGHTS[None, :]).ravel()
-            axis_nodes.append(pts)
-            axis_weights.append(wts)
+        axis_nodes, axis_weights = zip(*[
+            _gl3(_refined_edges(lo, hi, self.resolution, axis_breaks[k]))
+            for k, (lo, hi) in enumerate(self.box)
+        ])
         if self.dim == 1:
             return axis_nodes[0][:, None], axis_weights[0]
         gx, gy = np.meshgrid(axis_nodes[0], axis_nodes[1], indexing="ij")
@@ -179,11 +181,7 @@ class Domain:
             (1, by, (0.0, -1.0)),
         ):
             lo, hi = self.box[1 - fixed_axis]
-            edges = np.linspace(lo, hi, self.resolution + 1)
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * np.diff(edges)
-            t = (mid[:, None] + half[:, None] * _GL3_NODES[None, :]).ravel()
-            w = (half[:, None] * _GL3_WEIGHTS[None, :]).ravel()
+            t, w = _gl3(np.linspace(lo, hi, self.resolution + 1))
             p = np.empty((len(t), 2))
             p[:, fixed_axis] = fixed_val
             p[:, 1 - fixed_axis] = t
@@ -296,12 +294,8 @@ class SingularCarrier:
             t0, t1 = _clip_segment(p, q, region)
             if t1 <= t0:
                 return np.zeros((0, len(p))), np.zeros(0)
-        edges = np.linspace(t0, t1, resolution + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * _GL3_NODES[None, :]).ravel()
-        w = (half[:, None] * _GL3_WEIGHTS[None, :]).ravel() * self.length()
-        return p[None, :] + t[:, None] * (q - p)[None, :], w
+        t, w = _gl3(np.linspace(t0, t1, resolution + 1))
+        return p[None, :] + t[:, None] * (q - p)[None, :], w * self.length()
 
 
 def _point_in_region(point, region):
@@ -541,10 +535,6 @@ class MatrixRadonMeasure(_StructuredMeasure):
         return np.asarray(self.density(nodes), dtype=float)
 
 
-def zero_matrix_measure(domain, shape, registry=None):
-    return MatrixRadonMeasure(domain, shape, registry=registry)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature parts
 # ---------------------------------------------------------------------------
@@ -585,7 +575,13 @@ def measure_parts(m, extra_breaks=None, region=None):
     else:
         breaks = m.breaks
     nodes, weights = m.domain.cell_rule(breaks=breaks, region=region)
-    parts = [_part(m, "cells", None, nodes, weights, m.density_at)]
+    return [_part(m, "cells", None, nodes, weights, m.density_at), *singular_parts(m, region)]
+
+
+def singular_parts(m, region=None):
+    """The atom and carrier parts of ``m``, in that order: the parts of
+    :func:`measure_parts` after the cells, built without a cell rule."""
+    parts = []
     for p, v in m.atoms:
         inside = region is None or _point_in_region(p, region)
         points = p[None, :] if inside else np.zeros((0, len(p)))
@@ -613,13 +609,15 @@ def _integrate(measure, region, on_cells, on_singular):
 # ---------------------------------------------------------------------------
 
 
-def _frob(values):
-    return np.sqrt(np.sum(values * values, axis=(1, 2)))
+def frobenius(A):
+    """Pointwise Frobenius norm of matrices stacked along the leading axes."""
+    A = np.asarray(A, dtype=float)
+    return np.sqrt(np.sum(A * A, axis=(-2, -1)))
 
 
 def _magnitudes(values):
     """Pointwise |value|: absolute value of scalars, Frobenius norm of matrices."""
-    return np.abs(values) if values.ndim == 1 else _frob(values)
+    return np.abs(values) if values.ndim == 1 else frobenius(values)
 
 
 def _values(part):
@@ -641,7 +639,7 @@ def area_functional(gamma, region=None):
     sqrt(1 + |density|^2) over cells and add the singular masses."""
 
     def area(part):
-        return np.sqrt(1.0 + _frob(part.values) ** 2)
+        return np.sqrt(1.0 + frobenius(part.values) ** 2)
 
     return _integrate(gamma, region, area, _norm_of_values)
 
@@ -653,21 +651,50 @@ def _same_support(a, b):
         return False
     if a.kind == "carrier":
         return a.key == b.key
-    return np.linalg.norm(a.points[0] - b.points[0]) <= _MATCH_TOL
+    return np.linalg.norm(np.subtract(a.key, b.key)) <= _MATCH_TOL
+
+
+def matched_parts(parts1, parts2):
+    """Pair the singular parts of two measures on one domain by support.
+
+    Each part of ``parts1``, in order, is paired with the first unused part
+    of ``parts2`` on the same support, or with None; the parts of
+    ``parts2`` left over follow as (None, part).  Each part is used once.
+    """
+    pairs, used = [], set()
+    for a in parts1:
+        j = next((j for j, b in enumerate(parts2) if j not in used and _same_support(a, b)), None)
+        used.add(j)
+        pairs.append((a, None if j is None else parts2[j]))
+    return pairs + [(None, b) for j, b in enumerate(parts2) if j not in used]
 
 
 def mutually_singular(gamma1, gamma2):
     """Structural mutual singularity: no common cell node where both
     densities are nonzero, no shared carrier id, no coincident atoms."""
     breaks = merge_breaks(gamma1.domain.dim, gamma1.breaks, gamma2.breaks)
-    cells, singular = [], []
-    for gamma in (gamma1, gamma2):
-        cell_part, *rest = measure_parts(gamma, extra_breaks=breaks)
-        cells.append(_magnitudes(cell_part.values) > _ZERO_TOL)
-        singular.append([p for p in rest if np.any(_magnitudes(p.values) > _ZERO_TOL)])
+    nodes, _ = gamma1.domain.cell_rule(breaks=breaks)
+    cells = [_magnitudes(g.density_at(nodes)) > _ZERO_TOL for g in (gamma1, gamma2)]
     if np.any(cells[0] & cells[1]):
         return False
-    return not any(_same_support(a, b) for a in singular[0] for b in singular[1])
+    charged = [
+        [p for p in singular_parts(g) if np.any(_magnitudes(p.values) > _ZERO_TOL)]
+        for g in (gamma1, gamma2)
+    ]
+    return all(a is None or b is None for a, b in matched_parts(*charged))
+
+
+def charges_boundary(m, domain, tol):
+    """Whether ``m`` charges the boundary of ``domain``: an atom heavier
+    than ``tol`` on it, a point carrier on it or a segment along it."""
+    if any(w > tol and not domain.strictly_contains(p) for p, w in m.atoms):
+        return True
+    for cid, _ in m.carrier_parts:
+        c = m.carrier(cid)
+        at = c.point if c.kind == "point" else np.mean(np.asarray(c.endpoints), axis=0)
+        if not domain.strictly_contains(at):
+            return True
+    return False
 
 
 def pair_with_test_function(gamma, phi, check_boundary=True):
@@ -675,7 +702,7 @@ def pair_with_test_function(gamma, phi, check_boundary=True):
     continuous matrix field phi vanishing on the domain boundary."""
     if check_boundary:
         bpts, _, _ = gamma.domain.boundary_rule()
-        if np.max(_frob(np.asarray(phi(bpts)))) > 1e-8:
+        if np.max(frobenius(phi(bpts))) > 1e-8:
             raise MeasureError("test field must vanish on the boundary")
 
     def paired(part):
@@ -699,8 +726,8 @@ class MuDecomposition:
     """gamma = (dgamma/dmu) mu + remainder, resolved per structural part.
 
     ``cell_fn`` is the density on cells (gamma density / a); ``atom_values``
-    and ``carrier_fns`` cover every atom/carrier of mu (zero where gamma
-    does not charge); ``remainder`` collects the gamma parts mu does not
+    and ``carrier_fns`` cover every atom/carrier of mu in mu's order (zero
+    where gamma does not charge); ``remainder`` collects the gamma parts mu does not
     see, which are mutually singular with mu by construction.  gamma is a
     matrix measure or, as the shape-() case, a scalar one.
     """
@@ -758,48 +785,33 @@ def rn_decompose(gamma, mu):
     def cell_fn(pts, _g=gamma, _m=mu):
         return _g.density_at(pts) / _per_node(_m.density_at(pts), shape)
 
-    matched_gamma_atoms = set()
-    atom_values = []
-    for p, w in mu.atoms:
-        value = np.zeros(shape)
-        for i, (q, v) in enumerate(gamma.atoms):
-            if np.linalg.norm(p - q) <= _MATCH_TOL:
-                value = v / w
-                matched_gamma_atoms.add(i)
-                break
-        atom_values.append((p, w, value))
-    rem_atoms = [
-        (p, v) for i, (p, v) in enumerate(gamma.atoms) if i not in matched_gamma_atoms
-    ]
-
-    mu_parts = dict(mu.carrier_parts)
-    carrier_fns = []
-    rem_parts = []
-    for cid, gfn in gamma.carrier_parts:
-        if cid in mu_parts:
-            mfn = mu_parts[cid]
-            pts, _ = gamma.carrier(cid).rule(gamma.domain.resolution)
-            gmag = _magnitudes(np.asarray(gfn(pts)))
-            mvals = np.asarray(mfn(pts))
-            if np.any((gmag > _ZERO_TOL) & (mvals <= _ZERO_TOL)):
+    mu_fns, gamma_fns = dict(mu.carrier_parts), dict(gamma.carrier_parts)
+    atom_values, carrier_fns, rem_atoms, rem_parts = [], [], [], []
+    for mp, gp in matched_parts(singular_parts(mu), singular_parts(gamma)):
+        if mp is None:  # a part of gamma that mu does not see
+            if gp.kind == "atom":
+                rem_atoms.append((gp.points[0], gp.values[0]))
+            else:
+                rem_parts.append((gp.key, gamma_fns[gp.key]))
+        elif mp.kind == "atom":
+            value = np.zeros(shape) if gp is None else gp.values[0] / mp.values[0]
+            atom_values.append((mp.points[0], mp.values[0], value))
+        elif gp is None:
+            carrier_fns.append((mp.key, mu_fns[mp.key], lambda p: np.zeros((len(p),) + shape)))
+        else:
+            if np.any((_magnitudes(gp.values) > _ZERO_TOL) & (mp.values <= _ZERO_TOL)):
                 raise DecompositionError(
-                    f"mu density vanishes on carrier {cid!r} where gamma charges it"
+                    f"mu density vanishes on carrier {mp.key!r} where gamma charges it"
                 )
 
-            def ratio(p, _g=gfn, _m=mfn):
+            def ratio(p, _g=gamma_fns[gp.key], _m=mu_fns[mp.key]):
                 m = np.asarray(_m(p))
                 safe = np.where(m > _ZERO_TOL, m, 1.0)
                 out = np.asarray(_g(p)) / _per_node(safe, shape)
                 out[m <= _ZERO_TOL] = 0.0
                 return out
 
-            carrier_fns.append((cid, mfn, ratio))
-        else:
-            rem_parts.append((cid, gfn))
-    charged = {cid for cid, _, _ in carrier_fns}
-    for cid, mfn in mu.carrier_parts:
-        if cid not in charged:
-            carrier_fns.append((cid, mfn, lambda p: np.zeros((len(p),) + shape)))
+            carrier_fns.append((mp.key, mu_fns[mp.key], ratio))
 
     singular = {"density": None, "carrier_parts": tuple(rem_parts), "atoms": tuple(rem_atoms)}
     if not shape:  # a scalar remainder has no cell density to dominate Lebesgue with
@@ -840,33 +852,15 @@ def absolutely_continuous_part(decomp):
 
 
 def measure_distance(g1, g2):
-    """Total variation of g1 - g2 for structured matrix measures; parts are
-    matched by carrier id / atom location."""
-    if g1.shape != g2.shape:
-        raise MeasureError("shape mismatch")
+    """Total variation of g1 - g2 for structured matrix measures on one
+    domain; singular parts are paired by :func:`matched_parts`."""
+    if g1.shape != g2.shape or g1.domain != g2.domain:
+        raise MeasureError("shape or domain mismatch")
     breaks = merge_breaks(g1.domain.dim, g1.breaks, g2.breaks)
     nodes, weights = g1.domain.cell_rule(breaks=breaks)
-    total = float(np.dot(weights, _frob(g1.density_at(nodes) - g2.density_at(nodes))))
-    parts1, parts2 = dict(g1.carrier_parts), dict(g2.carrier_parts)
-    for cid in sorted(set(parts1) | set(parts2)):
-        carrier = (g1 if cid in parts1 else g2).carrier(cid)
-        pts, w = carrier.rule(g1.domain.resolution)
-        v1 = np.asarray(parts1[cid](pts)) if cid in parts1 else 0.0
-        v2 = np.asarray(parts2[cid](pts)) if cid in parts2 else 0.0
-        total += float(np.dot(w, _frob(np.asarray(v1 - v2).reshape(len(pts), *g1.shape))))
-    used = set()
-    for p, v in g1.atoms:
-        match = None
-        for i, (q, u) in enumerate(g2.atoms):
-            if i not in used and np.linalg.norm(p - q) <= _MATCH_TOL:
-                match = i
-                break
-        if match is None:
-            total += float(np.linalg.norm(v))
-        else:
-            used.add(match)
-            total += float(np.linalg.norm(v - g2.atoms[match][1]))
-    for i, (q, u) in enumerate(g2.atoms):
-        if i not in used:
-            total += float(np.linalg.norm(u))
+    total = float(np.dot(weights, frobenius(g1.density_at(nodes) - g2.density_at(nodes))))
+    for a, b in matched_parts(singular_parts(g1), singular_parts(g2)):
+        one = b if a is None else a
+        diff = one.values if a is None or b is None else a.values - b.values
+        total += float(np.dot(one.weights, frobenius(diff)))
     return total

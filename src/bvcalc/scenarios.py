@@ -55,6 +55,7 @@ from .measures import (
     Domain,
     MatrixRadonMeasure,
     ScalarRadonMeasure,
+    frobenius,
     total_variation,
 )
 from .oracle import oracle_1d
@@ -690,7 +691,7 @@ def scenario_example1(config):
     for fid, builder in family:
         w = builder(config.jmax)
         if admissibility_check(w, mu):
-            gmag = np.sqrt(np.sum(w.gradient_at(nodes[in_hole]) ** 2, axis=(1, 2)))
+            gmag = frobenius(w.gradient_at(nodes[in_hole]))
             if np.any(gmag > 1e-12):
                 constant_on_hole = False
 

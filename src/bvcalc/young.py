@@ -20,15 +20,19 @@ import numpy as np
 
 from . import expressions
 from .bv import derivative
-from .functional import order_fit
+from .functional import charged_recession, order_fit
 from .integrands import Integrand, generalized_recession, recession_values
 from .measures import (
     MeasurePart,
     ScalarRadonMeasure,
+    charges_boundary,
+    frobenius,
+    matched_parts,
     measure_parts,
     merge_breaks,
     rn_decompose,
     singular_densities,
+    singular_parts,
 )
 
 _PROB_TOL = 1e-12
@@ -98,7 +102,7 @@ class ElementaryPolar(OscillationField):
         if part.key not in self._densities:
             raise YoungMeasureError("elementary sphere field lives on atoms and carriers only")
         vals = np.asarray(self._densities[part.key](points))
-        mags = np.sqrt(np.sum(vals * vals, axis=(1, 2)))
+        mags = frobenius(vals)
         safe = np.where(mags > _ZTOL, mags, 1.0)
         polar = vals / safe[:, None, None]
         return np.ones((len(points), 1)), polar[:, None, :, :]
@@ -171,13 +175,12 @@ class GeneralizedYoungMeasure:
         for _, w, S in self.sphere_values:
             if np.max(np.abs(np.sum(w, axis=1) - 1.0)) > _PROB_TOL:
                 raise YoungMeasureError("sphere weights must sum to 1")
-            mags = np.sqrt(np.sum(S * S, axis=(2, 3)))
-            if np.max(np.abs(mags - 1.0)) > _PROB_TOL:
+            if np.max(np.abs(frobenius(S) - 1.0)) > _PROB_TOL:
                 raise YoungMeasureError("sphere atoms must have unit norm")
         # finite first moment of the oscillation part
         total = 0.0
         for part, w, A in self.oscillation_values:
-            total += float(np.dot(part.masses, np.sum(w * _mags(A), axis=1)))
+            total += float(np.dot(part.masses, np.sum(w * frobenius(A), axis=1)))
         if not np.isfinite(total):
             raise YoungMeasureError("oscillation part has infinite first moment")
         return True
@@ -197,10 +200,6 @@ class GeneralizedYoungMeasure:
         if obj.get("nu_inf"):
             nu_inf = _field_from_entries(obj["nu_inf"], domain, dims)
         return GeneralizedYoungMeasure(domain, dims, nu, lam, nu_inf, mu)
-
-
-def _mags(A):
-    return np.sqrt(np.sum(A * A, axis=(-2, -1)))
 
 
 def _read_only(*arrays):
@@ -268,7 +267,7 @@ def elementary(gamma, mu):
     rem = dec.remainder
     lam_parts = []
     for cid, fn in rem.carrier_parts:
-        lam_parts.append((cid, lambda pts, _f=fn: _mags(np.asarray(_f(pts)))))
+        lam_parts.append((cid, lambda pts, _f=fn: frobenius(_f(pts))))
     lam_atoms = tuple((p, float(np.linalg.norm(v))) for p, v in rem.atoms)
     lam = ScalarRadonMeasure(
         gamma.domain,
@@ -480,18 +479,6 @@ def _check_barycenter(u, nu, tol=1e-8):
         )
 
 
-def _lambda_boundary_zero(nu):
-    for p, w in nu.lam.atoms:
-        if w > _ZTOL and not nu.domain.strictly_contains(p):
-            raise YoungMeasureError("concentration measure charges the boundary")
-    for cid, _ in nu.lam.carrier_parts:
-        carrier = nu.lam.carrier(cid)
-        if carrier.kind == "segment":
-            mid = 0.5 * (np.asarray(carrier.endpoints[0]) + np.asarray(carrier.endpoints[1]))
-            if not nu.domain.strictly_contains(mid):
-                raise YoungMeasureError("concentration measure charges the boundary")
-
-
 def _sphere_pair(F, field, part, points, upper):
     w, S = field.eval(part, points)
     out = np.zeros(len(points))
@@ -510,8 +497,9 @@ def _sphere_pair(F, field, part, points, upper):
 
 
 def _jensen_core(F, u, nu, mu, tol, upper_slope):
+    if charges_boundary(nu.lam, nu.domain, _ZTOL):
+        raise YoungMeasureError("concentration measure charges the boundary")
     _check_barycenter(u, nu)
-    _lambda_boundary_zero(nu)
     dec_u = rn_decompose(derivative(u), mu)
     dec_lam = rn_decompose(nu.lam, mu)
     report = JensenReport([], [], 0)
@@ -538,21 +526,16 @@ def _jensen_core(F, u, nu, mu, tol, upper_slope):
             rhs = _field_pair(F, *nu.nu.eval(part, pts), pts)
             check(part, lhs, rhs, np.asarray(dec_lam.density_on(part, pts)), report.ac_violations)
 
-    # the mu-singular parts of Du (the atoms and carriers of its remainder;
-    # its cell part, first, is zero) against the lambda density on the same
-    # atom or carrier, zero where lambda's remainder has none
-    lam_density = singular_densities(dec_lam.remainder)
-    for part in measure_parts(dec_u.remainder)[1:]:
-        pts, vals = part.points, part.values
-        lhs = np.zeros(len(pts))
-        active = _mags(vals) > _ZTOL
-        if np.any(active):
-            lhs[active] = recession_values(F, pts[active], vals[active])
-        if part.key in lam_density:
-            dlam = np.asarray(lam_density[part.key](pts))
-        else:
-            dlam = np.zeros(len(pts))
-        check(part, lhs, np.zeros(len(pts)), dlam, report.singular_violations)
+    # the mu-singular parts of Du (the atoms and carriers of its remainder)
+    # against the lambda density on the same atom or carrier, zero where
+    # lambda's remainder has none
+    lam_parts = singular_parts(dec_lam.remainder)
+    for part, lam in matched_parts(singular_parts(dec_u.remainder), lam_parts):
+        if part is not None:
+            zeros = np.zeros(len(part.points))
+            dlam = zeros if lam is None else lam.values
+            lhs = charged_recession(F, part.points, part.values)
+            check(part, lhs, zeros, dlam, report.singular_violations)
     return report
 
 

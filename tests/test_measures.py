@@ -17,7 +17,6 @@ from bvcalc.measures import (
     pair_with_test_function,
     rn_decompose,
     total_variation,
-    zero_matrix_measure,
 )
 
 
@@ -42,7 +41,7 @@ def ones_density(shape):
 
 
 def test_total_variation_zero_measure():
-    assert total_variation(zero_matrix_measure(interval(), (1, 1))) == 0.0
+    assert total_variation(MatrixRadonMeasure(interval(), (1, 1))) == 0.0
 
 
 def test_total_variation_direct_sum_1d():
@@ -278,7 +277,7 @@ def test_rn_reconstruction_and_tv_additivity():
 
 
 def test_area_zero_density_is_volume():
-    gamma = zero_matrix_measure(interval(), (1, 1))
+    gamma = MatrixRadonMeasure(interval(), (1, 1))
     assert area_functional(gamma) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -843,3 +842,427 @@ def test_decomposition_round_trip_preserves_total_variation(
     total = total_variation(absolutely_continuous_part(dec)) + total_variation(dec.remainder)
     assert total == pytest.approx(total_variation(gamma), rel=1e-12, abs=1e-14)
     assert mutually_singular(dec.remainder, _as_matrix(mu))
+
+
+# ---------------------------------------------------------------------------
+# singular_parts and matched_parts: references kept from the per-function loops
+# ---------------------------------------------------------------------------
+#
+# The functions below are copies of the loops that singular_parts and
+# matched_parts replaced.  They visited carriers before atoms, and
+# measure_distance took carriers in sorted id order; the helpers visit
+# atoms, then carriers, in the first measure's order.  Derivative measures
+# have atoms only in 1D and carriers only in 2D, so they sum in the same
+# order; a measure built with both may differ in the last bits, and is
+# compared at rel 1e-15.
+
+
+def _old_rn_decompose(gamma, mu):
+    from bvcalc.measures import _MATCH_TOL, _ZERO_TOL, _magnitudes, _per_node
+
+    shape = gamma.shape
+    matched_gamma_atoms = set()
+    atom_values = []
+    for p, w in mu.atoms:
+        value = np.zeros(shape)
+        for i, (q, v) in enumerate(gamma.atoms):
+            if np.linalg.norm(p - q) <= _MATCH_TOL:
+                value = v / w
+                matched_gamma_atoms.add(i)
+                break
+        atom_values.append((p, w, value))
+    rem_atoms = [(p, v) for i, (p, v) in enumerate(gamma.atoms) if i not in matched_gamma_atoms]
+    mu_parts = dict(mu.carrier_parts)
+    carrier_fns, rem_parts = [], []
+    for cid, gfn in gamma.carrier_parts:
+        if cid in mu_parts:
+            mfn = mu_parts[cid]
+            pts, _ = gamma.carrier(cid).rule(gamma.domain.resolution)
+            gmag = _magnitudes(np.asarray(gfn(pts)))
+            if np.any((gmag > _ZERO_TOL) & (np.asarray(mfn(pts)) <= _ZERO_TOL)):
+                raise DecompositionError(f"mu density vanishes on carrier {cid!r}")
+
+            def ratio(p, _g=gfn, _m=mfn):
+                m = np.asarray(_m(p))
+                safe = np.where(m > _ZERO_TOL, m, 1.0)
+                out = np.asarray(_g(p)) / _per_node(safe, shape)
+                out[m <= _ZERO_TOL] = 0.0
+                return out
+
+            carrier_fns.append((cid, mfn, ratio))
+        else:
+            rem_parts.append((cid, gfn))
+    charged = {cid for cid, _, _ in carrier_fns}
+    for cid, mfn in mu.carrier_parts:
+        if cid not in charged:
+            carrier_fns.append((cid, mfn, lambda p: np.zeros((len(p),) + shape)))
+    return atom_values, carrier_fns, rem_atoms, rem_parts
+
+
+def _old_measure_distance(g1, g2):
+    from bvcalc.measures import _MATCH_TOL, merge_breaks
+
+    breaks = merge_breaks(g1.domain.dim, g1.breaks, g2.breaks)
+    nodes, weights = g1.domain.cell_rule(breaks=breaks)
+    total = float(np.dot(weights, _frob(g1.density_at(nodes) - g2.density_at(nodes))))
+    parts1, parts2 = dict(g1.carrier_parts), dict(g2.carrier_parts)
+    for cid in sorted(set(parts1) | set(parts2)):
+        carrier = (g1 if cid in parts1 else g2).carrier(cid)
+        pts, w = carrier.rule(g1.domain.resolution)
+        v1 = np.asarray(parts1[cid](pts)) if cid in parts1 else 0.0
+        v2 = np.asarray(parts2[cid](pts)) if cid in parts2 else 0.0
+        total += float(np.dot(w, _frob(np.asarray(v1 - v2).reshape(len(pts), *g1.shape))))
+    used = set()
+    for p, v in g1.atoms:
+        match = None
+        for i, (q, u) in enumerate(g2.atoms):
+            if i not in used and np.linalg.norm(p - q) <= _MATCH_TOL:
+                match = i
+                break
+        if match is None:
+            total += float(np.linalg.norm(v))
+        else:
+            used.add(match)
+            total += float(np.linalg.norm(v - g2.atoms[match][1]))
+    for i, (q, u) in enumerate(g2.atoms):
+        if i not in used:
+            total += float(np.linalg.norm(u))
+    return total
+
+
+def _old_mutually_singular(gamma1, gamma2):
+    from bvcalc.measures import _ZERO_TOL, _magnitudes, _same_support, measure_parts, merge_breaks
+
+    breaks = merge_breaks(gamma1.domain.dim, gamma1.breaks, gamma2.breaks)
+    cells, singular = [], []
+    for gamma in (gamma1, gamma2):
+        cell_part, *rest = measure_parts(gamma, extra_breaks=breaks)
+        cells.append(_magnitudes(cell_part.values) > _ZERO_TOL)
+        singular.append([p for p in rest if np.any(_magnitudes(p.values) > _ZERO_TOL)])
+    if np.any(cells[0] & cells[1]):
+        return False
+    return not any(_same_support(a, b) for a in singular[0] for b in singular[1])
+
+
+def _old_admissibility_check(u, mu):
+    from bvcalc.bv import derivative
+    from bvcalc.measures import merge_breaks
+
+    ztol = 1e-12
+    gamma = derivative(u)
+    breaks = merge_breaks(u.domain.dim, gamma.breaks, mu.breaks)
+    nodes, _ = u.domain.cell_rule(breaks=breaks)
+    gmag = np.sqrt(np.sum(gamma.density_at(nodes) ** 2, axis=(1, 2)))
+    if np.any((gmag > ztol) & (np.asarray(mu.density_at(nodes)) <= 0.0)):
+        return False
+    mu_parts = dict(mu.carrier_parts)
+    for cid, gfn in gamma.carrier_parts:
+        pts, _ = gamma.carrier(cid).rule(u.domain.resolution)
+        gm = np.sqrt(np.sum(np.asarray(gfn(pts)) ** 2, axis=(1, 2)))
+        if not np.any(gm > ztol):
+            continue
+        if cid not in mu_parts:
+            return False
+        if np.any((gm > ztol) & (np.asarray(mu_parts[cid](pts)) <= 0.0)):
+            return False
+    for p, v in gamma.atoms:
+        if np.linalg.norm(v) <= ztol:
+            continue
+        if not any(w > 0 and np.linalg.norm(p - q) <= 1e-12 for q, w in mu.atoms):
+            return False
+    return True
+
+
+def _old_singular_term(F, remainder, domain):
+    from bvcalc.integrands import recession_values
+
+    total = 0.0
+    for cid, fn in remainder.carrier_parts:
+        pts, wts = remainder.carrier(cid).rule(domain.resolution)
+        vals = np.asarray(fn(pts))
+        out = np.zeros(len(pts))
+        charged = _frob(vals) > 1e-12
+        if np.any(charged):
+            out[charged] = recession_values(F, pts[charged], vals[charged])
+        total += float(np.dot(wts, out))
+    for p, v in remainder.atoms:
+        if np.linalg.norm(v) > 1e-12:
+            total += recession_values(F, p[None, :], v[None])[0]
+    return total
+
+
+def _old_verify_integration_by_parts(u, psi, comp_i=0, comp_j=0):
+    from bvcalc.bv import derivative
+
+    gamma = derivative(u)
+    nodes, weights = u.domain.gauss_cell_rule(breaks=u.breaks)
+    lhs = float(
+        np.dot(weights, np.asarray(psi.grad(nodes))[:, comp_j] * u.value_at(nodes)[:, comp_i])
+    )
+    rhs = float(
+        np.dot(weights, np.asarray(psi.value(nodes)) * u.gradient_at(nodes)[:, comp_i, comp_j])
+    )
+    for cid, fn in gamma.carrier_parts:
+        pts, w = gamma.carrier(cid).rule(u.domain.resolution)
+        rhs += float(
+            np.dot(w, np.asarray(psi.value(pts)) * np.asarray(fn(pts))[:, comp_i, comp_j])
+        )
+    for p, v in gamma.atoms:
+        rhs += float(np.asarray(psi.value(p[None, :]))[0] * v[comp_i, comp_j])
+    return abs(lhs + rhs)
+
+
+def _with_carriers(m, carrier_parts):
+    from dataclasses import replace
+
+    return replace(m, carrier_parts=carrier_parts)
+
+
+def _mixed_2d(resolution=24):
+    """mu and a matrix measure on the unit square with segments charged by
+    one, the other or both, listed in different orders."""
+    dom = unit_square(resolution)
+    reg = CarrierRegistry()
+    reg.register_segment("a", (0.25, 0.0), (0.25, 1.0))
+    reg.register_segment("b", (0.0, 0.6), (1.0, 0.6))
+    reg.register_segment("c", (0.75, 0.0), (0.75, 1.0))
+    mu = ScalarRadonMeasure(
+        dom,
+        density=lambda n: 1.0 + n[:, 0] * n[:, 1],
+        carrier_parts=(("c", lambda p: 0.5 + p[:, 1]), ("b", lambda p: 1.0 + p[:, 0] ** 2)),
+        registry=reg,
+        dominates_lebesgue=True,
+    )
+    (gamma, _), = _integral_cases()[0][3:]
+    gamma = MatrixRadonMeasure(
+        dom, (1, 2), density=gamma.density, carrier_parts=gamma.carrier_parts, registry=reg,
+        breaks=gamma.breaks,
+    )
+    return dom, reg, mu, gamma
+
+
+def _reordered_1d():
+    """Measures on the registry of _mixed_1d whose carriers come in another
+    order than mu's, with one carrier mu does not have."""
+    dom, reg, mu, lam, gamma = _mixed_1d()
+    other = MatrixRadonMeasure(
+        dom,
+        (1, 1),
+        density=lambda n: (n[:, 0] - 0.5)[:, None, None],
+        atoms=(((0.9,), [[0.4]]), ((0.3,), [[2.5]])),
+        carrier_parts=(
+            ("p3", lambda p: np.full((len(p), 1, 1), -1.25)),
+            ("p2", lambda p: np.full((len(p), 1, 1), 0.5)),
+            ("p1", lambda p: (2.0 * p[:, 0])[:, None, None]),
+        ),
+        registry=reg,
+    )
+    return dom, reg, mu, lam, gamma, other
+
+
+def _assert_same_decomposition(dec, old, points_of):
+    old_atoms, old_carriers, old_rem_atoms, old_rem_parts = old
+    assert len(dec.atom_values) == len(old_atoms)
+    for (p, w, v), (q, w0, v0) in zip(dec.atom_values, old_atoms):
+        assert np.array_equal(p, q) and w == w0 and np.array_equal(v, v0)
+    assert [c for c, _, _ in dec.carrier_fns] == [c for c, _ in dec.mu.carrier_parts]
+    old_by_id = {cid: (mfn, ratio) for cid, mfn, ratio in old_carriers}
+    assert sorted(old_by_id) == sorted(c for c, _, _ in dec.carrier_fns)
+    for cid, mfn, ratio in dec.carrier_fns:
+        pts = points_of(cid)
+        assert mfn is old_by_id[cid][0] and np.array_equal(ratio(pts), old_by_id[cid][1](pts))
+    rem = dec.remainder
+    assert [tuple(p) for p, _ in rem.atoms] == [tuple(p) for p, _ in old_rem_atoms]
+    assert all(np.array_equal(v, v0) for (_, v), (_, v0) in zip(rem.atoms, old_rem_atoms))
+    assert rem.carrier_parts == tuple(old_rem_parts)
+
+
+def test_rn_decompose_matches_the_old_loops_1d():
+    dom, reg, mu, lam, gamma, other = _reordered_1d()
+
+    def points_of(cid):
+        return reg[cid].rule(dom.resolution)[0]
+
+    for g in (gamma, lam, other):
+        _assert_same_decomposition(rn_decompose(g, mu), _old_rn_decompose(g, mu), points_of)
+    # mu's carriers now come in mu's order: the old loop listed other's p1 first
+    assert [c for c, _, _ in _old_rn_decompose(other, mu)[1]] == ["p3", "p1"]
+
+
+def test_rn_decompose_matches_the_old_loops_2d():
+    dom, reg, mu, gamma = _mixed_2d()
+
+    def points_of(cid):
+        return reg[cid].rule(dom.resolution)[0]
+
+    _assert_same_decomposition(rn_decompose(gamma, mu), _old_rn_decompose(gamma, mu), points_of)
+    vanishing = _with_carriers(mu, (("b", lambda p: np.maximum(0.0, p[:, 0] - 0.5)),))
+    with pytest.raises(DecompositionError):
+        _old_rn_decompose(gamma, vanishing)
+    with pytest.raises(DecompositionError):
+        rn_decompose(gamma, vanishing)
+
+
+def test_measure_distance_matches_the_old_loops():
+    dom, reg, mu, lam, gamma, other = _reordered_1d()
+    matrix = [g for g, _ in _integral_cases()[0][:3]] + [other]
+    for g1 in matrix:
+        for g2 in matrix:
+            exact = not any(g.atoms and g.carrier_parts for g in (g1, g2))
+            _same(measure_distance(g1, g2), _old_measure_distance(g1, g2), exact)
+    _, _, _, gamma2 = _mixed_2d()
+    (_, a_fn), b_part = gamma2.carrier_parts
+    shifted = _with_carriers(gamma2, (b_part, ("c", a_fn)))
+    for g1, g2 in ((gamma2, shifted), (shifted, gamma2), (gamma2, gamma2)):
+        assert measure_distance(g1, g2) == _old_measure_distance(g1, g2)
+    with pytest.raises(MeasureError):
+        measure_distance(gamma, MatrixRadonMeasure(interval(64), (1, 1)))
+
+
+def test_mutually_singular_matches_the_old_loops():
+    dom, reg, mu, lam, gamma, other = _reordered_1d()
+    _, reg2, mu2, gamma2 = _mixed_2d()
+    measures = [
+        [_as_matrix(mu), _as_matrix(lam), gamma, other, MatrixRadonMeasure(dom, (1, 1))],
+        [_as_matrix(mu2), gamma2, MatrixRadonMeasure(mu2.domain, (1, 2))],
+    ]
+    for group in measures:
+        decs = [rn_decompose(g, mu if g.domain.dim == 1 else mu2) for g in group[1:]]
+        group += [d.remainder for d in decs]
+        for g1 in group:
+            for g2 in group:
+                assert mutually_singular(g1, g2) == _old_mutually_singular(g1, g2)
+    assert mutually_singular(rn_decompose(gamma, mu).remainder, _as_matrix(mu))
+    assert not mutually_singular(other, _as_matrix(mu))
+
+
+def test_admissibility_check_matches_the_old_loop():
+    from bvcalc.bv import heaviside_1d, ramp_1d, vertical_step_2d
+    from bvcalc.functional import admissibility_check
+    from bvcalc.scenarios import build_case_1d, random_case_description
+
+    rng = np.random.default_rng(11)
+    cases = [build_case_1d(random_case_description(rng), resolution=200) for _ in range(12)]
+    cases = [(u, spec.mu) for u, spec in cases]
+    dom = interval(200)
+    reg = CarrierRegistry()
+    jump = heaviside_1d(dom, 0.5, registry=reg)
+    ramp = ramp_1d(dom, 0.45, 0.1, registry=reg)
+    atom_sets = [(), [(0.5, 0.7)], [(0.5, 0.0)], [(0.5 + 1e-13, 0.3)], [(0.2, 1.0)]]
+    for atoms in [tuple(((x,), w) for x, w in a) for a in atom_sets]:
+        for density in (lambda n: np.ones(len(n)), lambda n: np.where(n[:, 0] > 0.4, 0.0, 1.0)):
+            mu = ScalarRadonMeasure(dom, density=density, atoms=atoms, registry=reg, breaks=(0.4,))
+            cases += [(jump, mu), (ramp, mu)]
+    sq = unit_square(16)
+    reg2 = CarrierRegistry()
+    step = vertical_step_2d(sq, threshold=0.5, registry=reg2, carrier_id="jump")
+    reg2.register_segment("other", (0.25, 0.0), (0.25, 1.0))
+    for parts in ((), (("other", lambda p: 1.0 + 0 * p[:, 1]),),
+                  (("jump", lambda p: 1.0 + p[:, 1]),),
+                  (("jump", lambda p: np.maximum(0.0, p[:, 1] - 0.5)),)):
+        mu = ScalarRadonMeasure(
+            sq, density=lambda n: np.ones(len(n)), carrier_parts=parts, registry=reg2
+        )
+        cases.append((step, mu))
+    results = [admissibility_check(u, mu) for u, mu in cases]
+    assert results == [_old_admissibility_check(u, mu) for u, mu in cases]
+    assert True in results and False in results
+
+
+def test_singular_term_matches_the_old_loop():
+    from bvcalc.bv import derivative
+    from bvcalc.functional import _singular_term
+    from bvcalc.integrands import make_area, make_norm, make_shifted_norm
+    from bvcalc.scenarios import build_case_1d, random_case_description
+
+    matrix, _ = _integral_cases()
+    dom = matrix[0][0].domain
+    for gamma, exact in matrix[:3]:
+        for F in (make_norm(), make_area(), make_shifted_norm()):
+            _same(_singular_term(F, gamma, dom), _old_singular_term(F, gamma, dom), exact)
+    (gamma2, _), = matrix[3:]
+    sq = gamma2.domain
+    for F in (make_norm(1, 2), make_area(1, 2)):
+        assert _singular_term(F, gamma2, sq) == _old_singular_term(F, gamma2, sq)
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        u, spec = build_case_1d(random_case_description(rng), resolution=200)
+        rem = rn_decompose(derivative(u), spec.mu).remainder
+        F = spec.integrand
+        assert _singular_term(F, rem, u.domain) == _old_singular_term(F, rem, u.domain)
+
+
+def test_integration_by_parts_matches_the_old_loop():
+    from bvcalc.bv import (
+        heaviside_1d,
+        piecewise_affine_1d,
+        random_polynomial_test,
+        verify_integration_by_parts,
+        vertical_step_2d,
+        zero_extension,
+    )
+
+    dom = interval(64)
+    reg = CarrierRegistry()
+    vector = piecewise_affine_1d(
+        dom, breakpoints=(0.3,), slopes=((1.0, -0.5), (0.25, 2.0)),
+        jumps=((0.6, (1.5, -0.75)), (0.8, (-0.5, 0.25))), registry=reg,
+    )
+    step = heaviside_1d(dom, 0.5, registry=reg)
+    outer = Domain((-0.5, 1.5), 64)
+    sq = unit_square(16)
+    step2 = vertical_step_2d(sq, threshold=0.4, registry=CarrierRegistry(), carrier_id="jump")
+    cases = [(vector, (0, 1)), (step, (0,)), (zero_extension(step, outer), (0,)), (step2, (0,))]
+    for u, comps in cases:
+        for seed in range(3):
+            psi = random_polynomial_test(u.domain, seed=seed)
+            for i in comps:
+                for j in range(u.domain.dim):
+                    new = verify_integration_by_parts(u, psi, i, j)
+                    assert new == _old_verify_integration_by_parts(u, psi, i, j)
+
+
+def test_area_of_atoms_only_measure_is_volume_plus_singular_mass():
+    gamma = MatrixRadonMeasure(interval(), (1, 1), atoms=(((0.3,), [[2.0]]), ((0.7,), [[-0.5]])))
+    assert area_functional(gamma) == pytest.approx(1.0 + 2.5, abs=1e-12)
+    reg = CarrierRegistry()
+    reg.register_segment("s", (0.5, 0.0), (0.5, 1.0))
+    segment = MatrixRadonMeasure(
+        unit_square(), (1, 2), carrier_parts=(("s", lambda p: np.full((len(p), 1, 2), 1.5)),),
+        registry=reg,
+    )
+    assert area_functional(segment) == pytest.approx(1.0 + 1.5 * np.sqrt(2.0), abs=1e-12)
+
+
+def test_matched_parts_uses_each_part_once():
+    from bvcalc.measures import matched_parts, singular_parts
+
+    dom, reg, mu, lam, gamma = _mixed_1d()
+    twice = ScalarRadonMeasure(
+        dom,
+        atoms=(((0.3,), 1.0), ((0.3,), 2.0), ((0.6 + 1e-13,), 4.0)),
+        carrier_parts=(("p2", lambda p: 1.0 + 0 * p[:, 0]), ("p3", lambda p: 1.0 + 0 * p[:, 0])),
+        registry=reg,
+    )
+    pairs = matched_parts(singular_parts(twice), singular_parts(lam))
+
+    def label(part):
+        return None if part is None else (part.kind, part.key)
+
+    assert [(label(a), label(b)) for a, b in pairs] == [
+        (("atom", (0.3,)), ("atom", (0.3,))),
+        (("atom", (0.3,)), None),
+        (("atom", (0.6 + 1e-13,)), ("atom", (0.6,))),
+        (("carrier", "p2"), ("carrier", "p2")),
+        (("carrier", "p3"), None),
+        (None, ("carrier", "p1")),
+    ]
+    # the decomposition reads one lambda atom once: a second mu atom at the
+    # same point gets the value 0, so the absolutely continuous part keeps
+    # lambda's mass there (the old loop gave both mu atoms the same ratio)
+    mu_twice = ScalarRadonMeasure(
+        dom, density=mu.density, atoms=(((0.3,), 0.5), ((0.3,), 0.25)), registry=reg,
+        dominates_lebesgue=True,
+    )
+    assert [v for _, _, v in rn_decompose(lam, mu_twice).atom_values] == [0.4 / 0.5, 0.0]
+    assert [v for _, _, v in _old_rn_decompose(lam, mu_twice)[0]] == [0.4 / 0.5, 0.4 / 0.25]

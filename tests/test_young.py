@@ -380,6 +380,28 @@ def test_jensen_requires_matching_barycenter(setting):
         jensen_check_mu(make_norm(), u, cand, mu)
 
 
+@pytest.mark.parametrize("charge", ["atom", "point carrier"])
+def test_jensen_rejects_concentration_on_the_boundary(setting, charge):
+    d, reg, mu = setting
+    if charge == "atom":
+        lam = ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg)
+    else:
+        reg.register_point("edge", (0.0,))
+        edge = (("edge", lambda p: np.ones(len(p))),)
+        lam = ScalarRadonMeasure(d, carrier_parts=edge, registry=reg)
+    cand = GeneralizedYoungMeasure(
+        d,
+        (1, 1),
+        constant_field([(np.array([[0.0]]), 1.0)]),
+        lam,
+        constant_field([(np.array([[1.0]]), 1.0)]),
+        mu,
+    )
+    zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
+    with pytest.raises(YoungMeasureError, match="charges the boundary"):
+        jensen_check_mu(make_norm(), zero, cand, mu)
+
+
 def test_jensen_lebesgue_ramp_concentration():
     d = Domain((-1.0, 1.0), 256)
     reg = CarrierRegistry()
