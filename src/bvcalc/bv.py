@@ -9,15 +9,13 @@ quadrature error only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import (
     CarrierRegistry,
-    Domain,
     MatrixRadonMeasure,
-    MeasureError,
     area_functional,
     merge_breaks,
     pair_with_test_function,

@@ -15,26 +15,24 @@ measure sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bv as bvmod
 from .bv import boundary_trace, derivative, smooth_selected_jumps
-from .integrands import Integrand, RecessionError, recession_values
+from .integrands import Integrand, recession_values
 from .measures import (
-    DecompositionError,
     ScalarRadonMeasure,
     area_functional,
+    cell_part,
     charges_boundary,
     frobenius,
     matched_parts,
     measure_parts,
-    merge_breaks,
     pair_with_test_function,
     rn_decompose,
     singular_parts,
-    total_variation,
 )
 
 _ZTOL = 1e-12
@@ -155,11 +153,8 @@ def admissibility_check(u, mu):
     only charge where mu does.  Structural, resolution-level check that
     also works for degenerate mu (density vanishing on open sets)."""
     gamma = derivative(u)
-    breaks = merge_breaks(u.domain.dim, gamma.breaks, mu.breaks)
-    nodes, _ = u.domain.cell_rule(breaks=breaks)
-    gmag = frobenius(gamma.density_at(nodes))
-    a = np.asarray(mu.density_at(nodes))
-    if np.any((gmag > _ZTOL) & (a <= 0.0)):
+    cells = cell_part(gamma, mu.breaks)
+    if np.any((frobenius(cells.values) > _ZTOL) & (mu.density_at(cells.points) <= 0.0)):
         return False
     for g, m in matched_parts(singular_parts(gamma), singular_parts(mu)):
         mu_there = 0.0 if m is None else m.values
@@ -348,8 +343,8 @@ def continuity_functional(gamma, f):
     """The functional that is continuous along area-strict sequences:
     f integrated against the volume-density of gamma plus f^inf against
     its singular parts."""
-    nodes, weights = gamma.domain.cell_rule(breaks=gamma.breaks)
-    total = float(np.dot(weights, np.asarray(f(nodes, gamma.density_at(nodes)))))
+    cells = cell_part(gamma)
+    total = float(np.dot(cells.weights, np.asarray(f(cells.points, cells.values))))
     return total + _singular_term(f, gamma, gamma.domain)
 
 

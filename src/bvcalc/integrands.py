@@ -16,7 +16,7 @@ r_i and are coercive at rate 1/i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,14 +290,20 @@ class RecessionResult:
         return self.value
 
 
+def _along_schedule(f, x, A, t_schedule):
+    """f(x, tA)/t along the schedule, and the last successive difference
+    scaled by 1 + |A|."""
+    schedule = tuple(t_schedule) if t_schedule is not None else DEFAULT_T_SCHEDULE
+    values = tuple(float(np.asarray(f(x, t * A))) / t for t in schedule)
+    return values, abs(values[-1] - values[-2]) / (1.0 + float(frobenius(A)))
+
+
 def recession(f, x, A, t_schedule=None, stabilization_tol=1e-5, cross_check_tol=1e-6):
     """Slope at infinity: evaluate f(x, tA)/t along the schedule, require a
     Cauchy tail, and cross-check an analytic recession when available."""
-    schedule = tuple(t_schedule) if t_schedule is not None else DEFAULT_T_SCHEDULE
     A = np.asarray(A, dtype=float)
     mag = float(frobenius(A))
-    values = tuple(float(np.asarray(f(x, t * A))) / t for t in schedule)
-    diag = abs(values[-1] - values[-2]) / (1.0 + mag)
+    values, diag = _along_schedule(f, x, A, t_schedule)
     if diag > stabilization_tol:
         raise RecessionError(
             f"recession did not stabilize: tail difference {diag:.3e} at |A|={mag:.3e}"
@@ -314,13 +320,9 @@ def recession(f, x, A, t_schedule=None, stabilization_tol=1e-5, cross_check_tol=
 def generalized_recession(f, A, t_schedule=None):
     """Upper asymptotic slope: running max over the tail of f(tA)/t along
     the schedule (a limsup surrogate; always returns, diagnostic attached)."""
-    schedule = tuple(t_schedule) if t_schedule is not None else DEFAULT_T_SCHEDULE
-    A = np.asarray(A, dtype=float)
-    values = tuple(float(np.asarray(f(None, t * A))) / t for t in schedule)
+    values, diag = _along_schedule(f, None, np.asarray(A, dtype=float), t_schedule)
     tail = max(2, len(values) // 4)
-    value = max(values[-tail:])
-    diag = abs(values[-1] - values[-2]) / (1.0 + float(frobenius(A)))
-    return RecessionResult(value, diag, values)
+    return RecessionResult(max(values[-tail:]), diag, values)
 
 
 def recession_values(f, x, A_batch, t_schedule=None):

@@ -429,17 +429,12 @@ class ScalarRadonMeasure(_StructuredMeasure):
         for cid, _ in self.carrier_parts:
             if self.registry is None or cid not in self.registry:
                 raise MeasureError(f"carrier {cid!r} not in registry")
-        nodes, _ = self.domain.cell_rule(breaks=self.breaks)
-        dens = self.density_at(nodes)
-        if np.any(dens < -1e-12):
-            raise MeasureError("scalar density must be nonnegative")
-        if self.dominates_lebesgue and np.any(dens < self.eps):
-            raise MeasureError(
-                "dominates-Lebesgue flag requires density >= eps at every node"
-            )
-        for cid, fn in self.carrier_parts:
-            pts, _ = self.registry[cid].rule(self.domain.resolution)
-            if np.any(np.asarray(fn(pts)) < -1e-12):
+        for part in measure_parts(self):  # atoms were checked above
+            if part.kind == "cells" and np.any(part.values < -1e-12):
+                raise MeasureError("scalar density must be nonnegative")
+            if part.kind == "cells" and self.dominates_lebesgue and np.any(part.values < self.eps):
+                raise MeasureError("dominates-Lebesgue flag requires density >= eps at every node")
+            if part.kind == "carrier" and np.any(part.values < -1e-12):
                 raise MeasureError("carrier densities must be nonnegative")
 
     def density_at(self, nodes):
@@ -477,6 +472,13 @@ class ScalarRadonMeasure(_StructuredMeasure):
             breaks=breaks,
             **flags,
         )
+
+
+def lebesgue(domain, registry=None):
+    """The volume measure of ``domain``: density 1, flagged dominates-Lebesgue."""
+    return ScalarRadonMeasure(
+        domain, density=lambda n: np.ones(len(n)), registry=registry, dominates_lebesgue=True
+    )
 
 
 def _parse_density(domain, spec):
@@ -570,12 +572,18 @@ def measure_parts(m, extra_breaks=None, region=None):
     ``extra_breaks`` refines the cell partition; ``region`` clips every
     part to a closed sub-box, and a part it misses stays with no points.
     """
+    return [cell_part(m, extra_breaks, region), *singular_parts(m, region)]
+
+
+def cell_part(m, extra_breaks=None, region=None):
+    """The cell part of :func:`measure_parts`: the cell rule on the breaks
+    of ``m`` (merged with ``extra_breaks`` only when given), clipped to
+    ``region``, with the cell density of ``m`` at its nodes."""
+    breaks = m.breaks
     if extra_breaks is not None:
         breaks = merge_breaks(m.domain.dim, m.breaks, extra_breaks)
-    else:
-        breaks = m.breaks
     nodes, weights = m.domain.cell_rule(breaks=breaks, region=region)
-    return [_part(m, "cells", None, nodes, weights, m.density_at), *singular_parts(m, region)]
+    return _part(m, "cells", None, nodes, weights, m.density_at)
 
 
 def singular_parts(m, region=None):
@@ -672,10 +680,11 @@ def matched_parts(parts1, parts2):
 def mutually_singular(gamma1, gamma2):
     """Structural mutual singularity: no common cell node where both
     densities are nonzero, no shared carrier id, no coincident atoms."""
-    breaks = merge_breaks(gamma1.domain.dim, gamma1.breaks, gamma2.breaks)
-    nodes, _ = gamma1.domain.cell_rule(breaks=breaks)
-    cells = [_magnitudes(g.density_at(nodes)) > _ZERO_TOL for g in (gamma1, gamma2)]
-    if np.any(cells[0] & cells[1]):
+    cells = cell_part(gamma1, gamma2.breaks)
+    if np.any(
+        (_magnitudes(cells.values) > _ZERO_TOL)
+        & (_magnitudes(gamma2.density_at(cells.points)) > _ZERO_TOL)
+    ):
         return False
     charged = [
         [p for p in singular_parts(g) if np.any(_magnitudes(p.values) > _ZERO_TOL)]
@@ -775,10 +784,7 @@ def rn_decompose(gamma, mu):
     """
     if not mu.dominates_lebesgue:
         raise DecompositionError("mu must be flagged dominates-Lebesgue")
-    breaks = merge_breaks(gamma.domain.dim, gamma.breaks, mu.breaks)
-    nodes, _ = gamma.domain.cell_rule(breaks=breaks)
-    a = mu.density_at(nodes)
-    if np.any(a < mu.eps):
+    if np.any(cell_part(mu, gamma.breaks).values < mu.eps):
         raise DecompositionError("mu cell density vanishes at a quadrature node")
     shape = gamma.shape
 
@@ -856,9 +862,8 @@ def measure_distance(g1, g2):
     domain; singular parts are paired by :func:`matched_parts`."""
     if g1.shape != g2.shape or g1.domain != g2.domain:
         raise MeasureError("shape or domain mismatch")
-    breaks = merge_breaks(g1.domain.dim, g1.breaks, g2.breaks)
-    nodes, weights = g1.domain.cell_rule(breaks=breaks)
-    total = float(np.dot(weights, frobenius(g1.density_at(nodes) - g2.density_at(nodes))))
+    cells = cell_part(g1, g2.breaks)
+    total = float(np.dot(cells.weights, frobenius(cells.values - g2.density_at(cells.points))))
     for a, b in matched_parts(singular_parts(g1), singular_parts(g2)):
         one = b if a is None else a
         diff = one.values if a is None or b is None else a.values - b.values

@@ -24,8 +24,6 @@ from .bv import (
     piecewise_affine_1d,
     ramp_1d,
     sawtooth_1d,
-    smooth_dirichlet_approximation,
-    vertical_step_2d,
     zero_extension,
 )
 from .functional import (
@@ -34,7 +32,6 @@ from .functional import (
     evaluate,
     geometric_js,
     lsc_experiment,
-    mollify_in_small_set,
     relaxation_upper_bound,
     reshetnyak_experiment,
 )
@@ -56,6 +53,7 @@ from .measures import (
     MatrixRadonMeasure,
     ScalarRadonMeasure,
     frobenius,
+    lebesgue,
     total_variation,
 )
 from .oracle import oracle_1d
@@ -143,15 +141,6 @@ class Scenario:
     builder: object  # RunConfig -> ScenarioResult
 
 
-def _lebesgue(domain, registry):
-    return ScalarRadonMeasure(
-        domain,
-        density=lambda n: np.ones(len(n)),
-        registry=registry,
-        dominates_lebesgue=True,
-    )
-
-
 def _clause(name, passed, value, target):
     return Clause(name, bool(passed), value, target)
 
@@ -164,7 +153,7 @@ def _clause(name, passed, value, target):
 def scenario_sawtooth(config):
     d = Domain((0.0, 1.0), config.resolution)
     reg = CarrierRegistry()
-    mu = _lebesgue(d, reg)
+    mu = lebesgue(d, reg)
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     candidate = GeneralizedYoungMeasure(
         d,
@@ -236,7 +225,7 @@ def _plateau_bump(center, inner, outer):
 def scenario_ramp_concentration(config):
     d = Domain((-1.0, 1.0), config.resolution)
     reg = CarrierRegistry()
-    mu = _lebesgue(d, reg)
+    mu = lebesgue(d, reg)
     u = heaviside_1d(d, 0.0, registry=reg)
     candidate = GeneralizedYoungMeasure(
         d,
@@ -355,20 +344,14 @@ def scenario_atom_absorbs_jump(config):
 def scenario_boundary_term(config):
     d = Domain((0.0, 1.0), config.resolution)
     reg = CarrierRegistry()
-    mu = _lebesgue(d, reg)
+    mu = lebesgue(d, reg)
     u = piecewise_affine_1d(d, slopes=(1.0,), start_value=0.5, registry=reg)
     spec = FunctionalSpec(make_norm(), mu, d, include_boundary=True)
     val_inner = evaluate(u, spec).total
 
     d_out = Domain((-0.5, 1.5), config.resolution)
     ext = zero_extension(u, d_out)
-    mu_out = ScalarRadonMeasure(
-        d_out,
-        density=lambda n: np.ones(len(n)),
-        registry=reg,
-        dominates_lebesgue=True,
-    )
-    val_outer = evaluate(ext, FunctionalSpec(make_norm(), mu_out, d_out)).total
+    val_outer = evaluate(ext, FunctionalSpec(make_norm(), lebesgue(d_out, reg), d_out)).total
     glue_gap = abs(val_inner - val_outer) / max(1.0, abs(val_inner))
 
     one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)
@@ -502,7 +485,7 @@ def scenario_reshetnyak_counter(config):
 def scenario_nonquasiconvex(config):
     d = Domain((0.0, 1.0), config.resolution)
     reg = CarrierRegistry()
-    mu = _lebesgue(d, reg)
+    mu = lebesgue(d, reg)
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     F = make_w_shape()
     js = geometric_js(config.jmax)
@@ -566,7 +549,7 @@ def scenario_nonquasiconvex(config):
 def scenario_sq_envelope(config):
     d = Domain((0.0, 1.0), config.resolution)
     reg = CarrierRegistry()
-    mu = _lebesgue(d, reg)
+    mu = lebesgue(d, reg)
     F = make_area()
     rng = np.random.default_rng(config.seed)
     A = rng.standard_normal((1000, 1, 1))
@@ -880,7 +863,7 @@ def scenario_example2(config, max_depth=4):
 def scenario_x_dependent_lsc(config):
     d = Domain((0.0, 1.0), config.resolution)
     reg = CarrierRegistry()
-    mu = _lebesgue(d, reg)
+    mu = lebesgue(d, reg)
     F = x_modulated(make_norm())
     spec = FunctionalSpec(F, mu, d, include_boundary=True)
     one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)

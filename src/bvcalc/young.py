@@ -18,16 +18,18 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expressions
 from .bv import derivative
 from .functional import charged_recession, order_fit
 from .integrands import Integrand, generalized_recession, recession_values
 from .measures import (
+    MatrixRadonMeasure,
     MeasurePart,
     ScalarRadonMeasure,
     charges_boundary,
     frobenius,
+    lebesgue,
     matched_parts,
+    measure_distance,
     measure_parts,
     merge_breaks,
     rn_decompose,
@@ -329,77 +331,41 @@ def pairing(f, nu, localization=None):
 
 def barycenter(nu):
     """The measure mean(nu_x) mu + mean(nu_inf_x) lambda as a structured
-    matrix measure (parts merged by carrier id / atom location)."""
-    from .measures import MatrixRadonMeasure  # local import to avoid cycle noise
-
-    mu = nu.reference_measure
-    N, n = nu.dims
-
-    def mean_osc(part, pts):
-        w, A = nu.nu.eval(part, pts)
-        return np.einsum("mk,mkij->mij", w, A)
-
-    def mean_inf(part, pts):
-        w, S = nu.nu_inf.eval(part, pts)
-        return np.einsum("mk,mkij->mij", w, S)
-
-    lam_cell_charged = False
+    matrix measure: on each part key of mu and lambda (cells, atom point,
+    carrier id), the sum of mean(field) x density over the fields there."""
+    mu, lam = nu.reference_measure, nu.lam
+    terms = {None: [(nu.nu, mu.density_at)]}  # part key -> [(field, density)]
+    terms.update((key, [(nu.nu, fn)]) for key, fn in singular_densities(mu).items())
     if nu.nu_inf is not None:
-        cell_part = nu.concentration_parts[0]
-        lam_cell_charged = bool(np.any(np.abs(cell_part.masses) > _ZTOL))
+        if np.any(np.abs(nu.concentration_parts[0].masses) > _ZTOL):  # lambda's cells
+            terms[None].append((nu.nu_inf, lam.density_at))
+        for key, fn in singular_densities(lam).items():
+            terms.setdefault(key, []).append((nu.nu_inf, fn))
+    kinds = {
+        key: "cells" if key is None else "atom" if isinstance(key, tuple) else "carrier"
+        for key in terms
+    }
 
-    def density(nodes):
-        out = mean_osc(MeasurePart("cells", None, nodes), nodes) * np.asarray(
-            mu.density_at(nodes)
-        )[:, None, None]
-        if lam_cell_charged:
-            out = out + mean_inf(
-                MeasurePart("cells", None, nodes), nodes
-            ) * np.asarray(nu.lam.density_at(nodes))[:, None, None]
-        return out
+    def on(key):
+        def density(pts):
+            part = MeasurePart(kinds[key], key, pts)
+            return sum(
+                np.einsum("mk,mkij->mij", *field.eval(part, pts))
+                * np.asarray(fn(pts))[:, None, None]
+                for field, fn in terms[key]
+            )
 
-    atom_acc = {}
-    for p, w in mu.atoms:
-        part = MeasurePart("atom", tuple(p), p[None, :])
-        atom_acc[tuple(p)] = (p, w * mean_osc(part, p[None, :])[0])
-    if nu.nu_inf is not None:
-        for p, w in nu.lam.atoms:
-            part = MeasurePart("atom", tuple(p), p[None, :])
-            add = w * mean_inf(part, p[None, :])[0]
-            key = tuple(p)
-            if key in atom_acc:
-                atom_acc[key] = (p, atom_acc[key][1] + add)
-            else:
-                atom_acc[key] = (p, add)
+        return density
 
-    carrier_acc = {}
-    for cid, fn in mu.carrier_parts:
-        carrier_acc[cid] = [(fn, "osc")]
-    if nu.nu_inf is not None:
-        for cid, fn in nu.lam.carrier_parts:
-            carrier_acc.setdefault(cid, []).append((fn, "inf"))
-    parts = []
-    for cid, contribs in carrier_acc.items():
-
-        def part_fn(pts, _cid=cid, _contribs=contribs):
-            out = np.zeros((len(pts), N, n))
-            part = MeasurePart("carrier", _cid, pts)
-            for fn, mode in _contribs:
-                mean = mean_osc(part, pts) if mode == "osc" else mean_inf(part, pts)
-                out = out + mean * np.asarray(fn(pts))[:, None, None]
-            return out
-
-        parts.append((cid, part_fn))
-
-    atoms = tuple(atom_acc.values()) if mu.domain.dim == 1 else ()
+    atoms = [key for key, kind in kinds.items() if kind == "atom"] if mu.domain.dim == 1 else []
     return MatrixRadonMeasure(
         mu.domain,
-        (N, n),
-        density=density,
-        carrier_parts=tuple(parts),
-        atoms=atoms,
-        registry=mu.registry if mu.registry is not None else nu.lam.registry,
-        breaks=merge_breaks(mu.domain.dim, mu.breaks, nu.lam.breaks, nu.breaks),
+        nu.dims,
+        density=on(None),
+        carrier_parts=tuple((key, on(key)) for key, kind in kinds.items() if kind == "carrier"),
+        atoms=tuple((np.asarray(key), on(key)(np.asarray([key]))[0]) for key in atoms),
+        registry=mu.registry if mu.registry is not None else lam.registry,
+        breaks=merge_breaks(mu.domain.dim, mu.breaks, lam.breaks, nu.breaks),
     )
 
 
@@ -470,8 +436,6 @@ class JensenReport:
 
 
 def _check_barycenter(u, nu, tol=1e-8):
-    from .measures import measure_distance
-
     gap = measure_distance(barycenter(nu), derivative(u))
     if gap > tol * max(1.0, u.l1_norm()):
         raise YoungMeasureError(
@@ -550,10 +514,4 @@ def jensen_check_mu(F, u, nu, mu, tol=1e-8):
 def jensen_check_lebesgue(F, u, nu, tol=1e-8):
     """Jensen inequalities relative to the volume measure, with the upper
     asymptotic slope in place of the recession function."""
-    lebesgue = ScalarRadonMeasure(
-        u.domain,
-        density=lambda nodes: np.ones(len(nodes)),
-        registry=u.registry,
-        dominates_lebesgue=True,
-    )
-    return _jensen_core(F, u, nu, lebesgue, tol, upper_slope=True)
+    return _jensen_core(F, u, nu, lebesgue(u.domain, u.registry), tol, upper_slope=True)

@@ -473,7 +473,9 @@ def test_domain_invariants():
 
 def test_dominates_flag_enforced():
     dom = interval()
-    with pytest.raises(MeasureError):
+    with pytest.raises(
+        MeasureError, match="^dominates-Lebesgue flag requires density >= eps at every node$"
+    ):
         ScalarRadonMeasure(
             dom, density=lambda n: n[:, 0], dominates_lebesgue=True, eps=0.01
         )
@@ -1266,3 +1268,60 @@ def test_matched_parts_uses_each_part_once():
     )
     assert [v for _, _, v in rn_decompose(lam, mu_twice).atom_values] == [0.4 / 0.5, 0.0]
     assert [v for _, _, v in _old_rn_decompose(lam, mu_twice)[0]] == [0.4 / 0.5, 0.4 / 0.25]
+
+
+# ---------------------------------------------------------------------------
+# cell part and construction checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "extra, region", [(None, None), ((0.3, 0.55), None), (None, (0.2, 0.7)), ((0.3,), (0.25, 0.7))]
+)
+def test_cell_part_is_the_first_of_the_measure_parts(extra, region):
+    from bvcalc.measures import cell_part, measure_parts, merge_breaks
+
+    dom, reg, mu, lam, gamma = _mixed_1d()
+    _, _, mu2, gamma2 = _mixed_2d()
+    extra2 = None if extra is None else (extra, (0.45,))
+    region2 = None if region is None else (region, (0.1, 0.9))
+    for m, e, r in ((mu, extra, region), (lam, extra, region), (gamma, extra, region),
+                    (mu2, extra2, region2), (gamma2, extra2, region2)):
+        part, first = cell_part(m, e, r), measure_parts(m, e, r)[0]
+        assert (part.kind, part.key, first.kind, first.key) == ("cells", None, "cells", None)
+        for name in ("points", "weights", "values", "masses"):
+            a, b = getattr(part, name), getattr(first, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        nodes, weights = m.domain.cell_rule(merge_breaks(m.domain.dim, m.breaks, e), r)
+        assert np.array_equal(part.points, nodes) and np.array_equal(part.weights, weights)
+        assert np.array_equal(part.values, m.density_at(nodes))
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (dict(density=lambda n: n[:, 0] - 0.5), "scalar density must be nonnegative"),
+        (
+            dict(carrier_parts=(("c", lambda p: p[:, 0] - 0.6),)),
+            "carrier densities must be nonnegative",
+        ),
+        (dict(atoms=(((0.5,), -1e-13),)), "atom weights must be nonnegative"),
+    ],
+    ids=["cells", "carrier", "atom"],
+)
+def test_negative_parts_are_rejected_with_their_message(parts, message):
+    reg = CarrierRegistry()
+    reg.register_point("c", (0.5,))
+    with pytest.raises(MeasureError, match=f"^{message}$"):
+        ScalarRadonMeasure(interval(), registry=reg, **parts)
+
+
+def test_densities_keep_their_slack():
+    """Cell and carrier densities may dip to -1e-12; atom weights may not
+    (a weight of -1e-13 is rejected above)."""
+    reg = CarrierRegistry()
+    reg.register_point("c", (0.5,))
+    ScalarRadonMeasure(
+        interval(), density=lambda n: np.full(len(n), -1e-13), registry=reg,
+        carrier_parts=(("c", lambda p: np.full(len(p), -1e-13)),),
+    )

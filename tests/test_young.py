@@ -623,3 +623,180 @@ def test_pairing_equals_fresh_recomputation_2d():
     for f in (make_norm(1, 2), make_area(1, 2), make_shifted_norm(N=1, n=2)):
         for phi in (None, *scalar_bumps(d, per_axis=2)):
             assert pairing(f, cand, localization=phi) == fresh_pairing(f, cand, phi)
+
+
+# ---------------------------------------------------------------------------
+# barycenter: reference kept from the loop the part tables replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_barycenter(nu):
+    """The barycenter as it was built before it read the part tables of
+    ``singular_densities``: its own walk over atoms and carriers."""
+    from bvcalc.measures import MeasurePart, merge_breaks
+
+    mu = nu.reference_measure
+    N, n = nu.dims
+
+    def mean_osc(part, pts):
+        w, A = nu.nu.eval(part, pts)
+        return np.einsum("mk,mkij->mij", w, A)
+
+    def mean_inf(part, pts):
+        w, S = nu.nu_inf.eval(part, pts)
+        return np.einsum("mk,mkij->mij", w, S)
+
+    lam_cell_charged = False
+    if nu.nu_inf is not None:
+        cell_part = nu.concentration_parts[0]
+        lam_cell_charged = bool(np.any(np.abs(cell_part.masses) > 1e-12))
+
+    def density(nodes):
+        out = mean_osc(MeasurePart("cells", None, nodes), nodes) * np.asarray(
+            mu.density_at(nodes)
+        )[:, None, None]
+        if lam_cell_charged:
+            out = out + mean_inf(
+                MeasurePart("cells", None, nodes), nodes
+            ) * np.asarray(nu.lam.density_at(nodes))[:, None, None]
+        return out
+
+    atom_acc = {}
+    for p, w in mu.atoms:
+        part = MeasurePart("atom", tuple(p), p[None, :])
+        atom_acc[tuple(p)] = (p, w * mean_osc(part, p[None, :])[0])
+    if nu.nu_inf is not None:
+        for p, w in nu.lam.atoms:
+            part = MeasurePart("atom", tuple(p), p[None, :])
+            add = w * mean_inf(part, p[None, :])[0]
+            key = tuple(p)
+            if key in atom_acc:
+                atom_acc[key] = (p, atom_acc[key][1] + add)
+            else:
+                atom_acc[key] = (p, add)
+
+    carrier_acc = {}
+    for cid, fn in mu.carrier_parts:
+        carrier_acc[cid] = [(fn, "osc")]
+    if nu.nu_inf is not None:
+        for cid, fn in nu.lam.carrier_parts:
+            carrier_acc.setdefault(cid, []).append((fn, "inf"))
+    parts = []
+    for cid, contribs in carrier_acc.items():
+
+        def part_fn(pts, _cid=cid, _contribs=contribs):
+            out = np.zeros((len(pts), N, n))
+            part = MeasurePart("carrier", _cid, pts)
+            for fn, mode in _contribs:
+                mean = mean_osc(part, pts) if mode == "osc" else mean_inf(part, pts)
+                out = out + mean * np.asarray(fn(pts))[:, None, None]
+            return out
+
+        parts.append((cid, part_fn))
+
+    atoms = tuple(atom_acc.values()) if mu.domain.dim == 1 else ()
+    return MatrixRadonMeasure(
+        mu.domain,
+        (N, n),
+        density=density,
+        carrier_parts=tuple(parts),
+        atoms=atoms,
+        registry=mu.registry if mu.registry is not None else nu.lam.registry,
+        breaks=merge_breaks(mu.domain.dim, mu.breaks, nu.lam.breaks, nu.breaks),
+    )
+
+
+def moving_field(dims, scale):
+    """Two matrix atoms, weights 1/4 and 3/4, that move with the point."""
+    base = np.arange(1.0, 1.0 + np.prod(dims)).reshape(dims)
+
+    def fn(points):
+        s = scale * (1.0 + np.sum(points, axis=1))[:, None, None]
+        A = np.stack([s * base, (0.5 - s) * base], axis=1)
+        return np.tile([0.25, 0.75], (len(points), 1)), A
+
+    return young.LocationField(fn)
+
+
+def barycenter_cases():
+    """Young measures whose lambda charges atoms on and off mu's atoms,
+    shared and unshared carriers, cells, and none of them."""
+    d = Domain((0.0, 1.0), 48)
+    reg = CarrierRegistry()
+    for cid, x in (("p1", 0.45), ("p2", 0.8), ("p3", 0.2)):
+        reg.register_point(cid, (x,))
+    mu = ScalarRadonMeasure(
+        d,
+        density=lambda n: 1.0 + n[:, 0] ** 2,
+        atoms=(((0.3,), 0.7), ((0.9,), 1.1)),
+        carrier_parts=(("p1", lambda p: 2.0 + p[:, 0]), ("p3", lambda p: 0.5 + 0 * p[:, 0])),
+        registry=reg,
+        dominates_lebesgue=True,
+        breaks=(0.5,),
+    )
+    singular = dict(
+        atoms=(((0.3,), 0.4), ((0.6,), 1.3)),
+        carrier_parts=(("p1", lambda p: 0.25 + p[:, 0]), ("p2", lambda p: 3.0 + 0 * p[:, 0])),
+        registry=reg,
+        breaks=(1.0 / 3.0,),
+    )
+    lam = ScalarRadonMeasure(d, **singular)
+    lam_cells = ScalarRadonMeasure(
+        d, density=lambda n: 0.5 + np.sin(3.0 * n[:, 0]) ** 2, **singular
+    )
+
+    def triple(domain, dims, lam, mu, nu_inf=True, breaks=None):
+        sphere = moving_field(dims, -0.5) if nu_inf else None
+        return GeneralizedYoungMeasure(
+            domain, dims, moving_field(dims, 1.0), lam, sphere, mu, breaks=breaks, validate=False
+        )
+
+    sq = Domain(((0.0, 1.0), (0.0, 1.0)), 16)
+    reg2 = CarrierRegistry()
+    reg2.register_segment("a", (0.25, 0.0), (0.25, 1.0))
+    reg2.register_segment("b", (0.0, 0.6), (1.0, 0.6))
+    reg2.register_segment("c", (0.75, 0.0), (0.75, 1.0))
+    mu2 = ScalarRadonMeasure(
+        sq,
+        density=lambda n: 1.0 + n[:, 0] * n[:, 1],
+        carrier_parts=(("c", lambda p: 0.5 + p[:, 1]), ("b", lambda p: 1.0 + p[:, 0] ** 2)),
+        registry=reg2,
+        dominates_lebesgue=True,
+    )
+    lam2 = ScalarRadonMeasure(
+        sq,
+        carrier_parts=(("b", lambda p: 2.0 - p[:, 0]), ("a", lambda p: 0.5 + p[:, 1] ** 2)),
+        registry=reg2,
+    )
+    mixed_mu, u = mixed_elementary_setting(Domain((0.0, 1.0), 64), CarrierRegistry())
+    return {
+        "1d-atoms-on-and-off": triple(d, (1, 1), lam, mu, breaks=(0.7,)),
+        "1d-lambda-cells": triple(d, (1, 1), lam_cells, mu),
+        "2d-segments": triple(sq, (1, 2), lam2, mu2, breaks=((0.4,), (0.3,))),
+        "no-nu-inf": triple(d, (1, 1), lam_cells, mu, nu_inf=False),
+        "elementary": elementary(derivative(u), mixed_mu),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(barycenter_cases()))
+def test_barycenter_matches_the_old_loop(case):
+    nu = barycenter_cases()[case]
+    new, old = barycenter(nu), _old_barycenter(nu)
+    assert new.breaks == old.breaks and new.registry is old.registry
+    nodes, _ = new.domain.cell_rule(breaks=new.breaks)
+    assert np.array_equal(new.density_at(nodes), old.density_at(nodes))
+    assert len(new.atoms) == len(old.atoms)
+    for (p, v), (q, w) in zip(new.atoms, old.atoms):
+        assert np.array_equal(p, q) and np.array_equal(v, w)
+    assert [cid for cid, _ in new.carrier_parts] == [cid for cid, _ in old.carrier_parts]
+    for (cid, fn), (_, gn) in zip(new.carrier_parts, old.carrier_parts):
+        pts, _ = new.carrier(cid).rule(new.domain.resolution)
+        assert np.array_equal(fn(pts), gn(pts))
+    charged = {
+        "1d-atoms-on-and-off": (3, ["p1", "p3", "p2"]),
+        "1d-lambda-cells": (3, ["p1", "p3", "p2"]),
+        "2d-segments": (0, ["c", "b", "a"]),
+        "no-nu-inf": (2, ["p1", "p3"]),
+        "elementary": (2, []),
+    }[case]
+    assert (len(new.atoms), [cid for cid, _ in new.carrier_parts]) == charged
