@@ -9,7 +9,8 @@ quadrature error only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .measures import (
     CarrierRegistry,
     MatrixRadonMeasure,
     area_functional,
+    in_box,
     merge_breaks,
     pair_with_test_function,
     singular_parts,
@@ -51,13 +53,7 @@ class Piece:
     def mask(self, nodes):
         if callable(self.region):
             return np.asarray(self.region(nodes), dtype=bool)
-        region = np.asarray(self.region, dtype=float)
-        if region.ndim == 1:
-            region = region[None, :]
-        m = np.ones(len(nodes), dtype=bool)
-        for k, (lo, hi) in enumerate(region):
-            m &= (nodes[:, k] >= lo) & (nodes[:, k] <= hi)
-        return m
+        return in_box(nodes, self.region)
 
 
 @dataclass
@@ -106,31 +102,29 @@ class BVFunction:
             idx[m] = k
         return idx
 
-    def value_at(self, nodes):
+    def _by_piece(self, nodes, fn, shape, probe=None):
+        """``fn(piece, points)`` at ``nodes``, shaped (M, *shape), taking at
+        each node the piece that contains ``probe`` (default: the node)."""
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        idx = self._piece_index(nodes)
+        idx = self._piece_index(nodes if probe is None else probe)
         if np.any(idx < 0):
-            raise BVError("pieces do not cover all quadrature nodes")
-        out = np.empty((len(nodes), self.N))
+            raise BVError(
+                "pieces do not cover all quadrature nodes"
+                if probe is None
+                else "no piece adjacent to the requested points"
+            )
+        out = np.empty((len(nodes),) + shape)
         for k, piece in enumerate(self.pieces):
             m = idx == k
             if np.any(m):
-                out[m] = np.asarray(piece.u(nodes[m])).reshape(-1, self.N)
+                out[m] = np.asarray(fn(piece, nodes[m])).reshape((-1,) + shape)
         return out
 
+    def value_at(self, nodes):
+        return self._by_piece(nodes, lambda piece, x: piece.u(x), (self.N,))
+
     def gradient_at(self, nodes):
-        nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        idx = self._piece_index(nodes)
-        if np.any(idx < 0):
-            raise BVError("pieces do not cover all quadrature nodes")
-        out = np.empty((len(nodes), self.N, self.domain.dim))
-        for k, piece in enumerate(self.pieces):
-            m = idx == k
-            if np.any(m):
-                out[m] = np.asarray(piece.grad(nodes[m])).reshape(
-                    -1, self.N, self.domain.dim
-                )
-        return out
+        return self._by_piece(nodes, lambda piece, x: piece.grad(x), (self.N, self.domain.dim))
 
     def value_from_inside(self, points, normals, offset_scale=1e-9):
         """Evaluate the piece expression seen when approaching ``points``
@@ -138,15 +132,7 @@ class BVFunction:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         shift = offset_scale * max(hi - lo for lo, hi in self.domain.box)
         probe = points + shift * np.asarray(normals, dtype=float)
-        idx = self._piece_index(probe)
-        if np.any(idx < 0):
-            raise BVError("no piece adjacent to the requested points")
-        out = np.empty((len(points), self.N))
-        for k, piece in enumerate(self.pieces):
-            m = idx == k
-            if np.any(m):
-                out[m] = np.asarray(piece.u(points[m])).reshape(-1, self.N)
-        return out
+        return self._by_piece(points, lambda piece, x: piece.u(x), (self.N,), probe=probe)
 
     def l1_norm(self):
         nodes, weights = self.domain.cell_rule(breaks=self.breaks)
@@ -183,10 +169,14 @@ class BVFunction:
         registry = registry if registry is not None else CarrierRegistry()
         dim = domain.dim
         pieces = []
-        N = None
-        for pdesc in obj["pieces"]:
-            u_exprs = pdesc["u"] if isinstance(pdesc["u"], list) else [pdesc["u"]]
-            g_rows = pdesc["grad"]
+        pdescs = _entry(obj, "pieces", "a BV function")
+        if not isinstance(pdescs, list) or not pdescs:
+            raise BVError("'pieces' must be a non-empty list of pieces")
+        for pdesc in pdescs:
+            u_exprs = _listed(_entry(pdesc, "u", "a 'pieces' entry"))
+            g_rows = _entry(pdesc, "grad", "a 'pieces' entry")
+            if not isinstance(g_rows, list) or not g_rows:
+                raise BVError("'grad' of a piece must be a non-empty list")
             if not isinstance(g_rows[0], list):
                 g_rows = [g_rows]
             N = len(u_exprs)
@@ -200,20 +190,15 @@ class BVFunction:
             )
         jumps = []
         for jdesc in obj.get("jumps", ()):
-            plus_exprs = jdesc["plus"] if isinstance(jdesc["plus"], list) else [jdesc["plus"]]
-            minus_exprs = jdesc["minus"] if isinstance(jdesc["minus"], list) else [jdesc["minus"]]
-            jumps.append(
-                Jump(
-                    jdesc["carrier"],
-                    plus=expressions.compile_vector(plus_exprs, dim),
-                    minus=expressions.compile_vector(minus_exprs, dim),
-                    orientation=float(jdesc.get("orientation", 1.0)),
-                )
+            cid = _entry(jdesc, "carrier", "a 'jumps' entry")
+            plus, minus = (
+                expressions.compile_vector(_listed(_entry(jdesc, side, "a 'jumps' entry")), dim)
+                for side in ("plus", "minus")
             )
+            jumps.append(Jump(cid, plus, minus, orientation=float(jdesc.get("orientation", 1.0))))
         trace = None
         if "trace" in obj:
-            t_exprs = obj["trace"] if isinstance(obj["trace"], list) else [obj["trace"]]
-            trace = expressions.compile_vector(t_exprs, dim)
+            trace = expressions.compile_vector(_listed(obj["trace"]), dim)
         return BVFunction(
             domain,
             N,
@@ -230,14 +215,11 @@ class BVFunction:
         for jump in self.jumps:
             carrier = self.registry[jump.carrier_id]
             pts, _ = carrier.rule(min(self.domain.resolution, 16))
+            normal = carrier.normal
             if carrier.kind == "point":
-                eta = np.zeros((1, self.domain.dim))
-                eta[0, 0] = jump.orientation
-                eta = np.tile(eta, (len(pts), 1))
-            else:
-                eta = np.tile(np.asarray(carrier.normal), (len(pts), 1))
-            for side, declared in (("plus", jump.plus), ("minus", jump.minus)):
-                sgn = 1.0 if side == "plus" else -1.0
+                normal = (jump.orientation,) + (0.0,) * (self.domain.dim - 1)
+            eta = np.tile(np.asarray(normal, dtype=float), (len(pts), 1))
+            for side, declared, sgn in (("plus", jump.plus, 1.0), ("minus", jump.minus, -1.0)):
                 limit = self._one_sided_limit(pts, sgn * eta)
                 stated = np.asarray(declared(pts)).reshape(-1, self.N)
                 err = np.max(np.abs(limit - stated)) if len(pts) else 0.0
@@ -258,6 +240,19 @@ class BVFunction:
         inside = self.domain.contains(probe)
         probe = np.where(inside[:, None], probe, pts)  # clamp boundary touches
         return self.value_at(probe)
+
+
+def _entry(desc, key, what):
+    """``desc[key]`` of a JSON description, or a BVError naming the key."""
+    if not isinstance(desc, dict):
+        raise BVError(f"{what} must be an object with key {key!r}, got {desc!r}")
+    if key not in desc:
+        raise BVError(f"{what} has no {key!r}")
+    return desc[key]
+
+
+def _listed(value):
+    return value if isinstance(value, list) else [value]
 
 
 # ---------------------------------------------------------------------------
@@ -419,70 +414,47 @@ def zero_extension(u, outer_domain, carrier_prefix=None):
     prefix = carrier_prefix or f"bnd[{id(u) & 0xFFFF:x}]"
     carriers = u.registry.boundary_carriers(u.domain, prefix=prefix)
     inner_box = u.domain.box
-    pieces = [
-        Piece(
-            region=_restrict_region(piece.region, inner_box),
-            u=piece.u,
-            grad=piece.grad,
-            breaks=piece.breaks,
-        )
-        for piece in u.pieces
-    ]
+    pieces = [replace(p, region=_restrict_region(p.region, inner_box)) for p in u.pieces]
+
+    def zeros(pts):
+        return np.zeros((len(pts), u.N))
+
     zero = Piece(
         region=lambda nodes: np.ones(len(nodes), dtype=bool),
-        u=lambda nodes: np.zeros((len(nodes), u.N)),
+        u=zeros,
         grad=lambda nodes: np.zeros((len(nodes), u.N, outer_domain.dim)),
     )
-    jumps = list(u.jumps)
-    for carrier in carriers:
-        if carrier.kind == "point":
-            orientation = 1.0 if carrier.point[0] == inner_box[0][0] else -1.0
-            jumps.append(
-                Jump(
-                    carrier.cid,
-                    plus=lambda pts, _t=trace_fn: _t(pts),
-                    minus=lambda pts: np.zeros((len(pts), u.N)),
-                    orientation=orientation,
-                )
-            )
-        else:
-            jumps.append(
-                Jump(
-                    carrier.cid,
-                    plus=lambda pts, _t=trace_fn: _t(pts),
-                    minus=lambda pts: np.zeros((len(pts), u.N)),
-                )
-            )
-    edge_breaks = tuple(tuple(b for b in (lo, hi)) for lo, hi in inner_box)
+    # the plus side of each boundary jump is the inner box: orientation +1
+    # at an interval's left end, -1 at its right end, inward segment normals
+    jumps = list(u.jumps) + [
+        Jump(
+            carrier.cid,
+            plus=trace_fn,
+            minus=zeros,
+            orientation=(
+                -1.0 if carrier.kind == "point" and carrier.point[0] != inner_box[0][0] else 1.0
+            ),
+        )
+        for carrier in carriers
+    ]
     return BVFunction(
         outer_domain,
         u.N,
         pieces + [zero],
         jumps=jumps,
-        trace=lambda pts: np.zeros((len(np.atleast_2d(pts)), u.N)),
+        trace=lambda pts: zeros(np.atleast_2d(pts)),
         registry=u.registry,
-        breaks=merge_breaks(outer_domain.dim, u.breaks, edge_breaks),
-        structure={"kind": "zero_extension", "inner": u},
+        breaks=merge_breaks(outer_domain.dim, u.breaks, inner_box),
+        structure={"kind": "zero_extension"},
         validate=False,  # nodes of the outer grid may probe across the old boundary
     )
 
 
 def _restrict_region(region, box):
     if callable(region):
-        def mask(nodes, _r=region, _b=box):
-            m = np.asarray(_r(nodes), dtype=bool)
-            for k, (lo, hi) in enumerate(_b):
-                m &= (nodes[:, k] >= lo) & (nodes[:, k] <= hi)
-            return m
-
-        return mask
-    region = np.asarray(region, dtype=float)
-    if region.ndim == 1:
-        region = region[None, :]
-    clipped = [
-        (max(lo, box[k][0]), min(hi, box[k][1])) for k, (lo, hi) in enumerate(region)
-    ]
-    return tuple(clipped)
+        return lambda nodes: np.asarray(region(nodes), dtype=bool) & in_box(nodes, box)
+    region = np.asarray(region, dtype=float).reshape(-1, 2)
+    return tuple((max(lo, box[k][0]), min(hi, box[k][1])) for k, (lo, hi) in enumerate(region))
 
 
 # ---------------------------------------------------------------------------
@@ -611,66 +583,66 @@ def piecewise_affine_1d(
     for k in range(1, len(edges) - 1):
         left_vals[k] = left_vals[k - 1] + slopes[k - 1] * (edges[k] - edges[k - 1])
 
-    jump_positions = np.array([t for t, _ in jumps]) if jumps else np.zeros(0)
-    jump_heights = (
-        np.stack([d for _, d in jumps]) if jumps else np.zeros((0, N))
+    def affine_part(x):
+        idx = _interval_of(edges, x)
+        return left_vals[idx] + slopes[idx] * (x - edges[idx])[:, None]
+
+    breaks = breakpoints + tuple(t for t, _ in jumps)
+    return _profile_1d(
+        domain, N, edges, slopes, affine_part, (), jumps, breaks, registry, carrier_prefix
     )
 
-    def affine_part(x):
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(slopes) - 1)
-        return left_vals[idx] + slopes[idx] * (x - edges[idx])[:, None]
+
+def _interval_of(edges, x):
+    """Index of the partition interval [edges[k], edges[k+1]) holding each x."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+
+
+def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, registry, prefix):
+    """The 1D catalog profile continuous(x) + sum of d H(x - t) over the
+    ``kept`` jumps (t, d), one point carrier ``prefix:t`` per kept jump;
+    its gradient adds to the partition slope the derivative of each
+    transition (t, d, w) of ``smooth`` that ``continuous`` holds.  Only a
+    profile with nothing smoothed may be smoothed again."""
 
     def value(nodes):
         x = nodes[:, 0]
-        out = affine_part(x)
-        for t, d in zip(jump_positions, jump_heights):
+        out = continuous(x)
+        for t, d in kept:
             out = out + (x > t)[:, None] * d[None, :]
         return out
 
     def grad(nodes):
         x = nodes[:, 0]
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx][:, :, None]
+        g = slopes[_interval_of(edges, x)]
+        for t, d, w in smooth:
+            g = g + (_smoothstep_d((x - t) / w + 0.5) / w)[:, None] * d[None, :]
+        return g[:, :, None]
 
-    jump_objs = []
-    for k, (t, d) in enumerate(jumps):
-        carrier = registry.register_point(f"{carrier_prefix}:{t:.12g}", (t,))
+    def trace(t, below):
+        # the kept jumps at or left of t count on the plus side, those
+        # strictly left of t on the minus side
+        return lambda pts: continuous(pts[:, 0]) + sum(
+            float(below(s, t)) * d[None, :] for s, d in kept
+        )
 
-        def plus(pts, _t=t):
-            base = affine_part(pts[:, 0])
-            shift = sum(
-                float(_s <= _t) * h[None, :]
-                for _s, h in zip(jump_positions, jump_heights)
-            )
-            return base + shift
-
-        def minus(pts, _t=t):
-            base = affine_part(pts[:, 0])
-            shift = sum(
-                float(_s < _t) * h[None, :]
-                for _s, h in zip(jump_positions, jump_heights)
-            )
-            return base + shift
-
-        jump_objs.append(Jump(carrier.cid, plus, minus, orientation=1.0))
-
+    jumps = [
+        Jump(
+            registry.register_point(f"{prefix}:{t:.12g}", (t,)).cid,
+            trace(t, operator.le),
+            trace(t, operator.lt),
+        )
+        for t, _ in kept
+    ]
     structure = {
-        "kind": "pw_affine_1d",
+        "kind": "smoothed_pw_affine" if smooth else "pw_affine_1d",
         "edges": edges,
         "slopes": slopes,
-        "left_vals": left_vals,
-        "jumps": jumps,
-        "affine_part": affine_part,
+        "affine_part": continuous,
+        "jumps": tuple(kept),
     }
-    piece = Piece(region=domain.box, u=value, grad=grad, breaks=(tuple(breakpoints) + tuple(jump_positions),))
-    return BVFunction(
-        domain,
-        N,
-        [piece],
-        jumps=jump_objs,
-        registry=registry,
-        structure=structure,
-    )
+    piece = Piece(region=domain.box, u=value, grad=grad, breaks=(tuple(breaks),))
+    return BVFunction(domain, N, [piece], jumps=jumps, registry=registry, structure=structure)
 
 
 def heaviside_1d(domain, position=0.5, height=1.0, registry=None):
@@ -711,7 +683,7 @@ def sawtooth_1d(domain, j, registry=None):
         1,
         [piece],
         registry=registry if registry is not None else CarrierRegistry(),
-        structure={"kind": "sawtooth", "j": j},
+        structure={"kind": "sawtooth"},
     )
 
 
@@ -732,7 +704,7 @@ def affine_2d(domain, matrix, offset=None, registry=None):
         N,
         [piece],
         registry=registry if registry is not None else CarrierRegistry(),
-        structure={"kind": "affine_2d", "matrix": G, "offset": c},
+        structure={"kind": "affine_2d"},
     )
 
 
@@ -765,7 +737,7 @@ def vertical_step_2d(domain, threshold=0.5, height=1.0, registry=None, carrier_i
         jumps=[jump],
         registry=registry,
         breaks=((threshold,), ()),
-        structure={"kind": "vertical_step", "threshold": threshold, "height": height},
+        structure={"kind": "vertical_step"},
     )
 
 
@@ -797,27 +769,6 @@ def smooth_selected_jumps(u, widths):
     smooth_data = [(t, d, widths[t]) for t, d in jumps if t in widths]
     kept = [(t, d) for t, d in jumps if t not in widths]
 
-    def value(nodes):
-        x = nodes[:, 0]
-        out = affine_part(x)
-        for t, d, w in smooth_data:
-            theta = _smoothstep((x - t) / w + 0.5)
-            out = out + theta[:, None] * d[None, :]
-        for t, d in kept:
-            out = out + (x > t)[:, None] * d[None, :]
-        return out
-
-    def grad(nodes):
-        x = nodes[:, 0]
-        edges = structure["edges"]
-        slopes = structure["slopes"]
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(slopes) - 1)
-        g = slopes[idx].copy()
-        for t, d, w in smooth_data:
-            dtheta = _smoothstep_d((x - t) / w + 0.5) / w
-            g = g + dtheta[:, None] * d[None, :]
-        return g[:, :, None]
-
     def continuous_part(x):
         # the rebuilt profile without the kept Heaviside terms
         out = affine_part(x)
@@ -828,44 +779,10 @@ def smooth_selected_jumps(u, widths):
     breaks = set(structure["edges"][1:-1])
     for t, _, w in smooth_data:
         breaks.update((t - 0.5 * w, t + 0.5 * w))
-    jump_objs = []
-    for t, d in kept:
-        carrier = u.registry.register_point(f"jump:{t:.12g}", (t,))
-
-        def plus_tr(pts, _t=t):
-            x = pts[:, 0]
-            out = continuous_part(x)
-            for s, dd in kept:
-                out = out + float(s <= _t) * dd[None, :]
-            return out
-
-        def minus_tr(pts, _t=t):
-            x = pts[:, 0]
-            out = continuous_part(x)
-            for s, dd in kept:
-                out = out + float(s < _t) * dd[None, :]
-            return out
-
-        jump_objs.append(Jump(carrier.cid, plus_tr, minus_tr, orientation=1.0))
-        breaks.add(t)
-    piece = Piece(region=u.domain.box, u=value, grad=grad, breaks=(tuple(sorted(breaks)),))
-    new_structure = {
-        # further smoothing passes are only supported when nothing was
-        # smoothed here (grad reconstruction would miss the transitions)
-        "kind": "pw_affine_1d" if not smooth_data else "smoothed_pw_affine",
-        "base": u,
-        "edges": structure["edges"],
-        "slopes": structure["slopes"],
-        "affine_part": continuous_part,
-        "jumps": tuple(kept),
-    }
-    return BVFunction(
-        u.domain,
-        u.N,
-        [piece],
-        jumps=jump_objs,
-        registry=u.registry,
-        structure=new_structure,
+    breaks.update(t for t, _ in kept)
+    return _profile_1d(
+        u.domain, u.N, structure["edges"], structure["slopes"], continuous_part, smooth_data,
+        kept, sorted(breaks), u.registry, "jump",
     )
 
 

@@ -53,6 +53,15 @@ def _as_bounds(box, allow_empty=False):
     return tuple((float(lo), float(hi)) for lo, hi in box)
 
 
+def in_box(points, box):
+    """Mask of the rows of ``points`` (M, dim) in the closed box ``box``,
+    one (lo, hi) pair per axis (a bare pair for an interval)."""
+    mask = np.ones(len(points), dtype=bool)
+    for k, (lo, hi) in enumerate(np.asarray(box, dtype=float).reshape(-1, 2)):
+        mask &= (points[:, k] >= lo) & (points[:, k] <= hi)
+    return mask
+
+
 def _refined_edges(lo, hi, resolution, breaks):
     edges = np.linspace(lo, hi, resolution + 1)
     if breaks is not None and len(breaks):
@@ -96,12 +105,8 @@ class Domain:
     def volume(self):
         return float(np.prod([hi - lo for lo, hi in self.box]))
 
-    def contains(self, points, tol=0.0):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        mask = np.ones(len(points), dtype=bool)
-        for k, (lo, hi) in enumerate(self.box):
-            mask &= (points[:, k] >= lo - tol) & (points[:, k] <= hi + tol)
-        return mask
+    def contains(self, points):
+        return in_box(np.atleast_2d(np.asarray(points, dtype=float)), self.box)
 
     def strictly_contains(self, point, margin=0.0):
         point = np.asarray(point, dtype=float)
@@ -142,9 +147,7 @@ class Domain:
         keep = weights > 1e-300
         nodes, weights = nodes[keep], weights[keep]
         if region is not None:
-            inside = np.ones(len(nodes), dtype=bool)
-            for k, (lo, hi) in enumerate(region):
-                inside &= (nodes[:, k] >= lo) & (nodes[:, k] <= hi)
+            inside = in_box(nodes, region)
             nodes, weights = nodes[inside], weights[inside]
         return nodes, weights
 

@@ -54,6 +54,7 @@ from .measures import (
     ScalarRadonMeasure,
     frobenius,
     lebesgue,
+    rn_decompose,
     total_variation,
 )
 from .oracle import oracle_1d
@@ -307,8 +308,6 @@ def scenario_atom_absorbs_jump(config):
     u = piecewise_affine_1d(d, slopes=(1.0,), jumps=((0.5, (1.0,)),), registry=reg)
     spec = FunctionalSpec(make_norm(), mu, d)
     out = evaluate(u, spec)
-    from .measures import rn_decompose
-
     remainder_tv = total_variation(rn_decompose(derivative(u), mu).remainder)
     case = {
         "u": {"breaks": [], "slopes": [1.0], "jumps": [[0.5, 1.0]]},
@@ -318,12 +317,13 @@ def scenario_atom_absorbs_jump(config):
     ref = oracle_1d(case["u"], case["mu"], case["F"], domain=(0.0, 1.0))
     eps = elementary(derivative(u), mu)
     pair_gap = abs(pairing(make_norm(), eps) - out.interior)
+    admissible = admissibility_check(u, mu)
     clauses = [
         _clause("value_is_two", abs(out.total - 2.0) <= 1e-10, out.total, "= 2"),
         _clause(
             "no_singular_remainder", remainder_tv == 0.0, remainder_tv, "= 0 (jump absorbed)"
         ),
-        _clause("admissible", admissibility_check(u, mu), True, "in the mu-Sobolev class"),
+        _clause("admissible", admissible, admissible, "in the mu-Sobolev class"),
         _clause(
             "oracle_agreement",
             abs(out.total - ref) / abs(ref) <= 1e-8,

@@ -27,6 +27,7 @@ from .measures import (
     ScalarRadonMeasure,
     charges_boundary,
     frobenius,
+    in_box,
     lebesgue,
     matched_parts,
     measure_distance,
@@ -237,13 +238,7 @@ def _field_from_entries(entries, domain, dims):
         A = np.zeros((M, kmax, N, n))
         claimed = np.zeros(M, dtype=bool)
         for region, atoms, weights in parsed:
-            if region is None:
-                mask = ~claimed
-            else:
-                bounds = np.asarray(region, dtype=float).reshape(-1, 2)
-                mask = ~claimed
-                for k, (lo, hi) in enumerate(bounds):
-                    mask &= (points[:, k] >= lo) & (points[:, k] <= hi)
+            mask = ~claimed if region is None else ~claimed & in_box(points, region)
             if not np.any(mask):
                 continue
             W[mask, : len(weights)] = weights[None, :]
@@ -295,21 +290,24 @@ def elementary(gamma, mu):
 # ---------------------------------------------------------------------------
 
 
-def _field_pair(f, w, A, points, sphere=False):
+def _field_pair(f, w, A, points, sphere=False, upper=False):
     """sum_k w_k f(x, A_k) at the given points, from a field's weights
     ``w`` (M, K) and atoms ``A`` (M, K, N, n) there (recession of f when
-    ``sphere``)."""
+    ``sphere``; with ``upper`` too, the upper asymptotic slope of an f
+    without analytic recession)."""
+    slope = upper and not (isinstance(f, Integrand) and f.has_analytic_recession())
     out = np.zeros(len(points))
     for k in range(w.shape[1]):
         active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
         if not np.any(active):
             continue
-        xk = points[active]
-        vals = (
-            recession_values(f, xk, A[active, k])
-            if sphere
-            else np.asarray(f(xk, A[active, k]))
-        )
+        xk, Ak = points[active], A[active, k]
+        if slope:
+            vals = np.array([generalized_recession(f, S).value for S in Ak])
+        elif sphere:
+            vals = recession_values(f, xk, Ak)
+        else:
+            vals = np.asarray(f(xk, Ak))
         out[active] += w[active, k] * vals
     return out
 
@@ -443,23 +441,6 @@ def _check_barycenter(u, nu, tol=1e-8):
         )
 
 
-def _sphere_pair(F, field, part, points, upper):
-    w, S = field.eval(part, points)
-    out = np.zeros(len(points))
-    for k in range(w.shape[1]):
-        active = w[:, k] > 0
-        if not np.any(active):
-            continue
-        if upper and not (isinstance(F, Integrand) and F.has_analytic_recession()):
-            vals = np.array(
-                [generalized_recession(F, S[m, k]).value for m in np.nonzero(active)[0]]
-            )
-        else:
-            vals = recession_values(F, points[active], S[active, k])
-        out[active] += w[active, k] * vals
-    return out
-
-
 def _jensen_core(F, u, nu, mu, tol, upper_slope):
     if charges_boundary(nu.lam, nu.domain, _ZTOL):
         raise YoungMeasureError("concentration measure charges the boundary")
@@ -475,8 +456,9 @@ def _jensen_core(F, u, nu, mu, tol, upper_slope):
         charged = dlam > _ZTOL
         if np.any(charged) and nu.nu_inf is not None:
             rhs = rhs.copy()
+            w, S = nu.nu_inf.eval(part, pts[charged])
             rhs[charged] += (
-                _sphere_pair(F, nu.nu_inf, part, pts[charged], upper_slope)
+                _field_pair(F, w, S, pts[charged], sphere=True, upper=upper_slope)
                 * dlam[charged]
             )
         report.nodes_checked += len(pts)

@@ -3,6 +3,7 @@ import pytest
 
 from bvcalc.bv import (
     BVError,
+    BVFunction,
     CatalogError,
     Jump,
     Piece,
@@ -17,6 +18,7 @@ from bvcalc.bv import (
     random_polynomial_test,
     sawtooth_1d,
     smooth_dirichlet_approximation,
+    smooth_selected_jumps,
     vertical_step_2d,
     verify_integration_by_parts,
     zero_extension,
@@ -312,3 +314,236 @@ def test_tv_invariant_under_repartition():
 def test_l1_norm_heaviside():
     u = heaviside_1d(interval(), 0.5)
     assert u.l1_norm() == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# piece lookup and JSON input
+# ---------------------------------------------------------------------------
+
+
+def test_piece_lookup_error_messages():
+    left = Piece(region=(0.0, 0.5), u=lambda n: n[:, :1], grad=lambda n: np.ones((len(n), 1, 1)))
+    u = BVFunction(interval(8), 1, [left], validate=False)
+    with pytest.raises(BVError, match="^pieces do not cover all quadrature nodes$"):
+        u.value_at([[0.75]])
+    with pytest.raises(BVError, match="^pieces do not cover all quadrature nodes$"):
+        u.gradient_at([[0.25], [0.75]])
+    with pytest.raises(BVError, match="^no piece adjacent to the requested points$"):
+        u.value_from_inside([[0.5]], [[1.0]])
+    assert u.value_from_inside([[0.5]], [[-1.0]])[0, 0] == 0.5
+
+
+_PIECE = {"u": ["x"], "grad": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({}, "a BV function has no 'pieces'"),
+        ([_PIECE], "a BV function must be an object with key 'pieces'"),
+        ({"pieces": 3}, "'pieces' must be a non-empty list of pieces"),
+        ({"pieces": []}, "'pieces' must be a non-empty list of pieces"),
+        ({"pieces": ["x"]}, "a 'pieces' entry must be an object with key 'u', got 'x'"),
+        ({"pieces": [{"grad": ["1"]}]}, "a 'pieces' entry has no 'u'"),
+        ({"pieces": [{"u": ["x"]}]}, "a 'pieces' entry has no 'grad'"),
+        ({"pieces": [{"u": ["x"], "grad": []}]}, "'grad' of a piece must be a non-empty list"),
+        (
+            {"pieces": [_PIECE], "jumps": [{"plus": ["1"], "minus": ["0"]}]},
+            "a 'jumps' entry has no 'carrier'",
+        ),
+        ({"pieces": [_PIECE], "jumps": [{"carrier": "j", "plus": ["1"]}]}, "has no 'minus'"),
+    ],
+)
+def test_from_json_malformed_input_names_the_key(obj, message):
+    with pytest.raises(BVError) as err:
+        BVFunction.from_json(interval(8), obj)
+    assert message in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# 1D profile builder: references kept from the closures it replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_piecewise_affine_1d(domain, breakpoints=(), slopes=(0.0,), start_value=0.0, jumps=(),
+                             registry=None, carrier_prefix="jump"):
+    """``piecewise_affine_1d`` as it was before the profile builder: its own
+    value, gradient and trace closures."""
+    registry = registry if registry is not None else CarrierRegistry()
+    (a, b), = domain.box
+    breakpoints = tuple(sorted(float(t) for t in breakpoints))
+    jumps = tuple((float(t), np.atleast_1d(np.asarray(d, dtype=float))) for t, d in jumps)
+    N = len(jumps[0][1]) if jumps else np.atleast_1d(np.asarray(slopes[0])).shape[0]
+    slopes = np.asarray([np.broadcast_to(np.atleast_1d(s), (N,)) for s in slopes], dtype=float)
+    start = np.broadcast_to(np.atleast_1d(np.asarray(start_value, dtype=float)), (N,))
+    edges = np.concatenate([[a], breakpoints, [b]])
+    left_vals = np.zeros((len(edges) - 1, N))
+    left_vals[0] = start
+    for k in range(1, len(edges) - 1):
+        left_vals[k] = left_vals[k - 1] + slopes[k - 1] * (edges[k] - edges[k - 1])
+    jump_positions = np.array([t for t, _ in jumps]) if jumps else np.zeros(0)
+    jump_heights = np.stack([d for _, d in jumps]) if jumps else np.zeros((0, N))
+
+    def affine_part(x):
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(slopes) - 1)
+        return left_vals[idx] + slopes[idx] * (x - edges[idx])[:, None]
+
+    def value(nodes):
+        x = nodes[:, 0]
+        out = affine_part(x)
+        for t, d in zip(jump_positions, jump_heights):
+            out = out + (x > t)[:, None] * d[None, :]
+        return out
+
+    def grad(nodes):
+        x = nodes[:, 0]
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(slopes) - 1)
+        return slopes[idx][:, :, None]
+
+    jump_objs = []
+    for t, d in jumps:
+        carrier = registry.register_point(f"{carrier_prefix}:{t:.12g}", (t,))
+
+        def plus(pts, _t=t):
+            return affine_part(pts[:, 0]) + sum(
+                float(_s <= _t) * h[None, :] for _s, h in zip(jump_positions, jump_heights)
+            )
+
+        def minus(pts, _t=t):
+            return affine_part(pts[:, 0]) + sum(
+                float(_s < _t) * h[None, :] for _s, h in zip(jump_positions, jump_heights)
+            )
+
+        jump_objs.append(Jump(carrier.cid, plus, minus, orientation=1.0))
+    structure = {
+        "kind": "pw_affine_1d", "edges": edges, "slopes": slopes, "jumps": jumps,
+        "affine_part": affine_part,
+    }
+    piece = Piece(region=domain.box, u=value, grad=grad,
+                  breaks=(tuple(breakpoints) + tuple(jump_positions),))
+    return BVFunction(domain, N, [piece], jumps=jump_objs, registry=registry, structure=structure)
+
+
+def _old_smooth_selected_jumps(u, widths):
+    """``smooth_selected_jumps`` as it was before the profile builder."""
+    from bvcalc.bv import _smoothstep, _smoothstep_d
+
+    structure = u.structure
+    if structure.get("kind") != "pw_affine_1d":
+        raise CatalogError("smooth approximation not in catalog for this function")
+    affine_part = structure["affine_part"]
+    smooth_data = [(t, d, widths[t]) for t, d in structure["jumps"] if t in widths]
+    kept = [(t, d) for t, d in structure["jumps"] if t not in widths]
+
+    def value(nodes):
+        x = nodes[:, 0]
+        out = affine_part(x)
+        for t, d, w in smooth_data:
+            out = out + _smoothstep((x - t) / w + 0.5)[:, None] * d[None, :]
+        for t, d in kept:
+            out = out + (x > t)[:, None] * d[None, :]
+        return out
+
+    def grad(nodes):
+        x = nodes[:, 0]
+        edges, slopes = structure["edges"], structure["slopes"]
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(slopes) - 1)
+        g = slopes[idx].copy()
+        for t, d, w in smooth_data:
+            g = g + (_smoothstep_d((x - t) / w + 0.5) / w)[:, None] * d[None, :]
+        return g[:, :, None]
+
+    def continuous_part(x):
+        out = affine_part(x)
+        for t, d, w in smooth_data:
+            out = out + _smoothstep((x - t) / w + 0.5)[:, None] * d[None, :]
+        return out
+
+    breaks = set(structure["edges"][1:-1])
+    for t, _, w in smooth_data:
+        breaks.update((t - 0.5 * w, t + 0.5 * w))
+    jump_objs = []
+    for t, d in kept:
+        carrier = u.registry.register_point(f"jump:{t:.12g}", (t,))
+
+        def plus_tr(pts, _t=t):
+            out = continuous_part(pts[:, 0])
+            for s, dd in kept:
+                out = out + float(s <= _t) * dd[None, :]
+            return out
+
+        def minus_tr(pts, _t=t):
+            out = continuous_part(pts[:, 0])
+            for s, dd in kept:
+                out = out + float(s < _t) * dd[None, :]
+            return out
+
+        jump_objs.append(Jump(carrier.cid, plus_tr, minus_tr, orientation=1.0))
+        breaks.add(t)
+    piece = Piece(region=u.domain.box, u=value, grad=grad, breaks=(tuple(sorted(breaks)),))
+    new_structure = {
+        "kind": "pw_affine_1d" if not smooth_data else "smoothed_pw_affine",
+        "edges": structure["edges"], "slopes": structure["slopes"],
+        "affine_part": continuous_part, "jumps": tuple(kept),
+    }
+    return BVFunction(u.domain, u.N, [piece], jumps=jump_objs, registry=u.registry,
+                      structure=new_structure)
+
+
+_PROFILES = {
+    # N = 1, three jumps, one of them on the slope breakpoint 0.3
+    "scalar": dict(
+        breakpoints=(0.6, 0.3), slopes=(1.0, -2.0, 0.5), start_value=0.2,
+        jumps=((0.3, 1.0), (0.45, -0.5), (0.8, 2.0)),
+    ),
+    "vector": dict(
+        breakpoints=(0.5,), slopes=((1.0, 0.0), (-1.0, 2.0)), start_value=(0.0, 1.0),
+        jumps=((0.7, (1.0, -1.0)), (0.5, (0.5, 0.25)), (0.2, (-2.0, 3.0))),
+    ),
+    "zero_slope": dict(
+        slopes=(0.0,), start_value=1.0, jumps=((0.25, 1.0), (0.5, 1.0), (0.75, -1.0))
+    ),
+}
+
+
+def _assert_same_profile(new, old, trace_tol=0.0):
+    d = new.domain
+    nodes = np.concatenate([d.cell_rule(breaks=new.breaks)[0], [[0.0], [0.3], [0.5], [1.0]]])
+    assert new.breaks == old.breaks and new.N == old.N
+    assert np.array_equal(new.value_at(nodes), old.value_at(nodes))
+    assert np.array_equal(new.gradient_at(nodes), old.gradient_at(nodes))
+    assert [j.carrier_id for j in new.jumps] == [j.carrier_id for j in old.jumps]
+    for jn, jo in zip(new.jumps, old.jumps):
+        assert jn.orientation == jo.orientation
+        for side in ("plus", "minus"):
+            a, b = getattr(jn, side)(nodes), getattr(jo, side)(nodes)
+            assert np.allclose(a, b, rtol=0, atol=trace_tol) if trace_tol else np.array_equal(a, b)
+    Dn, Do = derivative(new), derivative(old)
+    assert np.array_equal(Dn.density_at(nodes), Do.density_at(nodes))
+    assert len(Dn.atoms) == len(Do.atoms)
+    for (p, v), (q, w) in zip(Dn.atoms, Do.atoms):
+        assert np.array_equal(p, q)
+        assert np.allclose(v, w, rtol=0.0, atol=trace_tol) if trace_tol else np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_profile_builder_matches_the_old_closures(name):
+    d = interval(64)
+    new = piecewise_affine_1d(d, registry=CarrierRegistry(), **_PROFILES[name])
+    old = _old_piecewise_affine_1d(d, registry=CarrierRegistry(), **_PROFILES[name])
+    _assert_same_profile(new, old)
+    assert new.structure["kind"] == "pw_affine_1d"
+    positions = [t for t, _ in new.structure["jumps"]]
+    for widths in ({}, {positions[0]: 0.05}, {t: 0.04 for t in positions}):
+        sn, so = smooth_selected_jumps(new, widths), _old_smooth_selected_jumps(old, widths)
+        _assert_same_profile(sn, so, trace_tol=1e-14)
+        assert sn.structure["kind"] == so.structure["kind"]
+        if widths:  # a smoothed profile is not smoothed again
+            with pytest.raises(CatalogError):
+                smooth_selected_jumps(sn, {t: 0.01 for t, _ in sn.structure["jumps"]})
+        else:
+            _assert_same_profile(
+                smooth_selected_jumps(sn, {positions[1]: 0.03}),
+                _old_smooth_selected_jumps(so, {positions[1]: 0.03}),
+                trace_tol=1e-14,
+            )
