@@ -126,11 +126,11 @@ class BVFunction:
     def gradient_at(self, nodes):
         return self._by_piece(nodes, lambda piece, x: piece.grad(x), (self.N, self.domain.dim))
 
-    def value_from_inside(self, points, normals, offset_scale=1e-9):
+    def value_from_inside(self, points, normals):
         """Evaluate the piece expression seen when approaching ``points``
         from the direction of ``normals``; used for boundary traces."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        shift = offset_scale * max(hi - lo for lo, hi in self.domain.box)
+        shift = 1e-9 * max(hi - lo for lo, hi in self.domain.box)
         probe = points + shift * np.asarray(normals, dtype=float)
         return self._by_piece(points, lambda piece, x: piece.u(x), (self.N,), probe=probe)
 
@@ -174,6 +174,8 @@ class BVFunction:
             raise BVError("'pieces' must be a non-empty list of pieces")
         for pdesc in pdescs:
             u_exprs = _listed(_entry(pdesc, "u", "a 'pieces' entry"))
+            if pieces and len(u_exprs) != N:
+                raise BVError(f"pieces have different component counts: {N} and {len(u_exprs)}")
             g_rows = _entry(pdesc, "grad", "a 'pieces' entry")
             if not isinstance(g_rows, list) or not g_rows:
                 raise BVError("'grad' of a piece must be a non-empty list")
@@ -182,14 +184,17 @@ class BVFunction:
             N = len(u_exprs)
             pieces.append(
                 Piece(
-                    region=pdesc.get("region", domain.box),
+                    region=_bounds(pdesc.get("region", domain.box), dim),
                     u=expressions.compile_vector(u_exprs, dim),
                     grad=expressions.compile_matrix(g_rows, dim),
                     breaks=pdesc.get("breaks"),
                 )
             )
+        jdescs = obj.get("jumps", [])
+        if not isinstance(jdescs, list):
+            raise BVError(f"'jumps' must be a list of jumps, got {jdescs!r}")
         jumps = []
-        for jdesc in obj.get("jumps", ()):
+        for jdesc in jdescs:
             cid = _entry(jdesc, "carrier", "a 'jumps' entry")
             plus, minus = (
                 expressions.compile_vector(_listed(_entry(jdesc, side, "a 'jumps' entry")), dim)
@@ -209,7 +214,7 @@ class BVFunction:
             breaks=obj.get("breaks"),
         )
 
-    def check_trace_consistency(self, tol=TRACE_TOL):
+    def check_trace_consistency(self):
         """One-sided Richardson limits of the piece expressions must match
         the declared jump traces at carrier quadrature nodes."""
         for jump in self.jumps:
@@ -223,7 +228,7 @@ class BVFunction:
                 limit = self._one_sided_limit(pts, sgn * eta)
                 stated = np.asarray(declared(pts)).reshape(-1, self.N)
                 err = np.max(np.abs(limit - stated)) if len(pts) else 0.0
-                if err > tol:
+                if err > TRACE_TOL:
                     raise BVError(
                         f"{side} trace on carrier {jump.carrier_id!r} inconsistent "
                         f"with pieces (error {err:.2e})"
@@ -249,6 +254,16 @@ def _entry(desc, key, what):
     if key not in desc:
         raise BVError(f"{what} has no {key!r}")
     return desc[key]
+
+
+def _bounds(region, dim):
+    """A piece's region, checked to be one (lo, hi) pair per axis."""
+    try:
+        if np.asarray(region, dtype=float).size == 2 * dim:
+            return region
+    except (TypeError, ValueError):
+        pass
+    raise BVError(f"'region' of a piece must be one [lo, hi] pair per axis, got {region!r}")
 
 
 def _listed(value):
@@ -302,9 +317,10 @@ class SmoothTestFunction:
     label: str = "test"
 
 
-def random_polynomial_test(domain, seed=0, degree=2):
+def random_polynomial_test(domain, seed=0):
     """Random polynomial times the boundary-vanishing box factor; gradient
     is analytic, so both sides of the parts formula stay polynomial."""
+    degree = 2
     rng = np.random.default_rng(seed)
     bounds = domain.box
     if domain.dim == 1:
@@ -384,7 +400,7 @@ def verify_integration_by_parts(u, psi, comp_i=0, comp_j=0):
     return abs(lhs + rhs)
 
 
-def boundary_trace(u, validate=True, tol=TRACE_TOL):
+def boundary_trace(u):
     """The boundary trace as a callable on boundary points: the stored
     trace if present (validated against the interior limit), otherwise
     the interior limit of the piece expressions."""
@@ -395,11 +411,10 @@ def boundary_trace(u, validate=True, tol=TRACE_TOL):
 
     if u.trace is None:
         return from_inside
-    if validate:
-        stated = np.asarray(u.trace(pts)).reshape(-1, u.N)
-        err = np.max(np.abs(stated - from_inside(pts)))
-        if err > tol:
-            raise BVError(f"stored boundary trace inconsistent with pieces ({err:.2e})")
+    stated = np.asarray(u.trace(pts)).reshape(-1, u.N)
+    err = np.max(np.abs(stated - from_inside(pts)))
+    if err > TRACE_TOL:
+        raise BVError(f"stored boundary trace inconsistent with pieces ({err:.2e})")
     return lambda points: np.asarray(u.trace(points)).reshape(-1, u.N)
 
 
@@ -462,12 +477,12 @@ def _restrict_region(region, box):
 # ---------------------------------------------------------------------------
 
 
-def matrix_test_fields(domain, shape, per_axis=4):
+def matrix_test_fields(domain, shape):
     """Boundary-vanishing bump fields times coordinate matrices; the finite
     dictionary standing in for all continuous test fields in weak*
     comparisons."""
     N, n = shape
-    bumps = scalar_bumps(domain, per_axis)
+    bumps = scalar_bumps(domain, 3)
     fields = []
     for bump in bumps:
         for i in range(N):
@@ -518,22 +533,15 @@ class ConvergenceReport:
     tv_gaps: tuple
     area_gaps: tuple
 
-    def rows(self):
-        return list(zip(self.js, self.l1_gaps, self.weak_star_gaps, self.tv_gaps, self.area_gaps))
 
-
-def convergence_report(sequence, u, js=None, test_fields=None):
+def convergence_report(sequence, u, js=None):
     """Per-index gaps diagnosing weak*, strict and area-strict convergence
     of u_j -> u: L^1 distance, dictionary pairing gaps of the derivative
     measures, total-variation gap, area-functional gap."""
     js = tuple(js) if js is not None else tuple(range(1, len(sequence) + 1))
     seq = [sequence[k] if not callable(sequence) else sequence(j) for k, j in enumerate(js)]
     gamma = derivative(u)
-    fields = (
-        test_fields
-        if test_fields is not None
-        else matrix_test_fields(u.domain, (u.N, u.domain.dim), per_axis=3)
-    )
+    fields = matrix_test_fields(u.domain, (u.N, u.domain.dim))
     tv_u = total_variation(gamma)
     area_u = area_functional(gamma)
     pair_u = [pair_with_test_function(gamma, phi) for phi in fields]
@@ -558,8 +566,7 @@ def convergence_report(sequence, u, js=None, test_fields=None):
 
 
 def piecewise_affine_1d(
-    domain, breakpoints=(), slopes=(0.0,), start_value=0.0, jumps=(), registry=None,
-    carrier_prefix="jump",
+    domain, breakpoints=(), slopes=(0.0,), start_value=0.0, jumps=(), registry=None
 ):
     """Continuous piecewise-affine profile plus jumps: ``slopes`` has one
     entry per interval of the breakpoint partition, ``jumps`` is a list of
@@ -588,9 +595,7 @@ def piecewise_affine_1d(
         return left_vals[idx] + slopes[idx] * (x - edges[idx])[:, None]
 
     breaks = breakpoints + tuple(t for t, _ in jumps)
-    return _profile_1d(
-        domain, N, edges, slopes, affine_part, (), jumps, breaks, registry, carrier_prefix
-    )
+    return _profile_1d(domain, N, edges, slopes, affine_part, (), jumps, breaks, registry)
 
 
 def _interval_of(edges, x):
@@ -598,9 +603,9 @@ def _interval_of(edges, x):
     return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
 
 
-def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, registry, prefix):
+def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, registry):
     """The 1D catalog profile continuous(x) + sum of d H(x - t) over the
-    ``kept`` jumps (t, d), one point carrier ``prefix:t`` per kept jump;
+    ``kept`` jumps (t, d), one point carrier ``jump:t`` per kept jump;
     its gradient adds to the partition slope the derivative of each
     transition (t, d, w) of ``smooth`` that ``continuous`` holds.  Only a
     profile with nothing smoothed may be smoothed again."""
@@ -628,7 +633,7 @@ def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, regi
 
     jumps = [
         Jump(
-            registry.register_point(f"{prefix}:{t:.12g}", (t,)).cid,
+            registry.register_point(f"jump:{t:.12g}", (t,)).cid,
             trace(t, operator.le),
             trace(t, operator.lt),
         )
@@ -645,9 +650,9 @@ def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, regi
     return BVFunction(domain, N, [piece], jumps=jumps, registry=registry, structure=structure)
 
 
-def heaviside_1d(domain, position=0.5, height=1.0, registry=None):
+def heaviside_1d(domain, position=0.5, registry=None):
     return piecewise_affine_1d(
-        domain, slopes=(0.0,), jumps=((position, (height,)),), registry=registry
+        domain, slopes=(0.0,), jumps=((position, (1.0,)),), registry=registry
     )
 
 
@@ -708,7 +713,7 @@ def affine_2d(domain, matrix, offset=None, registry=None):
     )
 
 
-def vertical_step_2d(domain, threshold=0.5, height=1.0, registry=None, carrier_id=None):
+def vertical_step_2d(domain, threshold=0.5, registry=None, carrier_id=None):
     """Indicator-type step across the vertical line x_1 = threshold (scalar
     valued); the jump carrier is the full vertical segment."""
     registry = registry if registry is not None else CarrierRegistry()
@@ -722,12 +727,12 @@ def vertical_step_2d(domain, threshold=0.5, height=1.0, registry=None, carrier_i
     )
     right = Piece(
         region=((threshold, bx), (ay, by)),
-        u=lambda nodes: np.full((len(nodes), 1), height),
+        u=lambda nodes: np.ones((len(nodes), 1)),
         grad=lambda nodes: np.zeros((len(nodes), 1, 2)),
     )
     jump = Jump(
         cid,
-        plus=lambda pts: np.full((len(pts), 1), height),
+        plus=lambda pts: np.ones((len(pts), 1)),
         minus=lambda pts: np.zeros((len(pts), 1)),
     )
     return BVFunction(
@@ -782,7 +787,7 @@ def smooth_selected_jumps(u, widths):
     breaks.update(t for t, _ in kept)
     return _profile_1d(
         u.domain, u.N, structure["edges"], structure["slopes"], continuous_part, smooth_data,
-        kept, sorted(breaks), u.registry, "jump",
+        kept, sorted(breaks), u.registry,
     )
 
 

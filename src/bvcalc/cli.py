@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from .oracle import oracle_1d
+from .oracle import OracleError, oracle_case
 from .scenarios import RunConfig, ScenarioError, run, scenario_catalog
 
 USAGE_EXIT = 2
@@ -26,13 +27,14 @@ def build_parser():
 
     sub.add_parser("list", help="list scenario ids")
 
+    default = {f.name: f.default for f in fields(RunConfig)}
     runp = sub.add_parser("run", help="run one scenario")
     runp.add_argument("--scenario", required=True)
-    runp.add_argument("--resolution", type=int, default=256)
-    runp.add_argument("--jmax", type=int, default=256)
-    runp.add_argument("--tolerance", type=float, default=1e-6)
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--output", default=None)
+    runp.add_argument("--resolution", type=int, default=default["resolution"])
+    runp.add_argument("--jmax", type=int, default=default["jmax"])
+    runp.add_argument("--tolerance", type=float, default=default["tolerance"])
+    runp.add_argument("--seed", type=int, default=default["seed"])
+    runp.add_argument("--output", default=default["output"])
 
     oraclep = sub.add_parser("oracle", help="evaluate a 1D case description")
     oraclep.add_argument("--case", required=True)
@@ -65,11 +67,12 @@ def main(argv=None):
             print(f"[{mark}] {result.scenario}: {clause.name} (target {clause.target})")
         return code
     if args.command == "oracle":
-        with open(args.case) as fh:
-            case = json.load(fh)
-        value = oracle_1d(
-            case["u"], case["mu"], case["F"], domain=case.get("domain", (0.0, 1.0))
-        )
+        try:
+            with open(args.case) as fh:
+                value = oracle_case(json.load(fh))
+        except (OSError, json.JSONDecodeError, OracleError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_EXIT
         print(json.dumps({"value": value}))
         return 0
     parser.print_help()

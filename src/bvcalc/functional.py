@@ -36,6 +36,9 @@ from .measures import (
 )
 
 _ZTOL = 1e-12
+LSC_TOL = 1e-6  # a margin below -LSC_TOL is flagged as a violation
+WEAK_STAR_TOL = 0.05  # largest accepted test-field pairing gap at the last index
+AREA_TOL = 0.05  # largest accepted area-functional gap at the last index
 
 
 class FunctionalError(ValueError):
@@ -168,10 +171,10 @@ def admissibility_check(u, mu):
 # ---------------------------------------------------------------------------
 
 
-def geometric_js(jmax, jmin=2):
+def geometric_js(jmax):
     js = []
     j = int(jmax)
-    while j >= jmin:
+    while j >= 2:
         js.append(j)
         j //= 2
     return tuple(sorted(set(js)))
@@ -275,21 +278,12 @@ class LscReport:
     margin: float
     flags: list
 
-    def as_dict(self):
-        return {
-            "F_u": self.value_at_limit,
-            "per_j": [{"j": j, "value": v} for j, v in zip(self.js, self.values)],
-            "liminf": self.liminf_estimate,
-            "margin": self.margin,
-            "flags": self.flags,
-        }
 
-
-def lsc_experiment(sequence, u, spec, js=None, tol=1e-6):
+def lsc_experiment(sequence, u, spec, js=None):
     """Per-index functional values along u_j -> u and the semicontinuity
     margin: (tail minimum of F(u_j)) - F(u).
 
-    A margin below -tol is flagged; for an integrand that is quasiconvex
+    A margin below -LSC_TOL is flagged; for an integrand that is quasiconvex
     (in particular convex) this is a genuine violation, for one flagged
     not-quasiconvex it is the expected demonstration.
     """
@@ -302,7 +296,7 @@ def lsc_experiment(sequence, u, spec, js=None, tol=1e-6):
     liminf = _tail_min(values)
     margin = liminf - value_u
     flags = []
-    if margin < -tol:
+    if margin < -LSC_TOL:
         flags.append(
             "expected_violation"
             if spec.integrand.convexity == "not_quasiconvex"
@@ -327,17 +321,6 @@ class ContinuityReport:
     final_gap: float | None
     order: float | None
 
-    def as_dict(self):
-        return {
-            "accepted": self.accepted,
-            "reject_reason": self.reject_reason,
-            "weak_star_gap": self.weak_star_gap,
-            "area_gap": self.area_gap,
-            "per_j": [{"j": j, "gap": g} for j, g in zip(self.js, self.gaps)],
-            "final_gap": self.final_gap,
-            "order": self.order,
-        }
-
 
 def continuity_functional(gamma, f):
     """The functional that is continuous along area-strict sequences:
@@ -348,15 +331,7 @@ def continuity_functional(gamma, f):
     return total + _singular_term(f, gamma, gamma.domain)
 
 
-def reshetnyak_experiment(
-    gamma_seq,
-    gamma,
-    f,
-    js=None,
-    weak_star_tol=0.05,
-    area_tol=0.05,
-    test_fields=None,
-):
+def reshetnyak_experiment(gamma_seq, gamma, f, js=None):
     """Continuity of the two-term functional along a measure sequence.
 
     Preamble: the sequence must converge weakly* (finite test-field
@@ -365,11 +340,7 @@ def reshetnyak_experiment(
     """
     js = tuple(js) if js is not None else tuple(range(1, len(gamma_seq) + 1))
     seq = [gamma_seq(j) if callable(gamma_seq) else gamma_seq[k] for k, j in enumerate(js)]
-    fields = (
-        test_fields
-        if test_fields is not None
-        else bvmod.matrix_test_fields(gamma.domain, gamma.shape, per_axis=3)
-    )
+    fields = bvmod.matrix_test_fields(gamma.domain, gamma.shape)
     ref_pairs = [pair_with_test_function(gamma, phi, check_boundary=False) for phi in fields]
     last = seq[-1]
     weak_gap = max(
@@ -377,11 +348,11 @@ def reshetnyak_experiment(
         for phi, ref in zip(fields, ref_pairs)
     )
     area_gap = abs(area_functional(seq[-1]) - area_functional(gamma))
-    if weak_gap > weak_star_tol:
+    if weak_gap > WEAK_STAR_TOL:
         return ContinuityReport(
             False, "weak* gap persists", weak_gap, area_gap, js, (), None, None
         )
-    if area_gap > area_tol:
+    if area_gap > AREA_TOL:
         return ContinuityReport(
             False, "area-strictness fails", weak_gap, area_gap, js, (), None, None
         )

@@ -22,7 +22,11 @@ import numpy as np
 
 from .measures import frobenius
 
-DEFAULT_T_SCHEDULE = tuple(10.0**k for k in range(2, 9))
+T_SCHEDULE = tuple(10.0**k for k in range(2, 9))
+STABILIZATION_TOL = 1e-5  # largest scaled tail difference of f(x, tA)/t
+CROSS_CHECK_TOL = 1e-6  # schedule limit against the analytic recession
+E_OSCILLATION_TOL = 1e-4  # largest shell-to-shell tail oscillation of Tf
+REFUTER_THRESHOLD = -1e-9  # a trial field's gap below this is a witness
 
 
 class RecessionError(RuntimeError):
@@ -72,35 +76,35 @@ class Integrand:
     growth_M: float
     recession_analytic: object = None
     x_dependent: bool = False
-    spatial_dim: int = 1
     convexity: str = "unknown"
     nonnegative: bool = True
 
     def __call__(self, x, A):
-        x, A, scalar = _as_batch(x, A, self.spatial_dim)
+        x, A, scalar = _as_batch(x, A, self.dims[1])
         vals = np.asarray(self.fn(x, A), dtype=float)
         return float(vals[0]) if scalar else vals
 
     def recession(self, x, A):
         if self.recession_analytic is None:
             raise IntegrandError(f"integrand {self.name!r} has no analytic recession")
-        x, A, scalar = _as_batch(x, A, self.spatial_dim)
+        x, A, scalar = _as_batch(x, A, self.dims[1])
         vals = np.asarray(self.recession_analytic(x, A), dtype=float)
         return float(vals[0]) if scalar else vals
 
     def has_analytic_recession(self):
         return self.recession_analytic is not None
 
-    def validate_growth(self, samples=1000, radius=1e3, seed=0):
+    def validate_growth(self):
         """Sampled growth bounds and 1-homogeneity of the declared
         recession; raises on violation."""
         N, n = self.dims
-        rng = np.random.default_rng(seed)
+        samples = 1000
+        rng = np.random.default_rng(0)
         A = rng.standard_normal((samples, N, n))
-        A *= (rng.uniform(0, radius, size=samples) / np.maximum(frobenius(A), 1e-12))[
+        A *= (rng.uniform(0, 1e3, size=samples) / np.maximum(frobenius(A), 1e-12))[
             :, None, None
         ]
-        x = rng.uniform(0, 1, size=(samples, self.spatial_dim))
+        x = rng.uniform(0, 1, size=(samples, n))
         vals = self(x, A)
         mags = frobenius(A)
         if np.any(vals < self.growth_m * mags - 1e-9 * (1 + mags)):
@@ -125,8 +129,9 @@ class SQIntegrand(Integrand):
     radius: float = 1.0
     base: Integrand = None
 
-    def validate_sq(self, samples=400, seed=1):
-        rng = np.random.default_rng(seed)
+    def validate_sq(self):
+        samples = 400
+        rng = np.random.default_rng(1)
         N, n = self.dims
         A = rng.standard_normal((samples, N, n))
         A /= np.maximum(frobenius(A), 1e-12)[:, None, None]
@@ -228,14 +233,10 @@ CATALOG_BUILDERS = {
 }
 
 
-def catalog_integrand(name, N=1, n=1, modulated=False):
+def catalog_integrand(name):
     if name not in CATALOG_BUILDERS:
         raise IntegrandError(f"unknown catalog integrand {name!r}")
-    if name == "w-shape":
-        f = make_w_shape()
-    else:
-        f = CATALOG_BUILDERS[name](N=N, n=n)
-    return x_modulated(f) if modulated else f
+    return CATALOG_BUILDERS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -290,42 +291,41 @@ class RecessionResult:
         return self.value
 
 
-def _along_schedule(f, x, A, t_schedule):
+def _along_schedule(f, x, A):
     """f(x, tA)/t along the schedule, and the last successive difference
     scaled by 1 + |A|."""
-    schedule = tuple(t_schedule) if t_schedule is not None else DEFAULT_T_SCHEDULE
-    values = tuple(float(np.asarray(f(x, t * A))) / t for t in schedule)
+    values = tuple(float(np.asarray(f(x, t * A))) / t for t in T_SCHEDULE)
     return values, abs(values[-1] - values[-2]) / (1.0 + float(frobenius(A)))
 
 
-def recession(f, x, A, t_schedule=None, stabilization_tol=1e-5, cross_check_tol=1e-6):
+def recession(f, x, A):
     """Slope at infinity: evaluate f(x, tA)/t along the schedule, require a
     Cauchy tail, and cross-check an analytic recession when available."""
     A = np.asarray(A, dtype=float)
     mag = float(frobenius(A))
-    values, diag = _along_schedule(f, x, A, t_schedule)
-    if diag > stabilization_tol:
+    values, diag = _along_schedule(f, x, A)
+    if diag > STABILIZATION_TOL:
         raise RecessionError(
             f"recession did not stabilize: tail difference {diag:.3e} at |A|={mag:.3e}"
         )
     if isinstance(f, Integrand) and f.has_analytic_recession():
         ref = f.recession(x, A)
-        if abs(values[-1] - ref) > cross_check_tol * (1.0 + mag):
+        if abs(values[-1] - ref) > CROSS_CHECK_TOL * (1.0 + mag):
             raise RecessionError(
                 f"schedule limit {values[-1]:.6e} disagrees with analytic recession {ref:.6e}"
             )
     return RecessionResult(values[-1], diag, values)
 
 
-def generalized_recession(f, A, t_schedule=None):
+def generalized_recession(f, A):
     """Upper asymptotic slope: running max over the tail of f(tA)/t along
     the schedule (a limsup surrogate; always returns, diagnostic attached)."""
-    values, diag = _along_schedule(f, None, np.asarray(A, dtype=float), t_schedule)
+    values, diag = _along_schedule(f, None, np.asarray(A, dtype=float))
     tail = max(2, len(values) // 4)
     return RecessionResult(max(values[-tail:]), diag, values)
 
 
-def recession_values(f, x, A_batch, t_schedule=None):
+def recession_values(f, x, A_batch):
     """Vectorized F^inf over a batch of matrices (x batched alike)."""
     A_batch = np.asarray(A_batch, dtype=float)
     if isinstance(f, Integrand) and f.has_analytic_recession():
@@ -333,11 +333,11 @@ def recession_values(f, x, A_batch, t_schedule=None):
     out = np.empty(len(A_batch))
     for k, A in enumerate(A_batch):
         xk = None if x is None else np.asarray(x)[k]
-        out[k] = recession(f, xk, A, t_schedule=t_schedule).value
+        out[k] = recession(f, xk, A).value
     return out
 
 
-def _fixed_directions(N, n, extra=8, seed=2024):
+def _fixed_directions(N, n, seed):
     dirs = []
     for i in range(N):
         for j in range(n):
@@ -347,7 +347,7 @@ def _fixed_directions(N, n, extra=8, seed=2024):
     diag = np.ones((N, n)) / math.sqrt(N * n)
     dirs.append(diag)
     rng = np.random.default_rng(seed)
-    for _ in range(extra):
+    for _ in range(8):
         D = rng.standard_normal((N, n))
         dirs.append(D / frobenius(D))
     return dirs
@@ -361,7 +361,7 @@ class EMembershipReport:
     shell_values: dict
 
 
-def membership_E_check(f, oscillation_tol=1e-4, shells=20, x=None):
+def membership_E_check(f):
     """Sample the transform on shells |B| = 1 - 2^{-k} along fixed
     directions; a vanishing shell-to-shell tail oscillation is the
     numerical surrogate for a continuous extension to the closed ball.
@@ -369,14 +369,15 @@ def membership_E_check(f, oscillation_tol=1e-4, shells=20, x=None):
     One-sided check: a pass is advisory, a clear failure is flagged.
     """
     N, n = f.dims if isinstance(f, Integrand) else (1, 1)
-    if x is None and isinstance(f, Integrand) and f.x_dependent:
-        x = 0.5 * np.ones((1, f.spatial_dim))
+    x = None
+    if isinstance(f, Integrand) and f.x_dependent:
+        x = 0.5 * np.ones((1, n))
     Tf = transform_T(f)
-    radii = [0.0] + [1.0 - 2.0**-k for k in range(1, shells + 1)]
+    radii = [0.0] + [1.0 - 2.0**-k for k in range(1, 21)]
     sup_bound = 0.0
     max_tail_osc = 0.0
     shell_values = {}
-    for d_index, D in enumerate(_fixed_directions(N, n)):
+    for d_index, D in enumerate(_fixed_directions(N, n, 2024)):
         vals = np.array([Tf(x, r * D) for r in radii])
         sup_bound = max(sup_bound, float(np.max(np.abs(vals))))
         diffs = np.abs(np.diff(vals))
@@ -386,7 +387,7 @@ def membership_E_check(f, oscillation_tol=1e-4, shells=20, x=None):
     return EMembershipReport(
         max_tail_oscillation=max_tail_osc,
         sup_bound=sup_bound,
-        in_class=max_tail_osc <= oscillation_tol,
+        in_class=max_tail_osc <= E_OSCILLATION_TOL,
         shell_values=shell_values,
     )
 
@@ -459,7 +460,8 @@ def laminate_field(a, b, oscillations=8, slope=1.0):
     return TrialField(label, gen, N, n)
 
 
-def random_field(N, n, seed, amplitude=0.5, modes=3):
+def random_field(N, n, seed):
+    modes = 3
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal((N, modes, modes if n == 2 else 1))
 
@@ -472,12 +474,13 @@ def random_field(N, n, seed, amplitude=0.5, modes=3):
                     if n == 2:
                         term = term * np.sin((q + 1) * np.pi * nodes[:, 1])
                     out[:, i] += coef[i, p, q] * term
-        return amplitude * out / (modes * modes)
+        return 0.5 * out / (modes * modes)
 
     return TrialField(f"random[{seed}]", gen, N, n)
 
 
-def default_trial_fields(N, n, seed=7):
+def default_trial_fields(N, n):
+    seed = 7
     fields = []
     axes_a = [np.eye(N)[i] for i in range(N)]
     axes_b = [np.eye(n)[j] for j in range(n)]
@@ -503,20 +506,19 @@ class QuasiconvexityWitness:
     value: float
     grid: int
 
-    def reevaluate(self, F, A, x=None, grid=None):
-        grid = grid if grid is not None else 2 * self.grid
-        return _perturbed_gap(F, A, self.field, grid, x=x)
+    def reevaluate(self, F, A):
+        return _perturbed_gap(F, A, self.field, 2 * self.grid)
 
 
-def _perturbed_gap(F, A, trial, grid, x=None):
+def _perturbed_gap(F, A, trial, grid):
     vols, grads = trial.gradient_cells(grid)
     A = np.asarray(A, dtype=float)
-    vals = np.asarray(F(x, A[None] + grads))
-    base = float(np.asarray(F(x, A)))
+    vals = np.asarray(F(None, A[None] + grads))
+    base = float(np.asarray(F(None, A)))
     return float(np.dot(vols, vals)) - base
 
 
-def quasiconvexity_refuter(F, A, trial_fields=None, grid=16, x=None, threshold=-1e-9):
+def quasiconvexity_refuter(F, A, trial_fields=None, grid=16):
     """Search for a trial field certifying failure of the gradient Jensen
     inequality at A.  Returns the most negative witness, or None; None is
     NOT a proof of quasiconvexity."""
@@ -524,8 +526,8 @@ def quasiconvexity_refuter(F, A, trial_fields=None, grid=16, x=None, threshold=-
     trials = trial_fields if trial_fields is not None else default_trial_fields(N, n)
     worst = None
     for trial in trials:
-        gap = _perturbed_gap(F, A, trial, grid, x=x)
-        if gap < threshold and (worst is None or gap < worst.value):
+        gap = _perturbed_gap(F, A, trial, grid)
+        if gap < REFUTER_THRESHOLD and (worst is None or gap < worst.value):
             worst = QuasiconvexityWitness(trial, gap, grid)
     return worst
 
@@ -537,7 +539,7 @@ class RankOneReport:
     samples: int
 
 
-def rank_one_convexity_check(F, A, a, b, samples=64, span=4.0, seed=5, x=None):
+def rank_one_convexity_check(F, A, a, b):
     """Midpoint-convexity residuals of t -> F(A + t a (x) b): the largest
     positive value of F(midpoint) - mean(F(endpoints)) over sampled triples."""
     a = np.asarray(a, dtype=float)
@@ -547,11 +549,12 @@ def rank_one_convexity_check(F, A, a, b, samples=64, span=4.0, seed=5, x=None):
 
     def g(ts):
         ts = np.asarray(ts, dtype=float)
-        return np.asarray(F(x, A[None] + ts[:, None, None] * rank_one[None]))
+        return np.asarray(F(None, A[None] + ts[:, None, None] * rank_one[None]))
 
+    span = 4.0
     triples = [(-t, 0.0, t) for t in np.linspace(0.25, span, 16)]
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    rng = np.random.default_rng(5)
+    for _ in range(64):
         t1, t2 = np.sort(rng.uniform(-span, span, size=2))
         triples.append((t1, 0.5 * (t1 + t2), t2))
     worst_val, worst_triple = -np.inf, None
@@ -568,17 +571,17 @@ def rank_one_convexity_check(F, A, a, b, samples=64, span=4.0, seed=5, x=None):
 # ---------------------------------------------------------------------------
 
 
-def _upper_slope_fn(F, t_schedule=None):
+def _upper_slope_fn(F):
     if isinstance(F, Integrand) and F.has_analytic_recession():
         return lambda A: F.recession(None, A)
 
     def slope(A):
-        return generalized_recession(F, A, t_schedule=t_schedule).value
+        return generalized_recession(F, A).value
 
     return slope
 
 
-def sq_envelope(F, i, max_radius_exponent=20, directions=None, seed=9):
+def sq_envelope(F, i):
     """Envelope G_i = max{F, F# + |A|/i - i} with the smallest dyadic radius
     r_i past which the second branch dominates at every sampled matrix.
 
@@ -590,8 +593,8 @@ def sq_envelope(F, i, max_radius_exponent=20, directions=None, seed=9):
         raise IntegrandError("envelope requires a nonnegative quasiconvex-flagged integrand")
     N, n = F.dims
     slope = _upper_slope_fn(F)
-    dirs = directions if directions is not None else _fixed_directions(N, n, extra=8, seed=seed)
-    radii = [2.0**k for k in range(0, max_radius_exponent + 1)]
+    dirs = _fixed_directions(N, n, 9)
+    radii = [2.0**k for k in range(0, 21)]
     # dyadic magnitudes to probe, including off-grid midpoints
     mags = sorted(set(radii) | {1.5 * r for r in radii[:-1]})
 

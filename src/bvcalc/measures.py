@@ -108,11 +108,9 @@ class Domain:
     def contains(self, points):
         return in_box(np.atleast_2d(np.asarray(points, dtype=float)), self.box)
 
-    def strictly_contains(self, point, margin=0.0):
+    def strictly_contains(self, point):
         point = np.asarray(point, dtype=float)
-        return all(
-            lo + margin < point[k] < hi - margin for k, (lo, hi) in enumerate(self.box)
-        )
+        return all(lo < point[k] < hi for k, (lo, hi) in enumerate(self.box))
 
     # -- cell quadrature ----------------------------------------------------
 
@@ -268,10 +266,6 @@ class SingularCarrier:
                 raise MeasureError("segment normal must be unit length")
         else:
             raise MeasureError(f"unknown carrier kind {self.kind!r}")
-
-    @property
-    def hausdorff_dim(self):
-        return 0 if self.kind == "point" else 1
 
     def length(self):
         if self.kind == "point":

@@ -16,6 +16,10 @@ ORACLE_POINTS = 100_000
 _MATCH = 1e-12
 
 
+class OracleError(ValueError):
+    """A case document the oracle cannot evaluate."""
+
+
 def _slope_at(x, breaks, slopes):
     k = 0
     for b in breaks:
@@ -114,3 +118,26 @@ def oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0), npoints=ORACLE_POINTS)
         total += F(p, 0.0) * w
 
     return total
+
+
+def oracle_case(case):
+    """``oracle_1d`` of a case document {"u", "mu", "F", "domain"}, or an
+    OracleError for a missing part, a slope count other than one per
+    breakpoint interval, an empty domain, a zero density or a malformed entry."""
+    if not isinstance(case, dict) or not all(isinstance(case.get(k), dict) for k in ("u", "mu", "F")):
+        raise OracleError("a case needs the objects 'u', 'mu' and 'F'")
+    u, mu, f = case["u"], case["mu"], case["F"]
+    breaks, slopes = u.get("breaks", []), u.get("slopes", [0.0])
+    listed = isinstance(breaks, list) and isinstance(slopes, list)
+    if not listed or len(slopes) != len(breaks) + 1:
+        raise OracleError(f"'u' needs one slope per breakpoint interval: {breaks!r}, {slopes!r}")
+    domain = case.get("domain", [0.0, 1.0])
+    numeric = isinstance(domain, list) and all(isinstance(t, (int, float)) for t in domain)
+    if not (numeric and len(domain) == 2 and domain[0] < domain[1]):
+        raise OracleError(f"'domain' must be an interval [a, b] with a < b, got {domain!r}")
+    try:
+        return oracle_1d(u, mu, f, domain=domain)
+    except ZeroDivisionError:
+        raise OracleError("the density of 'mu' vanishes at a summation point") from None
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise OracleError(f"malformed case: {type(exc).__name__}: {exc}") from None

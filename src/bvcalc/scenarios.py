@@ -599,13 +599,13 @@ def scenario_sq_envelope(config):
 # ---------------------------------------------------------------------------
 
 
-def _flat_top_bump(center, radius, height=1.0):
+def _flat_top_bump(center, radius):
     cx, cy = center
 
     def value(nodes):
         rho2 = (nodes[:, 0] - cx) ** 2 + (nodes[:, 1] - cy) ** 2
         s2 = np.minimum(rho2 / radius**2, 1.0)
-        return (height * (1.0 - s2**2) ** 2)[:, None]
+        return ((1.0 - s2**2) ** 2)[:, None]
 
     def grad(nodes):
         dx = nodes[:, 0] - cx
@@ -614,7 +614,7 @@ def _flat_top_bump(center, radius, height=1.0):
         s2 = rho2 / radius**2
         inside = s2 < 1.0
         # d/drho2 of (1 - (rho2/r^2)^2)^2 = 2(1 - s2^2)(-2 s2 / r^2)
-        factor = np.where(inside, -4.0 * height * (1.0 - s2**2) * s2 / radius**2, 0.0)
+        factor = np.where(inside, -4.0 * (1.0 - s2**2) * s2 / radius**2, 0.0)
         g = np.zeros((len(nodes), 1, 2))
         g[:, 0, 0] = factor * dx
         g[:, 0, 1] = factor * dy
@@ -641,7 +641,7 @@ def scenario_example1(config):
         return np.where(rho2 < hole_radius**2, 0.0, 1.0)
 
     mu = ScalarRadonMeasure(d, density=weight, registry=reg, dominates_lebesgue=False)
-    value, grad = _flat_top_bump(center, bump_radius, height=1.0)
+    value, grad = _flat_top_bump(center, bump_radius)
     u = BVFunction(d, 1, [Piece(region=d.box, u=value, grad=grad)], registry=reg)
 
     # candidate family: the bump itself, its rescalings, affine fields, constants
@@ -807,7 +807,7 @@ def carpet_indicator(holes):
     return weight, (xb, yb)
 
 
-def scenario_example2(config, max_depth=4):
+def scenario_example2(config):
     """Fat-carpet weight: the measure sees only a dense family of holes of
     total area 1/2, admissible functions are constant on the connected
     carpet interior, and the profile u(x, y) = x stays at L^1 distance
@@ -815,6 +815,7 @@ def scenario_example2(config, max_depth=4):
     d = Domain(((0.0, 1.0), (0.0, 1.0)), config.resolution)
     reg = CarrierRegistry()
     bounds = []
+    max_depth = 4
     for k in range(max_depth + 1):
         ck, c_star = carpet_lower_bound(k)
         bounds.append((k, ck, c_star))

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bv import derivative
+from .bv import derivative, scalar_bumps
 from .functional import charged_recession, order_fit
 from .integrands import Integrand, generalized_recession, recession_values
 from .measures import (
@@ -40,6 +40,8 @@ from .measures import (
 
 _PROB_TOL = 1e-12
 _ZTOL = 1e-12
+JENSEN_TOL = 1e-8  # lhs above rhs + JENSEN_TOL marks a violating node
+BARYCENTER_TOL = 1e-8  # barycenter-to-Du distance, relative to max(1, |u|_L1)
 
 
 class YoungMeasureError(ValueError):
@@ -379,20 +381,12 @@ class GenerationReport:
     final_gap: float  # max over probes at the final index, normalized
     orders: dict  # f label -> fitted order in 1/j (None if gap ~ 0)
 
-    def max_order_deficit(self, target=0.8):
-        fitted = [o for o in self.orders.values() if o is not None]
-        return max((target - o for o in fitted), default=0.0)
 
-
-def empirical_generation_check(sequence, mu, candidate, test_integrands, js,
-                               localizations=None, per_axis=12):
+def empirical_generation_check(sequence, mu, candidate, test_integrands, js, per_axis=12):
     """Compare pairings of the elementary Young measures of Du_j with a
     candidate limit triple, over a dictionary of integrands and cut-off
     localizations; reports per-probe gaps and fitted decay orders."""
-    from .bv import scalar_bumps
-
-    if localizations is None:
-        localizations = scalar_bumps(candidate.domain, per_axis=per_axis)
+    localizations = scalar_bumps(candidate.domain, per_axis=per_axis)
     js = tuple(js)
     refs = {}
     for fi, f in enumerate(test_integrands):
@@ -433,15 +427,15 @@ class JensenReport:
         return not self.ac_violations and not self.singular_violations
 
 
-def _check_barycenter(u, nu, tol=1e-8):
+def _check_barycenter(u, nu):
     gap = measure_distance(barycenter(nu), derivative(u))
-    if gap > tol * max(1.0, u.l1_norm()):
+    if gap > BARYCENTER_TOL * max(1.0, u.l1_norm()):
         raise YoungMeasureError(
             f"candidate barycenter differs from the derivative measure ({gap:.2e})"
         )
 
 
-def _jensen_core(F, u, nu, mu, tol, upper_slope):
+def _jensen_core(F, u, nu, mu, upper_slope):
     if charges_boundary(nu.lam, nu.domain, _ZTOL):
         raise YoungMeasureError("concentration measure charges the boundary")
     _check_barycenter(u, nu)
@@ -462,7 +456,7 @@ def _jensen_core(F, u, nu, mu, tol, upper_slope):
                 * dlam[charged]
             )
         report.nodes_checked += len(pts)
-        for m in np.nonzero(lhs > rhs + tol)[0]:
+        for m in np.nonzero(lhs > rhs + JENSEN_TOL)[0]:
             violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
 
     for part in measure_parts(mu, extra_breaks=nu.breaks):
@@ -485,15 +479,15 @@ def _jensen_core(F, u, nu, mu, tol, upper_slope):
     return report
 
 
-def jensen_check_mu(F, u, nu, mu, tol=1e-8):
+def jensen_check_mu(F, u, nu, mu):
     """Jensen inequalities relative to mu for a nonnegative quasiconvex
     integrand: pointwise at every mu node and density-wise on the
     mu-singular carriers.  Violating nodes are listed, not raised: for an
     integrand that is not quasiconvex they are the expected outcome."""
-    return _jensen_core(F, u, nu, mu, tol, upper_slope=False)
+    return _jensen_core(F, u, nu, mu, upper_slope=False)
 
 
-def jensen_check_lebesgue(F, u, nu, tol=1e-8):
+def jensen_check_lebesgue(F, u, nu):
     """Jensen inequalities relative to the volume measure, with the upper
     asymptotic slope in place of the recession function."""
-    return _jensen_core(F, u, nu, lebesgue(u.domain, u.registry), tol, upper_slope=True)
+    return _jensen_core(F, u, nu, lebesgue(u.domain, u.registry), upper_slope=True)

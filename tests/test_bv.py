@@ -360,6 +360,25 @@ def test_from_json_malformed_input_names_the_key(obj, message):
     assert message in str(err.value)
 
 
+def test_from_json_jumps_not_a_list():
+    with pytest.raises(BVError, match="'jumps' must be a list of jumps, got 3"):
+        BVFunction.from_json(interval(8), {"pieces": [_PIECE], "jumps": 3})
+
+
+def test_from_json_region_not_a_box():
+    with pytest.raises(BVError, match=r"'region' of a piece must be one \[lo, hi\] pair per axis"):
+        BVFunction.from_json(interval(8), {"pieces": [dict(_PIECE, region=3)]})
+
+
+def test_from_json_pieces_with_different_component_counts():
+    pieces = [
+        {"region": [0.0, 0.5], "u": ["x", "x"], "grad": [["1"], ["1"]]},
+        {"region": [0.5, 1.0], "u": ["x"], "grad": ["1"]},
+    ]
+    with pytest.raises(BVError, match="pieces have different component counts: 2 and 1"):
+        BVFunction.from_json(interval(8), {"pieces": pieces})
+
+
 # ---------------------------------------------------------------------------
 # 1D profile builder: references kept from the closures it replaced
 # ---------------------------------------------------------------------------

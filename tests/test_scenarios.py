@@ -9,6 +9,7 @@ import pytest
 
 from bvcalc import reporting
 from bvcalc.bv import BVFunction, derivative, verify_integration_by_parts
+from bvcalc.cli import build_parser
 from bvcalc.cli import main as cli_main
 from bvcalc.functional import evaluate
 from bvcalc.measures import (
@@ -66,6 +67,13 @@ def test_run_config_validation():
         RunConfig(scenario="sawtooth-oscillation", jmax=4)
     with pytest.raises(ScenarioError):
         RunConfig(scenario="sawtooth-oscillation", tolerance=0.0)
+
+
+def test_run_parser_defaults_are_run_config_defaults():
+    args = build_parser().parse_args(["run", "--scenario", "example1"])
+    config = RunConfig(scenario="example1")
+    for name in ("resolution", "jmax", "tolerance", "seed", "output"):
+        assert getattr(args, name) == getattr(config, name)
 
 
 def test_unknown_scenario_is_usage_error():
@@ -187,6 +195,44 @@ def test_oracle_cli_roundtrip(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["value"] == pytest.approx(2.0, rel=1e-10)
+
+
+def _oracle_cli(tmp_path, case):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    return cli_main(["oracle", "--case", str(path)])
+
+
+_ORACLE_CASE = {
+    "u": {"breaks": [0.5], "slopes": [1.0, -1.0], "jumps": [[0.25, 1.0]]},
+    "mu": {"poly": [2.0], "atoms": [[0.25, 1.0]]},
+    "F": {"kind": "area"},
+}
+
+
+def test_oracle_cli_missing_key_is_usage_error(tmp_path, capsys):
+    case = {"u": _ORACLE_CASE["u"], "F": _ORACLE_CASE["F"]}
+    assert _oracle_cli(tmp_path, case) == 2
+    assert capsys.readouterr().err == "error: a case needs the objects 'u', 'mu' and 'F'\n"
+
+
+def test_oracle_cli_empty_slopes_is_usage_error(tmp_path, capsys):
+    case = dict(_ORACLE_CASE, u={"breaks": [], "slopes": []})
+    assert _oracle_cli(tmp_path, case) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'u' needs one slope per breakpoint interval")
+
+
+def test_oracle_cli_zero_density_is_usage_error(tmp_path, capsys):
+    case = dict(_ORACLE_CASE, mu={"poly": [0.0]})
+    assert _oracle_cli(tmp_path, case) == 2
+    assert capsys.readouterr().err == "error: the density of 'mu' vanishes at a summation point\n"
+
+
+def test_oracle_cli_well_formed_case_matches_oracle(tmp_path, capsys):
+    assert _oracle_cli(tmp_path, _ORACLE_CASE) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == oracle_1d(_ORACLE_CASE["u"], _ORACLE_CASE["mu"], _ORACLE_CASE["F"])
 
 
 # ---------------------------------------------------------------------------
