@@ -197,7 +197,7 @@ class BVFunction:
         for jdesc in jdescs:
             cid = _entry(jdesc, "carrier", "a 'jumps' entry")
             plus, minus = (
-                expressions.compile_vector(_listed(_entry(jdesc, side, "a 'jumps' entry")), dim)
+                expressions.compile_vector(_traces(jdesc, side, cid, N), dim)
                 for side in ("plus", "minus")
             )
             jumps.append(Jump(cid, plus, minus, orientation=float(jdesc.get("orientation", 1.0))))
@@ -268,6 +268,16 @@ def _bounds(region, dim):
 
 def _listed(value):
     return value if isinstance(value, list) else [value]
+
+
+def _traces(jdesc, side, cid, N):
+    """The ``side`` trace expressions of a jump entry, one per component."""
+    exprs = _listed(_entry(jdesc, side, "a 'jumps' entry"))
+    if len(exprs) != N:
+        raise BVError(
+            f"'{side}' of the jump on {cid!r} has {len(exprs)} components where the pieces have {N}"
+        )
+    return exprs
 
 
 # ---------------------------------------------------------------------------

@@ -195,15 +195,19 @@ class GeneralizedYoungMeasure:
         """Candidate triple from {"nu": [{"region":..., "atoms": [[A, p]...]}],
         "lambda": measure-spec, "nu_inf": [...]}; entries are matched
         first-region-wins, "region" omitted means everywhere."""
-        nu = _field_from_entries(obj.get("nu", []), domain, dims)
+        if not isinstance(obj, dict):
+            raise YoungMeasureError(f"a Young measure must be an object with key 'nu', got {obj!r}")
         lam_spec = obj.get("lambda")
+        if lam_spec is not None and not isinstance(lam_spec, dict):
+            raise YoungMeasureError(f"'lambda' must be a measure object, got {lam_spec!r}")
+        nu = _field_from_entries(obj.get("nu"), "nu", dims)
         if lam_spec is None:
             lam = ScalarRadonMeasure(domain, registry=registry)
         else:
             lam = ScalarRadonMeasure.from_json(domain, lam_spec, registry=registry)
         nu_inf = None
         if obj.get("nu_inf"):
-            nu_inf = _field_from_entries(obj["nu_inf"], domain, dims)
+            nu_inf = _field_from_entries(obj["nu_inf"], "nu_inf", dims)
         return GeneralizedYoungMeasure(domain, dims, nu, lam, nu_inf, mu)
 
 
@@ -219,18 +223,31 @@ def _read_only_parts(parts):
     return parts
 
 
-def _field_from_entries(entries, domain, dims):
+def _field_from_entries(entries, key, dims):
+    """The location field of the entries listed under ``key``, or a
+    YoungMeasureError naming the key for a malformed list."""
     N, n = dims
+    if not isinstance(entries, list) or not entries:
+        raise YoungMeasureError(f"{key!r} must be a non-empty list of entries, got {entries!r}")
     parsed = []
     for entry in entries:
-        atoms = np.stack(
-            [np.asarray(A, dtype=float).reshape(N, n) for A, _ in entry["atoms"]]
-        )
-        weights = np.array([float(p) for _, p in entry["atoms"]])
-        region = entry.get("region")
-        if region is None and "node" in entry:  # single-point entry
-            pt = np.atleast_1d(np.asarray(entry["node"], dtype=float))
-            region = [[v, v] for v in pt]
+        pairs = entry.get("atoms") if isinstance(entry, dict) else None
+        if not isinstance(pairs, list) or not pairs:
+            raise YoungMeasureError(f"an entry of {key!r} needs a non-empty list 'atoms', got {entry!r}")
+        try:
+            atoms = np.stack([np.asarray(A, dtype=float).reshape(N, n) for A, _ in pairs])
+            weights = np.array([float(p) for _, p in pairs])
+            region = entry.get("region")
+            if region is None and "node" in entry:  # single-point entry
+                pt = np.atleast_1d(np.asarray(entry["node"], dtype=float))
+                region = [[v, v] for v in pt]
+            boxed = region is None or np.asarray(region, dtype=float).size == 2 * n
+        except (TypeError, ValueError) as exc:
+            raise YoungMeasureError(f"an entry of {key!r} is malformed: {exc}") from None
+        if not boxed:
+            raise YoungMeasureError(
+                f"'region' of an entry of {key!r} must be one [lo, hi] pair per axis, got {region!r}"
+            )
         parsed.append((region, atoms, weights))
     kmax = max(len(w) for _, _, w in parsed)
 

@@ -379,6 +379,19 @@ def test_from_json_pieces_with_different_component_counts():
         BVFunction.from_json(interval(8), {"pieces": pieces})
 
 
+def test_from_json_jump_with_more_components_than_the_pieces():
+    registry = CarrierRegistry()
+    registry.register_point("j", (0.5,))
+    pieces = [
+        {"region": [0.0, 0.5], "u": ["0"], "grad": ["0"]},
+        {"region": [0.5, 1.0], "u": ["1"], "grad": ["0"]},
+    ]
+    jumps = [{"carrier": "j", "plus": ["1", "1"], "minus": ["0"]}]
+    with pytest.raises(BVError) as err:
+        BVFunction.from_json(interval(8), {"pieces": pieces, "jumps": jumps}, registry=registry)
+    assert str(err.value) == "'plus' of the jump on 'j' has 2 components where the pieces have 1"
+
+
 # ---------------------------------------------------------------------------
 # 1D profile builder: references kept from the closures it replaced
 # ---------------------------------------------------------------------------

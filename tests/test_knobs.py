@@ -18,8 +18,6 @@ CALLER_DIRS = ("src", "tests", "perfbench", "tools")
 
 # Knobs kept on purpose although no call sets them, each with its reason.
 ALLOWED = {
-    # the reference implementation stays untouched
-    "oracle.oracle_1d(npoints)",
     # the matrix shape of outside input
     "young.GeneralizedYoungMeasure.from_json(dims)",
 }

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -233,6 +234,87 @@ def test_oracle_cli_well_formed_case_matches_oracle(tmp_path, capsys):
     assert _oracle_cli(tmp_path, _ORACLE_CASE) == 0
     value = json.loads(capsys.readouterr().out)["value"]
     assert value == oracle_1d(_ORACLE_CASE["u"], _ORACLE_CASE["mu"], _ORACLE_CASE["F"])
+
+
+def test_oracle_cli_sign_changing_density_is_usage_error(tmp_path, capsys):
+    case = {"u": {"slopes": [1.0]}, "mu": {"poly": [1.0, -3.0]}, "F": {"kind": "norm"}}
+    assert _oracle_cli(tmp_path, case) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the density of 'mu' is -")
+    assert "not positive, at the summation point x = 0.3333" in err
+
+
+def _scalar_oracle_1d(u_desc, mu_desc, f_desc, npoints):
+    """The oracle as one scalar midpoint loop, term by term, on [0, 1]."""
+    breaks, slopes = u_desc["breaks"], u_desc["slopes"]
+    jumps, coeffs, atoms = u_desc["jumps"], mu_desc["poly"], mu_desc["atoms"]
+    a0, c = f_desc.get("A0", 0.3), f_desc.get("c", 0.4)
+    base = {
+        "norm": abs,
+        "area": lambda t: math.sqrt(1.0 + t * t),
+        "shifted-norm": lambda t: abs(t - a0) + c,
+        "w-shape": lambda t: abs(abs(t) - 1.0),
+    }[f_desc["kind"]]
+    weight = (lambda x: 1.0 + 0.5 * x) if f_desc["modulated"] else (lambda x: 1.0)
+
+    def terms():
+        edges = [0.0] + breaks + [1.0]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            slope = slopes[sum(0.5 * (lo + hi) >= t for t in breaks)]
+            count = max(1, round(npoints * (hi - lo)))
+            step = (hi - lo) / count
+            for k in range(count):
+                x = lo + (k + 0.5) * step
+                dens = 0.0
+                for coef in reversed(coeffs):
+                    dens = dens * x + coef
+                yield weight(x) * base(slope / dens) * dens * step
+
+    total = math.fsum(terms())
+    for pos, height in jumps:
+        atom_w = next((w for p, w in atoms if abs(p - pos) <= 1e-12), 0.0)
+        if atom_w > 0.0:
+            total += weight(pos) * base(height / atom_w) * atom_w
+        else:
+            total += weight(pos) * abs(height)
+    for p, w in atoms:
+        if not any(abs(p - pos) <= 1e-12 for pos, _ in jumps):
+            total += weight(p) * base(0.0) * w
+    return total
+
+
+def test_oracle_equals_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(10)
+    kinds = ("norm", "area", "shifted-norm", "w-shape")
+    for i in range(120):
+        case = random_case_description(rng)
+        case["F"] = {"kind": kinds[i % 4], "modulated": bool(i // 4 % 2)}
+        value = oracle_1d(case["u"], case["mu"], case["F"], npoints=2000)
+        assert type(value) is float
+        assert value == _scalar_oracle_1d(case["u"], case["mu"], case["F"], 2000), case
+
+
+@pytest.mark.parametrize(
+    "u, mu, f, pinned",
+    [
+        (_ORACLE_CASE["u"], _ORACLE_CASE["mu"], _ORACLE_CASE["F"], "0x1.d33c6ced79290p+1"),
+        (
+            {"breaks": [0.3, 0.7], "slopes": [2.0, -0.5, 1.25], "jumps": [[0.5, -1.5]]},
+            {"poly": [1.2, -0.3, 0.25], "atoms": [[0.9, 0.75]]},
+            {"kind": "shifted-norm", "A0": 0.3, "c": 0.4, "modulated": True},
+            "0x1.22ac162c4a60cp+2",
+        ),
+        (
+            {"breaks": [0.4], "slopes": [-2.5, 0.75], "jumps": [[0.2, 0.8], [0.6, -1.0]]},
+            {"poly": [1.0, 0.5], "atoms": [[0.6, 1.5]]},
+            {"kind": "w-shape", "modulated": True},
+            "0x1.514d242e6ba1ep+1",
+        ),
+    ],
+)
+def test_oracle_pinned_values(u, mu, f, pinned):
+    # recorded from the scalar midpoint loop at the default npoints
+    assert oracle_1d(u, mu, f).hex() == pinned
 
 
 # ---------------------------------------------------------------------------

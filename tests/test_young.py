@@ -480,6 +480,29 @@ def test_young_from_json_node_entry(setting):
     assert A[1, 0, 0, 0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"nu": [{}]}, "an entry of 'nu' needs a non-empty list 'atoms', got {}"),
+        ({"lambda": 3}, "'lambda' must be a measure object, got 3"),
+        ({"nu": 5}, "'nu' must be a non-empty list of entries, got 5"),
+        (
+            {"nu": [{"atoms": [[[[0.0]], 1.0]]}], "nu_inf": [{"atoms": [[[1.0, 2.0], 1.0]]}]},
+            "an entry of 'nu_inf' is malformed: cannot reshape array of size 2 into shape (1,1)",
+        ),
+        (
+            {"nu": [{"region": [0.0, 0.5, 1.0], "atoms": [[[[0.0]], 1.0]]}]},
+            "'region' of an entry of 'nu' must be one [lo, hi] pair per axis, got [0.0, 0.5, 1.0]",
+        ),
+    ],
+)
+def test_young_from_json_malformed_input_names_the_key(setting, obj, message):
+    d, reg, mu = setting
+    with pytest.raises(YoungMeasureError) as err:
+        GeneralizedYoungMeasure.from_json(d, obj, mu, registry=reg)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # parts and field values computed once per Young measure
 # ---------------------------------------------------------------------------
