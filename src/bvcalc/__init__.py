@@ -60,6 +60,7 @@ from .young import (
     jensen_check_lebesgue,
     jensen_check_mu,
     pairing,
+    pairings,
 )
 
 __version__ = "0.1.0"

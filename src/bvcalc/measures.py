@@ -393,6 +393,15 @@ class _StructuredMeasure:
         return self.density is None and not self.carrier_parts and not self.atoms
 
 
+def _merged(atoms):
+    """Atoms sharing a point as one atom, values summed, in first-occurrence order."""
+    merged = {}
+    for p, v in atoms:
+        key = tuple(p)
+        merged[key] = (p, merged[key][1] + v) if key in merged else (p, v)
+    return tuple(merged.values())
+
+
 @dataclass(frozen=True)
 class ScalarRadonMeasure(_StructuredMeasure):
     """Positive measure: nonnegative cell density + atoms + carrier parts.
@@ -404,7 +413,7 @@ class ScalarRadonMeasure(_StructuredMeasure):
 
     domain: Domain
     density: object = None  # callable nodes -> (M,) or None for zero
-    atoms: tuple = ()
+    atoms: tuple = ()  # ((point, weight), ...); weights at one point are summed
     carrier_parts: tuple = ()
     registry: CarrierRegistry | None = None
     dominates_lebesgue: bool = False
@@ -413,12 +422,11 @@ class ScalarRadonMeasure(_StructuredMeasure):
     shape = ()  # values are scalars: the shape-() case of a matrix measure
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "atoms", tuple((np.asarray(p, float).reshape(-1), float(w)) for p, w in self.atoms)
-        )
+        atoms = tuple((np.asarray(p, float).reshape(-1), float(w)) for p, w in self.atoms)
+        object.__setattr__(self, "atoms", _merged(atoms))
         object.__setattr__(self, "carrier_parts", tuple(self.carrier_parts))
         object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
-        for p, w in self.atoms:
+        for p, w in atoms:
             if w < 0:
                 raise MeasureError("atom weights must be nonnegative")
             if len(p) != self.domain.dim:
@@ -449,12 +457,17 @@ class ScalarRadonMeasure(_StructuredMeasure):
         "segments": [{"id", "from", "to", "density"}]}."""
         registry = registry if registry is not None else CarrierRegistry()
         density = _parse_density(domain, obj.get("density"))
-        atoms = tuple(
-            (np.atleast_1d(np.asarray(a[0], float)), float(a[1]))
-            for a in obj.get("atoms", ())
-        )
+        atoms, segments = obj.get("atoms", []), obj.get("segments", [])
+        if not isinstance(atoms, list) or any(type(a) is not list or len(a) != 2 for a in atoms):
+            raise MeasureError(f"'atoms' must be a list of [point, weight] pairs, got {atoms!r}")
+        keys = {"id", "from", "to", "density"}
+        if not isinstance(segments, list) or any(
+            type(g) is not dict or keys - g.keys() for g in segments
+        ):
+            raise MeasureError(f"'segments' must be a list of objects with keys {sorted(keys)}")
+        atoms = tuple((np.atleast_1d(np.asarray(p, float)), float(w)) for p, w in atoms)
         parts = []
-        for seg in obj.get("segments", ()):
+        for seg in segments:
             carrier = registry.register_segment(
                 seg["id"], seg["from"], seg["to"], normal=seg.get("normal")
             )
@@ -484,6 +497,8 @@ def _parse_density(domain, spec):
     if isinstance(spec, (str, int, float)):
         return expressions.compile_scalar(spec, domain.dim)
     values = np.asarray(spec, dtype=float)  # cell-wise values on the base grid
+    if values.shape != (domain.resolution,) * domain.dim:
+        raise MeasureError(f"a cell-wise 'density' needs {domain.resolution} values per axis")
 
     def cellwise(nodes):
         idx = []
@@ -504,7 +519,7 @@ class MatrixRadonMeasure(_StructuredMeasure):
     shape: tuple  # (N, n)
     density: object = None  # callable nodes -> (M, N, n)
     carrier_parts: tuple = ()  # ((cid, callable pts -> (M, N, n)), ...)
-    atoms: tuple = ()  # ((point, value (N, n)), ...), 1D only
+    atoms: tuple = ()  # ((point, value (N, n)), ...), 1D only; values at one point are summed
     registry: CarrierRegistry | None = None
     breaks: tuple = None
 
@@ -515,7 +530,7 @@ class MatrixRadonMeasure(_StructuredMeasure):
         object.__setattr__(
             self,
             "atoms",
-            tuple(
+            _merged(
                 (np.asarray(p, float).reshape(-1), np.asarray(v, float).reshape(N, n))
                 for p, v in self.atoms
             ),

@@ -66,6 +66,7 @@ from .young import (
     jensen_check_lebesgue,
     jensen_check_mu,
     pairing,
+    pairings,
 )
 
 
@@ -258,9 +259,7 @@ def scenario_ramp_concentration(config):
         recession_analytic=lambda x, A: np.maximum(-A[:, 0, 0], 0.0),
         nonnegative=False,
     )
-    lam_mass = pairing(make_norm(), eps_j, localization=plateau)
-    w_plus = pairing(pos, eps_j, localization=plateau)
-    w_minus = pairing(neg, eps_j, localization=plateau)
+    (lam_mass,), (w_plus,), (w_minus,) = pairings([make_norm(), pos, neg], eps_j, [plateau])
     jump_size = 1.0
     jensen_ok = {
         f.name: jensen_check_lebesgue(f, u, candidate).ok

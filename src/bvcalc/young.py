@@ -331,19 +331,28 @@ def _field_pair(f, w, A, points, sphere=False, upper=False):
     return out
 
 
-def pairing(f, nu, localization=None):
-    """Duality pairing: integrate <f(x, .), nu_x> against the reference
-    measure and <f^inf(x, .), nu_inf_x> against the concentration measure.
-    ``localization`` multiplies both integrands by a scalar cut-off."""
-    total = 0.0
+def pairings(integrands, nu, localizations):
+    """Duality pairings: ``out[fi][pi]`` integrates <f(x, .), nu_x> against
+    the reference measure and <f^inf(x, .), nu_inf_x> against the
+    concentration measure, f = ``integrands[fi]``, both times the cut-off
+    ``localizations[pi]`` (None: none).  Each part's field values are
+    paired once for every cut-off, and each sum adds the parts in order."""
+    totals = [[0.0] * len(localizations) for _ in integrands]
     for values, sphere in ((nu.oscillation_values, False), (nu.sphere_values, True)):
         for part, w, A in values:
-            masses = part.masses
-            if localization is not None:
-                masses = masses * np.asarray(localization(part.points))
-            vals = _field_pair(f, w, A, part.points, sphere=sphere)
-            total += float(np.dot(masses, vals))
-    return total
+            vals = [_field_pair(f, w, A, part.points, sphere=sphere) for f in integrands]
+            for pi, phi in enumerate(localizations):
+                masses = part.masses
+                if phi is not None:
+                    masses = masses * np.asarray(phi(part.points))
+                for fi, v in enumerate(vals):
+                    totals[fi][pi] += float(np.dot(masses, v))
+    return totals
+
+
+def pairing(f, nu, localization=None):
+    """The one pairing ``pairings([f], nu, [localization])[0][0]``."""
+    return pairings([f], nu, [localization])[0][0]
 
 
 def barycenter(nu):
@@ -405,20 +414,14 @@ def empirical_generation_check(sequence, mu, candidate, test_integrands, js, per
     localizations; reports per-probe gaps and fitted decay orders."""
     localizations = scalar_bumps(candidate.domain, per_axis=per_axis)
     js = tuple(js)
-    refs = {}
-    for fi, f in enumerate(test_integrands):
-        for pi, phi in enumerate(localizations):
-            refs[(fi, pi)] = pairing(f, candidate, localization=phi)
+    refs = pairings(test_integrands, candidate, localizations)
     per_probe = {}
     for k, j in enumerate(js):
         uj = sequence(j) if callable(sequence) else sequence[k]
-        eps_j = elementary(derivative(uj), mu)
-        for fi, f in enumerate(test_integrands):
-            for pi, phi in enumerate(localizations):
-                emp = pairing(f, eps_j, localization=phi)
-                ref = refs[(fi, pi)]
-                gap = abs(emp - ref) / max(1.0, abs(ref))
-                per_probe.setdefault((fi, pi), []).append(gap)
+        emp = pairings(test_integrands, elementary(derivative(uj), mu), localizations)
+        for fi, (emp_f, ref_f) in enumerate(zip(emp, refs)):
+            for pi, (e, r) in enumerate(zip(emp_f, ref_f)):
+                per_probe.setdefault((fi, pi), []).append(abs(e - r) / max(1.0, abs(r)))
     final_gap = max(gaps[-1] for gaps in per_probe.values())
     orders = {}
     for fi, f in enumerate(test_integrands):

@@ -12,6 +12,7 @@ from bvcalc.measures import (
     ScalarRadonMeasure,
     absolutely_continuous_part,
     area_functional,
+    lebesgue,
     measure_distance,
     mutually_singular,
     pair_with_test_function,
@@ -1240,13 +1241,16 @@ def test_matched_parts_uses_each_part_once():
     from bvcalc.measures import matched_parts, singular_parts
 
     dom, reg, mu, lam, gamma = _mixed_1d()
-    twice = ScalarRadonMeasure(
+    # a measure merges the atoms it shares a point with, so the two atom
+    # parts at 0.3 come from two measures
+    once = ScalarRadonMeasure(dom, atoms=(((0.3,), 1.0),), registry=reg)
+    rest = ScalarRadonMeasure(
         dom,
-        atoms=(((0.3,), 1.0), ((0.3,), 2.0), ((0.6 + 1e-13,), 4.0)),
+        atoms=(((0.3,), 2.0), ((0.6 + 1e-13,), 4.0)),
         carrier_parts=(("p2", lambda p: 1.0 + 0 * p[:, 0]), ("p3", lambda p: 1.0 + 0 * p[:, 0])),
         registry=reg,
     )
-    pairs = matched_parts(singular_parts(twice), singular_parts(lam))
+    pairs = matched_parts(singular_parts(once) + singular_parts(rest), singular_parts(lam))
 
     def label(part):
         return None if part is None else (part.kind, part.key)
@@ -1259,15 +1263,16 @@ def test_matched_parts_uses_each_part_once():
         (("carrier", "p3"), None),
         (None, ("carrier", "p1")),
     ]
-    # the decomposition reads one lambda atom once: a second mu atom at the
-    # same point gets the value 0, so the absolutely continuous part keeps
-    # lambda's mass there (the old loop gave both mu atoms the same ratio)
+    # two mu atoms at one point are one atom of the summed weight, so the
+    # decomposition reads lambda's atom there once, as the old loop does
+    # (which gave each of two unmerged atoms the whole ratio)
     mu_twice = ScalarRadonMeasure(
         dom, density=mu.density, atoms=(((0.3,), 0.5), ((0.3,), 0.25)), registry=reg,
         dominates_lebesgue=True,
     )
-    assert [v for _, _, v in rn_decompose(lam, mu_twice).atom_values] == [0.4 / 0.5, 0.0]
-    assert [v for _, _, v in _old_rn_decompose(lam, mu_twice)[0]] == [0.4 / 0.5, 0.4 / 0.25]
+    assert [w for _, w in mu_twice.atoms] == [0.75]
+    assert [v for _, _, v in rn_decompose(lam, mu_twice).atom_values] == [0.4 / 0.75]
+    assert [v for _, _, v in _old_rn_decompose(lam, mu_twice)[0]] == [0.4 / 0.75]
 
 
 # ---------------------------------------------------------------------------
@@ -1325,3 +1330,53 @@ def test_densities_keep_their_slack():
         interval(), density=lambda n: np.full(len(n), -1e-13), registry=reg,
         carrier_parts=(("c", lambda p: np.full(len(p), -1e-13)),),
     )
+
+
+# ---------------------------------------------------------------------------
+# from_json documents and coincident atoms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"atoms": [[0.5]]}, "'atoms' must be a list of"),
+        ({"segments": [{"from": [0.0], "to": [1.0]}]}, "'segments' must be a list of"),
+        ({"segments": [{"from": [0.0], "to": [1.0], "density": "1"}]}, "'segments' must be"),
+        ({"atoms": 3}, "'atoms' must be a list of"),
+        ({"density": [1.0, 2.0]}, "needs 16 values per axis"),
+    ],
+)
+def test_scalar_from_json_malformed_raises_measure_error(doc, message):
+    from bvcalc.young import GeneralizedYoungMeasure
+
+    dom = Domain((0.0, 1.0), 16)
+    with pytest.raises(MeasureError, match=message):
+        ScalarRadonMeasure.from_json(dom, doc)
+    young_doc = {"nu": [{"atoms": [[[[0.0]], 1.0]]}], "lambda": doc}
+    with pytest.raises(MeasureError, match=message):
+        GeneralizedYoungMeasure.from_json(dom, young_doc, lebesgue(dom))
+
+
+def test_scalar_from_json_well_formed_documents():
+    dom = Domain((0.0, 1.0), 16)
+    m = ScalarRadonMeasure.from_json(
+        dom, {"density": [1.0] * 16, "atoms": [[0.5, 2.0], [[0.25], 1.0]]}
+    )
+    assert [(p.tolist(), w) for p, w in m.atoms] == [([0.5], 2.0), ([0.25], 1.0)]
+    assert m.mass() == pytest.approx(4.0, rel=1e-14)
+
+
+def test_coincident_atoms_are_merged_in_first_occurrence_order():
+    dom = Domain((0.0, 1.0), 16)
+    m = ScalarRadonMeasure(dom, atoms=(((0.5,), 1.0), ((0.2,), 0.5), ((0.5,), 2.0)))
+    assert [(p.tolist(), w) for p, w in m.atoms] == [([0.5], 3.0), ([0.2], 0.5)]
+    assert m.mass() == 3.5
+    atoms = (((0.5,), [[1.0], [0.0]]), ((0.2,), [[0.5], [0.5]]), ((0.5,), [[2.0], [-1.0]]))
+    g = MatrixRadonMeasure(dom, (2, 1), atoms=atoms)
+    assert [(p.tolist(), v.tolist()) for p, v in g.atoms] == [
+        ([0.5], [[3.0], [-1.0]]),
+        ([0.2], [[0.5], [0.5]]),
+    ]
+    with pytest.raises(MeasureError, match="nonnegative"):
+        ScalarRadonMeasure(dom, atoms=(((0.5,), 2.0), ((0.5,), -1.0)))

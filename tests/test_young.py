@@ -38,6 +38,7 @@ from bvcalc.young import (
     jensen_check_mu,
     measure_parts,
     pairing,
+    pairings,
 )
 
 
@@ -823,3 +824,158 @@ def test_barycenter_matches_the_old_loop(case):
         "elementary": (2, []),
     }[case]
     assert (len(new.atoms), [cid for cid, _ in new.carrier_parts]) == charged
+
+
+# ---------------------------------------------------------------------------
+# pairings: every integrand and cut-off in one walk over the parts
+# ---------------------------------------------------------------------------
+
+
+def _old_pairing(f, nu, localization=None):
+    """The per-call pairing loop that ``pairings`` replaced, kept verbatim."""
+    total = 0.0
+    for values, sphere in ((nu.oscillation_values, False), (nu.sphere_values, True)):
+        for part, w, A in values:
+            masses = part.masses
+            if localization is not None:
+                masses = masses * np.asarray(localization(part.points))
+            vals = young._field_pair(f, w, A, part.points, sphere=sphere)
+            total += float(np.dot(masses, vals))
+    return total
+
+
+def _old_generation_check(sequence, mu, candidate, test_integrands, js, per_axis=12):
+    """``empirical_generation_check`` as it was: one old pairing per probe."""
+    from bvcalc.functional import order_fit
+
+    localizations = scalar_bumps(candidate.domain, per_axis=per_axis)
+    js = tuple(js)
+    refs = {}
+    for fi, f in enumerate(test_integrands):
+        for pi, phi in enumerate(localizations):
+            refs[(fi, pi)] = _old_pairing(f, candidate, localization=phi)
+    per_probe = {}
+    for k, j in enumerate(js):
+        uj = sequence(j) if callable(sequence) else sequence[k]
+        eps_j = elementary(derivative(uj), mu)
+        for fi, f in enumerate(test_integrands):
+            for pi, phi in enumerate(localizations):
+                emp = _old_pairing(f, eps_j, localization=phi)
+                ref = refs[(fi, pi)]
+                gap = abs(emp - ref) / max(1.0, abs(ref))
+                per_probe.setdefault((fi, pi), []).append(gap)
+    final_gap = max(gaps[-1] for gaps in per_probe.values())
+    orders = {}
+    for fi, f in enumerate(test_integrands):
+        fitted = [order_fit(js, per_probe[(fi, pi)], 1e-11, 3) for pi in range(len(localizations))]
+        fitted = [o for o in fitted if o is not None]
+        orders[getattr(f, "name", f"f{fi}")] = min(fitted, default=None)
+    return young.GenerationReport(js, per_probe, final_gap, orders)
+
+
+def _part_integrands():
+    from bvcalc.integrands import x_modulated
+
+    pos = Integrand(
+        "pos-part",
+        (1, 1),
+        lambda x, A: np.maximum(A[:, 0, 0], 0.0),
+        0.0,
+        1.0,
+        recession_analytic=lambda x, A: np.maximum(A[:, 0, 0], 0.0),
+        nonnegative=False,
+    )
+    return [make_norm(), make_area(), make_shifted_norm(), make_w_shape(),
+            x_modulated(make_area()), pos]
+
+
+def _pairing_measures():
+    """The sawtooth candidate, an elementary sawtooth measure, the
+    ramp-concentration candidate (sphere parts with ``nu_inf``) and an
+    elementary measure with an atom of mu and a jump left to lambda."""
+    d = Domain((0.0, 1.0), 256)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
+    )
+    d2 = Domain((-1.0, 1.0), 256)
+    reg2 = CarrierRegistry()
+    ramp = GeneralizedYoungMeasure(
+        d2,
+        (1, 1),
+        constant_field([(np.array([[0.0]]), 1.0)]),
+        ScalarRadonMeasure(d2, atoms=(((0.0,), 1.0),), registry=reg2),
+        constant_field([(np.array([[1.0]]), 1.0)]),
+        ScalarRadonMeasure(d2, density=lambda n: np.ones(len(n)), registry=reg2),
+    )
+    mu3, u3 = mixed_elementary_setting(d, CarrierRegistry())
+    return {
+        "sawtooth-candidate": sawtooth_candidate(d, reg, mu),
+        "elementary-sawtooth": elementary(derivative(sawtooth_1d(d, 8, registry=reg)), mu),
+        "ramp-candidate": ramp,
+        "elementary-mixed": elementary(derivative(u3), mu3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pairing_measures()))
+def test_pairings_equal_the_old_per_call_loop(name):
+    nu = _pairing_measures()[name]
+    if name == "ramp-candidate" or name == "elementary-mixed":
+        assert nu.sphere_values
+    fs = _part_integrands()
+    locs = [None, *scalar_bumps(nu.domain, per_axis=4)]
+    expected = [[_old_pairing(f, nu, localization=phi) for phi in locs] for f in fs]
+    assert pairings(fs, nu, locs) == expected
+    for fi, f in enumerate(fs):
+        for pi, phi in enumerate(locs):
+            assert pairing(f, nu, localization=phi) == expected[fi][pi]
+
+
+def test_pairings_pair_each_part_once_for_every_cut_off(monkeypatch):
+    nu = _pairing_measures()["elementary-mixed"]
+    parts = len(nu.oscillation_values) + len(nu.sphere_values)
+    fs = _part_integrands()
+    called, cut = [], []
+    real = young._field_pair
+    monkeypatch.setattr(young, "_field_pair", lambda *a, **k: called.append(1) or real(*a, **k))
+    locs = [lambda pts, _phi=phi: cut.append(1) or _phi(pts)
+            for phi in scalar_bumps(nu.domain, per_axis=4)]
+    pairings(fs, nu, locs)
+    assert len(called) == len(fs) * parts
+    assert len(cut) == len(locs) * parts
+
+
+def test_generation_report_equals_the_old_per_pair_loop():
+    d = Domain((0.0, 1.0), 128)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
+    )
+    cand = sawtooth_candidate(d, reg, mu)
+    seq = lambda j: sawtooth_1d(d, j, registry=reg)
+    fs = [make_norm(), make_area(), make_w_shape()]
+    js = geometric_js(64)
+    new = empirical_generation_check(seq, mu, cand, fs, js=js, per_axis=5)
+    assert new == _old_generation_check(seq, mu, cand, fs, js=js, per_axis=5)
+    assert list(new.per_probe) == [(fi, pi) for fi in range(3) for pi in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# coincident atoms are one atom
+# ---------------------------------------------------------------------------
+
+
+def test_barycenter_sums_coincident_atoms():
+    d = Domain((0.0, 1.0), 64)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(
+        d,
+        density=lambda n: np.ones(len(n)),
+        atoms=(((0.5,), 1.0), ((0.5,), 2.0)),
+        registry=reg,
+        dominates_lebesgue=True,
+    )
+    field = constant_field([(np.array([[-0.5]]), 0.75), (np.array([[0.0]]), 0.25)])  # mean -0.375
+    nu = GeneralizedYoungMeasure(d, (1, 1), field, ScalarRadonMeasure(d, registry=reg), None, mu)
+    ((point, value),) = barycenter(nu).atoms
+    assert point.tolist() == [0.5] and value.tolist() == [[-1.125]]
