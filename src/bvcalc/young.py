@@ -350,9 +350,9 @@ def pairings(integrands, nu, localizations):
     return totals
 
 
-def pairing(f, nu, localization=None):
-    """The one pairing ``pairings([f], nu, [localization])[0][0]``."""
-    return pairings([f], nu, [localization])[0][0]
+def pairing(f, nu):
+    """The unlocalized pairing ``pairings([f], nu, [None])[0][0]``."""
+    return pairings([f], nu, [None])[0][0]
 
 
 def barycenter(nu):

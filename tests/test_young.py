@@ -587,8 +587,7 @@ def test_parts_built_once_per_measure(setting, monkeypatch):
     monkeypatch.setattr(young, "measure_parts", counting)
     eps = elementary(derivative(u), mu)
     for f in (make_norm(), make_area(), make_shifted_norm()):
-        for phi in (None, *scalar_bumps(d, per_axis=4)):
-            pairing(f, eps, localization=phi)
+        pairings([f], eps, [None, *scalar_bumps(d, per_axis=4)])
     barycenter(eps)
     assert len(built) == 2
     assert built[0] is mu and built[1] is eps.lam
@@ -607,7 +606,7 @@ def test_parts_built_once_per_measure(setting, monkeypatch):
     )
     assert built == [] and evaluated == []  # nothing is computed before first use
     for phi in scalar_bumps(d, per_axis=4):
-        pairing(make_norm(), cand, localization=phi)
+        pairings([make_norm()], cand, [phi])
     cand.validate()
     assert len(built) == 1 and built[0] is mu
     assert len(evaluated) == 2  # one cell part and one atom part of mu
@@ -631,22 +630,73 @@ def test_cached_arrays_are_read_only(setting):
             A[0, 0, 0, 0] = 0.0
 
 
-def test_pairing_equals_fresh_recomputation_1d(setting):
-    d, reg, _ = setting
-    mu, u = mixed_elementary_setting(d, reg)
-    eps = elementary(derivative(u), mu)
-    assert eps.sphere_values  # the jump at 0.75 is left to the concentration part
-    for f in (make_norm(), make_area(), make_shifted_norm(), make_w_shape()):
-        for phi in (None, *scalar_bumps(d, per_axis=3)):
-            assert pairing(f, eps, localization=phi) == fresh_pairing(f, eps, phi)
+def _part_integrands():
+    from bvcalc.integrands import x_modulated
+
+    pos = Integrand(
+        "pos-part",
+        (1, 1),
+        lambda x, A: np.maximum(A[:, 0, 0], 0.0),
+        0.0,
+        1.0,
+        recession_analytic=lambda x, A: np.maximum(A[:, 0, 0], 0.0),
+        nonnegative=False,
+    )
+    return [make_norm(), make_area(), make_shifted_norm(), make_w_shape(),
+            x_modulated(make_area()), pos]
+
+
+def _pairing_measures():
+    """The sawtooth candidate, an elementary sawtooth measure, the
+    ramp-concentration candidate (sphere parts with ``nu_inf``) and an
+    elementary measure with an atom of mu and a jump left to lambda."""
+    d = Domain((0.0, 1.0), 256)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
+    )
+    d2 = Domain((-1.0, 1.0), 256)
+    reg2 = CarrierRegistry()
+    ramp = GeneralizedYoungMeasure(
+        d2,
+        (1, 1),
+        constant_field([(np.array([[0.0]]), 1.0)]),
+        ScalarRadonMeasure(d2, atoms=(((0.0,), 1.0),), registry=reg2),
+        constant_field([(np.array([[1.0]]), 1.0)]),
+        ScalarRadonMeasure(d2, density=lambda n: np.ones(len(n)), registry=reg2),
+    )
+    mu3, u3 = mixed_elementary_setting(d, CarrierRegistry())
+    return {
+        "sawtooth-candidate": sawtooth_candidate(d, reg, mu),
+        "elementary-sawtooth": elementary(derivative(sawtooth_1d(d, 8, registry=reg)), mu),
+        "ramp-candidate": ramp,
+        "elementary-mixed": elementary(derivative(u3), mu3),
+    }
+
+
+def _assert_pairings_are_fresh(nu, fs, per_axis):
+    """Every (integrand, cut-off) value of ``pairings``, and ``pairing``,
+    equals its fresh recomputation under ``==``."""
+    locs = [None, *scalar_bumps(nu.domain, per_axis=per_axis)]
+    expected = [[fresh_pairing(f, nu, phi) for phi in locs] for f in fs]
+    assert pairings(fs, nu, locs) == expected
+    assert [pairing(f, nu) for f in fs] == [row[0] for row in expected]
+
+
+def test_pairing_equals_fresh_recomputation_1d():
+    measures = _pairing_measures()
+    assert measures["ramp-candidate"].sphere_values
+    assert measures["elementary-mixed"].sphere_values  # the jump at 0.75 is left to lambda
+    for nu in measures.values():
+        _assert_pairings_are_fresh(nu, _part_integrands(), per_axis=4)
 
 
 def test_pairing_equals_fresh_recomputation_2d():
     d, cand = concentration_candidate_2d()
     assert [p.kind for p, _, _ in cand.sphere_values] == ["carrier"]
-    for f in (make_norm(1, 2), make_area(1, 2), make_shifted_norm(N=1, n=2)):
-        for phi in (None, *scalar_bumps(d, per_axis=2)):
-            assert pairing(f, cand, localization=phi) == fresh_pairing(f, cand, phi)
+    _assert_pairings_are_fresh(
+        cand, [make_norm(1, 2), make_area(1, 2), make_shifted_norm(N=1, n=2)], per_axis=2
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -831,21 +881,8 @@ def test_barycenter_matches_the_old_loop(case):
 # ---------------------------------------------------------------------------
 
 
-def _old_pairing(f, nu, localization=None):
-    """The per-call pairing loop that ``pairings`` replaced, kept verbatim."""
-    total = 0.0
-    for values, sphere in ((nu.oscillation_values, False), (nu.sphere_values, True)):
-        for part, w, A in values:
-            masses = part.masses
-            if localization is not None:
-                masses = masses * np.asarray(localization(part.points))
-            vals = young._field_pair(f, w, A, part.points, sphere=sphere)
-            total += float(np.dot(masses, vals))
-    return total
-
-
 def _old_generation_check(sequence, mu, candidate, test_integrands, js, per_axis=12):
-    """``empirical_generation_check`` as it was: one old pairing per probe."""
+    """``empirical_generation_check`` as it was: one fresh pairing per probe."""
     from bvcalc.functional import order_fit
 
     localizations = scalar_bumps(candidate.domain, per_axis=per_axis)
@@ -853,14 +890,14 @@ def _old_generation_check(sequence, mu, candidate, test_integrands, js, per_axis
     refs = {}
     for fi, f in enumerate(test_integrands):
         for pi, phi in enumerate(localizations):
-            refs[(fi, pi)] = _old_pairing(f, candidate, localization=phi)
+            refs[(fi, pi)] = fresh_pairing(f, candidate, phi)
     per_probe = {}
     for k, j in enumerate(js):
         uj = sequence(j) if callable(sequence) else sequence[k]
         eps_j = elementary(derivative(uj), mu)
         for fi, f in enumerate(test_integrands):
             for pi, phi in enumerate(localizations):
-                emp = _old_pairing(f, eps_j, localization=phi)
+                emp = fresh_pairing(f, eps_j, phi)
                 ref = refs[(fi, pi)]
                 gap = abs(emp - ref) / max(1.0, abs(ref))
                 per_probe.setdefault((fi, pi), []).append(gap)
@@ -871,64 +908,6 @@ def _old_generation_check(sequence, mu, candidate, test_integrands, js, per_axis
         fitted = [o for o in fitted if o is not None]
         orders[getattr(f, "name", f"f{fi}")] = min(fitted, default=None)
     return young.GenerationReport(js, per_probe, final_gap, orders)
-
-
-def _part_integrands():
-    from bvcalc.integrands import x_modulated
-
-    pos = Integrand(
-        "pos-part",
-        (1, 1),
-        lambda x, A: np.maximum(A[:, 0, 0], 0.0),
-        0.0,
-        1.0,
-        recession_analytic=lambda x, A: np.maximum(A[:, 0, 0], 0.0),
-        nonnegative=False,
-    )
-    return [make_norm(), make_area(), make_shifted_norm(), make_w_shape(),
-            x_modulated(make_area()), pos]
-
-
-def _pairing_measures():
-    """The sawtooth candidate, an elementary sawtooth measure, the
-    ramp-concentration candidate (sphere parts with ``nu_inf``) and an
-    elementary measure with an atom of mu and a jump left to lambda."""
-    d = Domain((0.0, 1.0), 256)
-    reg = CarrierRegistry()
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
-    d2 = Domain((-1.0, 1.0), 256)
-    reg2 = CarrierRegistry()
-    ramp = GeneralizedYoungMeasure(
-        d2,
-        (1, 1),
-        constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d2, atoms=(((0.0,), 1.0),), registry=reg2),
-        constant_field([(np.array([[1.0]]), 1.0)]),
-        ScalarRadonMeasure(d2, density=lambda n: np.ones(len(n)), registry=reg2),
-    )
-    mu3, u3 = mixed_elementary_setting(d, CarrierRegistry())
-    return {
-        "sawtooth-candidate": sawtooth_candidate(d, reg, mu),
-        "elementary-sawtooth": elementary(derivative(sawtooth_1d(d, 8, registry=reg)), mu),
-        "ramp-candidate": ramp,
-        "elementary-mixed": elementary(derivative(u3), mu3),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_pairing_measures()))
-def test_pairings_equal_the_old_per_call_loop(name):
-    nu = _pairing_measures()[name]
-    if name == "ramp-candidate" or name == "elementary-mixed":
-        assert nu.sphere_values
-    fs = _part_integrands()
-    locs = [None, *scalar_bumps(nu.domain, per_axis=4)]
-    expected = [[_old_pairing(f, nu, localization=phi) for phi in locs] for f in fs]
-    assert pairings(fs, nu, locs) == expected
-    for fi, f in enumerate(fs):
-        for pi, phi in enumerate(locs):
-            assert pairing(f, nu, localization=phi) == expected[fi][pi]
 
 
 def test_pairings_pair_each_part_once_for_every_cut_off(monkeypatch):
