@@ -17,7 +17,9 @@ import numpy as np
 from .measures import (
     CarrierRegistry,
     MatrixRadonMeasure,
+    MeasureError,
     area_functional,
+    as_floats,
     in_box,
     merge_breaks,
     pair_with_test_function,
@@ -187,7 +189,7 @@ class BVFunction:
                     region=_bounds(pdesc.get("region", domain.box), dim),
                     u=expressions.compile_vector(u_exprs, dim),
                     grad=expressions.compile_matrix(g_rows, dim),
-                    breaks=pdesc.get("breaks"),
+                    breaks=_breaks(pdesc.get("breaks"), dim),
                 )
             )
         jdescs = obj.get("jumps", [])
@@ -200,7 +202,8 @@ class BVFunction:
                 expressions.compile_vector(_traces(jdesc, side, cid, N), dim)
                 for side in ("plus", "minus")
             )
-            jumps.append(Jump(cid, plus, minus, orientation=float(jdesc.get("orientation", 1.0))))
+            sign = as_floats(jdesc.get("orientation", 1.0), "a jump's 'orientation'", (), BVError)
+            jumps.append(Jump(cid, plus, minus, orientation=float(sign)))
         trace = None
         if "trace" in obj:
             trace = expressions.compile_vector(_listed(obj["trace"]), dim)
@@ -211,7 +214,7 @@ class BVFunction:
             jumps=jumps,
             trace=trace,
             registry=registry,
-            breaks=obj.get("breaks"),
+            breaks=_breaks(obj.get("breaks"), dim),
         )
 
     def check_trace_consistency(self):
@@ -264,6 +267,14 @@ def _bounds(region, dim):
     except (TypeError, ValueError):
         pass
     raise BVError(f"'region' of a piece must be one [lo, hi] pair per axis, got {region!r}")
+
+
+def _breaks(value, dim):
+    """A 'breaks' entry, merged per axis, or a BVError for non-numbers."""
+    try:
+        return merge_breaks(dim, value)
+    except MeasureError as exc:
+        raise BVError(f"'breaks': {exc}") from None
 
 
 def _listed(value):
@@ -495,15 +506,12 @@ def matrix_test_fields(domain, shape):
     bumps = scalar_bumps(domain, 3)
     fields = []
     for bump in bumps:
-        for i in range(N):
-            for j in range(n):
-                E = np.zeros((N, n))
-                E[i, j] = 1.0
+        for E in np.eye(N * n).reshape(N * n, N, n):  # E_ij in row-major order
 
-                def phi(nodes, _b=bump, _E=E):
-                    return np.asarray(_b(nodes))[:, None, None] * _E[None]
+            def phi(nodes, _b=bump, _E=E):
+                return np.asarray(_b(nodes))[:, None, None] * _E[None]
 
-                fields.append(phi)
+            fields.append(phi)
     return fields
 
 

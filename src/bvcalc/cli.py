@@ -50,14 +50,7 @@ def main(argv=None):
         return 0
     if args.command == "run":
         try:
-            config = RunConfig(
-                scenario=args.scenario,
-                resolution=args.resolution,
-                jmax=args.jmax,
-                tolerance=args.tolerance,
-                seed=args.seed,
-                output=args.output,
-            )
+            config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
             code, result = run(config)
         except ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ measure sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from . import bv as bvmod
 from .bv import boundary_trace, derivative, smooth_selected_jumps
 from .integrands import Integrand, recession_values
 from .measures import (
+    DecompositionError,
     ScalarRadonMeasure,
     area_functional,
     cell_part,
     charges_boundary,
     frobenius,
+    in_box,
     matched_parts,
     measure_parts,
     pair_with_test_function,
@@ -85,14 +87,7 @@ class EvaluationBreakdown:
         return self.interior + self.boundary
 
     def as_dict(self):
-        return {
-            "ac_cells": self.ac_cells,
-            "ac_atoms": self.ac_atoms,
-            "ac_carriers": self.ac_carriers,
-            "singular": self.singular,
-            "boundary": self.boundary,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 def evaluate(u, spec):
@@ -189,7 +184,7 @@ def _tail_min(values):
 
 @dataclass
 class RelaxationResult:
-    status: str  # "ok" | "no_admissible_sequence"
+    status: str  # "ok" | "no_admissible_sequence" | "not_decomposable"
     value: float | None
     best_id: str | None
     members: list  # (id, admissible, l1_gap, tail value or None)
@@ -202,12 +197,14 @@ def relaxation_upper_bound(u, spec, family, jmax=64, l1_tol=0.05):
     Each family member is (id, builder j -> BVFunction); members whose
     elements fail admissibility, or that do not approach u in L^1 within
     ``l1_tol`` at the final index, are excluded.  With no surviving member,
-    the documented "no admissible sequence" signal is returned.
+    the documented "no admissible sequence" signal is returned, or
+    "not_decomposable" when members survived but the decomposition against
+    mu rejected each of them (they are listed with no value).
     """
     js = geometric_js(jmax)
     interior = spec.without_boundary()
     members = []
-    best = None
+    best, status = None, "no_admissible_sequence"
     for fid, builder in family:
         elements = []
         admissible = True
@@ -224,13 +221,15 @@ def relaxation_upper_bound(u, spec, family, jmax=64, l1_tol=0.05):
             # degenerate mu never reaches the decomposition path
             members.append((fid, admissible, float(l1_gap), None))
             continue
-        values = [evaluate(uj, interior).total for uj in elements]
-        tail = _tail_min(values)
+        try:
+            tail = _tail_min([evaluate(uj, interior).total for uj in elements])
+        except DecompositionError:
+            tail, status = None, "not_decomposable"
         members.append((fid, True, float(l1_gap), tail))
-        if best is None or tail < best[1]:
+        if tail is not None and (best is None or tail < best[1]):
             best = (fid, tail)
     if best is None:
-        return RelaxationResult("no_admissible_sequence", None, None, members)
+        return RelaxationResult(status, None, None, members)
     return RelaxationResult("ok", best[1], best[0], members)
 
 
@@ -243,7 +242,7 @@ def mollify_in_small_set(u, spec, region, j):
     region = np.asarray(region, dtype=float).reshape(-1, 2)
     for part in singular_parts(dec.remainder):
         charged = part.points[frobenius(part.values) > _ZTOL]
-        if not all(_inside(p, region) for p in charged):
+        if not np.all(in_box(charged, region)):
             raise FunctionalError("singular part not concentrated in the given region")
     if not u.jumps:
         return u
@@ -251,17 +250,13 @@ def mollify_in_small_set(u, spec, region, j):
         raise bvmod.CatalogError("mollification catalog covers 1D profiles only")
     widths = {}
     for t, d in u.structure.get("jumps", ()):
-        if _inside(np.array([t]), region):
+        if in_box(np.array([[t]]), region)[0]:
             lo, hi = region[0]
             room = 2.0 * min(t - lo, hi - t)
             if room <= 0:
                 raise FunctionalError("jump sits on the region boundary")
             widths[t] = min(1.0 / (2 * j), 0.5 * room)
     return smooth_selected_jumps(u, widths)
-
-
-def _inside(point, region):
-    return all(lo <= point[k] <= hi for k, (lo, hi) in enumerate(region))
 
 
 # ---------------------------------------------------------------------------

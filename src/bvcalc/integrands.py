@@ -244,36 +244,31 @@ def catalog_integrand(name):
 # ---------------------------------------------------------------------------
 
 
-def transform_T(f):
-    """Unit-ball compactification (Tf)(x, B) = (1 - |B|) f(x, B / (1 - |B|)),
-    defined for |B| < 1."""
+def _rescaled(f, sign):
+    """x, B -> s f(x, B / s) with s = 1 + sign |B|, for batches or one matrix."""
 
-    def Tf(x, B):
+    def rescaled(x, B):
         B = np.asarray(B, dtype=float)
         scalar = B.ndim == 2
         Bb = B[None] if scalar else B
-        r = frobenius(Bb)
-        if np.any(r >= 1.0):
+        scale = 1.0 + sign * frobenius(Bb)
+        if np.any(scale <= 0.0):
             raise IntegrandError("transform argument must satisfy |B| < 1")
-        scale = 1.0 - r
         vals = scale * np.asarray(f(x, Bb / scale[:, None, None]))
         return float(vals[0]) if scalar else vals
 
-    return Tf
+    return rescaled
+
+
+def transform_T(f):
+    """Unit-ball compactification (Tf)(x, B) = (1 - |B|) f(x, B / (1 - |B|)),
+    defined for |B| < 1."""
+    return _rescaled(f, -1.0)
 
 
 def transform_T_inv(g):
     """Inverse transform (T^{-1}g)(x, A) = (1 + |A|) g(x, A / (1 + |A|))."""
-
-    def Tinv(x, A):
-        A = np.asarray(A, dtype=float)
-        scalar = A.ndim == 2
-        Ab = A[None] if scalar else A
-        scale = 1.0 + frobenius(Ab)
-        vals = scale * np.asarray(g(x, Ab / scale[:, None, None]))
-        return float(vals[0]) if scalar else vals
-
-    return Tinv
+    return _rescaled(g, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +333,11 @@ def recession_values(f, x, A_batch):
 
 
 def _fixed_directions(N, n, seed):
-    dirs = []
-    for i in range(N):
-        for j in range(n):
-            E = np.zeros((N, n))
-            E[i, j] = 1.0
-            dirs.append(E)
-    diag = np.ones((N, n)) / math.sqrt(N * n)
-    dirs.append(diag)
+    """The unit matrices E_ij in row-major order, the normalized all-ones
+    matrix, then eight seeded random unit directions."""
     rng = np.random.default_rng(seed)
-    for _ in range(8):
-        D = rng.standard_normal((N, n))
-        dirs.append(D / frobenius(D))
-    return dirs
+    random = [D / frobenius(D) for D in (rng.standard_normal((N, n)) for _ in range(8))]
+    return [*np.eye(N * n).reshape(N * n, N, n), np.ones((N, n)) / math.sqrt(N * n), *random]
 
 
 @dataclass
@@ -571,16 +558,6 @@ def rank_one_convexity_check(F, A, a, b):
 # ---------------------------------------------------------------------------
 
 
-def _upper_slope_fn(F):
-    if isinstance(F, Integrand) and F.has_analytic_recession():
-        return lambda A: F.recession(None, A)
-
-    def slope(A):
-        return generalized_recession(F, A).value
-
-    return slope
-
-
 def sq_envelope(F, i):
     """Envelope G_i = max{F, F# + |A|/i - i} with the smallest dyadic radius
     r_i past which the second branch dominates at every sampled matrix.
@@ -592,44 +569,26 @@ def sq_envelope(F, i):
     if not F.nonnegative or F.convexity not in ("convex", "quasiconvex"):
         raise IntegrandError("envelope requires a nonnegative quasiconvex-flagged integrand")
     N, n = F.dims
-    slope = _upper_slope_fn(F)
+    if F.has_analytic_recession():
+        slope = lambda A: F.recession(None, A)
+        batch_rec = lambda A: np.asarray(F.recession_analytic(None, A))
+    else:  # the upper slope, one matrix at a time
+        slope = lambda A: generalized_recession(F, A).value
+        batch_rec = lambda A: np.array([slope(Ak) for Ak in A])
     dirs = _fixed_directions(N, n, 9)
     radii = [2.0**k for k in range(0, 21)]
     # dyadic magnitudes to probe, including off-grid midpoints
     mags = sorted(set(radii) | {1.5 * r for r in radii[:-1]})
 
-    def branch(A):
-        return slope(A) + frobenius(A) / i - i
+    def exceeds(A):  # F above the second branch at A
+        fv = float(np.asarray(F(None, A)))
+        return fv > slope(A) + frobenius(A) / i - i + 1e-12 * (1 + abs(fv))
 
-    ok_radius = None
-    values = {}
-    for D in dirs:
-        for m in mags:
-            A = m * np.asarray(D)
-            values[(id(D), m)] = (float(np.asarray(F(None, A))), branch(A))
-    for r in radii:
-        good = True
-        for D in dirs:
-            for m in mags:
-                if m < r:
-                    continue
-                fv, bv = values[(id(D), m)]
-                if fv > bv + 1e-12 * (1 + abs(fv)):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            ok_radius = r
-            break
+    # r_i: the first dyadic radius above every sampled magnitude where F exceeds
+    last = max((m for D in dirs for m in mags if exceeds(m * np.asarray(D))), default=0.0)
+    ok_radius = next((r for r in radii if r > last), None)
     if ok_radius is None:
         raise IntegrandError("SQ parameters not found within the radius budget")
-
-    if F.has_analytic_recession():
-        batch_rec = lambda A: np.asarray(F.recession_analytic(None, A))
-    else:
-        scalar_rec = _upper_slope_fn(F)
-        batch_rec = lambda A: np.array([scalar_rec(Ak) for Ak in A])
 
     def g_fn(x, A):
         A = np.asarray(A, dtype=float)

@@ -80,6 +80,15 @@ def _gl3(edges):
     return nodes, (half[:, None] * _GL3_WEIGHTS[None, :]).ravel()
 
 
+def _tensor(axis_nodes, axis_weights):
+    """Tensor product of per-axis rules: nodes (M, dim) and weights (M,),
+    the last axis running fastest."""
+    if len(axis_nodes) == 1:  # a view, not a copy: 1D rules reach 2^20 cells
+        return axis_nodes[0][:, None], axis_weights[0]
+    gx, gy = np.meshgrid(*axis_nodes, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()]), np.outer(*axis_weights).ravel()
+
+
 @dataclass(frozen=True)
 class Domain:
     """Interval (1D) or axis-aligned rectangle (2D) with a fixed cell grid.
@@ -128,20 +137,10 @@ class Domain:
                 tuple(sorted(set(axis_breaks[k]) | set(region[k])))
                 for k in range(self.dim)
             )
-        axis_edges = [
-            _refined_edges(lo, hi, self.resolution, axis_breaks[k])
-            for k, (lo, hi) in enumerate(self.box)
-        ]
-        mids = [0.5 * (e[1:] + e[:-1]) for e in axis_edges]
-        widths = [np.diff(e) for e in axis_edges]
-        if self.dim == 1:
-            nodes = mids[0][:, None]
-            weights = widths[0]
-        else:
-            gx, gy = np.meshgrid(mids[0], mids[1], indexing="ij")
-            wx, wy = np.meshgrid(widths[0], widths[1], indexing="ij")
-            nodes = np.column_stack([gx.ravel(), gy.ravel()])
-            weights = (wx * wy).ravel()
+        axis_edges = self._axis_edges(axis_breaks)
+        nodes, weights = _tensor(
+            [0.5 * (e[1:] + e[:-1]) for e in axis_edges], [np.diff(e) for e in axis_edges]
+        )
         keep = weights > 1e-300
         nodes, weights = nodes[keep], weights[keep]
         if region is not None:
@@ -152,43 +151,30 @@ class Domain:
     def gauss_cell_rule(self, breaks=None):
         """Per-cell 3-point Gauss rule (tensorized in 2D); exact for
         polynomials of degree 5 per axis on each refined cell."""
-        axis_breaks = _normalize_breaks(breaks, self.dim)
-        axis_nodes, axis_weights = zip(*[
-            _gl3(_refined_edges(lo, hi, self.resolution, axis_breaks[k]))
-            for k, (lo, hi) in enumerate(self.box)
-        ])
-        if self.dim == 1:
-            return axis_nodes[0][:, None], axis_weights[0]
-        gx, gy = np.meshgrid(axis_nodes[0], axis_nodes[1], indexing="ij")
-        wx, wy = np.meshgrid(axis_weights[0], axis_weights[1], indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()]), (wx * wy).ravel()
+        return _tensor(*zip(*map(_gl3, self._axis_edges(_normalize_breaks(breaks, self.dim)))))
+
+    def _axis_edges(self, axis_breaks):
+        """Per axis, the cell edges refined at that axis's breaks."""
+        return [
+            _refined_edges(lo, hi, self.resolution, b) for (lo, hi), b in zip(self.box, axis_breaks)
+        ]
 
     # -- boundary quadrature ------------------------------------------------
 
     def boundary_rule(self):
-        """Boundary nodes, H^{n-1} weights and inward unit normals."""
-        if self.dim == 1:
-            (lo, hi), = self.box
-            nodes = np.array([[lo], [hi]])
-            weights = np.array([1.0, 1.0])
-            normals = np.array([[1.0], [-1.0]])
-            return nodes, weights, normals
-        (ax, bx), (ay, by) = self.box
+        """Boundary nodes, H^{n-1} weights and inward unit normals, face by
+        face in the order of :func:`_faces`: a point has weight 1, a side
+        GL3 per cell along the axis it runs on."""
         pts, wts, nms = [], [], []
-        for fixed_axis, fixed_val, normal in (
-            (0, ax, (1.0, 0.0)),
-            (0, bx, (-1.0, 0.0)),
-            (1, ay, (0.0, 1.0)),
-            (1, by, (0.0, -1.0)),
-        ):
-            lo, hi = self.box[1 - fixed_axis]
-            t, w = _gl3(np.linspace(lo, hi, self.resolution + 1))
-            p = np.empty((len(t), 2))
-            p[:, fixed_axis] = fixed_val
-            p[:, 1 - fixed_axis] = t
+        for _, start, end, normal in _faces(self.box):
+            p, w = np.array([start]), np.ones(1)
+            for k in np.flatnonzero(np.not_equal(start, end)):  # the axis a side runs on
+                t, w = _gl3(np.linspace(start[k], end[k], self.resolution + 1))
+                p = np.repeat(p, len(t), axis=0)
+                p[:, k] = t
             pts.append(p)
             wts.append(w)
-            nms.append(np.tile(normal, (len(t), 1)))
+            nms.append(np.tile(normal, (len(p), 1)))
         return np.concatenate(pts), np.concatenate(wts), np.concatenate(nms)
 
     def inward_normal(self, points):
@@ -206,17 +192,47 @@ class Domain:
         return normals
 
 
+def _faces(box):
+    """The sides of a box as (name, start, end, inward unit normal): two
+    points in 1D, four segments in 2D."""
+    if len(box) == 1:
+        (lo, hi), = box
+        return [("left", (lo,), (lo,), (1.0,)), ("right", (hi,), (hi,), (-1.0,))]
+    (ax, bx), (ay, by) = box
+    return [
+        ("left", (ax, ay), (ax, by), (1.0, 0.0)),
+        ("right", (bx, ay), (bx, by), (-1.0, 0.0)),
+        ("bottom", (ax, ay), (bx, ay), (0.0, 1.0)),
+        ("top", (ax, by), (bx, by), (0.0, -1.0)),
+    ]
+
+
 def _normalize_breaks(breaks, dim):
     if breaks is None:
         return tuple(() for _ in range(dim))
-    if dim == 1:
-        if len(breaks) and np.isscalar(breaks[0]):
-            return (tuple(map(float, breaks)),)
-        breaks = breaks[0] if len(breaks) else ()
-        return (tuple(map(float, breaks)),)
-    if len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
-        return tuple(tuple(map(float, b)) for b in breaks)
-    raise MeasureError("2D breakpoints must be a pair (x_breaks, y_breaks)")
+    try:
+        if dim == 1:
+            if len(breaks) and np.isscalar(breaks[0]):
+                return (tuple(map(float, breaks)),)
+            return (tuple(map(float, breaks[0] if len(breaks) else ())),)
+        if len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
+            return tuple(tuple(map(float, b)) for b in breaks)
+    except (LookupError, TypeError, ValueError):
+        pass
+    raise MeasureError(f"breakpoints must be numbers, a pair of lists in 2D, got {breaks!r}")
+
+
+def as_floats(value, what, shape=None, error=MeasureError):
+    """A number or numeric list of a JSON document as a float array (of
+    ``shape`` when given), or ``error`` naming ``what``."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or (shape is not None and out.shape != shape):
+        shaped = "" if shape is None else f" of shape {shape}"
+        raise error(f"{what} must be numeric{shaped}, got {value!r}")
+    return out
 
 
 def merge_breaks(dim, *break_sets):
@@ -358,22 +374,11 @@ class CarrierRegistry:
     def boundary_carriers(self, domain, prefix="bnd"):
         """Register (or fetch) the carriers of a box boundary, with inward
         normals; used by the zero-extension construction."""
-        if domain.dim == 1:
-            (lo, hi), = domain.box
-            return [
-                self.register_point(f"{prefix}:left", (lo,)),
-                self.register_point(f"{prefix}:right", (hi,)),
-            ]
-        (ax, bx), (ay, by) = domain.box
-        spec = [
-            ("left", (ax, ay), (ax, by), (1.0, 0.0)),
-            ("right", (bx, ay), (bx, by), (-1.0, 0.0)),
-            ("bottom", (ax, ay), (bx, ay), (0.0, 1.0)),
-            ("top", (ax, by), (bx, by), (0.0, -1.0)),
-        ]
         return [
-            self.register_segment(f"{prefix}:{name}", p, q, normal=nrm)
-            for name, p, q, nrm in spec
+            self.register_point(f"{prefix}:{name}", p)
+            if domain.dim == 1
+            else self.register_segment(f"{prefix}:{name}", p, q, normal=nrm)
+            for name, p, q, nrm in _faces(domain.box)
         ]
 
 
@@ -391,6 +396,19 @@ class _StructuredMeasure:
 
     def is_structurally_zero(self):
         return self.density is None and not self.carrier_parts and not self.atoms
+
+    def _normalize(self, value):
+        """Construction shared by both measures: atoms as (point, ``value``)
+        merged per point, carrier parts as a tuple, breaks merged, and every
+        carrier id looked up in the registry.  Returns the atoms unmerged."""
+        atoms = tuple((np.asarray(p, float).reshape(-1), value(v)) for p, v in self.atoms)
+        object.__setattr__(self, "atoms", _merged(atoms))
+        object.__setattr__(self, "carrier_parts", tuple(self.carrier_parts))
+        object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
+        for cid, _ in self.carrier_parts:
+            if self.registry is None or cid not in self.registry:
+                raise MeasureError(f"carrier {cid!r} not in registry")
+        return atoms
 
 
 def _merged(atoms):
@@ -422,18 +440,11 @@ class ScalarRadonMeasure(_StructuredMeasure):
     shape = ()  # values are scalars: the shape-() case of a matrix measure
 
     def __post_init__(self):
-        atoms = tuple((np.asarray(p, float).reshape(-1), float(w)) for p, w in self.atoms)
-        object.__setattr__(self, "atoms", _merged(atoms))
-        object.__setattr__(self, "carrier_parts", tuple(self.carrier_parts))
-        object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
-        for p, w in atoms:
+        for p, w in self._normalize(float):
             if w < 0:
                 raise MeasureError("atom weights must be nonnegative")
             if len(p) != self.domain.dim:
                 raise MeasureError("atom point dimension mismatch")
-        for cid, _ in self.carrier_parts:
-            if self.registry is None or cid not in self.registry:
-                raise MeasureError(f"carrier {cid!r} not in registry")
         for part in measure_parts(self):  # atoms were checked above
             if part.kind == "cells" and np.any(part.values < -1e-12):
                 raise MeasureError("scalar density must be nonnegative")
@@ -455,6 +466,8 @@ class ScalarRadonMeasure(_StructuredMeasure):
     def from_json(domain, obj, registry=None, **flags):
         """Build from {"density": expr|cell-array, "atoms": [[x, w]...],
         "segments": [{"id", "from", "to", "density"}]}."""
+        if not isinstance(obj, dict):
+            raise MeasureError(f"a measure must be an object, got {obj!r}")
         registry = registry if registry is not None else CarrierRegistry()
         density = _parse_density(domain, obj.get("density"))
         atoms, segments = obj.get("atoms", []), obj.get("segments", [])
@@ -465,9 +478,15 @@ class ScalarRadonMeasure(_StructuredMeasure):
             type(g) is not dict or keys - g.keys() for g in segments
         ):
             raise MeasureError(f"'segments' must be a list of objects with keys {sorted(keys)}")
-        atoms = tuple((np.atleast_1d(np.asarray(p, float)), float(w)) for p, w in atoms)
+        if segments and domain.dim == 1:
+            raise MeasureError("'segments' are carriers of a 2D domain")
+        atoms = [(as_floats(p, "atom point"), as_floats(w, "atom weight", ())) for p, w in atoms]
+        atoms = tuple((np.atleast_1d(p), float(w)) for p, w in atoms)
         parts = []
         for seg in segments:
+            for key in ("from", "to", "normal"):
+                if seg.get(key) is not None:
+                    as_floats(seg[key], f"{key!r} of a segment", (2,))
             carrier = registry.register_segment(
                 seg["id"], seg["from"], seg["to"], normal=seg.get("normal")
             )
@@ -496,7 +515,7 @@ def _parse_density(domain, spec):
         return None
     if isinstance(spec, (str, int, float)):
         return expressions.compile_scalar(spec, domain.dim)
-    values = np.asarray(spec, dtype=float)  # cell-wise values on the base grid
+    values = as_floats(spec, "a cell-wise 'density'")  # values on the base grid
     if values.shape != (domain.resolution,) * domain.dim:
         raise MeasureError(f"a cell-wise 'density' needs {domain.resolution} values per axis")
 
@@ -527,21 +546,9 @@ class MatrixRadonMeasure(_StructuredMeasure):
         N, n = self.shape
         if n != self.domain.dim:
             raise MeasureError("matrix column count must equal the domain dimension")
-        object.__setattr__(
-            self,
-            "atoms",
-            _merged(
-                (np.asarray(p, float).reshape(-1), np.asarray(v, float).reshape(N, n))
-                for p, v in self.atoms
-            ),
-        )
-        object.__setattr__(self, "carrier_parts", tuple(self.carrier_parts))
-        object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
+        self._normalize(lambda v: np.asarray(v, float).reshape(N, n))
         if self.atoms and self.domain.dim != 1:
             raise MeasureError("atomic parts are only permitted in 1D")
-        for cid, _ in self.carrier_parts:
-            if self.registry is None or cid not in self.registry:
-                raise MeasureError(f"carrier {cid!r} not in registry")
 
     def density_at(self, nodes):
         if self.density is None:

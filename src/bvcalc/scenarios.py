@@ -10,7 +10,7 @@ turns them into reports and an exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -92,13 +92,8 @@ class RunConfig:
             raise ScenarioError("tolerance must be positive")
 
     def as_dict(self):
-        return {
-            "scenario": self.scenario,
-            "resolution": self.resolution,
-            "jmax": self.jmax,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
+        """The fields that decide a result: every one but ``output``."""
+        return {k: v for k, v in asdict(self).items() if k != "output"}
 
 
 @dataclass
@@ -129,10 +124,7 @@ class ScenarioResult:
             "passed": self.passed,
             "flags": self.flags,
             "metrics": self.metrics,
-            "clauses": [
-                {"name": c.name, "passed": c.passed, "value": c.value, "target": c.target}
-                for c in self.clauses
-            ],
+            "clauses": [asdict(c) for c in self.clauses],
         }
 
 
@@ -152,7 +144,10 @@ def _clause(name, passed, value, target):
 # ---------------------------------------------------------------------------
 
 
-def scenario_sawtooth(config):
+def _sawtooth_setting(config):
+    """The unit interval with Lebesgue mu, the zero function, the two-well
+    Young measure (gradients -1 and 1 with weight 1/2 each), the indices j
+    and the sawtooth sequence u_j of slopes +-1 that generates it."""
     d = Domain((0.0, 1.0), config.resolution)
     reg = CarrierRegistry()
     mu = lebesgue(d, reg)
@@ -165,8 +160,12 @@ def scenario_sawtooth(config):
         None,
         mu,
     )
-    js = geometric_js(config.jmax)
     seq = lambda j: sawtooth_1d(d, j, registry=reg)
+    return d, mu, zero, candidate, geometric_js(config.jmax), seq
+
+
+def scenario_sawtooth(config):
+    d, mu, zero, candidate, js, seq = _sawtooth_setting(config)
     dictionary = [
         make_norm(),
         make_area(),
@@ -241,23 +240,12 @@ def scenario_ramp_concentration(config):
     uj = ramp_1d(d, 0.0, 1.0 / j, registry=reg)
     eps_j = elementary(derivative(uj), mu)
     plateau = _plateau_bump(0.0, 0.05, 0.1)
-    pos = Integrand(
-        "pos-part",
-        (1, 1),
-        lambda x, A: np.maximum(A[:, 0, 0], 0.0),
-        0.0,
-        1.0,
-        recession_analytic=lambda x, A: np.maximum(A[:, 0, 0], 0.0),
-        nonnegative=False,
-    )
-    neg = Integrand(
-        "neg-part",
-        (1, 1),
-        lambda x, A: np.maximum(-A[:, 0, 0], 0.0),
-        0.0,
-        1.0,
-        recession_analytic=lambda x, A: np.maximum(-A[:, 0, 0], 0.0),
-        nonnegative=False,
+    pos, neg = (  # positively 1-homogeneous: each part is its own recession
+        Integrand(name, (1, 1), fn, 0.0, 1.0, recession_analytic=fn, nonnegative=False)
+        for name, fn in (
+            ("pos-part", lambda x, A: np.maximum(A[:, 0, 0], 0.0)),
+            ("neg-part", lambda x, A: np.maximum(-A[:, 0, 0], 0.0)),
+        )
     )
     (lam_mass,), (w_plus,), (w_minus,) = pairings([make_norm(), pos, neg], eps_j, [plateau])
     jump_size = 1.0
@@ -482,22 +470,9 @@ def scenario_reshetnyak_counter(config):
 
 
 def scenario_nonquasiconvex(config):
-    d = Domain((0.0, 1.0), config.resolution)
-    reg = CarrierRegistry()
-    mu = lebesgue(d, reg)
-    zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
+    d, mu, zero, candidate, js, seq = _sawtooth_setting(config)
     F = make_w_shape()
-    js = geometric_js(config.jmax)
-    seq = lambda j: sawtooth_1d(d, j, registry=reg)
     lsc = lsc_experiment(seq, zero, FunctionalSpec(F, mu, d), js=js)
-    candidate = GeneralizedYoungMeasure(
-        d,
-        (1, 1),
-        constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
-        ScalarRadonMeasure(d, registry=reg),
-        None,
-        mu,
-    )
     jensen = jensen_check_mu(F, zero, candidate, mu)
     witness = quasiconvexity_refuter(F, np.array([[0.0]]), grid=16)
     refined = witness.reevaluate(F, np.array([[0.0]])) if witness else 0.0

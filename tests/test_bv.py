@@ -352,6 +352,13 @@ _PIECE = {"u": ["x"], "grad": ["1"]}
             "a 'jumps' entry has no 'carrier'",
         ),
         ({"pieces": [_PIECE], "jumps": [{"carrier": "j", "plus": ["1"]}]}, "has no 'minus'"),
+        ({"pieces": [_PIECE], "breaks": "x"}, "'breaks': breakpoints must be numbers"),
+        ({"pieces": [dict(_PIECE, breaks=[["q"]])]}, "'breaks': breakpoints must be numbers"),
+        (
+            {"pieces": [_PIECE], "jumps": [{"carrier": "j", "plus": ["1"], "minus": ["0"],
+                                            "orientation": "up"}]},
+            "a jump's 'orientation' must be numeric of shape (), got 'up'",
+        ),
     ],
 )
 def test_from_json_malformed_input_names_the_key(obj, message):
@@ -579,3 +586,32 @@ def test_profile_builder_matches_the_old_closures(name):
                 _old_smooth_selected_jumps(so, {positions[1]: 0.03}),
                 trace_tol=1e-14,
             )
+
+
+def _old_matrix_test_fields(domain, shape):
+    from bvcalc.bv import scalar_bumps
+
+    N, n = shape
+    fields = []
+    for bump in scalar_bumps(domain, 3):
+        for i in range(N):
+            for j in range(n):
+                E = np.zeros((N, n))
+                E[i, j] = 1.0
+
+                def phi(nodes, _b=bump, _E=E):
+                    return np.asarray(_b(nodes))[:, None, None] * _E[None]
+
+                fields.append(phi)
+    return fields
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_matrix_test_fields_keep_the_kept_order(shape):
+    from bvcalc.bv import matrix_test_fields
+
+    dom = interval(16) if shape[1] == 1 else unit_square(8)
+    nodes, _ = dom.cell_rule()
+    new, old = matrix_test_fields(dom, shape), _old_matrix_test_fields(dom, shape)
+    assert len(new) == len(old) == 3 ** dom.dim * shape[0] * shape[1]
+    assert all(np.array_equal(a(nodes), b(nodes)) for a, b in zip(new, old))

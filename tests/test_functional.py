@@ -273,6 +273,24 @@ def test_relaxation_no_admissible_signal(setting):
     assert res.value is None
 
 
+@pytest.mark.parametrize("flagged, status", [(False, "not_decomposable"), (True, "ok")])
+def test_relaxation_status_when_mu_does_not_decompose(flagged, status):
+    d = Domain((0.0, 1.0), 64)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=flagged
+    )
+    u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
+    spec = FunctionalSpec(make_area(), mu, d)
+    res = relaxation_upper_bound(u, spec, [("self", lambda j: u)])
+    assert res.status == status
+    if flagged:
+        assert res.value == evaluate(u, spec.without_boundary()).total
+        assert res.members == [("self", True, 0.0, res.value)] and res.best_id == "self"
+    else:
+        assert (res.value, res.best_id, res.members) == (None, None, [("self", True, 0.0, None)])
+
+
 def test_relaxation_recovery_by_mollification(setting):
     d, reg, mu = setting
     h = heaviside_1d(d, 0.5, registry=reg)

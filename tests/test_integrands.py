@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,3 +340,134 @@ def test_sq_envelope_one_homogeneous_base():
     assert G1(None, np.array([[0.0]])) == pytest.approx(0.0, abs=1e-12)
     A = random_matrices(200, 1, 1, radius=30, seed=5)
     assert np.all(G1(None, A) >= make_norm()(None, A) - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# folded transforms, directions and radius search against kept copies of the
+# code they replaced: values stay bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _old_transform_T(f):
+    from bvcalc.measures import frobenius
+
+    def Tf(x, B):
+        B = np.asarray(B, dtype=float)
+        scalar = B.ndim == 2
+        Bb = B[None] if scalar else B
+        r = frobenius(Bb)
+        if np.any(r >= 1.0):
+            raise IntegrandError("transform argument must satisfy |B| < 1")
+        scale = 1.0 - r
+        vals = scale * np.asarray(f(x, Bb / scale[:, None, None]))
+        return float(vals[0]) if scalar else vals
+
+    return Tf
+
+
+def _old_transform_T_inv(g):
+    from bvcalc.measures import frobenius
+
+    def Tinv(x, A):
+        A = np.asarray(A, dtype=float)
+        scalar = A.ndim == 2
+        Ab = A[None] if scalar else A
+        scale = 1.0 + frobenius(Ab)
+        vals = scale * np.asarray(g(x, Ab / scale[:, None, None]))
+        return float(vals[0]) if scalar else vals
+
+    return Tinv
+
+
+def _old_fixed_directions(N, n, seed):
+    from bvcalc.measures import frobenius
+
+    dirs = []
+    for i in range(N):
+        for j in range(n):
+            E = np.zeros((N, n))
+            E[i, j] = 1.0
+            dirs.append(E)
+    dirs.append(np.ones((N, n)) / math.sqrt(N * n))
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        D = rng.standard_normal((N, n))
+        dirs.append(D / frobenius(D))
+    return dirs
+
+
+def _old_sq_radius(F, i):
+    from bvcalc.measures import frobenius
+
+    if F.has_analytic_recession():
+        slope = lambda A: F.recession(None, A)
+    else:
+        slope = lambda A: generalized_recession(F, A).value
+    radii = [2.0**k for k in range(0, 21)]
+    mags = sorted(set(radii) | {1.5 * r for r in radii[:-1]})
+    values = {}
+    dirs = _old_fixed_directions(*F.dims, 9)
+    for D in dirs:
+        for m in mags:
+            A = m * np.asarray(D)
+            values[(id(D), m)] = (float(np.asarray(F(None, A))), slope(A) + frobenius(A) / i - i)
+    for r in radii:
+        good = True
+        for D in dirs:
+            for m in mags:
+                if m < r:
+                    continue
+                fv, bv = values[(id(D), m)]
+                if fv > bv + 1e-12 * (1 + abs(fv)):
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            return r
+    return None
+
+
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.name)
+def test_transforms_equal_the_kept_copies(f):
+    x = np.random.default_rng(1).uniform(0, 1, size=(200, 1))
+    B = random_matrices(200, 1, 1, radius=0.999, seed=5)
+    A = random_matrices(200, 1, 1, radius=1e4, seed=6)
+    for new, old, batch in (
+        (transform_T(f), _old_transform_T(f), B),
+        (transform_T_inv(f), _old_transform_T_inv(f), A),
+        (transform_T(transform_T_inv(f)), _old_transform_T(_old_transform_T_inv(f)), B),
+    ):
+        assert np.array_equal(new(x, batch), old(x, batch))
+        for k in (0, 17, 199):
+            assert new(x[k], batch[k]) == old(x[k], batch[k])
+            assert type(new(x[k], batch[k])) is float
+    for bad in (np.array([[1.0]]), np.array([[-1.5]]), np.concatenate([B[:3], [[[1.0]]]])):
+        for Tf in (transform_T(f), _old_transform_T(f)):
+            with pytest.raises(IntegrandError, match=r"^transform argument must satisfy \|B\| < 1$"):
+                Tf(None, bad)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_fixed_directions_keep_their_order(dims):
+    from bvcalc.integrands import _fixed_directions
+
+    for seed in (9, 2024):
+        new, old = _fixed_directions(*dims, seed), _old_fixed_directions(*dims, seed)
+        assert len(new) == len(old) == dims[0] * dims[1] + 9
+        assert all(a.shape == b.shape == dims and np.array_equal(a, b) for a, b in zip(new, old))
+
+
+_NO_ANALYTIC_AREA = Integrand(
+    "area-no-recession", (1, 1), make_area().fn, 1.0, 1.0, convexity="convex"
+)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [make_norm(), make_area(), make_shifted_norm(), make_norm(2, 2), _NO_ANALYTIC_AREA],
+    ids=["norm", "area", "shifted-norm", "norm-2x2", "area-no-recession"],
+)
+def test_sq_radius_equals_the_kept_search(F):
+    for i in (1, 2, 4, 8):
+        assert sq_envelope(F, i).radius == _old_sq_radius(F, i)

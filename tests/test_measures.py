@@ -1345,6 +1345,15 @@ def test_densities_keep_their_slack():
         ({"segments": [{"from": [0.0], "to": [1.0], "density": "1"}]}, "'segments' must be"),
         ({"atoms": 3}, "'atoms' must be a list of"),
         ({"density": [1.0, 2.0]}, "needs 16 values per axis"),
+        ({"atoms": [["a", 1.0]]}, "^atom point must be numeric, got 'a'$"),
+        ({"atoms": [[0.5, "w"]]}, r"^atom weight must be numeric of shape \(\), got 'w'$"),
+        ({"breaks": "x"}, "^breakpoints must be numbers, a pair of lists in 2D, got 'x'$"),
+        ({"density": {}}, "^a cell-wise 'density' must be numeric, got {}$"),
+        ([{"atoms": []}], r"^a measure must be an object, got \[{'atoms': \[\]}\]$"),
+        (
+            {"segments": [{"id": "s", "from": [0.0, 1.0], "to": [1.0, 0.0], "density": "1"}]},
+            "^'segments' are carriers of a 2D domain$",
+        ),
     ],
 )
 def test_scalar_from_json_malformed_raises_measure_error(doc, message):
@@ -1353,9 +1362,26 @@ def test_scalar_from_json_malformed_raises_measure_error(doc, message):
     dom = Domain((0.0, 1.0), 16)
     with pytest.raises(MeasureError, match=message):
         ScalarRadonMeasure.from_json(dom, doc)
+    if not isinstance(doc, dict):
+        return  # a Young measure rejects a non-object 'lambda' itself
     young_doc = {"nu": [{"atoms": [[[[0.0]], 1.0]]}], "lambda": doc}
     with pytest.raises(MeasureError, match=message):
         GeneralizedYoungMeasure.from_json(dom, young_doc, lebesgue(dom))
+
+
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        ({"from": [0.0], "to": [1.0]}, r"^'from' of a segment must be numeric of shape \(2,\)"),
+        ({"from": "ab", "to": [1.0, 0.5]}, r"^'from' of a segment must be numeric of shape \(2,\)"),
+        ({"from": [0.5, 0.0], "to": [0.5, 1.0], "normal": "x"}, "^'normal' of a segment"),
+    ],
+)
+def test_scalar_from_json_2d_segment_coordinates_are_checked(segment, message):
+    dom = Domain(((0.0, 1.0), (0.0, 1.0)), 8)
+    doc = {"segments": [dict(segment, id="s", density="1")]}
+    with pytest.raises(MeasureError, match=message):
+        ScalarRadonMeasure.from_json(dom, doc)
 
 
 def test_scalar_from_json_well_formed_documents():
@@ -1380,3 +1406,135 @@ def test_coincident_atoms_are_merged_in_first_occurrence_order():
     ]
     with pytest.raises(MeasureError, match="nonnegative"):
         ScalarRadonMeasure(dom, atoms=(((0.5,), 2.0), ((0.5,), -1.0)))
+
+
+# ---------------------------------------------------------------------------
+# folded quadrature and face tables against kept copies of the code they
+# replaced: nodes, weights, normals and carriers stay bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _old_cell_rule(dom, breaks=None, region=None):
+    from bvcalc.measures import _as_bounds, _normalize_breaks, _refined_edges, in_box
+
+    axis_breaks = _normalize_breaks(breaks, dom.dim)
+    if region is not None:
+        region = _as_bounds(region, allow_empty=True)
+        axis_breaks = tuple(
+            tuple(sorted(set(axis_breaks[k]) | set(region[k]))) for k in range(dom.dim)
+        )
+    axis_edges = [
+        _refined_edges(lo, hi, dom.resolution, axis_breaks[k]) for k, (lo, hi) in enumerate(dom.box)
+    ]
+    mids = [0.5 * (e[1:] + e[:-1]) for e in axis_edges]
+    widths = [np.diff(e) for e in axis_edges]
+    if dom.dim == 1:
+        nodes = mids[0][:, None]
+        weights = widths[0]
+    else:
+        gx, gy = np.meshgrid(mids[0], mids[1], indexing="ij")
+        wx, wy = np.meshgrid(widths[0], widths[1], indexing="ij")
+        nodes = np.column_stack([gx.ravel(), gy.ravel()])
+        weights = (wx * wy).ravel()
+    keep = weights > 1e-300
+    nodes, weights = nodes[keep], weights[keep]
+    if region is not None:
+        inside = in_box(nodes, region)
+        nodes, weights = nodes[inside], weights[inside]
+    return nodes, weights
+
+
+def _old_gauss_cell_rule(dom, breaks=None):
+    from bvcalc.measures import _gl3, _normalize_breaks, _refined_edges
+
+    axis_breaks = _normalize_breaks(breaks, dom.dim)
+    axis_nodes, axis_weights = zip(*[
+        _gl3(_refined_edges(lo, hi, dom.resolution, axis_breaks[k]))
+        for k, (lo, hi) in enumerate(dom.box)
+    ])
+    if dom.dim == 1:
+        return axis_nodes[0][:, None], axis_weights[0]
+    gx, gy = np.meshgrid(axis_nodes[0], axis_nodes[1], indexing="ij")
+    wx, wy = np.meshgrid(axis_weights[0], axis_weights[1], indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()]), (wx * wy).ravel()
+
+
+def _old_boundary_rule(dom):
+    from bvcalc.measures import _gl3
+
+    if dom.dim == 1:
+        (lo, hi), = dom.box
+        return np.array([[lo], [hi]]), np.array([1.0, 1.0]), np.array([[1.0], [-1.0]])
+    (ax, bx), (ay, by) = dom.box
+    pts, wts, nms = [], [], []
+    for fixed_axis, fixed_val, normal in (
+        (0, ax, (1.0, 0.0)),
+        (0, bx, (-1.0, 0.0)),
+        (1, ay, (0.0, 1.0)),
+        (1, by, (0.0, -1.0)),
+    ):
+        lo, hi = dom.box[1 - fixed_axis]
+        t, w = _gl3(np.linspace(lo, hi, dom.resolution + 1))
+        p = np.empty((len(t), 2))
+        p[:, fixed_axis] = fixed_val
+        p[:, 1 - fixed_axis] = t
+        pts.append(p)
+        wts.append(w)
+        nms.append(np.tile(normal, (len(t), 1)))
+    return np.concatenate(pts), np.concatenate(wts), np.concatenate(nms)
+
+
+def _old_boundary_carriers(registry, domain, prefix="bnd"):
+    if domain.dim == 1:
+        (lo, hi), = domain.box
+        return [
+            registry.register_point(f"{prefix}:left", (lo,)),
+            registry.register_point(f"{prefix}:right", (hi,)),
+        ]
+    (ax, bx), (ay, by) = domain.box
+    spec = [
+        ("left", (ax, ay), (ax, by), (1.0, 0.0)),
+        ("right", (bx, ay), (bx, by), (-1.0, 0.0)),
+        ("bottom", (ax, ay), (bx, ay), (0.0, 1.0)),
+        ("top", (ax, by), (bx, by), (0.0, -1.0)),
+    ]
+    return [registry.register_segment(f"{prefix}:{n}", p, q, normal=nrm) for n, p, q, nrm in spec]
+
+
+_FOLD_DOMAINS = [Domain((0.0, 1.0), 16), Domain((-1.0, 2.5), 7), Domain(((0.0, 1.0), (-1.0, 2.0)), 8)]
+
+
+@pytest.mark.parametrize("dom", _FOLD_DOMAINS, ids=["unit-interval", "interval", "rectangle"])
+def test_cell_rules_equal_the_kept_per_dimension_copies(dom):
+    cases = [(None, None)]
+    if dom.dim == 1:
+        cases += [((0.3, 1.0 / 3.0, 0.55), None), (None, (0.2, 0.7)), ((0.3,), (0.3, 0.3)), ((0.5,), (0.25, 0.7))]
+    else:
+        cases += [(((0.3,), (0.1, 0.45)), None), (None, ((0.1, 0.6), (0.0, 1.5))),
+                  (((1.0 / 3.0,), ()), ((0.2, 0.2), (-1.0, 2.0)))]
+    for breaks, region in cases:
+        new, old = dom.cell_rule(breaks, region), _old_cell_rule(dom, breaks, region)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(new, old))
+        new, old = dom.gauss_cell_rule(breaks), _old_gauss_cell_rule(dom, breaks)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(new, old))
+
+
+@pytest.mark.parametrize("dom", _FOLD_DOMAINS, ids=["unit-interval", "interval", "rectangle"])
+def test_boundary_rule_and_carriers_equal_the_kept_copies(dom):
+    for a, b in zip(dom.boundary_rule(), _old_boundary_rule(dom)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    new, old = CarrierRegistry(), CarrierRegistry()
+    assert new.boundary_carriers(dom, prefix="ext") == _old_boundary_carriers(old, dom, prefix="ext")
+
+
+def test_construction_checks_report_the_carrier_before_the_atoms():
+    """Both measures check the registry in one shared step, after merging the
+    atoms; a measure failing both checks names the unregistered carrier."""
+    dom, dom2 = interval(16), unit_square(8)
+    unregistered = (("c", lambda p: np.ones(len(p))),)
+    with pytest.raises(MeasureError, match="^carrier 'c' not in registry$"):
+        ScalarRadonMeasure(dom, atoms=(((0.5,), -1.0),), carrier_parts=unregistered)
+    with pytest.raises(MeasureError, match="^carrier 'c' not in registry$"):
+        MatrixRadonMeasure(dom2, (1, 2), atoms=(((0.5, 0.5), [[1.0, 0.0]]),), carrier_parts=unregistered)
+    with pytest.raises(MeasureError, match="^atomic parts are only permitted in 1D$"):
+        MatrixRadonMeasure(dom2, (1, 2), atoms=(((0.5, 0.5), [[1.0, 0.0]]),))

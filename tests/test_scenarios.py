@@ -77,6 +77,32 @@ def test_run_parser_defaults_are_run_config_defaults():
         assert getattr(args, name) == getattr(config, name)
 
 
+def test_field_dicts_list_every_field_in_declaration_order(monkeypatch):
+    from bvcalc import cli
+    from bvcalc.functional import EvaluationBreakdown
+    from bvcalc.scenarios import Clause, ScenarioResult
+
+    config = RunConfig(scenario="example1", resolution=64, jmax=32, tolerance=1e-7, seed=3, output="o")
+    assert list(config.as_dict().items()) == [
+        ("scenario", "example1"), ("resolution", 64), ("jmax", 32), ("tolerance", 1e-7), ("seed", 3)
+    ]
+    parts = EvaluationBreakdown(1.0, 2.0, 3.0, 4.0, 5.0).as_dict()
+    assert list(parts.items()) == [
+        ("ac_cells", 1.0), ("ac_atoms", 2.0), ("ac_carriers", 3.0), ("singular", 4.0),
+        ("boundary", 5.0), ("total", 15.0),
+    ]
+    clause = Clause("c", True, {"per_probe": [1.0, None]}, "<= 1")
+    report = ScenarioResult("s", [clause], {}).report(config, "hash")
+    assert [list(c.items()) for c in report["clauses"]] == [
+        [("name", "c"), ("passed", True), ("value", {"per_probe": [1.0, None]}), ("target", "<= 1")]
+    ]
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda c: (seen.append(c), (0, ScenarioResult("s", [], {})))[1])
+    argv = ["run", "--scenario", "example1", "--resolution", "64", "--jmax", "32"]
+    assert cli_main(argv + ["--tolerance", "1e-7", "--seed", "3", "--output", "o"]) == 0
+    assert seen == [config]
+
+
 def test_unknown_scenario_is_usage_error():
     with pytest.raises(ScenarioError):
         run(RunConfig(scenario="definitely-not-a-scenario"))

@@ -9,6 +9,11 @@ and the captured stdout and stderr.  The ``builder_hash`` line of a report
 hashes the package source, so it is the one line left out of the
 comparison.  Exits 1 on any difference, 0 otherwise.  Standard library
 only; scenarios run one after another.
+
+It also prints each tree's total line count of ``src/bvcalc/*.py`` (as
+``wc -l`` counts them), for information: the totals are not compared, so
+a change that claims to shrink the package can be read off the same run
+that checks its output.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ def scenario_ids(tree):
     if listing.returncode != 0:
         raise SystemExit(f"bvcalc list failed in {tree}:\n{listing.stderr.decode()}")
     return [line.split()[0] for line in listing.stdout.decode().splitlines() if line.strip()]
+
+
+def source_lines(tree):
+    """Newlines in the package modules of ``tree``, summed like ``wc -l``."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(tree, "src", "bvcalc").glob("*.py"))
 
 
 def run_scenario(tree, sid, out):
@@ -73,6 +83,8 @@ def main(argv=None):
     if ids != ids_b:
         print(f"scenario lists differ: {ids} vs {ids_b}")
         return 1
+    for tree in (args.tree_a, args.tree_b):
+        print(f"lines {tree}: {source_lines(tree)} in src/bvcalc/*.py (not compared)")
     failed = 0
     with tempfile.TemporaryDirectory(prefix="report-identity-") as tmp:
         for sid in ids:
