@@ -329,77 +329,6 @@ def derivative(u):
     )
 
 
-@dataclass
-class SmoothTestFunction:
-    """Scalar C^1 test function vanishing on the domain boundary."""
-
-    value: object  # nodes -> (M,)
-    grad: object  # nodes -> (M, dim)
-    label: str = "test"
-
-
-def random_polynomial_test(domain, seed=0):
-    """Random polynomial times the boundary-vanishing box factor; gradient
-    is analytic, so both sides of the parts formula stay polynomial."""
-    degree = 2
-    rng = np.random.default_rng(seed)
-    bounds = domain.box
-    if domain.dim == 1:
-        coef = rng.uniform(-1, 1, size=degree + 1)
-        (a, b), = bounds
-
-        def q(x):
-            return np.polynomial.polynomial.polyval(x, coef)
-
-        def dq(x):
-            return np.polynomial.polynomial.polyval(
-                x, np.polynomial.polynomial.polyder(coef)
-            )
-
-        def value(nodes):
-            x = nodes[:, 0]
-            return q(x) * (x - a) * (b - x)
-
-        def grad(nodes):
-            x = nodes[:, 0]
-            g = dq(x) * (x - a) * (b - x) + q(x) * ((b - x) - (x - a))
-            return g[:, None]
-
-        return SmoothTestFunction(value, grad, label=f"poly1d[{seed}]")
-    coef = rng.uniform(-1, 1, size=(degree + 1, degree + 1))
-    for p in range(degree + 1):
-        for qd in range(degree + 1):
-            if p + qd > degree:
-                coef[p, qd] = 0.0
-    (ax, bx), (ay, by) = bounds
-
-    def q2(x, y):
-        return np.polynomial.polynomial.polyval2d(x, y, coef)
-
-    dcx = np.polynomial.polynomial.polyder(coef, axis=0)
-    dcy = np.polynomial.polynomial.polyder(coef, axis=1)
-
-    def value(nodes):
-        x, y = nodes[:, 0], nodes[:, 1]
-        return q2(x, y) * (x - ax) * (bx - x) * (y - ay) * (by - y)
-
-    def grad(nodes):
-        x, y = nodes[:, 0], nodes[:, 1]
-        bump_x = (x - ax) * (bx - x)
-        bump_y = (y - ay) * (by - y)
-        gx = (
-            np.polynomial.polynomial.polyval2d(x, y, dcx) * bump_x
-            + q2(x, y) * ((bx - x) - (x - ax))
-        ) * bump_y
-        gy = (
-            np.polynomial.polynomial.polyval2d(x, y, dcy) * bump_y
-            + q2(x, y) * ((by - y) - (y - ay))
-        ) * bump_x
-        return np.column_stack([gx, gy])
-
-    return SmoothTestFunction(value, grad, label=f"poly2d[{seed}]")
-
-
 def verify_integration_by_parts(u, psi, comp_i=0, comp_j=0):
     """|LHS + RHS| for the parts formula
 
@@ -728,39 +657,6 @@ def affine_2d(domain, matrix, offset=None, registry=None):
         [piece],
         registry=registry if registry is not None else CarrierRegistry(),
         structure={"kind": "affine_2d"},
-    )
-
-
-def vertical_step_2d(domain, threshold=0.5, registry=None, carrier_id=None):
-    """Indicator-type step across the vertical line x_1 = threshold (scalar
-    valued); the jump carrier is the full vertical segment."""
-    registry = registry if registry is not None else CarrierRegistry()
-    (ax, bx), (ay, by) = domain.box
-    cid = carrier_id or f"vline:{threshold:.12g}"
-    registry.register_segment(cid, (threshold, ay), (threshold, by), normal=(1.0, 0.0))
-    left = Piece(
-        region=((ax, threshold), (ay, by)),
-        u=lambda nodes: np.zeros((len(nodes), 1)),
-        grad=lambda nodes: np.zeros((len(nodes), 1, 2)),
-    )
-    right = Piece(
-        region=((threshold, bx), (ay, by)),
-        u=lambda nodes: np.ones((len(nodes), 1)),
-        grad=lambda nodes: np.zeros((len(nodes), 1, 2)),
-    )
-    jump = Jump(
-        cid,
-        plus=lambda pts: np.ones((len(pts), 1)),
-        minus=lambda pts: np.zeros((len(pts), 1)),
-    )
-    return BVFunction(
-        domain,
-        1,
-        [left, right],
-        jumps=[jump],
-        registry=registry,
-        breaks=((threshold,), ()),
-        structure={"kind": "vertical_step"},
     )
 
 

@@ -94,31 +94,6 @@ class Integrand:
     def has_analytic_recession(self):
         return self.recession_analytic is not None
 
-    def validate_growth(self):
-        """Sampled growth bounds and 1-homogeneity of the declared
-        recession; raises on violation."""
-        N, n = self.dims
-        samples = 1000
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((samples, N, n))
-        A *= (rng.uniform(0, 1e3, size=samples) / np.maximum(frobenius(A), 1e-12))[
-            :, None, None
-        ]
-        x = rng.uniform(0, 1, size=(samples, n))
-        vals = self(x, A)
-        mags = frobenius(A)
-        if np.any(vals < self.growth_m * mags - 1e-9 * (1 + mags)):
-            raise IntegrandError(f"{self.name}: lower growth bound violated")
-        if np.any(vals > self.growth_M * (1 + mags) + 1e-9 * (1 + mags)):
-            raise IntegrandError(f"{self.name}: upper growth bound violated")
-        if self.recession_analytic is not None:
-            for s in (0.5, 2.0, 10.0):
-                r1 = self.recession(x, s * A)
-                r0 = self.recession(x, A)
-                if np.any(np.abs(r1 - s * r0) > 1e-9 * (1 + s * mags)):
-                    raise IntegrandError(f"{self.name}: recession not 1-homogeneous")
-        return True
-
 
 @dataclass
 class SQIntegrand(Integrand):

@@ -211,10 +211,8 @@ def _normalize_breaks(breaks, dim):
     if breaks is None:
         return tuple(() for _ in range(dim))
     try:
-        if dim == 1:
-            if len(breaks) and np.isscalar(breaks[0]):
-                return (tuple(map(float, breaks)),)
-            return (tuple(map(float, breaks[0] if len(breaks) else ())),)
+        if dim == 1 and (not len(breaks) or np.isscalar(breaks[0])):
+            return (tuple(map(float, breaks)),)
         if len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
             return tuple(tuple(map(float, b)) for b in breaks)
     except (LookupError, TypeError, ValueError):
@@ -232,6 +230,8 @@ def as_floats(value, what, shape=None, error=MeasureError):
     if out is None or (shape is not None and out.shape != shape):
         shaped = "" if shape is None else f" of shape {shape}"
         raise error(f"{what} must be numeric{shaped}, got {value!r}")
+    if not np.isfinite(out).all():
+        raise error(f"{what} must be finite, got {value!r}")
     return out
 
 
@@ -389,13 +389,10 @@ class CarrierRegistry:
 
 class _StructuredMeasure:
     """What scalar and matrix measures share: carriers looked up in the
-    registry, and the test for having no part at all."""
+    registry, and their construction."""
 
     def carrier(self, cid):
         return self.registry[cid]
-
-    def is_structurally_zero(self):
-        return self.density is None and not self.carrier_parts and not self.atoms
 
     def _normalize(self, value):
         """Construction shared by both measures: atoms as (point, ``value``)
@@ -475,18 +472,17 @@ class ScalarRadonMeasure(_StructuredMeasure):
             raise MeasureError(f"'atoms' must be a list of [point, weight] pairs, got {atoms!r}")
         keys = {"id", "from", "to", "density"}
         if not isinstance(segments, list) or any(
-            type(g) is not dict or keys - g.keys() for g in segments
+            type(g) is not dict or keys - g.keys() or type(g["id"]) is not str for g in segments
         ):
-            raise MeasureError(f"'segments' must be a list of objects with keys {sorted(keys)}")
+            raise MeasureError(f"'segments' must be a list of objects with keys {sorted(keys)}, 'id' a string")
         if segments and domain.dim == 1:
             raise MeasureError("'segments' are carriers of a 2D domain")
         atoms = [(as_floats(p, "atom point"), as_floats(w, "atom weight", ())) for p, w in atoms]
         atoms = tuple((np.atleast_1d(p), float(w)) for p, w in atoms)
         parts = []
         for seg in segments:
-            for key in ("from", "to", "normal"):
-                if seg.get(key) is not None:
-                    as_floats(seg[key], f"{key!r} of a segment", (2,))
+            for key in ("from", "to") if seg.get("normal") is None else ("from", "to", "normal"):
+                as_floats(seg[key], f"{key!r} of a segment", (2,))
             carrier = registry.register_segment(
                 seg["id"], seg["from"], seg["to"], normal=seg.get("normal")
             )
@@ -773,9 +769,6 @@ class MuDecomposition:
         self._on_part.update((tuple(p), _repeated(v)) for p, _, v in self.atom_values)
         self._on_part.update((cid, ratio) for cid, _, ratio in self.carrier_fns)
 
-    def is_absolutely_continuous(self):
-        return self.remainder.is_structurally_zero()
-
     def density_on(self, part, points):
         """dgamma/dmu at ``points`` of one part of mu (as built by
         :func:`measure_parts`), of shape (M,) + gamma.shape."""
@@ -848,32 +841,6 @@ def rn_decompose(gamma, mu):
 # The decomposition of a scalar measure is the shape-() case of rn_decompose;
 # the name stays because benchmark tracing resolves it.
 scalar_rn_decompose = rn_decompose
-
-
-def absolutely_continuous_part(decomp):
-    """Reassemble (dgamma/dmu) mu as a MatrixRadonMeasure."""
-    gamma, mu = decomp.gamma, decomp.mu
-
-    def density(pts):
-        return decomp.cell_fn(pts) * np.asarray(mu.density_at(pts))[:, None, None]
-
-    parts = []
-    for cid, mfn, ratio in decomp.carrier_fns:
-
-        def part(p, _m=mfn, _r=ratio):
-            return _r(p) * np.asarray(_m(p))[:, None, None]
-
-        parts.append((cid, part))
-    atoms = [(p, w * v) for p, w, v in decomp.atom_values]
-    return MatrixRadonMeasure(
-        gamma.domain,
-        gamma.shape,
-        density=density,
-        carrier_parts=tuple(parts),
-        atoms=tuple(atoms),
-        registry=gamma.registry,
-        breaks=merge_breaks(gamma.domain.dim, gamma.breaks, mu.breaks),
-    )
 
 
 def measure_distance(g1, g2):

@@ -655,23 +655,13 @@ def scenario_example1(config):
     # lower bound min_c integral over the hole of |u - c| by radial quadrature
     m = 100_000
     s = (np.arange(m) + 0.5) / m  # rho / bump_radius on (0, 1]; u = 0 beyond
-    vals = _bump_profile_radial(s)
-    ring = 2.0 * math.pi * bump_radius**2 * s / m
-    # extend to the full hole where u = 0
-    pad_area = math.pi * (hole_radius**2 - bump_radius**2)
-
-    def l1_distance_to_const(c):
-        return float(np.dot(ring, np.abs(vals - c))) + pad_area * abs(c)
-
-    cs = np.linspace(0.0, 1.0, 201)
-    best = min(cs, key=l1_distance_to_const)
-    for _ in range(40):  # ternary refinement of the convex profile
-        lo, hi = max(0.0, best - 0.01), min(1.0, best + 0.01)
-        grid = np.linspace(lo, hi, 41)
-        previous, best = best, min(grid, key=l1_distance_to_const)
-        if best == previous:  # fixed point: the next grid would be the same
-            break
-    lower_bound = l1_distance_to_const(best)
+    vals = np.append(_bump_profile_radial(s), 0.0)  # the value 0 on the rest of the hole
+    weights = np.append(2.0 * math.pi * bump_radius**2 * s / m, math.pi * (hole_radius**2 - bump_radius**2))
+    # sum w_i |v_i - c| is minimized by the weighted median of the v_i
+    order = np.argsort(vals, kind="stable")
+    cum = np.cumsum(weights[order])
+    best = vals[order][np.searchsorted(cum, 0.5 * cum[-1])]
+    lower_bound = float(np.dot(weights, np.abs(vals - best)))
 
     clauses = [
         _clause(
@@ -735,26 +725,17 @@ def carpet_holes(depth):
 
 def carpet_lower_bound(depth):
     """min over constants c of the integral over the depth-k carpet of
-    |x - c|, via exact per-hole sums (holes are axis-aligned squares)."""
+    |x - c|, via exact per-hole sums (holes are axis-aligned squares).
+    The holes map onto themselves under x -> 1 - x, so the convex
+    integral is least at c = 1/2."""
+    c = 0.5
     x0, x1, y0, y1 = np.array([(0.0, 1.0, 0.0, 1.0)] + carpet_holes(depth)).T
-
-    def value(c):
-        # integral of |x - c| over each square: (y1 - y0) [a|a|/2] from a0 to a1
-        a0, a1 = x0 - c, x1 - c
-        square, *hole_terms = ((y1 - y0) * (0.5 * a1 * np.abs(a1) - 0.5 * a0 * np.abs(a0))).tolist()
-        for term in hole_terms:  # the unit square minus each hole, in order: np.sum rounds differently
-            square -= term
-        return square
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):  # ternary search on a convex function
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        bracket = (lo, m2) if value(m1) <= value(m2) else (m1, hi)
-        if bracket == (lo, hi):  # fixed point: every later step repeats this one
-            break
-        lo, hi = bracket
-    c = 0.5 * (lo + hi)
-    return value(c), c
+    # integral of |x - c| over each square: (y1 - y0) [a|a|/2] from a0 to a1
+    a0, a1 = x0 - c, x1 - c
+    square, *hole_terms = ((y1 - y0) * (0.5 * a1 * np.abs(a1) - 0.5 * a0 * np.abs(a0))).tolist()
+    for term in hole_terms:  # the unit square minus each hole, in order: np.sum rounds differently
+        square -= term
+    return square, c
 
 
 def carpet_indicator(holes):

@@ -14,9 +14,7 @@ from bvcalc.bv import (
     heaviside_1d,
     piecewise_affine_1d,
     ramp_1d,
-    random_polynomial_test,
     sawtooth_1d,
-    vertical_step_2d,
     verify_integration_by_parts,
     derivative,
 )
@@ -59,6 +57,8 @@ from bvcalc.young import (
     jensen_check_lebesgue,
     jensen_check_mu,
 )
+
+from helpers import random_polynomial_test, vertical_step_2d
 
 CATALOG = [
     make_norm(),

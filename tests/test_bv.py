@@ -7,7 +7,6 @@ from bvcalc.bv import (
     CatalogError,
     Jump,
     Piece,
-    SmoothTestFunction,
     affine_2d,
     boundary_trace,
     convergence_report,
@@ -15,11 +14,9 @@ from bvcalc.bv import (
     heaviside_1d,
     piecewise_affine_1d,
     ramp_1d,
-    random_polynomial_test,
     sawtooth_1d,
     smooth_dirichlet_approximation,
     smooth_selected_jumps,
-    vertical_step_2d,
     verify_integration_by_parts,
     zero_extension,
 )
@@ -29,6 +26,8 @@ from bvcalc.measures import (
     area_functional,
     total_variation,
 )
+
+from helpers import SmoothTestFunction, random_polynomial_test, vertical_step_2d
 
 
 def interval(resolution=256):
@@ -358,6 +357,11 @@ _PIECE = {"u": ["x"], "grad": ["1"]}
             {"pieces": [_PIECE], "jumps": [{"carrier": "j", "plus": ["1"], "minus": ["0"],
                                             "orientation": "up"}]},
             "a jump's 'orientation' must be numeric of shape (), got 'up'",
+        ),
+        ({"pieces": [_PIECE], "breaks": [[0.3], [0.7]]}, "'breaks': breakpoints must be numbers"),
+        (
+            {"pieces": [dict(_PIECE, breaks=[[0.3], [0.7]])]},
+            "'breaks': breakpoints must be numbers, a pair of lists in 2D, got [[0.3], [0.7]]",
         ),
     ],
 )

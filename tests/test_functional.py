@@ -88,7 +88,7 @@ def test_evaluate_heaviside_against_lebesgue(setting):
 def test_evaluate_carrier_absorbed_jump_2d():
     d = Domain(((0.0, 1.0), (0.0, 1.0)), 32)
     reg = CarrierRegistry()
-    from bvcalc.bv import vertical_step_2d
+    from helpers import vertical_step_2d
 
     u = vertical_step_2d(d, 0.5, registry=reg)
     mu = ScalarRadonMeasure(

@@ -27,6 +27,8 @@ from bvcalc.integrands import (
     x_modulated,
 )
 
+from helpers import validate_growth
+
 CATALOG = [
     make_norm(),
     make_area(),
@@ -52,7 +54,7 @@ def random_matrices(count, N, n, radius, seed):
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.name)
 def test_catalog_growth_bounds(f):
-    assert f.validate_growth()
+    assert validate_growth(f)
 
 
 # ---------------------------------------------------------------------------

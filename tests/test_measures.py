@@ -10,7 +10,6 @@ from bvcalc.measures import (
     MatrixRadonMeasure,
     MeasureError,
     ScalarRadonMeasure,
-    absolutely_continuous_part,
     area_functional,
     lebesgue,
     measure_distance,
@@ -19,6 +18,8 @@ from bvcalc.measures import (
     rn_decompose,
     total_variation,
 )
+
+from helpers import absolutely_continuous_part, is_absolutely_continuous, is_structurally_zero
 
 
 def interval(resolution=128):
@@ -131,7 +132,7 @@ def test_rn_decompose_atom_shared():
     assert len(dec.atom_values) == 1
     _, w, v = dec.atom_values[0]
     assert w == 1.0 and v[0, 0] == pytest.approx(1.0)
-    assert dec.remainder.is_structurally_zero()
+    assert is_structurally_zero(dec.remainder)
 
 
 def test_rn_decompose_jump_not_seen_by_mu():
@@ -150,7 +151,7 @@ def test_rn_decompose_jump_not_seen_by_mu():
     dec = rn_decompose(gamma, mu)
     nodes, _ = dom.cell_rule()
     assert np.allclose(dec.cell_fn(nodes), 0.0)
-    assert not dec.remainder.is_structurally_zero()
+    assert not is_structurally_zero(dec.remainder)
     assert total_variation(dec.remainder) == pytest.approx(1.0, abs=1e-12)
     assert mutually_singular(dec.remainder, _as_matrix(mu))
 
@@ -184,7 +185,7 @@ def test_rn_decompose_proportional():
     for cid, _, ratio in dec.carrier_fns:
         pts, _ = reg[cid].rule(dom.resolution)
         assert np.allclose(ratio(pts), c, rtol=1e-13)
-    assert dec.remainder.is_structurally_zero()
+    assert is_structurally_zero(dec.remainder)
 
 
 def test_rn_decompose_requires_domination_flag():
@@ -674,13 +675,13 @@ def test_scalar_rn_decompose_is_the_shape_0_case():
     assert [(tuple(p), w) for p, w in rem.atoms] == [(tuple(p), w) for p, w in old_rem.atoms]
     assert rem.carrier_parts == old_rem.carrier_parts
     assert rem.breaks == old_rem.breaks and rem.mass() == old_rem.mass()
-    assert not dec.is_absolutely_continuous()
+    assert not is_absolutely_continuous(dec)
     # without the unshared atom and carrier lambda is absolutely continuous
     lam_ac = ScalarRadonMeasure(
         dom, density=lam.density, atoms=lam.atoms[:1], carrier_parts=lam.carrier_parts[:1],
         registry=reg,
     )
-    assert rn_decompose(lam_ac, mu).is_absolutely_continuous()
+    assert is_absolutely_continuous(rn_decompose(lam_ac, mu))
 
 
 def test_scalar_rn_decompose_2d_segment_rejection_unchanged():
@@ -779,7 +780,7 @@ def test_evaluate_breakdown_matches_the_old_loops():
 
 
 def test_evaluate_breakdown_matches_the_old_loops_2d_carriers():
-    from bvcalc.bv import vertical_step_2d
+    from helpers import vertical_step_2d
     from bvcalc.functional import FunctionalSpec, evaluate
     from bvcalc.integrands import make_area, make_norm
 
@@ -1140,9 +1141,10 @@ def test_mutually_singular_matches_the_old_loops():
 
 
 def test_admissibility_check_matches_the_old_loop():
-    from bvcalc.bv import heaviside_1d, ramp_1d, vertical_step_2d
+    from bvcalc.bv import heaviside_1d, ramp_1d
     from bvcalc.functional import admissibility_check
     from bvcalc.scenarios import build_case_1d, random_case_description
+    from helpers import vertical_step_2d
 
     rng = np.random.default_rng(11)
     cases = [build_case_1d(random_case_description(rng), resolution=200) for _ in range(12)]
@@ -1199,11 +1201,10 @@ def test_integration_by_parts_matches_the_old_loop():
     from bvcalc.bv import (
         heaviside_1d,
         piecewise_affine_1d,
-        random_polynomial_test,
         verify_integration_by_parts,
-        vertical_step_2d,
         zero_extension,
     )
+    from helpers import random_polynomial_test, vertical_step_2d
 
     dom = interval(64)
     reg = CarrierRegistry()
@@ -1354,6 +1355,19 @@ def test_densities_keep_their_slack():
             {"segments": [{"id": "s", "from": [0.0, 1.0], "to": [1.0, 0.0], "density": "1"}]},
             "^'segments' are carriers of a 2D domain$",
         ),
+        ({"atoms": [[None, 1.0]]}, "^atom point must be finite, got None$"),
+        ({"atoms": [[0.5, float("nan")]]}, "^atom weight must be finite, got nan$"),
+        ({"atoms": [[0.5, float("inf")]]}, "^atom weight must be finite, got inf$"),
+        ({"density": [None] * 16}, r"^a cell-wise 'density' must be finite, got \[None, "),
+        ({"density": [1.0] * 15 + [float("-inf")]}, "^a cell-wise 'density' must be finite, got "),
+        (
+            {"segments": [{"id": ["s"], "from": [0.0, 0.0], "to": [1.0, 0.0], "density": "1"}]},
+            "^'segments' must be a list of objects with keys .*, 'id' a string$",
+        ),
+        (
+            {"breaks": [[0.3], [0.7]]},
+            r"^breakpoints must be numbers, a pair of lists in 2D, got \[\[0.3\], \[0.7\]\]$",
+        ),
     ],
 )
 def test_scalar_from_json_malformed_raises_measure_error(doc, message):
@@ -1375,11 +1389,14 @@ def test_scalar_from_json_malformed_raises_measure_error(doc, message):
         ({"from": [0.0], "to": [1.0]}, r"^'from' of a segment must be numeric of shape \(2,\)"),
         ({"from": "ab", "to": [1.0, 0.5]}, r"^'from' of a segment must be numeric of shape \(2,\)"),
         ({"from": [0.5, 0.0], "to": [0.5, 1.0], "normal": "x"}, "^'normal' of a segment"),
+        ({"from": None, "to": [1.0, 0.5]}, r"^'from' of a segment must be numeric of shape \(2,\), got None$"),
+        ({"from": [0.5, 0.0], "to": [0.5, float("nan")]}, r"^'to' of a segment must be finite, got \[0.5, nan\]$"),
+        ({"id": ["s"], "from": [0.5, 0.0], "to": [0.5, 1.0]}, "'id' a string$"),
     ],
 )
 def test_scalar_from_json_2d_segment_coordinates_are_checked(segment, message):
     dom = Domain(((0.0, 1.0), (0.0, 1.0)), 8)
-    doc = {"segments": [dict(segment, id="s", density="1")]}
+    doc = {"segments": [{"id": "s", "density": "1", **segment}]}
     with pytest.raises(MeasureError, match=message):
         ScalarRadonMeasure.from_json(dom, doc)
 

@@ -383,30 +383,45 @@ def _segment_l1_reference(x0, x1, c):
     return anti(x1) - anti(x0)
 
 
-def _carpet_lower_bound_reference(depth):
+def _carpet_value_reference(holes, c):
+    """The per-hole scalar loop: the unit square minus each hole, in order."""
+    total = _segment_l1_reference(0.0, 1.0, c)
+    for x0, x1, y0, y1 in holes:
+        total -= (y1 - y0) * _segment_l1_reference(x0, x1, c)
+    return total
+
+
+def _carpet_lower_bound_reference(holes):
     """The per-hole scalar loop with a 200-step ternary search."""
-    holes = carpet_holes(depth)
-
-    def value(c):
-        total = _segment_l1_reference(0.0, 1.0, c)
-        for x0, x1, y0, y1 in holes:
-            total -= (y1 - y0) * _segment_l1_reference(x0, x1, c)
-        return total
-
     lo, hi = 0.0, 1.0
     for _ in range(200):
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if value(m1) <= value(m2):
+        if _carpet_value_reference(holes, m1) <= _carpet_value_reference(holes, m2):
             hi = m2
         else:
             lo = m1
     c = 0.5 * (lo + hi)
-    return value(c), c
+    return _carpet_value_reference(holes, c), c
 
 
 @pytest.mark.parametrize("depth", range(5))
 def test_carpet_bound_equals_scalar_loop(depth):
-    assert carpet_lower_bound(depth) == _carpet_lower_bound_reference(depth)
+    # the bound is the scalar loop at the symmetry point c = 1/2, and the
+    # ternary search of the scalar loop finds no smaller value beyond rounding
+    holes = carpet_holes(depth)
+    bound, c = carpet_lower_bound(depth)
+    assert (bound, c) == (_carpet_value_reference(holes, 0.5), 0.5)
+    assert abs(bound - _carpet_lower_bound_reference(holes)[0]) <= 1e-14
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_carpet_holes_map_onto_themselves_under_reflection(depth):
+    holes = np.array(carpet_holes(depth)).reshape(-1, 4)
+    mirrored = np.column_stack([1.0 - holes[:, 1], 1.0 - holes[:, 0], holes[:, 2], holes[:, 3]])
+    # y is untouched, and the holes of one row lie far apart in x, so both sorts pair them
+    by_row = np.lexsort((holes[:, 0], holes[:, 2]))
+    by_row_mirrored = np.lexsort((mirrored[:, 0], mirrored[:, 2]))
+    assert np.max(np.abs(holes[by_row] - mirrored[by_row_mirrored]), initial=0.0) <= 1e-15
 
 
 def _hole_loop_weight(holes, nodes):
@@ -441,10 +456,43 @@ def test_carpet_indicator_equals_hole_loop():
     assert np.array_equal(carpet_indicator([])[0](random_nodes), np.zeros(len(random_nodes)))
 
 
+def _example1_old_search():
+    """The radial samples of example1 and the grid-and-ternary search that
+    chose its best constant before the weighted median."""
+    hole_radius = 0.25
+    bump_radius = 0.98 * hole_radius
+    m = 100_000
+    s = (np.arange(m) + 0.5) / m
+    vals = (1.0 - np.minimum(s, 1.0) ** 4) ** 2
+    ring = 2.0 * math.pi * bump_radius**2 * s / m
+    pad_area = math.pi * (hole_radius**2 - bump_radius**2)
+
+    def l1_distance_to_const(c):
+        return float(np.dot(ring, np.abs(vals - c))) + pad_area * abs(c)
+
+    cs = np.linspace(0.0, 1.0, 201)
+    best = min(cs, key=l1_distance_to_const)
+    for _ in range(40):
+        lo, hi = max(0.0, best - 0.01), min(1.0, best + 0.01)
+        grid = np.linspace(lo, hi, 41)
+        previous, best = best, min(grid, key=l1_distance_to_const)
+        if best == previous:
+            break
+    return np.append(vals, 0.0), np.append(ring, pad_area), l1_distance_to_const, best
+
+
 def test_example1_bound_pinned_at_cli_defaults():
     result = scenario_example1(RunConfig(scenario="example1"))
-    assert repr(result.metrics["best_constant"]) == "0.5315000000000001"
-    assert repr(float(result.metrics["l1_lower_bound"])) == "0.06318235101012908"
+    best, bound = result.metrics["best_constant"], float(result.metrics["l1_lower_bound"])
+    assert repr(best) == "0.531386119462285"
+    assert repr(bound) == "0.06318234923267084"
+    vals, weights, l1_distance_to_const, old_best = _example1_old_search()
+    assert repr(float(old_best)) == "0.5315000000000001"
+    assert bound <= l1_distance_to_const(old_best)
+    assert all(bound <= l1_distance_to_const(c) for c in np.linspace(0.0, 1.0, 201))
+    # a weighted median: at most half the weight lies on either side of it
+    half = 0.5 * weights.sum()
+    assert weights[vals < best].sum() <= half and weights[vals > best].sum() <= half
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +546,7 @@ def test_bv_function_from_json():
     )
     Du = derivative(u)
     assert total_variation(Du) == pytest.approx(2.0, rel=1e-12)
-    from bvcalc.bv import random_polynomial_test
+    from helpers import random_polynomial_test
 
     assert verify_integration_by_parts(u, random_polynomial_test(d, seed=4)) < 1e-8
 

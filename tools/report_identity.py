@@ -7,8 +7,11 @@ Runs every scenario id (as listed by ``bvcalc list`` in TREE_A) with
 file the run leaves: ``report.json``, the CSV tables, the ``.dat`` files,
 and the captured stdout and stderr.  The ``builder_hash`` line of a report
 hashes the package source, so it is the one line left out of the
-comparison.  Exits 1 on any difference, 0 otherwise.  Standard library
-only; scenarios run one after another.
+comparison.  Under each differing scenario it prints every JSON leaf of
+``report.json`` that differs, as ``path: value in TREE_A -> value in
+TREE_B`` (for example ``metrics.bounds[1].bound: 0.24 -> 0.25``).  Exits 1
+on any difference, 0 otherwise.  Standard library only; scenarios run one
+after another.
 
 It also prints each tree's total line count of ``src/bvcalc/*.py`` (as
 ``wc -l`` counts them), for information: the totals are not compared, so
@@ -19,6 +22,7 @@ that checks its output.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +66,32 @@ def _comparable(path):
     return lines
 
 
+def _leaves(value, path=""):
+    """(path, value) for every leaf of a JSON value, with paths such as
+    ``metrics.bounds[1].bound``; an empty list or object is a leaf."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def report_differences(path_a, path_b):
+    """``path: a -> b`` for each leaf that differs between two report.json
+    files, the builder hash left out; a leaf on one side only reads
+    ``(missing)`` on the other."""
+    a, b = (dict(_leaves(json.loads(path.read_text()))) for path in (path_a, path_b))
+    out = []
+    for key in [*a, *(key for key in b if key not in a)]:
+        va, vb = (json.dumps(side[key]) if key in side else "(missing)" for side in (a, b))
+        if not key.endswith("builder_hash") and va != vb:
+            out.append(f"{key}: {va} -> {vb}")
+    return out
+
+
 def compare(dir_a, dir_b):
     """Relative paths that differ (or exist on one side only)."""
     files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
@@ -95,6 +125,10 @@ def main(argv=None):
             if differing:
                 failed += 1
                 print(f"DIFF {sid}: {', '.join(map(str, differing))}")
+                for rel in differing:
+                    if rel.name == "report.json" and (dir_a / rel).is_file() and (dir_b / rel).is_file():
+                        for line in report_differences(dir_a / rel, dir_b / rel):
+                            print(f"  {rel}: {line}")
             else:
                 print(f"same {sid}: {count} files")
     print(f"{len(ids) - failed} of {len(ids)} scenarios identical")
