@@ -9,6 +9,8 @@ quadrature error only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from dataclasses import dataclass, replace
 
@@ -20,6 +22,7 @@ from .measures import (
     MeasureError,
     area_functional,
     as_floats,
+    finite_breaks,
     in_box,
     merge_breaks,
     pair_with_test_function,
@@ -90,8 +93,7 @@ class BVFunction:
         self.registry = registry if registry is not None else CarrierRegistry()
         self.trace = trace
         self.structure = structure or {}
-        piece_breaks = [p.breaks for p in self.pieces]
-        self.breaks = merge_breaks(domain.dim, breaks, *piece_breaks)
+        self.breaks = merge_breaks(domain.dim, breaks, *(p.breaks for p in self.pieces))
         if validate:
             self._validate()
 
@@ -115,6 +117,8 @@ class BVFunction:
                 if probe is None
                 else "no piece adjacent to the requested points"
             )
+        if len(self.pieces) == 1:  # every node is in the one piece: no gather by mask
+            return np.array(fn(self.pieces[0], nodes), dtype=float).reshape((-1,) + shape)
         out = np.empty((len(nodes),) + shape)
         for k, piece in enumerate(self.pieces):
             m = idx == k
@@ -270,9 +274,9 @@ def _bounds(region, dim):
 
 
 def _breaks(value, dim):
-    """A 'breaks' entry, merged per axis, or a BVError for non-numbers."""
+    """A 'breaks' entry, merged per axis, or a BVError unless finite numbers."""
     try:
-        return merge_breaks(dim, value)
+        return finite_breaks(dim, value, BVError)
     except MeasureError as exc:
         raise BVError(f"'breaks': {exc}") from None
 
@@ -445,31 +449,19 @@ def matrix_test_fields(domain, shape):
 
 
 def scalar_bumps(domain, per_axis=12):
-    """Tensor-product C^1 bumps, ``per_axis`` centers per axis."""
+    """Tensor-product C^1 bumps, ``per_axis`` centers per axis, the last
+    axis running fastest."""
     axes = []
     for lo, hi in domain.box:
         centers = lo + (hi - lo) * (np.arange(1, per_axis + 1)) / (per_axis + 1)
         width = (hi - lo) / (per_axis + 1)  # edge bumps vanish exactly on the boundary
-        axes.append((centers, width))
+        axes.append([(c, width) for c in centers])
 
-    def axis_bump(t, c, w):
-        s = np.clip(np.abs(t - c) / w, 0.0, 1.0)
-        return (1.0 - s**2) ** 2
+    def bump(nodes, centered):
+        s = [np.clip(np.abs(nodes[:, k] - c) / w, 0.0, 1.0) for k, (c, w) in enumerate(centered)]
+        return functools.reduce(operator.mul, [(1.0 - t**2) ** 2 for t in s])
 
-    bumps = []
-    if domain.dim == 1:
-        for c in axes[0][0]:
-            bumps.append(lambda nodes, _c=c, _w=axes[0][1]: axis_bump(nodes[:, 0], _c, _w))
-    else:
-        for cx in axes[0][0]:
-            for cy in axes[1][0]:
-                bumps.append(
-                    lambda nodes, _cx=cx, _cy=cy, _wx=axes[0][1], _wy=axes[1][1]: axis_bump(
-                        nodes[:, 0], _cx, _wx
-                    )
-                    * axis_bump(nodes[:, 1], _cy, _wy)
-                )
-    return bumps
+    return [functools.partial(bump, centered=centered) for centered in itertools.product(*axes)]
 
 
 @dataclass
@@ -695,13 +687,11 @@ def smooth_selected_jumps(u, widths):
             out = out + _smoothstep((x - t) / w + 0.5)[:, None] * d[None, :]
         return out
 
-    breaks = set(structure["edges"][1:-1])
-    for t, _, w in smooth_data:
-        breaks.update((t - 0.5 * w, t + 0.5 * w))
-    breaks.update(t for t, _ in kept)
+    collars = [s for t, _, w in smooth_data for s in (t - 0.5 * w, t + 0.5 * w)]
+    (breaks,) = merge_breaks(1, structure["edges"][1:-1], collars, [t for t, _ in kept])
     return _profile_1d(
         u.domain, u.N, structure["edges"], structure["slopes"], continuous_part, smooth_data,
-        kept, sorted(breaks), u.registry,
+        kept, breaks, u.registry,
     )
 
 

@@ -167,12 +167,9 @@ def admissibility_check(u, mu):
 
 
 def geometric_js(jmax):
-    js = []
+    """jmax halved (rounding down) while at least 2, in increasing order."""
     j = int(jmax)
-    while j >= 2:
-        js.append(j)
-        j //= 2
-    return tuple(sorted(set(js)))
+    return tuple(j >> k for k in reversed(range(j.bit_length())) if j >> k >= 2)
 
 
 def _tail_min(values):

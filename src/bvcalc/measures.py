@@ -17,7 +17,9 @@ summation order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress
 
 import numpy as np
 
@@ -28,6 +30,7 @@ _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 _MATCH_TOL = 1e-12  # coincidence tolerance for atom points
 _ZERO_TOL = 1e-14  # densities below this count as "not charging"
+_MEMO_NODES = 1 << 17  # larger cell rules are rebuilt on each call, never kept
 
 
 class MeasureError(ValueError):
@@ -64,12 +67,9 @@ def in_box(points, box):
 
 def _refined_edges(lo, hi, resolution, breaks):
     edges = np.linspace(lo, hi, resolution + 1)
-    if breaks is not None and len(breaks):
-        extra = np.asarray(breaks, dtype=float)
-        extra = extra[(extra > lo) & (extra < hi)]
-        if len(extra):
-            edges = np.unique(np.concatenate([edges, extra]))
-    return edges
+    extra = np.asarray(breaks, dtype=float)
+    extra = extra[(extra > lo) & (extra < hi)]
+    return np.unique(np.concatenate([edges, extra])) if len(extra) else edges
 
 
 def _gl3(edges):
@@ -99,6 +99,7 @@ class Domain:
 
     box: tuple
     resolution: int
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "box", _as_bounds(self.box))
@@ -129,24 +130,29 @@ class Domain:
         ``breaks`` refines the per-axis partition at declared discontinuity
         locations; ``region`` restricts to a closed sub-box (its edges are
         added to the partition, so sub-cells never straddle the region).
+        The arrays are read-only: a rule of at most ``_MEMO_NODES`` nodes is
+        kept by the domain and returned again for the same arguments.
         """
-        axis_breaks = _normalize_breaks(breaks, self.dim)
+        region = None if region is None else _as_bounds(region, allow_empty=True)
+        key = (_normalize_breaks(breaks, self.dim), region)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = read_only(*self._build_rule(*key))
+            if len(rule[1]) <= _MEMO_NODES:
+                self._rules[key] = rule
+        return rule
+
+    def _build_rule(self, axis_breaks, region):
         if region is not None:
-            region = _as_bounds(region, allow_empty=True)
-            axis_breaks = tuple(
-                tuple(sorted(set(axis_breaks[k]) | set(region[k])))
-                for k in range(self.dim)
-            )
+            axis_breaks = merge_breaks(self.dim, axis_breaks, region)
         axis_edges = self._axis_edges(axis_breaks)
         nodes, weights = _tensor(
             [0.5 * (e[1:] + e[:-1]) for e in axis_edges], [np.diff(e) for e in axis_edges]
         )
         keep = weights > 1e-300
-        nodes, weights = nodes[keep], weights[keep]
         if region is not None:
-            inside = in_box(nodes, region)
-            nodes, weights = nodes[inside], weights[inside]
-        return nodes, weights
+            keep &= in_box(nodes, region)
+        return nodes[keep], weights[keep]
 
     def gauss_cell_rule(self, breaks=None):
         """Per-cell 3-point Gauss rule (tensorized in 2D); exact for
@@ -208,16 +214,28 @@ def _faces(box):
 
 
 def _normalize_breaks(breaks, dim):
+    """Per axis, a tuple of floats: the input itself when it is that already."""
     if breaks is None:
         return tuple(() for _ in range(dim))
     try:
         if dim == 1 and (not len(breaks) or np.isscalar(breaks[0])):
-            return (tuple(map(float, breaks)),)
+            return (_float_tuple(breaks),)
         if len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
-            return tuple(tuple(map(float, b)) for b in breaks)
+            return _kept_if_same(tuple(map(_float_tuple, breaks)), breaks)
     except (LookupError, TypeError, ValueError):
         pass
     raise MeasureError(f"breakpoints must be numbers, a pair of lists in 2D, got {breaks!r}")
+
+
+def _float_tuple(values):
+    if type(values) is tuple and set(map(type, values)) == {float}:
+        return values
+    return tuple(map(float, values))
+
+
+def _kept_if_same(axes, given):
+    """``given`` when it is a tuple of the very ``axes``, else ``axes``."""
+    return given if type(given) is tuple and all(map(operator.is_, axes, given)) else axes
 
 
 def as_floats(value, what, shape=None, error=MeasureError):
@@ -236,14 +254,35 @@ def as_floats(value, what, shape=None, error=MeasureError):
 
 
 def merge_breaks(dim, *break_sets):
-    out = [set() for _ in range(dim)]
-    for bs in break_sets:
-        if bs is None:
-            continue
-        norm = _normalize_breaks(bs, dim)
-        for k in range(dim):
-            out[k].update(norm[k])
-    return tuple(tuple(sorted(s)) for s in out)
+    """Per axis, the sorted union of the breakpoints of ``break_sets``
+    (``None`` skipped), keeping the first of equal values; a single input
+    already in that form is returned as it is."""
+    norms = [_normalize_breaks(bs, dim) for bs in break_sets if bs is not None]
+    merged = tuple(_merged_axis([n[k] for n in norms if n[k]]) for k in range(dim))
+    return _kept_if_same(merged, norms[0]) if len(norms) == 1 else merged
+
+
+def finite_breaks(dim, value, error=MeasureError):
+    """A document's 'breaks' merged per axis; ``error`` unless all are finite."""
+    breaks = merge_breaks(dim, value)
+    as_floats([*chain(*breaks)], "'breaks'", error=error)
+    return breaks
+
+
+def _merged_axis(runs):
+    """The sorted union of float tuples, first of equal values kept: a stable
+    sort, as a set of dyadic floats (hashes sharing low bits) probes slowly."""
+    if len(runs) == 1 and all(map(operator.lt, runs[0], runs[0][1:])):
+        return runs[0]
+    ordered = sorted(chain.from_iterable(runs))
+    return tuple(compress(ordered, chain((True,), map(operator.ne, ordered[1:], ordered))))
+
+
+def read_only(*arrays):
+    """``arrays``, flagged not writable: no caller may change what others share."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +526,13 @@ class ScalarRadonMeasure(_StructuredMeasure):
                 seg["id"], seg["from"], seg["to"], normal=seg.get("normal")
             )
             parts.append((carrier.cid, expressions.compile_scalar(seg["density"], domain.dim)))
-        breaks = obj.get("breaks")
         return ScalarRadonMeasure(
             domain,
             density=density,
             atoms=atoms,
             carrier_parts=tuple(parts),
             registry=registry,
-            breaks=breaks,
+            breaks=finite_breaks(domain.dim, obj.get("breaks")),
             **flags,
         )
 

@@ -25,6 +25,7 @@ from .measures import (
     MatrixRadonMeasure,
     MeasurePart,
     ScalarRadonMeasure,
+    as_floats,
     charges_boundary,
     frobenius,
     in_box,
@@ -33,6 +34,7 @@ from .measures import (
     measure_distance,
     measure_parts,
     merge_breaks,
+    read_only,
     rn_decompose,
     singular_densities,
     singular_parts,
@@ -72,17 +74,7 @@ class LocationField(OscillationField):
 
 def constant_field(atom_list):
     """x-independent field from [(matrix, weight), ...]."""
-    atoms = np.stack([np.asarray(A, dtype=float) for A, _ in atom_list])
-    weights = np.array([float(p) for _, p in atom_list])
-
-    def fn(points):
-        M = len(points)
-        return (
-            np.tile(weights[None, :], (M, 1)),
-            np.tile(atoms[None, :, :, :], (M, 1, 1, 1)),
-        )
-
-    return LocationField(fn)
+    return _field_from_entries([{"atoms": list(atom_list)}], "field", np.shape(atom_list[0][0]))
 
 
 class ElementaryOscillation(OscillationField):
@@ -155,7 +147,7 @@ class GeneralizedYoungMeasure:
     def oscillation_values(self):
         """(part, w, A) of ``nu`` on every non-empty reference part."""
         return [
-            (part, *_read_only(*self.nu.eval(part, part.points)))
+            (part, *read_only(*self.nu.eval(part, part.points)))
             for part in self.reference_parts
             if len(part.points)
         ]
@@ -166,7 +158,7 @@ class GeneralizedYoungMeasure:
         if self.nu_inf is None:
             return []
         return [
-            (part, *_read_only(*self.nu_inf.eval(part, part.points)))
+            (part, *read_only(*self.nu_inf.eval(part, part.points)))
             for part in self.concentration_parts
             if len(part.points) and np.max(np.abs(part.masses)) > _ZTOL
         ]
@@ -211,16 +203,14 @@ class GeneralizedYoungMeasure:
         return GeneralizedYoungMeasure(domain, dims, nu, lam, nu_inf, mu)
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 def _read_only_parts(parts):
     for part in parts:
-        _read_only(part.points, part.weights, part.masses)
+        read_only(part.points, part.weights, part.masses)
     return parts
+
+
+def _finite(value, what, shape=None):
+    return as_floats(value, what, shape, YoungMeasureError)
 
 
 def _field_from_entries(entries, key, dims):
@@ -235,13 +225,15 @@ def _field_from_entries(entries, key, dims):
         if not isinstance(pairs, list) or not pairs:
             raise YoungMeasureError(f"an entry of {key!r} needs a non-empty list 'atoms', got {entry!r}")
         try:
-            atoms = np.stack([np.asarray(A, dtype=float).reshape(N, n) for A, _ in pairs])
-            weights = np.array([float(p) for _, p in pairs])
+            atoms = np.stack([_finite(A, f"an atom of {key!r}").reshape(N, n) for A, _ in pairs])
+            weights = np.array([_finite(p, f"an atom weight of {key!r}", ()) for _, p in pairs])
             region = entry.get("region")
             if region is None and "node" in entry:  # single-point entry
                 pt = np.atleast_1d(np.asarray(entry["node"], dtype=float))
                 region = [[v, v] for v in pt]
             boxed = region is None or np.asarray(region, dtype=float).size == 2 * n
+        except YoungMeasureError:
+            raise
         except (TypeError, ValueError) as exc:
             raise YoungMeasureError(f"an entry of {key!r} is malformed: {exc}") from None
         if not boxed:

@@ -363,6 +363,12 @@ _PIECE = {"u": ["x"], "grad": ["1"]}
             {"pieces": [dict(_PIECE, breaks=[[0.3], [0.7]])]},
             "'breaks': breakpoints must be numbers, a pair of lists in 2D, got [[0.3], [0.7]]",
         ),
+        ({"pieces": [_PIECE], "breaks": [float("nan")]}, "'breaks' must be finite, got [nan]"),
+        ({"pieces": [_PIECE], "breaks": [float("inf")]}, "'breaks' must be finite, got [inf]"),
+        (
+            {"pieces": [dict(_PIECE, breaks=[0.25, float("nan")])]},
+            "'breaks' must be finite, got [0.25, nan]",
+        ),
     ],
 )
 def test_from_json_malformed_input_names_the_key(obj, message):
@@ -619,3 +625,102 @@ def test_matrix_test_fields_keep_the_kept_order(shape):
     new, old = matrix_test_fields(dom, shape), _old_matrix_test_fields(dom, shape)
     assert len(new) == len(old) == 3 ** dom.dim * shape[0] * shape[1]
     assert all(np.array_equal(a(nodes), b(nodes)) for a, b in zip(new, old))
+
+
+# ---------------------------------------------------------------------------
+# one-piece lookup and bumps, against kept copies of the code they replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_by_piece(u, nodes, fn, shape, probe=None):
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    idx = u._piece_index(nodes if probe is None else probe)
+    assert np.all(idx >= 0)
+    out = np.empty((len(nodes),) + shape)
+    for k, piece in enumerate(u.pieces):
+        m = idx == k
+        if np.any(m):
+            out[m] = np.asarray(fn(piece, nodes[m])).reshape((-1,) + shape)
+    return out
+
+
+def _one_piece_functions():
+    d1, d2 = interval(64), unit_square(8)
+    return [
+        sawtooth_1d(d1, 8),
+        ramp_1d(d1, 0.25, 0.5),
+        heaviside_1d(d1, 0.5),
+        affine_2d(d2, [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0]),
+        BVFunction.from_json(d2, {"pieces": [{"u": ["x * y", "1"], "grad": [["y", "x"], ["0", "0"]]}]}),
+        # u returns its (read-only, shared) input nodes: the result must be a fresh array
+        BVFunction(d2, 2, [Piece(region=d2.box, u=lambda n: n, grad=lambda n: np.stack([n, n], 1))]),
+    ]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_one_piece_lookup_equals_the_mask_loop(k):
+    u = _one_piece_functions()[k]
+    assert len(u.pieces) == 1
+    nodes, _ = u.domain.cell_rule(breaks=u.breaks)
+    for method, fn, shape in (
+        (u.value_at, lambda p, x: p.u(x), (u.N,)),
+        (u.gradient_at, lambda p, x: p.grad(x), (u.N, u.domain.dim)),
+    ):
+        new, old = method(nodes), _old_by_piece(u, nodes, fn, shape)
+        assert new.shape == old.shape and new.dtype == old.dtype and np.array_equal(new, old)
+        assert new.flags.writeable and not np.shares_memory(new, nodes)
+    normals = np.zeros_like(nodes)
+    normals[:, 0] = 1.0
+    new = u.value_from_inside(nodes, normals)
+    old = _old_by_piece(u, nodes, lambda p, x: p.u(x), (u.N,), nodes + 1e-9 * normals)
+    assert np.array_equal(new, old)
+
+
+def test_one_piece_lookup_still_rejects_uncovered_nodes():
+    left = Piece(region=(0.0, 0.5), u=lambda n: n[:, :1], grad=lambda n: np.ones((len(n), 1, 1)))
+    u = BVFunction(interval(8), 1, [left], validate=False)
+    assert np.array_equal(u.value_at([[0.25], [0.5]]), [[0.25], [0.5]])
+    with pytest.raises(BVError, match="^pieces do not cover all quadrature nodes$"):
+        u.value_at([[0.25], [0.5 + 1e-12]])
+    with pytest.raises(BVError, match="^no piece adjacent to the requested points$"):
+        u.value_from_inside([[0.5]], [[1.0]])
+    with pytest.raises(BVError, match="^pieces do not partition the domain"):
+        BVFunction(interval(8), 1, [left])
+
+
+def _old_scalar_bumps(domain, per_axis=12):
+    axes = []
+    for lo, hi in domain.box:
+        centers = lo + (hi - lo) * (np.arange(1, per_axis + 1)) / (per_axis + 1)
+        width = (hi - lo) / (per_axis + 1)
+        axes.append((centers, width))
+
+    def axis_bump(t, c, w):
+        s = np.clip(np.abs(t - c) / w, 0.0, 1.0)
+        return (1.0 - s**2) ** 2
+
+    bumps = []
+    if domain.dim == 1:
+        for c in axes[0][0]:
+            bumps.append(lambda nodes, _c=c, _w=axes[0][1]: axis_bump(nodes[:, 0], _c, _w))
+    else:
+        for cx in axes[0][0]:
+            for cy in axes[1][0]:
+                bumps.append(
+                    lambda nodes, _cx=cx, _cy=cy, _wx=axes[0][1], _wy=axes[1][1]: axis_bump(
+                        nodes[:, 0], _cx, _wx
+                    )
+                    * axis_bump(nodes[:, 1], _cy, _wy)
+                )
+    return bumps
+
+
+@pytest.mark.parametrize("per_axis", [1, 3, 12])
+def test_scalar_bumps_equal_the_kept_copy(per_axis):
+    from bvcalc.bv import scalar_bumps
+
+    for dom in (Domain((-1.0, 2.0), 32), Domain(((0.0, 1.0), (-0.5, 2.0)), 16)):
+        nodes, _ = dom.cell_rule()
+        new, old = scalar_bumps(dom, per_axis), _old_scalar_bumps(dom, per_axis)
+        assert len(new) == len(old) == per_axis**dom.dim
+        assert all(np.array_equal(a(nodes), b(nodes)) for a, b in zip(new, old))

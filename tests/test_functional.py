@@ -424,3 +424,17 @@ def test_oracle_equivalence_small_sample(setting):
         ours = evaluate(u, spec).total
         ref = oracle_1d(case["u"], case["mu"], case["F"])
         assert abs(ours - ref) / abs(ref) <= 1e-8
+
+
+def _old_geometric_js(jmax):
+    js = []
+    j = int(jmax)
+    while j >= 2:
+        js.append(j)
+        j //= 2
+    return tuple(sorted(set(js)))
+
+
+def test_geometric_js_equals_the_kept_loop():
+    for jmax in [*range(-3, 300), 1000, 1024, 1025, 2**20 - 1, 2**20, 64.0, 9.9]:
+        assert geometric_js(jmax) == _old_geometric_js(jmax)

@@ -1368,6 +1368,8 @@ def test_densities_keep_their_slack():
             {"breaks": [[0.3], [0.7]]},
             r"^breakpoints must be numbers, a pair of lists in 2D, got \[\[0.3\], \[0.7\]\]$",
         ),
+        ({"breaks": [float("nan")]}, r"^'breaks' must be finite, got \[nan\]$"),
+        ({"breaks": [0.5, float("inf")]}, r"^'breaks' must be finite, got \[0.5, inf\]$"),
     ],
 )
 def test_scalar_from_json_malformed_raises_measure_error(doc, message):
@@ -1555,3 +1557,139 @@ def test_construction_checks_report_the_carrier_before_the_atoms():
         MatrixRadonMeasure(dom2, (1, 2), atoms=(((0.5, 0.5), [[1.0, 0.0]]),), carrier_parts=unregistered)
     with pytest.raises(MeasureError, match="^atomic parts are only permitted in 1D$"):
         MatrixRadonMeasure(dom2, (1, 2), atoms=(((0.5, 0.5), [[1.0, 0.0]]),))
+
+
+# ---------------------------------------------------------------------------
+# merged breaks and the per-domain rule memo, against kept copies of the
+# set-and-sort merge and of the rule built on every call
+# ---------------------------------------------------------------------------
+
+
+def _old_merge_breaks(dim, *break_sets):
+    from bvcalc.measures import _normalize_breaks
+
+    out = [set() for _ in range(dim)]
+    for bs in break_sets:
+        if bs is None:
+            continue
+        norm = _normalize_breaks(bs, dim)
+        for k in range(dim):
+            out[k].update(norm[k])
+    return tuple(tuple(sorted(s)) for s in out)
+
+
+_break_values = st.one_of(
+    st.integers(-64, 64).map(lambda k: k / 16),  # dyadic, with many duplicates
+    st.sampled_from([0.0, -0.0, 1.0 / 3.0]),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_axis = st.lists(_break_values, max_size=10)
+_canonical_axis = _axis.map(lambda v: tuple(sorted(set(map(float, v)))))
+_any_axis = st.one_of(_axis, _axis.map(tuple), _canonical_axis)
+_break_set_1d = st.one_of(st.none(), _any_axis, _any_axis.map(lambda a: (a,)))
+_break_set_2d = st.one_of(
+    st.none(), st.tuples(_any_axis, _any_axis), st.lists(_any_axis, min_size=2, max_size=2)
+)
+
+
+def _same_breaks(new, old):
+    """Equal, and equal in the repr of every element (so in the sign of zero)."""
+    return new == old and [list(map(repr, a)) for a in new] == [list(map(repr, a)) for a in old]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_breaks_equals_the_kept_set_and_sort(data):
+    from bvcalc.measures import merge_breaks
+
+    dim = data.draw(st.sampled_from([1, 2]))
+    sets = data.draw(st.lists(_break_set_1d if dim == 1 else _break_set_2d, max_size=4))
+    merged = merge_breaks(dim, *sets)
+    assert _same_breaks(merged, _old_merge_breaks(dim, *sets))
+    assert all(type(x) is float for axis in merged for x in axis)
+
+
+def test_merge_breaks_returns_a_single_canonical_input_itself():
+    from bvcalc.measures import merge_breaks
+
+    one, two = ((0.25, 0.5, 0.75),), ((0.1, 0.2), (0.3,))
+    assert merge_breaks(1, one) is one and merge_breaks(1, None, one, None) is one
+    assert merge_breaks(2, two) is two
+    assert merge_breaks(1, one, ((0.5,),)) == one  # two inputs: a fresh, equal tuple
+    for given in ([0.25, 0.5, 0.75], (0.25, 0.5, 0.75), ((0.25, 0.5, 1),), ((0.5, 0.25),)):
+        merged = merge_breaks(1, given)
+        assert merged is not given and _same_breaks(merged, _old_merge_breaks(1, given))
+    dyadic = ((np.arange(1, 2048) / 2048).tolist(),)  # the sawtooth's breaks at j = 1024
+    assert merge_breaks(1, dyadic) == _old_merge_breaks(1, dyadic)
+    assert merge_breaks(1, (np.float64(0.5),))[0][0].__class__ is float
+
+
+_RULE_CASES = {
+    1: [(None, None), ((0.3, 1.0 / 3.0, 0.55), None), (None, (0.2, 0.7)), ((0.5, 0.3), (0.25, 0.7)),
+        ([-0.0, 0.0, 0.5, 0.5], (0.0, 0.5))],
+    2: [(None, None), (((0.3,), (0.1, 0.45)), None), (None, ((0.1, 0.6), (0.0, 1.5))),
+        (((1.0 / 3.0,), ()), ((0.2, 0.2), (-1.0, 2.0)))],
+}
+
+
+@pytest.mark.parametrize("dom", _FOLD_DOMAINS, ids=["unit-interval", "interval", "rectangle"])
+def test_cell_rule_is_built_once_per_domain_and_read_only(dom):
+    dom = Domain(dom.box, dom.resolution)  # an empty memo
+    for breaks, region in _RULE_CASES[dom.dim]:
+        nodes, weights = dom.cell_rule(breaks, region)
+        old = _old_cell_rule(dom, breaks, region)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip((nodes, weights), old))
+        again = dom.cell_rule(breaks, region)
+        assert again[0] is nodes and again[1] is weights
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+    # the same breaks and region spelt as arrays and lists find the same rule
+    breaks, region = _RULE_CASES[dom.dim][-1]
+    respelt = np.array(breaks) if dom.dim == 1 else [list(b) for b in breaks]
+    assert dom.cell_rule(respelt, np.asarray(region))[0] is dom.cell_rule(breaks, region)[0]
+    assert len(dom._rules) == len(_RULE_CASES[dom.dim])
+
+
+def test_cell_rules_above_the_cap_are_not_kept():
+    from bvcalc.measures import _MEMO_NODES
+
+    at_cap, above = Domain((0.0, 1.0), _MEMO_NODES), Domain((0.0, 1.0), _MEMO_NODES + 1)
+    assert at_cap.cell_rule()[0] is at_cap.cell_rule()[0] and len(at_cap._rules) == 1
+    first, second = above.cell_rule(), above.cell_rule()
+    assert first[0] is not second[0] and above._rules == {}
+    assert np.array_equal(first[0], second[0]) and not first[1].flags.writeable
+    assert len(first[1]) == _MEMO_NODES + 1
+
+
+def test_a_filled_memo_leaves_equality_hash_and_repr_alone():
+    from dataclasses import replace
+
+    filled, fresh = unit_square(8), unit_square(8)
+    filled.cell_rule(((0.3,), ()))
+    filled.cell_rule(region=((0.0, 0.5), (0.0, 0.5)))
+    assert filled._rules and not fresh._rules
+    assert filled == fresh and hash(filled) == hash(fresh) and {filled: 1}[fresh] == 1
+    assert repr(filled) == repr(fresh) == "Domain(box=((0.0, 1.0), (0.0, 1.0)), resolution=8)"
+    assert replace(filled, resolution=4)._rules == {}
+    assert filled != unit_square(16)
+
+
+@pytest.mark.parametrize("breaks", [[[0.5], [float("nan")]], [[float("-inf")], []]])
+def test_2d_breaks_must_be_finite_in_both_documents(breaks):
+    from bvcalc.bv import BVError, BVFunction
+
+    dom = unit_square(8)
+    with pytest.raises(MeasureError, match="^'breaks' must be finite, got "):
+        ScalarRadonMeasure.from_json(dom, {"breaks": breaks})
+    piece = {"u": ["x"], "grad": [["1", "0"]]}
+    with pytest.raises(BVError, match="^'breaks' must be finite, got "):
+        BVFunction.from_json(dom, {"pieces": [piece], "breaks": breaks})
+    with pytest.raises(BVError, match="^'breaks' must be finite, got "):
+        BVFunction.from_json(dom, {"pieces": [dict(piece, breaks=breaks)]})
+    finite = [[0.5], [0.25, 0.75]]
+    assert ScalarRadonMeasure.from_json(dom, {"breaks": finite}).breaks == ((0.5,), (0.25, 0.75))
+    assert BVFunction.from_json(dom, {"pieces": [piece], "breaks": finite}).breaks == (
+        (0.5,), (0.25, 0.75)
+    )

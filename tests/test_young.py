@@ -495,6 +495,15 @@ def test_young_from_json_node_entry(setting):
             {"nu": [{"region": [0.0, 0.5, 1.0], "atoms": [[[[0.0]], 1.0]]}]},
             "'region' of an entry of 'nu' must be one [lo, hi] pair per axis, got [0.0, 0.5, 1.0]",
         ),
+        ({"nu": [{"atoms": [[[[None]], 1.0]]}]}, "an atom of 'nu' must be finite, got [[None]]"),
+        (
+            {"nu": [{"atoms": [[[[0.0]], float("nan")]]}]},
+            "an atom weight of 'nu' must be finite, got nan",
+        ),
+        (
+            {"nu": [{"atoms": [[[[0.0]], 1.0]]}], "nu_inf": [{"atoms": [[[[float("inf")]], 1.0]]}]},
+            "an atom of 'nu_inf' must be finite, got [[inf]]",
+        ),
     ],
 )
 def test_young_from_json_malformed_input_names_the_key(setting, obj, message):
@@ -958,3 +967,40 @@ def test_barycenter_sums_coincident_atoms():
     nu = GeneralizedYoungMeasure(d, (1, 1), field, ScalarRadonMeasure(d, registry=reg), None, mu)
     ((point, value),) = barycenter(nu).atoms
     assert point.tolist() == [0.5] and value.tolist() == [[-1.125]]
+
+
+# ---------------------------------------------------------------------------
+# constant fields read their atoms like a document's entries
+# ---------------------------------------------------------------------------
+
+
+def _old_constant_field(atom_list):
+    atoms = np.stack([np.asarray(A, dtype=float) for A, _ in atom_list])
+    weights = np.array([float(p) for _, p in atom_list])
+    return lambda points: (
+        np.tile(weights[None, :], (len(points), 1)),
+        np.tile(atoms[None, :, :, :], (len(points), 1, 1, 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "atom_list",
+    [
+        [(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)],
+        [(np.array([[-0.0]]), 1.0)],
+        [([[1.0, 2.0], [3.0, -4.0]], 0.25), (np.eye(2), 0.75)],
+    ],
+)
+def test_constant_field_equals_the_kept_copy(atom_list):
+    points = np.linspace(0.0, 1.0, 7)[:, None]
+    new, old = constant_field(atom_list).eval(None, points), _old_constant_field(atom_list)(points)
+    for a, b in zip(new, old):
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_constant_field_atoms_must_be_finite():
+    with pytest.raises(YoungMeasureError, match="^an atom of 'field' must be finite"):
+        constant_field([(np.array([[np.nan]]), 1.0)])
+    with pytest.raises(YoungMeasureError, match="^an atom weight of 'field' must be finite"):
+        constant_field([(np.array([[0.0]]), np.inf)])
