@@ -223,7 +223,10 @@ class BVFunction:
 
     def check_trace_consistency(self):
         """One-sided Richardson limits of the piece expressions must match
-        the declared jump traces at carrier quadrature nodes."""
+        the declared jump traces at carrier quadrature nodes.  The probes of
+        every jump, side and step go through one ``value_at``."""
+        h = 1e-6 * max(hi - lo for lo, hi in self.domain.box)
+        sides, probes, anchors = [], [], []
         for jump in self.jumps:
             carrier = self.registry[jump.carrier_id]
             pts, _ = carrier.rule(min(self.domain.resolution, 16))
@@ -232,26 +235,23 @@ class BVFunction:
                 normal = (jump.orientation,) + (0.0,) * (self.domain.dim - 1)
             eta = np.tile(np.asarray(normal, dtype=float), (len(pts), 1))
             for side, declared, sgn in (("plus", jump.plus, 1.0), ("minus", jump.minus, -1.0)):
-                limit = self._one_sided_limit(pts, sgn * eta)
-                stated = np.asarray(declared(pts)).reshape(-1, self.N)
-                err = np.max(np.abs(limit - stated)) if len(pts) else 0.0
-                if err > TRACE_TOL:
-                    raise BVError(
-                        f"{side} trace on carrier {jump.carrier_id!r} inconsistent "
-                        f"with pieces (error {err:.2e})"
-                    )
-
-    def _one_sided_limit(self, pts, directions):
-        h = 1e-6 * max(hi - lo for lo, hi in self.domain.box)
-        u1 = self._eval_offset(pts, directions, h)
-        u2 = self._eval_offset(pts, directions, 0.5 * h)
-        return 2.0 * u2 - u1  # Richardson: O(h^2) for C^1 pieces
-
-    def _eval_offset(self, pts, directions, h):
-        probe = pts + h * directions
+                sides.append((jump.carrier_id, side, declared, pts))
+                probes += [pts + step * (sgn * eta) for step in (h, 0.5 * h)]
+                anchors += [pts, pts]
+        if not sides:
+            return
+        probe, anchor = np.concatenate(probes), np.concatenate(anchors)
         inside = self.domain.contains(probe)
-        probe = np.where(inside[:, None], probe, pts)  # clamp boundary touches
-        return self.value_at(probe)
+        values = self.value_at(np.where(inside[:, None], probe, anchor))  # clamp boundary touches
+        blocks = np.split(values, np.cumsum([len(p) for p in probes])[:-1])
+        for (cid, side, declared, pts), u1, u2 in zip(sides, blocks[::2], blocks[1::2]):
+            limit = 2.0 * u2 - u1  # Richardson: O(h^2) for C^1 pieces
+            stated = np.asarray(declared(pts)).reshape(-1, self.N)
+            err = np.max(np.abs(limit - stated)) if len(pts) else 0.0
+            if err > TRACE_TOL:
+                raise BVError(
+                    f"{side} trace on carrier {cid!r} inconsistent with pieces (error {err:.2e})"
+                )
 
 
 def _entry(desc, key, what):
@@ -513,6 +513,8 @@ def piecewise_affine_1d(
     registry = registry if registry is not None else CarrierRegistry()
     (a, b), = domain.box
     breakpoints = tuple(sorted(float(t) for t in breakpoints))
+    if not all(a <= t <= b for t in breakpoints):
+        raise BVError(f"breakpoints must lie in [{a:g}, {b:g}], got {list(breakpoints)}")
     jumps = tuple((float(t), np.atleast_1d(np.asarray(d, dtype=float))) for t, d in jumps)
     N = len(jumps[0][1]) if jumps else np.atleast_1d(np.asarray(slopes[0])).shape[0]
     slopes = np.asarray(
@@ -539,7 +541,7 @@ def piecewise_affine_1d(
 
 def _interval_of(edges, x):
     """Index of the partition interval [edges[k], edges[k+1]) holding each x."""
-    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+    return np.searchsorted(edges[1:-1], x, side="right")
 
 
 def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, registry):
@@ -566,9 +568,8 @@ def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, regi
     def trace(t, below):
         # the kept jumps at or left of t count on the plus side, those
         # strictly left of t on the minus side
-        return lambda pts: continuous(pts[:, 0]) + sum(
-            float(below(s, t)) * d[None, :] for s, d in kept
-        )
+        offset = sum(float(below(s, t)) * d[None, :] for s, d in kept)
+        return lambda pts: continuous(pts[:, 0]) + offset
 
     jumps = [
         Jump(
@@ -620,7 +621,7 @@ def sawtooth_1d(domain, j, registry=None):
         t = np.mod((nodes[:, 0] - a) * j / length, 1.0)
         return np.where(t < 0.5, 1.0, -1.0)[:, None, None]
 
-    breaks = (tuple(a + length * k / (2 * j) for k in range(1, 2 * j)),)
+    breaks = (tuple((a + length * np.arange(1, 2 * j) / (2 * j)).tolist()),)
     piece = Piece(region=domain.box, u=value, grad=grad, breaks=breaks)
     return BVFunction(
         domain,

@@ -545,22 +545,18 @@ def sq_envelope(F, i):
         raise IntegrandError("envelope requires a nonnegative quasiconvex-flagged integrand")
     N, n = F.dims
     if F.has_analytic_recession():
-        slope = lambda A: F.recession(None, A)
         batch_rec = lambda A: np.asarray(F.recession_analytic(None, A))
     else:  # the upper slope, one matrix at a time
-        slope = lambda A: generalized_recession(F, A).value
-        batch_rec = lambda A: np.array([slope(Ak) for Ak in A])
-    dirs = _fixed_directions(N, n, 9)
+        batch_rec = lambda A: np.array([generalized_recession(F, Ak).value for Ak in A])
+    dirs = np.array(_fixed_directions(N, n, 9))
     radii = [2.0**k for k in range(0, 21)]
-    # dyadic magnitudes to probe, including off-grid midpoints
-    mags = sorted(set(radii) | {1.5 * r for r in radii[:-1]})
-
-    def exceeds(A):  # F above the second branch at A
-        fv = float(np.asarray(F(None, A)))
-        return fv > slope(A) + frobenius(A) / i - i + 1e-12 * (1 + abs(fv))
-
-    # r_i: the first dyadic radius above every sampled magnitude where F exceeds
-    last = max((m for D in dirs for m in mags if exceeds(m * np.asarray(D))), default=0.0)
+    # dyadic magnitudes to probe, including off-grid midpoints, along every direction
+    mags = np.array(sorted(set(radii) | {1.5 * r for r in radii[:-1]}))
+    probes = np.multiply.outer(mags, dirs).reshape(-1, N, n)
+    fv = F(None, probes)
+    exceeds = fv > batch_rec(probes) + frobenius(probes) / i - i + 1e-12 * (1 + np.abs(fv))
+    # r_i: the first dyadic radius above every sampled magnitude where F exceeds the second branch
+    last = np.max(np.repeat(mags, len(dirs))[exceeds], initial=0.0)
     ok_radius = next((r for r in radii if r > last), None)
     if ok_radius is None:
         raise IntegrandError("SQ parameters not found within the radius budget")

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvcalc.bv import (
+    TRACE_TOL,
     BVError,
     BVFunction,
     CatalogError,
@@ -724,3 +729,191 @@ def test_scalar_bumps_equal_the_kept_copy(per_axis):
         new, old = scalar_bumps(dom, per_axis), _old_scalar_bumps(dom, per_axis)
         assert len(new) == len(old) == per_axis**dom.dim
         assert all(np.array_equal(a(nodes), b(nodes)) for a, b in zip(new, old))
+
+
+# ---------------------------------------------------------------------------
+# batched trace check, interval lookup and sawtooth breaks, against kept
+# copies of the code they replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_check_trace_consistency(u):
+    """The per-jump trace check: two ``value_at`` calls per jump and side."""
+    h = 1e-6 * max(hi - lo for lo, hi in u.domain.box)
+
+    def eval_offset(pts, directions, step):
+        probe = pts + step * directions
+        inside = u.domain.contains(probe)
+        return u.value_at(np.where(inside[:, None], probe, pts))
+
+    for jump in u.jumps:
+        carrier = u.registry[jump.carrier_id]
+        pts, _ = carrier.rule(min(u.domain.resolution, 16))
+        normal = carrier.normal
+        if carrier.kind == "point":
+            normal = (jump.orientation,) + (0.0,) * (u.domain.dim - 1)
+        eta = np.tile(np.asarray(normal, dtype=float), (len(pts), 1))
+        for side, declared, sgn in (("plus", jump.plus, 1.0), ("minus", jump.minus, -1.0)):
+            u1 = eval_offset(pts, sgn * eta, h)
+            u2 = eval_offset(pts, sgn * eta, 0.5 * h)
+            limit = 2.0 * u2 - u1
+            stated = np.asarray(declared(pts)).reshape(-1, u.N)
+            err = np.max(np.abs(limit - stated)) if len(pts) else 0.0
+            if err > TRACE_TOL:
+                raise BVError(
+                    f"{side} trace on carrier {jump.carrier_id!r} inconsistent "
+                    f"with pieces (error {err:.2e})"
+                )
+
+
+def _outcome(check, u):
+    """None if ``check(u)`` passes, else the message of its BVError."""
+    try:
+        check(u)
+    except BVError as exc:
+        return str(exc)
+    return None
+
+
+def _with_jumps(u, jumps):
+    return BVFunction(
+        u.domain, u.N, u.pieces, jumps=jumps, registry=u.registry, breaks=u.breaks, validate=False
+    )
+
+
+def _trace_check_cases():
+    from bvcalc.scenarios import build_case_1d, random_case_description
+
+    d1 = interval(64)
+    rng = np.random.default_rng(18)
+    cases = [build_case_1d(random_case_description(rng), resolution=64)[0] for _ in range(12)]
+    cases += [heaviside_1d(d1, 0.5), heaviside_1d(d1, 1.0 / 3.0)]
+    for kw in _PROFILES.values():
+        u = piecewise_affine_1d(d1, registry=CarrierRegistry(), **kw)
+        cases += [u, smooth_selected_jumps(u, {u.structure["jumps"][0][0]: 0.05})]
+    cases.append(vertical_step_2d(unit_square(8), 0.5))
+    cases.append(zero_extension(heaviside_1d(d1), Domain((-0.5, 1.5), 64)))
+    # a jump on the box edge: its plus probes leave the box and are clamped
+    reg = CarrierRegistry()
+    reg.register_point("edge", (1.0,))
+    ramp = Piece(region=d1.box, u=lambda n: n[:, :1], grad=lambda n: np.ones((len(n), 1, 1)))
+    edge = Jump("edge", plus=lambda p: p[:, :1], minus=lambda p: p[:, :1])
+    cases.append(BVFunction(d1, 1, [ramp], jumps=[edge], registry=reg, validate=False))
+    return cases
+
+
+def test_batched_trace_check_matches_the_per_jump_loop():
+    cases = _trace_check_cases()
+    assert sum(len(u.jumps) for u in cases) > 20
+    for u in cases:
+        assert _outcome(BVFunction.check_trace_consistency, u) is None
+        assert _outcome(_old_check_trace_consistency, u) is None
+        # one side of one jump off by a distinct amount: the same message, error included
+        for k, jump in enumerate(u.jumps):
+            for side in ("plus", "minus"):
+                off = lambda p, f=getattr(jump, side), e=3.7e-6 * (k + 1): np.asarray(f(p)) + e
+                v = _with_jumps(u, u.jumps[:k] + [replace(jump, **{side: off})] + u.jumps[k + 1 :])
+                new = _outcome(BVFunction.check_trace_consistency, v)
+                assert new == _outcome(_old_check_trace_consistency, v)
+                assert new.startswith(f"{side} trace on carrier {jump.carrier_id!r} inconsistent")
+
+
+def test_batched_trace_check_calls_value_at_once_per_function():
+    for u in _trace_check_cases():
+        calls = []
+        value_at = u.value_at
+        u.value_at = lambda nodes: calls.append(len(nodes)) or value_at(nodes)
+        u.check_trace_consistency()
+        rule = min(u.domain.resolution, 16)
+        probes = 4 * sum(len(u.registry[j.carrier_id].rule(rule)[0]) for j in u.jumps)
+        assert calls == ([probes] if u.jumps else [])
+
+
+def test_first_bad_jump_wins_and_plus_before_minus():
+    u = piecewise_affine_1d(interval(64), registry=CarrierRegistry(), **_PROFILES["scalar"])
+    first, second, third = u.jumps
+    worse = lambda f, e: (lambda p: np.asarray(f(p)) + e)
+    for jumps, message in (
+        # the first jump's minus side is off by less than the second's plus side
+        ([replace(first, minus=worse(first.minus, 0.1)),
+          replace(second, plus=worse(second.plus, 5.0)), third],
+         "minus trace on carrier 'jump:0.3' inconsistent with pieces (error 1.00e-01)"),
+        # both sides of one jump off: plus is compared first
+        ([first, replace(second, plus=worse(second.plus, 0.2), minus=worse(second.minus, 0.3)),
+          third],
+         "plus trace on carrier 'jump:0.45' inconsistent with pieces (error 2.00e-01)"),
+    ):
+        v = _with_jumps(u, jumps)
+        assert _outcome(BVFunction.check_trace_consistency, v) == message
+        assert _outcome(_old_check_trace_consistency, v) == message
+
+
+def test_minus_trace_alone_wrong():
+    u = heaviside_1d(interval(64), 0.5)
+    (jump,) = u.jumps
+    v = _with_jumps(u, [replace(jump, minus=lambda p: np.full((len(p), 1), 0.25))])
+    message = "minus trace on carrier 'jump:0.5' inconsistent with pieces (error 2.50e-01)"
+    assert _outcome(BVFunction.check_trace_consistency, v) == message
+    assert _outcome(_old_check_trace_consistency, v) == message
+    with pytest.raises(BVError, match=r"^minus trace on carrier 'jump:0\.5'"):
+        BVFunction(v.domain, 1, v.pieces, jumps=v.jumps, registry=v.registry)
+
+
+def test_uncovered_probe_raises_before_any_trace_comparison():
+    """Every probe is evaluated before the first comparison, so a probe
+    outside the pieces wins over an earlier jump's bad trace."""
+    reg = CarrierRegistry()
+    reg.register_point("bad", (0.25,))
+    reg.register_point("gap", (0.75,))
+    left = Piece(region=(0.0, 0.75), u=lambda n: n[:, :1], grad=lambda n: np.ones((len(n), 1, 1)))
+    u = BVFunction(
+        interval(16), 1, [left], registry=reg, validate=False,
+        jumps=[Jump("bad", plus=lambda p: p[:, :1] + 1.0, minus=lambda p: p[:, :1]),
+               Jump("gap", plus=lambda p: p[:, :1], minus=lambda p: p[:, :1])],
+    )
+    assert _outcome(_old_check_trace_consistency, u).startswith("plus trace on carrier 'bad'")
+    message = _outcome(BVFunction.check_trace_consistency, u)
+    assert message == "pieces do not cover all quadrature nodes"
+
+
+def _old_interval_of(edges, x):
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interval_of_equals_the_clipped_search(data):
+    from bvcalc.bv import _interval_of
+
+    a = data.draw(st.floats(-4.0, 3.5), label="a")
+    b = data.draw(st.floats(a, 4.0, exclude_min=True), label="b")
+    breakpoints = data.draw(st.lists(st.floats(a, b) | st.sampled_from([a, b]), max_size=6))
+    # duplicates of drawn breakpoints
+    breakpoints += data.draw(st.lists(st.sampled_from(breakpoints or [a]), max_size=3))
+    edges = np.concatenate([[a], sorted(breakpoints), [b]])
+    x = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False) | st.floats(2 * a - b, 2 * b - a)
+        | st.sampled_from([*edges.tolist(), -0.0, 0.0, np.inf, -np.inf]),
+        min_size=1, max_size=40,
+    )))
+    new, old = _interval_of(edges, x), _old_interval_of(edges, x)
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+def test_piecewise_affine_rejects_breakpoints_outside_the_box():
+    d = Domain((-1.0, 2.0), 16)
+    assert piecewise_affine_1d(d, breakpoints=(-1.0, 2.0), slopes=(1.0, 2.0, 3.0)).N == 1
+    for bad in (-1.5, 2.0 + 1e-12, np.nan):
+        with pytest.raises(BVError, match=r"^breakpoints must lie in \[-1, 2\], got "):
+            piecewise_affine_1d(d, breakpoints=(0.5, bad), slopes=(1.0, 2.0, 3.0))
+
+
+def test_sawtooth_breaks_equal_the_generator():
+    for box, js in (((0.0, 1.0), range(1, 1101)), ((-0.3, 2.7), range(1, 1101, 7))):
+        d = Domain(box, 4)
+        (a, b), = d.box
+        length = b - a
+        for j in js:
+            (new,) = sawtooth_1d(d, j).pieces[0].breaks
+            old = tuple(a + length * k / (2 * j) for k in range(1, 2 * j))
+            assert new == old and list(map(repr, new)) == list(map(repr, old))

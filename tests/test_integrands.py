@@ -471,5 +471,5 @@ _NO_ANALYTIC_AREA = Integrand(
     ids=["norm", "area", "shifted-norm", "norm-2x2", "area-no-recession"],
 )
 def test_sq_radius_equals_the_kept_search(F):
-    for i in (1, 2, 4, 8):
+    for i in (1, 2, 4, 8, 16, 32):
         assert sq_envelope(F, i).radius == _old_sq_radius(F, i)
