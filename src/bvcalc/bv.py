@@ -45,9 +45,9 @@ class CatalogError(BVError):
 class Piece:
     """A sub-region with closed-form u and gradient expressions.
 
-    ``region`` is a bounds tuple (closed box) or a boolean mask callable;
-    ``breaks`` declares per-axis discontinuity locations of the gradient
-    inside the piece so quadrature can refine there.
+    ``region`` is a closed box, one (lo, hi) pair per axis (where boxes
+    overlap, the first piece wins); ``breaks`` declares per-axis gradient
+    discontinuities inside the piece so quadrature can refine there.
     """
 
     region: object
@@ -56,8 +56,6 @@ class Piece:
     breaks: tuple = None
 
     def mask(self, nodes):
-        if callable(self.region):
-            return np.asarray(self.region(nodes), dtype=bool)
         return in_box(nodes, self.region)
 
 
@@ -182,12 +180,16 @@ class BVFunction:
             u_exprs = _listed(_entry(pdesc, "u", "a 'pieces' entry"))
             if pieces and len(u_exprs) != N:
                 raise BVError(f"pieces have different component counts: {N} and {len(u_exprs)}")
+            if not u_exprs:
+                raise BVError("'u' of a piece needs at least one component")
             g_rows = _entry(pdesc, "grad", "a 'pieces' entry")
             if not isinstance(g_rows, list) or not g_rows:
                 raise BVError("'grad' of a piece must be a non-empty list")
             if not isinstance(g_rows[0], list):
                 g_rows = [g_rows]
             N = len(u_exprs)
+            if len(g_rows) != N or any(not isinstance(r, list) or len(r) != dim for r in g_rows):
+                raise BVError(f"'grad' of a piece must be {N} rows of {dim} entries, got {g_rows!r}")
             pieces.append(
                 Piece(
                     region=_bounds(pdesc.get("region", domain.box), dim),
@@ -207,6 +209,8 @@ class BVFunction:
                 for side in ("plus", "minus")
             )
             sign = as_floats(jdesc.get("orientation", 1.0), "a jump's 'orientation'", (), BVError)
+            if not isinstance(cid, str):
+                raise BVError(f"'carrier' of a jump must be a string, got {cid!r}")
             jumps.append(Jump(cid, plus, minus, orientation=float(sign)))
         trace = None
         if "trace" in obj:
@@ -264,13 +268,10 @@ def _entry(desc, key, what):
 
 
 def _bounds(region, dim):
-    """A piece's region, checked to be one (lo, hi) pair per axis."""
-    try:
-        if np.asarray(region, dtype=float).size == 2 * dim:
-            return region
-    except (TypeError, ValueError):
-        pass
-    raise BVError(f"'region' of a piece must be one [lo, hi] pair per axis, got {region!r}")
+    """A piece's region, checked to be one finite (lo, hi) pair per axis."""
+    if as_floats(region, "'region' of a piece", error=BVError).size != 2 * dim:
+        raise BVError(f"'region' of a piece must be one [lo, hi] pair per axis, got {region!r}")
+    return region
 
 
 def _breaks(value, dim):
@@ -389,7 +390,7 @@ def zero_extension(u, outer_domain, carrier_prefix=None):
         return np.zeros((len(pts), u.N))
 
     zero = Piece(
-        region=lambda nodes: np.ones(len(nodes), dtype=bool),
+        region=outer_domain.box,  # listed last: the inner pieces win on the old boundary
         u=zeros,
         grad=lambda nodes: np.zeros((len(nodes), u.N, outer_domain.dim)),
     )
@@ -420,8 +421,6 @@ def zero_extension(u, outer_domain, carrier_prefix=None):
 
 
 def _restrict_region(region, box):
-    if callable(region):
-        return lambda nodes: np.asarray(region(nodes), dtype=bool) & in_box(nodes, box)
     region = np.asarray(region, dtype=float).reshape(-1, 2)
     return tuple((max(lo, box[k][0]), min(hi, box[k][1])) for k, (lo, hi) in enumerate(region))
 
@@ -473,19 +472,18 @@ class ConvergenceReport:
     area_gaps: tuple
 
 
-def convergence_report(sequence, u, js=None):
+def convergence_report(sequence, u, js):
     """Per-index gaps diagnosing weak*, strict and area-strict convergence
-    of u_j -> u: L^1 distance, dictionary pairing gaps of the derivative
-    measures, total-variation gap, area-functional gap."""
-    js = tuple(js) if js is not None else tuple(range(1, len(sequence) + 1))
-    seq = [sequence[k] if not callable(sequence) else sequence(j) for k, j in enumerate(js)]
+    of u_j = sequence(j) -> u over ``js``: L^1 distance, dictionary pairing
+    gaps of the derivative measures, total-variation gap, area-functional gap."""
+    js = tuple(js)
     gamma = derivative(u)
     fields = matrix_test_fields(u.domain, (u.N, u.domain.dim))
     tv_u = total_variation(gamma)
     area_u = area_functional(gamma)
     pair_u = [pair_with_test_function(gamma, phi) for phi in fields]
     l1, weak, tvs, areas = [], [], [], []
-    for uj in seq:
+    for uj in map(sequence, js):
         gj = derivative(uj)
         l1.append(uj.l1_distance(u))
         weak.append(

@@ -271,20 +271,17 @@ class LscReport:
     flags: list
 
 
-def lsc_experiment(sequence, u, spec, js=None):
-    """Per-index functional values along u_j -> u and the semicontinuity
-    margin: (tail minimum of F(u_j)) - F(u).
+def lsc_experiment(sequence, u, spec, js):
+    """Per-index functional values along u_j = sequence(j) -> u over ``js``
+    and the semicontinuity margin: (tail minimum of F(u_j)) - F(u).
 
     A margin below -LSC_TOL is flagged; for an integrand that is quasiconvex
     (in particular convex) this is a genuine violation, for one flagged
     not-quasiconvex it is the expected demonstration.
     """
-    js = tuple(js) if js is not None else tuple(range(1, len(sequence) + 1))
+    js = tuple(js)
     value_u = evaluate(u, spec).total
-    values = []
-    for k, j in enumerate(js):
-        uj = sequence(j) if callable(sequence) else sequence[k]
-        values.append(evaluate(uj, spec).total)
+    values = [evaluate(sequence(j), spec).total for j in js]
     liminf = _tail_min(values)
     margin = liminf - value_u
     flags = []
@@ -323,15 +320,16 @@ def continuity_functional(gamma, f):
     return total + _singular_term(f, gamma, gamma.domain)
 
 
-def reshetnyak_experiment(gamma_seq, gamma, f, js=None):
-    """Continuity of the two-term functional along a measure sequence.
+def reshetnyak_experiment(gamma_seq, gamma, f, js):
+    """Continuity of the two-term functional along the measure sequence
+    gamma_seq(j), j in ``js``.
 
     Preamble: the sequence must converge weakly* (finite test-field
     dictionary surrogate) AND in the area functional; otherwise the
     experiment is rejected and no continuity claim is made.
     """
-    js = tuple(js) if js is not None else tuple(range(1, len(gamma_seq) + 1))
-    seq = [gamma_seq(j) if callable(gamma_seq) else gamma_seq[k] for k, j in enumerate(js)]
+    js = tuple(js)
+    seq = [gamma_seq(j) for j in js]
     fields = bvmod.matrix_test_fields(gamma.domain, gamma.shape)
     ref_pairs = [pair_with_test_function(gamma, phi, check_boundary=False) for phi in fields]
     last = seq[-1]

@@ -257,9 +257,6 @@ class RecessionResult:
     diagnostic: float  # last successive difference, scaled by 1 + |A|
     values: tuple
 
-    def __float__(self):
-        return self.value
-
 
 def _along_schedule(f, x, A):
     """f(x, tA)/t along the schedule, and the last successive difference
@@ -278,7 +275,7 @@ def recession(f, x, A):
         raise RecessionError(
             f"recession did not stabilize: tail difference {diag:.3e} at |A|={mag:.3e}"
         )
-    if isinstance(f, Integrand) and f.has_analytic_recession():
+    if f.has_analytic_recession():
         ref = f.recession(x, A)
         if abs(values[-1] - ref) > CROSS_CHECK_TOL * (1.0 + mag):
             raise RecessionError(
@@ -298,7 +295,7 @@ def generalized_recession(f, A):
 def recession_values(f, x, A_batch):
     """Vectorized F^inf over a batch of matrices (x batched alike)."""
     A_batch = np.asarray(A_batch, dtype=float)
-    if isinstance(f, Integrand) and f.has_analytic_recession():
+    if f.has_analytic_recession():
         return np.asarray(f.recession(x, A_batch), dtype=float)
     out = np.empty(len(A_batch))
     for k, A in enumerate(A_batch):
@@ -330,10 +327,8 @@ def membership_E_check(f):
 
     One-sided check: a pass is advisory, a clear failure is flagged.
     """
-    N, n = f.dims if isinstance(f, Integrand) else (1, 1)
-    x = None
-    if isinstance(f, Integrand) and f.x_dependent:
-        x = 0.5 * np.ones((1, n))
+    N, n = f.dims
+    x = 0.5 * np.ones((1, n)) if f.x_dependent else None
     Tf = transform_T(f)
     radii = [0.0] + [1.0 - 2.0**-k for k in range(1, 21)]
     sup_bound = 0.0
@@ -484,7 +479,7 @@ def quasiconvexity_refuter(F, A, trial_fields=None, grid=16):
     """Search for a trial field certifying failure of the gradient Jensen
     inequality at A.  Returns the most negative witness, or None; None is
     NOT a proof of quasiconvexity."""
-    N, n = F.dims if isinstance(F, Integrand) else np.asarray(A).shape
+    N, n = F.dims
     trials = trial_fields if trial_fields is not None else default_trial_fields(N, n)
     worst = None
     for trial in trials:

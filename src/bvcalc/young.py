@@ -20,7 +20,7 @@ import numpy as np
 
 from .bv import derivative, scalar_bumps
 from .functional import charged_recession, order_fit
-from .integrands import Integrand, generalized_recession, recession_values
+from .integrands import generalized_recession, recession_values
 from .measures import (
     MatrixRadonMeasure,
     MeasurePart,
@@ -51,18 +51,11 @@ class YoungMeasureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Node-indexed discrete fields
+# Node-indexed discrete fields: eval(part, points) -> (weights, atoms)
 # ---------------------------------------------------------------------------
 
 
-class OscillationField:
-    """Node-indexed discrete probability measures on matrix space."""
-
-    def eval(self, part, points):
-        raise NotImplementedError
-
-
-class LocationField(OscillationField):
+class LocationField:
     """Field given by a plain location formula nodes -> (weights, atoms)."""
 
     def __init__(self, fn):
@@ -77,7 +70,7 @@ def constant_field(atom_list):
     return _field_from_entries([{"atoms": list(atom_list)}], "field", np.shape(atom_list[0][0]))
 
 
-class ElementaryOscillation(OscillationField):
+class ElementaryOscillation:
     """Dirac at the mu-density of a decomposed measure, per part."""
 
     def __init__(self, decomposition):
@@ -87,7 +80,7 @@ class ElementaryOscillation(OscillationField):
         return np.ones((len(points), 1)), self.dec.density_on(part, points)[:, None, :, :]
 
 
-class ElementaryPolar(OscillationField):
+class ElementaryPolar:
     """Dirac at the polar (unit-norm density direction) of a measure whose
     parts coincide with the concentration measure's parts."""
 
@@ -121,11 +114,9 @@ class GeneralizedYoungMeasure:
                  validate=True):
         self.domain = domain
         self.dims = tuple(dims)
-        self.nu = nu if isinstance(nu, OscillationField) else LocationField(nu)
+        self.nu = nu
         self.lam = lam
-        self.nu_inf = (
-            nu_inf if (nu_inf is None or isinstance(nu_inf, OscillationField)) else LocationField(nu_inf)
-        )
+        self.nu_inf = nu_inf
         self.reference_measure = reference_measure
         self.breaks = breaks
         if validate:
@@ -229,9 +220,9 @@ def _field_from_entries(entries, key, dims):
             weights = np.array([_finite(p, f"an atom weight of {key!r}", ()) for _, p in pairs])
             region = entry.get("region")
             if region is None and "node" in entry:  # single-point entry
-                pt = np.atleast_1d(np.asarray(entry["node"], dtype=float))
+                pt = np.atleast_1d(_finite(entry["node"], f"'node' of an entry of {key!r}"))
                 region = [[v, v] for v in pt]
-            boxed = region is None or np.asarray(region, dtype=float).size == 2 * n
+            boxed = region is None or _finite(region, f"'region' of an entry of {key!r}").size == 2 * n
         except YoungMeasureError:
             raise
         except (TypeError, ValueError) as exc:
@@ -306,7 +297,7 @@ def _field_pair(f, w, A, points, sphere=False, upper=False):
     ``w`` (M, K) and atoms ``A`` (M, K, N, n) there (recession of f when
     ``sphere``; with ``upper`` too, the upper asymptotic slope of an f
     without analytic recession)."""
-    slope = upper and not (isinstance(f, Integrand) and f.has_analytic_recession())
+    slope = upper and not f.has_analytic_recession()
     out = np.zeros(len(points))
     for k in range(w.shape[1]):
         active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
@@ -408,9 +399,8 @@ def empirical_generation_check(sequence, mu, candidate, test_integrands, js, per
     js = tuple(js)
     refs = pairings(test_integrands, candidate, localizations)
     per_probe = {}
-    for k, j in enumerate(js):
-        uj = sequence(j) if callable(sequence) else sequence[k]
-        emp = pairings(test_integrands, elementary(derivative(uj), mu), localizations)
+    for j in js:
+        emp = pairings(test_integrands, elementary(derivative(sequence(j)), mu), localizations)
         for fi, (emp_f, ref_f) in enumerate(zip(emp, refs)):
             for pi, (e, r) in enumerate(zip(emp_f, ref_f)):
                 per_probe.setdefault((fi, pi), []).append(abs(e - r) / max(1.0, abs(r)))
@@ -419,7 +409,7 @@ def empirical_generation_check(sequence, mu, candidate, test_integrands, js, per
     for fi, f in enumerate(test_integrands):
         fitted = [order_fit(js, per_probe[(fi, pi)], 1e-11, 3) for pi in range(len(localizations))]
         fitted = [o for o in fitted if o is not None]
-        orders[getattr(f, "name", f"f{fi}")] = min(fitted, default=None)
+        orders[f.name] = min(fitted, default=None)
     return GenerationReport(js, per_probe, final_gap, orders)
 
 

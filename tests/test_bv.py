@@ -229,7 +229,7 @@ def test_zero_extension_requires_strict_containment():
 
 def test_convergence_constant_sequence_all_zero():
     u = heaviside_1d(interval(), 0.5)
-    rep = convergence_report([u, u, u], u)
+    rep = convergence_report(lambda j: u, u, js=(1, 2, 3))
     assert max(rep.l1_gaps) == 0.0
     assert max(rep.weak_star_gaps) == 0.0
     assert max(rep.tv_gaps) == 0.0
@@ -240,7 +240,7 @@ def test_sawtooth_weak_star_but_not_strict():
     d = interval()
     zero = piecewise_affine_1d(d, slopes=(0.0,))
     js = (4, 8, 16, 32)
-    seq = [sawtooth_1d(d, j) for j in js]
+    seq = lambda j: sawtooth_1d(d, j)
     rep = convergence_report(seq, zero, js=js)
     # weak* and L1 gaps vanish, the TV gap stays at |Du_j|(0,1) = 1
     assert rep.l1_gaps[-1] < rep.l1_gaps[0]
@@ -253,7 +253,7 @@ def test_mollified_sequence_is_area_strict():
     d = Domain((0.0, 1.0), 4096)
     u = heaviside_1d(d, 0.5)
     js = (2, 4, 8, 16, 32)
-    seq = [smooth_dirichlet_approximation(u, j) for j in js]
+    seq = lambda j: smooth_dirichlet_approximation(u, j)
     rep = convergence_report(seq, u, js=js)
     assert all(rep.area_gaps[k + 1] <= rep.area_gaps[k] + 1e-12 for k in range(len(js) - 1))
     assert rep.area_gaps[-1] <= 1.0 / js[-1]
@@ -374,12 +374,47 @@ _PIECE = {"u": ["x"], "grad": ["1"]}
             {"pieces": [dict(_PIECE, breaks=[0.25, float("nan")])]},
             "'breaks' must be finite, got [0.25, nan]",
         ),
+        (
+            {"pieces": [{"u": ["x", "2*x"], "grad": [["1"]]}]},
+            "'grad' of a piece must be 2 rows of 1 entries, got [['1']]",
+        ),
+        (
+            {"pieces": [{"u": ["x"], "grad": [["1", "5"]]}]},
+            "'grad' of a piece must be 1 rows of 1 entries, got [['1', '5']]",
+        ),
+        ({"pieces": [{"u": [], "grad": ["1"]}]}, "'u' of a piece needs at least one component"),
+        (
+            {"pieces": [{"u": ["x"], "grad": [[]]}]},
+            "'grad' of a piece must be 1 rows of 1 entries, got [[]]",
+        ),
+        (
+            {"pieces": [_PIECE], "jumps": [{"carrier": ["a"], "plus": ["1"], "minus": ["0"]}]},
+            "'carrier' of a jump must be a string, got ['a']",
+        ),
+        (
+            {"pieces": [dict(_PIECE, region=[0.0, float("nan")])]},
+            "'region' of a piece must be finite, got [0.0, nan]",
+        ),
+        (
+            {"pieces": [dict(_PIECE, region=[None, None])]},
+            "'region' of a piece must be finite, got [None, None]",
+        ),
     ],
 )
 def test_from_json_malformed_input_names_the_key(obj, message):
     with pytest.raises(BVError) as err:
         BVFunction.from_json(interval(8), obj)
     assert message in str(err.value)
+
+
+def test_boundary_trace_checks_a_stored_trace():
+    piece = {"region": [0.0, 1.0], "u": ["x"], "grad": ["1"]}
+    u = BVFunction.from_json(interval(8), {"pieces": [piece], "trace": ["x"]})
+    pts = np.array([[0.0], [1.0]])
+    assert boundary_trace(u)(pts).tolist() == [[0.0], [1.0]]
+    off = BVFunction.from_json(interval(8), {"pieces": [piece], "trace": ["x + 0.5"]})
+    with pytest.raises(BVError, match="^stored boundary trace inconsistent with pieces"):
+        boundary_trace(off)
 
 
 def test_from_json_jumps_not_a_list():

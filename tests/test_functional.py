@@ -323,7 +323,7 @@ def test_lsc_constant_sequence_zero_margin(setting):
     d, reg, mu = setting
     u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
     spec = FunctionalSpec(make_area(), mu, d)
-    rep = lsc_experiment([u, u, u, u], u, spec)
+    rep = lsc_experiment(lambda j: u, u, spec, js=(1, 2, 3, 4))
     assert rep.margin == pytest.approx(0.0, abs=1e-12)
     assert not rep.flags
 
@@ -370,7 +370,7 @@ def ramp_derivative_sequence(domain, registry):
 def test_reshetnyak_identity_sequence(setting):
     d, reg, mu = setting
     gamma = derivative(piecewise_affine_1d(d, slopes=(1.0,), registry=reg))
-    rep = reshetnyak_experiment([gamma, gamma, gamma], gamma, make_area())
+    rep = reshetnyak_experiment(lambda j: gamma, gamma, make_area(), js=(1, 2, 3))
     assert rep.accepted
     assert max(rep.gaps) == 0.0
 
@@ -384,6 +384,17 @@ def test_reshetnyak_ramp_first_order(setting):
     assert rep.accepted
     assert rep.final_gap <= 1e-3
     assert rep.order == pytest.approx(1.0, abs=0.15)
+
+
+def test_reshetnyak_rejects_a_persisting_weak_star_gap(setting):
+    d, reg, mu = setting
+    zero = derivative(piecewise_affine_1d(d, slopes=(0.0,), registry=reg))
+    step = derivative(heaviside_1d(d, 0.5, registry=reg))
+    rep = reshetnyak_experiment(lambda j: step, zero, make_area(), js=(1, 2, 4))
+    assert not rep.accepted
+    assert rep.reject_reason == "weak* gap persists"
+    assert rep.weak_star_gap == pytest.approx(1.0, abs=1e-12)
+    assert rep.gaps == () and rep.final_gap is None and rep.order is None
 
 
 def test_reshetnyak_rejects_strict_but_not_area_strict(setting):

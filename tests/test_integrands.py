@@ -21,6 +21,7 @@ from bvcalc.integrands import (
     quasiconvexity_refuter,
     rank_one_convexity_check,
     recession,
+    recession_values,
     sq_envelope,
     transform_T,
     transform_T_inv,
@@ -147,6 +148,15 @@ def test_recession_nonstabilizing_raises():
     )
     with pytest.raises(RecessionError):
         recession(wild, None, np.array([[1.0]]))
+
+
+def test_recession_values_without_analytic_recession_runs_the_schedule():
+    f = Integrand("area-no-rec", (1, 1), lambda x, A: np.sqrt(1.0 + np.sum(A * A, axis=(1, 2))),
+                  1.0, 1.0)
+    A = np.array([[[0.5]], [[-2.0]], [[3.0]]])
+    x = np.array([[0.1], [0.2], [0.3]])
+    assert recession_values(f, None, A).tolist() == [recession(f, None, Ak).value for Ak in A]
+    assert recession_values(f, x, A).tolist() == [recession(f, xk, Ak).value for xk, Ak in zip(x, A)]
 
 
 def test_sq_identity_scaling_for_envelope():

@@ -1,11 +1,20 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_identity.py"
-_spec = importlib.util.spec_from_file_location("report_identity", TOOL)
-report_identity = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_identity)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_identity = _load("report_identity")
+linecov = _load("linecov")
 
 
 def test_report_differences_name_each_differing_leaf(tmp_path):
@@ -25,3 +34,52 @@ def test_report_differences_name_each_differing_leaf(tmp_path):
         "metrics.new: (missing) -> {}",
     ]
     assert report_identity.report_differences(a, a) == []
+
+
+_SAMPLE = '''"""A sample module."""
+
+
+def sign(x):
+    if x < 0:
+        return -1
+    return 1
+
+
+def unused(
+    a,
+):
+    return [
+        a,
+        a,
+    ]
+'''
+
+_SAMPLE_TEST = '''import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent / "pkg"))
+import linecov_sample
+
+
+def test_positive_sign():
+    assert linecov_sample.sign(2) == 1
+'''
+
+
+def test_linecov_lists_the_lines_that_never_ran(tmp_path, monkeypatch):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "linecov_sample.py").write_text(_SAMPLE)
+    (tmp_path / "test_linecov_sample.py").write_text(_SAMPLE_TEST)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        status, hits = linecov.traced_run(
+            ["-q", "-p", "no:cacheprovider", str(tmp_path / "test_linecov_sample.py")],
+            tmp_path / "pkg",
+        )
+    finally:
+        sys.modules.pop("linecov_sample", None)
+        sys.modules.pop("test_linecov_sample", None)
+    assert status == 0
+    missing = linecov.never_run(tmp_path / "pkg", hits)
+    assert missing == {tmp_path / "pkg" / "linecov_sample.py": [6, 13, 14, 15]}
+    assert linecov.ranges(missing[tmp_path / "pkg" / "linecov_sample.py"]) == "6, 13-15"

@@ -13,6 +13,7 @@ from bvcalc.bv import (
 from bvcalc.functional import FunctionalSpec, evaluate, geometric_js
 from bvcalc.integrands import (
     Integrand,
+    generalized_recession,
     make_area,
     make_norm,
     make_shifted_norm,
@@ -423,6 +424,46 @@ def test_jensen_lebesgue_ramp_concentration():
         assert rep.ok, f.name
 
 
+def area_without_recession():
+    return Integrand("area-no-rec", (1, 1), lambda x, A: np.sqrt(1.0 + np.sum(A * A, axis=(1, 2))),
+                     1.0, 1.0)
+
+
+def test_upper_slope_pairs_the_generalized_recession():
+    f = area_without_recession()
+    w = np.array([[0.25, 0.75], [1.0, 0.0]])
+    S = np.array([[[[1.0]], [[-1.0]]], [[[-1.0]], [[1.0]]]])
+    got = young._field_pair(f, w, S, np.array([[0.2], [0.6]]), sphere=True, upper=True)
+    slope = lambda m, k: w[m, k] * generalized_recession(f, S[m, k]).value
+    assert got.tolist() == [slope(0, 0) + slope(0, 1), slope(1, 0)]
+
+
+def test_jensen_lebesgue_uses_the_upper_slope_without_analytic_recession(monkeypatch):
+    d = Domain((-1.0, 1.0), 256)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
+    )
+    cand = GeneralizedYoungMeasure(
+        d,
+        (1, 1),
+        constant_field([(np.array([[0.0]]), 1.0)]),
+        ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg),
+        constant_field([(np.array([[1.0]]), 1.0)]),
+        mu,
+    )
+    slopes = []
+
+    def recorded(f, A):
+        slopes.append(np.asarray(A).tolist())
+        return generalized_recession(f, A)
+
+    monkeypatch.setattr(young, "generalized_recession", recorded)
+    rep = jensen_check_lebesgue(area_without_recession(), heaviside_1d(d, 0.0, registry=reg), cand)
+    assert rep.ok
+    assert slopes == [[[1.0]]]
+
+
 def test_jensen_convex_catalog_no_violations_flagging(setting):
     # the recorded violation set is empty exactly for the quasiconvex flags
     d, reg, mu = setting
@@ -503,6 +544,19 @@ def test_young_from_json_node_entry(setting):
         (
             {"nu": [{"atoms": [[[[0.0]], 1.0]]}], "nu_inf": [{"atoms": [[[[float("inf")]], 1.0]]}]},
             "an atom of 'nu_inf' must be finite, got [[inf]]",
+        ),
+        (
+            {"nu": [{"region": [[0.0, None]], "atoms": [[[[0.0]], 1.0]]},
+                    {"atoms": [[[[1.0]], 1.0]]}]},
+            "'region' of an entry of 'nu' must be finite, got [[0.0, None]]",
+        ),
+        (
+            {"nu": [{"region": [0.0, float("nan")], "atoms": [[[[0.0]], 1.0]]}]},
+            "'region' of an entry of 'nu' must be finite, got [0.0, nan]",
+        ),
+        (
+            {"nu": [{"node": [None], "atoms": [[[[0.0]], 1.0]]}]},
+            "'node' of an entry of 'nu' must be finite, got [None]",
         ),
     ],
 )
