@@ -228,34 +228,35 @@ class BVFunction:
     def check_trace_consistency(self):
         """One-sided Richardson limits of the piece expressions must match
         the declared jump traces at carrier quadrature nodes.  The probes of
-        every jump, side and step go through one ``value_at``."""
-        h = 1e-6 * max(hi - lo for lo, hi in self.domain.box)
-        sides, probes, anchors = [], [], []
-        for jump in self.jumps:
-            carrier = self.registry[jump.carrier_id]
-            pts, _ = carrier.rule(min(self.domain.resolution, 16))
-            normal = carrier.normal
-            if carrier.kind == "point":
-                normal = (jump.orientation,) + (0.0,) * (self.domain.dim - 1)
-            eta = np.tile(np.asarray(normal, dtype=float), (len(pts), 1))
-            for side, declared, sgn in (("plus", jump.plus, 1.0), ("minus", jump.minus, -1.0)):
-                sides.append((jump.carrier_id, side, declared, pts))
-                probes += [pts + step * (sgn * eta) for step in (h, 0.5 * h)]
-                anchors += [pts, pts]
-        if not sides:
+        every jump, side and step go through one ``value_at``, and the
+        errors of every (jump, side) come from one pass; the first failing
+        side, in jump order and plus before minus, raises."""
+        if not self.jumps:
             return
-        probe, anchor = np.concatenate(probes), np.concatenate(anchors)
-        inside = self.domain.contains(probe)
-        values = self.value_at(np.where(inside[:, None], probe, anchor))  # clamp boundary touches
-        blocks = np.split(values, np.cumsum([len(p) for p in probes])[:-1])
-        for (cid, side, declared, pts), u1, u2 in zip(sides, blocks[::2], blocks[1::2]):
-            limit = 2.0 * u2 - u1  # Richardson: O(h^2) for C^1 pieces
-            stated = np.asarray(declared(pts)).reshape(-1, self.N)
-            err = np.max(np.abs(limit - stated)) if len(pts) else 0.0
-            if err > TRACE_TOL:
-                raise BVError(
-                    f"{side} trace on carrier {cid!r} inconsistent with pieces (error {err:.2e})"
-                )
+        dim, h = self.domain.dim, 1e-6 * max(hi - lo for lo, hi in self.domain.box)
+        rules, normals, pad = [], [], (0.0,) * (dim - 1)
+        for jump in self.jumps:  # a point carrier's normal is the jump's stored 1D sign
+            carrier = self.registry[jump.carrier_id]
+            rules.append(carrier.rule(min(self.domain.resolution, 16))[0])
+            normals.append((jump.orientation, *pad) if carrier.kind == "point" else carrier.normal)
+        counts = [len(pts) for pts in rules]
+        pts = np.concatenate(rules)
+        eta = np.repeat(np.asarray(normals, dtype=float), counts, axis=0)
+        # probes at h, h/2, -h and -h/2 along the normal; those outside the box clamp to the point
+        probe = (pts + np.array([h, 0.5 * h, -h, -0.5 * h])[:, None, None] * eta).reshape(-1, dim)
+        values = self.value_at(np.where(self.domain.contains(probe)[:, None], probe, np.tile(pts, (4, 1))))
+        stated = [[np.asarray(f(p)).reshape(-1, self.N) for f in (j.plus, j.minus)]
+                  for j, p in zip(self.jumps, rules)]
+        u = values.reshape(2, 2, len(pts), self.N)  # Richardson 2 u(h/2) - u(h): O(h^2) for C^1 pieces
+        err = np.abs(2.0 * u[:, 1] - u[:, 0] - np.stack([np.concatenate(s) for s in zip(*stated)]))
+        err = np.maximum.reduceat(err.max(axis=2), np.cumsum([0] + counts[:-1]), axis=1)
+        bad = np.flatnonzero(err.T > TRACE_TOL)
+        if bad.size:
+            k, side = divmod(int(bad[0]), 2)
+            raise BVError(
+                f"{('plus', 'minus')[side]} trace on carrier {self.jumps[k].carrier_id!r} "
+                f"inconsistent with pieces (error {err[side, k]:.2e})"
+            )
 
 
 def _entry(desc, key, what):
@@ -435,16 +436,12 @@ def matrix_test_fields(domain, shape):
     dictionary standing in for all continuous test fields in weak*
     comparisons."""
     N, n = shape
-    bumps = scalar_bumps(domain, 3)
-    fields = []
-    for bump in bumps:
-        for E in np.eye(N * n).reshape(N * n, N, n):  # E_ij in row-major order
-
-            def phi(nodes, _b=bump, _E=E):
-                return np.asarray(_b(nodes))[:, None, None] * _E[None]
-
-            fields.append(phi)
-    return fields
+    units = np.eye(N * n).reshape(N * n, N, n)  # E_ij in row-major order
+    return [
+        lambda nodes, _b=bump, _E=E: np.asarray(_b(nodes))[:, None, None] * _E[None]
+        for bump in scalar_bumps(domain, 3)
+        for E in units
+    ]
 
 
 def scalar_bumps(domain, per_axis=12):
@@ -510,9 +507,11 @@ def piecewise_affine_1d(
     (position, height) pairs (positions need not be slope breakpoints)."""
     registry = registry if registry is not None else CarrierRegistry()
     (a, b), = domain.box
-    breakpoints = tuple(sorted(float(t) for t in breakpoints))
+    breakpoints = tuple(float(t) for t in breakpoints)
     if not all(a <= t <= b for t in breakpoints):
         raise BVError(f"breakpoints must lie in [{a:g}, {b:g}], got {list(breakpoints)}")
+    if list(breakpoints) != sorted(breakpoints):
+        raise BVError(f"breakpoints must be sorted, got {list(breakpoints)}")
     jumps = tuple((float(t), np.atleast_1d(np.asarray(d, dtype=float))) for t, d in jumps)
     N = len(jumps[0][1]) if jumps else np.atleast_1d(np.asarray(slopes[0])).shape[0]
     slopes = np.asarray(
@@ -569,13 +568,12 @@ def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, regi
         offset = sum(float(below(s, t)) * d[None, :] for s, d in kept)
         return lambda pts: continuous(pts[:, 0]) + offset
 
+    cids = [f"jump:{t:.12g}" for t, _ in kept]
+    if len(set(cids)) < len(cids):
+        raise BVError(f"jumps must have distinct carrier ids, got {cids}")
     jumps = [
-        Jump(
-            registry.register_point(f"jump:{t:.12g}", (t,)).cid,
-            trace(t, operator.le),
-            trace(t, operator.lt),
-        )
-        for t, _ in kept
+        Jump(registry.register_point(cid, (t,)).cid, trace(t, operator.le), trace(t, operator.lt))
+        for (t, _), cid in zip(kept, cids)
     ]
     structure = {
         "kind": "smoothed_pw_affine" if smooth else "pw_affine_1d",
@@ -714,11 +712,8 @@ def smooth_dirichlet_approximation(u, j):
     jumps = structure["jumps"]
     positions = sorted(t for t, _ in jumps)
     # transition widths: half-distance to neighbours/boundary, capped at 1/(2j)
-    gaps = []
-    for k, t in enumerate(positions):
-        left = positions[k - 1] if k else a
-        right = positions[k + 1] if k + 1 < len(positions) else b
-        gaps.append(min(t - left, right - t))
+    edges = [a, *positions, b]
+    gaps = [min(t - left, right - t) for left, t, right in zip(edges, edges[1:], edges[2:])]
     if min(gaps) <= 0:
         raise CatalogError("jump too close to the boundary for the collar construction")
     widths = {t: min(1.0 / (2 * j), g) for t, g in zip(positions, gaps)}

@@ -705,6 +705,7 @@ def carpet_holes(depth):
     Returns a list of (x0, x1, y0, y1).
     """
     beta = 1.0 / math.sqrt(2.0)
+    cells = [(ix, iy) for ix in range(3) for iy in range(3) if (ix, iy) != (1, 1)]  # not the center
     holes = []
     active = [(0.0, 0.0, 1.0)]  # (x0, y0, side)
     for m in range(1, depth + 1):
@@ -714,11 +715,7 @@ def carpet_holes(depth):
             cx, cy = x0 + cell / 2, y0 + cell / 2
             holes.append((cx - side / 2, cx + side / 2, cy - side / 2, cy + side / 2))
             third = cell / 3.0
-            for ix in range(3):
-                for iy in range(3):
-                    if ix == 1 and iy == 1:
-                        continue
-                    nxt.append((x0 + ix * third, y0 + iy * third, third))
+            nxt += [(x0 + ix * third, y0 + iy * third, third) for ix, iy in cells]
         active = nxt
     return holes
 
@@ -769,11 +766,8 @@ def scenario_example2(config):
     bounded below at every depth."""
     d = Domain(((0.0, 1.0), (0.0, 1.0)), config.resolution)
     reg = CarrierRegistry()
-    bounds = []
     max_depth = 4
-    for k in range(max_depth + 1):
-        ck, c_star = carpet_lower_bound(k)
-        bounds.append((k, ck, c_star))
+    bounds = [(k, *carpet_lower_bound(k)) for k in range(max_depth + 1)]
     u = affine_2d(d, np.array([[1.0, 0.0]]), registry=reg)  # u(x, y) = x
 
     holes4 = carpet_holes(max_depth)

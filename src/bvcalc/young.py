@@ -264,9 +264,7 @@ def elementary(gamma, mu):
     sphere Diracs at the remainder's polar."""
     dec = rn_decompose(gamma, mu)
     rem = dec.remainder
-    lam_parts = []
-    for cid, fn in rem.carrier_parts:
-        lam_parts.append((cid, lambda pts, _f=fn: frobenius(_f(pts))))
+    lam_parts = [(cid, lambda pts, _f=fn: frobenius(_f(pts))) for cid, fn in rem.carrier_parts]
     lam_atoms = tuple((p, float(np.linalg.norm(v))) for p, v in rem.atoms)
     lam = ScalarRadonMeasure(
         gamma.domain,

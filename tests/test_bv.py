@@ -582,7 +582,7 @@ def _old_smooth_selected_jumps(u, widths):
 _PROFILES = {
     # N = 1, three jumps, one of them on the slope breakpoint 0.3
     "scalar": dict(
-        breakpoints=(0.6, 0.3), slopes=(1.0, -2.0, 0.5), start_value=0.2,
+        breakpoints=(0.3, 0.6), slopes=(1.0, -2.0, 0.5), start_value=0.2,
         jumps=((0.3, 1.0), (0.45, -0.5), (0.8, 2.0)),
     ),
     "vector": dict(
@@ -843,6 +843,12 @@ def test_batched_trace_check_matches_the_per_jump_loop():
     for u in cases:
         assert _outcome(BVFunction.check_trace_consistency, u) is None
         assert _outcome(_old_check_trace_consistency, u) is None
+        # a NaN in a side's errors hides that side's other errors, as np.max did
+        for k, jump in enumerate(u.jumps):
+            odd = lambda p: np.where(np.arange(len(p)) % 2, 1.0, np.nan)[:, None]
+            nan = lambda p, f=jump.plus: np.asarray(f(p)) + odd(p)
+            v = _with_jumps(u, u.jumps[:k] + [replace(jump, plus=nan)] + u.jumps[k + 1 :])
+            assert _outcome(BVFunction.check_trace_consistency, v) == _outcome(_old_check_trace_consistency, v)
         # one side of one jump off by a distinct amount: the same message, error included
         for k, jump in enumerate(u.jumps):
             for side in ("plus", "minus"):
@@ -941,6 +947,22 @@ def test_piecewise_affine_rejects_breakpoints_outside_the_box():
     for bad in (-1.5, 2.0 + 1e-12, np.nan):
         with pytest.raises(BVError, match=r"^breakpoints must lie in \[-1, 2\], got "):
             piecewise_affine_1d(d, breakpoints=(0.5, bad), slopes=(1.0, 2.0, 3.0))
+
+
+def test_piecewise_affine_rejects_unsorted_breakpoints():
+    d = Domain((0.0, 1.0), 16)
+    assert piecewise_affine_1d(d, breakpoints=(0.2, 0.2, 0.7), slopes=(1.0, 2.0, 3.0, 4.0)).N == 1
+    with pytest.raises(BVError, match=r"^breakpoints must be sorted, got \[0\.7, 0\.2\]$"):
+        piecewise_affine_1d(d, breakpoints=(0.7, 0.2), slopes=(1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("second", [0.3, 0.3 + 1e-14])
+def test_jumps_at_one_carrier_id_are_rejected(second):
+    # each would otherwise count the full trace difference: |Du|({0.3}) read 4 for 2
+    d, reg = Domain((0.0, 1.0), 16), CarrierRegistry()
+    with pytest.raises(BVError, match=r"^jumps must have distinct carrier ids, got \['jump:0\.3', 'jump:0\.3'\]$"):
+        piecewise_affine_1d(d, slopes=(0.0,), jumps=((0.3, 1.0), (second, 1.0)), registry=reg)
+    assert "jump:0.3" not in reg
 
 
 def test_sawtooth_breaks_equal_the_generator():

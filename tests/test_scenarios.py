@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvcalc import reporting
 from bvcalc.bv import BVFunction, derivative, verify_integration_by_parts
@@ -19,7 +21,7 @@ from bvcalc.measures import (
     ScalarRadonMeasure,
     total_variation,
 )
-from bvcalc.oracle import oracle_1d
+from bvcalc.oracle import OracleError, _exact_sum, oracle_1d, oracle_case
 from bvcalc.scenarios import (
     RunConfig,
     ScenarioError,
@@ -341,6 +343,200 @@ def test_oracle_equals_scalar_loop_bit_for_bit():
 def test_oracle_pinned_values(u, mu, f, pinned):
     # recorded from the scalar midpoint loop at the default npoints
     assert oracle_1d(u, mu, f).hex() == pinned
+
+
+# ---------------------------------------------------------------------------
+# the exact oracle sum against the math.fsum over Python floats it replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0), npoints=100_000):
+    """``oracle_1d`` as it was before the exact sum: every block's terms as
+    Python floats through one ``math.fsum``, the first atom at a point only."""
+    a, b = float(domain[0]), float(domain[1])
+    breaks = [float(t) for t in u_desc.get("breaks", ())]
+    slopes = [float(s) for s in u_desc.get("slopes", (0.0,))]
+    jumps = [(float(t), float(d)) for t, d in u_desc.get("jumps", ())]
+    coeffs = [float(c) for c in mu_desc.get("poly", (1.0,))]
+    atoms = [(float(p), float(w)) for p, w in mu_desc.get("atoms", ())]
+    base = {
+        "norm": abs,
+        "area": lambda t: np.sqrt(1.0 + t * t),
+        "shifted-norm": lambda t: abs(t - float(f_desc.get("A0", 0.3))) + float(f_desc.get("c", 0.4)),
+        "w-shape": lambda t: abs(abs(t) - 1.0),
+    }[f_desc["kind"]]
+    if f_desc.get("modulated", False):
+        F, F_inf = (lambda x, t: (1.0 + 0.5 * x) * base(t)), (lambda x, t: (1.0 + 0.5 * x) * abs(t))
+    else:
+        F, F_inf = (lambda x, t: base(t)), (lambda x, t: abs(t))
+    edges = [a] + [t for t in breaks if a < t < b] + [b]
+
+    def cell_blocks():
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (lo + hi)
+            slope = slopes[next((k for k, t in enumerate(breaks) if mid < t), len(breaks))]
+            count = max(1, round(npoints * (hi - lo) / (b - a)))
+            step = (hi - lo) / count
+            for k0 in range(0, count, 4096):
+                x = lo + (np.arange(k0, min(k0 + 4096, count)) + 0.5) * step
+                dens = np.zeros_like(x)
+                for c in reversed(coeffs):
+                    dens = dens * x + c
+                yield (F(x, slope / dens) * dens * step).tolist()
+
+    total = math.fsum(t for block in cell_blocks() for t in block)
+    for pos, height in jumps:
+        atom_w = next((w for p, w in atoms if abs(p - pos) <= 1e-12), 0.0)
+        total += float(F(pos, height / atom_w) * atom_w if atom_w > 0.0 else F_inf(pos, height))
+    for p, w in atoms:
+        if not any(abs(p - pos) <= 1e-12 for pos, _ in jumps):
+            total += float(F(p, 0.0) * w)
+    return total
+
+
+def _outcome(fn, *args, **kwargs):
+    """The hex form of ``fn(...)``, or the type of what it raised."""
+    try:
+        return fn(*args, **kwargs).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def test_exact_oracle_equals_the_fsum_oracle_bit_for_bit():
+    rng = np.random.default_rng(20)
+    kinds = ("norm", "area", "shifted-norm", "w-shape")
+    for i in range(200):
+        case = random_case_description(rng)
+        case["F"] = dict(case["F"], kind=kinds[i % 4], modulated=bool(i // 4 % 2))
+        for npoints in (2000, 100_000):
+            new = oracle_1d(case["u"], case["mu"], case["F"], npoints=npoints)
+            old = _old_oracle_1d(case["u"], case["mu"], case["F"], npoints=npoints)
+            assert new == old and new.hex() == old.hex(), (case, npoints)
+
+
+@pytest.mark.parametrize(
+    "slopes, kind",
+    [
+        ([1e308, 1.0], "norm"),  # terms ~1e303 whose sum stays finite
+        ([1.7e308, 1.7e308], "norm"),  # a finite sum beyond the float range
+        ([1e200, 1.0], "area"),  # t * t overflows: inf terms
+        ([1e308, -1e308], "norm"),  # 1e308 / density 0.5 overflows
+    ],
+)
+def test_exact_oracle_keeps_the_special_values_of_fsum(slopes, kind):
+    u = {"breaks": [0.5], "slopes": slopes, "jumps": []}
+    for mu in ({"poly": [1.0]}, {"poly": [0.5]}):
+        for modulated in (False, True):
+            args = (u, mu, {"kind": kind, "modulated": modulated})
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _outcome(oracle_1d, *args, npoints=2000) == _outcome(_old_oracle_1d, *args, npoints=2000)
+
+
+_FLOATS = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 1000))
+_TINY = st.floats(-(2.0**-1020), 2.0**-1020) | st.sampled_from([5e-324, -5e-324, 0.0, -0.0])
+_HUGE = st.floats(2.0**1020, 1.7976931348623157e308)
+
+
+@st.composite
+def _summands(draw):
+    kind = draw(st.sampled_from(["mixed", "tiny", "cancel", "zeros", "special", "overflow"]))
+    if kind == "overflow":  # one sign, so fsum's intermediate overflow is the total's
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return [sign * x for x in draw(st.lists(_HUGE, max_size=8))]
+    if kind == "zeros":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=5))
+    xs = draw(st.lists(_TINY if kind == "tiny" else _FLOATS | _TINY, max_size=40))
+    if kind == "cancel":
+        xs = xs + [-x for x in draw(st.permutations(xs))]
+    if kind == "special":
+        specials = st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3)
+        xs = draw(st.permutations(xs + draw(specials)))
+    return xs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_summands(), st.integers(1, 4))
+def test_exact_sum_equals_fsum(xs, parts):
+    blocks = np.array_split(np.array(xs, dtype=float), parts)
+    assert _outcome(_exact_sum, blocks) == _outcome(math.fsum, xs)
+
+
+# ---------------------------------------------------------------------------
+# oracle case documents: what the pipeline rejects, the oracle rejects
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_merges_atoms_given_at_one_point():
+    case = {
+        "u": dict(_ORACLE_CASE["u"], jumps=[[0.3, 1.0]]),
+        "mu": dict(_ORACLE_CASE["mu"], atoms=[[0.3, 0.5], [0.3, 0.5]]),
+        "F": _ORACLE_CASE["F"],
+    }
+    u, spec = build_case_1d(case, resolution=40000)
+    ours, ref = evaluate(u, spec).total, oracle_case(case)
+    assert abs(ours - ref) / abs(ref) <= 1e-8
+    merged = dict(case, mu=dict(case["mu"], atoms=[[0.3, 1.0]]))
+    assert ref == oracle_case(merged)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"domain": [1.0, 0.0]}, "'domain' must be an interval [a, b] with a < b, got [1.0, 0.0]"),
+        ({"F": {"kind": "cubic"}}, "malformed case: ValueError: oracle does not know integrand kind 'cubic'"),
+        ({"u": {"slopes": [1.0], "jumps": [[0.3]]}}, "malformed case: ValueError: not enough values"),
+    ],
+)
+def test_oracle_case_rejects_a_malformed_document(change, message):
+    with pytest.raises(OracleError) as err:
+        oracle_case(dict(_ORACLE_CASE, **change))
+    assert str(err.value).startswith(message)
+
+
+def _pipeline_rejects(case):
+    """Whether ``build_case_1d`` and ``evaluate`` raise a typed error on
+    ``case`` or give a value that is not finite."""
+    try:
+        u, spec = build_case_1d(case, resolution=64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return not math.isfinite(evaluate(u, spec).total)
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize(
+    "part, entry, value, message",
+    [
+        ("u", "jumps", [[0.3, 1.0], [0.3, 1.0]], "'u' jumps must lie inside (0.0, 1.0), more than 1e-12 apart"),
+        ("u", "jumps", [[0.3, 1.0], [0.3 + 1e-14, 1.0]], "'u' jumps must lie inside"),
+        ("u", "jumps", [[1.5, 1.0]], "'u' jumps must lie inside"),
+        ("u", "breaks", [0.7, 0.2], "'u' breaks must increase strictly inside (0.0, 1.0), got [0.7, 0.2]"),
+        ("u", "breaks", [1.5, 2.0], "'u' breaks must increase strictly inside"),
+        ("mu", "atoms", [[1.0, 1.0]], "'mu' atoms must lie inside (0.0, 1.0) with weights >= 0"),
+        ("mu", "atoms", [[0.6, -1.0]], "'mu' atoms must lie inside"),
+        ("u", "slopes", [math.nan, 1.0, 2.0], "'u' slopes must be finite numbers, got [nan, 1.0, 2.0]"),
+        ("mu", "poly", [math.inf], "'mu' poly must be finite numbers"),
+        ("u", "jumps", [[0.3, math.nan]], "'u' jumps must be finite numbers"),
+        ("mu", "atoms", [[0.3, math.inf]], "'mu' atoms must be finite numbers"),
+        ("F", "A0", math.nan, "'F' A0 must be finite numbers"),
+        # degenerate documents that the pipeline still evaluates
+        ("u", "breaks", [0.2, 0.2], "'u' breaks must increase strictly inside"),
+        ("u", "jumps", [[0.0, 1.0]], "'u' jumps must lie inside"),
+    ],
+)
+def test_oracle_case_rejects_what_the_pipeline_rejects(part, entry, value, message):
+    case = {
+        "u": {"breaks": [0.2, 0.7], "slopes": [1.0, -1.0, 2.0], "jumps": [[0.3, 1.0]]},
+        "mu": {"poly": [2.0], "atoms": [[0.3, 1.0]]},
+        "F": {"kind": "shifted-norm"},
+    }
+    assert not _pipeline_rejects(case)
+    case[part] = dict(case[part], **{entry: value})
+    with pytest.raises(OracleError) as err:
+        oracle_case(case)
+    assert str(err.value).startswith(message)
+    degenerate = value in ([0.2, 0.2], [[0.0, 1.0]])
+    assert _pipeline_rejects(case) is not degenerate
 
 
 # ---------------------------------------------------------------------------
