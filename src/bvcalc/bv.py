@@ -250,7 +250,7 @@ class BVFunction:
         u = values.reshape(2, 2, len(pts), self.N)  # Richardson 2 u(h/2) - u(h): O(h^2) for C^1 pieces
         err = np.abs(2.0 * u[:, 1] - u[:, 0] - np.stack([np.concatenate(s) for s in zip(*stated)]))
         err = np.maximum.reduceat(err.max(axis=2), np.cumsum([0] + counts[:-1]), axis=1)
-        bad = np.flatnonzero(err.T > TRACE_TOL)
+        bad = np.flatnonzero(~(err.T <= TRACE_TOL))  # a NaN error fails too
         if bad.size:
             k, side = divmod(int(bad[0]), 2)
             raise BVError(
@@ -369,7 +369,7 @@ def boundary_trace(u):
         return from_inside
     stated = np.asarray(u.trace(pts)).reshape(-1, u.N)
     err = np.max(np.abs(stated - from_inside(pts)))
-    if err > TRACE_TOL:
+    if not err <= TRACE_TOL:
         raise BVError(f"stored boundary trace inconsistent with pieces ({err:.2e})")
     return lambda points: np.asarray(u.trace(points)).reshape(-1, u.N)
 
@@ -513,6 +513,9 @@ def piecewise_affine_1d(
     if list(breakpoints) != sorted(breakpoints):
         raise BVError(f"breakpoints must be sorted, got {list(breakpoints)}")
     jumps = tuple((float(t), np.atleast_1d(np.asarray(d, dtype=float))) for t, d in jumps)
+    for t, d in jumps:
+        if not (a < t < b and np.isfinite(d).all()):
+            raise BVError(f"jump ({t!r}, {d.tolist()}) must lie inside ({a:g}, {b:g}) with a finite height")
     N = len(jumps[0][1]) if jumps else np.atleast_1d(np.asarray(slopes[0])).shape[0]
     slopes = np.asarray(
         [np.broadcast_to(np.atleast_1d(s), (N,)) for s in slopes], dtype=float
@@ -520,6 +523,8 @@ def piecewise_affine_1d(
     if len(slopes) != len(breakpoints) + 1:
         raise BVError("need one slope per breakpoint interval")
     start = np.broadcast_to(np.atleast_1d(np.asarray(start_value, dtype=float)), (N,))
+    if not (np.isfinite(slopes).all() and np.isfinite(start).all()):
+        raise BVError(f"slopes and start_value must be finite, got {slopes.tolist()} and {start.tolist()}")
 
     edges = np.concatenate([[a], breakpoints, [b]])
     # continuous accumulation of the affine part

@@ -166,6 +166,8 @@ def make_w_shape():
 
 
 def make_shifted_norm(A0=0.3, c=0.4, N=1, n=1):
+    if not (math.isfinite(A0) and math.isfinite(c)):
+        raise IntegrandError(f"shifted-norm needs a finite A0 and c, got {A0!r} and {c!r}")
     A0m = np.zeros((N, n))
     A0m.flat[0] = A0
     m = min(1.0, c / max(abs(A0), 1e-12)) * 0.5

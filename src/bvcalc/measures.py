@@ -477,11 +477,13 @@ class ScalarRadonMeasure(_StructuredMeasure):
 
     def __post_init__(self):
         for p, w in self._normalize(float):
-            if w < 0:
+            if not w >= 0:
                 raise MeasureError("atom weights must be nonnegative")
             if len(p) != self.domain.dim:
                 raise MeasureError("atom point dimension mismatch")
-        for part in measure_parts(self):  # atoms were checked above
+        for part in measure_parts(self):  # the atoms' signs were checked above
+            if not np.isfinite(part.values).all():
+                raise MeasureError(f"a scalar measure's {part.kind} part must be finite")
             if part.kind == "cells" and np.any(part.values < -1e-12):
                 raise MeasureError("scalar density must be nonnegative")
             if part.kind == "cells" and self.dominates_lebesgue and np.any(part.values < self.eps):

@@ -1,23 +1,18 @@
 """Independent 1D verification oracle.
 
 Computes the two-term functional value for piecewise-affine profiles and
-polynomial-density reference measures by direct summation over a fixed
-fine partition plus an explicit jump/atom ledger.  Deliberately shares no
-code with the evaluation pipeline: it imports nothing from bvcalc,
-descriptions come in as plain dicts, and the integrand formulas are
-written out inline.  The midpoint terms are computed in numpy blocks of
-at most ``_BLOCK`` points, each term with the same IEEE operations in the
-same order as a scalar loop, and summed exactly, then rounded once, so
-the value is ``math.fsum``'s, that of the scalar midpoint loop, to the
-last bit.  A finite term m 2^e (``np.frexp``) has m 2^53 = hi 2^26 + lo
-with integers |hi| <= 2^27 and |lo| <= 2^25; summed per exponent by
-``np.bincount`` over a block of fewer than 2^26 terms, hi and lo stay
-integers below 2^53, so their float sums are exact.  Each block's bins
-fold into one Python integer count of 2^-1126, whose one division rounds
-correctly.  Special values follow ``fsum``: a total beyond the float range
-raises ``OverflowError``, and if any term is not finite the total is
-``fsum`` of the non-finite terms alone (inf and nan propagate, inf with
--inf raises ``ValueError``).
+polynomial-density reference measures: a Gauss-Legendre cell term plus an
+explicit jump/atom ledger.  Deliberately shares no code with the
+evaluation pipeline: it imports only ``math`` and ``numpy``, takes plain
+dicts and writes each integrand formula out inline.  Each stretch between
+slope breakpoints is split at the kinks of its integrand (the real roots
+of A0 rho - s for ``shifted-norm``, of rho - |s| for ``w-shape``), so every
+piece carries a polynomial, or an analytic function for ``area``, and
+gets a rule of 2 ``_NODES`` points.  The rule checks itself: the
+``math.fsum`` of its terms must be finite and within ``_RULE_TOL``
+relative of the ``_NODES``-point sum, or an ``OracleError`` is raised.
+So does a density with rho(a) <= 0 or a real root (imaginary part at most
+``_REAL_TOL``) in [a, b], found from its coefficients, not by sampling.
 """
 
 from __future__ import annotations
@@ -26,72 +21,59 @@ import math
 
 import numpy as np
 
-ORACLE_POINTS = 100_000
+_NODES = 20
+_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (_NODES, 2 * _NODES)}
+_RULE_TOL = 1e-14
+_REAL_TOL = 1e-6
 _MATCH = 1e-12
-_BLOCK = 4096
-_ROUND = 1.5 * 2.0**52  # t + _ROUND - _ROUND rounds |t| < 2^51 to an integer
 
 
 class OracleError(ValueError):
     """A case document the oracle cannot evaluate."""
 
 
-def _exact_sum(blocks):
-    """``math.fsum`` of the terms of the float arrays ``blocks``, each
-    shorter than 2^26: see the module docstring."""
-    total, special, zero = 0, [], []  # zero: [-0.0] while every term is -0.0
-    for v in blocks:
-        if not np.isfinite(v).all():
-            special += v[~np.isfinite(v)].tolist()
-        if special or not v.size:
-            continue
-        if zero is not None:
-            zero = [-0.0] if np.signbit(v).all() and not v.any() else None
-        m, e = np.frexp(v)
-        hi = (m * 2.0**27 + _ROUND) - _ROUND
-        lo = m * 2.0**53 - hi * 2.0**26
-        e0 = int(e.min())
-        bins = zip(np.bincount(e - e0, hi).tolist(), np.bincount(e - e0, lo).tolist())
-        for shift, (h, l) in enumerate(bins, e0 + 1073):
-            if h or l:
-                total += ((int(h) << 26) + int(l)) << shift
-    if special:
-        return math.fsum(special)
-    return total / (1 << 1126) if total else math.fsum(zero or [])
+def _real_roots(coeffs, lo, hi):
+    """The real roots in [lo, hi], sorted, of the polynomial with
+    ``coeffs`` (lowest degree first)."""
+    roots = np.polynomial.polynomial.polyroots(coeffs)
+    return sorted(float(r.real) for r in roots if abs(r.imag) <= _REAL_TOL and lo <= r.real <= hi)
 
 
-def _poly(x, coeffs):
-    out = np.zeros_like(x)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+def _fsum(terms):
+    """``math.fsum`` of an array, nan where fsum raises (overflow, inf - inf)."""
+    try:
+        return math.fsum(terms.ravel().tolist())
+    except (OverflowError, ValueError):
+        return math.nan
 
 
-def _integrand_pair(f_desc):
-    """(F(x, t), F_infinity(x, t)) as plain closures, elementwise on arrays;
-    every kind has the recession function |t|."""
+def _integrand(f_desc):
+    """(F(x, t), F_infinity(x, t), kink): plain closures, elementwise on
+    arrays (every kind has the recession function |t|), and kink(s) =
+    (alpha, beta) when F(x, s / rho) rho has kinks at the roots of
+    alpha rho(x) - beta, else (0, 0)."""
     kind = f_desc["kind"]
     if kind == "shifted-norm":
         a0, c = float(f_desc.get("A0", 0.3)), float(f_desc.get("c", 0.4))
     bases = {
-        "norm": abs,
-        "area": lambda t: np.sqrt(1.0 + t * t),
-        "shifted-norm": lambda t: abs(t - a0) + c,
-        "w-shape": lambda t: abs(abs(t) - 1.0),
+        "norm": (abs, lambda s: (0.0, 0.0)),
+        "area": (lambda t: np.sqrt(1.0 + t * t), lambda s: (0.0, 0.0)),
+        "shifted-norm": (lambda t: abs(t - a0) + c, lambda s: (a0, s)),
+        "w-shape": (lambda t: abs(abs(t) - 1.0), lambda s: (1.0, abs(s))),
     }
     if kind not in bases:
         raise ValueError(f"oracle does not know integrand kind {kind!r}")
-    base = bases[kind]
+    base, kink = bases[kind]
     if f_desc.get("modulated", False):
-        return (lambda x, t: (1.0 + 0.5 * x) * base(t)), (lambda x, t: (1.0 + 0.5 * x) * abs(t))
-    return (lambda x, t: base(t)), (lambda x, t: abs(t))
+        return (lambda x, t: (1.0 + 0.5 * x) * base(t)), (lambda x, t: (1.0 + 0.5 * x) * abs(t)), kink
+    return (lambda x, t: base(t)), (lambda x, t: abs(t)), kink
 
 
-def oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0), npoints=ORACLE_POINTS):
-    """Functional value integral F(x, dDu/dmu) dmu + recession term, by a
-    direct midpoint sum over ``npoints`` sub-intervals plus the explicit
-    ledger of jumps and atoms (atoms at one point are one atom, their
-    weights summed, in first-occurrence order).
+def oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0)):
+    """Functional value integral F(x, dDu/dmu) dmu + recession term: the
+    cell term by Gauss-Legendre quadrature on each smooth stretch, split at
+    its kinks, plus the explicit ledger of jumps and atoms (atoms at one
+    point are one atom, their weights summed, in first-occurrence order).
 
     ``u_desc``: {"breaks": [...], "slopes": [...], "jumps": [[pos, height]...]}
     ``mu_desc``: {"poly": [c0, c1, ...]} density coefficients, "atoms": [[pos, w]...]
@@ -107,31 +89,37 @@ def oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0), npoints=ORACLE_POINTS)
         p, w = float(p), float(w)
         atoms[p] = atoms[p] + w if p in atoms else w
 
-    F, F_inf = _integrand_pair(f_desc)
+    F, F_inf, kink = _integrand(f_desc)
 
-    # partition aligned with the slope breakpoints (uniform within each
-    # smooth stretch), so the midpoint sum never straddles a kink
+    bad = [a] if not np.polynomial.polynomial.polyval(a, coeffs) > 0.0 else _real_roots(coeffs, a, b)
+    if bad:
+        raise OracleError(f"the density of 'mu' is not positive at x = {bad[0]!r}")
+
+    # pieces (lo, hi, slope): the smooth stretches between slope
+    # breakpoints, each split at the kinks of its integrand
     edges = [a] + [t for t in breaks if a < t < b] + [b]
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        slope = slopes[sum(0.5 * (lo + hi) >= t for t in breaks)]
+        alpha, beta = kink(slope)  # a kink at an end leaves a piece of length 0
+        cuts = [lo, *_real_roots([alpha * coeffs[0] - beta, *(alpha * c for c in coeffs[1:])], lo, hi), hi]
+        pieces += [(p, q, slope) for p, q in zip(cuts[:-1], cuts[1:])]
+    lo, hi, slope = (np.array(col)[:, None] for col in zip(*pieces))
+    half = 0.5 * (hi - lo)
 
-    def cell_blocks():
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            slope = slopes[sum(0.5 * (lo + hi) >= t for t in breaks)]
-            count = max(1, round(npoints * (hi - lo) / (b - a)))
-            step = (hi - lo) / count
-            for k0 in range(0, count, _BLOCK):
-                x = lo + (np.arange(k0, min(k0 + _BLOCK, count)) + 0.5) * step
-                dens = _poly(x, coeffs)
-                bad = np.flatnonzero(~(dens > 0.0))
-                if bad.size:
-                    d, at = float(dens[bad[0]]), float(x[bad[0]])
-                    if d == 0.0:
-                        raise OracleError("the density of 'mu' vanishes at a summation point")
-                    raise OracleError(
-                        f"the density of 'mu' is {d!r}, not positive, at the summation point x = {at!r}"
-                    )
-                yield F(x, slope / dens) * dens * step
+    def cell_term(n):
+        t, w = _RULES[n]
+        x = lo + half * (t + 1.0)
+        dens = np.polynomial.polynomial.polyval(x, coeffs)
+        return _fsum(F(x, slope / dens) * dens * (half * w))
 
-    total = _exact_sum(cell_blocks())
+    total = cell_term(2 * _NODES)
+    gap = abs(cell_term(_NODES) - total)
+    if not gap <= _RULE_TOL * abs(total):
+        raise OracleError(
+            f"the Gauss-Legendre cell term {total!r} is not finite or not certified: "
+            f"the {_NODES}- and {2 * _NODES}-node sums differ by {gap!r}"
+        )
 
     for pos, height in jumps:
         atom_w = next((w for p, w in atoms.items() if abs(p - pos) <= _MATCH), 0.0)
@@ -173,8 +161,8 @@ def oracle_case(case):
     """``oracle_1d`` of a case document {"u", "mu", "F", "domain"}, or an
     OracleError for a missing part, a slope count other than one per
     breakpoint interval, an empty domain, an entry ``_check_entries``
-    rejects, a density that is not positive at a summation point or a
-    malformed entry."""
+    rejects, a density that is not positive somewhere on the domain, a
+    cell term the quadrature cannot certify or a malformed entry."""
     if not isinstance(case, dict) or not all(isinstance(case.get(k), dict) for k in ("u", "mu", "F")):
         raise OracleError("a case needs the objects 'u', 'mu' and 'F'")
     u, mu, f = case["u"], case["mu"], case["F"]

@@ -407,6 +407,24 @@ def test_from_json_malformed_input_names_the_key(obj, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(slopes=(1.0, np.nan), breakpoints=(0.5,)), "slopes and start_value must be finite, got [[1.0], [nan]] and [0.0]"),
+        (dict(start_value=np.inf), "slopes and start_value must be finite, got [[0.0]] and [inf]"),
+        (dict(jumps=((0.5, np.nan),)), "jump (0.5, [nan]) must lie inside (0, 1) with a finite height"),
+        (dict(jumps=((np.nan, 1.0),)), "jump (nan, [1.0]) must lie inside (0, 1)"),
+        (dict(jumps=((0.0, 1.0),)), "jump (0.0, [1.0]) must lie inside (0, 1)"),
+        (dict(jumps=((1.0, 1.0),)), "jump (1.0, [1.0]) must lie inside (0, 1)"),
+        (dict(jumps=((1.2, 1.0),)), "jump (1.2, [1.0]) must lie inside (0, 1)"),
+    ],
+)
+def test_piecewise_affine_1d_names_the_entry_it_rejects(kw, message):
+    with pytest.raises(BVError) as err:
+        piecewise_affine_1d(interval(16), **kw)
+    assert str(err.value).startswith(message)
+
+
 def test_boundary_trace_checks_a_stored_trace():
     piece = {"region": [0.0, 1.0], "u": ["x"], "grad": ["1"]}
     u = BVFunction.from_json(interval(8), {"pieces": [piece], "trace": ["x"]})
@@ -415,6 +433,9 @@ def test_boundary_trace_checks_a_stored_trace():
     off = BVFunction.from_json(interval(8), {"pieces": [piece], "trace": ["x + 0.5"]})
     with pytest.raises(BVError, match="^stored boundary trace inconsistent with pieces"):
         boundary_trace(off)
+    nan = BVFunction(u.domain, 1, u.pieces, trace=lambda p: np.full((len(p), 1), np.nan), registry=u.registry)
+    with pytest.raises(BVError, match=r"^stored boundary trace inconsistent with pieces \(nan\)$"):
+        boundary_trace(nan)
 
 
 def test_from_json_jumps_not_a_list():
@@ -843,12 +864,13 @@ def test_batched_trace_check_matches_the_per_jump_loop():
     for u in cases:
         assert _outcome(BVFunction.check_trace_consistency, u) is None
         assert _outcome(_old_check_trace_consistency, u) is None
-        # a NaN in a side's errors hides that side's other errors, as np.max did
+        # a NaN among a side's errors fails that side (the per-jump loop let it pass)
         for k, jump in enumerate(u.jumps):
             odd = lambda p: np.where(np.arange(len(p)) % 2, 1.0, np.nan)[:, None]
             nan = lambda p, f=jump.plus: np.asarray(f(p)) + odd(p)
             v = _with_jumps(u, u.jumps[:k] + [replace(jump, plus=nan)] + u.jumps[k + 1 :])
-            assert _outcome(BVFunction.check_trace_consistency, v) == _outcome(_old_check_trace_consistency, v)
+            message = f"plus trace on carrier {jump.carrier_id!r} inconsistent with pieces (error nan)"
+            assert _outcome(BVFunction.check_trace_consistency, v) == message
         # one side of one jump off by a distinct amount: the same message, error included
         for k, jump in enumerate(u.jumps):
             for side in ("plus", "minus"):

@@ -35,6 +35,17 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_oracle_imports_only_math_and_numpy():
+    """The oracle cross-checks the pipeline, so it may share no code with it."""
+    modules = set()
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules <= {"__future__", "math", "numpy"}
+
+
 def test_unused_import_is_found():
     source = "from dataclasses import dataclass, field\nimport numpy as np\n\n@dataclass\nclass A:\n    pass\n"
     assert unused_imports(source) == ["field", "np"]

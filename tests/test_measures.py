@@ -1333,6 +1333,23 @@ def test_densities_keep_their_slack():
     )
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (dict(density=lambda n: np.where(n[:, 0] < 0.5, 1.0, np.inf)), "a scalar measure's cells part must be finite"),
+        (dict(carrier_parts=(("c", lambda p: np.full(len(p), np.nan)),)), "a scalar measure's carrier part must be finite"),
+        (dict(atoms=(((0.5,), np.nan),)), "atom weights must be nonnegative"),
+        (dict(atoms=(((0.5,), np.inf),)), "a scalar measure's atom part must be finite"),
+    ],
+    ids=["cells", "carrier", "nan-atom", "inf-atom"],
+)
+def test_non_finite_parts_are_rejected_with_their_message(parts, message):
+    reg = CarrierRegistry()
+    reg.register_point("c", (0.5,))
+    with pytest.raises(MeasureError, match=f"^{message}$"):
+        ScalarRadonMeasure(interval(), registry=reg, **parts)
+
+
 # ---------------------------------------------------------------------------
 # from_json documents and coincident atoms
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bvcalc import reporting
 from bvcalc.bv import BVFunction, derivative, verify_integration_by_parts
@@ -21,7 +19,7 @@ from bvcalc.measures import (
     ScalarRadonMeasure,
     total_variation,
 )
-from bvcalc.oracle import OracleError, _exact_sum, oracle_1d, oracle_case
+from bvcalc.oracle import OracleError, oracle_1d, oracle_case
 from bvcalc.scenarios import (
     RunConfig,
     ScenarioError,
@@ -255,7 +253,7 @@ def test_oracle_cli_empty_slopes_is_usage_error(tmp_path, capsys):
 def test_oracle_cli_zero_density_is_usage_error(tmp_path, capsys):
     case = dict(_ORACLE_CASE, mu={"poly": [0.0]})
     assert _oracle_cli(tmp_path, case) == 2
-    assert capsys.readouterr().err == "error: the density of 'mu' vanishes at a summation point\n"
+    assert capsys.readouterr().err == "error: the density of 'mu' is not positive at x = 0.0\n"
 
 
 def test_oracle_cli_well_formed_case_matches_oracle(tmp_path, capsys):
@@ -267,92 +265,43 @@ def test_oracle_cli_well_formed_case_matches_oracle(tmp_path, capsys):
 def test_oracle_cli_sign_changing_density_is_usage_error(tmp_path, capsys):
     case = {"u": {"slopes": [1.0]}, "mu": {"poly": [1.0, -3.0]}, "F": {"kind": "norm"}}
     assert _oracle_cli(tmp_path, case) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the density of 'mu' is -")
-    assert "not positive, at the summation point x = 0.3333" in err
-
-
-def _scalar_oracle_1d(u_desc, mu_desc, f_desc, npoints):
-    """The oracle as one scalar midpoint loop, term by term, on [0, 1]."""
-    breaks, slopes = u_desc["breaks"], u_desc["slopes"]
-    jumps, coeffs, atoms = u_desc["jumps"], mu_desc["poly"], mu_desc["atoms"]
-    a0, c = f_desc.get("A0", 0.3), f_desc.get("c", 0.4)
-    base = {
-        "norm": abs,
-        "area": lambda t: math.sqrt(1.0 + t * t),
-        "shifted-norm": lambda t: abs(t - a0) + c,
-        "w-shape": lambda t: abs(abs(t) - 1.0),
-    }[f_desc["kind"]]
-    weight = (lambda x: 1.0 + 0.5 * x) if f_desc["modulated"] else (lambda x: 1.0)
-
-    def terms():
-        edges = [0.0] + breaks + [1.0]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            slope = slopes[sum(0.5 * (lo + hi) >= t for t in breaks)]
-            count = max(1, round(npoints * (hi - lo)))
-            step = (hi - lo) / count
-            for k in range(count):
-                x = lo + (k + 0.5) * step
-                dens = 0.0
-                for coef in reversed(coeffs):
-                    dens = dens * x + coef
-                yield weight(x) * base(slope / dens) * dens * step
-
-    total = math.fsum(terms())
-    for pos, height in jumps:
-        atom_w = next((w for p, w in atoms if abs(p - pos) <= 1e-12), 0.0)
-        if atom_w > 0.0:
-            total += weight(pos) * base(height / atom_w) * atom_w
-        else:
-            total += weight(pos) * abs(height)
-    for p, w in atoms:
-        if not any(abs(p - pos) <= 1e-12 for pos, _ in jumps):
-            total += weight(p) * base(0.0) * w
-    return total
-
-
-def test_oracle_equals_scalar_loop_bit_for_bit():
-    rng = np.random.default_rng(10)
-    kinds = ("norm", "area", "shifted-norm", "w-shape")
-    for i in range(120):
-        case = random_case_description(rng)
-        case["F"] = {"kind": kinds[i % 4], "modulated": bool(i // 4 % 2)}
-        value = oracle_1d(case["u"], case["mu"], case["F"], npoints=2000)
-        assert type(value) is float
-        assert value == _scalar_oracle_1d(case["u"], case["mu"], case["F"], 2000), case
+    # the root of 1 - 3x
+    assert capsys.readouterr().err.startswith("error: the density of 'mu' is not positive at x = 0.3333")
 
 
 @pytest.mark.parametrize(
     "u, mu, f, pinned",
     [
-        (_ORACLE_CASE["u"], _ORACLE_CASE["mu"], _ORACLE_CASE["F"], "0x1.d33c6ced79290p+1"),
+        (_ORACLE_CASE["u"], _ORACLE_CASE["mu"], _ORACLE_CASE["F"], "0x1.d33c6ced7928ep+1"),
         (
             {"breaks": [0.3, 0.7], "slopes": [2.0, -0.5, 1.25], "jumps": [[0.5, -1.5]]},
             {"poly": [1.2, -0.3, 0.25], "atoms": [[0.9, 0.75]]},
             {"kind": "shifted-norm", "A0": 0.3, "c": 0.4, "modulated": True},
-            "0x1.22ac162c4a60cp+2",
+            "0x1.22ac162c4a9a0p+2",
         ),
         (
             {"breaks": [0.4], "slopes": [-2.5, 0.75], "jumps": [[0.2, 0.8], [0.6, -1.0]]},
             {"poly": [1.0, 0.5], "atoms": [[0.6, 1.5]]},
             {"kind": "w-shape", "modulated": True},
-            "0x1.514d242e6ba1ep+1",
+            "0x1.514d242e6bdc8p+1",
         ),
     ],
 )
 def test_oracle_pinned_values(u, mu, f, pinned):
-    # recorded from the scalar midpoint loop at the default npoints
+    # recorded from the Gauss-Legendre oracle; the 100,000-point midpoint sum gave
+    # 0x1.d33c6ced79290p+1, 0x1.22ac162c4a60cp+2 and 0x1.514d242e6ba1ep+1
     assert oracle_1d(u, mu, f).hex() == pinned
 
 
 # ---------------------------------------------------------------------------
-# the exact oracle sum against the math.fsum over Python floats it replaced
+# the Gauss-Legendre oracle against the midpoint sum it replaced and closed forms
 # ---------------------------------------------------------------------------
 
 
 def _old_oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0), npoints=100_000):
-    """``oracle_1d`` as it was before the exact sum: every block's terms as
-    Python floats through one ``math.fsum``, the first atom at a point only."""
+    """``oracle_1d`` as a midpoint sum over ``npoints`` sub-intervals
+    aligned with the slope breakpoints, every term a Python float through
+    one ``math.fsum``; the first atom at a point only."""
     a, b = float(domain[0]), float(domain[1])
     breaks = [float(t) for t in u_desc.get("breaks", ())]
     slopes = [float(s) for s in u_desc.get("slopes", (0.0,))]
@@ -394,71 +343,108 @@ def _old_oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0), npoints=100_000):
     return total
 
 
-def _outcome(fn, *args, **kwargs):
-    """The hex form of ``fn(...)``, or the type of what it raised."""
-    try:
-        return fn(*args, **kwargs).hex()
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc)
-
-
-def test_exact_oracle_equals_the_fsum_oracle_bit_for_bit():
+def test_oracle_matches_the_midpoint_oracle_per_kind():
+    """The Gauss-Legendre oracle against the 100,000-point midpoint sum it
+    replaced, within bounds per kind set by the midpoint sum's own error:
+    largest for w-shape, whose kinks the midpoint sum does not split."""
+    bounds = {"norm": 1e-15, "area": 1e-12, "shifted-norm": 1e-12, "w-shape": 1e-11}
+    kinds = tuple(bounds)
+    worst = dict.fromkeys(kinds, 0.0)
     rng = np.random.default_rng(20)
-    kinds = ("norm", "area", "shifted-norm", "w-shape")
-    for i in range(200):
+    for i in range(120):
         case = random_case_description(rng)
-        case["F"] = dict(case["F"], kind=kinds[i % 4], modulated=bool(i // 4 % 2))
-        for npoints in (2000, 100_000):
-            new = oracle_1d(case["u"], case["mu"], case["F"], npoints=npoints)
-            old = _old_oracle_1d(case["u"], case["mu"], case["F"], npoints=npoints)
-            assert new == old and new.hex() == old.hex(), (case, npoints)
+        f = case["F"] = dict(case["F"], kind=kinds[i % 4], modulated=bool(i // 4 % 2))
+        new, old = oracle_1d(case["u"], case["mu"], f), _old_oracle_1d(case["u"], case["mu"], f)
+        worst[f["kind"]] = max(worst[f["kind"]], abs(new - old) / abs(old))
+    assert all(worst[k] <= bounds[k] for k in kinds), worst
+
+
+_STRETCHES = {"breaks": [0.3, 0.55], "slopes": [2.0, -0.5, 1.25], "jumps": []}
+_SPANS = [(0.0, 0.3, 2.0), (0.3, 0.55, -0.5), (0.55, 1.0, 1.25)]  # (lo, hi, slope)
+
+
+def _area_antiderivative(r, s):
+    """A primitive in r of sqrt(r^2 + s^2)."""
+    return 0.5 * (r * math.hypot(r, s) + s * s * math.asinh(r / abs(s)))
+
+
+@pytest.mark.parametrize(
+    "mu, f, expected",
+    [
+        # norm: the total variation sum |s| len, whatever the density
+        ({"poly": [1.5]}, {"kind": "norm"}, math.fsum(abs(s) * (hi - lo) for lo, hi, s in _SPANS)),
+        ({"poly": [1.2, -0.3, 0.25]}, {"kind": "norm"}, math.fsum(abs(s) * (hi - lo) for lo, hi, s in _SPANS)),
+        # modulated: |s| times the integral of 1 + x/2 over each stretch
+        (
+            {"poly": [1.2, -0.3, 0.25]},
+            {"kind": "norm", "modulated": True},
+            math.fsum(abs(s) * (hi - lo + (hi * hi - lo * lo) / 4.0) for lo, hi, s in _SPANS),
+        ),
+        # area, constant density: len sqrt(rho^2 + s^2)
+        ({"poly": [1.5]}, {"kind": "area"}, math.fsum((hi - lo) * math.hypot(1.5, s) for lo, hi, s in _SPANS)),
+        # area, density 1.2 - 0.4 x: the asinh antiderivative in rho, over d rho / dx = -0.4
+        (
+            {"poly": [1.2, -0.4]},
+            {"kind": "area"},
+            math.fsum(
+                (_area_antiderivative(1.2 - 0.4 * hi, s) - _area_antiderivative(1.2 - 0.4 * lo, s)) / -0.4
+                for lo, hi, s in _SPANS
+            ),
+        ),
+        # shifted-norm, constant density: len (|s - A0 rho| + c rho)
+        (
+            {"poly": [1.5]},
+            {"kind": "shifted-norm", "A0": 0.3, "c": 0.4},
+            math.fsum((hi - lo) * (abs(s - 0.3 * 1.5) + 0.4 * 1.5) for lo, hi, s in _SPANS),
+        ),
+    ],
+)
+def test_oracle_closed_forms(mu, f, expected):
+    value = oracle_1d(_STRETCHES, mu, f)
+    assert value == pytest.approx(expected, rel=2e-15)
 
 
 @pytest.mark.parametrize(
     "slopes, kind",
     [
         ([1e308, 1.0], "norm"),  # terms ~1e303 whose sum stays finite
-        ([1.7e308, 1.7e308], "norm"),  # a finite sum beyond the float range
+        ([1.7e308, 1.7e308], "norm"),  # a sum beyond the float range when modulated
         ([1e200, 1.0], "area"),  # t * t overflows: inf terms
         ([1e308, -1e308], "norm"),  # 1e308 / density 0.5 overflows
     ],
 )
 def test_exact_oracle_keeps_the_special_values_of_fsum(slopes, kind):
+    """Slopes near the float range give a finite value or an OracleError,
+    never an inf or a nan."""
     u = {"breaks": [0.5], "slopes": slopes, "jumps": []}
     for mu in ({"poly": [1.0]}, {"poly": [0.5]}):
         for modulated in (False, True):
-            args = (u, mu, {"kind": kind, "modulated": modulated})
             with np.errstate(over="ignore", invalid="ignore"):
-                assert _outcome(oracle_1d, *args, npoints=2000) == _outcome(_old_oracle_1d, *args, npoints=2000)
+                try:
+                    value = oracle_1d(u, mu, {"kind": kind, "modulated": modulated})
+                except OracleError:
+                    continue
+            assert math.isfinite(value)
 
 
-_FLOATS = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 1000))
-_TINY = st.floats(-(2.0**-1020), 2.0**-1020) | st.sampled_from([5e-324, -5e-324, 0.0, -0.0])
-_HUGE = st.floats(2.0**1020, 1.7976931348623157e308)
+@pytest.mark.parametrize(
+    "poly, x",
+    [
+        ([0.25, -1.0, 1.0], 0.5),  # (x - 1/2)^2: zero at one point, never negative
+        ([1.0, -1.0], 1.0),  # zero at the right end only
+        ([-0.5, 1.0], 0.0),  # negative at the left end
+    ],
+)
+def test_oracle_finds_where_the_density_is_not_positive(poly, x):
+    with pytest.raises(OracleError, match="^the density of 'mu' is not positive at x = ") as err:
+        oracle_1d({"slopes": [1.0]}, {"poly": poly}, {"kind": "norm"})
+    assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(x, abs=1e-7)
 
 
-@st.composite
-def _summands(draw):
-    kind = draw(st.sampled_from(["mixed", "tiny", "cancel", "zeros", "special", "overflow"]))
-    if kind == "overflow":  # one sign, so fsum's intermediate overflow is the total's
-        sign = draw(st.sampled_from([1.0, -1.0]))
-        return [sign * x for x in draw(st.lists(_HUGE, max_size=8))]
-    if kind == "zeros":
-        return draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=5))
-    xs = draw(st.lists(_TINY if kind == "tiny" else _FLOATS | _TINY, max_size=40))
-    if kind == "cancel":
-        xs = xs + [-x for x in draw(st.permutations(xs))]
-    if kind == "special":
-        specials = st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3)
-        xs = draw(st.permutations(xs + draw(specials)))
-    return xs
-
-
-@settings(max_examples=400, deadline=None)
-@given(_summands(), st.integers(1, 4))
-def test_exact_sum_equals_fsum(xs, parts):
-    blocks = np.array_split(np.array(xs, dtype=float), parts)
-    assert _outcome(_exact_sum, blocks) == _outcome(math.fsum, xs)
+def test_oracle_rejects_a_cell_term_its_rule_cannot_certify():
+    # sqrt(rho^2 + s^2) for rho = 1 - 0.99 x and s = 1e-3 has branch points about 0.01 from [0, 1]
+    with pytest.raises(OracleError, match="not certified: the 20- and 40-node sums differ by "):
+        oracle_1d({"slopes": [1e-3]}, {"poly": [1.0, -0.99]}, {"kind": "area"})
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +480,13 @@ def test_oracle_case_rejects_a_malformed_document(change, message):
 
 
 def _pipeline_rejects(case):
-    """Whether ``build_case_1d`` and ``evaluate`` raise a typed error on
-    ``case`` or give a value that is not finite."""
+    """Whether ``build_case_1d`` and ``evaluate`` raise a typed error on ``case``."""
     try:
         u, spec = build_case_1d(case, resolution=64)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return not math.isfinite(evaluate(u, spec).total)
+        evaluate(u, spec)
     except ValueError:
         return True
+    return False
 
 
 @pytest.mark.parametrize(
@@ -519,8 +504,9 @@ def _pipeline_rejects(case):
         ("u", "jumps", [[0.3, math.nan]], "'u' jumps must be finite numbers"),
         ("mu", "atoms", [[0.3, math.inf]], "'mu' atoms must be finite numbers"),
         ("F", "A0", math.nan, "'F' A0 must be finite numbers"),
-        # degenerate documents that the pipeline still evaluates
+        # repeated breakpoints: a degenerate document that the pipeline still evaluates
         ("u", "breaks", [0.2, 0.2], "'u' breaks must increase strictly inside"),
+        # a jump at the box end a
         ("u", "jumps", [[0.0, 1.0]], "'u' jumps must lie inside"),
     ],
 )
@@ -535,8 +521,7 @@ def test_oracle_case_rejects_what_the_pipeline_rejects(part, entry, value, messa
     with pytest.raises(OracleError) as err:
         oracle_case(case)
     assert str(err.value).startswith(message)
-    degenerate = value in ([0.2, 0.2], [[0.0, 1.0]])
-    assert _pipeline_rejects(case) is not degenerate
+    assert _pipeline_rejects(case) is not (value == [0.2, 0.2])
 
 
 # ---------------------------------------------------------------------------
