@@ -359,7 +359,96 @@ def test_oracle_matches_the_midpoint_oracle_per_kind():
     assert all(worst[k] <= bounds[k] for k in kinds), worst
 
 
-_STRETCHES = {"breaks": [0.3, 0.55], "slopes": [2.0, -0.5, 1.25], "jumps": []}
+def _scalar_oracle_1d(u_desc, mu_desc, f_desc, order=list, domain=(0.0, 1.0), nodes=40):
+    """``oracle_1d`` as a loop over Python floats: the ``nodes``-point
+    Gauss-Legendre term at every node of every piece, the density by
+    Horner's rule, ``order`` applied to the list of terms before one
+    ``math.fsum``, then the jump/atom ledger."""
+    a, b = float(domain[0]), float(domain[1])
+    breaks = [float(t) for t in u_desc.get("breaks", ())]
+    slopes = [float(s) for s in u_desc.get("slopes", (0.0,))]
+    coeffs = [float(c) for c in mu_desc.get("poly", (1.0,))]
+    atoms = {}
+    for p, w in mu_desc.get("atoms", ()):
+        atoms[float(p)] = atoms.get(float(p), 0.0) + float(w)
+    a0, c0 = float(f_desc.get("A0", 0.3)), float(f_desc.get("c", 0.4))
+    kind = f_desc["kind"]
+    base = {
+        "norm": abs,
+        "area": lambda t: math.sqrt(1.0 + t * t),
+        "shifted-norm": lambda t: abs(t - a0) + c0,
+        "w-shape": lambda t: abs(abs(t) - 1.0),
+    }[kind]
+    weight = (lambda x: 1.0 + 0.5 * x) if f_desc.get("modulated", False) else (lambda x: 1.0)
+
+    def rho(x):
+        d = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            d = c + d * x
+        return d
+
+    def kinks(slope, lo, hi):
+        if kind == "shifted-norm":
+            shifted = [a0 * coeffs[0] - slope, *(a0 * c for c in coeffs[1:])]
+        elif kind == "w-shape":
+            shifted = [coeffs[0] - abs(slope), *coeffs[1:]]
+        else:
+            return []
+        roots = np.polynomial.polynomial.polyroots(shifted)
+        return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-6 and lo <= r.real <= hi)
+
+    ts, ws = (v.tolist() for v in np.polynomial.legendre.leggauss(nodes))
+    edges = [a] + [t for t in breaks if a < t < b] + [b]
+    terms = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        slope = slopes[next((k for k, t in enumerate(breaks) if mid < t), len(breaks))]
+        cuts = [lo, *kinks(slope, lo, hi), hi]
+        for p, q in zip(cuts[:-1], cuts[1:]):
+            half = 0.5 * (q - p)
+            for t, w in zip(ts, ws):
+                x = p + half * (t + 1.0)
+                d = rho(x)
+                terms.append(weight(x) * base(slope / d) * d * (half * w))
+    total = math.fsum(order(terms))
+    jumps = [(float(t), float(d)) for t, d in u_desc.get("jumps", ())]
+    for pos, height in jumps:
+        atom_w = next((w for p, w in atoms.items() if abs(p - pos) <= 1e-12), 0.0)
+        total += weight(pos) * base(height / atom_w) * atom_w if atom_w > 0.0 else weight(pos) * abs(height)
+    for p, w in atoms.items():
+        if not any(abs(p - pos) <= 1e-12 for pos, _ in jumps):
+            total += weight(p) * base(0.0) * w
+    return total
+
+
+def test_oracle_equals_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(10)
+    kinds = ("norm", "area", "shifted-norm", "w-shape")
+    for i in range(120):
+        case = random_case_description(rng)
+        case["F"] = {"kind": kinds[i % 4], "modulated": bool(i // 4 % 2)}
+        value = oracle_1d(case["u"], case["mu"], case["F"])
+        assert type(value) is float
+        assert value == _scalar_oracle_1d(case["u"], case["mu"], case["F"]), case
+
+
+def test_exact_oracle_equals_the_fsum_oracle_bit_for_bit():
+    """The cell term is one exactly rounded ``math.fsum``, so the oracle
+    does not depend on the order of its terms: reversed or shuffled, the
+    scalar loop gives the same bits."""
+    rng = np.random.default_rng(20)
+    kinds = ("norm", "area", "shifted-norm", "w-shape")
+    orders = (lambda terms: terms[::-1], lambda terms: rng.permutation(terms).tolist())
+    for i in range(200):
+        case = random_case_description(rng)
+        case["F"] = dict(case["F"], kind=kinds[i % 4], modulated=bool(i // 4 % 2))
+        new = oracle_1d(case["u"], case["mu"], case["F"])
+        for order in orders:
+            old = _scalar_oracle_1d(case["u"], case["mu"], case["F"], order=order)
+            assert new == old and new.hex() == old.hex(), case
+
+
+_STRETCHES ={"breaks": [0.3, 0.55], "slopes": [2.0, -0.5, 1.25], "jumps": []}
 _SPANS = [(0.0, 0.3, 2.0), (0.3, 0.55, -0.5), (0.55, 1.0, 1.25)]  # (lo, hi, slope)
 
 
