@@ -510,8 +510,8 @@ def piecewise_affine_1d(
     breakpoints = tuple(float(t) for t in breakpoints)
     if not all(a <= t <= b for t in breakpoints):
         raise BVError(f"breakpoints must lie in [{a:g}, {b:g}], got {list(breakpoints)}")
-    if list(breakpoints) != sorted(breakpoints):
-        raise BVError(f"breakpoints must be sorted, got {list(breakpoints)}")
+    if not all(s < t for s, t in zip(breakpoints, breakpoints[1:])):
+        raise BVError(f"breakpoints must be sorted and distinct, got {list(breakpoints)}")
     jumps = tuple((float(t), np.atleast_1d(np.asarray(d, dtype=float))) for t, d in jumps)
     for t, d in jumps:
         if not (a < t < b and np.isfinite(d).all()):

@@ -213,15 +213,23 @@ def _faces(box):
     ]
 
 
+class Breaks(tuple):
+    """Per axis, a sorted tuple of distinct floats.  Only :func:`merge_breaks`
+    makes one, so a ``Breaks`` is checked once and then passed on as it is."""
+    __slots__ = ()
+
+
 def _normalize_breaks(breaks, dim):
-    """Per axis, a tuple of floats: the input itself when it is that already."""
+    """Per axis, a tuple of floats; a ``Breaks`` of ``dim`` axes as it is."""
+    if type(breaks) is Breaks and len(breaks) == dim:
+        return breaks
     if breaks is None:
         return tuple(() for _ in range(dim))
     try:
         if dim == 1 and (not len(breaks) or np.isscalar(breaks[0])):
             return (_float_tuple(breaks),)
         if len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
-            return _kept_if_same(tuple(map(_float_tuple, breaks)), breaks)
+            return tuple(map(_float_tuple, breaks))
     except (LookupError, TypeError, ValueError):
         pass
     raise MeasureError(f"breakpoints must be numbers, a pair of lists in 2D, got {breaks!r}")
@@ -231,11 +239,6 @@ def _float_tuple(values):
     if type(values) is tuple and set(map(type, values)) == {float}:
         return values
     return tuple(map(float, values))
-
-
-def _kept_if_same(axes, given):
-    """``given`` when it is a tuple of the very ``axes``, else ``axes``."""
-    return given if type(given) is tuple and all(map(operator.is_, axes, given)) else axes
 
 
 def as_floats(value, what, shape=None, error=MeasureError):
@@ -255,11 +258,12 @@ def as_floats(value, what, shape=None, error=MeasureError):
 
 def merge_breaks(dim, *break_sets):
     """Per axis, the sorted union of the breakpoints of ``break_sets``
-    (``None`` skipped), keeping the first of equal values; a single input
-    already in that form is returned as it is."""
-    norms = [_normalize_breaks(bs, dim) for bs in break_sets if bs is not None]
-    merged = tuple(_merged_axis([n[k] for n in norms if n[k]]) for k in range(dim))
-    return _kept_if_same(merged, norms[0]) if len(norms) == 1 else merged
+    (``None`` skipped), keeping the first of equal values, as a ``Breaks``.
+    A ``Breaks`` that is the only non-empty input is returned as it is."""
+    norms = [n for n in (_normalize_breaks(bs, dim) for bs in break_sets) if any(n)]
+    if len(norms) == 1 and type(norms[0]) is Breaks:
+        return norms[0]
+    return Breaks(_merged_axis([(n[k], type(n) is Breaks) for n in norms if n[k]]) for k in range(dim))
 
 
 def finite_breaks(dim, value, error=MeasureError):
@@ -270,11 +274,12 @@ def finite_breaks(dim, value, error=MeasureError):
 
 
 def _merged_axis(runs):
-    """The sorted union of float tuples, first of equal values kept: a stable
-    sort, as a set of dyadic floats (hashes sharing low bits) probes slowly."""
-    if len(runs) == 1 and all(map(operator.lt, runs[0], runs[0][1:])):
-        return runs[0]
-    ordered = sorted(chain.from_iterable(runs))
+    """The sorted union of (float tuple, from a ``Breaks``) runs, first of equal
+    values kept: a lone run from a ``Breaks`` or strictly increasing is kept, else a
+    stable sort, as a set of dyadic floats (hashes sharing low bits) probes slowly."""
+    if len(runs) == 1 and (runs[0][1] or all(map(operator.lt, runs[0][0], runs[0][0][1:]))):
+        return runs[0][0]
+    ordered = sorted(chain.from_iterable(run for run, _ in runs))
     return tuple(compress(ordered, chain((True,), map(operator.ne, ordered[1:], ordered))))
 
 

@@ -137,16 +137,18 @@ def oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0)):
 
 def _check_entries(u, mu, f, a, b):
     """An OracleError naming the first entry that ``build_case_1d`` would
-    also reject, or that would count twice: numbers that are not finite,
-    breakpoints not increasing strictly inside (a, b), jumps outside (a, b)
-    or within ``_MATCH`` of each other, and atoms outside (a, b) or of
-    negative weight."""
+    also reject, or that would count twice: numbers that are not finite, an
+    empty 'mu' poly, breakpoints not increasing strictly inside (a, b), jumps
+    outside (a, b) or within ``_MATCH`` of each other, and atoms outside
+    (a, b) or of negative weight."""
     entries = {"'u' breaks": u.get("breaks", []), "'u' slopes": u.get("slopes", []),
                "'u' jumps": u.get("jumps", []), "'mu' poly": mu.get("poly", []),
                "'mu' atoms": mu.get("atoms", []), "'F' A0": f.get("A0", 0), "'F' c": f.get("c", 0)}
     for name, value in entries.items():
         if not np.isfinite(np.asarray(value, dtype=float)).all():
             raise OracleError(f"{name} must be finite numbers, got {value!r}")
+    if not np.size(mu.get("poly", [1.0])):
+        raise OracleError(f"'mu' poly must list at least one coefficient, got {mu['poly']!r}")
     breaks, jumps, atoms = entries["'u' breaks"], entries["'u' jumps"], entries["'mu' atoms"]
     if not all(s < t for s, t in zip([a, *breaks], [*breaks, b])):
         raise OracleError(f"'u' breaks must increase strictly inside ({a!r}, {b!r}), got {breaks!r}")

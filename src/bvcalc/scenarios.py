@@ -902,6 +902,8 @@ def build_case_1d(case, resolution=20000):
         registry=reg,
     )
     coeffs = case["mu"].get("poly", (1.0,))
+    if not np.size(coeffs):
+        raise ScenarioError(f"'mu' poly must list at least one coefficient, got {coeffs!r}")
 
     def density(nodes):
         return np.polynomial.polynomial.polyval(nodes[:, 0], coeffs)

@@ -301,6 +301,7 @@ def _field_pair(f, w, A, points, sphere=False, upper=False):
         active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
         if not np.any(active):
             continue
+        active = slice(None) if active.all() else active  # all active: no gather by mask
         xk, Ak = points[active], A[active, k]
         if slope:
             vals = np.array([generalized_recession(f, S).value for S in Ak])

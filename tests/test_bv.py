@@ -973,9 +973,13 @@ def test_piecewise_affine_rejects_breakpoints_outside_the_box():
 
 def test_piecewise_affine_rejects_unsorted_breakpoints():
     d = Domain((0.0, 1.0), 16)
-    assert piecewise_affine_1d(d, breakpoints=(0.2, 0.2, 0.7), slopes=(1.0, 2.0, 3.0, 4.0)).N == 1
-    with pytest.raises(BVError, match=r"^breakpoints must be sorted, got \[0\.7, 0\.2\]$"):
+    # a breakpoint at an end of the box stays allowed (ramp_1d at position a uses one)
+    assert piecewise_affine_1d(d, breakpoints=(0.0, 0.7, 1.0), slopes=(1.0, 2.0, 3.0, 4.0)).N == 1
+    with pytest.raises(BVError, match=r"^breakpoints must be sorted and distinct, got \[0\.7, 0\.2\]$"):
         piecewise_affine_1d(d, breakpoints=(0.7, 0.2), slopes=(1.0, 2.0, 3.0))
+    # repeated breakpoints would drop the slope of the interval of length 0 between them
+    with pytest.raises(BVError, match=r"^breakpoints must be sorted and distinct, got \[0\.5, 0\.5\]$"):
+        piecewise_affine_1d(d, breakpoints=(0.5, 0.5), slopes=(1.0, 5.0, -1.0))
 
 
 @pytest.mark.parametrize("second", [0.3, 0.3 + 1e-14])

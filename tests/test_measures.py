@@ -4,15 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvcalc.measures import (
+    Breaks,
     CarrierRegistry,
     DecompositionError,
     Domain,
     MatrixRadonMeasure,
     MeasureError,
     ScalarRadonMeasure,
+    _normalize_breaks,
     area_functional,
     lebesgue,
     measure_distance,
+    merge_breaks,
     mutually_singular,
     pair_with_test_function,
     rn_decompose,
@@ -1604,9 +1607,16 @@ _break_values = st.one_of(
 _axis = st.lists(_break_values, max_size=10)
 _canonical_axis = _axis.map(lambda v: tuple(sorted(set(map(float, v)))))
 _any_axis = st.one_of(_axis, _axis.map(tuple), _canonical_axis)
-_break_set_1d = st.one_of(st.none(), _any_axis, _any_axis.map(lambda a: (a,)))
-_break_set_2d = st.one_of(
+_plain_set_1d = st.one_of(st.none(), _any_axis, _any_axis.map(lambda a: (a,)))
+_plain_set_2d = st.one_of(
     st.none(), st.tuples(_any_axis, _any_axis), st.lists(_any_axis, min_size=2, max_size=2)
+)
+# a Breaks is made only by merge_breaks, here from one or two plain inputs
+_break_set_1d = st.one_of(
+    _plain_set_1d, st.lists(_plain_set_1d, max_size=2).map(lambda s: merge_breaks(1, *s))
+)
+_break_set_2d = st.one_of(
+    _plain_set_2d, st.lists(_plain_set_2d, max_size=2).map(lambda s: merge_breaks(2, *s))
 )
 
 
@@ -1618,28 +1628,65 @@ def _same_breaks(new, old):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_merge_breaks_equals_the_kept_set_and_sort(data):
-    from bvcalc.measures import merge_breaks
-
     dim = data.draw(st.sampled_from([1, 2]))
     sets = data.draw(st.lists(_break_set_1d if dim == 1 else _break_set_2d, max_size=4))
     merged = merge_breaks(dim, *sets)
-    assert _same_breaks(merged, _old_merge_breaks(dim, *sets))
+    assert type(merged) is Breaks and _same_breaks(merged, _old_merge_breaks(dim, *sets))
     assert all(type(x) is float for axis in merged for x in axis)
+    live = [bs for bs in sets if any(_normalize_breaks(bs, dim))]
+    if len(live) == 1 and type(live[0]) is Breaks:
+        assert merged is live[0]
 
 
 def test_merge_breaks_returns_a_single_canonical_input_itself():
-    from bvcalc.measures import merge_breaks
-
     one, two = ((0.25, 0.5, 0.75),), ((0.1, 0.2), (0.3,))
-    assert merge_breaks(1, one) is one and merge_breaks(1, None, one, None) is one
-    assert merge_breaks(2, two) is two
-    assert merge_breaks(1, one, ((0.5,),)) == one  # two inputs: a fresh, equal tuple
+    # a plain canonical input gives an equal Breaks that shares its axis tuples
+    b1, b2 = merge_breaks(1, one), merge_breaks(2, two)
+    assert type(b1) is Breaks and b1 == one and b1[0] is one[0]
+    assert type(b2) is Breaks and b2 == two and b2[0] is two[0] and b2[1] is two[1]
+    # a Breaks is returned as itself, also among None and empty inputs
+    for dim, b in ((1, b1), (2, b2)):
+        assert merge_breaks(dim, b) is b and merge_breaks(dim, None, b, None) is b
+        assert merge_breaks(dim, b, [()] * dim, merge_breaks(dim)) is b
+        assert _normalize_breaks(b, dim) is b
+    merged = merge_breaks(1, b1, ((0.5,),))  # two inputs: a fresh, equal Breaks
+    assert merged is not b1 and _same_breaks(merged, one)
+    # a Breaks of the wrong dimension is checked like any other input
+    with pytest.raises(MeasureError, match=r"^breakpoints must be numbers, a pair of lists in 2D, got "):
+        merge_breaks(1, b2)
     for given in ([0.25, 0.5, 0.75], (0.25, 0.5, 0.75), ((0.25, 0.5, 1),), ((0.5, 0.25),)):
         merged = merge_breaks(1, given)
-        assert merged is not given and _same_breaks(merged, _old_merge_breaks(1, given))
+        assert type(merged) is Breaks and _same_breaks(merged, _old_merge_breaks(1, given))
     dyadic = ((np.arange(1, 2048) / 2048).tolist(),)  # the sawtooth's breaks at j = 1024
     assert merge_breaks(1, dyadic) == _old_merge_breaks(1, dyadic)
     assert merge_breaks(1, (np.float64(0.5),))[0][0].__class__ is float
+
+
+def test_a_breaks_is_never_scanned_again(monkeypatch):
+    import operator
+    import types
+
+    from bvcalc import measures
+
+    sawtooth = merge_breaks(1, (np.arange(1, 2048) / 2048).tolist())
+    x_only, y_only = merge_breaks(2, ((0.25, 0.5), ())), merge_breaks(2, ((), (0.75,)))
+    square = Domain(((0.0, 1.0), (0.0, 1.0)), 8)
+    expected = {id(b): Domain(square.box, 8).cell_rule(breaks=tuple(b)) for b in (x_only, y_only)}
+
+    def refuse(*args):
+        raise AssertionError("a Breaks was checked again")
+
+    # neither the element-type scan nor the sortedness scan of a lone run may run
+    monkeypatch.setattr(measures, "_float_tuple", refuse)
+    monkeypatch.setattr(measures, "operator", types.SimpleNamespace(lt=refuse, ne=operator.ne))
+    assert merge_breaks(1, sawtooth) is sawtooth and merge_breaks(1, None, sawtooth) is sawtooth
+    both = merge_breaks(2, x_only, None, y_only)  # one Breaks run per axis: kept as it is
+    assert both == ((0.25, 0.5), (0.75,)) and both[0] is x_only[0] and both[1] is y_only[1]
+    nodes, weights = Domain((0.0, 1.0), 64).cell_rule(breaks=sawtooth)
+    assert len(nodes) == 2048 and weights.sum() == pytest.approx(1.0)
+    for b in (x_only, y_only):
+        got = square.cell_rule(breaks=b)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected[id(b)]))
 
 
 _RULE_CASES = {

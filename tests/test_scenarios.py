@@ -593,10 +593,10 @@ def _pipeline_rejects(case):
         ("u", "jumps", [[0.3, math.nan]], "'u' jumps must be finite numbers"),
         ("mu", "atoms", [[0.3, math.inf]], "'mu' atoms must be finite numbers"),
         ("F", "A0", math.nan, "'F' A0 must be finite numbers"),
-        # repeated breakpoints: a degenerate document that the pipeline still evaluates
         ("u", "breaks", [0.2, 0.2], "'u' breaks must increase strictly inside"),
         # a jump at the box end a
         ("u", "jumps", [[0.0, 1.0]], "'u' jumps must lie inside"),
+        ("mu", "poly", [], "'mu' poly must list at least one coefficient, got []"),
     ],
 )
 def test_oracle_case_rejects_what_the_pipeline_rejects(part, entry, value, message):
@@ -610,7 +610,13 @@ def test_oracle_case_rejects_what_the_pipeline_rejects(part, entry, value, messa
     with pytest.raises(OracleError) as err:
         oracle_case(case)
     assert str(err.value).startswith(message)
-    assert _pipeline_rejects(case) is not (value == [0.2, 0.2])
+    assert _pipeline_rejects(case)
+
+
+def test_build_case_1d_names_an_empty_density_polynomial():
+    # numpy's polyval raised a bare IndexError on an empty coefficient list
+    with pytest.raises(ScenarioError, match=r"^'mu' poly must list at least one coefficient, got \[\]$"):
+        build_case_1d(dict(_ORACLE_CASE, mu={"poly": []}), resolution=64)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from bvcalc.measures import (
     MatrixRadonMeasure,
     ScalarRadonMeasure,
     measure_distance,
+    read_only,
     total_variation,
 )
 from bvcalc.young import (
@@ -752,6 +753,53 @@ def test_pairing_equals_fresh_recomputation_1d():
     assert measures["elementary-mixed"].sphere_values  # the jump at 0.75 is left to lambda
     for nu in measures.values():
         _assert_pairings_are_fresh(nu, _part_integrands(), per_axis=4)
+
+
+def _old_field_pair(f, w, A, points, sphere=False, upper=False):
+    """``young._field_pair`` as it was before it skipped the gather by mask
+    when every weight of a column is active."""
+    slope = upper and not f.has_analytic_recession()
+    out = np.zeros(len(points))
+    for k in range(w.shape[1]):
+        active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
+        if not np.any(active):
+            continue
+        xk, Ak = points[active], A[active, k]
+        if slope:
+            vals = np.array([generalized_recession(f, S).value for S in Ak])
+        elif sphere:
+            vals = recession_values(f, xk, Ak)
+        else:
+            vals = np.asarray(f(xk, Ak))
+        out[active] += w[active, k] * vals
+    return out
+
+
+def test_field_pair_matches_the_masked_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    M, K = 37, 3
+    points, A = rng.uniform(0.0, 1.0, (M, 1)), rng.normal(size=(M, K, 1, 1))
+    partly = rng.uniform(-0.5, 1.0, (M, K)) * (rng.uniform(size=(M, K)) < 0.6)  # sphere: only w > 0
+    weights = {
+        "all active": rng.uniform(0.1, 1.0, (M, K)),
+        "partly active": partly,
+        "all zero": np.zeros((M, K)),
+        "column by column": np.column_stack([np.ones(M), np.zeros(M), partly[:, 2]]),
+    }
+    cases = [(w, A, points, name) for name, w in weights.items()]
+    for nu in _pairing_measures().values():  # the field values the pairings really use
+        cases += [(w, A, part.points, part.kind) for part, w, A in nu.oscillation_values + nu.sphere_values]
+    for w, A, pts, name in cases:
+        assert w.shape == A.shape[:2] and len(pts) == len(w)
+        w, A, pts = read_only(w, A, pts)  # as the cached field values are
+        for f in _part_integrands():
+            for sphere in (False, True):
+                new = young._field_pair(f, w, A, pts, sphere=sphere)
+                old = _old_field_pair(f, w, A, pts, sphere=sphere)
+                assert new.tobytes() == old.tobytes(), (f.name, name, sphere)
+        f = area_without_recession()
+        new = young._field_pair(f, w, A, pts, sphere=True, upper=True)
+        assert new.tobytes() == _old_field_pair(f, w, A, pts, sphere=True, upper=True).tobytes(), name
 
 
 def test_pairing_equals_fresh_recomputation_2d():
