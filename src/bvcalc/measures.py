@@ -215,7 +215,8 @@ def _faces(box):
 
 class Breaks(tuple):
     """Per axis, a sorted tuple of distinct floats.  Only :func:`merge_breaks`
-    makes one, so a ``Breaks`` is checked once and then passed on as it is."""
+    makes one, so a ``Breaks`` is checked once and then passed on as it is;
+    building one directly is unsupported, as nothing checks it again."""
     __slots__ = ()
 
 
@@ -263,7 +264,7 @@ def merge_breaks(dim, *break_sets):
     norms = [n for n in (_normalize_breaks(bs, dim) for bs in break_sets) if any(n)]
     if len(norms) == 1 and type(norms[0]) is Breaks:
         return norms[0]
-    return Breaks(_merged_axis([(n[k], type(n) is Breaks) for n in norms if n[k]]) for k in range(dim))
+    return Breaks(_merged_axis([n[k] for n in norms if n[k]]) for k in range(dim))
 
 
 def finite_breaks(dim, value, error=MeasureError):
@@ -274,12 +275,11 @@ def finite_breaks(dim, value, error=MeasureError):
 
 
 def _merged_axis(runs):
-    """The sorted union of (float tuple, from a ``Breaks``) runs, first of equal
-    values kept: a lone run from a ``Breaks`` or strictly increasing is kept, else a
-    stable sort, as a set of dyadic floats (hashes sharing low bits) probes slowly."""
-    if len(runs) == 1 and (runs[0][1] or all(map(operator.lt, runs[0][0], runs[0][0][1:]))):
-        return runs[0][0]
-    ordered = sorted(chain.from_iterable(run for run, _ in runs))
+    """The sorted union of float tuples, first of equal values kept: a stable
+    sort, as a set of dyadic floats (hashes sharing low bits) probes slowly."""
+    if len(runs) == 1 and all(map(operator.lt, runs[0], runs[0][1:])):
+        return runs[0]
+    ordered = sorted(chain.from_iterable(runs))
     return tuple(compress(ordered, chain((True,), map(operator.ne, ordered[1:], ordered))))
 
 

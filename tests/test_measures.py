@@ -1680,8 +1680,6 @@ def test_a_breaks_is_never_scanned_again(monkeypatch):
     monkeypatch.setattr(measures, "_float_tuple", refuse)
     monkeypatch.setattr(measures, "operator", types.SimpleNamespace(lt=refuse, ne=operator.ne))
     assert merge_breaks(1, sawtooth) is sawtooth and merge_breaks(1, None, sawtooth) is sawtooth
-    both = merge_breaks(2, x_only, None, y_only)  # one Breaks run per axis: kept as it is
-    assert both == ((0.25, 0.5), (0.75,)) and both[0] is x_only[0] and both[1] is y_only[1]
     nodes, weights = Domain((0.0, 1.0), 64).cell_rule(breaks=sawtooth)
     assert len(nodes) == 2048 and weights.sum() == pytest.approx(1.0)
     for b in (x_only, y_only):
