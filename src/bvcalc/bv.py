@@ -22,7 +22,6 @@ from .measures import (
     MeasureError,
     area_functional,
     as_floats,
-    finite_breaks,
     in_box,
     merge_breaks,
     pair_with_test_function,
@@ -54,9 +53,6 @@ class Piece:
     u: object  # nodes (M, dim) -> (M, N)
     grad: object  # nodes (M, dim) -> (M, N, n)
     breaks: tuple = None
-
-    def mask(self, nodes):
-        return in_box(nodes, self.region)
 
 
 @dataclass
@@ -100,14 +96,28 @@ class BVFunction:
     def _piece_index(self, nodes):
         idx = np.full(len(nodes), -1, dtype=int)
         for k, piece in enumerate(self.pieces):
-            m = piece.mask(nodes) & (idx < 0)
+            m = in_box(nodes, piece.region) & (idx < 0)
             idx[m] = k
         return idx
+
+    def _one_piece_covers(self, nodes):
+        """Whether the only piece's closed box holds all of ``nodes``, by per-axis
+        bounds; False (no nodes, a NaN, a node off the box) means use the masks."""
+        if len(self.pieces) != 1 or not len(nodes):
+            return False
+        bounds = np.asarray(self.pieces[0].region, dtype=float).reshape(-1, 2)
+        if len(bounds) != nodes.shape[1]:
+            return False
+        lo, hi = bounds.T  # first the range every axis allows: two contiguous reductions, not two per column
+        return (lo.max() <= nodes.min() and nodes.max() <= hi.min()) or all(
+            a <= col.min() and col.max() <= b for a, b, col in zip(lo, hi, nodes.T))
 
     def _by_piece(self, nodes, fn, shape, probe=None):
         """``fn(piece, points)`` at ``nodes``, shaped (M, *shape), taking at
         each node the piece that contains ``probe`` (default: the node)."""
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        if self._one_piece_covers(nodes if probe is None else probe):  # no per-node mask or gather
+            return np.array(fn(self.pieces[0], nodes), dtype=float).reshape((-1,) + shape)
         idx = self._piece_index(nodes if probe is None else probe)
         if np.any(idx < 0):
             raise BVError(
@@ -115,8 +125,6 @@ class BVFunction:
                 if probe is None
                 else "no piece adjacent to the requested points"
             )
-        if len(self.pieces) == 1:  # every node is in the one piece: no gather by mask
-            return np.array(fn(self.pieces[0], nodes), dtype=float).reshape((-1,) + shape)
         out = np.empty((len(nodes),) + shape)
         for k, piece in enumerate(self.pieces):
             m = idx == k
@@ -152,8 +160,7 @@ class BVFunction:
 
     def _validate(self):
         nodes, _ = self.domain.cell_rule(breaks=self.breaks)
-        idx = self._piece_index(nodes)
-        if np.any(idx < 0):
+        if not self._one_piece_covers(nodes) and np.any(self._piece_index(nodes) < 0):
             raise BVError("pieces do not partition the domain at quadrature nodes")
         for jump in self.jumps:
             if jump.carrier_id not in self.registry:
@@ -278,7 +285,7 @@ def _bounds(region, dim):
 def _breaks(value, dim):
     """A 'breaks' entry, merged per axis, or a BVError unless finite numbers."""
     try:
-        return finite_breaks(dim, value, BVError)
+        return merge_breaks(dim, value, error=BVError)
     except MeasureError as exc:
         raise BVError(f"'breaks': {exc}") from None
 

@@ -17,6 +17,7 @@ summation order.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress
@@ -152,7 +153,7 @@ class Domain:
         keep = weights > 1e-300
         if region is not None:
             keep &= in_box(nodes, region)
-        return nodes[keep], weights[keep]
+        return (nodes, weights) if keep.all() else (nodes[keep], weights[keep])
 
     def gauss_cell_rule(self, breaks=None):
         """Per-cell 3-point Gauss rule (tensorized in 2D); exact for
@@ -257,21 +258,18 @@ def as_floats(value, what, shape=None, error=MeasureError):
     return out
 
 
-def merge_breaks(dim, *break_sets):
+def merge_breaks(dim, *break_sets, error=MeasureError):
     """Per axis, the sorted union of the breakpoints of ``break_sets``
-    (``None`` skipped), keeping the first of equal values, as a ``Breaks``.
+    (``None`` skipped), keeping the first of equal values, as a ``Breaks``;
+    ``error`` if an input other than a ``Breaks`` holds a non-finite value.
     A ``Breaks`` that is the only non-empty input is returned as it is."""
     norms = [n for n in (_normalize_breaks(bs, dim) for bs in break_sets) if any(n)]
     if len(norms) == 1 and type(norms[0]) is Breaks:
         return norms[0]
+    for n in norms:  # so a Breaks, made only here, is finite; a finite sum has no NaN or inf term
+        if type(n) is not Breaks and not (math.isfinite(sum(map(sum, n))) or all(map(math.isfinite, chain(*n)))):
+            raise error(f"'breaks' must be finite, got {[*chain(*n)]!r}")
     return Breaks(_merged_axis([n[k] for n in norms if n[k]]) for k in range(dim))
-
-
-def finite_breaks(dim, value, error=MeasureError):
-    """A document's 'breaks' merged per axis; ``error`` unless all are finite."""
-    breaks = merge_breaks(dim, value)
-    as_floats([*chain(*breaks)], "'breaks'", error=error)
-    return breaks
 
 
 def _merged_axis(runs):
@@ -539,7 +537,7 @@ class ScalarRadonMeasure(_StructuredMeasure):
             atoms=atoms,
             carrier_parts=tuple(parts),
             registry=registry,
-            breaks=finite_breaks(domain.dim, obj.get("breaks")),
+            breaks=obj.get("breaks"),
             **flags,
         )
 
@@ -678,9 +676,14 @@ def _integrate(measure, region, on_cells, on_singular):
 
 
 def frobenius(A):
-    """Pointwise Frobenius norm of matrices stacked along the leading axes."""
-    A = np.asarray(A, dtype=float)
-    return np.sqrt(np.sum(A * A, axis=(-2, -1)))
+    """Pointwise Frobenius norm of matrices stacked along the leading axes: the
+    squares summed left to right, the bits of ``np.sum`` on 1 to 7 C-ordered entries."""
+    sq = np.square(np.asarray(A, dtype=float))
+    n = math.prod(sq.shape[-2:])
+    if sq.ndim < 2 or not 0 < n < 8 or not sq.flags.c_contiguous:  # numpy sums 8 or more pairwise
+        return np.sqrt(np.sum(sq, axis=(-2, -1)))
+    cols = sq.reshape(sq.shape[:-2] + (n,))
+    return np.sqrt(sum((cols[..., k] for k in range(1, n)), cols[..., 0]))
 
 
 def _magnitudes(values):

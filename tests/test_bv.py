@@ -749,6 +749,140 @@ def test_one_piece_lookup_still_rejects_uncovered_nodes():
         BVFunction(interval(8), 1, [left])
 
 
+def _old_piece_index(u, nodes):
+    from bvcalc.measures import in_box
+
+    idx = np.full(len(nodes), -1, dtype=int)
+    for k, piece in enumerate(u.pieces):
+        m = in_box(nodes, piece.region) & (idx < 0)  # the former Piece.mask
+        idx[m] = k
+    return idx
+
+
+def _old_checked_by_piece(u, nodes, fn, shape, probe=None):
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    idx = _old_piece_index(u, nodes if probe is None else probe)
+    if np.any(idx < 0):
+        raise BVError(
+            "pieces do not cover all quadrature nodes"
+            if probe is None
+            else "no piece adjacent to the requested points"
+        )
+    if len(u.pieces) == 1:
+        return np.array(fn(u.pieces[0], nodes), dtype=float).reshape((-1,) + shape)
+    out = np.empty((len(nodes),) + shape)
+    for k, piece in enumerate(u.pieces):
+        m = idx == k
+        if np.any(m):
+            out[m] = np.asarray(fn(piece, nodes[m])).reshape((-1,) + shape)
+    return out
+
+
+def _returned_or_raised(call):
+    """The array a call returns, or the text of the BVError it raises."""
+    try:
+        return call()
+    except BVError as exc:
+        return f"BVError: {exc}"
+
+
+def _lookup_functions():
+    """One piece on the whole box, one on a strict sub-box (1D, 2D, and a
+    bare 1D pair as region), and two pieces."""
+    d1, d2 = interval(8), unit_square(8)
+
+    def one(dom, region):
+        return BVFunction(dom, 1, [Piece(region=region, u=lambda n: n[:, :1] * 2.0 + n[:, -1:],
+                                         grad=lambda n: np.ones((len(n), 1, dom.dim)))], validate=False)
+
+    two = BVFunction.from_json(d2, {"pieces": [
+        {"region": [[0.0, 0.5], [0.0, 1.0]], "u": ["x"], "grad": [["1", "0"]]},
+        {"region": [[0.5, 1.0], [0.0, 1.0]], "u": ["x"], "grad": [["1", "0"]]},
+    ]})
+    return [one(d1, d1.box), one(d2, d2.box), one(d1, (0.25, 0.75)),
+            one(d2, ((0.25, 0.75), (0.0, 0.5))), affine_2d(d2, [[1.0, -2.0]], offset=[0.5]), two]
+
+
+def _lookup_nodes(u):
+    """Interior nodes, nodes on the region's edges (-0.0 among them), nodes
+    just outside (also next to a corner), NaN nodes and no nodes."""
+    dim, rng = u.domain.dim, np.random.default_rng(3)
+    inner = np.asarray(u.pieces[0].region, dtype=float).reshape(-1, 2)
+    inside = inner[:, 0] + (inner[:, 1] - inner[:, 0]) * rng.random((9, dim))
+    edges = np.array([inner[:, 0], inner[:, 1], np.where(inner[:, 0] == 0.0, -0.0, inner[:, 0])])
+    sets = {"inside": inside, "edges": np.concatenate([inside, edges])}
+    for name, delta in (("below", -1e-12), ("above", 1e-12)):
+        off = inside.copy()
+        off[4, -1] = (inner[-1, 0] if delta < 0 else inner[-1, 1]) + delta
+        sets[name] = off
+    for k in range(dim):
+        nan = inside.copy()
+        nan[2, k] = np.nan
+        sets[f"nan{k}"] = nan
+        for side, delta in ((0, -1e-12), (1, 1e-12)):  # a corner, and one axis of it just past the edge
+            corner = inner[:, [side, side]].T.copy()
+            corner[1, k] += delta
+            sets[f"corner{side}-past-axis{k}"] = corner
+    sets["empty"] = np.empty((0, dim))
+    sets["cell_rule"] = u.domain.cell_rule(breaks=u.breaks)[0]
+    return sets
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_piece_lookup_equals_the_mask_loop_with_its_errors(k):
+    u = _lookup_functions()[k]
+    shift = 1e-9 * max(hi - lo for lo, hi in u.domain.box)
+    for name, nodes in _lookup_nodes(u).items():
+        assert np.array_equal(u._piece_index(nodes), _old_piece_index(u, nodes)), name
+        for fn, shape in ((lambda p, x: p.u(x), (u.N,)), (lambda p, x: p.grad(x), (u.N, u.domain.dim))):
+            new = _returned_or_raised(lambda: u._by_piece(nodes, fn, shape))
+            old = _returned_or_raised(lambda: _old_checked_by_piece(u, nodes, fn, shape))
+            _assert_same_outcome(new, old, name)
+        # value_from_inside: the probe, shifted along the normal, picks the piece
+        for sign in (1.0, -1.0):
+            normals = np.zeros_like(nodes)
+            normals[:, 0] = sign
+            new = _returned_or_raised(lambda: u.value_from_inside(nodes, normals))
+            old = _returned_or_raised(lambda: _old_checked_by_piece(
+                u, nodes, lambda p, x: p.u(x), (u.N,), probe=nodes + shift * normals))
+            _assert_same_outcome(new, old, f"{name} from inside {sign}")
+
+
+def _assert_same_outcome(new, old, name):
+    assert type(new) is type(old), (name, new, old)
+    if isinstance(old, str):
+        assert new == old, name
+    else:
+        assert new.shape == old.shape and new.dtype == old.dtype and new.tobytes() == old.tobytes(), name
+
+
+@pytest.mark.parametrize("box", [((0.0, 1.0), (0.0, 1.0)), ((0.0, 2.0), (-1.0, 0.5))], ids=["square", "rectangle"])
+def test_a_covered_one_piece_function_never_builds_a_mask(box, monkeypatch):
+    from bvcalc import bv
+
+    def refuse(*args):
+        raise AssertionError("a per-node mask was built")
+
+    # on the square every coordinate lies in the range both axes allow; on the rectangle none does
+    u = affine_2d(Domain(box, 8), [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0])
+    nodes, _ = u.domain.cell_rule(breaks=u.breaks)
+    monkeypatch.setattr(bv, "in_box", refuse)
+    assert u.value_at(nodes).shape == (len(nodes), 2) and u.gradient_at(nodes).shape == (len(nodes), 2, 2)
+    inward = u.domain.inward_normal(u.domain.boundary_rule()[0])
+    assert u.value_from_inside(u.domain.boundary_rule()[0], inward).shape[1] == 2
+    BVFunction(u.domain, 2, u.pieces)  # validation: coverage by bounds alone
+    with pytest.raises(AssertionError, match="mask"):  # an uncovered node still takes the mask
+        u.value_at([[0.5, 1.5]])
+    # a region of more axes than the nodes fails in the mask, as before, not in the bounds check
+    monkeypatch.undo()
+    square_region = Piece(region=((0.0, 1.0), (0.0, 1.0)), u=lambda n: n, grad=lambda n: n[:, :, None])
+    v = BVFunction(interval(8), 1, [square_region], validate=False)
+    with pytest.raises(IndexError):
+        v.value_at([[0.5]])
+    with pytest.raises(IndexError):
+        _old_checked_by_piece(v, [[0.5]], lambda p, x: p.u(x), (1,))
+
+
 def _old_scalar_bumps(domain, per_axis=12):
     axes = []
     for lo, hi in domain.box:

@@ -1755,3 +1755,86 @@ def test_2d_breaks_must_be_finite_in_both_documents(breaks):
     assert BVFunction.from_json(dom, {"pieces": [piece], "breaks": finite}).breaks == (
         (0.5,), (0.25, 0.75)
     )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_merge_breaks_rejects_non_finite_breaks(bad):
+    from dataclasses import replace
+
+    from bvcalc.bv import BVError, BVFunction, Piece
+
+    shown = f"got \\[0.5, {bad}, 0.2\\]$"
+    for given in ([0.5, bad, 0.2], (0.5, bad, 0.2), np.array([0.5, bad, 0.2]), [[0.5, bad, 0.2]]):
+        with pytest.raises(MeasureError, match="^'breaks' must be finite, " + shown):
+            merge_breaks(1, given)
+        with pytest.raises(MeasureError, match=shown):  # beside a Breaks and None
+            merge_breaks(1, merge_breaks(1, [0.25]), None, given)
+        with pytest.raises(BVError, match="^'breaks' must be finite, " + shown):
+            merge_breaks(1, given, error=BVError)
+    with pytest.raises(MeasureError, match=r"^'breaks' must be finite, got \[0.5, 0.25, " + f"{bad}\\]$"):
+        merge_breaks(2, [[0.5], [0.25, bad]])
+    # code-built measures and functions merge their breaks through merge_breaks
+    dom = Domain((0.0, 1.0), 8)
+    with pytest.raises(MeasureError, match=shown):
+        ScalarRadonMeasure(dom, density=lambda n: np.ones(len(n)), breaks=[0.5, bad, 0.2])
+    with pytest.raises(MeasureError, match=shown):
+        MatrixRadonMeasure(dom, shape=(1, 1), density=lambda n: np.ones((len(n), 1, 1)),
+                           breaks=[0.5, bad, 0.2])
+    piece = Piece(region=dom.box, u=lambda n: n[:, :1], grad=lambda n: np.ones((len(n), 1, 1)))
+    for breaks, pieces in (([0.5, bad, 0.2], [piece]), (None, [replace(piece, breaks=[0.5, bad, 0.2])])):
+        with pytest.raises(MeasureError, match=shown):
+            BVFunction(dom, 1, pieces, breaks=breaks)
+    # the finite breaks of the same calls still build, also when their sum overflows
+    assert merge_breaks(1, [0.5, 0.2]) == ((0.2, 0.5),)
+    assert merge_breaks(2, [[1e308, 1.5e308], [-1e308, -1.5e308]]) == ((1e308, 1.5e308), (-1.5e308, -1e308))
+    assert ScalarRadonMeasure(dom, density=lambda n: np.ones(len(n)), breaks=[0.5, 0.2]).mass() == 1.0
+
+
+def _old_frobenius(A):
+    A = np.asarray(A, dtype=float)
+    return np.sqrt(np.sum(A * A, axis=(-2, -1)))
+
+
+_FROBENIUS_SPECIALS = np.array(
+    [0.0, -0.0, 5e-324, -1e-310, 1e-200, 1e154, -1e200, 1.7e308, np.nan, np.inf, -np.inf]
+)
+
+
+def _frobenius_inputs(shape, lead, rng):
+    """Random entries of every scale with special values planted at random
+    places; the same values in a layout numpy does not read in C order, and
+    as nested lists."""
+    A = rng.standard_normal(lead + shape) * np.exp(rng.uniform(-40.0, 40.0, lead + shape))
+    flat = A.reshape(-1)
+    if flat.size:
+        flat[rng.integers(0, flat.size, flat.size // 3 + 1)] = rng.choice(_FROBENIUS_SPECIALS, flat.size // 3 + 1)
+    yield A
+    yield np.swapaxes(np.ascontiguousarray(np.swapaxes(A, -1, -2)), -1, -2)
+    if A.size:  # an empty nested list loses its shape
+        yield A.tolist()
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (7, 1), (1, 7), (4, 2), (3, 3), (0, 2), (2, 0)]
+)
+@pytest.mark.parametrize("lead", [(), (1,), (257,), (3, 41), (0,)])
+def test_frobenius_equals_the_two_axis_sum_bit_for_bit(shape, lead):
+    from bvcalc.measures import frobenius
+
+    rng = np.random.default_rng(sum(shape) * 100 + len(lead))
+    for A in _frobenius_inputs(shape, lead, rng):
+        with np.errstate(over="ignore", invalid="ignore"):
+            new, old = frobenius(A), _old_frobenius(A)
+        assert type(new) is type(old) and np.shape(new) == np.shape(old) == lead
+        assert np.asarray(new).dtype == np.float64 and np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+
+def test_frobenius_keeps_the_bits_of_every_pair_of_special_values():
+    from bvcalc.measures import frobenius
+
+    # every special value in a 1-by-2 block next to every other, so no pair is missed
+    pairs = np.array(np.meshgrid(_FROBENIUS_SPECIALS, _FROBENIUS_SPECIALS)).reshape(2, -1).T[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert frobenius(pairs).tobytes() == _old_frobenius(pairs).tobytes()
+    with pytest.raises(np.exceptions.AxisError):
+        frobenius(np.ones(3))

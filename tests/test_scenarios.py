@@ -103,6 +103,22 @@ def test_field_dicts_list_every_field_in_declaration_order(monkeypatch):
     assert seen == [config]
 
 
+def test_cli_lists_scenarios_marks_clauses_and_prints_usage_without_a_command(capsys, monkeypatch):
+    from bvcalc import cli
+    from bvcalc.scenarios import Clause, ScenarioResult
+
+    assert cli_main(["list"]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in listed] == [s.sid for s in scenario_catalog()]
+    assert len(listed) == 11 and all(s.summary in line for s, line in zip(scenario_catalog(), listed))
+    assert cli_main([]) == cli.USAGE_EXIT
+    assert capsys.readouterr().out.startswith("usage: bvcalc [-h] {list,run,oracle}")
+    clauses = [Clause("a", True, 1.0, "<= 2"), Clause("b", False, 3.0, "<= 2")]
+    monkeypatch.setattr(cli, "run", lambda c: (1, ScenarioResult("s", clauses, {})))
+    assert cli_main(["run", "--scenario", "example1"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["[ok  ] s: a (target <= 2)", "[FAIL] s: b (target <= 2)"]
+
+
 def test_unknown_scenario_is_usage_error():
     with pytest.raises(ScenarioError):
         run(RunConfig(scenario="definitely-not-a-scenario"))
