@@ -101,30 +101,28 @@ class BVFunction:
         return idx
 
     def _one_piece_covers(self, nodes):
-        """Whether the only piece's closed box holds all of ``nodes``, by per-axis
-        bounds; False (no nodes, a NaN, a node off the box) means use the masks."""
+        """Whether the only piece's closed box holds all of ``nodes``, each coordinate in the
+        range every axis of it allows (a square box, an interval); False: use the masks."""
         if len(self.pieces) != 1 or not len(nodes):
             return False
-        bounds = np.asarray(self.pieces[0].region, dtype=float).reshape(-1, 2)
-        if len(bounds) != nodes.shape[1]:
-            return False
-        lo, hi = bounds.T  # first the range every axis allows: two contiguous reductions, not two per column
-        return (lo.max() <= nodes.min() and nodes.max() <= hi.min()) or all(
-            a <= col.min() and col.max() <= b for a, b, col in zip(lo, hi, nodes.T))
+        lo, hi = np.asarray(self.pieces[0].region, dtype=float).reshape(-1, 2).T
+        return len(lo) == nodes.shape[1] and lo.max() <= nodes.min() and nodes.max() <= hi.min()
 
     def _by_piece(self, nodes, fn, shape, probe=None):
         """``fn(piece, points)`` at ``nodes``, shaped (M, *shape), taking at
         each node the piece that contains ``probe`` (default: the node)."""
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        if self._one_piece_covers(nodes if probe is None else probe):  # no per-node mask or gather
+        where = nodes if probe is None else probe
+        if not self._one_piece_covers(where):
+            idx = self._piece_index(where)
+            if np.any(idx < 0):
+                raise BVError(
+                    "pieces do not cover all quadrature nodes"
+                    if probe is None
+                    else "no piece adjacent to the requested points"
+                )
+        if len(self.pieces) == 1:  # every node is in the one piece: no gather by mask
             return np.array(fn(self.pieces[0], nodes), dtype=float).reshape((-1,) + shape)
-        idx = self._piece_index(nodes if probe is None else probe)
-        if np.any(idx < 0):
-            raise BVError(
-                "pieces do not cover all quadrature nodes"
-                if probe is None
-                else "no piece adjacent to the requested points"
-            )
         out = np.empty((len(nodes),) + shape)
         for k, piece in enumerate(self.pieces):
             m = idx == k

@@ -144,8 +144,8 @@ class Domain:
         return rule
 
     def _build_rule(self, axis_breaks, region):
-        if region is not None:
-            axis_breaks = merge_breaks(self.dim, axis_breaks, region)
+        if region is not None:  # an infinite region edge lies off the box and refines nothing
+            axis_breaks = merge_breaks(self.dim, axis_breaks, [[*filter(math.isfinite, r)] for r in region])
         axis_edges = self._axis_edges(axis_breaks)
         nodes, weights = _tensor(
             [0.5 * (e[1:] + e[:-1]) for e in axis_edges], [np.diff(e) for e in axis_edges]
@@ -221,20 +221,25 @@ class Breaks(tuple):
     __slots__ = ()
 
 
-def _normalize_breaks(breaks, dim):
-    """Per axis, a tuple of floats; a ``Breaks`` of ``dim`` axes as it is."""
+def _normalize_breaks(breaks, dim, error=MeasureError):
+    """Per axis, a tuple of finite floats (else ``error``); a ``Breaks`` of ``dim`` axes as it is."""
     if type(breaks) is Breaks and len(breaks) == dim:
         return breaks
     if breaks is None:
         return tuple(() for _ in range(dim))
+    norm = None
     try:
         if dim == 1 and (not len(breaks) or np.isscalar(breaks[0])):
-            return (_float_tuple(breaks),)
-        if len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
-            return tuple(map(_float_tuple, breaks))
+            norm = (_float_tuple(breaks),)
+        elif len(breaks) == dim and all(hasattr(b, "__len__") for b in breaks):
+            norm = tuple(map(_float_tuple, breaks))
     except (LookupError, TypeError, ValueError):
         pass
-    raise MeasureError(f"breakpoints must be numbers, a pair of lists in 2D, got {breaks!r}")
+    if norm is None:
+        raise MeasureError(f"breakpoints must be numbers, a pair of lists in 2D, got {breaks!r}")
+    if not all(map(math.isfinite, chain(*norm))):
+        raise error(f"'breaks' must be finite, got {[*chain(*norm)]!r}")
+    return norm
 
 
 def _float_tuple(values):
@@ -263,12 +268,9 @@ def merge_breaks(dim, *break_sets, error=MeasureError):
     (``None`` skipped), keeping the first of equal values, as a ``Breaks``;
     ``error`` if an input other than a ``Breaks`` holds a non-finite value.
     A ``Breaks`` that is the only non-empty input is returned as it is."""
-    norms = [n for n in (_normalize_breaks(bs, dim) for bs in break_sets) if any(n)]
+    norms = [n for n in (_normalize_breaks(bs, dim, error) for bs in break_sets) if any(n)]
     if len(norms) == 1 and type(norms[0]) is Breaks:
         return norms[0]
-    for n in norms:  # so a Breaks, made only here, is finite; a finite sum has no NaN or inf term
-        if type(n) is not Breaks and not (math.isfinite(sum(map(sum, n))) or all(map(math.isfinite, chain(*n)))):
-            raise error(f"'breaks' must be finite, got {[*chain(*n)]!r}")
     return Breaks(_merged_axis([n[k] for n in norms if n[k]]) for k in range(dim))
 
 

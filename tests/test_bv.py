@@ -856,16 +856,17 @@ def _assert_same_outcome(new, old, name):
         assert new.shape == old.shape and new.dtype == old.dtype and new.tobytes() == old.tobytes(), name
 
 
-@pytest.mark.parametrize("box", [((0.0, 1.0), (0.0, 1.0)), ((0.0, 2.0), (-1.0, 0.5))], ids=["square", "rectangle"])
-def test_a_covered_one_piece_function_never_builds_a_mask(box, monkeypatch):
+def test_a_covered_one_piece_function_never_builds_a_mask(monkeypatch):
     from bvcalc import bv
 
     def refuse(*args):
         raise AssertionError("a per-node mask was built")
 
-    # on the square every coordinate lies in the range both axes allow; on the rectangle none does
-    u = affine_2d(Domain(box, 8), [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0])
+    # on the square every coordinate lies in the range both axes allow
+    u = affine_2d(unit_square(8), [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0])
     nodes, _ = u.domain.cell_rule(breaks=u.breaks)
+    r = affine_2d(Domain(((0.0, 2.0), (-1.0, 0.5)), 8), [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0])
+    r_nodes, _ = r.domain.cell_rule(breaks=r.breaks)
     monkeypatch.setattr(bv, "in_box", refuse)
     assert u.value_at(nodes).shape == (len(nodes), 2) and u.gradient_at(nodes).shape == (len(nodes), 2, 2)
     inward = u.domain.inward_normal(u.domain.boundary_rule()[0])
@@ -873,8 +874,14 @@ def test_a_covered_one_piece_function_never_builds_a_mask(box, monkeypatch):
     BVFunction(u.domain, 2, u.pieces)  # validation: coverage by bounds alone
     with pytest.raises(AssertionError, match="mask"):  # an uncovered node still takes the mask
         u.value_at([[0.5, 1.5]])
-    # a region of more axes than the nodes fails in the mask, as before, not in the bounds check
+    # on a rectangle whose axes share no range the nodes take the mask, with the bits of the old lookup
+    with pytest.raises(AssertionError, match="mask"):
+        r.value_at(r_nodes)
     monkeypatch.undo()
+    for fn, shape in ((lambda p, x: p.u(x), (2,)), (lambda p, x: p.grad(x), (2, 2))):
+        new, old = r._by_piece(r_nodes, fn, shape), _old_checked_by_piece(r, r_nodes, fn, shape)
+        _assert_same_outcome(new, old, "rectangle")
+    # a region of more axes than the nodes fails in the mask, as before, not in the bounds check
     square_region = Piece(region=((0.0, 1.0), (0.0, 1.0)), u=lambda n: n, grad=lambda n: n[:, :, None])
     v = BVFunction(interval(8), 1, [square_region], validate=False)
     with pytest.raises(IndexError):

@@ -1784,10 +1784,35 @@ def test_merge_breaks_rejects_non_finite_breaks(bad):
     for breaks, pieces in (([0.5, bad, 0.2], [piece]), (None, [replace(piece, breaks=[0.5, bad, 0.2])])):
         with pytest.raises(MeasureError, match=shown):
             BVFunction(dom, 1, pieces, breaks=breaks)
+    # so do the cell rules, with or without a region
+    for rule in (dom.cell_rule, dom.gauss_cell_rule, lambda breaks: dom.cell_rule(breaks, region=(0.0, 0.5))):
+        with pytest.raises(MeasureError, match="^'breaks' must be finite, " + shown):
+            rule([0.5, bad, 0.2])
+    with pytest.raises(MeasureError, match=r"^'breaks' must be finite, got \[0.5, 0.25, " + f"{bad}\\]$"):
+        Domain(((0.0, 1.0), (0.0, 1.0)), 4).cell_rule([[0.5], [0.25, bad]])
     # the finite breaks of the same calls still build, also when their sum overflows
     assert merge_breaks(1, [0.5, 0.2]) == ((0.2, 0.5),)
     assert merge_breaks(2, [[1e308, 1.5e308], [-1e308, -1.5e308]]) == ((1e308, 1.5e308), (-1.5e308, -1e308))
     assert ScalarRadonMeasure(dom, density=lambda n: np.ones(len(n)), breaks=[0.5, 0.2]).mass() == 1.0
+
+
+def test_a_region_with_an_infinite_bound_is_clipped_to_the_box():
+    """An infinite region edge lies off the box: the rule, masses and total
+    variation are those of the region cut to the box, not a breaks error."""
+    inf = float("inf")
+    d1, d2 = Domain((0.0, 1.0), 8), Domain(((0.0, 1.0), (0.0, 2.0)), 8)
+    m1 = ScalarRadonMeasure(d1, density=lambda n: 1.0 + n[:, 0], breaks=[0.3])
+    gamma = MatrixRadonMeasure(d2, shape=(1, 2), density=lambda n: np.stack([n, -n], 1)[:, None, :, 0])
+    for dom, region, cut in ((d1, ((0.5, inf),), ((0.5, 1.0),)), (d1, ((-inf, inf),), d1.box),
+                             (d2, ((0.5, inf), (-inf, 1.0)), ((0.5, 1.0), (0.0, 1.0)))):
+        for breaks in (None, [0.7] if dom is d1 else [[0.7], [0.3]]):
+            for a, b in zip(dom.cell_rule(breaks, region=region), dom.cell_rule(breaks, region=cut)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (region, breaks)
+        if dom is d1:
+            assert m1.mass(region=region) == m1.mass(region=cut)
+        else:
+            assert total_variation(gamma, region=region) == total_variation(gamma, region=cut)
+            assert area_functional(gamma, region=region) == area_functional(gamma, region=cut)
 
 
 def _old_frobenius(A):
