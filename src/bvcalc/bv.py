@@ -21,6 +21,7 @@ from .measures import (
     MatrixRadonMeasure,
     MeasureError,
     area_functional,
+    as_box,
     as_floats,
     in_box,
     merge_breaks,
@@ -67,6 +68,16 @@ class Jump:
     orientation: float = 1.0  # 1D only
 
 
+def first_box(points, boxes):
+    """Per row of ``points``, the index of the first closed box of ``boxes``
+    that holds it (a box of None holds every point), or -1 where none does."""
+    idx = np.full(len(points), -1, dtype=int)
+    for k, box in enumerate(boxes):
+        m = idx < 0 if box is None else in_box(points, box) & (idx < 0)
+        idx[m] = k
+    return idx
+
+
 class BVFunction:
     def __init__(
         self,
@@ -94,11 +105,7 @@ class BVFunction:
     # -- evaluation ----------------------------------------------------------
 
     def _piece_index(self, nodes):
-        idx = np.full(len(nodes), -1, dtype=int)
-        for k, piece in enumerate(self.pieces):
-            m = in_box(nodes, piece.region) & (idx < 0)
-            idx[m] = k
-        return idx
+        return first_box(nodes, [p.region for p in self.pieces])
 
     def _one_piece_covers(self, nodes):
         """Whether the only piece's closed box holds all of ``nodes``, each coordinate in the
@@ -197,7 +204,7 @@ class BVFunction:
                 raise BVError(f"'grad' of a piece must be {N} rows of {dim} entries, got {g_rows!r}")
             pieces.append(
                 Piece(
-                    region=_bounds(pdesc.get("region", domain.box), dim),
+                    region=as_box(pdesc.get("region", domain.box), dim, "'region' of a piece", BVError),
                     u=expressions.compile_vector(u_exprs, dim),
                     grad=expressions.compile_matrix(g_rows, dim),
                     breaks=_breaks(pdesc.get("breaks"), dim),
@@ -271,13 +278,6 @@ def _entry(desc, key, what):
     if key not in desc:
         raise BVError(f"{what} has no {key!r}")
     return desc[key]
-
-
-def _bounds(region, dim):
-    """A piece's region, checked to be one finite (lo, hi) pair per axis."""
-    if as_floats(region, "'region' of a piece", error=BVError).size != 2 * dim:
-        raise BVError(f"'region' of a piece must be one [lo, hi] pair per axis, got {region!r}")
-    return region
 
 
 def _breaks(value, dim):

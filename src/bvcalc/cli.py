@@ -57,7 +57,7 @@ def main(argv=None):
             return USAGE_EXIT
         for clause in result.clauses:
             mark = "ok  " if clause.passed else "FAIL"
-            print(f"[{mark}] {result.scenario}: {clause.name} (target {clause.target})")
+            print(f"[{mark}] {config.scenario}: {clause.name} (target {clause.target})")
         return code
     if args.command == "oracle":
         try:

@@ -37,7 +37,7 @@ from .measures import (
     singular_parts,
 )
 
-_ZTOL = 1e-12
+CHARGE_TOL = 1e-12  # a value at or below this charges nothing
 LSC_TOL = 1e-6  # a margin below -LSC_TOL is flagged as a violation
 WEAK_STAR_TOL = 0.05  # largest accepted test-field pairing gap at the last index
 AREA_TOL = 0.05  # largest accepted area-functional gap at the last index
@@ -126,7 +126,7 @@ def _singular_term(F, remainder, domain):
 def charged_recession(F, points, values):
     """F^inf(x, A) at the points where A is nonzero, 0 elsewhere."""
     out = np.zeros(len(points))
-    charged = frobenius(values) > _ZTOL
+    charged = frobenius(values) > CHARGE_TOL
     if np.any(charged):
         out[charged] = recession_values(F, points[charged], values[charged])
     return out
@@ -152,11 +152,11 @@ def admissibility_check(u, mu):
     also works for degenerate mu (density vanishing on open sets)."""
     gamma = derivative(u)
     cells = cell_part(gamma, mu.breaks)
-    if np.any((frobenius(cells.values) > _ZTOL) & (mu.density_at(cells.points) <= 0.0)):
+    if np.any((frobenius(cells.values) > CHARGE_TOL) & (mu.density_at(cells.points) <= 0.0)):
         return False
     for g, m in matched_parts(singular_parts(gamma), singular_parts(mu)):
         mu_there = 0.0 if m is None else m.values
-        if g is not None and np.any((frobenius(g.values) > _ZTOL) & (mu_there <= 0.0)):
+        if g is not None and np.any((frobenius(g.values) > CHARGE_TOL) & (mu_there <= 0.0)):
             return False
     return True
 
@@ -238,7 +238,7 @@ def mollify_in_small_set(u, spec, region, j):
     dec = rn_decompose(gamma, spec.mu)
     region = np.asarray(region, dtype=float).reshape(-1, 2)
     for part in singular_parts(dec.remainder):
-        charged = part.points[frobenius(part.values) > _ZTOL]
+        charged = part.points[frobenius(part.values) > CHARGE_TOL]
         if not np.all(in_box(charged, region)):
             raise FunctionalError("singular part not concentrated in the given region")
     if not u.jumps:

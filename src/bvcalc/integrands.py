@@ -46,14 +46,10 @@ def _as_batch(x, A, dim):
     if x is None:
         return None, A, scalar
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
     if x.ndim == 1 and len(x) == dim and (scalar or dim != len(A)):
         x = x[None, :]
     if x.ndim == 1:
         x = x[:, None]
-    if len(x) == 1 and len(A) > 1:
-        x = np.broadcast_to(x, (len(A), x.shape[1]))
     return x, A, scalar
 
 
@@ -306,6 +302,15 @@ def recession_values(f, x, A_batch):
     return out
 
 
+def upper_slope_values(f, x, A_batch):
+    """The upper asymptotic slope of f over a batch of matrices (x batched
+    alike): the analytic recession if f has one, else the generalized
+    recession of each matrix."""
+    if f.has_analytic_recession():
+        return np.asarray(f.recession(x, A_batch), dtype=float)
+    return np.array([generalized_recession(f, A).value for A in A_batch])
+
+
 def _fixed_directions(N, n, seed):
     """The unit matrices E_ij in row-major order, the normalized all-ones
     matrix, then eight seeded random unit directions."""
@@ -541,10 +546,7 @@ def sq_envelope(F, i):
     if not F.nonnegative or F.convexity not in ("convex", "quasiconvex"):
         raise IntegrandError("envelope requires a nonnegative quasiconvex-flagged integrand")
     N, n = F.dims
-    if F.has_analytic_recession():
-        batch_rec = lambda A: np.asarray(F.recession_analytic(None, A))
-    else:  # the upper slope, one matrix at a time
-        batch_rec = lambda A: np.array([generalized_recession(F, Ak).value for Ak in A])
+    batch_rec = lambda A: upper_slope_values(F, None, A)
     dirs = np.array(_fixed_directions(N, n, 9))
     radii = [2.0**k for k in range(0, 21)]
     # dyadic magnitudes to probe, including off-grid midpoints, along every direction

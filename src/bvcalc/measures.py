@@ -51,7 +51,7 @@ def _as_bounds(box, allow_empty=False):
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
-    bad = box[:, 1] <= box[:, 0] if not allow_empty else box[:, 1] < box[:, 0]
+    bad = ~(box[:, 1] >= box[:, 0]) if allow_empty else ~(box[:, 1] > box[:, 0])  # NaN fails too
     if box.shape[1] != 2 or np.any(bad):
         raise MeasureError(f"box must have positive volume per axis, got {box}")
     return tuple((float(lo), float(hi)) for lo, hi in box)
@@ -263,6 +263,13 @@ def as_floats(value, what, shape=None, error=MeasureError):
     return out
 
 
+def as_box(value, dim, what, error):
+    """A region of a JSON document, checked to be one finite (lo, hi) pair per axis."""
+    if as_floats(value, what, error=error).size != 2 * dim:
+        raise error(f"{what} must be one [lo, hi] pair per axis, got {value!r}")
+    return value
+
+
 def merge_breaks(dim, *break_sets, error=MeasureError):
     """Per axis, the sorted union of the breakpoints of ``break_sets``
     (``None`` skipped), keeping the first of equal values, as a ``Breaks``;
@@ -327,12 +334,6 @@ class SingularCarrier:
         else:
             raise MeasureError(f"unknown carrier kind {self.kind!r}")
 
-    def length(self):
-        if self.kind == "point":
-            return 0.0
-        p, q = np.asarray(self.endpoints[0]), np.asarray(self.endpoints[1])
-        return float(np.linalg.norm(q - p))
-
     def rule(self, resolution, region=None):
         """Quadrature points (M, dim) and H^{dim}-weights along the carrier.
 
@@ -352,7 +353,7 @@ class SingularCarrier:
             if t1 <= t0:
                 return np.zeros((0, len(p))), np.zeros(0)
         t, w = _gl3(np.linspace(t0, t1, resolution + 1))
-        return p[None, :] + t[:, None] * (q - p)[None, :], w * self.length()
+        return p[None, :] + t[:, None] * (q - p)[None, :], w * float(np.linalg.norm(q - p))
 
 
 def _point_in_region(point, region):

@@ -106,7 +106,6 @@ class Clause:
 
 @dataclass
 class ScenarioResult:
-    scenario: str
     clauses: list
     metrics: dict
     tables: dict = field(default_factory=dict)
@@ -118,7 +117,7 @@ class ScenarioResult:
 
     def report(self, config, hash_):
         return {
-            "scenario": self.scenario,
+            "scenario": config.scenario,
             "config": config.as_dict(),
             "builder_hash": hash_,
             "passed": self.passed,
@@ -203,7 +202,6 @@ def scenario_sawtooth(config):
         for k, j in enumerate(js)
     ]
     return ScenarioResult(
-        "sawtooth-oscillation",
         clauses,
         {
             "generation_final_gap": gen.final_gap,
@@ -271,7 +269,6 @@ def scenario_ramp_concentration(config):
         ),
     ]
     return ScenarioResult(
-        "ramp-concentration",
         clauses,
         {"lambda_mass": lam_mass, "weight_plus": w_plus, "weight_minus": w_minus},
     )
@@ -322,7 +319,6 @@ def scenario_atom_absorbs_jump(config):
         ),
     ]
     return ScenarioResult(
-        "atom-absorbs-jump",
         clauses,
         {"value": out.total, "oracle": ref, "breakdown": out.as_dict()},
     )
@@ -374,7 +370,6 @@ def scenario_boundary_term(config):
         ),
     ]
     return ScenarioResult(
-        "boundary-term-demo",
         clauses,
         {"inner": val_inner, "outer": val_outer, "perimeter_mass": perimeter_mass},
     )
@@ -417,7 +412,6 @@ def scenario_reshetnyak_ramp(config):
     ]
     rows = list(zip(js, rep.gaps)) if rep.accepted else []
     return ScenarioResult(
-        "reshetnyak-ramp",
         clauses,
         {"final_gap": rep.final_gap, "order": rep.order, "area_gap": rep.area_gap},
         tables={"continuity_gaps": (("j", "gap"), rows)},
@@ -457,7 +451,6 @@ def scenario_reshetnyak_counter(config):
         ),
     ]
     return ScenarioResult(
-        "reshetnyak-counter",
         clauses,
         {"area_gap": rep.area_gap, "tv_gap": tv_gap},
         flags=["expected_rejection"],
@@ -508,7 +501,6 @@ def scenario_nonquasiconvex(config):
         ),
     ]
     return ScenarioResult(
-        "nonquasiconvex-violation",
         clauses,
         {
             "lsc_margin": lsc.margin,
@@ -562,7 +554,6 @@ def scenario_sq_envelope(config):
         ),
     ]
     return ScenarioResult(
-        "sq-envelope-monotone",
         clauses,
         {"radii": [G.radius for G in envs], "evals": evals, "base_eval": base_eval},
     )
@@ -684,7 +675,6 @@ def scenario_example1(config):
         ),
     ]
     return ScenarioResult(
-        "example1",
         clauses,
         {
             "relaxation_status": relax.status,
@@ -799,7 +789,6 @@ def scenario_example2(config):
         ),
     ]
     return ScenarioResult(
-        "example2",
         clauses,
         {
             "bounds": [{"depth": k, "bound": ck, "c_star": cs} for k, ck, cs in bounds],
@@ -837,7 +826,6 @@ def scenario_x_dependent_lsc(config):
         ),
     ]
     return ScenarioResult(
-        "x-dependent-lsc",
         clauses,
         {
             "margin": rep.margin,

@@ -18,17 +18,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .bv import derivative, scalar_bumps
-from .functional import charged_recession, order_fit
-from .integrands import generalized_recession, recession_values
+from .bv import derivative, first_box, scalar_bumps
+from .functional import CHARGE_TOL, charged_recession, order_fit
+from .integrands import recession_values, upper_slope_values
 from .measures import (
     MatrixRadonMeasure,
     MeasurePart,
     ScalarRadonMeasure,
+    as_box,
     as_floats,
     charges_boundary,
     frobenius,
-    in_box,
     lebesgue,
     matched_parts,
     measure_distance,
@@ -41,7 +41,6 @@ from .measures import (
 )
 
 _PROB_TOL = 1e-12
-_ZTOL = 1e-12
 JENSEN_TOL = 1e-8  # lhs above rhs + JENSEN_TOL marks a violating node
 BARYCENTER_TOL = 1e-8  # barycenter-to-Du distance, relative to max(1, |u|_L1)
 
@@ -93,7 +92,7 @@ class ElementaryPolar:
             raise YoungMeasureError("elementary sphere field lives on atoms and carriers only")
         vals = np.asarray(self._densities[part.key](points))
         mags = frobenius(vals)
-        safe = np.where(mags > _ZTOL, mags, 1.0)
+        safe = np.where(mags > CHARGE_TOL, mags, 1.0)
         polar = vals / safe[:, None, None]
         return np.ones((len(points), 1)), polar[:, None, :, :]
 
@@ -151,7 +150,7 @@ class GeneralizedYoungMeasure:
         return [
             (part, *read_only(*self.nu_inf.eval(part, part.points)))
             for part in self.concentration_parts
-            if len(part.points) and np.max(np.abs(part.masses)) > _ZTOL
+            if len(part.points) and np.max(np.abs(part.masses)) > CHARGE_TOL
         ]
 
     def validate(self):
@@ -200,55 +199,45 @@ def _read_only_parts(parts):
     return parts
 
 
-def _finite(value, what, shape=None):
-    return as_floats(value, what, shape, YoungMeasureError)
-
-
 def _field_from_entries(entries, key, dims):
     """The location field of the entries listed under ``key``, or a
     YoungMeasureError naming the key for a malformed list."""
     N, n = dims
     if not isinstance(entries, list) or not entries:
         raise YoungMeasureError(f"{key!r} must be a non-empty list of entries, got {entries!r}")
-    parsed = []
+    regions, rows = [], []
     for entry in entries:
         pairs = entry.get("atoms") if isinstance(entry, dict) else None
         if not isinstance(pairs, list) or not pairs:
             raise YoungMeasureError(f"an entry of {key!r} needs a non-empty list 'atoms', got {entry!r}")
         try:
-            atoms = np.stack([_finite(A, f"an atom of {key!r}").reshape(N, n) for A, _ in pairs])
-            weights = np.array([_finite(p, f"an atom weight of {key!r}", ()) for _, p in pairs])
+            atoms = np.stack([as_floats(A, f"an atom of {key!r}", error=YoungMeasureError).reshape(N, n)
+                              for A, _ in pairs])
+            weights = np.array([as_floats(p, f"an atom weight of {key!r}", (), YoungMeasureError)
+                                for _, p in pairs])
             region = entry.get("region")
             if region is None and "node" in entry:  # single-point entry
-                pt = np.atleast_1d(_finite(entry["node"], f"'node' of an entry of {key!r}"))
-                region = [[v, v] for v in pt]
-            boxed = region is None or _finite(region, f"'region' of an entry of {key!r}").size == 2 * n
+                pt = as_floats(entry["node"], f"'node' of an entry of {key!r}", error=YoungMeasureError)
+                region = [[v, v] for v in np.atleast_1d(pt)]
+            if region is not None:
+                as_box(region, n, f"'region' of an entry of {key!r}", YoungMeasureError)
         except YoungMeasureError:
             raise
         except (TypeError, ValueError) as exc:
             raise YoungMeasureError(f"an entry of {key!r} is malformed: {exc}") from None
-        if not boxed:
-            raise YoungMeasureError(
-                f"'region' of an entry of {key!r} must be one [lo, hi] pair per axis, got {region!r}"
-            )
-        parsed.append((region, atoms, weights))
-    kmax = max(len(w) for _, _, w in parsed)
+        regions.append(region)
+        rows.append((weights, atoms))
+    # each entry's weights and atoms as one row, zero-padded to the longest entry
+    W = np.zeros((len(rows), max(len(w) for w, _ in rows)))
+    A = np.zeros(W.shape + (N, n))
+    for e, (weights, atoms) in enumerate(rows):
+        W[e, : len(weights)], A[e, : len(weights)] = weights, atoms
 
     def fn(points):
-        M = len(points)
-        W = np.zeros((M, kmax))
-        A = np.zeros((M, kmax, N, n))
-        claimed = np.zeros(M, dtype=bool)
-        for region, atoms, weights in parsed:
-            mask = ~claimed if region is None else ~claimed & in_box(points, region)
-            if not np.any(mask):
-                continue
-            W[mask, : len(weights)] = weights[None, :]
-            A[mask, : len(weights)] = atoms[None]
-            claimed |= mask
-        if not np.all(claimed):
+        idx = first_box(points, regions)
+        if np.any(idx < 0):
             raise YoungMeasureError("candidate entries do not cover all nodes")
-        return W, A
+        return W[idx], A[idx]
 
     return LocationField(fn)
 
@@ -295,7 +284,6 @@ def _field_pair(f, w, A, points, sphere=False, upper=False):
     ``w`` (M, K) and atoms ``A`` (M, K, N, n) there (recession of f when
     ``sphere``; with ``upper`` too, the upper asymptotic slope of an f
     without analytic recession)."""
-    slope = upper and not f.has_analytic_recession()
     out = np.zeros(len(points))
     for k in range(w.shape[1]):
         active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
@@ -303,10 +291,8 @@ def _field_pair(f, w, A, points, sphere=False, upper=False):
             continue
         active = slice(None) if active.all() else active  # all active: no gather by mask
         xk, Ak = points[active], A[active, k]
-        if slope:
-            vals = np.array([generalized_recession(f, S).value for S in Ak])
-        elif sphere:
-            vals = recession_values(f, xk, Ak)
+        if sphere:
+            vals = upper_slope_values(f, xk, Ak) if upper else recession_values(f, xk, Ak)
         else:
             vals = np.asarray(f(xk, Ak))
         out[active] += w[active, k] * vals
@@ -345,7 +331,7 @@ def barycenter(nu):
     terms = {None: [(nu.nu, mu.density_at)]}  # part key -> [(field, density)]
     terms.update((key, [(nu.nu, fn)]) for key, fn in singular_densities(mu).items())
     if nu.nu_inf is not None:
-        if np.any(np.abs(nu.concentration_parts[0].masses) > _ZTOL):  # lambda's cells
+        if np.any(np.abs(nu.concentration_parts[0].masses) > CHARGE_TOL):  # lambda's cells
             terms[None].append((nu.nu_inf, lam.density_at))
         for key, fn in singular_densities(lam).items():
             terms.setdefault(key, []).append((nu.nu_inf, fn))
@@ -437,7 +423,7 @@ def _check_barycenter(u, nu):
 
 
 def _jensen_core(F, u, nu, mu, upper_slope):
-    if charges_boundary(nu.lam, nu.domain, _ZTOL):
+    if charges_boundary(nu.lam, nu.domain, CHARGE_TOL):
         raise YoungMeasureError("concentration measure charges the boundary")
     _check_barycenter(u, nu)
     dec_u = rn_decompose(derivative(u), mu)
@@ -448,7 +434,7 @@ def _jensen_core(F, u, nu, mu, upper_slope):
         """Flag the nodes of ``part`` where lhs exceeds rhs plus the
         concentration term, ``dlam`` being the lambda density there."""
         pts = part.points
-        charged = dlam > _ZTOL
+        charged = dlam > CHARGE_TOL
         if np.any(charged) and nu.nu_inf is not None:
             rhs = rhs.copy()
             w, S = nu.nu_inf.eval(part, pts[charged])

@@ -1141,3 +1141,12 @@ def test_sawtooth_breaks_equal_the_generator():
             (new,) = sawtooth_1d(d, j).pieces[0].breaks
             old = tuple(a + length * k / (2 * j) for k in range(1, 2 * j))
             assert new == old and list(map(repr, new)) == list(map(repr, old))
+
+
+def test_a_jump_on_an_unregistered_carrier_is_rejected():
+    d = Domain((0.0, 1.0), 8)
+    zero = lambda x: np.zeros((len(x), 1))
+    piece = Piece(region=d.box, u=zero, grad=lambda x: np.zeros((len(x), 1, 1)))
+    with pytest.raises(BVError) as err:
+        BVFunction(d, 1, [piece], jumps=[Jump("nowhere", zero, zero)])
+    assert str(err.value) == "jump carrier 'nowhere' not registered"

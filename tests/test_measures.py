@@ -1863,3 +1863,32 @@ def test_frobenius_keeps_the_bits_of_every_pair_of_special_values():
         assert frobenius(pairs).tobytes() == _old_frobenius(pairs).tobytes()
     with pytest.raises(np.exceptions.AxisError):
         frobenius(np.ones(3))
+
+
+@pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("nan"))])
+def test_a_nan_bound_is_rejected_in_a_box_and_in_a_region(bounds):
+    # NaN compares False both ways, so "hi <= lo" let a NaN domain and region through
+    with pytest.raises(MeasureError) as err:
+        Domain((bounds,), 8)
+    assert str(err.value) == f"box must have positive volume per axis, got {np.array([bounds])}"
+    region = ((bounds[0], 0.5),) if bounds[1] == 1.0 else ((0.2, bounds[1]),)
+    with pytest.raises(MeasureError) as err:
+        lebesgue(interval(8)).mass(region=region)
+    assert str(err.value) == f"box must have positive volume per axis, got {np.array(region)}"
+    # an infinite bound is no NaN: it lies off the box and refines nothing
+    inf_rule, cut_rule = interval(8).cell_rule(region=((-np.inf, 0.5),)), interval(8).cell_rule(region=((0.0, 0.5),))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(inf_rule, cut_rule)) and len(inf_rule[1]) == 4
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), 4), "only dimensions 1 and 2 are supported"),
+        (lambda: ScalarRadonMeasure(interval(8), atoms=(((0.5, 0.5), 1.0),)), "atom point dimension mismatch"),
+        (lambda: MatrixRadonMeasure(interval(8), (1, 2)), "matrix column count must equal the domain dimension"),
+    ],
+)
+def test_construction_errors_of_domains_and_measures(build, message):
+    with pytest.raises(MeasureError) as err:
+        build()
+    assert str(err.value) == message

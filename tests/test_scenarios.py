@@ -92,12 +92,12 @@ def test_field_dicts_list_every_field_in_declaration_order(monkeypatch):
         ("boundary", 5.0), ("total", 15.0),
     ]
     clause = Clause("c", True, {"per_probe": [1.0, None]}, "<= 1")
-    report = ScenarioResult("s", [clause], {}).report(config, "hash")
+    report = ScenarioResult([clause], {}).report(config, "hash")
     assert [list(c.items()) for c in report["clauses"]] == [
         [("name", "c"), ("passed", True), ("value", {"per_probe": [1.0, None]}), ("target", "<= 1")]
     ]
     seen = []
-    monkeypatch.setattr(cli, "run", lambda c: (seen.append(c), (0, ScenarioResult("s", [], {})))[1])
+    monkeypatch.setattr(cli, "run", lambda c: (seen.append(c), (0, ScenarioResult([], {})))[1])
     argv = ["run", "--scenario", "example1", "--resolution", "64", "--jmax", "32"]
     assert cli_main(argv + ["--tolerance", "1e-7", "--seed", "3", "--output", "o"]) == 0
     assert seen == [config]
@@ -114,9 +114,9 @@ def test_cli_lists_scenarios_marks_clauses_and_prints_usage_without_a_command(ca
     assert cli_main([]) == cli.USAGE_EXIT
     assert capsys.readouterr().out.startswith("usage: bvcalc [-h] {list,run,oracle}")
     clauses = [Clause("a", True, 1.0, "<= 2"), Clause("b", False, 3.0, "<= 2")]
-    monkeypatch.setattr(cli, "run", lambda c: (1, ScenarioResult("s", clauses, {})))
+    monkeypatch.setattr(cli, "run", lambda c: (1, ScenarioResult(clauses, {})))
     assert cli_main(["run", "--scenario", "example1"]) == 1
-    assert capsys.readouterr().out.splitlines() == ["[ok  ] s: a (target <= 2)", "[FAIL] s: b (target <= 2)"]
+    assert capsys.readouterr().out.splitlines() == ["[ok  ] example1: a (target <= 2)", "[FAIL] example1: b (target <= 2)"]
 
 
 def test_unknown_scenario_is_usage_error():

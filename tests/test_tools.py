@@ -3,11 +3,12 @@ import json
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _load(name, path=None):
+    spec = importlib.util.spec_from_file_location(name, path or TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -83,3 +84,22 @@ def test_linecov_lists_the_lines_that_never_ran(tmp_path, monkeypatch):
     missing = linecov.never_run(tmp_path / "pkg", hits)
     assert missing == {tmp_path / "pkg" / "linecov_sample.py": [6, 13, 14, 15]}
     assert linecov.ranges(missing[tmp_path / "pkg" / "linecov_sample.py"]) == "6, 13-15"
+
+
+def test_every_tracer_target_still_resolves(monkeypatch):
+    """Each row of the benchmark tracer's TARGETS names an attribute of its own
+    module or class; a fold that moved one would break traced benchmark runs."""
+    import importlib
+
+    tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    modules = {row[1]: importlib.import_module(f"bvcalc.{row[1]}") for row in tracer.TARGETS}
+    unresolved = []
+    for row in tracer.TARGETS:
+        monkeypatch.setattr(tracer, "TARGETS", (row,))
+        try:
+            found = tracer.Tracer.targets(modules)
+        except AttributeError:
+            found = []
+        if not found:
+            unresolved.append(row)
+    assert unresolved == []

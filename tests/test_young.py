@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bvcalc import young
+from bvcalc import integrands, young
 from bvcalc.bv import (
     derivative,
     heaviside_1d,
@@ -439,6 +439,16 @@ def test_upper_slope_pairs_the_generalized_recession():
     assert got.tolist() == [slope(0, 0) + slope(0, 1), slope(1, 0)]
 
 
+def test_the_upper_slope_reads_an_analytic_recession_at_its_points():
+    # an x-dependent analytic recession is the upper slope at the nodes, not at x = None
+    from bvcalc.integrands import x_modulated
+
+    f = x_modulated(make_area())
+    w, S, pts = np.ones((2, 1)), np.array([[[[1.0]]], [[[-2.0]]]]), np.array([[0.2], [0.6]])
+    got = young._field_pair(f, w, S, pts, sphere=True, upper=True)
+    assert got.tobytes() == f.recession(pts, S[:, 0]).tobytes()
+
+
 def test_jensen_lebesgue_uses_the_upper_slope_without_analytic_recession(monkeypatch):
     d = Domain((-1.0, 1.0), 256)
     reg = CarrierRegistry()
@@ -459,7 +469,7 @@ def test_jensen_lebesgue_uses_the_upper_slope_without_analytic_recession(monkeyp
         slopes.append(np.asarray(A).tolist())
         return generalized_recession(f, A)
 
-    monkeypatch.setattr(young, "generalized_recession", recorded)
+    monkeypatch.setattr(integrands, "generalized_recession", recorded)
     rep = jensen_check_lebesgue(area_without_recession(), heaviside_1d(d, 0.0, registry=reg), cand)
     assert rep.ok
     assert slopes == [[[1.0]]]
@@ -1106,3 +1116,88 @@ def test_constant_field_atoms_must_be_finite():
         constant_field([(np.array([[np.nan]]), 1.0)])
     with pytest.raises(YoungMeasureError, match="^an atom weight of 'field' must be finite"):
         constant_field([(np.array([[0.0]]), np.inf)])
+
+
+# ---------------------------------------------------------------------------
+# a document's entries are matched by the first box that holds a point
+# ---------------------------------------------------------------------------
+
+
+def _old_entry_field(entries, dims):
+    """The entry field as it was: a mask per entry over the points not yet claimed."""
+    N, n = dims
+    parsed = []
+    for entry in entries:
+        region = entry.get("region")
+        if region is None and "node" in entry:
+            region = [[v, v] for v in np.atleast_1d(np.asarray(entry["node"], dtype=float))]
+        atoms = np.stack([np.asarray(A, dtype=float).reshape(N, n) for A, _ in entry["atoms"]])
+        parsed.append((region, atoms, np.array([float(p) for _, p in entry["atoms"]])))
+    kmax = max(len(w) for _, _, w in parsed)
+
+    def fn(points):
+        from bvcalc.measures import in_box
+
+        M = len(points)
+        W, A = np.zeros((M, kmax)), np.zeros((M, kmax, N, n))
+        claimed = np.zeros(M, dtype=bool)
+        for region, atoms, weights in parsed:
+            mask = ~claimed if region is None else ~claimed & in_box(points, region)
+            if not np.any(mask):
+                continue
+            W[mask, : len(weights)] = weights[None, :]
+            A[mask, : len(weights)] = atoms[None]
+            claimed |= mask
+        if not np.all(claimed):
+            raise YoungMeasureError("candidate entries do not cover all nodes")
+        return W, A
+
+    return fn
+
+
+_ONE = {"atoms": [[[[-0.0]], 1.0]]}
+_TWO = {"atoms": [[[[1.5]], 0.25], [[[-2.0]], 0.75]]}
+_THREE = {"atoms": [[[[3.0]], 0.5], [[[0.0]], 0.25], [[[-3.0]], 0.25]]}
+_ENTRY_FIELDS = {
+    "overlapping regions": ([{**_TWO, "region": [[0.0, 0.6]]}, {**_THREE, "region": [0.4, 1.0]}], (1, 1)),
+    "node entries": ([{**_THREE, "node": [0.5]}, {**_ONE, "node": 0.25}, {**_TWO, "region": [[0.0, 1.0]]}], (1, 1)),
+    "None first": ([_TWO, {**_THREE, "region": [[0.0, 0.5]]}], (1, 1)),
+    "None in the middle": ([{**_THREE, "region": [[0.0, 0.4]]}, _ONE, {**_TWO, "region": [[0.6, 1.0]]}], (1, 1)),
+    "None last": ([{**_THREE, "region": [[0.4, 0.6]]}, {**_ONE, "node": [1.0]}, _TWO], (1, 1)),
+    "2D boxes": (
+        [
+            {"region": [[0.0, 0.5], [0.0, 1.0]], "atoms": [[np.arange(4.0).reshape(2, 2).tolist(), 1.0]]},
+            {"node": [0.75, 0.5], "atoms": [[[[1.0, 0.0], [0.0, -1.0]], 0.5], [[[0.0, 2.0], [-0.0, 1.0]], 0.5]]},
+            {"region": [[0.25, 1.0], [0.5, 1.0]], "atoms": [[[[0.5, 0.5], [0.5, 0.5]], 1.0]]},
+            {"atoms": [[[[-1.0, -1.0], [-1.0, -1.0]], 1.0]]},
+        ],
+        (2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENTRY_FIELDS))
+def test_entry_fields_equal_the_masked_loop(case):
+    entries, dims = _ENTRY_FIELDS[case]
+    n = dims[1]
+    grid = np.array([0.0, 0.25, 0.4, 0.5, 0.6, 0.75, 1.0, 0.3, 0.9])  # box edges and nodes, then inner points
+    points = grid[:, None] if n == 1 else np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
+    new, old = young._field_from_entries(entries, "nu", dims), _old_entry_field(entries, dims)
+    for pts in (points, points[::-1], points[:0]):
+        for a, b in zip(new.eval(None, pts), old(pts)):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+
+
+def test_an_uncovered_point_is_rejected():
+    field = young._field_from_entries([{**_TWO, "region": [[0.0, 0.5]]}, {**_ONE, "node": [0.75]}], "nu", (1, 1))
+    assert field.eval(None, np.array([[0.5], [0.75]]))[0].tolist() == [[0.25, 0.75], [1.0, 0.0]]
+    with pytest.raises(YoungMeasureError) as err:
+        field.eval(None, np.array([[0.25], [0.6]]))
+    assert str(err.value) == "candidate entries do not cover all nodes"
+
+
+def test_a_young_document_must_be_an_object(setting):
+    d, reg, mu = setting
+    with pytest.raises(YoungMeasureError) as err:
+        GeneralizedYoungMeasure.from_json(d, [{"nu": []}], mu, registry=reg)
+    assert str(err.value) == "a Young measure must be an object with key 'nu', got [{'nu': []}]"
