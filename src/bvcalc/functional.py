@@ -103,7 +103,7 @@ def evaluate(u, spec):
         ac[part.kind] += float(
             np.dot(part.masses, F(part.points, dec.density_on(part, part.points)))
         )
-    singular = _singular_term(F, dec.remainder, u.domain)
+    singular = _singular_term(F, dec.remainder)
 
     boundary = 0.0
     if spec.include_boundary:
@@ -111,12 +111,11 @@ def evaluate(u, spec):
     return EvaluationBreakdown(ac["cells"], ac["atom"], ac["carrier"], singular, boundary)
 
 
-def _singular_term(F, remainder, domain):
+def _singular_term(F, remainder):
     """integral F^inf(x, polar) d|remainder|; by positive 1-homogeneity this
     is the recession evaluated directly on the densities, with zero values
     contributing zero.  Only the atom and carrier parts are read: a cell
-    density of ``remainder`` is never looked at.  ``domain`` is the
-    remainder's own, whose resolution its carrier rules use."""
+    density of ``remainder`` is never looked at."""
     total = 0.0
     for part in singular_parts(remainder):
         total += float(np.dot(part.weights, charged_recession(F, part.points, part.values)))
@@ -317,7 +316,7 @@ def continuity_functional(gamma, f):
     its singular parts."""
     cells = cell_part(gamma)
     total = float(np.dot(cells.weights, np.asarray(f(cells.points, cells.values))))
-    return total + _singular_term(f, gamma, gamma.domain)
+    return total + _singular_term(f, gamma)
 
 
 def reshetnyak_experiment(gamma_seq, gamma, f, js):

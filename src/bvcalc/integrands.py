@@ -98,7 +98,6 @@ class SQIntegrand(Integrand):
 
     index: float = 1.0
     radius: float = 1.0
-    base: Integrand = None
 
     def validate_sq(self):
         samples = 400
@@ -282,10 +281,10 @@ def recession(f, x, A):
     return RecessionResult(values[-1], diag, values)
 
 
-def generalized_recession(f, A):
-    """Upper asymptotic slope: running max over the tail of f(tA)/t along
+def generalized_recession(f, x, A):
+    """Upper asymptotic slope: running max over the tail of f(x, tA)/t along
     the schedule (a limsup surrogate; always returns, diagnostic attached)."""
-    values, diag = _along_schedule(f, None, np.asarray(A, dtype=float))
+    values, diag = _along_schedule(f, x, np.asarray(A, dtype=float))
     tail = max(2, len(values) // 4)
     return RecessionResult(max(values[-tail:]), diag, values)
 
@@ -308,7 +307,8 @@ def upper_slope_values(f, x, A_batch):
     recession of each matrix."""
     if f.has_analytic_recession():
         return np.asarray(f.recession(x, A_batch), dtype=float)
-    return np.array([generalized_recession(f, A).value for A in A_batch])
+    rows = [None] * len(A_batch) if x is None else np.asarray(x)
+    return np.array([generalized_recession(f, xk, A).value for xk, A in zip(rows, A_batch)])
 
 
 def _fixed_directions(N, n, seed):
@@ -545,6 +545,8 @@ def sq_envelope(F, i):
         raise IntegrandError("envelope index must be positive")
     if not F.nonnegative or F.convexity not in ("convex", "quasiconvex"):
         raise IntegrandError("envelope requires a nonnegative quasiconvex-flagged integrand")
+    if F.x_dependent:
+        raise IntegrandError(f"envelope requires an x-independent integrand, got {F.name!r}")
     N, n = F.dims
     batch_rec = lambda A: upper_slope_values(F, None, A)
     dirs = np.array(_fixed_directions(N, n, 9))
@@ -579,7 +581,6 @@ def sq_envelope(F, i):
         nonnegative=True,  # the max includes the nonnegative F branch
         index=float(i),
         radius=float(ok_radius),
-        base=F,
     )
     out.validate_sq()
     return out

@@ -47,12 +47,11 @@ class DecompositionError(MeasureError):
 # ---------------------------------------------------------------------------
 
 
-def _as_bounds(box, allow_empty=False):
+def _as_bounds(box):
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
-    bad = ~(box[:, 1] >= box[:, 0]) if allow_empty else ~(box[:, 1] > box[:, 0])  # NaN fails too
-    if box.shape[1] != 2 or np.any(bad):
+    if box.shape[1] != 2 or np.any(~(box[:, 1] > box[:, 0])):  # NaN fails too
         raise MeasureError(f"box must have positive volume per axis, got {box}")
     return tuple((float(lo), float(hi)) for lo, hi in box)
 
@@ -125,34 +124,28 @@ class Domain:
 
     # -- cell quadrature ----------------------------------------------------
 
-    def cell_rule(self, breaks=None, region=None):
+    def cell_rule(self, breaks=None):
         """Midpoint nodes (M, dim) and weights (M,) tiling the box.
 
         ``breaks`` refines the per-axis partition at declared discontinuity
-        locations; ``region`` restricts to a closed sub-box (its edges are
-        added to the partition, so sub-cells never straddle the region).
-        The arrays are read-only: a rule of at most ``_MEMO_NODES`` nodes is
-        kept by the domain and returned again for the same arguments.
+        locations.  The arrays are read-only: a rule of at most
+        ``_MEMO_NODES`` nodes is kept by the domain and returned again for
+        the same breaks.
         """
-        region = None if region is None else _as_bounds(region, allow_empty=True)
-        key = (_normalize_breaks(breaks, self.dim), region)
+        key = _normalize_breaks(breaks, self.dim)
         rule = self._rules.get(key)
         if rule is None:
-            rule = read_only(*self._build_rule(*key))
+            rule = read_only(*self._build_rule(key))
             if len(rule[1]) <= _MEMO_NODES:
                 self._rules[key] = rule
         return rule
 
-    def _build_rule(self, axis_breaks, region):
-        if region is not None:  # an infinite region edge lies off the box and refines nothing
-            axis_breaks = merge_breaks(self.dim, axis_breaks, [[*filter(math.isfinite, r)] for r in region])
+    def _build_rule(self, axis_breaks):
         axis_edges = self._axis_edges(axis_breaks)
         nodes, weights = _tensor(
             [0.5 * (e[1:] + e[:-1]) for e in axis_edges], [np.diff(e) for e in axis_edges]
         )
         keep = weights > 1e-300
-        if region is not None:
-            keep &= in_box(nodes, region)
         return (nodes, weights) if keep.all() else (nodes[keep], weights[keep])
 
     def gauss_cell_rule(self, breaks=None):
@@ -334,47 +327,18 @@ class SingularCarrier:
         else:
             raise MeasureError(f"unknown carrier kind {self.kind!r}")
 
-    def rule(self, resolution, region=None):
+    def rule(self, resolution):
         """Quadrature points (M, dim) and H^{dim}-weights along the carrier.
 
         For a point carrier this is the point with weight 1 (counting
-        measure); for a segment, GL3 per sub-interval.  ``region`` clips.
+        measure); for a segment, GL3 per sub-interval.
         """
         if self.kind == "point":
-            pt = np.asarray(self.point, dtype=float)[None, :]
-            if region is not None and not _point_in_region(pt[0], region):
-                return pt[:0], np.zeros(0)
-            return pt, np.ones(1)
+            return np.asarray(self.point, dtype=float)[None, :], np.ones(1)
         p = np.asarray(self.endpoints[0], dtype=float)
         q = np.asarray(self.endpoints[1], dtype=float)
-        t0, t1 = 0.0, 1.0
-        if region is not None:
-            t0, t1 = _clip_segment(p, q, region)
-            if t1 <= t0:
-                return np.zeros((0, len(p))), np.zeros(0)
-        t, w = _gl3(np.linspace(t0, t1, resolution + 1))
+        t, w = _gl3(np.linspace(0.0, 1.0, resolution + 1))
         return p[None, :] + t[:, None] * (q - p)[None, :], w * float(np.linalg.norm(q - p))
-
-
-def _point_in_region(point, region):
-    region = _as_bounds(region, allow_empty=True)
-    return all(lo <= point[k] <= hi for k, (lo, hi) in enumerate(region))
-
-
-def _clip_segment(p, q, region):
-    region = _as_bounds(region, allow_empty=True)
-    t0, t1 = 0.0, 1.0
-    for k, (lo, hi) in enumerate(region):
-        d = q[k] - p[k]
-        if abs(d) < 1e-300:
-            if not (lo <= p[k] <= hi):
-                return 1.0, 0.0
-            continue
-        ta, tb = (lo - p[k]) / d, (hi - p[k]) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-    return t0, t1
 
 
 class CarrierRegistry:
@@ -502,9 +466,9 @@ class ScalarRadonMeasure(_StructuredMeasure):
             return np.zeros(len(nodes))
         return np.asarray(self.density(nodes), dtype=float)
 
-    def mass(self, region=None):
-        """Total mass mu(region); the whole domain when region is None."""
-        return _integrate(self, region, _values, _values)
+    def mass(self):
+        """Total mass mu(Omega)."""
+        return _integrate(self, _values, _values)
 
     @staticmethod
     def from_json(domain, obj, registry=None, **flags):
@@ -625,48 +589,42 @@ def _part(m, kind, key, points, weights, density):
     return MeasurePart(kind, key, points, weights, values, None if m.shape else weights * values)
 
 
-def measure_parts(m, extra_breaks=None, region=None):
+def measure_parts(m, extra_breaks=None):
     """The parts of a scalar or matrix measure, in the order cells, atoms,
     carriers, so that summing dot(part.weights, g(part.points, part.values))
-    over them integrates g(x, density) against the measure.
-
-    ``extra_breaks`` refines the cell partition; ``region`` clips every
-    part to a closed sub-box, and a part it misses stays with no points.
+    over them integrates g(x, density) against the measure over its whole
+    domain.  ``extra_breaks`` refines the cell partition.
     """
-    return [cell_part(m, extra_breaks, region), *singular_parts(m, region)]
+    return [cell_part(m, extra_breaks), *singular_parts(m)]
 
 
-def cell_part(m, extra_breaks=None, region=None):
+def cell_part(m, extra_breaks=None):
     """The cell part of :func:`measure_parts`: the cell rule on the breaks
-    of ``m`` (merged with ``extra_breaks`` only when given), clipped to
-    ``region``, with the cell density of ``m`` at its nodes."""
+    of ``m`` (merged with ``extra_breaks`` only when given), with the cell
+    density of ``m`` at its nodes."""
     breaks = m.breaks
     if extra_breaks is not None:
         breaks = merge_breaks(m.domain.dim, m.breaks, extra_breaks)
-    nodes, weights = m.domain.cell_rule(breaks=breaks, region=region)
+    nodes, weights = m.domain.cell_rule(breaks=breaks)
     return _part(m, "cells", None, nodes, weights, m.density_at)
 
 
-def singular_parts(m, region=None):
+def singular_parts(m):
     """The atom and carrier parts of ``m``, in that order: the parts of
     :func:`measure_parts` after the cells, built without a cell rule."""
-    parts = []
-    for p, v in m.atoms:
-        inside = region is None or _point_in_region(p, region)
-        points = p[None, :] if inside else np.zeros((0, len(p)))
-        parts.append(_part(m, "atom", tuple(p), points, np.ones(len(points)), _repeated(v)))
+    parts = [_part(m, "atom", tuple(p), p[None, :], np.ones(1), _repeated(v)) for p, v in m.atoms]
     for cid, fn in m.carrier_parts:
-        pts, wts = m.carrier(cid).rule(m.domain.resolution, region=region)
+        pts, wts = m.carrier(cid).rule(m.domain.resolution)
         parts.append(_part(m, "carrier", cid, pts, wts, fn))
     return parts
 
 
-def _integrate(measure, region, on_cells, on_singular):
-    """Sum over the parts of ``measure`` clipped to ``region`` of
-    dot(weights, integrand(part)), where the integrand is ``on_cells`` on
-    the cell part and ``on_singular`` on atoms and carriers."""
+def _integrate(measure, on_cells, on_singular):
+    """Sum over the parts of ``measure`` of dot(weights, integrand(part)),
+    where the integrand is ``on_cells`` on the cell part and
+    ``on_singular`` on atoms and carriers."""
     total = 0.0
-    for part in measure_parts(measure, region=region):
+    for part in measure_parts(measure):
         if len(part.points):
             integrand = on_cells if part.kind == "cells" else on_singular
             total += float(np.dot(part.weights, integrand(part)))
@@ -702,20 +660,20 @@ def _norm_of_values(part):
     return _magnitudes(part.values)
 
 
-def total_variation(gamma, region=None):
-    """|gamma|(region): cell integral of the pointwise norm plus all
-    carrier/atom masses intersecting the region."""
-    return _integrate(gamma, region, _norm_of_values, _norm_of_values)
+def total_variation(gamma):
+    """|gamma|(Omega): cell integral of the pointwise norm plus all
+    carrier/atom masses."""
+    return _integrate(gamma, _norm_of_values, _norm_of_values)
 
 
-def area_functional(gamma, region=None):
+def area_functional(gamma):
     """The minimal-surface-type functional of a measure: integrate
     sqrt(1 + |density|^2) over cells and add the singular masses."""
 
     def area(part):
         return np.sqrt(1.0 + frobenius(part.values) ** 2)
 
-    return _integrate(gamma, region, area, _norm_of_values)
+    return _integrate(gamma, area, _norm_of_values)
 
 
 def _same_support(a, b):
@@ -783,7 +741,7 @@ def pair_with_test_function(gamma, phi, check_boundary=True):
     def paired(part):
         return np.sum(np.asarray(phi(part.points)) * part.values, axis=(1, 2))
 
-    return _integrate(gamma, None, paired, paired)
+    return _integrate(gamma, paired, paired)
 
 
 # ---------------------------------------------------------------------------

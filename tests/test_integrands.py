@@ -172,14 +172,14 @@ def test_generalized_recession_matches_limit_for_convex():
     f = make_area()
     A = np.array([[2.0]])
     lim = recession(f, None, A).value
-    gen = generalized_recession(f, A).value
+    gen = generalized_recession(f, None, A).value
     assert abs(gen - lim) <= 1e-6
 
 
 def test_generalized_recession_one_homogeneous_exact():
     f = make_norm()
     A = np.array([[3.0]])
-    assert generalized_recession(f, A).value == pytest.approx(3.0, abs=1e-14)
+    assert generalized_recession(f, None, A).value == pytest.approx(3.0, abs=1e-14)
 
 
 def test_generalized_recession_decaying_oscillation():
@@ -192,7 +192,7 @@ def test_generalized_recession_decaying_oscillation():
         2.0,
     )
     A = np.array([[1.7]])
-    assert abs(generalized_recession(f, A).value - 1.7) <= 1e-6
+    assert abs(generalized_recession(f, None, A).value - 1.7) <= 1e-6
 
 
 def test_recession_homogeneity_property():
@@ -347,6 +347,14 @@ def test_sq_envelope_requires_quasiconvex_flag():
         sq_envelope(make_w_shape(), 1)
 
 
+def test_sq_envelope_rejects_an_x_dependent_integrand():
+    # the envelope probes F at x = None, so an x-dependent F is refused before any probe
+    F = x_modulated(make_norm())
+    F.fn = F.recession_analytic = None  # a probe would fail with a TypeError
+    with pytest.raises(IntegrandError, match="^envelope requires an x-independent integrand, got 'x-mod-norm'$"):
+        sq_envelope(F, 1)
+
+
 def test_sq_envelope_one_homogeneous_base():
     G1 = sq_envelope(make_norm(), 1)
     assert G1(None, np.array([[0.0]])) == pytest.approx(0.0, abs=1e-12)
@@ -414,7 +422,7 @@ def _old_sq_radius(F, i):
     if F.has_analytic_recession():
         slope = lambda A: F.recession(None, A)
     else:
-        slope = lambda A: generalized_recession(F, A).value
+        slope = lambda A: generalized_recession(F, None, A).value
     radii = [2.0**k for k in range(0, 21)]
     mags = sorted(set(radii) | {1.5 * r for r in radii[:-1]})
     values = {}

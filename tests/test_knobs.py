@@ -2,7 +2,9 @@
 
 A default that no call in ``src/``, ``tests/``, ``perfbench/`` or
 ``tools/`` overrides is a configuration nothing runs: it belongs in the
-code that reads it as a constant.  Calls are matched by bare name (a
+code that reads it as a constant.  A default that only calls in
+``tests/`` override is a capability nothing else needs: it is listed, with
+its reason, or removed.  Calls are matched by bare name (a
 method call ``obj.f(...)`` matches every ``f``), a class name matches its
 ``__init__`` or, for a dataclass, its fields, and a ``**`` argument sets
 every parameter.  Closure bindings (``_``-prefixed parameters) and
@@ -20,6 +22,25 @@ CALLER_DIRS = ("src", "tests", "perfbench", "tools")
 ALLOWED = {
     # the matrix shape of outside input
     "young.GeneralizedYoungMeasure.from_json(dims)",
+}
+
+# Knobs that only tests set, each with its reason; any other such knob is a
+# capability that nothing outside the tests needs.
+SET_BY_TESTS_ONLY = {
+    # the scenarios use the unit ramp; tests raise it to check a profile of other height
+    "bv.ramp_1d(height)",
+    # the scenarios check the first component pair; tests loop over every pair of a system
+    "bv.verify_integration_by_parts(comp_i)",
+    "bv.verify_integration_by_parts(comp_j)",
+    # the scenarios use the 1-by-1 forms; tests build the matrix and 2D forms
+    "integrands.make_area(N)",
+    "integrands.make_area(n)",
+    "integrands.make_shifted_norm(N)",
+    "integrands.make_shifted_norm(n)",
+    # tests pass one hand-made field to pin a known witness
+    "integrands.quasiconvexity_refuter(trial_fields)",
+    # tests defer validation to see what is built before first use and to reach the later checks
+    "young.GeneralizedYoungMeasure.__init__(validate)",
 }
 
 
@@ -149,6 +170,17 @@ def test_every_knob_is_set_by_a_caller():
 def test_allow_list_names_real_knobs():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert ALLOWED <= set(unset_knobs(sources, []))
+
+
+def test_no_knob_is_set_by_tests_alone():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [p.read_text() for d in CALLER_DIRS if d != "tests" for p in sorted((ROOT / d).rglob("*.py"))]
+    assert [k for k in unset_knobs(sources, callers) if k not in ALLOWED | SET_BY_TESTS_ONLY] == []
+
+
+def test_tests_only_list_names_real_knobs():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert SET_BY_TESTS_ONLY <= set(unset_knobs(sources, []))
 
 
 SAMPLE = '''

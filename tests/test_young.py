@@ -25,6 +25,7 @@ from bvcalc.measures import (
     Domain,
     MatrixRadonMeasure,
     ScalarRadonMeasure,
+    lebesgue,
     measure_distance,
     read_only,
     total_variation,
@@ -435,7 +436,7 @@ def test_upper_slope_pairs_the_generalized_recession():
     w = np.array([[0.25, 0.75], [1.0, 0.0]])
     S = np.array([[[[1.0]], [[-1.0]]], [[[-1.0]], [[1.0]]]])
     got = young._field_pair(f, w, S, np.array([[0.2], [0.6]]), sphere=True, upper=True)
-    slope = lambda m, k: w[m, k] * generalized_recession(f, S[m, k]).value
+    slope = lambda m, k: w[m, k] * generalized_recession(f, None, S[m, k]).value
     assert got.tolist() == [slope(0, 0) + slope(0, 1), slope(1, 0)]
 
 
@@ -465,14 +466,42 @@ def test_jensen_lebesgue_uses_the_upper_slope_without_analytic_recession(monkeyp
     )
     slopes = []
 
-    def recorded(f, A):
+    def recorded(f, x, A):
         slopes.append(np.asarray(A).tolist())
-        return generalized_recession(f, A)
+        return generalized_recession(f, x, A)
 
     monkeypatch.setattr(integrands, "generalized_recession", recorded)
     rep = jensen_check_lebesgue(area_without_recession(), heaviside_1d(d, 0.0, registry=reg), cand)
     assert rep.ok
     assert slopes == [[[1.0]]]
+
+
+def test_jensen_lebesgue_reads_the_upper_slope_at_the_nodes(monkeypatch):
+    # without analytic recession the upper slope of (1 + x/2) F is read at the jump, not at x = None
+    from bvcalc.integrands import x_modulated
+
+    d = Domain((0.0, 1.0), 64)
+    reg = CarrierRegistry()
+    cand = GeneralizedYoungMeasure(
+        d,
+        (1, 1),
+        constant_field([(np.array([[0.0]]), 1.0)]),
+        ScalarRadonMeasure(d, atoms=(((0.5,), 1.0),), registry=reg),
+        constant_field([(np.array([[1.0]]), 1.0)]),
+        lebesgue(d, reg),
+    )
+    slopes = []
+
+    def recorded(f, x, A):
+        result = generalized_recession(f, x, A)
+        slopes.append((np.asarray(x).tolist(), np.asarray(A).tolist(), result.value))
+        return result
+
+    monkeypatch.setattr(integrands, "generalized_recession", recorded)
+    F = x_modulated(area_without_recession())
+    assert jensen_check_lebesgue(F, heaviside_1d(d, 0.5, registry=reg), cand).ok
+    assert [(x, A) for x, A, _ in slopes] == [([0.5], [[1.0]])]
+    assert slopes[0][2] == pytest.approx((1.0 + 0.5 / 2) * 1.0, abs=1e-12)
 
 
 def test_jensen_convex_catalog_no_violations_flagging(setting):
@@ -776,7 +805,7 @@ def _old_field_pair(f, w, A, points, sphere=False, upper=False):
             continue
         xk, Ak = points[active], A[active, k]
         if slope:
-            vals = np.array([generalized_recession(f, S).value for S in Ak])
+            vals = np.array([generalized_recession(f, None, S).value for S in Ak])
         elif sphere:
             vals = recession_values(f, xk, Ak)
         else:
