@@ -11,9 +11,7 @@ from .bv import (
     Jump,
     Piece,
     boundary_trace,
-    convergence_report,
     derivative,
-    smooth_dirichlet_approximation,
     verify_integration_by_parts,
     zero_extension,
 )
@@ -22,7 +20,6 @@ from .functional import (
     admissibility_check,
     evaluate,
     lsc_experiment,
-    mollify_in_small_set,
     relaxation_upper_bound,
     reshetnyak_experiment,
 )
@@ -30,7 +27,6 @@ from .integrands import (
     Integrand,
     SQIntegrand,
     generalized_recession,
-    membership_E_check,
     quasiconvexity_refuter,
     rank_one_convexity_check,
     recession,

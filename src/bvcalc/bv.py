@@ -20,14 +20,11 @@ from .measures import (
     CarrierRegistry,
     MatrixRadonMeasure,
     MeasureError,
-    area_functional,
     as_box,
     as_floats,
     in_box,
     merge_breaks,
-    pair_with_test_function,
     singular_parts,
-    total_variation,
 )
 
 TRACE_TOL = 1e-8
@@ -35,10 +32,6 @@ TRACE_TOL = 1e-8
 
 class BVError(ValueError):
     pass
-
-
-class CatalogError(BVError):
-    """Requested construction is outside the supported closed-form catalog."""
 
 
 @dataclass
@@ -88,7 +81,6 @@ class BVFunction:
         trace=None,
         registry=None,
         breaks=None,
-        structure=None,
         validate=True,
     ):
         self.domain = domain
@@ -97,7 +89,6 @@ class BVFunction:
         self.jumps = list(jumps)
         self.registry = registry if registry is not None else CarrierRegistry()
         self.trace = trace
-        self.structure = structure or {}
         self.breaks = merge_breaks(domain.dim, breaks, *(p.breaks for p in self.pieces))
         if validate:
             self._validate()
@@ -421,7 +412,6 @@ def zero_extension(u, outer_domain, carrier_prefix=None):
         trace=lambda pts: zeros(np.atleast_2d(pts)),
         registry=u.registry,
         breaks=merge_breaks(outer_domain.dim, u.breaks, inner_box),
-        structure={"kind": "zero_extension"},
         validate=False,  # nodes of the outer grid may probe across the old boundary
     )
 
@@ -432,7 +422,7 @@ def _restrict_region(region, box):
 
 
 # ---------------------------------------------------------------------------
-# Convergence diagnostics
+# Test fields for weak* comparisons
 # ---------------------------------------------------------------------------
 
 
@@ -465,40 +455,6 @@ def scalar_bumps(domain, per_axis=12):
     return [functools.partial(bump, centered=centered) for centered in itertools.product(*axes)]
 
 
-@dataclass
-class ConvergenceReport:
-    js: tuple
-    l1_gaps: tuple
-    weak_star_gaps: tuple  # max over the dictionary, per j
-    tv_gaps: tuple
-    area_gaps: tuple
-
-
-def convergence_report(sequence, u, js):
-    """Per-index gaps diagnosing weak*, strict and area-strict convergence
-    of u_j = sequence(j) -> u over ``js``: L^1 distance, dictionary pairing
-    gaps of the derivative measures, total-variation gap, area-functional gap."""
-    js = tuple(js)
-    gamma = derivative(u)
-    fields = matrix_test_fields(u.domain, (u.N, u.domain.dim))
-    tv_u = total_variation(gamma)
-    area_u = area_functional(gamma)
-    pair_u = [pair_with_test_function(gamma, phi) for phi in fields]
-    l1, weak, tvs, areas = [], [], [], []
-    for uj in map(sequence, js):
-        gj = derivative(uj)
-        l1.append(uj.l1_distance(u))
-        weak.append(
-            max(
-                abs(pair_with_test_function(gj, phi) - ref)
-                for phi, ref in zip(fields, pair_u)
-            )
-        )
-        tvs.append(abs(total_variation(gj) - tv_u))
-        areas.append(abs(area_functional(gj) - area_u))
-    return ConvergenceReport(js, tuple(l1), tuple(weak), tuple(tvs), tuple(areas))
-
-
 # ---------------------------------------------------------------------------
 # Catalog constructors
 # ---------------------------------------------------------------------------
@@ -509,7 +465,8 @@ def piecewise_affine_1d(
 ):
     """Continuous piecewise-affine profile plus jumps: ``slopes`` has one
     entry per interval of the breakpoint partition, ``jumps`` is a list of
-    (position, height) pairs (positions need not be slope breakpoints)."""
+    (position, height) pairs (positions need not be slope breakpoints), one
+    point carrier ``jump:t`` per jump."""
     registry = registry if registry is not None else CarrierRegistry()
     (a, b), = domain.box
     breakpoints = tuple(float(t) for t in breakpoints)
@@ -542,58 +499,37 @@ def piecewise_affine_1d(
         idx = _interval_of(edges, x)
         return left_vals[idx] + slopes[idx] * (x - edges[idx])[:, None]
 
+    def value(nodes):
+        x = nodes[:, 0]
+        out = affine_part(x)
+        for t, d in jumps:
+            out = out + (x > t)[:, None] * d[None, :]
+        return out
+
+    def grad(nodes):
+        return slopes[_interval_of(edges, nodes[:, 0])][:, :, None]
+
+    def trace(t, below):
+        # the jumps at or left of t count on the plus side, those strictly
+        # left of t on the minus side
+        offset = sum(float(below(s, t)) * d[None, :] for s, d in jumps)
+        return lambda pts: affine_part(pts[:, 0]) + offset
+
+    cids = [f"jump:{t:.12g}" for t, _ in jumps]
+    if len(set(cids)) < len(cids):
+        raise BVError(f"jumps must have distinct carrier ids, got {cids}")
+    jump_parts = [
+        Jump(registry.register_point(cid, (t,)).cid, trace(t, operator.le), trace(t, operator.lt))
+        for (t, _), cid in zip(jumps, cids)
+    ]
     breaks = breakpoints + tuple(t for t, _ in jumps)
-    return _profile_1d(domain, N, edges, slopes, affine_part, (), jumps, breaks, registry)
+    piece = Piece(region=domain.box, u=value, grad=grad, breaks=(breaks,))
+    return BVFunction(domain, N, [piece], jumps=jump_parts, registry=registry)
 
 
 def _interval_of(edges, x):
     """Index of the partition interval [edges[k], edges[k+1]) holding each x."""
     return np.searchsorted(edges[1:-1], x, side="right")
-
-
-def _profile_1d(domain, N, edges, slopes, continuous, smooth, kept, breaks, registry):
-    """The 1D catalog profile continuous(x) + sum of d H(x - t) over the
-    ``kept`` jumps (t, d), one point carrier ``jump:t`` per kept jump;
-    its gradient adds to the partition slope the derivative of each
-    transition (t, d, w) of ``smooth`` that ``continuous`` holds.  Only a
-    profile with nothing smoothed may be smoothed again."""
-
-    def value(nodes):
-        x = nodes[:, 0]
-        out = continuous(x)
-        for t, d in kept:
-            out = out + (x > t)[:, None] * d[None, :]
-        return out
-
-    def grad(nodes):
-        x = nodes[:, 0]
-        g = slopes[_interval_of(edges, x)]
-        for t, d, w in smooth:
-            g = g + (_smoothstep_d((x - t) / w + 0.5) / w)[:, None] * d[None, :]
-        return g[:, :, None]
-
-    def trace(t, below):
-        # the kept jumps at or left of t count on the plus side, those
-        # strictly left of t on the minus side
-        offset = sum(float(below(s, t)) * d[None, :] for s, d in kept)
-        return lambda pts: continuous(pts[:, 0]) + offset
-
-    cids = [f"jump:{t:.12g}" for t, _ in kept]
-    if len(set(cids)) < len(cids):
-        raise BVError(f"jumps must have distinct carrier ids, got {cids}")
-    jumps = [
-        Jump(registry.register_point(cid, (t,)).cid, trace(t, operator.le), trace(t, operator.lt))
-        for (t, _), cid in zip(kept, cids)
-    ]
-    structure = {
-        "kind": "smoothed_pw_affine" if smooth else "pw_affine_1d",
-        "edges": edges,
-        "slopes": slopes,
-        "affine_part": continuous,
-        "jumps": tuple(kept),
-    }
-    piece = Piece(region=domain.box, u=value, grad=grad, breaks=(tuple(breaks),))
-    return BVFunction(domain, N, [piece], jumps=jumps, registry=registry, structure=structure)
 
 
 def heaviside_1d(domain, position=0.5, registry=None):
@@ -634,7 +570,6 @@ def sawtooth_1d(domain, j, registry=None):
         1,
         [piece],
         registry=registry if registry is not None else CarrierRegistry(),
-        structure={"kind": "sawtooth"},
     )
 
 
@@ -655,76 +590,4 @@ def affine_2d(domain, matrix, offset=None, registry=None):
         N,
         [piece],
         registry=registry if registry is not None else CarrierRegistry(),
-        structure={"kind": "affine_2d"},
     )
-
-
-# ---------------------------------------------------------------------------
-# Smooth approximation in the Dirichlet class
-# ---------------------------------------------------------------------------
-
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _smoothstep_d(t):
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 30.0 * t * t * (1.0 - t) ** 2, 0.0)
-
-
-def smooth_selected_jumps(u, widths):
-    """Replace selected jumps of a 1D piecewise-affine catalog function by
-    quintic transitions.  ``widths`` maps jump position -> transition width;
-    jumps not listed stay as jumps."""
-    structure = u.structure
-    if structure.get("kind") != "pw_affine_1d":
-        raise CatalogError("smooth approximation not in catalog for this function")
-    jumps = structure["jumps"]
-    affine_part = structure["affine_part"]
-    smooth_data = [(t, d, widths[t]) for t, d in jumps if t in widths]
-    kept = [(t, d) for t, d in jumps if t not in widths]
-
-    def continuous_part(x):
-        # the rebuilt profile without the kept Heaviside terms
-        out = affine_part(x)
-        for t, d, w in smooth_data:
-            out = out + _smoothstep((x - t) / w + 0.5)[:, None] * d[None, :]
-        return out
-
-    collars = [s for t, _, w in smooth_data for s in (t - 0.5 * w, t + 0.5 * w)]
-    (breaks,) = merge_breaks(1, structure["edges"][1:-1], collars, [t for t, _ in kept])
-    return _profile_1d(
-        u.domain, u.N, structure["edges"], structure["slopes"], continuous_part, smooth_data,
-        kept, breaks, u.registry,
-    )
-
-
-def smooth_dirichlet_approximation(u, j):
-    """Catalog construction of a smooth approximation matching u near the
-    boundary: each 1D jump is replaced by a quintic transition of width at
-    most 1/(2j), so the area-functional gap decays like 1/j and the
-    approximations share u's boundary values.
-
-    Supported catalog: pieces without jumps (returned unchanged) and 1D
-    piecewise-affine profiles with interior jumps.
-    """
-    if j < 1:
-        raise BVError("approximation index must be >= 1")
-    if not u.jumps:
-        return u
-    structure = u.structure
-    if structure.get("kind") != "pw_affine_1d":
-        raise CatalogError("smooth approximation not in catalog for this function")
-    (a, b), = u.domain.box
-    jumps = structure["jumps"]
-    positions = sorted(t for t, _ in jumps)
-    # transition widths: half-distance to neighbours/boundary, capped at 1/(2j)
-    edges = [a, *positions, b]
-    gaps = [min(t - left, right - t) for left, t, right in zip(edges, edges[1:], edges[2:])]
-    if min(gaps) <= 0:
-        raise CatalogError("jump too close to the boundary for the collar construction")
-    widths = {t: min(1.0 / (2 * j), g) for t, g in zip(positions, gaps)}
-    return smooth_selected_jumps(u, widths)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bv as bvmod
-from .bv import boundary_trace, derivative, smooth_selected_jumps
+from .bv import boundary_trace, derivative
 from .integrands import Integrand, recession_values
 from .measures import (
     DecompositionError,
@@ -29,7 +29,6 @@ from .measures import (
     cell_part,
     charges_boundary,
     frobenius,
-    in_box,
     matched_parts,
     measure_parts,
     pair_with_test_function,
@@ -227,32 +226,6 @@ def relaxation_upper_bound(u, spec, family, jmax=64, l1_tol=0.05):
     if best is None:
         return RelaxationResult(status, None, None, members)
     return RelaxationResult("ok", best[1], best[0], members)
-
-
-def mollify_in_small_set(u, spec, region, j):
-    """Candidate sequence element: u outside ``region``, smooth transition
-    inside.  All mu-singular jump parts of u must sit inside the region;
-    the result is admissible whenever mu's density covers it."""
-    gamma = derivative(u)
-    dec = rn_decompose(gamma, spec.mu)
-    region = np.asarray(region, dtype=float).reshape(-1, 2)
-    for part in singular_parts(dec.remainder):
-        charged = part.points[frobenius(part.values) > CHARGE_TOL]
-        if not np.all(in_box(charged, region)):
-            raise FunctionalError("singular part not concentrated in the given region")
-    if not u.jumps:
-        return u
-    if u.domain.dim != 1:
-        raise bvmod.CatalogError("mollification catalog covers 1D profiles only")
-    widths = {}
-    for t, d in u.structure.get("jumps", ()):
-        if in_box(np.array([[t]]), region)[0]:
-            lo, hi = region[0]
-            room = 2.0 * min(t - lo, hi - t)
-            if room <= 0:
-                raise FunctionalError("jump sits on the region boundary")
-            widths[t] = min(1.0 / (2 * j), 0.5 * room)
-    return smooth_selected_jumps(u, widths)
 
 
 # ---------------------------------------------------------------------------

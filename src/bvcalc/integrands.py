@@ -2,10 +2,8 @@
 
 Covers the unit-ball compactification transforms (T and its inverse), the
 asymptotic slope at infinity (recession function and its limsup variant),
-a sampling surrogate for membership in the class of integrands whose
-transform extends continuously to the closed ball, quasiconvexity
-refutation on piecewise-affine trial fields, rank-one convexity probing,
-and the construction of special quasiconvex envelopes
+quasiconvexity refutation on piecewise-affine trial fields, rank-one
+convexity probing, and the construction of special quasiconvex envelopes
 
     G_i(A) = max{F(A), F#(A) + |A|/i - i},
 
@@ -25,7 +23,6 @@ from .measures import frobenius
 T_SCHEDULE = tuple(10.0**k for k in range(2, 9))
 STABILIZATION_TOL = 1e-5  # largest scaled tail difference of f(x, tA)/t
 CROSS_CHECK_TOL = 1e-6  # schedule limit against the analytic recession
-E_OSCILLATION_TOL = 1e-4  # largest shell-to-shell tail oscillation of Tf
 REFUTER_THRESHOLD = -1e-9  # a trial field's gap below this is a witness
 
 
@@ -35,6 +32,12 @@ class RecessionError(RuntimeError):
 
 class IntegrandError(ValueError):
     pass
+
+
+def _require_x_independent(F, what):
+    """Raise for an x-dependent F: ``what`` reads F at x = None."""
+    if F.x_dependent:
+        raise IntegrandError(f"{what} requires an x-independent integrand, got {F.name!r}")
 
 
 def _as_batch(x, A, dim):
@@ -183,11 +186,11 @@ def x_modulated(base):
     factor = lambda x: 1.0 + 0.5 * x[:, 0]
     rec = None
     if base.recession_analytic is not None:
-        rec = lambda x, A: factor(x) * np.asarray(base.recession_analytic(None, A))
+        rec = lambda x, A: factor(x) * np.asarray(base.recession_analytic(x, A))
     return Integrand(
         name=f"x-mod-{base.name}",
         dims=base.dims,
-        fn=lambda x, A: factor(x) * np.asarray(base.fn(None, A)),
+        fn=lambda x, A: factor(x) * np.asarray(base.fn(x, A)),
         growth_m=base.growth_m,
         growth_M=1.5 * base.growth_M,
         recession_analytic=rec,
@@ -319,43 +322,6 @@ def _fixed_directions(N, n, seed):
     return [*np.eye(N * n).reshape(N * n, N, n), np.ones((N, n)) / math.sqrt(N * n), *random]
 
 
-@dataclass
-class EMembershipReport:
-    max_tail_oscillation: float
-    sup_bound: float
-    in_class: bool
-    shell_values: dict
-
-
-def membership_E_check(f):
-    """Sample the transform on shells |B| = 1 - 2^{-k} along fixed
-    directions; a vanishing shell-to-shell tail oscillation is the
-    numerical surrogate for a continuous extension to the closed ball.
-
-    One-sided check: a pass is advisory, a clear failure is flagged.
-    """
-    N, n = f.dims
-    x = 0.5 * np.ones((1, n)) if f.x_dependent else None
-    Tf = transform_T(f)
-    radii = [0.0] + [1.0 - 2.0**-k for k in range(1, 21)]
-    sup_bound = 0.0
-    max_tail_osc = 0.0
-    shell_values = {}
-    for d_index, D in enumerate(_fixed_directions(N, n, 2024)):
-        vals = np.array([Tf(x, r * D) for r in radii])
-        sup_bound = max(sup_bound, float(np.max(np.abs(vals))))
-        diffs = np.abs(np.diff(vals))
-        tail = diffs[-4:]
-        max_tail_osc = max(max_tail_osc, float(np.max(tail)))
-        shell_values[d_index] = vals
-    return EMembershipReport(
-        max_tail_oscillation=max_tail_osc,
-        sup_bound=sup_bound,
-        in_class=max_tail_osc <= E_OSCILLATION_TOL,
-        shell_values=shell_values,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quasiconvexity refutation
 # ---------------------------------------------------------------------------
@@ -471,6 +437,7 @@ class QuasiconvexityWitness:
     grid: int
 
     def reevaluate(self, F, A):
+        _require_x_independent(F, "quasiconvexity refutation")
         return _perturbed_gap(F, A, self.field, 2 * self.grid)
 
 
@@ -486,6 +453,7 @@ def quasiconvexity_refuter(F, A, trial_fields=None, grid=16):
     """Search for a trial field certifying failure of the gradient Jensen
     inequality at A.  Returns the most negative witness, or None; None is
     NOT a proof of quasiconvexity."""
+    _require_x_independent(F, "quasiconvexity refutation")
     N, n = F.dims
     trials = trial_fields if trial_fields is not None else default_trial_fields(N, n)
     worst = None
@@ -506,6 +474,7 @@ class RankOneReport:
 def rank_one_convexity_check(F, A, a, b):
     """Midpoint-convexity residuals of t -> F(A + t a (x) b): the largest
     positive value of F(midpoint) - mean(F(endpoints)) over sampled triples."""
+    _require_x_independent(F, "rank-one convexity check")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     rank_one = np.outer(a, b)
@@ -545,8 +514,7 @@ def sq_envelope(F, i):
         raise IntegrandError("envelope index must be positive")
     if not F.nonnegative or F.convexity not in ("convex", "quasiconvex"):
         raise IntegrandError("envelope requires a nonnegative quasiconvex-flagged integrand")
-    if F.x_dependent:
-        raise IntegrandError(f"envelope requires an x-independent integrand, got {F.name!r}")
+    _require_x_independent(F, "envelope")
     N, n = F.dims
     batch_rec = lambda A: upper_slope_values(F, None, A)
     dirs = np.array(_fixed_directions(N, n, 9))

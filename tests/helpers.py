@@ -113,7 +113,6 @@ def vertical_step_2d(domain, threshold=0.5, registry=None, carrier_id=None):
         jumps=[jump],
         registry=registry,
         breaks=((threshold,), ()),
-        structure={"kind": "vertical_step"},
     )
 
 

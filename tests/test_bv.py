@@ -9,19 +9,16 @@ from bvcalc.bv import (
     TRACE_TOL,
     BVError,
     BVFunction,
-    CatalogError,
     Jump,
     Piece,
     affine_2d,
     boundary_trace,
-    convergence_report,
     derivative,
     heaviside_1d,
+    matrix_test_fields,
     piecewise_affine_1d,
     ramp_1d,
     sawtooth_1d,
-    smooth_dirichlet_approximation,
-    smooth_selected_jumps,
     verify_integration_by_parts,
     zero_extension,
 )
@@ -29,6 +26,7 @@ from bvcalc.measures import (
     CarrierRegistry,
     Domain,
     area_functional,
+    pair_with_test_function,
     total_variation,
 )
 
@@ -227,78 +225,35 @@ def test_zero_extension_requires_strict_containment():
 # ---------------------------------------------------------------------------
 
 
-def test_convergence_constant_sequence_all_zero():
-    u = heaviside_1d(interval(), 0.5)
-    rep = convergence_report(lambda j: u, u, js=(1, 2, 3))
-    assert max(rep.l1_gaps) == 0.0
-    assert max(rep.weak_star_gaps) == 0.0
-    assert max(rep.tv_gaps) == 0.0
-    assert max(rep.area_gaps) == 0.0
-
-
 def test_sawtooth_weak_star_but_not_strict():
     d = interval()
     zero = piecewise_affine_1d(d, slopes=(0.0,))
-    js = (4, 8, 16, 32)
-    seq = lambda j: sawtooth_1d(d, j)
-    rep = convergence_report(seq, zero, js=js)
+    gamma = derivative(zero)
+    fields = matrix_test_fields(d, (1, 1))
+    refs = [pair_with_test_function(gamma, phi) for phi in fields]
+    l1, weak, tv = [], [], []
+    for j in (4, 8, 16, 32):
+        uj = sawtooth_1d(d, j)
+        gj = derivative(uj)
+        l1.append(uj.l1_distance(zero))
+        weak.append(max(abs(pair_with_test_function(gj, phi) - ref) for phi, ref in zip(fields, refs)))
+        tv.append(abs(total_variation(gj) - total_variation(gamma)))
     # weak* and L1 gaps vanish, the TV gap stays at |Du_j|(0,1) = 1
-    assert rep.l1_gaps[-1] < rep.l1_gaps[0]
-    assert rep.l1_gaps[-1] < 0.01
-    assert rep.weak_star_gaps[-1] < 0.05
-    assert all(abs(g - 1.0) < 1e-9 for g in rep.tv_gaps)
+    assert l1[-1] < l1[0]
+    assert l1[-1] < 0.01
+    assert weak[-1] < 0.05
+    assert all(abs(g - 1.0) < 1e-9 for g in tv)
 
 
 def test_mollified_sequence_is_area_strict():
     d = Domain((0.0, 1.0), 4096)
     u = heaviside_1d(d, 0.5)
     js = (2, 4, 8, 16, 32)
-    seq = lambda j: smooth_dirichlet_approximation(u, j)
-    rep = convergence_report(seq, u, js=js)
-    assert all(rep.area_gaps[k + 1] <= rep.area_gaps[k] + 1e-12 for k in range(len(js) - 1))
-    assert rep.area_gaps[-1] <= 1.0 / js[-1]
-
-
-# ---------------------------------------------------------------------------
-# smooth approximation catalog
-# ---------------------------------------------------------------------------
-
-
-def test_smooth_approximation_of_affine_is_identity():
-    u = piecewise_affine_1d(interval(), slopes=(2.0,), start_value=-1.0)
-    assert smooth_dirichlet_approximation(u, 5) is u
-
-
-def test_smooth_approximation_heaviside_ramp_bound():
-    d = Domain((0.0, 1.0), 2048)
-    u = heaviside_1d(d, 0.5)
-    Du = derivative(u)
-    for j in (1, 2, 4, 8, 16):
-        v = smooth_dirichlet_approximation(u, j)
-        assert not v.jumps
-        gap = abs(area_functional(derivative(v)) - area_functional(Du))
-        assert gap <= 1.0 / j  # transition width is 1/(2j), C = 1
-    # equality with u in the boundary collar
-    v = smooth_dirichlet_approximation(u, 8)
-    probe = np.array([[0.01], [0.99]])
-    assert np.allclose(v.value_at(probe), u.value_at(probe))
-
-
-def test_smooth_approximation_monotone_trend():
-    d = Domain((0.0, 1.0), 2048)
-    u = heaviside_1d(d, 0.5)
-    base = area_functional(derivative(u))
-    gaps = [
-        abs(area_functional(derivative(smooth_dirichlet_approximation(u, j))) - base)
-        for j in (2, 4, 8, 16, 32)
-    ]
-    assert all(gaps[k + 1] <= gaps[k] + 1e-12 for k in range(len(gaps) - 1))
-
-
-def test_smooth_approximation_out_of_catalog():
-    u = vertical_step_2d(unit_square(), 0.5)
-    with pytest.raises(CatalogError):
-        smooth_dirichlet_approximation(u, 3)
+    # the jump spread into a ramp of width 1/j centred on it
+    area = area_functional(derivative(u))
+    gaps = [abs(area_functional(derivative(ramp_1d(d, 0.5 - 0.5 / j, 1.0 / j))) - area) for j in js]
+    assert all(gaps[k + 1] <= gaps[k] + 1e-12 for k in range(len(js) - 1))
+    assert gaps[-1] <= 1.0 / js[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -525,79 +480,9 @@ def _old_piecewise_affine_1d(domain, breakpoints=(), slopes=(0.0,), start_value=
             )
 
         jump_objs.append(Jump(carrier.cid, plus, minus, orientation=1.0))
-    structure = {
-        "kind": "pw_affine_1d", "edges": edges, "slopes": slopes, "jumps": jumps,
-        "affine_part": affine_part,
-    }
     piece = Piece(region=domain.box, u=value, grad=grad,
                   breaks=(tuple(breakpoints) + tuple(jump_positions),))
-    return BVFunction(domain, N, [piece], jumps=jump_objs, registry=registry, structure=structure)
-
-
-def _old_smooth_selected_jumps(u, widths):
-    """``smooth_selected_jumps`` as it was before the profile builder."""
-    from bvcalc.bv import _smoothstep, _smoothstep_d
-
-    structure = u.structure
-    if structure.get("kind") != "pw_affine_1d":
-        raise CatalogError("smooth approximation not in catalog for this function")
-    affine_part = structure["affine_part"]
-    smooth_data = [(t, d, widths[t]) for t, d in structure["jumps"] if t in widths]
-    kept = [(t, d) for t, d in structure["jumps"] if t not in widths]
-
-    def value(nodes):
-        x = nodes[:, 0]
-        out = affine_part(x)
-        for t, d, w in smooth_data:
-            out = out + _smoothstep((x - t) / w + 0.5)[:, None] * d[None, :]
-        for t, d in kept:
-            out = out + (x > t)[:, None] * d[None, :]
-        return out
-
-    def grad(nodes):
-        x = nodes[:, 0]
-        edges, slopes = structure["edges"], structure["slopes"]
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(slopes) - 1)
-        g = slopes[idx].copy()
-        for t, d, w in smooth_data:
-            g = g + (_smoothstep_d((x - t) / w + 0.5) / w)[:, None] * d[None, :]
-        return g[:, :, None]
-
-    def continuous_part(x):
-        out = affine_part(x)
-        for t, d, w in smooth_data:
-            out = out + _smoothstep((x - t) / w + 0.5)[:, None] * d[None, :]
-        return out
-
-    breaks = set(structure["edges"][1:-1])
-    for t, _, w in smooth_data:
-        breaks.update((t - 0.5 * w, t + 0.5 * w))
-    jump_objs = []
-    for t, d in kept:
-        carrier = u.registry.register_point(f"jump:{t:.12g}", (t,))
-
-        def plus_tr(pts, _t=t):
-            out = continuous_part(pts[:, 0])
-            for s, dd in kept:
-                out = out + float(s <= _t) * dd[None, :]
-            return out
-
-        def minus_tr(pts, _t=t):
-            out = continuous_part(pts[:, 0])
-            for s, dd in kept:
-                out = out + float(s < _t) * dd[None, :]
-            return out
-
-        jump_objs.append(Jump(carrier.cid, plus_tr, minus_tr, orientation=1.0))
-        breaks.add(t)
-    piece = Piece(region=u.domain.box, u=value, grad=grad, breaks=(tuple(sorted(breaks)),))
-    new_structure = {
-        "kind": "pw_affine_1d" if not smooth_data else "smoothed_pw_affine",
-        "edges": structure["edges"], "slopes": structure["slopes"],
-        "affine_part": continuous_part, "jumps": tuple(kept),
-    }
-    return BVFunction(u.domain, u.N, [piece], jumps=jump_objs, registry=u.registry,
-                      structure=new_structure)
+    return BVFunction(domain, N, [piece], jumps=jump_objs, registry=registry)
 
 
 _PROFILES = {
@@ -642,21 +527,6 @@ def test_profile_builder_matches_the_old_closures(name):
     new = piecewise_affine_1d(d, registry=CarrierRegistry(), **_PROFILES[name])
     old = _old_piecewise_affine_1d(d, registry=CarrierRegistry(), **_PROFILES[name])
     _assert_same_profile(new, old)
-    assert new.structure["kind"] == "pw_affine_1d"
-    positions = [t for t, _ in new.structure["jumps"]]
-    for widths in ({}, {positions[0]: 0.05}, {t: 0.04 for t in positions}):
-        sn, so = smooth_selected_jumps(new, widths), _old_smooth_selected_jumps(old, widths)
-        _assert_same_profile(sn, so, trace_tol=1e-14)
-        assert sn.structure["kind"] == so.structure["kind"]
-        if widths:  # a smoothed profile is not smoothed again
-            with pytest.raises(CatalogError):
-                smooth_selected_jumps(sn, {t: 0.01 for t, _ in sn.structure["jumps"]})
-        else:
-            _assert_same_profile(
-                smooth_selected_jumps(sn, {positions[1]: 0.03}),
-                _old_smooth_selected_jumps(so, {positions[1]: 0.03}),
-                trace_tol=1e-14,
-            )
 
 
 def _old_matrix_test_fields(domain, shape):
@@ -986,8 +856,7 @@ def _trace_check_cases():
     cases = [build_case_1d(random_case_description(rng), resolution=64)[0] for _ in range(12)]
     cases += [heaviside_1d(d1, 0.5), heaviside_1d(d1, 1.0 / 3.0)]
     for kw in _PROFILES.values():
-        u = piecewise_affine_1d(d1, registry=CarrierRegistry(), **kw)
-        cases += [u, smooth_selected_jumps(u, {u.structure["jumps"][0][0]: 0.05})]
+        cases.append(piecewise_affine_1d(d1, registry=CarrierRegistry(), **kw))
     cases.append(vertical_step_2d(unit_square(8), 0.5))
     cases.append(zero_extension(heaviside_1d(d1), Domain((-0.5, 1.5), 64)))
     # a jump on the box edge: its plus probes leave the box and are clamped

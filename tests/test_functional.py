@@ -15,7 +15,6 @@ from bvcalc.functional import (
     evaluate,
     geometric_js,
     lsc_experiment,
-    mollify_in_small_set,
     relaxation_upper_bound,
     reshetnyak_experiment,
 )
@@ -295,23 +294,14 @@ def test_relaxation_recovery_by_mollification(setting):
     d, reg, mu = setting
     h = heaviside_1d(d, 0.5, registry=reg)
     spec = FunctionalSpec(make_area(), mu, d)
-    fam = [("mollify", lambda j: mollify_in_small_set(h, spec, ((0.4, 0.6),), j))]
+    # the jump spread into a ramp of width 1/j centred on it
+    fam = [("mollify", lambda j: ramp_1d(d, 0.5 - 0.5 / j, 1.0 / j, registry=reg))]
     res = relaxation_upper_bound(h, spec, fam, jmax=64, l1_tol=0.05)
     target = evaluate(h, spec).total
     assert res.status == "ok"
     assert res.value <= target + 1e-9
     # the gap closes like the transition width
     assert target - res.value <= 1.0 / 64 + 1e-6
-
-
-def test_mollify_identity_cases(setting):
-    d, reg, mu = setting
-    smooth = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d)
-    assert mollify_in_small_set(smooth, spec, ((0.4, 0.6),), 4) is smooth
-    h = heaviside_1d(d, 0.5, registry=reg)
-    with pytest.raises(FunctionalError):
-        mollify_in_small_set(h, spec, ((0.6, 0.8),), 4)  # jump outside the region
 
 
 # ---------------------------------------------------------------------------

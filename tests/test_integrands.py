@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bvcalc.integrands import (
     Integrand,
     IntegrandError,
+    QuasiconvexityWitness,
     RecessionError,
     catalog_integrand,
     default_trial_fields,
@@ -17,7 +18,6 @@ from bvcalc.integrands import (
     make_norm,
     make_shifted_norm,
     make_w_shape,
-    membership_E_check,
     quasiconvexity_refuter,
     rank_one_convexity_check,
     recession,
@@ -207,38 +207,6 @@ def test_recession_homogeneity_property():
 
 
 # ---------------------------------------------------------------------------
-# membership in the continuous-extension class
-# ---------------------------------------------------------------------------
-
-
-def test_membership_area_passes_with_unit_bound():
-    report = membership_E_check(make_area())
-    assert report.in_class
-    assert report.max_tail_oscillation < 1e-4
-    assert report.sup_bound == pytest.approx(1.0, abs=1e-6)
-
-
-def test_membership_log_oscillation_flagged():
-    f = Integrand(
-        "logosc",
-        (1, 1),
-        lambda x, A: np.sqrt(np.sum(A * A, axis=(1, 2)))
-        * np.sin(np.log1p(np.sqrt(np.sum(A * A, axis=(1, 2))))),
-        0.0,
-        1.0,
-    )
-    report = membership_E_check(f)
-    assert not report.in_class
-    assert report.max_tail_oscillation > 0.01
-
-
-def test_membership_constant_bound():
-    f = Integrand("c", (1, 1), lambda x, A: -3.0 * np.ones(len(A)), 0.0, 3.0, nonnegative=False)
-    report = membership_E_check(f)
-    assert report.sup_bound == pytest.approx(3.0, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # quasiconvexity refuter
 # ---------------------------------------------------------------------------
 
@@ -353,6 +321,36 @@ def test_sq_envelope_rejects_an_x_dependent_integrand():
     F.fn = F.recession_analytic = None  # a probe would fail with a TypeError
     with pytest.raises(IntegrandError, match="^envelope requires an x-independent integrand, got 'x-mod-norm'$"):
         sq_envelope(F, 1)
+
+
+_AT_ZERO = np.zeros((1, 1))
+
+
+@pytest.mark.parametrize(
+    "what, probe",
+    [
+        ("quasiconvexity refutation", lambda F: quasiconvexity_refuter(F, _AT_ZERO)),
+        (
+            "quasiconvexity refutation",
+            lambda F: QuasiconvexityWitness(laminate_field([1.0], [1.0]), -1.0, 8).reevaluate(F, _AT_ZERO),
+        ),
+        ("rank-one convexity check", lambda F: rank_one_convexity_check(F, _AT_ZERO, [1.0], [1.0])),
+    ],
+    ids=["refuter", "reevaluate", "rank-one"],
+)
+def test_probes_at_no_point_reject_an_x_dependent_integrand(what, probe):
+    # each probe reads F at x = None, where an x-dependent F has no value
+    with pytest.raises(IntegrandError, match=f"^{what} requires an x-independent integrand, got 'x-mod-area'$"):
+        probe(x_modulated(make_area()))
+
+
+def test_x_modulated_passes_x_to_its_base():
+    F = x_modulated(x_modulated(make_norm()))
+    x = np.array([[0.0], [0.5], [1.0]])
+    A = np.array([[[2.0]], [[-1.0]], [[3.0]]])
+    expected = (1.0 + 0.5 * x[:, 0]) ** 2 * np.abs(A[:, 0, 0])
+    assert F(x, A) == pytest.approx(expected, rel=1e-15)
+    assert F.recession(x, A) == pytest.approx(expected, rel=1e-15)
 
 
 def test_sq_envelope_one_homogeneous_base():

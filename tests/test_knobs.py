@@ -1,4 +1,5 @@
-"""Every defaulted parameter or dataclass field in bvcalc is set by some call.
+"""Every defaulted parameter or dataclass field in bvcalc is set by some call,
+and every function, class and method of bvcalc is read by code outside the tests.
 
 A default that no call in ``src/``, ``tests/``, ``perfbench/`` or
 ``tools/`` overrides is a configuration nothing runs: it belongs in the
@@ -9,9 +10,17 @@ method call ``obj.f(...)`` matches every ``f``), a class name matches its
 ``__init__`` or, for a dataclass, its fields, and a ``**`` argument sets
 every parameter.  Closure bindings (``_``-prefixed parameters) and
 ``field(init=False)`` fields are not parameters of any caller.
+
+A definition is read where its bare name is loaded (``f``, ``obj.f``) or is
+a part of a string constant that is a dotted name (``"Domain.cell_rule"``),
+anywhere in ``src/`` outside its own body and outside ``__init__.py``, or in
+``perfbench/`` or ``tools/``.  Dunder methods are exempt.  A definition that
+only tests read is listed, with its reason, or removed.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,7 +38,7 @@ ALLOWED = {
 SET_BY_TESTS_ONLY = {
     # the scenarios use the unit ramp; tests raise it to check a profile of other height
     "bv.ramp_1d(height)",
-    # the scenarios check the first component pair; tests loop over every pair of a system
+    # only tests call the function (USED_BY_TESTS_ONLY); they loop over every component pair of a system
     "bv.verify_integration_by_parts(comp_i)",
     "bv.verify_integration_by_parts(comp_j)",
     # the scenarios use the 1-by-1 forms; tests build the matrix and 2D forms
@@ -230,4 +239,138 @@ def test_sample_lists_exactly_the_unset_knobs():
         "m.f(c)",
         "m.f(e)",
         "m.f.inner(q)",
+    ]
+
+
+# Definitions that only tests read, each with its reason; any other such
+# definition is code that nothing outside the tests needs.
+USED_BY_TESTS_ONLY = {
+    "bv.verify_integration_by_parts": "the tests' Gauss-Green check of derivative",
+    "measures.mutually_singular": "the tests' check that the rn_decompose remainder is singular to mu",
+    "integrands.transform_T": "the unit-ball transform whose round trip T^-1(Tf) = f is acceptance criterion 1",
+    "integrands.transform_T_inv": "the inverse half of that round trip",
+    "measures.ScalarRadonMeasure.mass": "the total mass that tests compare with closed-form values",
+    "measures.Domain.volume": "the box volume that tests compare the cell-rule weights with",
+    "young.GeneralizedYoungMeasure.from_json": "the documented JSON form of a Young-measure candidate",
+}
+
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _reads(tree):
+    """How often each name is read in ``tree``."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED_NAME.fullmatch(node.value):
+            counts.update(node.value.split("."))
+    return counts
+
+
+def _definitions(module, tree):
+    """(label, node) for every def and class of one module, nested ones included."""
+    found = []
+
+    def visit(node, label):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((f"{label}.{child.name}", child))
+                visit(child, f"{label}.{child.name}")
+            else:
+                visit(child, label)
+
+    visit(tree, module)
+    return found
+
+
+def unread_definitions(sources, readers):
+    """Labels of the definitions of ``sources`` (module name -> source) whose
+    name nothing reads outside their own body, in ``sources`` or in
+    ``readers`` (an iterable of sources)."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        reads.update(_reads(tree))
+    return sorted(
+        label
+        for module, tree in trees.items()
+        for label, node in _definitions(module, tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and reads[node.name] == _reads(node)[node.name]
+    )
+
+
+def _package_sources():
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+
+
+def _readers(dirs):
+    return [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def test_every_definition_is_read_outside_the_tests():
+    unread = unread_definitions(_package_sources(), _readers(("perfbench", "tools")))
+    assert [label for label in unread if label not in USED_BY_TESTS_ONLY] == []
+
+
+def test_tests_only_list_names_definitions_only_tests_read():
+    sources = _package_sources()
+    assert set(USED_BY_TESTS_ONLY) <= set(unread_definitions(sources, _readers(("perfbench", "tools"))))
+    assert set(USED_BY_TESTS_ONLY).isdisjoint(unread_definitions(sources, _readers(("perfbench", "tools", "tests"))))
+
+
+DEFINITIONS_SAMPLE = '''
+def used(a):
+    def helper(b):
+        return b
+    return helper(a)
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+def by_tests():
+    return 1
+
+class Box:
+    def __init__(self):
+        self.size = 1
+
+    def scale(self):
+        return self.size
+
+    def named(self):
+        return 0
+
+    def unused(self):
+        return self.unused
+
+class Spare:
+    pass
+'''
+
+DEFINITIONS_READERS = '''
+used(Box().scale())
+TARGETS = ("Box.named",)
+'''
+
+DEFINITIONS_TESTS = '''
+by_tests()
+Spare()
+'''
+
+
+def test_sample_lists_exactly_the_unread_definitions():
+    sample = {"m": DEFINITIONS_SAMPLE}
+    assert unread_definitions(sample, [DEFINITIONS_READERS]) == [
+        "m.Box.unused",
+        "m.Spare",
+        "m.by_tests",
+        "m.recursive",
+    ]
+    assert unread_definitions(sample, [DEFINITIONS_READERS, DEFINITIONS_TESTS]) == [
+        "m.Box.unused",
+        "m.recursive",
     ]

@@ -1847,3 +1847,10 @@ def test_construction_errors_of_domains_and_measures(build, message):
     with pytest.raises(MeasureError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_registering_the_same_carrier_twice_returns_the_first():
+    # two profiles with a jump at one position share its carrier
+    reg = CarrierRegistry()
+    first = reg.register_point("jump:0.5", (0.5,))
+    assert reg.register_point("jump:0.5", (0.5,)) is first
