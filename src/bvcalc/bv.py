@@ -19,9 +19,6 @@ import numpy as np
 from .measures import (
     CarrierRegistry,
     MatrixRadonMeasure,
-    MeasureError,
-    as_box,
-    as_floats,
     in_box,
     merge_breaks,
     singular_parts,
@@ -61,16 +58,6 @@ class Jump:
     orientation: float = 1.0  # 1D only
 
 
-def first_box(points, boxes):
-    """Per row of ``points``, the index of the first closed box of ``boxes``
-    that holds it (a box of None holds every point), or -1 where none does."""
-    idx = np.full(len(points), -1, dtype=int)
-    for k, box in enumerate(boxes):
-        m = idx < 0 if box is None else in_box(points, box) & (idx < 0)
-        idx[m] = k
-    return idx
-
-
 class BVFunction:
     def __init__(
         self,
@@ -96,7 +83,11 @@ class BVFunction:
     # -- evaluation ----------------------------------------------------------
 
     def _piece_index(self, nodes):
-        return first_box(nodes, [p.region for p in self.pieces])
+        """Per node, the index of the first piece whose closed box holds it, or -1 where none does."""
+        idx = np.full(len(nodes), -1, dtype=int)
+        for k, piece in enumerate(self.pieces):
+            idx[in_box(nodes, piece.region) & (idx < 0)] = k
+        return idx
 
     def _one_piece_covers(self, nodes):
         """Whether the only piece's closed box holds all of ``nodes``, each coordinate in the
@@ -163,71 +154,6 @@ class BVFunction:
                 raise BVError(f"jump carrier {jump.carrier_id!r} not registered")
         self.check_trace_consistency()
 
-    @staticmethod
-    def from_json(domain, obj, registry=None):
-        """Build from {"pieces": [{"region": bounds, "u": [expr...],
-        "grad": [[expr...]...]}], "jumps": [{"carrier": id, "plus": [expr...],
-        "minus": [expr...], "orientation": s}], "trace": [expr...]}.
-
-        Jump carriers must already exist in the registry.
-        """
-        from . import expressions
-
-        registry = registry if registry is not None else CarrierRegistry()
-        dim = domain.dim
-        pieces = []
-        pdescs = _entry(obj, "pieces", "a BV function")
-        if not isinstance(pdescs, list) or not pdescs:
-            raise BVError("'pieces' must be a non-empty list of pieces")
-        for pdesc in pdescs:
-            u_exprs = _listed(_entry(pdesc, "u", "a 'pieces' entry"))
-            if pieces and len(u_exprs) != N:
-                raise BVError(f"pieces have different component counts: {N} and {len(u_exprs)}")
-            if not u_exprs:
-                raise BVError("'u' of a piece needs at least one component")
-            g_rows = _entry(pdesc, "grad", "a 'pieces' entry")
-            if not isinstance(g_rows, list) or not g_rows:
-                raise BVError("'grad' of a piece must be a non-empty list")
-            if not isinstance(g_rows[0], list):
-                g_rows = [g_rows]
-            N = len(u_exprs)
-            if len(g_rows) != N or any(not isinstance(r, list) or len(r) != dim for r in g_rows):
-                raise BVError(f"'grad' of a piece must be {N} rows of {dim} entries, got {g_rows!r}")
-            pieces.append(
-                Piece(
-                    region=as_box(pdesc.get("region", domain.box), dim, "'region' of a piece", BVError),
-                    u=expressions.compile_vector(u_exprs, dim),
-                    grad=expressions.compile_matrix(g_rows, dim),
-                    breaks=_breaks(pdesc.get("breaks"), dim),
-                )
-            )
-        jdescs = obj.get("jumps", [])
-        if not isinstance(jdescs, list):
-            raise BVError(f"'jumps' must be a list of jumps, got {jdescs!r}")
-        jumps = []
-        for jdesc in jdescs:
-            cid = _entry(jdesc, "carrier", "a 'jumps' entry")
-            plus, minus = (
-                expressions.compile_vector(_traces(jdesc, side, cid, N), dim)
-                for side in ("plus", "minus")
-            )
-            sign = as_floats(jdesc.get("orientation", 1.0), "a jump's 'orientation'", (), BVError)
-            if not isinstance(cid, str):
-                raise BVError(f"'carrier' of a jump must be a string, got {cid!r}")
-            jumps.append(Jump(cid, plus, minus, orientation=float(sign)))
-        trace = None
-        if "trace" in obj:
-            trace = expressions.compile_vector(_listed(obj["trace"]), dim)
-        return BVFunction(
-            domain,
-            N,
-            pieces,
-            jumps=jumps,
-            trace=trace,
-            registry=registry,
-            breaks=_breaks(obj.get("breaks"), dim),
-        )
-
     def check_trace_consistency(self):
         """One-sided Richardson limits of the piece expressions must match
         the declared jump traces at carrier quadrature nodes.  The probes of
@@ -245,8 +171,14 @@ class BVFunction:
         counts = [len(pts) for pts in rules]
         pts = np.concatenate(rules)
         eta = np.repeat(np.asarray(normals, dtype=float), counts, axis=0)
+        # a point's step h stops half-way to the nearest other break along its normal: no probe crosses a kink
+        step = np.full(len(pts), h)
+        for k, axis in enumerate(self.breaks):
+            gap = np.abs(np.subtract.outer(pts[:, k], axis))
+            gap[(gap == 0.0) | (eta[:, k, None] == 0.0)] = np.inf
+            step = np.minimum(step, 0.5 * gap.min(axis=1, initial=np.inf))
         # probes at h, h/2, -h and -h/2 along the normal; those outside the box clamp to the point
-        probe = (pts + np.array([h, 0.5 * h, -h, -0.5 * h])[:, None, None] * eta).reshape(-1, dim)
+        probe = (pts + np.array([1.0, 0.5, -1.0, -0.5])[:, None, None] * (step[:, None] * eta)).reshape(-1, dim)
         values = self.value_at(np.where(self.domain.contains(probe)[:, None], probe, np.tile(pts, (4, 1))))
         stated = [[np.asarray(f(p)).reshape(-1, self.N) for f in (j.plus, j.minus)]
                   for j, p in zip(self.jumps, rules)]
@@ -260,37 +192,6 @@ class BVFunction:
                 f"{('plus', 'minus')[side]} trace on carrier {self.jumps[k].carrier_id!r} "
                 f"inconsistent with pieces (error {err[side, k]:.2e})"
             )
-
-
-def _entry(desc, key, what):
-    """``desc[key]`` of a JSON description, or a BVError naming the key."""
-    if not isinstance(desc, dict):
-        raise BVError(f"{what} must be an object with key {key!r}, got {desc!r}")
-    if key not in desc:
-        raise BVError(f"{what} has no {key!r}")
-    return desc[key]
-
-
-def _breaks(value, dim):
-    """A 'breaks' entry, merged per axis, or a BVError unless finite numbers."""
-    try:
-        return merge_breaks(dim, value, error=BVError)
-    except MeasureError as exc:
-        raise BVError(f"'breaks': {exc}") from None
-
-
-def _listed(value):
-    return value if isinstance(value, list) else [value]
-
-
-def _traces(jdesc, side, cid, N):
-    """The ``side`` trace expressions of a jump entry, one per component."""
-    exprs = _listed(_entry(jdesc, side, "a 'jumps' entry"))
-    if len(exprs) != N:
-        raise BVError(
-            f"'{side}' of the jump on {cid!r} has {len(exprs)} components where the pieces have {N}"
-        )
-    return exprs
 
 
 # ---------------------------------------------------------------------------

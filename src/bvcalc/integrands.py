@@ -40,15 +40,17 @@ def _require_x_independent(F, what):
         raise IntegrandError(f"{what} requires an x-independent integrand, got {F.name!r}")
 
 
-def _as_batch(x, A, dim):
-    """Normalize to x (M, dim) or None and A (M, N, n); report scalar-ness."""
+def _as_batch(F, x, A):
+    """Normalize to x (M, dim) or None and A (M, N, n); report scalar-ness.
+    An x-dependent F cannot be read at x = None."""
     A = np.asarray(A, dtype=float)
     scalar = A.ndim == 2
     if scalar:
         A = A[None]
     if x is None:
+        _require_x_independent(F, "a read at x = None")
         return None, A, scalar
-    x = np.asarray(x, dtype=float)
+    x, dim = np.asarray(x, dtype=float), F.dims[1]
     if x.ndim == 1 and len(x) == dim and (scalar or dim != len(A)):
         x = x[None, :]
     if x.ndim == 1:
@@ -79,14 +81,14 @@ class Integrand:
     nonnegative: bool = True
 
     def __call__(self, x, A):
-        x, A, scalar = _as_batch(x, A, self.dims[1])
+        x, A, scalar = _as_batch(self, x, A)
         vals = np.asarray(self.fn(x, A), dtype=float)
         return float(vals[0]) if scalar else vals
 
     def recession(self, x, A):
         if self.recession_analytic is None:
             raise IntegrandError(f"integrand {self.name!r} has no analytic recession")
-        x, A, scalar = _as_batch(x, A, self.dims[1])
+        x, A, scalar = _as_batch(self, x, A)
         vals = np.asarray(self.recession_analytic(x, A), dtype=float)
         return float(vals[0]) if scalar else vals
 

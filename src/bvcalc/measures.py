@@ -24,8 +24,6 @@ from itertools import chain, compress
 
 import numpy as np
 
-from . import expressions
-
 # 3-point Gauss-Legendre on [-1, 1]
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
@@ -214,8 +212,8 @@ class Breaks(tuple):
     __slots__ = ()
 
 
-def _normalize_breaks(breaks, dim, error=MeasureError):
-    """Per axis, a tuple of finite floats (else ``error``); a ``Breaks`` of ``dim`` axes as it is."""
+def _normalize_breaks(breaks, dim):
+    """Per axis, a tuple of finite floats (else a MeasureError); a ``Breaks`` of ``dim`` axes as it is."""
     if type(breaks) is Breaks and len(breaks) == dim:
         return breaks
     if breaks is None:
@@ -231,7 +229,7 @@ def _normalize_breaks(breaks, dim, error=MeasureError):
     if norm is None:
         raise MeasureError(f"breakpoints must be numbers, a pair of lists in 2D, got {breaks!r}")
     if not all(map(math.isfinite, chain(*norm))):
-        raise error(f"'breaks' must be finite, got {[*chain(*norm)]!r}")
+        raise MeasureError(f"'breaks' must be finite, got {[*chain(*norm)]!r}")
     return norm
 
 
@@ -241,34 +239,12 @@ def _float_tuple(values):
     return tuple(map(float, values))
 
 
-def as_floats(value, what, shape=None, error=MeasureError):
-    """A number or numeric list of a JSON document as a float array (of
-    ``shape`` when given), or ``error`` naming ``what``."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or (shape is not None and out.shape != shape):
-        shaped = "" if shape is None else f" of shape {shape}"
-        raise error(f"{what} must be numeric{shaped}, got {value!r}")
-    if not np.isfinite(out).all():
-        raise error(f"{what} must be finite, got {value!r}")
-    return out
-
-
-def as_box(value, dim, what, error):
-    """A region of a JSON document, checked to be one finite (lo, hi) pair per axis."""
-    if as_floats(value, what, error=error).size != 2 * dim:
-        raise error(f"{what} must be one [lo, hi] pair per axis, got {value!r}")
-    return value
-
-
-def merge_breaks(dim, *break_sets, error=MeasureError):
+def merge_breaks(dim, *break_sets):
     """Per axis, the sorted union of the breakpoints of ``break_sets``
     (``None`` skipped), keeping the first of equal values, as a ``Breaks``;
-    ``error`` if an input other than a ``Breaks`` holds a non-finite value.
-    A ``Breaks`` that is the only non-empty input is returned as it is."""
-    norms = [n for n in (_normalize_breaks(bs, dim, error) for bs in break_sets) if any(n)]
+    a MeasureError if an input other than a ``Breaks`` holds a non-finite
+    value.  A ``Breaks`` that is the only non-empty input is returned as it is."""
+    norms = [n for n in (_normalize_breaks(bs, dim) for bs in break_sets) if any(n)]
     if len(norms) == 1 and type(norms[0]) is Breaks:
         return norms[0]
     return Breaks(_merged_axis([n[k] for n in norms if n[k]]) for k in range(dim))
@@ -470,69 +446,12 @@ class ScalarRadonMeasure(_StructuredMeasure):
         """Total mass mu(Omega)."""
         return _integrate(self, _values, _values)
 
-    @staticmethod
-    def from_json(domain, obj, registry=None, **flags):
-        """Build from {"density": expr|cell-array, "atoms": [[x, w]...],
-        "segments": [{"id", "from", "to", "density"}]}."""
-        if not isinstance(obj, dict):
-            raise MeasureError(f"a measure must be an object, got {obj!r}")
-        registry = registry if registry is not None else CarrierRegistry()
-        density = _parse_density(domain, obj.get("density"))
-        atoms, segments = obj.get("atoms", []), obj.get("segments", [])
-        if not isinstance(atoms, list) or any(type(a) is not list or len(a) != 2 for a in atoms):
-            raise MeasureError(f"'atoms' must be a list of [point, weight] pairs, got {atoms!r}")
-        keys = {"id", "from", "to", "density"}
-        if not isinstance(segments, list) or any(
-            type(g) is not dict or keys - g.keys() or type(g["id"]) is not str for g in segments
-        ):
-            raise MeasureError(f"'segments' must be a list of objects with keys {sorted(keys)}, 'id' a string")
-        if segments and domain.dim == 1:
-            raise MeasureError("'segments' are carriers of a 2D domain")
-        atoms = [(as_floats(p, "atom point"), as_floats(w, "atom weight", ())) for p, w in atoms]
-        atoms = tuple((np.atleast_1d(p), float(w)) for p, w in atoms)
-        parts = []
-        for seg in segments:
-            for key in ("from", "to") if seg.get("normal") is None else ("from", "to", "normal"):
-                as_floats(seg[key], f"{key!r} of a segment", (2,))
-            carrier = registry.register_segment(
-                seg["id"], seg["from"], seg["to"], normal=seg.get("normal")
-            )
-            parts.append((carrier.cid, expressions.compile_scalar(seg["density"], domain.dim)))
-        return ScalarRadonMeasure(
-            domain,
-            density=density,
-            atoms=atoms,
-            carrier_parts=tuple(parts),
-            registry=registry,
-            breaks=obj.get("breaks"),
-            **flags,
-        )
-
 
 def lebesgue(domain, registry=None):
     """The volume measure of ``domain``: density 1, flagged dominates-Lebesgue."""
     return ScalarRadonMeasure(
         domain, density=lambda n: np.ones(len(n)), registry=registry, dominates_lebesgue=True
     )
-
-
-def _parse_density(domain, spec):
-    if spec is None:
-        return None
-    if isinstance(spec, (str, int, float)):
-        return expressions.compile_scalar(spec, domain.dim)
-    values = as_floats(spec, "a cell-wise 'density'")  # values on the base grid
-    if values.shape != (domain.resolution,) * domain.dim:
-        raise MeasureError(f"a cell-wise 'density' needs {domain.resolution} values per axis")
-
-    def cellwise(nodes):
-        idx = []
-        for k, (lo, hi) in enumerate(domain.box):
-            i = np.floor((nodes[:, k] - lo) / (hi - lo) * domain.resolution).astype(int)
-            idx.append(np.clip(i, 0, domain.resolution - 1))
-        return values[tuple(idx)] if domain.dim == 2 else values[idx[0]]
-
-    return cellwise
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .bv import derivative, first_box, scalar_bumps
+from .bv import derivative, scalar_bumps
 from .functional import CHARGE_TOL, charged_recession, order_fit
 from .integrands import recession_values, upper_slope_values
 from .measures import (
     MatrixRadonMeasure,
     MeasurePart,
     ScalarRadonMeasure,
-    as_box,
-    as_floats,
     charges_boundary,
     frobenius,
     lebesgue,
@@ -65,8 +63,28 @@ class LocationField:
 
 
 def constant_field(atom_list):
-    """x-independent field from [(matrix, weight), ...]."""
-    return _field_from_entries([{"atoms": list(atom_list)}], "field", np.shape(atom_list[0][0]))
+    """x-independent field from [(matrix, weight), ...], each entry finite."""
+    shape = np.shape(atom_list[0][0])
+    atoms = np.stack([_as_floats(A, "an atom of 'field'").reshape(shape) for A, _ in atom_list])
+    weights = np.array([_as_floats(p, "an atom weight of 'field'", ()) for _, p in atom_list])
+    return LocationField(lambda points: (
+        np.repeat(weights[None], len(points), axis=0), np.repeat(atoms[None], len(points), axis=0)
+    ))
+
+
+def _as_floats(value, what, shape=None):
+    """``value`` as a finite float array (of ``shape`` when given), or a
+    YoungMeasureError naming ``what``."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or (shape is not None and out.shape != shape):
+        shaped = "" if shape is None else f" of shape {shape}"
+        raise YoungMeasureError(f"{what} must be numeric{shaped}, got {value!r}")
+    if not np.isfinite(out).all():
+        raise YoungMeasureError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 class ElementaryOscillation:
@@ -172,74 +190,11 @@ class GeneralizedYoungMeasure:
             raise YoungMeasureError("oscillation part has infinite first moment")
         return True
 
-    @staticmethod
-    def from_json(domain, obj, mu, registry=None, dims=(1, 1)):
-        """Candidate triple from {"nu": [{"region":..., "atoms": [[A, p]...]}],
-        "lambda": measure-spec, "nu_inf": [...]}; entries are matched
-        first-region-wins, "region" omitted means everywhere."""
-        if not isinstance(obj, dict):
-            raise YoungMeasureError(f"a Young measure must be an object with key 'nu', got {obj!r}")
-        lam_spec = obj.get("lambda")
-        if lam_spec is not None and not isinstance(lam_spec, dict):
-            raise YoungMeasureError(f"'lambda' must be a measure object, got {lam_spec!r}")
-        nu = _field_from_entries(obj.get("nu"), "nu", dims)
-        if lam_spec is None:
-            lam = ScalarRadonMeasure(domain, registry=registry)
-        else:
-            lam = ScalarRadonMeasure.from_json(domain, lam_spec, registry=registry)
-        nu_inf = None
-        if obj.get("nu_inf"):
-            nu_inf = _field_from_entries(obj["nu_inf"], "nu_inf", dims)
-        return GeneralizedYoungMeasure(domain, dims, nu, lam, nu_inf, mu)
-
 
 def _read_only_parts(parts):
     for part in parts:
         read_only(part.points, part.weights, part.masses)
     return parts
-
-
-def _field_from_entries(entries, key, dims):
-    """The location field of the entries listed under ``key``, or a
-    YoungMeasureError naming the key for a malformed list."""
-    N, n = dims
-    if not isinstance(entries, list) or not entries:
-        raise YoungMeasureError(f"{key!r} must be a non-empty list of entries, got {entries!r}")
-    regions, rows = [], []
-    for entry in entries:
-        pairs = entry.get("atoms") if isinstance(entry, dict) else None
-        if not isinstance(pairs, list) or not pairs:
-            raise YoungMeasureError(f"an entry of {key!r} needs a non-empty list 'atoms', got {entry!r}")
-        try:
-            atoms = np.stack([as_floats(A, f"an atom of {key!r}", error=YoungMeasureError).reshape(N, n)
-                              for A, _ in pairs])
-            weights = np.array([as_floats(p, f"an atom weight of {key!r}", (), YoungMeasureError)
-                                for _, p in pairs])
-            region = entry.get("region")
-            if region is None and "node" in entry:  # single-point entry
-                pt = as_floats(entry["node"], f"'node' of an entry of {key!r}", error=YoungMeasureError)
-                region = [[v, v] for v in np.atleast_1d(pt)]
-            if region is not None:
-                as_box(region, n, f"'region' of an entry of {key!r}", YoungMeasureError)
-        except YoungMeasureError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise YoungMeasureError(f"an entry of {key!r} is malformed: {exc}") from None
-        regions.append(region)
-        rows.append((weights, atoms))
-    # each entry's weights and atoms as one row, zero-padded to the longest entry
-    W = np.zeros((len(rows), max(len(w) for w, _ in rows)))
-    A = np.zeros(W.shape + (N, n))
-    for e, (weights, atoms) in enumerate(rows):
-        W[e, : len(weights)], A[e, : len(weights)] = weights, atoms
-
-    def fn(points):
-        idx = first_box(points, regions)
-        if np.any(idx < 0):
-            raise YoungMeasureError("candidate entries do not cover all nodes")
-        return W[idx], A[idx]
-
-    return LocationField(fn)
 
 
 # ---------------------------------------------------------------------------

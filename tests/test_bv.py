@@ -292,76 +292,6 @@ def test_piece_lookup_error_messages():
     assert u.value_from_inside([[0.5]], [[-1.0]])[0, 0] == 0.5
 
 
-_PIECE = {"u": ["x"], "grad": ["1"]}
-
-
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ({}, "a BV function has no 'pieces'"),
-        ([_PIECE], "a BV function must be an object with key 'pieces'"),
-        ({"pieces": 3}, "'pieces' must be a non-empty list of pieces"),
-        ({"pieces": []}, "'pieces' must be a non-empty list of pieces"),
-        ({"pieces": ["x"]}, "a 'pieces' entry must be an object with key 'u', got 'x'"),
-        ({"pieces": [{"grad": ["1"]}]}, "a 'pieces' entry has no 'u'"),
-        ({"pieces": [{"u": ["x"]}]}, "a 'pieces' entry has no 'grad'"),
-        ({"pieces": [{"u": ["x"], "grad": []}]}, "'grad' of a piece must be a non-empty list"),
-        (
-            {"pieces": [_PIECE], "jumps": [{"plus": ["1"], "minus": ["0"]}]},
-            "a 'jumps' entry has no 'carrier'",
-        ),
-        ({"pieces": [_PIECE], "jumps": [{"carrier": "j", "plus": ["1"]}]}, "has no 'minus'"),
-        ({"pieces": [_PIECE], "breaks": "x"}, "'breaks': breakpoints must be numbers"),
-        ({"pieces": [dict(_PIECE, breaks=[["q"]])]}, "'breaks': breakpoints must be numbers"),
-        (
-            {"pieces": [_PIECE], "jumps": [{"carrier": "j", "plus": ["1"], "minus": ["0"],
-                                            "orientation": "up"}]},
-            "a jump's 'orientation' must be numeric of shape (), got 'up'",
-        ),
-        ({"pieces": [_PIECE], "breaks": [[0.3], [0.7]]}, "'breaks': breakpoints must be numbers"),
-        (
-            {"pieces": [dict(_PIECE, breaks=[[0.3], [0.7]])]},
-            "'breaks': breakpoints must be numbers, a pair of lists in 2D, got [[0.3], [0.7]]",
-        ),
-        ({"pieces": [_PIECE], "breaks": [float("nan")]}, "'breaks' must be finite, got [nan]"),
-        ({"pieces": [_PIECE], "breaks": [float("inf")]}, "'breaks' must be finite, got [inf]"),
-        (
-            {"pieces": [dict(_PIECE, breaks=[0.25, float("nan")])]},
-            "'breaks' must be finite, got [0.25, nan]",
-        ),
-        (
-            {"pieces": [{"u": ["x", "2*x"], "grad": [["1"]]}]},
-            "'grad' of a piece must be 2 rows of 1 entries, got [['1']]",
-        ),
-        (
-            {"pieces": [{"u": ["x"], "grad": [["1", "5"]]}]},
-            "'grad' of a piece must be 1 rows of 1 entries, got [['1', '5']]",
-        ),
-        ({"pieces": [{"u": [], "grad": ["1"]}]}, "'u' of a piece needs at least one component"),
-        (
-            {"pieces": [{"u": ["x"], "grad": [[]]}]},
-            "'grad' of a piece must be 1 rows of 1 entries, got [[]]",
-        ),
-        (
-            {"pieces": [_PIECE], "jumps": [{"carrier": ["a"], "plus": ["1"], "minus": ["0"]}]},
-            "'carrier' of a jump must be a string, got ['a']",
-        ),
-        (
-            {"pieces": [dict(_PIECE, region=[0.0, float("nan")])]},
-            "'region' of a piece must be finite, got [0.0, nan]",
-        ),
-        (
-            {"pieces": [dict(_PIECE, region=[None, None])]},
-            "'region' of a piece must be finite, got [None, None]",
-        ),
-    ],
-)
-def test_from_json_malformed_input_names_the_key(obj, message):
-    with pytest.raises(BVError) as err:
-        BVFunction.from_json(interval(8), obj)
-    assert message in str(err.value)
-
-
 @pytest.mark.parametrize(
     "kw, message",
     [
@@ -381,48 +311,16 @@ def test_piecewise_affine_1d_names_the_entry_it_rejects(kw, message):
 
 
 def test_boundary_trace_checks_a_stored_trace():
-    piece = {"region": [0.0, 1.0], "u": ["x"], "grad": ["1"]}
-    u = BVFunction.from_json(interval(8), {"pieces": [piece], "trace": ["x"]})
+    piece = Piece(region=(0.0, 1.0), u=lambda n: n[:, :1], grad=lambda n: np.ones((len(n), 1, 1)))
+    u = BVFunction(interval(8), 1, [piece], trace=lambda p: p[:, :1])
     pts = np.array([[0.0], [1.0]])
     assert boundary_trace(u)(pts).tolist() == [[0.0], [1.0]]
-    off = BVFunction.from_json(interval(8), {"pieces": [piece], "trace": ["x + 0.5"]})
+    off = BVFunction(interval(8), 1, [piece], trace=lambda p: p[:, :1] + 0.5)
     with pytest.raises(BVError, match="^stored boundary trace inconsistent with pieces"):
         boundary_trace(off)
     nan = BVFunction(u.domain, 1, u.pieces, trace=lambda p: np.full((len(p), 1), np.nan), registry=u.registry)
     with pytest.raises(BVError, match=r"^stored boundary trace inconsistent with pieces \(nan\)$"):
         boundary_trace(nan)
-
-
-def test_from_json_jumps_not_a_list():
-    with pytest.raises(BVError, match="'jumps' must be a list of jumps, got 3"):
-        BVFunction.from_json(interval(8), {"pieces": [_PIECE], "jumps": 3})
-
-
-def test_from_json_region_not_a_box():
-    with pytest.raises(BVError, match=r"'region' of a piece must be one \[lo, hi\] pair per axis"):
-        BVFunction.from_json(interval(8), {"pieces": [dict(_PIECE, region=3)]})
-
-
-def test_from_json_pieces_with_different_component_counts():
-    pieces = [
-        {"region": [0.0, 0.5], "u": ["x", "x"], "grad": [["1"], ["1"]]},
-        {"region": [0.5, 1.0], "u": ["x"], "grad": ["1"]},
-    ]
-    with pytest.raises(BVError, match="pieces have different component counts: 2 and 1"):
-        BVFunction.from_json(interval(8), {"pieces": pieces})
-
-
-def test_from_json_jump_with_more_components_than_the_pieces():
-    registry = CarrierRegistry()
-    registry.register_point("j", (0.5,))
-    pieces = [
-        {"region": [0.0, 0.5], "u": ["0"], "grad": ["0"]},
-        {"region": [0.5, 1.0], "u": ["1"], "grad": ["0"]},
-    ]
-    jumps = [{"carrier": "j", "plus": ["1", "1"], "minus": ["0"]}]
-    with pytest.raises(BVError) as err:
-        BVFunction.from_json(interval(8), {"pieces": pieces, "jumps": jumps}, registry=registry)
-    assert str(err.value) == "'plus' of the jump on 'j' has 2 components where the pieces have 1"
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +480,8 @@ def _one_piece_functions():
         ramp_1d(d1, 0.25, 0.5),
         heaviside_1d(d1, 0.5),
         affine_2d(d2, [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0]),
-        BVFunction.from_json(d2, {"pieces": [{"u": ["x * y", "1"], "grad": [["y", "x"], ["0", "0"]]}]}),
+        BVFunction(d2, 2, [Piece(region=d2.box, u=lambda n: np.column_stack([n[:, 0] * n[:, 1], np.ones(len(n))]),
+                                 grad=lambda n: np.stack([n[:, ::-1], np.zeros_like(n)], 1))]),
         # u returns its (read-only, shared) input nodes: the result must be a fresh array
         BVFunction(d2, 2, [Piece(region=d2.box, u=lambda n: n, grad=lambda n: np.stack([n, n], 1))]),
     ]
@@ -665,10 +564,9 @@ def _lookup_functions():
         return BVFunction(dom, 1, [Piece(region=region, u=lambda n: n[:, :1] * 2.0 + n[:, -1:],
                                          grad=lambda n: np.ones((len(n), 1, dom.dim)))], validate=False)
 
-    two = BVFunction.from_json(d2, {"pieces": [
-        {"region": [[0.0, 0.5], [0.0, 1.0]], "u": ["x"], "grad": [["1", "0"]]},
-        {"region": [[0.5, 1.0], [0.0, 1.0]], "u": ["x"], "grad": [["1", "0"]]},
-    ]})
+    halves = [Piece(region=[[lo, hi], [0.0, 1.0]], u=lambda n: n[:, :1], grad=lambda n: np.tile([1.0, 0.0], (len(n), 1, 1)))
+              for lo, hi in ((0.0, 0.5), (0.5, 1.0))]
+    two = BVFunction(d2, 1, halves)
     return [one(d1, d1.box), one(d2, d2.box), one(d1, (0.25, 0.75)),
             one(d2, ((0.25, 0.75), (0.0, 0.5))), affine_2d(d2, [[1.0, -2.0]], offset=[0.5]), two]
 
@@ -947,6 +845,31 @@ def test_uncovered_probe_raises_before_any_trace_comparison():
     assert _outcome(_old_check_trace_consistency, u).startswith("plus trace on carrier 'bad'")
     message = _outcome(BVFunction.check_trace_consistency, u)
     assert message == "pieces do not cover all quadrature nodes"
+
+
+@pytest.mark.parametrize("offset", [8.2e-7, -8.2e-7, 3e-7])
+def test_a_slope_break_within_the_probe_step_of_a_jump_is_not_crossed(offset):
+    """The probes stop half-way to the nearest other break, so a kink closer
+    to a jump than the step 1e-6 does not spoil its Richardson limits."""
+    u = piecewise_affine_1d(interval(64), breakpoints=(0.5 + offset,), slopes=(2.5, -1.5), jumps=((0.5, 1.0),))
+    assert _outcome(_old_check_trace_consistency, u).startswith("plus trace" if offset > 0 else "minus trace")
+    assert _outcome(BVFunction.check_trace_consistency, u) is None
+
+
+@pytest.mark.parametrize("key, k", [((8, 1, 409), 3), ((9, 1, 419), 2)])
+def test_random_cases_with_a_break_next_to_a_jump_build_and_match_the_oracle(key, k):
+    """Cases of the oracle-1d benchmark stream whose slope break lies within
+    1e-6 of a jump: they build, and ``evaluate`` agrees with ``oracle_1d``."""
+    from bvcalc.functional import evaluate
+    from bvcalc.oracle import oracle_1d
+    from bvcalc.scenarios import build_case_1d, random_case_description
+
+    rng = np.random.default_rng(list(key))
+    case = [random_case_description(rng) for _ in range(k + 1)][k]
+    assert min(abs(t - s) for t, _ in case["u"]["jumps"] for s in case["u"]["breaks"]) < 1e-6
+    u, spec = build_case_1d(case, resolution=4096)
+    ref = oracle_1d(case["u"], case["mu"], case["F"])
+    assert abs(evaluate(u, spec).total - ref) <= 1e-8 * abs(ref)
 
 
 def _old_interval_of(edges, x):

@@ -344,6 +344,23 @@ def test_probes_at_no_point_reject_an_x_dependent_integrand(what, probe):
         probe(x_modulated(make_area()))
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda G: G(None, _AT_ZERO),
+        lambda G: G.recession(None, _AT_ZERO),
+        lambda G: transform_T(G)(None, 0.5 * np.eye(1)),
+        lambda G: transform_T_inv(G)(None, 2.0 * np.eye(1)),
+    ],
+    ids=["value", "recession", "T", "T-inverse"],
+)
+def test_an_x_dependent_integrand_read_at_no_point_raises_a_typed_error(read):
+    # the catch-all guard of Integrand: x = None has no value for (1 + x_1/2) F(A)
+    message = "^a read at x = None requires an x-independent integrand, got 'x-mod-area'$"
+    with pytest.raises(IntegrandError, match=message):
+        read(x_modulated(make_area()))
+
+
 def test_x_modulated_passes_x_to_its_base():
     F = x_modulated(x_modulated(make_norm()))
     x = np.array([[0.0], [0.5], [1.0]])

@@ -15,7 +15,8 @@ A definition is read where its bare name is loaded (``f``, ``obj.f``) or is
 a part of a string constant that is a dotted name (``"Domain.cell_rule"``),
 anywhere in ``src/`` outside its own body and outside ``__init__.py``, or in
 ``perfbench/`` or ``tools/``.  Dunder methods are exempt.  A definition that
-only tests read is listed, with its reason, or removed.
+only tests read is listed, with its reason, or removed.  As names are matched
+bare, a name that more than one definition carries is listed, with its reason.
 """
 
 import ast
@@ -28,10 +29,7 @@ SRC = ROOT / "src" / "bvcalc"
 CALLER_DIRS = ("src", "tests", "perfbench", "tools")
 
 # Knobs kept on purpose although no call sets them, each with its reason.
-ALLOWED = {
-    # the matrix shape of outside input
-    "young.GeneralizedYoungMeasure.from_json(dims)",
-}
+ALLOWED = set()
 
 # Knobs that only tests set, each with its reason; any other such knob is a
 # capability that nothing outside the tests needs.
@@ -251,7 +249,6 @@ USED_BY_TESTS_ONLY = {
     "integrands.transform_T_inv": "the inverse half of that round trip",
     "measures.ScalarRadonMeasure.mass": "the total mass that tests compare with closed-form values",
     "measures.Domain.volume": "the box volume that tests compare the cell-rule weights with",
-    "young.GeneralizedYoungMeasure.from_json": "the documented JSON form of a Young-measure candidate",
 }
 
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
@@ -374,3 +371,58 @@ def test_sample_lists_exactly_the_unread_definitions():
         "m.Box.unused",
         "m.recursive",
     ]
+
+
+# Names that more than one definition of bvcalc carries, each with its reason.
+# The scan above matches names bare, so a read of one of them counts for all
+# of them; each listed definition is read in its own right.
+SHARED_NAMES = {
+    "as_dict": "scenarios reads the report rows of both RunConfig and EvaluationBreakdown",
+    "density_at": "the cell density of either measure kind, read by measure_parts and rn_decompose",
+    "eval": "the field protocol of a Young measure: every field kind is read through it",
+    "recession": "Integrand.recession is the analytic slope, integrands.recession the schedule that checks it",
+}
+
+
+def shared_names(sources):
+    """Names that more than one def or class of ``sources`` carries at module
+    or class level (defs inside functions are closures, not definitions of the
+    module); dunder methods are exempt."""
+    counts = Counter()
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                counts[node.name] += not (node.name.startswith("__") and node.name.endswith("__"))
+            if isinstance(node, ast.ClassDef):
+                visit(node.body)
+
+    for text in sources.values():
+        visit(ast.parse(text).body)
+    return {name for name, count in counts.items() if count > 1}
+
+
+def test_shared_definition_names_are_listed():
+    assert shared_names(_package_sources()) == set(SHARED_NAMES)
+
+
+SHARED_SAMPLE = '''
+class Field:
+    def __init__(self):
+        self.size = 2
+
+    def scale(self):
+        def helper(b):
+            return b
+        return helper(self.size)
+
+def fn():
+    def helper():
+        return 0
+    return helper
+'''
+
+
+def test_sample_lists_exactly_the_shared_names():
+    # Box.scale and Field.scale share a name; __init__ is a dunder, and each helper is a closure
+    assert shared_names({"m": DEFINITIONS_SAMPLE, "n": SHARED_SAMPLE}) == {"scale"}

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from bvcalc import reporting
-from bvcalc.bv import BVFunction, derivative, verify_integration_by_parts
 from bvcalc.cli import build_parser
 from bvcalc.cli import main as cli_main
 from bvcalc.functional import evaluate
@@ -17,7 +16,6 @@ from bvcalc.measures import (
     CarrierRegistry,
     Domain,
     ScalarRadonMeasure,
-    total_variation,
 )
 from bvcalc.oracle import OracleError, oracle_1d, oracle_case
 from bvcalc.scenarios import (
@@ -33,7 +31,6 @@ from bvcalc.scenarios import (
     scenario_example1,
     scenario_example2,
 )
-from bvcalc.young import GeneralizedYoungMeasure, pairing
 
 
 # ---------------------------------------------------------------------------
@@ -785,84 +782,6 @@ def test_example1_bound_pinned_at_cli_defaults():
     # a weighted median: at most half the weight lies on either side of it
     half = 0.5 * weights.sum()
     assert weights[vals < best].sum() <= half and weights[vals > best].sum() <= half
-
-
-# ---------------------------------------------------------------------------
-# declarative JSON interfaces
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_measure_from_json():
-    d = Domain((0.0, 1.0), 128)
-    mu = ScalarRadonMeasure.from_json(
-        d,
-        {"density": "1 + x", "atoms": [[0.5, 2.0]]},
-        dominates_lebesgue=True,
-    )
-    assert mu.mass() == pytest.approx(1.5 + 2.0, rel=1e-12)
-
-
-def test_scalar_measure_from_json_with_segment():
-    d = Domain(((0.0, 1.0), (0.0, 1.0)), 16)
-    mu = ScalarRadonMeasure.from_json(
-        d,
-        {
-            "density": "0",
-            "segments": [
-                {"id": "mid", "from": [0.5, 0.0], "to": [0.5, 1.0], "density": "2"}
-            ],
-        },
-    )
-    assert mu.mass() == pytest.approx(2.0, rel=1e-12)
-
-
-def test_scalar_measure_from_json_cell_array():
-    d = Domain((0.0, 1.0), 4)
-    mu = ScalarRadonMeasure.from_json(d, {"density": [1.0, 2.0, 3.0, 4.0]})
-    assert mu.mass() == pytest.approx(2.5, rel=1e-12)
-
-
-def test_bv_function_from_json():
-    d = Domain((0.0, 1.0), 128)
-    reg = CarrierRegistry()
-    reg.register_point("jmp", (0.5,))
-    u = BVFunction.from_json(
-        d,
-        {
-            "pieces": [{"region": [0.0, 1.0], "u": ["x + (x > 0.5)"], "grad": ["1"]}],
-            "jumps": [{"carrier": "jmp", "plus": ["x + 1"], "minus": ["x"]}],
-            "trace": ["x + (x > 0.5)"],
-            "breaks": [0.5],
-        },
-        registry=reg,
-    )
-    Du = derivative(u)
-    assert total_variation(Du) == pytest.approx(2.0, rel=1e-12)
-    from helpers import random_polynomial_test
-
-    assert verify_integration_by_parts(u, random_polynomial_test(d, seed=4)) < 1e-8
-
-
-def test_young_measure_from_json():
-    d = Domain((0.0, 1.0), 64)
-    reg = CarrierRegistry()
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
-    nu = GeneralizedYoungMeasure.from_json(
-        d,
-        {
-            "nu": [{"atoms": [[[[-1.0]], 0.5], [[[1.0]], 0.5]]}],
-            "lambda": {"atoms": [[0.5, 1.0]]},
-            "nu_inf": [{"atoms": [[[[1.0]], 1.0]]}],
-        },
-        mu,
-        registry=reg,
-    )
-    from bvcalc.integrands import make_norm
-
-    # mean |A| against mu plus recession mass on lambda
-    assert pairing(make_norm(), nu) == pytest.approx(1.0 + 1.0, rel=1e-12)
 
 
 def test_sawtooth_scenario_cross_oracle():

@@ -544,69 +544,6 @@ def test_pairing_linear_in_integrand(setting):
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_young_from_json_node_entry(setting):
-    d, reg, mu = setting
-    nu = GeneralizedYoungMeasure.from_json(
-        d,
-        {
-            "nu": [
-                {"node": [0.5], "atoms": [[[[2.0]], 1.0]]},
-                {"atoms": [[[[0.0]], 1.0]]},
-            ],
-        },
-        mu,
-        registry=reg,
-    )
-    w, A = nu.nu.eval(None, np.array([[0.5], [0.25]]))
-    assert A[0, 0, 0, 0] == 2.0
-    assert A[1, 0, 0, 0] == 0.0
-
-
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ({"nu": [{}]}, "an entry of 'nu' needs a non-empty list 'atoms', got {}"),
-        ({"lambda": 3}, "'lambda' must be a measure object, got 3"),
-        ({"nu": 5}, "'nu' must be a non-empty list of entries, got 5"),
-        (
-            {"nu": [{"atoms": [[[[0.0]], 1.0]]}], "nu_inf": [{"atoms": [[[1.0, 2.0], 1.0]]}]},
-            "an entry of 'nu_inf' is malformed: cannot reshape array of size 2 into shape (1,1)",
-        ),
-        (
-            {"nu": [{"region": [0.0, 0.5, 1.0], "atoms": [[[[0.0]], 1.0]]}]},
-            "'region' of an entry of 'nu' must be one [lo, hi] pair per axis, got [0.0, 0.5, 1.0]",
-        ),
-        ({"nu": [{"atoms": [[[[None]], 1.0]]}]}, "an atom of 'nu' must be finite, got [[None]]"),
-        (
-            {"nu": [{"atoms": [[[[0.0]], float("nan")]]}]},
-            "an atom weight of 'nu' must be finite, got nan",
-        ),
-        (
-            {"nu": [{"atoms": [[[[0.0]], 1.0]]}], "nu_inf": [{"atoms": [[[[float("inf")]], 1.0]]}]},
-            "an atom of 'nu_inf' must be finite, got [[inf]]",
-        ),
-        (
-            {"nu": [{"region": [[0.0, None]], "atoms": [[[[0.0]], 1.0]]},
-                    {"atoms": [[[[1.0]], 1.0]]}]},
-            "'region' of an entry of 'nu' must be finite, got [[0.0, None]]",
-        ),
-        (
-            {"nu": [{"region": [0.0, float("nan")], "atoms": [[[[0.0]], 1.0]]}]},
-            "'region' of an entry of 'nu' must be finite, got [0.0, nan]",
-        ),
-        (
-            {"nu": [{"node": [None], "atoms": [[[[0.0]], 1.0]]}]},
-            "'node' of an entry of 'nu' must be finite, got [None]",
-        ),
-    ],
-)
-def test_young_from_json_malformed_input_names_the_key(setting, obj, message):
-    d, reg, mu = setting
-    with pytest.raises(YoungMeasureError) as err:
-        GeneralizedYoungMeasure.from_json(d, obj, mu, registry=reg)
-    assert str(err.value) == message
-
-
 # ---------------------------------------------------------------------------
 # parts and field values computed once per Young measure
 # ---------------------------------------------------------------------------
@@ -1111,7 +1048,7 @@ def test_barycenter_sums_coincident_atoms():
 
 
 # ---------------------------------------------------------------------------
-# constant fields read their atoms like a document's entries
+# constant fields against a kept copy of the code they replaced
 # ---------------------------------------------------------------------------
 
 
@@ -1147,86 +1084,14 @@ def test_constant_field_atoms_must_be_finite():
         constant_field([(np.array([[0.0]]), np.inf)])
 
 
-# ---------------------------------------------------------------------------
-# a document's entries are matched by the first box that holds a point
-# ---------------------------------------------------------------------------
-
-
-def _old_entry_field(entries, dims):
-    """The entry field as it was: a mask per entry over the points not yet claimed."""
-    N, n = dims
-    parsed = []
-    for entry in entries:
-        region = entry.get("region")
-        if region is None and "node" in entry:
-            region = [[v, v] for v in np.atleast_1d(np.asarray(entry["node"], dtype=float))]
-        atoms = np.stack([np.asarray(A, dtype=float).reshape(N, n) for A, _ in entry["atoms"]])
-        parsed.append((region, atoms, np.array([float(p) for _, p in entry["atoms"]])))
-    kmax = max(len(w) for _, _, w in parsed)
-
-    def fn(points):
-        from bvcalc.measures import in_box
-
-        M = len(points)
-        W, A = np.zeros((M, kmax)), np.zeros((M, kmax, N, n))
-        claimed = np.zeros(M, dtype=bool)
-        for region, atoms, weights in parsed:
-            mask = ~claimed if region is None else ~claimed & in_box(points, region)
-            if not np.any(mask):
-                continue
-            W[mask, : len(weights)] = weights[None, :]
-            A[mask, : len(weights)] = atoms[None]
-            claimed |= mask
-        if not np.all(claimed):
-            raise YoungMeasureError("candidate entries do not cover all nodes")
-        return W, A
-
-    return fn
-
-
-_ONE = {"atoms": [[[[-0.0]], 1.0]]}
-_TWO = {"atoms": [[[[1.5]], 0.25], [[[-2.0]], 0.75]]}
-_THREE = {"atoms": [[[[3.0]], 0.5], [[[0.0]], 0.25], [[[-3.0]], 0.25]]}
-_ENTRY_FIELDS = {
-    "overlapping regions": ([{**_TWO, "region": [[0.0, 0.6]]}, {**_THREE, "region": [0.4, 1.0]}], (1, 1)),
-    "node entries": ([{**_THREE, "node": [0.5]}, {**_ONE, "node": 0.25}, {**_TWO, "region": [[0.0, 1.0]]}], (1, 1)),
-    "None first": ([_TWO, {**_THREE, "region": [[0.0, 0.5]]}], (1, 1)),
-    "None in the middle": ([{**_THREE, "region": [[0.0, 0.4]]}, _ONE, {**_TWO, "region": [[0.6, 1.0]]}], (1, 1)),
-    "None last": ([{**_THREE, "region": [[0.4, 0.6]]}, {**_ONE, "node": [1.0]}, _TWO], (1, 1)),
-    "2D boxes": (
-        [
-            {"region": [[0.0, 0.5], [0.0, 1.0]], "atoms": [[np.arange(4.0).reshape(2, 2).tolist(), 1.0]]},
-            {"node": [0.75, 0.5], "atoms": [[[[1.0, 0.0], [0.0, -1.0]], 0.5], [[[0.0, 2.0], [-0.0, 1.0]], 0.5]]},
-            {"region": [[0.25, 1.0], [0.5, 1.0]], "atoms": [[[[0.5, 0.5], [0.5, 0.5]], 1.0]]},
-            {"atoms": [[[[-1.0, -1.0], [-1.0, -1.0]], 1.0]]},
-        ],
-        (2, 2),
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_ENTRY_FIELDS))
-def test_entry_fields_equal_the_masked_loop(case):
-    entries, dims = _ENTRY_FIELDS[case]
-    n = dims[1]
-    grid = np.array([0.0, 0.25, 0.4, 0.5, 0.6, 0.75, 1.0, 0.3, 0.9])  # box edges and nodes, then inner points
-    points = grid[:, None] if n == 1 else np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
-    new, old = young._field_from_entries(entries, "nu", dims), _old_entry_field(entries, dims)
-    for pts in (points, points[::-1], points[:0]):
-        for a, b in zip(new.eval(None, pts), old(pts)):
-            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
-
-
-def test_an_uncovered_point_is_rejected():
-    field = young._field_from_entries([{**_TWO, "region": [[0.0, 0.5]]}, {**_ONE, "node": [0.75]}], "nu", (1, 1))
-    assert field.eval(None, np.array([[0.5], [0.75]]))[0].tolist() == [[0.25, 0.75], [1.0, 0.0]]
+@pytest.mark.parametrize(
+    "atom_list, message",
+    [
+        ([("a", 1.0)], "an atom of 'field' must be numeric, got 'a'"),
+        ([(np.zeros((1, 1)), [0.5, 0.5])], "an atom weight of 'field' must be numeric of shape (), got [0.5, 0.5]"),
+    ],
+)
+def test_constant_field_entries_must_be_numeric(atom_list, message):
     with pytest.raises(YoungMeasureError) as err:
-        field.eval(None, np.array([[0.25], [0.6]]))
-    assert str(err.value) == "candidate entries do not cover all nodes"
-
-
-def test_a_young_document_must_be_an_object(setting):
-    d, reg, mu = setting
-    with pytest.raises(YoungMeasureError) as err:
-        GeneralizedYoungMeasure.from_json(d, [{"nu": []}], mu, registry=reg)
-    assert str(err.value) == "a Young measure must be an object with key 'nu', got [{'nu': []}]"
+        constant_field(atom_list)
+    assert str(err.value) == message
