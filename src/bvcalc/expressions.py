@@ -1,12 +1,11 @@
 """Compilation of declarative expression strings into vectorized callables.
 
-Measures, BV functions and Young-measure candidates can be described by
-JSON documents whose numeric fields are expression strings in the
-variables ``x`` (and ``y`` in 2D).  Expressions are evaluated in a
-restricted numpy namespace; no builtins are exposed.  Before compiling,
-every node of the syntax tree is checked against an allow-list:
-arithmetic, comparisons and boolean operators on numbers, the names of
-the namespace and ``x``/``y``, subscripts, and calls of namespace
+A scalar measure can be described by a JSON document whose densities are
+expression strings in the variables ``x`` (and ``y`` in 2D).  Expressions
+are evaluated in a restricted numpy namespace; no builtins are exposed.
+Before compiling, every node of the syntax tree is checked against an
+allow-list: arithmetic, comparisons and boolean operators on numbers, the
+names of the namespace and ``x``/``y``, subscripts, and calls of namespace
 functions.  Attributes, comprehensions, lambdas and assignment
 expressions are rejected, so an expression cannot reach any object
 beyond the namespace.
@@ -107,27 +106,5 @@ def compile_scalar(expr, dim):
             env["y"] = nodes[:, 1]
         out = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (len(nodes),)).copy()
-
-    return fn
-
-
-def compile_vector(exprs, dim):
-    """Compile a list of N expressions into nodes (M, dim) -> (M, N)."""
-    fns = [compile_scalar(e, dim) for e in exprs]
-
-    def fn(nodes):
-        return np.stack([f(nodes) for f in fns], axis=1)
-
-    return fn
-
-
-def compile_matrix(rows, dim):
-    """Compile an N x n nested list of expressions into nodes -> (M, N, n)."""
-    fns = [[compile_scalar(e, dim) for e in row] for row in rows]
-
-    def fn(nodes):
-        return np.stack(
-            [np.stack([f(nodes) for f in row], axis=1) for row in fns], axis=1
-        )
 
     return fn

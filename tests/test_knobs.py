@@ -249,6 +249,7 @@ USED_BY_TESTS_ONLY = {
     "integrands.transform_T_inv": "the inverse half of that round trip",
     "measures.ScalarRadonMeasure.mass": "the total mass that tests compare with closed-form values",
     "measures.Domain.volume": "the box volume that tests compare the cell-rule weights with",
+    "measures.ScalarRadonMeasure.from_json": "the documented JSON form of a scalar measure, the one use of expressions.py",
 }
 
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")

@@ -784,6 +784,41 @@ def test_example1_bound_pinned_at_cli_defaults():
     assert weights[vals < best].sum() <= half and weights[vals > best].sum() <= half
 
 
+# ---------------------------------------------------------------------------
+# declarative JSON interfaces
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_measure_from_json():
+    d = Domain((0.0, 1.0), 128)
+    mu = ScalarRadonMeasure.from_json(
+        d,
+        {"density": "1 + x", "atoms": [[0.5, 2.0]]},
+        dominates_lebesgue=True,
+    )
+    assert mu.mass() == pytest.approx(1.5 + 2.0, rel=1e-12)
+
+
+def test_scalar_measure_from_json_with_segment():
+    d = Domain(((0.0, 1.0), (0.0, 1.0)), 16)
+    mu = ScalarRadonMeasure.from_json(
+        d,
+        {
+            "density": "0",
+            "segments": [
+                {"id": "mid", "from": [0.5, 0.0], "to": [0.5, 1.0], "density": "2"}
+            ],
+        },
+    )
+    assert mu.mass() == pytest.approx(2.0, rel=1e-12)
+
+
+def test_scalar_measure_from_json_cell_array():
+    d = Domain((0.0, 1.0), 4)
+    mu = ScalarRadonMeasure.from_json(d, {"density": [1.0, 2.0, 3.0, 4.0]})
+    assert mu.mass() == pytest.approx(2.5, rel=1e-12)
+
+
 def test_sawtooth_scenario_cross_oracle():
     # the final sawtooth element, described independently for the oracle
     d = Domain((0.0, 1.0), 512)
