@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .oracle import OracleError, oracle_case
+from .oracle import oracle_case
 from .scenarios import RunConfig, ScenarioError, run, scenario_catalog
 
 USAGE_EXIT = 2
@@ -63,7 +63,9 @@ def main(argv=None):
         try:
             with open(args.case) as fh:
                 value = oracle_case(json.load(fh))
-        except (OSError, json.JSONDecodeError, OracleError) as exc:
+        # a ValueError: OracleError, JSONDecodeError, a file that is not
+        # text, or an int of more digits than json reads
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_EXIT
         print(json.dumps({"value": value}))

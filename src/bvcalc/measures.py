@@ -24,8 +24,6 @@ from itertools import chain, compress
 
 import numpy as np
 
-from . import expressions
-
 # 3-point Gauss-Legendre on [-1, 1]
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
@@ -241,21 +239,6 @@ def _float_tuple(values):
     return tuple(map(float, values))
 
 
-def as_floats(value, what, shape=None):
-    """A number or numeric list of a JSON document as a float array (of
-    ``shape`` when given), or a MeasureError naming ``what``."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or (shape is not None and out.shape != shape):
-        shaped = "" if shape is None else f" of shape {shape}"
-        raise MeasureError(f"{what} must be numeric{shaped}, got {value!r}")
-    if not np.isfinite(out).all():
-        raise MeasureError(f"{what} must be finite, got {value!r}")
-    return out
-
-
 def merge_breaks(dim, *break_sets):
     """Per axis, the sorted union of the breakpoints of ``break_sets``
     (``None`` skipped), keeping the first of equal values, as a ``Breaks``;
@@ -463,69 +446,12 @@ class ScalarRadonMeasure(_StructuredMeasure):
         """Total mass mu(Omega)."""
         return _integrate(self, _values, _values)
 
-    @staticmethod
-    def from_json(domain, obj, **flags):
-        """Build from {"density": expr|cell-array, "atoms": [[x, w]...],
-        "segments": [{"id", "from", "to", "density"}]}."""
-        if not isinstance(obj, dict):
-            raise MeasureError(f"a measure must be an object, got {obj!r}")
-        registry = CarrierRegistry()
-        density = _parse_density(domain, obj.get("density"))
-        atoms, segments = obj.get("atoms", []), obj.get("segments", [])
-        if not isinstance(atoms, list) or any(type(a) is not list or len(a) != 2 for a in atoms):
-            raise MeasureError(f"'atoms' must be a list of [point, weight] pairs, got {atoms!r}")
-        keys = {"id", "from", "to", "density"}
-        if not isinstance(segments, list) or any(
-            type(g) is not dict or keys - g.keys() or type(g["id"]) is not str for g in segments
-        ):
-            raise MeasureError(f"'segments' must be a list of objects with keys {sorted(keys)}, 'id' a string")
-        if segments and domain.dim == 1:
-            raise MeasureError("'segments' are carriers of a 2D domain")
-        atoms = [(as_floats(p, "atom point"), as_floats(w, "atom weight", ())) for p, w in atoms]
-        atoms = tuple((np.atleast_1d(p), float(w)) for p, w in atoms)
-        parts = []
-        for seg in segments:
-            for key in ("from", "to") if seg.get("normal") is None else ("from", "to", "normal"):
-                as_floats(seg[key], f"{key!r} of a segment", (2,))
-            carrier = registry.register_segment(
-                seg["id"], seg["from"], seg["to"], normal=seg.get("normal")
-            )
-            parts.append((carrier.cid, expressions.compile_scalar(seg["density"], domain.dim)))
-        return ScalarRadonMeasure(
-            domain,
-            density=density,
-            atoms=atoms,
-            carrier_parts=tuple(parts),
-            registry=registry,
-            breaks=obj.get("breaks"),
-            **flags,
-        )
-
 
 def lebesgue(domain, registry=None):
     """The volume measure of ``domain``: density 1, flagged dominates-Lebesgue."""
     return ScalarRadonMeasure(
         domain, density=lambda n: np.ones(len(n)), registry=registry, dominates_lebesgue=True
     )
-
-
-def _parse_density(domain, spec):
-    if spec is None:
-        return None
-    if isinstance(spec, (str, int, float)):
-        return expressions.compile_scalar(spec, domain.dim)
-    values = as_floats(spec, "a cell-wise 'density'")  # values on the base grid
-    if values.shape != (domain.resolution,) * domain.dim:
-        raise MeasureError(f"a cell-wise 'density' needs {domain.resolution} values per axis")
-
-    def cellwise(nodes):
-        idx = []
-        for k, (lo, hi) in enumerate(domain.box):
-            i = np.floor((nodes[:, k] - lo) / (hi - lo) * domain.resolution).astype(int)
-            idx.append(np.clip(i, 0, domain.resolution - 1))
-        return values[tuple(idx)] if domain.dim == 2 else values[idx[0]]
-
-    return cellwise
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ _RULES = {n: np.polynomial.legendre.leggauss(n) for n in (_NODES, 2 * _NODES)}
 _RULE_TOL = 1e-14
 _REAL_TOL = 1e-6
 _MATCH = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class OracleError(ValueError):
@@ -145,7 +146,11 @@ def _check_entries(u, mu, f, a, b):
                "'u' jumps": u.get("jumps", []), "'mu' poly": mu.get("poly", []),
                "'mu' atoms": mu.get("atoms", []), "'F' A0": f.get("A0", 0), "'F' c": f.get("c", 0)}
     for name, value in entries.items():
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
+        try:
+            finite = np.isfinite(np.asarray(value, dtype=float)).all()
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise OracleError(f"{name} must be finite numbers, got {value!r}")
     if not np.size(mu.get("poly", [1.0])):
         raise OracleError(f"'mu' poly must list at least one coefficient, got {mu['poly']!r}")
@@ -162,9 +167,10 @@ def _check_entries(u, mu, f, a, b):
 def oracle_case(case):
     """``oracle_1d`` of a case document {"u", "mu", "F", "domain"}, or an
     OracleError for a missing part, a slope count other than one per
-    breakpoint interval, an empty domain, an entry ``_check_entries``
-    rejects, a density that is not positive somewhere on the domain, a
-    cell term the quadrature cannot certify or a malformed entry."""
+    breakpoint interval, an empty or non-finite domain, an entry
+    ``_check_entries`` rejects, a density that is not positive somewhere on
+    the domain, a cell term the quadrature cannot certify or a malformed
+    entry."""
     if not isinstance(case, dict) or not all(isinstance(case.get(k), dict) for k in ("u", "mu", "F")):
         raise OracleError("a case needs the objects 'u', 'mu' and 'F'")
     u, mu, f = case["u"], case["mu"], case["F"]
@@ -173,7 +179,10 @@ def oracle_case(case):
     if not listed or len(slopes) != len(breaks) + 1:
         raise OracleError(f"'u' needs one slope per breakpoint interval: {breaks!r}, {slopes!r}")
     domain = case.get("domain", [0.0, 1.0])
-    numeric = isinstance(domain, list) and all(isinstance(t, (int, float)) for t in domain)
+    # compared exactly, NaN, +-inf and an int beyond the float range all fail
+    numeric = isinstance(domain, list) and all(
+        isinstance(t, (int, float)) and abs(t) <= _FLOAT_MAX for t in domain
+    )
     if not (numeric and len(domain) == 2 and domain[0] < domain[1]):
         raise OracleError(f"'domain' must be an interval [a, b] with a < b, got {domain!r}")
     try:

@@ -7,7 +7,6 @@ lines; every tolerance is pinned here, nothing is deferred.
 import time
 
 import numpy as np
-import pytest
 
 from bvcalc.bv import (
     affine_2d,

@@ -18,7 +18,7 @@ from bvcalc.functional import (
     relaxation_upper_bound,
     reshetnyak_experiment,
 )
-from bvcalc.integrands import make_area, make_norm, make_shifted_norm, make_w_shape, sq_envelope, x_modulated
+from bvcalc.integrands import make_area, make_norm, make_w_shape, sq_envelope, x_modulated
 from bvcalc.measures import (
     CarrierRegistry,
     DecompositionError,

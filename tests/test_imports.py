@@ -1,4 +1,5 @@
-"""Every name a bvcalc module imports is read somewhere in that module.
+"""Every name a bvcalc module, test module or tool imports is read
+somewhere in that module.
 
 The package ``__init__`` is left out: it imports names to re-export them.
 """
@@ -8,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bvcalc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bvcalc"
+MODULES = [
+    *sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "tools").glob("*.py")),
+]
 
 
 def unused_imports(source):
@@ -30,7 +36,8 @@ def unused_imports(source):
     return [name for name in imported if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# package modules keep the bare file name as their id
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

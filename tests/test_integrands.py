@@ -10,8 +10,6 @@ from bvcalc.integrands import (
     IntegrandError,
     QuasiconvexityWitness,
     RecessionError,
-    catalog_integrand,
-    default_trial_fields,
     generalized_recession,
     laminate_field,
     make_area,

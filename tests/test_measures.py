@@ -101,6 +101,9 @@ def test_total_variation_segment_region_clipping():
         registry=reg,
     )
     assert total_variation(gamma) == pytest.approx(1.0, abs=1e-12)
+    # a scalar measure on the same carrier: density 2 times H^1 of a unit segment
+    mu = ScalarRadonMeasure(dom, carrier_parts=(("s", lambda p: np.full(len(p), 2.0)),), registry=reg)
+    assert mu.mass() == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1334,75 +1337,8 @@ def test_non_finite_parts_are_rejected_with_their_message(parts, message):
 
 
 # ---------------------------------------------------------------------------
-# from_json documents and coincident atoms
+# coincident atoms
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        ({"atoms": [[0.5]]}, "'atoms' must be a list of"),
-        ({"segments": [{"from": [0.0], "to": [1.0]}]}, "'segments' must be a list of"),
-        ({"segments": [{"from": [0.0], "to": [1.0], "density": "1"}]}, "'segments' must be"),
-        ({"atoms": 3}, "'atoms' must be a list of"),
-        ({"density": [1.0, 2.0]}, "needs 16 values per axis"),
-        ({"atoms": [["a", 1.0]]}, "^atom point must be numeric, got 'a'$"),
-        ({"atoms": [[0.5, "w"]]}, r"^atom weight must be numeric of shape \(\), got 'w'$"),
-        ({"breaks": "x"}, "^breakpoints must be numbers, a pair of lists in 2D, got 'x'$"),
-        ({"density": {}}, "^a cell-wise 'density' must be numeric, got {}$"),
-        ([{"atoms": []}], r"^a measure must be an object, got \[{'atoms': \[\]}\]$"),
-        (
-            {"segments": [{"id": "s", "from": [0.0, 1.0], "to": [1.0, 0.0], "density": "1"}]},
-            "^'segments' are carriers of a 2D domain$",
-        ),
-        ({"atoms": [[None, 1.0]]}, "^atom point must be finite, got None$"),
-        ({"atoms": [[0.5, float("nan")]]}, "^atom weight must be finite, got nan$"),
-        ({"atoms": [[0.5, float("inf")]]}, "^atom weight must be finite, got inf$"),
-        ({"density": [None] * 16}, r"^a cell-wise 'density' must be finite, got \[None, "),
-        ({"density": [1.0] * 15 + [float("-inf")]}, "^a cell-wise 'density' must be finite, got "),
-        (
-            {"segments": [{"id": ["s"], "from": [0.0, 0.0], "to": [1.0, 0.0], "density": "1"}]},
-            "^'segments' must be a list of objects with keys .*, 'id' a string$",
-        ),
-        (
-            {"breaks": [[0.3], [0.7]]},
-            r"^breakpoints must be numbers, a pair of lists in 2D, got \[\[0.3\], \[0.7\]\]$",
-        ),
-        ({"breaks": [float("nan")]}, r"^'breaks' must be finite, got \[nan\]$"),
-        ({"breaks": [0.5, float("inf")]}, r"^'breaks' must be finite, got \[0.5, inf\]$"),
-    ],
-)
-def test_scalar_from_json_malformed_raises_measure_error(doc, message):
-    dom = Domain((0.0, 1.0), 16)
-    with pytest.raises(MeasureError, match=message):
-        ScalarRadonMeasure.from_json(dom, doc)
-
-
-@pytest.mark.parametrize(
-    "segment, message",
-    [
-        ({"from": [0.0], "to": [1.0]}, r"^'from' of a segment must be numeric of shape \(2,\)"),
-        ({"from": "ab", "to": [1.0, 0.5]}, r"^'from' of a segment must be numeric of shape \(2,\)"),
-        ({"from": [0.5, 0.0], "to": [0.5, 1.0], "normal": "x"}, "^'normal' of a segment"),
-        ({"from": None, "to": [1.0, 0.5]}, r"^'from' of a segment must be numeric of shape \(2,\), got None$"),
-        ({"from": [0.5, 0.0], "to": [0.5, float("nan")]}, r"^'to' of a segment must be finite, got \[0.5, nan\]$"),
-        ({"id": ["s"], "from": [0.5, 0.0], "to": [0.5, 1.0]}, "'id' a string$"),
-    ],
-)
-def test_scalar_from_json_2d_segment_coordinates_are_checked(segment, message):
-    dom = Domain(((0.0, 1.0), (0.0, 1.0)), 8)
-    doc = {"segments": [{"id": "s", "density": "1", **segment}]}
-    with pytest.raises(MeasureError, match=message):
-        ScalarRadonMeasure.from_json(dom, doc)
-
-
-def test_scalar_from_json_well_formed_documents():
-    dom = Domain((0.0, 1.0), 16)
-    m = ScalarRadonMeasure.from_json(
-        dom, {"density": [1.0] * 16, "atoms": [[0.5, 2.0], [[0.25], 1.0]]}
-    )
-    assert [(p.tolist(), w) for p, w in m.atoms] == [([0.5], 2.0), ([0.25], 1.0)]
-    assert m.mass() == pytest.approx(4.0, rel=1e-14)
 
 
 def test_coincident_atoms_are_merged_in_first_occurrence_order():
@@ -1705,8 +1641,6 @@ def test_2d_breaks_must_be_finite_in_both_documents(breaks):
 
     dom = unit_square(8)
     with pytest.raises(MeasureError, match="^'breaks' must be finite, got "):
-        ScalarRadonMeasure.from_json(dom, {"breaks": breaks})
-    with pytest.raises(MeasureError, match="^'breaks' must be finite, got "):
         ScalarRadonMeasure(dom, breaks=breaks)
     piece = Piece(region=dom.box, u=lambda n: n[:, :1], grad=lambda n: np.tile([1.0, 0.0], (len(n), 1, 1)))
     with pytest.raises(MeasureError, match="^'breaks' must be finite, got "):
@@ -1714,7 +1648,6 @@ def test_2d_breaks_must_be_finite_in_both_documents(breaks):
     with pytest.raises(MeasureError, match="^'breaks' must be finite, got "):
         BVFunction(dom, 1, [Piece(piece.region, piece.u, piece.grad, breaks=breaks)])
     finite = [[0.5], [0.25, 0.75]]
-    assert ScalarRadonMeasure.from_json(dom, {"breaks": finite}).breaks == ((0.5,), (0.25, 0.75))
     assert ScalarRadonMeasure(dom, breaks=finite).breaks == ((0.5,), (0.25, 0.75))
     assert BVFunction(dom, 1, [piece], breaks=finite).breaks == ((0.5,), (0.25, 0.75))
 

@@ -3,10 +3,11 @@ import math
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvcalc import reporting
 from bvcalc.cli import build_parser
@@ -242,6 +243,8 @@ def _oracle_cli(tmp_path, case):
     path.write_text(json.dumps(case))
     return cli_main(["oracle", "--case", str(path)])
 
+
+_HUGE = 10**400  # an int JSON allows that no float holds
 
 _ORACLE_CASE = {
     "u": {"breaks": [0.5], "slopes": [1.0, -1.0], "jumps": [[0.25, 1.0]]},
@@ -573,12 +576,72 @@ def test_oracle_merges_atoms_given_at_one_point():
         ({"domain": [1.0, 0.0]}, "'domain' must be an interval [a, b] with a < b, got [1.0, 0.0]"),
         ({"F": {"kind": "cubic"}}, "malformed case: ValueError: oracle does not know integrand kind 'cubic'"),
         ({"u": {"slopes": [1.0], "jumps": [[0.3]]}}, "malformed case: ValueError: not enough values"),
+        # ints beyond the float range, which JSON allows
+        ({"u": {"breaks": [0.5], "slopes": [1.0, _HUGE]}}, "'u' slopes must be finite numbers, got [1.0, 1000"),
+        ({"u": {"slopes": [1.0], "jumps": [[0.5, -_HUGE]]}}, "'u' jumps must be finite numbers, got [[0.5, -1000"),
+        ({"mu": {"poly": [_HUGE]}}, "'mu' poly must be finite numbers, got [1000"),
+        ({"mu": {"poly": [2.0], "atoms": [[0.25, _HUGE]]}}, "'mu' atoms must be finite numbers, got [[0.25, 1000"),
+        ({"F": {"kind": "shifted-norm", "A0": _HUGE}}, "'F' A0 must be finite numbers, got 1000"),
+        ({"domain": [0, _HUGE]}, "'domain' must be an interval [a, b] with a < b, got [0, 1000"),
+        # non-finite domain ends
+        ({"domain": [0.0, math.inf]}, "'domain' must be an interval [a, b] with a < b, got [0.0, inf]"),
+        ({"domain": [-math.inf, 1.0]}, "'domain' must be an interval [a, b] with a < b, got [-inf, 1.0]"),
     ],
 )
 def test_oracle_case_rejects_a_malformed_document(change, message):
     with pytest.raises(OracleError) as err:
         oracle_case(dict(_ORACLE_CASE, **change))
     assert str(err.value).startswith(message)
+
+
+# json reads no int of more than 4300 digits by default: a ValueError, not a JSONDecodeError
+@pytest.mark.parametrize("digits, message", [(401, "error: 'u' slopes must be finite numbers"), (5001, "error: ")])
+def test_oracle_cli_huge_int_is_usage_error(tmp_path, capsys, digits, message):
+    path = tmp_path / "case.json"
+    slopes = "[1.0, 1" + "0" * (digits - 1) + "]"
+    path.write_text(f'{{"u": {{"breaks": [0.5], "slopes": {slopes}}}, "mu": {{"poly": [2.0]}}, "F": {{"kind": "norm"}}}}')
+    assert cli_main(["oracle", "--case", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def _entry_paths(node, path=()):
+    """The key or index path of every entry below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _entry_paths(child, (*path, key))
+
+
+_CORRUPTIONS = {
+    "missing": None,  # the entry is deleted
+    "none": lambda v: None,
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "huge": lambda v: _HUGE,
+    "-huge": lambda v: -_HUGE,
+    "string": lambda v: "x",
+    "nested": lambda v: [v],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_oracle_case_raises_only_oracle_error_on_a_corrupted_case(seed, data):
+    case = random_case_description(np.random.default_rng(seed))
+    *parents, last = data.draw(st.sampled_from(list(_entry_paths(case))))
+    corruption = data.draw(st.sampled_from(sorted(_CORRUPTIONS)))
+    node = case
+    for key in parents:
+        node = node[key]
+    if corruption == "missing":
+        del node[last]
+    else:
+        node[last] = _CORRUPTIONS[corruption](node[last])
+    try:
+        oracle_case(case)
+    except OracleError:
+        pass
 
 
 def _pipeline_rejects(case):
@@ -782,41 +845,6 @@ def test_example1_bound_pinned_at_cli_defaults():
     # a weighted median: at most half the weight lies on either side of it
     half = 0.5 * weights.sum()
     assert weights[vals < best].sum() <= half and weights[vals > best].sum() <= half
-
-
-# ---------------------------------------------------------------------------
-# declarative JSON interfaces
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_measure_from_json():
-    d = Domain((0.0, 1.0), 128)
-    mu = ScalarRadonMeasure.from_json(
-        d,
-        {"density": "1 + x", "atoms": [[0.5, 2.0]]},
-        dominates_lebesgue=True,
-    )
-    assert mu.mass() == pytest.approx(1.5 + 2.0, rel=1e-12)
-
-
-def test_scalar_measure_from_json_with_segment():
-    d = Domain(((0.0, 1.0), (0.0, 1.0)), 16)
-    mu = ScalarRadonMeasure.from_json(
-        d,
-        {
-            "density": "0",
-            "segments": [
-                {"id": "mid", "from": [0.5, 0.0], "to": [0.5, 1.0], "density": "2"}
-            ],
-        },
-    )
-    assert mu.mass() == pytest.approx(2.0, rel=1e-12)
-
-
-def test_scalar_measure_from_json_cell_array():
-    d = Domain((0.0, 1.0), 4)
-    mu = ScalarRadonMeasure.from_json(d, {"density": [1.0, 2.0, 3.0, 4.0]})
-    assert mu.mass() == pytest.approx(2.5, rel=1e-12)
 
 
 def test_sawtooth_scenario_cross_oracle():
