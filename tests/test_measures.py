@@ -101,9 +101,6 @@ def test_total_variation_segment_region_clipping():
         registry=reg,
     )
     assert total_variation(gamma) == pytest.approx(1.0, abs=1e-12)
-    # a scalar measure on the same carrier: density 2 times H^1 of a unit segment
-    mu = ScalarRadonMeasure(dom, carrier_parts=(("s", lambda p: np.full(len(p), 2.0)),), registry=reg)
-    assert mu.mass() == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1663,6 +1660,26 @@ def test_breaks_that_are_not_numbers_are_rejected(dim, breaks):
                   lambda: BVFunction(dom, 1, [piece], breaks=breaks)):
         with pytest.raises(MeasureError, match=message):
             build()
+
+
+# the ids are those these cases had when a measure document also took them
+_BREAKS_CASES = {
+    "doc7": ("x", "^breakpoints must be numbers, a pair of lists in 2D, got 'x'$"),
+    "doc17": ([[0.3], [0.7]], r"^breakpoints must be numbers, a pair of lists in 2D, got \[\[0.3\], \[0.7\]\]$"),
+    "doc18": ([float("nan")], r"^'breaks' must be finite, got \[nan\]$"),
+    "doc19": ([0.5, float("inf")], r"^'breaks' must be finite, got \[0.5, inf\]$"),
+}
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [pytest.param(*case, id=f"{doc}-{case[1]}") for doc, case in _BREAKS_CASES.items()],
+)
+def test_scalar_from_json_malformed_raises_measure_error(breaks, message):
+    """The breaks of a 1D scalar measure are checked as it is built."""
+    dom = Domain((0.0, 1.0), 16)
+    with pytest.raises(MeasureError, match=message):
+        ScalarRadonMeasure(dom, breaks=breaks)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])

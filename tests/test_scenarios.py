@@ -847,6 +847,40 @@ def test_example1_bound_pinned_at_cli_defaults():
     assert weights[vals < best].sum() <= half and weights[vals > best].sum() <= half
 
 
+# ---------------------------------------------------------------------------
+# scalar measures of the kinds a measure document once described, built in code
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_measure_from_json():
+    d = Domain((0.0, 1.0), 128)
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: 1.0 + n[:, 0], atoms=(((0.5,), 2.0),), dominates_lebesgue=True
+    )
+    assert mu.mass() == pytest.approx(1.5 + 2.0, rel=1e-12)
+
+
+def test_scalar_measure_from_json_with_segment():
+    d = Domain(((0.0, 1.0), (0.0, 1.0)), 16)
+    reg = CarrierRegistry()
+    reg.register_segment("mid", (0.5, 0.0), (0.5, 1.0))
+    mu = ScalarRadonMeasure(
+        d,
+        density=lambda n: np.zeros(len(n)),
+        carrier_parts=(("mid", lambda p: np.full(len(p), 2.0)),),
+        registry=reg,
+    )
+    # density 2 times the H^1 measure of a unit segment
+    assert mu.mass() == pytest.approx(2.0, rel=1e-12)
+
+
+def test_scalar_measure_from_json_cell_array():
+    d = Domain((0.0, 1.0), 4)
+    values = np.array([1.0, 2.0, 3.0, 4.0])  # one value per base cell
+    mu = ScalarRadonMeasure(d, density=lambda n: values[np.clip((4 * n[:, 0]).astype(int), 0, 3)])
+    assert mu.mass() == pytest.approx(2.5, rel=1e-12)
+
+
 def test_sawtooth_scenario_cross_oracle():
     # the final sawtooth element, described independently for the oracle
     d = Domain((0.0, 1.0), 512)
