@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,7 @@ class BVFunction:
         self.registry = registry if registry is not None else CarrierRegistry()
         self.trace = trace
         self.breaks = merge_breaks(domain.dim, breaks, *(p.breaks for p in self.pieces))
+        self._covered = None  # weak reference to the last read-only node array found covered
         if validate:
             self._validate()
 
@@ -94,8 +96,13 @@ class BVFunction:
         range every axis of it allows (a square box, an interval); False: use the masks."""
         if len(self.pieces) != 1 or not len(nodes):
             return False
+        if self._covered is not None and self._covered() is nodes and not nodes.flags.writeable:
+            return True
         lo, hi = np.asarray(self.pieces[0].region, dtype=float).reshape(-1, 2).T
-        return len(lo) == nodes.shape[1] and lo.max() <= nodes.min() and nodes.max() <= hi.min()
+        covers = len(lo) == nodes.shape[1] and lo.max() <= nodes.min() and nodes.max() <= hi.min()
+        if covers and not nodes.flags.writeable:  # a memoised cell rule: checked once while it lives
+            self._covered = weakref.ref(nodes)
+        return covers
 
     def _by_piece(self, nodes, fn, shape, probe=None):
         """``fn(piece, points)`` at ``nodes``, shaped (M, *shape), taking at

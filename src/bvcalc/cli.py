@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -21,6 +22,7 @@ from .scenarios import RunConfig, ScenarioError, run, scenario_catalog
 USAGE_EXIT = 2
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def build_parser():
     parser = argparse.ArgumentParser(prog="bvcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command")

@@ -16,6 +16,7 @@ measure sequences.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -150,7 +151,9 @@ def admissibility_check(u, mu):
     also works for degenerate mu (density vanishing on open sets)."""
     gamma = derivative(u)
     cells = cell_part(gamma, mu.breaks)
-    if np.any((frobenius(cells.values) > CHARGE_TOL) & (mu.density_at(cells.points) <= 0.0)):
+    charged = frobenius(cells.values) > CHARGE_TOL  # mu's density is read only where Du charges
+    points = cells.points if charged.all() else cells.points[charged]  # no copy of every node
+    if len(points) and np.any(mu.density_at(points) <= 0.0):
         return False
     for g, m in matched_parts(singular_parts(gamma), singular_parts(mu)):
         mu_there = 0.0 if m is None else m.values
@@ -203,14 +206,13 @@ def relaxation_upper_bound(u, spec, family, jmax=64, l1_tol=0.05):
     for fid, builder in family:
         elements = []
         admissible = True
-        l1_gap = np.inf
         for j in js:
             uj = builder(j)
             if not admissibility_check(uj, spec.mu):
                 admissible = False
                 break
             elements.append(uj)
-            l1_gap = uj.l1_distance(u)
+        l1_gap = elements[-1].l1_distance(u) if elements else np.inf  # at the last admissible index
         if not admissible or l1_gap > l1_tol:
             # evaluation is skipped entirely for excluded members, so a
             # degenerate mu never reaches the decomposition path
@@ -301,15 +303,14 @@ def reshetnyak_experiment(gamma_seq, gamma, f, js):
     experiment is rejected and no continuity claim is made.
     """
     js = tuple(js)
-    seq = [gamma_seq(j) for j in js]
+    last = gamma_seq(js[-1])  # the others are built one at a time, and only if accepted
     fields = bvmod.matrix_test_fields(gamma.domain, gamma.shape)
     ref_pairs = [pair_with_test_function(gamma, phi, check_boundary=False) for phi in fields]
-    last = seq[-1]
     weak_gap = max(
         abs(pair_with_test_function(last, phi, check_boundary=False) - ref)
         for phi, ref in zip(fields, ref_pairs)
     )
-    area_gap = abs(area_functional(seq[-1]) - area_functional(gamma))
+    area_gap = abs(area_functional(last) - area_functional(gamma))
     if weak_gap > WEAK_STAR_TOL:
         return ContinuityReport(
             False, "weak* gap persists", weak_gap, area_gap, js, (), None, None
@@ -319,7 +320,7 @@ def reshetnyak_experiment(gamma_seq, gamma, f, js):
             False, "area-strictness fails", weak_gap, area_gap, js, (), None, None
         )
     ref_value = continuity_functional(gamma, f)
-    gaps = tuple(abs(continuity_functional(g, f) - ref_value) for g in seq)
+    gaps = tuple(abs(continuity_functional(g, f) - ref_value) for g in chain(map(gamma_seq, js[:-1]), [last]))
     order = order_fit(js, gaps, 1e-13, 2)
     return ContinuityReport(True, None, weak_gap, area_gap, js, gaps, gaps[-1], order)
 

@@ -287,6 +287,9 @@ class SingularCarrier:
     normal: tuple | None = None
 
     def __post_init__(self):
+        for name, value in (("point", self.point), ("endpoints", self.endpoints), ("normal", self.normal)):
+            if value is not None and not np.isfinite(value).all():
+                raise MeasureError(f"carrier {self.cid!r} {name} must be finite, got {np.asarray(value).tolist()}")
         if self.kind == "point":
             if self.point is None:
                 raise MeasureError("point carrier needs a location")
@@ -384,6 +387,9 @@ class _StructuredMeasure:
         merged per point, carrier parts as a tuple, breaks merged, and every
         carrier id looked up in the registry.  Returns the atoms unmerged."""
         atoms = tuple((np.asarray(p, float).reshape(-1), value(v)) for p, v in self.atoms)
+        for p, _ in atoms:  # NaN fails the comparisons too; a dimension mismatch is rejected later
+            if not all(lo <= x <= hi for x, (lo, hi) in zip(p.tolist(), self.domain.box)):
+                raise MeasureError(f"atom point {p.tolist()} must be finite and in the domain")
         object.__setattr__(self, "atoms", _merged(atoms))
         object.__setattr__(self, "carrier_parts", tuple(self.carrier_parts))
         object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
@@ -531,22 +537,31 @@ def cell_part(m, extra_breaks=None):
 def singular_parts(m):
     """The atom and carrier parts of ``m``, in that order: the parts of
     :func:`measure_parts` after the cells, built without a cell rule."""
-    parts = [_part(m, "atom", tuple(p), p[None, :], np.ones(1), _repeated(v)) for p, v in m.atoms]
-    for cid, fn in m.carrier_parts:
-        pts, wts = m.carrier(cid).rule(m.domain.resolution)
-        parts.append(_part(m, "carrier", cid, pts, wts, fn))
-    return parts
+    atoms = [_part(m, "atom", tuple(p), p[None, :], np.ones(1), _repeated(v)) for p, v in m.atoms]
+    return atoms + _carrier_parts(m)
+
+
+def _carrier_parts(m):
+    """The carrier parts of ``m``, in the order of ``m.carrier_parts``."""
+    res = m.domain.resolution
+    return [_part(m, "carrier", cid, *m.carrier(cid).rule(res), fn) for cid, fn in m.carrier_parts]
 
 
 def _integrate(measure, on_cells, on_singular):
     """Sum over the parts of ``measure`` of dot(weights, integrand(part)),
     where the integrand is ``on_cells`` on the cell part and
-    ``on_singular`` on atoms and carriers."""
+    ``on_singular`` on atoms and carriers.  The atoms form one part of unit
+    weights, its terms added in atom order: the bits of one part per atom."""
     total = 0.0
-    for part in measure_parts(measure):
-        if len(part.points):
-            integrand = on_cells if part.kind == "cells" else on_singular
-            total += float(np.dot(part.weights, integrand(part)))
+    cells = cell_part(measure)
+    total += float(np.dot(cells.weights, on_cells(cells)))
+    if measure.atoms:
+        points, values = map(np.array, zip(*measure.atoms))
+        atoms = _part(measure, "atom", None, points, np.ones(len(points)), lambda _: values)
+        for term in on_singular(atoms).tolist():
+            total += term
+    for part in _carrier_parts(measure):
+        total += float(np.dot(part.weights, on_singular(part)))
     return total
 
 

@@ -658,6 +658,44 @@ def test_a_covered_one_piece_function_never_builds_a_mask(monkeypatch):
         _old_checked_by_piece(v, [[0.5]], lambda p, x: p.u(x), (1,))
 
 
+class _CountedBox:
+    """A piece region that counts how often it is read as an array."""
+
+    def __init__(self, box):
+        self.box, self.reads = box, 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.reads += 1
+        return np.array(self.box, dtype=dtype)
+
+
+def test_a_read_only_node_array_is_checked_once_while_it_lives():
+    region = _CountedBox((0.0, 1.0))
+    u = BVFunction(interval(8), 1, [Piece(region=region, u=lambda n: n, grad=lambda n: n[:, :, None])],
+                   validate=False)
+    nodes, _ = u.domain.cell_rule()
+    assert not nodes.flags.writeable
+    assert u._one_piece_covers(nodes) and u._one_piece_covers(nodes) and region.reads == 1
+    # a writable array, or a read-only array not found covered, is checked on every call
+    writable = np.array(nodes)
+    assert u._one_piece_covers(writable) and u._one_piece_covers(writable) and region.reads == 3
+    outside = np.array([[0.5], [1.5]])
+    outside.setflags(write=False)
+    assert not u._one_piece_covers(outside) and not u._one_piece_covers(outside) and region.reads == 5
+    # an array made writable again is checked again, and so is a new array where the old one lived
+    nodes.setflags(write=True)
+    assert u._one_piece_covers(nodes) and region.reads == 6
+    nodes.setflags(write=False)
+    covered = np.array([[0.25]])
+    covered.setflags(write=False)
+    assert u._one_piece_covers(covered)
+    del covered
+    for _ in range(50):  # a later array often reuses the address of a freed one
+        later = np.array([[1.5]])
+        later.setflags(write=False)
+        assert not u._one_piece_covers(later)
+
+
 def _old_scalar_bumps(domain, per_axis=12):
     axes = []
     for lo, hi in domain.box:

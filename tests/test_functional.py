@@ -304,6 +304,24 @@ def test_relaxation_recovery_by_mollification(setting):
     assert target - res.value <= 1.0 / 64 + 1e-6
 
 
+def test_relaxation_reports_the_l1_gap_of_the_last_admissible_index():
+    d = Domain((0.0, 1.0), 256)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(d, density=lambda n: 1.0 * (n[:, 0] < 0.5), registry=reg)
+    h = heaviside_1d(d, 0.1, registry=reg)
+    spec = FunctionalSpec(make_area(), mu, d)
+
+    def ramps(j):  # a ramp where mu charges up to j = 4, one where it does not from j = 8 on
+        return ramp_1d(d, 0.1, 0.2 / j, registry=reg) if j < 8 else ramp_1d(d, 0.7, 0.1, registry=reg)
+
+    fam = [("ramps", ramps), ("never", lambda j: ramp_1d(d, 0.7, 0.1, registry=reg))]
+    res = relaxation_upper_bound(h, spec, fam, jmax=16)
+    gap = ramps(4).l1_distance(h)
+    assert gap == pytest.approx(0.025, rel=1e-6) and gap != ramps(2).l1_distance(h)
+    assert res.members == [("ramps", False, gap, None), ("never", False, np.inf, None)]
+    assert res.status == "no_admissible_sequence"
+
+
 # ---------------------------------------------------------------------------
 # lower semicontinuity experiments
 # ---------------------------------------------------------------------------
@@ -407,6 +425,24 @@ def test_reshetnyak_rejects_strict_but_not_area_strict(setting):
     # the TV itself converges (strict convergence), only the area gap persists
     assert abs(total_variation(atoms_j(128)) - total_variation(leb)) < 1e-9
     assert rep.area_gap > 0.5
+
+
+def test_reshetnyak_builds_only_the_last_measure_of_a_rejected_sequence(setting):
+    d, reg, mu = setting
+    leb = MatrixRadonMeasure(d, (1, 1), density=lambda n: np.ones((len(n), 1, 1)), registry=reg)
+    built = []
+
+    def atoms_j(j):
+        built.append(j)
+        return MatrixRadonMeasure(
+            d, (1, 1), atoms=tuple((((k + 0.5) / j,), [[1.0 / j]]) for k in range(j)), registry=reg
+        )
+
+    rep = reshetnyak_experiment(atoms_j, leb, make_area(), js=geometric_js(128))
+    assert rep.reject_reason == "area-strictness fails" and built == [128]
+    built.clear()
+    rep = reshetnyak_experiment(atoms_j, atoms_j(4), make_area(), js=(1, 2, 4))
+    assert rep.accepted and built == [4, 4, 1, 2] and rep.gaps[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------

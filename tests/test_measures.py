@@ -17,6 +17,7 @@ from bvcalc.measures import (
     _normalize_breaks,
     area_functional,
     measure_distance,
+    measure_parts,
     merge_breaks,
     mutually_singular,
     pair_with_test_function,
@@ -754,6 +755,56 @@ def test_rewritten_integrals_match_the_old_loops_2d():
     assert area_functional(gamma) == _old_tv_or_area(gamma, area=True)
     phi = bump_field([[1.0, -0.5]])
     assert pair_with_test_function(gamma, phi) == _old_pair(gamma, phi)
+
+
+def _per_part_integral(measure, on_cells, on_singular):
+    """The walker before the atoms were stacked: one part per atom, each
+    term a dot product, summed in the order cells, atoms, carriers."""
+    total = 0.0
+    for part in measure_parts(measure):
+        if len(part.points):
+            integrand = on_cells if part.kind == "cells" else on_singular
+            total += float(np.dot(part.weights, integrand(part)))
+    return total
+
+
+def _measures_with_many_atoms(k=100):
+    """A 1D matrix measure and a 2D scalar one, each with ``k`` atoms of
+    random weight, a cell density and a carrier part."""
+    rng = np.random.default_rng(29)
+    reg = CarrierRegistry()
+    reg.register_point("c", (0.123,))
+    reg.register_segment("s", (0.25, 0.0), (0.25, 1.0))
+    gamma = MatrixRadonMeasure(
+        interval(64), (2, 1), density=lambda n: np.stack([np.sin(3.0 * n), n**2], 1),
+        atoms=tuple(((x,), rng.normal(size=(2, 1))) for x in rng.uniform(0.0, 1.0, k)),
+        carrier_parts=(("c", lambda p: np.full((len(p), 2, 1), 0.7)),), registry=reg,
+    )
+    mu = ScalarRadonMeasure(
+        unit_square(16), density=lambda n: 1.0 + n[:, 0] * n[:, 1],
+        atoms=tuple(zip(map(tuple, rng.uniform(0.0, 1.0, (k, 2))), rng.uniform(0.0, 3.0, k))),
+        carrier_parts=(("s", lambda p: 0.5 + p[:, 1]),), registry=reg,
+    )
+    return gamma, mu
+
+
+def test_stacked_atoms_integrate_to_the_bits_of_one_part_per_atom():
+    from bvcalc.bv import matrix_test_fields
+    from bvcalc.measures import frobenius
+
+    gamma, mu = _measures_with_many_atoms()
+    assert len(gamma.atoms) == len(mu.atoms) == 100
+    values = lambda part: part.values
+    assert mu.mass() == _per_part_integral(mu, values, values)
+    magnitude = lambda part: np.abs(part.values)
+    assert total_variation(mu) == _per_part_integral(mu, magnitude, magnitude)
+    norm = lambda part: frobenius(part.values)
+    assert total_variation(gamma) == _per_part_integral(gamma, norm, norm)
+    area = lambda part: np.sqrt(1.0 + frobenius(part.values) ** 2)
+    assert area_functional(gamma) == _per_part_integral(gamma, area, norm)
+    for phi in [bump_field([[1.0], [-0.5]]), *matrix_test_fields(gamma.domain, gamma.shape)]:
+        paired = lambda part: np.sum(np.asarray(phi(part.points)) * part.values, axis=(1, 2))
+        assert pair_with_test_function(gamma, phi) == _per_part_integral(gamma, paired, paired)
 
 
 def test_evaluate_breakdown_matches_the_old_loops():
@@ -1803,6 +1854,39 @@ def test_construction_errors_of_domains_and_measures(build, message):
     with pytest.raises(MeasureError) as err:
         build()
     assert str(err.value) == message
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda r: ScalarRadonMeasure(interval(8), atoms=(((_NAN,), 1.0),)),
+         "atom point [nan] must be finite and in the domain"),
+        (lambda r: ScalarRadonMeasure(interval(8), atoms=(((0.5,), 1.0), ((_INF,), 1.0))),
+         "atom point [inf] must be finite and in the domain"),
+        (lambda r: ScalarRadonMeasure(interval(8), atoms=(((2.0,), 1.0),)),
+         "atom point [2.0] must be finite and in the domain"),
+        (lambda r: MatrixRadonMeasure(interval(8), (1, 1), atoms=(((-0.5,), [[1.0]]),)),
+         "atom point [-0.5] must be finite and in the domain"),
+        (lambda r: r.register_segment("s", (0.5, 0.0), (0.5, _NAN)),
+         "carrier 's' endpoints must be finite, got [[0.5, 0.0], [0.5, nan]]"),
+        (lambda r: r.register_segment("s", (0.5, 0.0), (0.5, 1.0), normal=(_NAN, 0.0)),
+         "carrier 's' normal must be finite, got [nan, 0.0]"),
+        (lambda r: r.register_point("p", _INF), "carrier 'p' point must be finite, got [inf]"),
+    ],
+    ids=["nan-atom", "inf-atom", "atom-outside", "matrix-atom-outside", "nan-segment", "nan-normal", "inf-point"],
+)
+def test_non_finite_or_outside_geometry_is_rejected(build, message):
+    with pytest.raises(MeasureError) as err:
+        build(CarrierRegistry())
+    assert str(err.value) == message
+
+
+def test_atoms_on_the_boundary_of_the_box_are_kept():
+    m = ScalarRadonMeasure(unit_square(8), atoms=(((0.0, 1.0), 1.0), ((1.0, 0.5), 2.0)))
+    assert m.mass() == 3.0
 
 
 def test_registering_the_same_carrier_twice_returns_the_first():

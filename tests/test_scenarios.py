@@ -75,6 +75,19 @@ def test_run_parser_defaults_are_run_config_defaults():
         assert getattr(args, name) == getattr(config, name)
 
 
+def test_the_parser_is_built_once_and_parsing_leaves_it_unchanged(capsys):
+    from bvcalc import cli
+
+    assert build_parser() is build_parser()
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["list"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--resolution", "x"])
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and "--scenario" in outputs[0].err
+
+
 def test_field_dicts_list_every_field_in_declaration_order(monkeypatch):
     from bvcalc import cli
     from bvcalc.functional import EvaluationBreakdown
