@@ -101,7 +101,7 @@ def evaluate(u, spec):
     ac = {"cells": 0.0, "atom": 0.0, "carrier": 0.0}
     for part in measure_parts(mu, extra_breaks=gamma.breaks):
         ac[part.kind] += float(
-            np.dot(part.masses, F(part.points, dec.density_on(part, part.points)))
+            np.dot(part.masses, F(part.points, dec.densities[part.key](part.points)))
         )
     singular = _singular_term(F, dec.remainder)
 

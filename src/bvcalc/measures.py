@@ -433,7 +433,8 @@ class ScalarRadonMeasure(_StructuredMeasure):
                 raise MeasureError("atom weights must be nonnegative")
             if len(p) != self.domain.dim:
                 raise MeasureError("atom point dimension mismatch")
-        for part in measure_parts(self):  # the atoms' signs were checked above
+        # the atoms' signs were checked above
+        for part in filter(None, (cell_part(self), _atom_part(self), *_carrier_parts(self))):
             if not np.isfinite(part.values).all():
                 raise MeasureError(f"a scalar measure's {part.kind} part must be finite")
             if part.kind == "cells" and np.any(part.values < -1e-12):
@@ -541,6 +542,15 @@ def singular_parts(m):
     return atoms + _carrier_parts(m)
 
 
+def _atom_part(m):
+    """The atoms of ``m`` as one part of unit weights, points (K, dim) and
+    values (K, ...) in atom order; None without atoms."""
+    if not m.atoms:
+        return None
+    points, values = map(np.array, zip(*m.atoms))
+    return _part(m, "atom", None, points, np.ones(len(points)), lambda _: values)
+
+
 def _carrier_parts(m):
     """The carrier parts of ``m``, in the order of ``m.carrier_parts``."""
     res = m.domain.resolution
@@ -550,14 +560,13 @@ def _carrier_parts(m):
 def _integrate(measure, on_cells, on_singular):
     """Sum over the parts of ``measure`` of dot(weights, integrand(part)),
     where the integrand is ``on_cells`` on the cell part and
-    ``on_singular`` on atoms and carriers.  The atoms form one part of unit
-    weights, its terms added in atom order: the bits of one part per atom."""
+    ``on_singular`` on atoms and carriers.  The atoms form one part (see
+    :func:`_atom_part`), its terms added in atom order: the bits of one part per atom."""
     total = 0.0
     cells = cell_part(measure)
     total += float(np.dot(cells.weights, on_cells(cells)))
-    if measure.atoms:
-        points, values = map(np.array, zip(*measure.atoms))
-        atoms = _part(measure, "atom", None, points, np.ones(len(points)), lambda _: values)
+    atoms = _atom_part(measure)
+    if atoms is not None:
         for term in on_singular(atoms).tolist():
             total += term
     for part in _carrier_parts(measure):
@@ -692,37 +701,23 @@ def _per_node(a, shape):
 class MuDecomposition:
     """gamma = (dgamma/dmu) mu + remainder, resolved per structural part.
 
-    ``cell_fn`` is the density on cells (gamma density / a); ``atom_values``
-    and ``carrier_fns`` cover every atom/carrier of mu in mu's order (zero
-    where gamma does not charge); ``remainder`` collects the gamma parts mu does not
-    see, which are mutually singular with mu by construction.  gamma is a
-    matrix measure or, as the shape-() case, a scalar one.
+    ``densities`` maps every part key of mu (see :func:`part_densities`) to
+    dgamma/dmu there, points -> values of shape (M,) + gamma.shape, zero
+    where gamma does not charge; ``remainder`` collects the gamma parts mu
+    does not see, which are mutually singular with mu by construction.
+    gamma is a matrix measure or, as the shape-() case, a scalar one.
     """
 
-    gamma: MatrixRadonMeasure | ScalarRadonMeasure
-    mu: ScalarRadonMeasure
-    cell_fn: object
-    atom_values: list  # [(point, mu weight, value of shape gamma.shape)]
-    carrier_fns: list  # [(cid, mu density fn, ratio fn)]
+    densities: dict
     remainder: MatrixRadonMeasure | ScalarRadonMeasure
-    _on_part: dict = field(init=False, repr=False)  # part key -> points -> density
-
-    def __post_init__(self):
-        self._on_part = {None: self.cell_fn}  # the cell part's key
-        self._on_part.update((tuple(p), _repeated(v)) for p, _, v in self.atom_values)
-        self._on_part.update((cid, ratio) for cid, _, ratio in self.carrier_fns)
-
-    def density_on(self, part, points):
-        """dgamma/dmu at ``points`` of one part of mu (as built by
-        :func:`measure_parts`), of shape (M,) + gamma.shape."""
-        return self._on_part[part.key](points)
 
 
-def singular_densities(m):
-    """Density callables points -> values of the atoms and carriers of
-    ``m``, keyed like the parts of :func:`measure_parts` (atom point
-    tuple, carrier id)."""
-    table = {tuple(p): _repeated(v) for p, v in m.atoms}
+def part_densities(m):
+    """Density callables points -> values of every part of ``m``, keyed
+    like the parts of :func:`measure_parts`: None for the cells, the point
+    tuple for an atom, the id for a carrier."""
+    table = {None: m.density_at}
+    table.update((tuple(p), _repeated(v)) for p, v in m.atoms)
     table.update(m.carrier_parts)
     return table
 
@@ -742,12 +737,9 @@ def rn_decompose(gamma, mu):
     if np.any(cell_part(mu, gamma.breaks).values < mu.eps):
         raise DecompositionError("mu cell density vanishes at a quadrature node")
     shape = gamma.shape
-
-    def cell_fn(pts, _g=gamma, _m=mu):
-        return _g.density_at(pts) / _per_node(_m.density_at(pts), shape)
-
+    densities = {None: lambda pts: gamma.density_at(pts) / _per_node(mu.density_at(pts), shape)}
     mu_fns, gamma_fns = dict(mu.carrier_parts), dict(gamma.carrier_parts)
-    atom_values, carrier_fns, rem_atoms, rem_parts = [], [], [], []
+    rem_atoms, rem_parts = [], []
     for mp, gp in matched_parts(singular_parts(mu), singular_parts(gamma)):
         if mp is None:  # a part of gamma that mu does not see
             if gp.kind == "atom":
@@ -755,10 +747,11 @@ def rn_decompose(gamma, mu):
             else:
                 rem_parts.append((gp.key, gamma_fns[gp.key]))
         elif mp.kind == "atom":
-            value = np.zeros(shape) if gp is None else gp.values[0] / mp.values[0]
-            atom_values.append((mp.points[0], mp.values[0], value))
+            densities[mp.key] = _repeated(
+                np.zeros(shape) if gp is None else gp.values[0] / mp.values[0]
+            )
         elif gp is None:
-            carrier_fns.append((mp.key, mu_fns[mp.key], lambda p: np.zeros((len(p),) + shape)))
+            densities[mp.key] = lambda p: np.zeros((len(p),) + shape)
         else:
             if np.any((_magnitudes(gp.values) > _ZERO_TOL) & (mp.values <= _ZERO_TOL)):
                 raise DecompositionError(
@@ -772,13 +765,12 @@ def rn_decompose(gamma, mu):
                 out[m <= _ZERO_TOL] = 0.0
                 return out
 
-            carrier_fns.append((mp.key, mu_fns[mp.key], ratio))
+            densities[mp.key] = ratio
 
     singular = {"density": None, "carrier_parts": tuple(rem_parts), "atoms": tuple(rem_atoms)}
     if not shape:  # a scalar remainder has no cell density to dominate Lebesgue with
         singular["dominates_lebesgue"] = False
-    remainder = replace(gamma, **singular)
-    return MuDecomposition(gamma, mu, cell_fn, atom_values, carrier_fns, remainder)
+    return MuDecomposition(densities, replace(gamma, **singular))
 
 
 # The decomposition of a scalar measure is the shape-() case of rn_decompose;

@@ -6,8 +6,9 @@ measure on the closed box, and per-node probability measures on the unit
 sphere of matrix space.  Duality pairing against an integrand f uses f on
 the oscillation part and the recession of f on the concentration part.
 
-Fields are node-indexed: evaluation receives the structural part of the
-reference measure (cells / atom / carrier) it is being sampled on, so the
+A field is a callable (key, points) -> (weights (M, K), atoms (M, K, N, n)):
+``key`` names the structural part of the measure it is sampled on (None
+for the cells, the point tuple of an atom, the id of a carrier), so the
 elementary Young measure of a decomposed derivative is exact.
 """
 
@@ -23,7 +24,6 @@ from .functional import CHARGE_TOL, charged_recession, order_fit
 from .integrands import recession_values, upper_slope_values
 from .measures import (
     MatrixRadonMeasure,
-    MeasurePart,
     ScalarRadonMeasure,
     charges_boundary,
     frobenius,
@@ -32,9 +32,9 @@ from .measures import (
     measure_distance,
     measure_parts,
     merge_breaks,
+    part_densities,
     read_only,
     rn_decompose,
-    singular_densities,
     singular_parts,
 )
 
@@ -48,18 +48,8 @@ class YoungMeasureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Node-indexed discrete fields: eval(part, points) -> (weights, atoms)
+# Discrete fields: field(key, points) -> (weights, atoms)
 # ---------------------------------------------------------------------------
-
-
-class LocationField:
-    """Field given by a plain location formula nodes -> (weights, atoms)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def eval(self, part, points):
-        return self.fn(points)
 
 
 def constant_field(atom_list):
@@ -67,9 +57,9 @@ def constant_field(atom_list):
     shape = np.shape(atom_list[0][0])
     atoms = np.stack([_as_floats(A, "an atom of 'field'").reshape(shape) for A, _ in atom_list])
     weights = np.array([_as_floats(p, "an atom weight of 'field'", ()) for _, p in atom_list])
-    return LocationField(lambda points: (
+    return lambda key, points: (
         np.repeat(weights[None], len(points), axis=0), np.repeat(atoms[None], len(points), axis=0)
-    ))
+    )
 
 
 def _as_floats(value, what, shape=None):
@@ -85,34 +75,6 @@ def _as_floats(value, what, shape=None):
     if not np.isfinite(out).all():
         raise YoungMeasureError(f"{what} must be finite, got {value!r}")
     return out
-
-
-class ElementaryOscillation:
-    """Dirac at the mu-density of a decomposed measure, per part."""
-
-    def __init__(self, decomposition):
-        self.dec = decomposition
-
-    def eval(self, part, points):
-        return np.ones((len(points), 1)), self.dec.density_on(part, points)[:, None, :, :]
-
-
-class ElementaryPolar:
-    """Dirac at the polar (unit-norm density direction) of a measure whose
-    parts coincide with the concentration measure's parts."""
-
-    def __init__(self, remainder):
-        self.remainder = remainder
-        self._densities = singular_densities(remainder)
-
-    def eval(self, part, points):
-        if part.key not in self._densities:
-            raise YoungMeasureError("elementary sphere field lives on atoms and carriers only")
-        vals = np.asarray(self._densities[part.key](points))
-        mags = frobenius(vals)
-        safe = np.where(mags > CHARGE_TOL, mags, 1.0)
-        polar = vals / safe[:, None, None]
-        return np.ones((len(points), 1)), polar[:, None, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +117,7 @@ class GeneralizedYoungMeasure:
     def oscillation_values(self):
         """(part, w, A) of ``nu`` on every non-empty reference part."""
         return [
-            (part, *read_only(*self.nu.eval(part, part.points)))
+            (part, *read_only(*self.nu(part.key, part.points)))
             for part in self.reference_parts
             if len(part.points)
         ]
@@ -166,7 +128,7 @@ class GeneralizedYoungMeasure:
         if self.nu_inf is None:
             return []
         return [
-            (part, *read_only(*self.nu_inf.eval(part, part.points)))
+            (part, *read_only(*self.nu_inf(part.key, part.points)))
             for part in self.concentration_parts
             if len(part.points) and np.max(np.abs(part.masses)) > CHARGE_TOL
         ]
@@ -208,6 +170,17 @@ def elementary(gamma, mu):
     sphere Diracs at the remainder's polar."""
     dec = rn_decompose(gamma, mu)
     rem = dec.remainder
+    rem_densities = part_densities(rem)
+
+    def oscillation(key, points):  # Dirac at the mu-density
+        return np.ones((len(points), 1)), dec.densities[key](points)[:, None, :, :]
+
+    def polar(key, points):  # Dirac at the unit-norm direction of the remainder
+        vals = np.asarray(rem_densities[key](points))
+        mags = frobenius(vals)
+        safe = np.where(mags > CHARGE_TOL, mags, 1.0)
+        return np.ones((len(points), 1)), (vals / safe[:, None, None])[:, None, :, :]
+
     lam_parts = [(cid, lambda pts, _f=fn: frobenius(_f(pts))) for cid, fn in rem.carrier_parts]
     lam_atoms = tuple((p, float(np.linalg.norm(v))) for p, v in rem.atoms)
     lam = ScalarRadonMeasure(
@@ -221,9 +194,9 @@ def elementary(gamma, mu):
     return GeneralizedYoungMeasure(
         gamma.domain,
         gamma.shape,
-        ElementaryOscillation(dec),
+        oscillation,
         lam,
-        ElementaryPolar(rem),
+        polar,
         reference_measure=mu,
         breaks=merge_breaks(gamma.domain.dim, gamma.breaks, mu.breaks),
     )
@@ -283,35 +256,30 @@ def barycenter(nu):
     matrix measure: on each part key of mu and lambda (cells, atom point,
     carrier id), the sum of mean(field) x density over the fields there."""
     mu, lam = nu.reference_measure, nu.lam
-    terms = {None: [(nu.nu, mu.density_at)]}  # part key -> [(field, density)]
-    terms.update((key, [(nu.nu, fn)]) for key, fn in singular_densities(mu).items())
+    terms = {key: [(nu.nu, fn)] for key, fn in part_densities(mu).items()}  # [(field, density)]
     if nu.nu_inf is not None:
-        if np.any(np.abs(nu.concentration_parts[0].masses) > CHARGE_TOL):  # lambda's cells
-            terms[None].append((nu.nu_inf, lam.density_at))
-        for key, fn in singular_densities(lam).items():
+        lam_fns = part_densities(lam)
+        if not np.any(np.abs(nu.concentration_parts[0].masses) > CHARGE_TOL):
+            del lam_fns[None]  # lambda's cells charge nothing
+        for key, fn in lam_fns.items():
             terms.setdefault(key, []).append((nu.nu_inf, fn))
-    kinds = {
-        key: "cells" if key is None else "atom" if isinstance(key, tuple) else "carrier"
-        for key in terms
-    }
 
     def on(key):
         def density(pts):
-            part = MeasurePart(kinds[key], key, pts)
             return sum(
-                np.einsum("mk,mkij->mij", *field.eval(part, pts))
-                * np.asarray(fn(pts))[:, None, None]
+                np.einsum("mk,mkij->mij", *field(key, pts)) * np.asarray(fn(pts))[:, None, None]
                 for field, fn in terms[key]
             )
 
         return density
 
-    atoms = [key for key, kind in kinds.items() if kind == "atom"] if mu.domain.dim == 1 else []
+    atoms = [key for key in terms if isinstance(key, tuple)] if mu.domain.dim == 1 else []
+    carriers = [key for key in terms if key is not None and not isinstance(key, tuple)]
     return MatrixRadonMeasure(
         mu.domain,
         nu.dims,
         density=on(None),
-        carrier_parts=tuple((key, on(key)) for key, kind in kinds.items() if kind == "carrier"),
+        carrier_parts=tuple((key, on(key)) for key in carriers),
         atoms=tuple((np.asarray(key), on(key)(np.asarray([key]))[0]) for key in atoms),
         registry=mu.registry if mu.registry is not None else lam.registry,
         breaks=merge_breaks(mu.domain.dim, mu.breaks, lam.breaks, nu.breaks),
@@ -392,7 +360,7 @@ def _jensen_core(F, u, nu, mu, upper_slope):
         charged = dlam > CHARGE_TOL
         if np.any(charged) and nu.nu_inf is not None:
             rhs = rhs.copy()
-            w, S = nu.nu_inf.eval(part, pts[charged])
+            w, S = nu.nu_inf(part.key, pts[charged])
             rhs[charged] += (
                 _field_pair(F, w, S, pts[charged], sphere=True, upper=upper_slope)
                 * dlam[charged]
@@ -404,9 +372,9 @@ def _jensen_core(F, u, nu, mu, upper_slope):
     for part in measure_parts(mu, extra_breaks=nu.breaks):
         pts = part.points
         if len(pts):
-            lhs = np.asarray(F(pts, dec_u.density_on(part, pts)))
-            rhs = _field_pair(F, *nu.nu.eval(part, pts), pts)
-            check(part, lhs, rhs, np.asarray(dec_lam.density_on(part, pts)), report.ac_violations)
+            lhs = np.asarray(F(pts, dec_u.densities[part.key](pts)))
+            rhs = _field_pair(F, *nu.nu(part.key, pts), pts)
+            check(part, lhs, rhs, np.asarray(dec_lam.densities[part.key](pts)), report.ac_violations)
 
     # the mu-singular parts of Du (the atoms and carriers of its remainder)
     # against the lambda density on the same atom or carrier, zero where

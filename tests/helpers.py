@@ -10,7 +10,13 @@ import numpy as np
 
 from bvcalc.bv import BVFunction, Jump, Piece
 from bvcalc.integrands import IntegrandError
-from bvcalc.measures import CarrierRegistry, MatrixRadonMeasure, frobenius, merge_breaks
+from bvcalc.measures import (
+    CarrierRegistry,
+    MatrixRadonMeasure,
+    frobenius,
+    merge_breaks,
+    part_densities,
+)
 
 
 @dataclass
@@ -152,27 +158,20 @@ def is_absolutely_continuous(decomp):
     return is_structurally_zero(decomp.remainder)
 
 
-def absolutely_continuous_part(decomp):
-    """Reassemble (dgamma/dmu) mu as a MatrixRadonMeasure."""
-    gamma, mu = decomp.gamma, decomp.mu
+def absolutely_continuous_part(decomp, gamma, mu):
+    """Reassemble (dgamma/dmu) mu as a MatrixRadonMeasure, part by part of
+    mu: the decomposition's density there times mu's."""
+    mu_fns = part_densities(mu)
 
-    def density(pts):
-        return decomp.cell_fn(pts) * np.asarray(mu.density_at(pts))[:, None, None]
+    def on(key):
+        return lambda p: decomp.densities[key](p) * np.asarray(mu_fns[key](p))[:, None, None]
 
-    parts = []
-    for cid, mfn, ratio in decomp.carrier_fns:
-
-        def part(p, _m=mfn, _r=ratio):
-            return _r(p) * np.asarray(_m(p))[:, None, None]
-
-        parts.append((cid, part))
-    atoms = [(p, w * v) for p, w, v in decomp.atom_values]
     return MatrixRadonMeasure(
         gamma.domain,
         gamma.shape,
-        density=density,
-        carrier_parts=tuple(parts),
-        atoms=tuple(atoms),
+        density=on(None),
+        carrier_parts=tuple((cid, on(cid)) for cid, _ in mu.carrier_parts),
+        atoms=tuple((p, on(tuple(p))(p[None, :])[0]) for p, _ in mu.atoms),
         registry=gamma.registry,
         breaks=merge_breaks(gamma.domain.dim, gamma.breaks, mu.breaks),
     )

@@ -379,7 +379,6 @@ def test_sample_lists_exactly_the_unread_definitions():
 SHARED_NAMES = {
     "as_dict": "scenarios reads the report rows of both RunConfig and EvaluationBreakdown",
     "density_at": "the cell density of either measure kind, read by measure_parts and rn_decompose",
-    "eval": "the field protocol of a Young measure: every field kind is read through it",
     "recession": "Integrand.recession is the analytic slope, integrands.recession the schedule that checks it",
 }
 

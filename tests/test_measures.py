@@ -125,10 +125,10 @@ def test_rn_decompose_atom_shared():
     )
     dec = rn_decompose(gamma, mu)
     nodes, _ = dom.cell_rule()
-    assert np.allclose(dec.cell_fn(nodes), 0.5)
-    assert len(dec.atom_values) == 1
-    _, w, v = dec.atom_values[0]
-    assert w == 1.0 and v[0, 0] == pytest.approx(1.0)
+    assert np.allclose(dec.densities[None](nodes), 0.5)
+    assert list(dec.densities) == [None, (0.5,)]
+    v = dec.densities[(0.5,)](np.array([[0.5]]))[0]
+    assert mu.atoms[0][1] == 1.0 and v[0, 0] == pytest.approx(1.0)
     assert is_structurally_zero(dec.remainder)
 
 
@@ -147,7 +147,7 @@ def test_rn_decompose_jump_not_seen_by_mu():
     )
     dec = rn_decompose(gamma, mu)
     nodes, _ = dom.cell_rule()
-    assert np.allclose(dec.cell_fn(nodes), 0.0)
+    assert np.allclose(dec.densities[None](nodes), 0.0)
     assert not is_structurally_zero(dec.remainder)
     assert total_variation(dec.remainder) == pytest.approx(1.0, abs=1e-12)
     assert mutually_singular(dec.remainder, _as_matrix(mu))
@@ -176,12 +176,11 @@ def test_rn_decompose_proportional():
     )
     dec = rn_decompose(gamma, mu)
     nodes, _ = dom.cell_rule()
-    assert np.allclose(dec.cell_fn(nodes), c, rtol=1e-13)
-    for _, _, v in dec.atom_values:
-        assert v[0, 0] == pytest.approx(c, rel=1e-13)
-    for cid, _, ratio in dec.carrier_fns:
-        pts, _ = reg[cid].rule(dom.resolution)
-        assert np.allclose(ratio(pts), c, rtol=1e-13)
+    assert np.allclose(dec.densities[None](nodes), c, rtol=1e-13)
+    assert list(dec.densities) == [None, (0.75,), "pt"]
+    assert dec.densities[(0.75,)](np.array([[0.75]]))[0, 0, 0] == pytest.approx(c, rel=1e-13)
+    pts, _ = reg["pt"].rule(dom.resolution)
+    assert np.allclose(dec.densities["pt"](pts), c, rtol=1e-13)
     assert is_structurally_zero(dec.remainder)
 
 
@@ -262,9 +261,9 @@ def test_rn_reconstruction_and_tv_additivity():
         )
         dec = rn_decompose(gamma, mu)
         nodes, _ = dom.cell_rule()
-        recon = dec.cell_fn(nodes) * np.asarray(mu.density_at(nodes))[:, None, None]
+        recon = dec.densities[None](nodes) * np.asarray(mu.density_at(nodes))[:, None, None]
         assert np.allclose(recon, gamma.density_at(nodes), rtol=1e-12, atol=1e-15)
-        ac = absolutely_continuous_part(dec)
+        ac = absolutely_continuous_part(dec, gamma, mu)
         tv_sum = total_variation(ac) + total_variation(dec.remainder)
         assert tv_sum == pytest.approx(total_variation(gamma), rel=1e-12)
         assert mutually_singular(dec.remainder, _as_matrix(mu))
@@ -548,14 +547,14 @@ def _old_evaluate(u, spec):
     dec = rn_decompose(gamma, mu)
     nodes, weights = u.domain.cell_rule(breaks=merge_breaks(u.domain.dim, gamma.breaks, mu.breaks))
     a = np.asarray(mu.density_at(nodes))
-    ac_cells = float(np.dot(weights * a, F(nodes, dec.cell_fn(nodes))))
+    ac_cells = float(np.dot(weights * a, F(nodes, dec.densities[None](nodes))))
     ac_atoms = 0.0
-    for p, w, value in dec.atom_values:
-        ac_atoms += w * F(p, value)
+    for p, w in mu.atoms:
+        ac_atoms += w * F(p, dec.densities[tuple(p)](p[None, :])[0])
     ac_carriers = 0.0
-    for cid, mfn, ratio in dec.carrier_fns:
+    for cid, mfn in mu.carrier_parts:
         pts, wts = mu.carrier(cid).rule(u.domain.resolution)
-        ac_carriers += float(np.dot(wts * np.asarray(mfn(pts)), F(pts, ratio(pts))))
+        ac_carriers += float(np.dot(wts * np.asarray(mfn(pts)), F(pts, dec.densities[cid](pts))))
     singular = _singular_term(F, dec.remainder)
     boundary = boundary_term(u, F) if spec.include_boundary else 0.0
     return EvaluationBreakdown(ac_cells, ac_atoms, ac_carriers, singular, boundary)
@@ -651,16 +650,21 @@ def test_scalar_rn_decompose_is_the_shape_0_case():
     dom, reg, mu, lam, _ = _mixed_1d()
     old_atoms, old_cell_fn, old_carriers, old_rem = _old_scalar_rn_decompose(lam, mu)
     dec = rn_decompose(lam, mu)
-    assert len(dec.atom_values) == len(old_atoms) == 2
-    for (p, w, v), (q, w0, v0) in zip(dec.atom_values, old_atoms):
-        assert np.array_equal(p, q) and w == w0 and np.array_equal(v, v0)
+    atom_keys = [k for k in dec.densities if isinstance(k, tuple)]
+    assert len(atom_keys) == len(old_atoms) == 2
+    for key, (q, w0, v0) in zip(atom_keys, old_atoms):
+        v = dec.densities[key](q[None, :])
+        assert key == tuple(q) and v.shape == (1,) and np.array_equal(v[0], v0)
+    assert [w for _, w in mu.atoms] == [w0 for _, w0, _ in old_atoms]
     assert [v for _, _, v in old_atoms] == [0.4 / 0.7, 0.0]  # shared, then unshared
     nodes, _ = dom.cell_rule(breaks=((0.5, 1.0 / 3.0),))
-    assert np.array_equal(dec.cell_fn(nodes), old_cell_fn(nodes))
-    assert [c for c, _, _ in dec.carrier_fns] == [c for c, _, _ in old_carriers] == ["p1", "p3"]
-    for (cid, mfn, ratio), (_, mfn0, ratio0) in zip(dec.carrier_fns, old_carriers):
+    assert np.array_equal(dec.densities[None](nodes), old_cell_fn(nodes))
+    carrier_keys = [k for k in dec.densities if isinstance(k, str)]
+    assert carrier_keys == [c for c, _, _ in old_carriers] == ["p1", "p3"]
+    for cid, (_, mfn0, ratio0) in zip(carrier_keys, old_carriers):
         pts, _ = reg[cid].rule(dom.resolution)
-        assert mfn is mfn0 and np.array_equal(ratio(pts), ratio0(pts))
+        assert dict(mu.carrier_parts)[cid] is mfn0
+        assert np.array_equal(dec.densities[cid](pts), ratio0(pts))
     rem = dec.remainder
     assert isinstance(rem, ScalarRadonMeasure) and rem.density is None
     assert [(tuple(p), w) for p, w in rem.atoms] == [(tuple(p), w) for p, w in old_rem.atoms]
@@ -697,7 +701,7 @@ def test_scalar_rn_decompose_2d_segment_rejection_unchanged():
         dom, carrier_parts=(("s", lambda p: np.maximum(0.0, p[:, 1] - 0.5) * 3.0),), registry=reg
     )
     (_, _, ratio0), = _old_scalar_rn_decompose(lam, mu)[2]
-    (_, _, ratio), = rn_decompose(lam, mu).carrier_fns
+    ratio = rn_decompose(lam, mu).densities["s"]
     pts, _ = reg["s"].rule(dom.resolution)
     assert np.array_equal(ratio(pts), ratio0(pts)) and np.any(ratio(pts) == 0.0)
 
@@ -881,7 +885,8 @@ def test_decomposition_round_trip_preserves_total_variation(
         registry=reg,
     )
     dec = rn_decompose(gamma, mu)
-    total = total_variation(absolutely_continuous_part(dec)) + total_variation(dec.remainder)
+    ac = absolutely_continuous_part(dec, gamma, mu)
+    total = total_variation(ac) + total_variation(dec.remainder)
     assert total == pytest.approx(total_variation(gamma), rel=1e-12, abs=1e-14)
     assert mutually_singular(dec.remainder, _as_matrix(mu))
 
@@ -1102,17 +1107,22 @@ def _reordered_1d():
     return dom, reg, mu, lam, gamma, other
 
 
-def _assert_same_decomposition(dec, old, points_of):
+def _assert_same_decomposition(dec, mu, old, points_of):
     old_atoms, old_carriers, old_rem_atoms, old_rem_parts = old
-    assert len(dec.atom_values) == len(old_atoms)
-    for (p, w, v), (q, w0, v0) in zip(dec.atom_values, old_atoms):
-        assert np.array_equal(p, q) and w == w0 and np.array_equal(v, v0)
-    assert [c for c, _, _ in dec.carrier_fns] == [c for c, _ in dec.mu.carrier_parts]
+    atom_keys = [k for k in dec.densities if isinstance(k, tuple)]
+    assert len(atom_keys) == len(old_atoms)
+    for key, (q, w0, v0) in zip(atom_keys, old_atoms):
+        v = dec.densities[key](q[None, :])
+        assert key == tuple(q) and len(v) == 1 and np.array_equal(v[0], v0)
+    assert [w for _, w in mu.atoms] == [w0 for _, w0, _ in old_atoms]
+    carrier_keys = [k for k in dec.densities if isinstance(k, str)]
+    assert carrier_keys == [c for c, _ in mu.carrier_parts]
     old_by_id = {cid: (mfn, ratio) for cid, mfn, ratio in old_carriers}
-    assert sorted(old_by_id) == sorted(c for c, _, _ in dec.carrier_fns)
-    for cid, mfn, ratio in dec.carrier_fns:
+    assert sorted(old_by_id) == sorted(carrier_keys)
+    for cid in carrier_keys:
         pts = points_of(cid)
-        assert mfn is old_by_id[cid][0] and np.array_equal(ratio(pts), old_by_id[cid][1](pts))
+        assert dict(mu.carrier_parts)[cid] is old_by_id[cid][0]
+        assert np.array_equal(dec.densities[cid](pts), old_by_id[cid][1](pts))
     rem = dec.remainder
     assert [tuple(p) for p, _ in rem.atoms] == [tuple(p) for p, _ in old_rem_atoms]
     assert all(np.array_equal(v, v0) for (_, v), (_, v0) in zip(rem.atoms, old_rem_atoms))
@@ -1126,7 +1136,7 @@ def test_rn_decompose_matches_the_old_loops_1d():
         return reg[cid].rule(dom.resolution)[0]
 
     for g in (gamma, lam, other):
-        _assert_same_decomposition(rn_decompose(g, mu), _old_rn_decompose(g, mu), points_of)
+        _assert_same_decomposition(rn_decompose(g, mu), mu, _old_rn_decompose(g, mu), points_of)
     # mu's carriers now come in mu's order: the old loop listed other's p1 first
     assert [c for c, _, _ in _old_rn_decompose(other, mu)[1]] == ["p3", "p1"]
 
@@ -1137,7 +1147,7 @@ def test_rn_decompose_matches_the_old_loops_2d():
     def points_of(cid):
         return reg[cid].rule(dom.resolution)[0]
 
-    _assert_same_decomposition(rn_decompose(gamma, mu), _old_rn_decompose(gamma, mu), points_of)
+    _assert_same_decomposition(rn_decompose(gamma, mu), mu, _old_rn_decompose(gamma, mu), points_of)
     vanishing = _with_carriers(mu, (("b", lambda p: np.maximum(0.0, p[:, 0] - 0.5)),))
     with pytest.raises(DecompositionError):
         _old_rn_decompose(gamma, vanishing)
@@ -1310,7 +1320,7 @@ def test_matched_parts_uses_each_part_once():
         dominates_lebesgue=True,
     )
     assert [w for _, w in mu_twice.atoms] == [0.75]
-    assert [v for _, _, v in rn_decompose(lam, mu_twice).atom_values] == [0.4 / 0.75]
+    assert rn_decompose(lam, mu_twice).densities[(0.3,)](np.array([[0.3]])).tolist() == [0.4 / 0.75]
     assert [v for _, _, v in _old_rn_decompose(lam, mu_twice)[0]] == [0.4 / 0.75]
 
 

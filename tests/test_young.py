@@ -282,6 +282,37 @@ def test_rejects_off_sphere_atoms(setting):
         )
 
 
+def _dirac(value):
+    """A plain callable field: the Dirac at the 1x1 matrix ``value`` at every point."""
+    return lambda key, pts: (np.ones((len(pts), 1)), np.full((len(pts), 1, 1, 1), value))
+
+
+@pytest.mark.parametrize(
+    "nu, nu_inf, message",
+    [
+        (
+            lambda key, pts: (np.tile([1.5, -0.5], (len(pts), 1)), np.zeros((len(pts), 2, 1, 1))),
+            _dirac(1.0),
+            "oscillation weights must be nonnegative",
+        ),
+        (
+            _dirac(0.0),
+            lambda key, pts: (np.full((len(pts), 1), 0.5), np.ones((len(pts), 1, 1, 1))),
+            "sphere weights must sum to 1",
+        ),
+        (_dirac(0.0), _dirac(2.0), "sphere atoms must have unit norm"),
+        (_dirac(np.inf), _dirac(1.0), "oscillation part has infinite first moment"),
+    ],
+    ids=["negative-weight", "sphere-weights", "sphere-norm", "first-moment"],
+)
+def test_validate_rejects_a_plain_callable_field(setting, nu, nu_inf, message):
+    d, reg, mu = setting
+    lam = ScalarRadonMeasure(d, atoms=(((0.5,), 1.0),), registry=reg)
+    with pytest.raises(YoungMeasureError) as err:
+        GeneralizedYoungMeasure(d, (1, 1), nu, lam, nu_inf, mu)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # generation checks
 # ---------------------------------------------------------------------------
@@ -595,7 +626,7 @@ def fresh_pairing(f, nu, localization=None):
             pts = part.points
             if not len(pts) or (sphere and np.max(np.abs(part.masses)) <= 1e-12):
                 continue
-            w, A = field.eval(part, pts)
+            w, A = field(part.key, pts)
             vals = np.zeros(len(pts))
             for k in range(w.shape[1]):
                 active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
@@ -636,13 +667,12 @@ def test_parts_built_once_per_measure(setting, monkeypatch):
     field = constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)])
     evaluated = []
 
-    def counting_fn(pts, _fn=field.fn):
+    def counting_field(key, pts):
         evaluated.append(pts)
-        return _fn(pts)
+        return field(key, pts)
 
-    field.fn = counting_fn
     cand = GeneralizedYoungMeasure(
-        d, (1, 1), field, ScalarRadonMeasure(d, registry=reg), None, mu, validate=False
+        d, (1, 1), counting_field, ScalarRadonMeasure(d, registry=reg), None, mu, validate=False
     )
     assert built == [] and evaluated == []  # nothing is computed before first use
     for phi in scalar_bumps(d, per_axis=4):
@@ -793,18 +823,18 @@ def test_pairing_equals_fresh_recomputation_2d():
 
 def _old_barycenter(nu):
     """The barycenter as it was built before it read the part tables of
-    ``singular_densities``: its own walk over atoms and carriers."""
+    ``part_densities``: its own walk over atoms and carriers."""
     from bvcalc.measures import MeasurePart, merge_breaks
 
     mu = nu.reference_measure
     N, n = nu.dims
 
     def mean_osc(part, pts):
-        w, A = nu.nu.eval(part, pts)
+        w, A = nu.nu(part.key, pts)
         return np.einsum("mk,mkij->mij", w, A)
 
     def mean_inf(part, pts):
-        w, S = nu.nu_inf.eval(part, pts)
+        w, S = nu.nu_inf(part.key, pts)
         return np.einsum("mk,mkij->mij", w, S)
 
     lam_cell_charged = False
@@ -871,12 +901,12 @@ def moving_field(dims, scale):
     """Two matrix atoms, weights 1/4 and 3/4, that move with the point."""
     base = np.arange(1.0, 1.0 + np.prod(dims)).reshape(dims)
 
-    def fn(points):
+    def field(key, points):
         s = scale * (1.0 + np.sum(points, axis=1))[:, None, None]
         A = np.stack([s * base, (0.5 - s) * base], axis=1)
         return np.tile([0.25, 0.75], (len(points), 1)), A
 
-    return young.LocationField(fn)
+    return field
 
 
 def barycenter_cases():
@@ -1071,7 +1101,7 @@ def _old_constant_field(atom_list):
 )
 def test_constant_field_equals_the_kept_copy(atom_list):
     points = np.linspace(0.0, 1.0, 7)[:, None]
-    new, old = constant_field(atom_list).eval(None, points), _old_constant_field(atom_list)(points)
+    new, old = constant_field(atom_list)(None, points), _old_constant_field(atom_list)(points)
     for a, b in zip(new, old):
         assert a.shape == b.shape and np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
