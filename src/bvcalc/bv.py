@@ -2,8 +2,8 @@
 
 A function is a list of C^1 pieces partitioning the box plus jump parts
 along registered carriers, so its derivative measure is exact: gradient
-cell density plus (trace difference) (x) normal on each jump carrier
-(atoms at jump points in 1D).  Everything downstream then carries
+cell density plus (trace difference) (x) normal on each jump carrier (a
+point mass on each jump point in 1D).  Everything downstream then carries
 quadrature error only.
 """
 
@@ -178,10 +178,11 @@ class BVFunction:
         counts = [len(pts) for pts in rules]
         pts = np.concatenate(rules)
         eta = np.repeat(np.asarray(normals, dtype=float), counts, axis=0)
-        # a point's step h stops half-way to the nearest other break along its normal: no probe crosses a kink
+        # a point's step h stops half-way to the nearest other break or box side along its normal: no
+        # probe crosses a kink, and only a point on the box's boundary probes outside it
         step = np.full(len(pts), h)
         for k, axis in enumerate(self.breaks):
-            gap = np.abs(np.subtract.outer(pts[:, k], axis))
+            gap = np.abs(np.subtract.outer(pts[:, k], axis + self.domain.box[k]))
             gap[(gap == 0.0) | (eta[:, k, None] == 0.0)] = np.inf
             step = np.minimum(step, 0.5 * gap.min(axis=1, initial=np.inf))
         # probes at h, h/2, -h and -h/2 along the normal; those outside the box clamp to the point
@@ -208,32 +209,23 @@ class BVFunction:
 
 def derivative(u):
     """The derivative measure: gradient cell density plus, per jump
-    carrier, the line density (trace difference) (x) normal; in 1D the
-    jump parts are atoms."""
+    carrier, the density (trace difference) (x) normal there; the normal
+    of a jump point is the jump's stored 1D sign."""
     parts = []
-    atoms = []
     for jump in u.jumps:
         carrier = u.registry[jump.carrier_id]
-        if carrier.kind == "point":
-            pt = np.asarray(carrier.point, dtype=float)
-            delta = (
-                np.asarray(jump.plus(pt[None, :]))[0] - np.asarray(jump.minus(pt[None, :]))[0]
-            ).reshape(u.N, 1)
-            atoms.append((pt, delta * jump.orientation))
-        else:
-            normal = np.asarray(carrier.normal, dtype=float)
+        normal = np.asarray((jump.orientation,) if carrier.kind == "point" else carrier.normal, dtype=float)
 
-            def part(pts, _j=jump, _nrm=normal):
-                diff = np.asarray(_j.plus(pts)) - np.asarray(_j.minus(pts))
-                return diff.reshape(len(pts), u.N)[:, :, None] * _nrm[None, None, :]
+        def part(pts, _j=jump, _nrm=normal):
+            diff = np.asarray(_j.plus(pts)) - np.asarray(_j.minus(pts))
+            return diff.reshape(len(pts), u.N)[:, :, None] * _nrm[None, None, :]
 
-            parts.append((jump.carrier_id, part))
+        parts.append((jump.carrier_id, part))
     return MatrixRadonMeasure(
         u.domain,
         (u.N, u.domain.dim),
         density=u.gradient_at,
         carrier_parts=tuple(parts),
-        atoms=tuple(atoms),
         registry=u.registry,
         breaks=u.breaks,
     )
@@ -301,16 +293,10 @@ def zero_extension(u, outer_domain, carrier_prefix=None):
     )
     # the plus side of each boundary jump is the inner box: orientation +1
     # at an interval's left end, -1 at its right end, inward segment normals
+    orientations = (1.0, -1.0) if u.domain.dim == 1 else (1.0,) * len(carriers)
     jumps = list(u.jumps) + [
-        Jump(
-            carrier.cid,
-            plus=trace_fn,
-            minus=zeros,
-            orientation=(
-                -1.0 if carrier.kind == "point" and carrier.point[0] != inner_box[0][0] else 1.0
-            ),
-        )
-        for carrier in carriers
+        Jump(carrier.cid, plus=trace_fn, minus=zeros, orientation=sign)
+        for carrier, sign in zip(carriers, orientations)
     ]
     return BVFunction(
         outer_domain,

@@ -52,7 +52,7 @@ class FunctionalSpec:
     """Integrand + reference measure + domain (+ boundary-term flag).
 
     The reference measure must not charge the boundary; structurally this
-    means no atoms or point carriers on it and no segments along it.
+    means no point masses on it and no charged segments along it.
     """
 
     integrand: Integrand
@@ -114,8 +114,8 @@ def evaluate(u, spec):
 def _singular_term(F, remainder):
     """integral F^inf(x, polar) d|remainder|; by positive 1-homogeneity this
     is the recession evaluated directly on the densities, with zero values
-    contributing zero.  Only the atom and carrier parts are read: a cell
-    density of ``remainder`` is never looked at."""
+    contributing zero.  Only the carrier parts are read: a cell density of
+    ``remainder`` is never looked at."""
     total = 0.0
     for part in singular_parts(remainder):
         total += float(np.dot(part.weights, charged_recession(F, part.points, part.values)))

@@ -2,11 +2,12 @@
 
 A positive measure mu on a box domain is stored in structured form
 
-    mu = a * (volume measure)  +  atoms  +  line densities on carriers,
+    mu = a * (volume measure)  +  densities on carriers,
 
 and an R^{N x n}-valued measure gamma (a derivative measure, typically)
-likewise carries a matrix density plus carrier/atom parts.  Carriers live
-in a shared registry so that mutual singularity is decidable structurally:
+likewise carries a matrix density plus carrier parts; on a point carrier
+a part is a point mass.  Carriers live in a shared registry, which gives
+one point one id, so that mutual singularity is decidable structurally:
 two carrier parts interact only when they reference the same carrier id.
 
 Quadrature is deterministic: midpoint rule on cells (refined at declared
@@ -20,14 +21,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress
+from itertools import chain, compress, product
 
 import numpy as np
 
 # 3-point Gauss-Legendre on [-1, 1]
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
-_MATCH_TOL = 1e-12  # coincidence tolerance for atom points
+_MATCH_TOL = 1e-12  # points this close are one point carrier
+_POINT_CELL = 1024 * _MATCH_TOL  # side of the grid cells that index point carriers
 _ZERO_TOL = 1e-14  # densities below this count as "not charging"
 _MEMO_NODES = 1 << 17  # larger cell rules are rebuilt on each call, never kept
 
@@ -247,10 +249,10 @@ def merge_breaks(dim, *break_sets):
     norms = [n for n in (_normalize_breaks(bs, dim) for bs in break_sets) if any(n)]
     if len(norms) == 1 and type(norms[0]) is Breaks:
         return norms[0]
-    return Breaks(_merged_axis([n[k] for n in norms if n[k]]) for k in range(dim))
+    return Breaks(_axis_union([n[k] for n in norms if n[k]]) for k in range(dim))
 
 
-def _merged_axis(runs):
+def _axis_union(runs):
     """The sorted union of float tuples, first of equal values kept: a stable
     sort, as a set of dyadic floats (hashes sharing low bits) probes slowly."""
     if len(runs) == 1 and all(map(operator.lt, runs[0], runs[0][1:])):
@@ -288,7 +290,8 @@ class SingularCarrier:
 
     def __post_init__(self):
         for name, value in (("point", self.point), ("endpoints", self.endpoints), ("normal", self.normal)):
-            if value is not None and not np.isfinite(value).all():
+            flat = () if value is None else chain.from_iterable(value) if name == "endpoints" else value
+            if not all(map(math.isfinite, flat)):
                 raise MeasureError(f"carrier {self.cid!r} {name} must be finite, got {np.asarray(value).tolist()}")
         if self.kind == "point":
             if self.point is None:
@@ -325,14 +328,26 @@ class CarrierRegistry:
 
     Structural discipline: carriers registered here are either identical
     (same id) or geometrically disjoint up to H^{n-1}-null overlap; the
-    decomposition logic relies on this instead of float geometry tests.
+    decomposition logic relies on this instead of float geometry tests;
+    :meth:`register_point` is the one place that compares point locations.
     """
 
     def __init__(self):
         self._carriers = {}
+        self._points = {}  # grid cell of side _POINT_CELL -> the point carriers in it
 
     def register_point(self, cid, point):
-        return self._register(SingularCarrier(cid, "point", point=tuple(np.atleast_1d(point))))
+        """The point carrier within ``_MATCH_TOL`` of ``point``, whatever id
+        it was registered under, or else a new one named ``cid``."""
+        point = tuple(np.atleast_1d(point).tolist())
+        cell = tuple(x // _POINT_CELL for x in point)  # NaN for a point that is not finite
+        for near in product(*[(c - 1.0, c, c + 1.0) for c in cell]):
+            for other in self._points.get(near, ()):
+                if math.dist(other.point, point) <= _MATCH_TOL:
+                    return other
+        carrier = self._register(SingularCarrier(cid, "point", point=point))
+        self._points.setdefault(cell, []).append(carrier)
+        return carrier
 
     def register_segment(self, cid, start, end, normal=None):
         return self._register(
@@ -382,35 +397,53 @@ class _StructuredMeasure:
     def carrier(self, cid):
         return self.registry[cid]
 
-    def _normalize(self, value):
-        """Construction shared by both measures: atoms as (point, ``value``)
-        merged per point, carrier parts as a tuple, breaks merged, and every
-        carrier id looked up in the registry.  Returns the atoms unmerged."""
-        atoms = tuple((np.asarray(p, float).reshape(-1), value(v)) for p, v in self.atoms)
-        for p, _ in atoms:  # NaN fails the comparisons too; a dimension mismatch is rejected later
-            if not all(lo <= x <= hi for x, (lo, hi) in zip(p.tolist(), self.domain.box)):
-                raise MeasureError(f"atom point {p.tolist()} must be finite and in the domain")
-        object.__setattr__(self, "atoms", _merged(atoms))
-        object.__setattr__(self, "carrier_parts", tuple(self.carrier_parts))
-        object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
-        for cid, _ in self.carrier_parts:
+    def _normalize(self):
+        """Construction shared by both measures: parts on one id summed in
+        first-occurrence order, ids looked up, breaks merged.  Point parts
+        come first, each read once at its point into a constant density and
+        into ``_points``, one stacked part of kind "atom" (or None); a point
+        part of value 0 is no part.  Returns the summed parts as given."""
+        merged = {}
+        for cid, fn in self.carrier_parts:
+            merged.setdefault(cid, []).append(fn)
+        points, segments = [], []
+        for cid, fns in merged.items():
             if self.registry is None or cid not in self.registry:
                 raise MeasureError(f"carrier {cid!r} not in registry")
-        return atoms
+            part = (cid, fns[0] if len(fns) == 1 else _summed(fns))
+            (points if self.registry[cid].kind == "point" else segments).append(part)
+        object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
+        stacked = None
+        if points:
+            at = np.array([self.registry[cid].point for cid, _ in points], dtype=float)
+            values = np.array([fn(p[None]) for p, (_, fn) in zip(at, points)], float)
+            values = values.reshape(at.shape[:1] + self.shape)
+            if not values.all():
+                kept = values.reshape(len(at), -1).any(axis=1)
+                points, at, values = [part for part, keep in zip(points, kept) if keep], at[kept], values[kept]
+            if points:
+                read_only(at, values)
+                points = [(cid, _constant(v)) for (cid, _), v in zip(points, values)]
+                stacked = MeasurePart("atom", None, at, np.ones(len(at)), values, None if self.shape else values)
+        object.__setattr__(self, "carrier_parts", (*points, *segments))
+        object.__setattr__(self, "_points", stacked)
+        return [(cid, fn) for cid, fns in merged.items() if len(fns) > 1 for fn in fns]
 
 
-def _merged(atoms):
-    """Atoms sharing a point as one atom, values summed, in first-occurrence order."""
-    merged = {}
-    for p, v in atoms:
-        key = tuple(p)
-        merged[key] = (p, merged[key][1] + v) if key in merged else (p, v)
-    return tuple(merged.values())
+def _summed(fns):
+    """The density sum(fns), added left to right."""
+    return lambda pts: sum((np.asarray(f(pts)) for f in fns[1:]), np.asarray(fns[0](pts)))
+
+
+def _constant(value):
+    """The density ``value`` (an array) at any points."""
+    return lambda pts: np.repeat(value[None], len(pts), axis=0)
 
 
 @dataclass(frozen=True)
 class ScalarRadonMeasure(_StructuredMeasure):
-    """Positive measure: nonnegative cell density + atoms + carrier parts.
+    """Positive measure: nonnegative cell density + carrier parts, a point
+    mass (a part on a point carrier) being at least 0 exactly.
 
     ``dominates_lebesgue`` asserts a >= eps at every quadrature node, the
     checkable surrogate for "the volume measure is absolutely continuous
@@ -419,8 +452,7 @@ class ScalarRadonMeasure(_StructuredMeasure):
 
     domain: Domain
     density: object = None  # callable nodes -> (M,) or None for zero
-    atoms: tuple = ()  # ((point, weight), ...); weights at one point are summed
-    carrier_parts: tuple = ()
+    carrier_parts: tuple = ()  # ((cid, callable pts -> (M,)), ...); parts on one id are summed
     registry: CarrierRegistry | None = None
     dominates_lebesgue: bool = False
     eps: float = 1e-12
@@ -428,13 +460,13 @@ class ScalarRadonMeasure(_StructuredMeasure):
     shape = ()  # values are scalars: the shape-() case of a matrix measure
 
     def __post_init__(self):
-        for p, w in self._normalize(float):
-            if not w >= 0:
-                raise MeasureError("atom weights must be nonnegative")
-            if len(p) != self.domain.dim:
-                raise MeasureError("atom point dimension mismatch")
-        # the atoms' signs were checked above
-        for part in filter(None, (cell_part(self), _atom_part(self), *_carrier_parts(self))):
+        # a point mass is at least 0, and so is each part given on it
+        weights = [fn(np.array([self.carrier(cid).point])) for cid, fn in self._normalize()
+                   if self.carrier(cid).kind == "point"]
+        weights += [] if self._points is None else [self._points.values]
+        if not all((np.asarray(w) >= 0).all() for w in weights):  # NaN fails too
+            raise MeasureError("atom weights must be nonnegative")
+        for part in filter(None, (cell_part(self), self._points, *_carrier_parts(self))):
             if not np.isfinite(part.values).all():
                 raise MeasureError(f"a scalar measure's {part.kind} part must be finite")
             if part.kind == "cells" and np.any(part.values < -1e-12):
@@ -463,23 +495,21 @@ def lebesgue(domain, registry=None):
 
 @dataclass(frozen=True)
 class MatrixRadonMeasure(_StructuredMeasure):
-    """R^{N x n}-valued measure: matrix cell density + carrier parts +
-    (1D only) atoms.  Derivative measures of BV functions live here."""
+    """R^{N x n}-valued measure: matrix cell density + carrier parts.  Derivative
+    measures live here, so a point part is permitted only in 1D."""
 
     domain: Domain
     shape: tuple  # (N, n)
     density: object = None  # callable nodes -> (M, N, n)
-    carrier_parts: tuple = ()  # ((cid, callable pts -> (M, N, n)), ...)
-    atoms: tuple = ()  # ((point, value (N, n)), ...), 1D only; values at one point are summed
+    carrier_parts: tuple = ()  # ((cid, callable pts -> (M, N, n)), ...); parts on one id are summed
     registry: CarrierRegistry | None = None
     breaks: tuple = None
 
     def __post_init__(self):
-        N, n = self.shape
-        if n != self.domain.dim:
+        if self.shape[1] != self.domain.dim:
             raise MeasureError("matrix column count must equal the domain dimension")
-        self._normalize(lambda v: np.asarray(v, float).reshape(N, n))
-        if self.atoms and self.domain.dim != 1:
+        self._normalize()
+        if self._points is not None and self.domain.dim != 1:
             raise MeasureError("atomic parts are only permitted in 1D")
 
     def density_at(self, nodes):
@@ -497,17 +527,28 @@ class MatrixRadonMeasure(_StructuredMeasure):
 class MeasurePart:
     """One structural part of a measure as quadrature data."""
 
-    kind: str  # "cells" | "atom" | "carrier"
-    key: object  # None | atom point tuple | carrier id
+    kind: str  # "cells" | "atom" (on a point carrier) | "carrier" (on a segment)
+    key: object  # None for the cells, else the carrier id
     points: np.ndarray  # (M, dim)
     weights: np.ndarray = None  # (M,) volume, H^1 or counting weights
     values: np.ndarray = None  # (M,) or (M, N, n): the measure's density there
     masses: np.ndarray = None  # (M,) weights x values, for scalar measures
 
 
-def _repeated(value):
-    """The constant density ``value`` at any points (an atom's value)."""
-    return lambda pts: np.repeat(np.asarray(value)[None], len(pts), axis=0)
+def point_masses(domain, registry, masses):
+    """Carrier parts (cid, constant density) for the point masses
+    ``masses``, ((point, value), ...), of a measure on ``domain``: each point
+    must lie in the closed box, and ``registry`` gives it its point carrier."""
+    parts = []
+    for p, v in masses:
+        p = list(map(float, p))
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(p, domain.box)):  # NaN fails too
+            raise MeasureError(f"atom point {p} must be finite and in the domain")
+        if len(p) != domain.dim:
+            raise MeasureError("atom point dimension mismatch")
+        cid = registry.register_point(f"atom:{p}", p).cid
+        parts.append((cid, _constant(np.asarray(v, dtype=float))))
+    return tuple(parts)
 
 
 def _part(m, kind, key, points, weights, density):
@@ -516,8 +557,8 @@ def _part(m, kind, key, points, weights, density):
 
 
 def measure_parts(m, extra_breaks=None):
-    """The parts of a scalar or matrix measure, in the order cells, atoms,
-    carriers, so that summing dot(part.weights, g(part.points, part.values))
+    """The parts of a scalar or matrix measure, in the order cells, points,
+    segments, so that summing dot(part.weights, g(part.points, part.values))
     over them integrates g(x, density) against the measure over its whole
     domain.  ``extra_breaks`` refines the cell partition.
     """
@@ -536,38 +577,31 @@ def cell_part(m, extra_breaks=None):
 
 
 def singular_parts(m):
-    """The atom and carrier parts of ``m``, in that order: the parts of
-    :func:`measure_parts` after the cells, built without a cell rule."""
-    atoms = [_part(m, "atom", tuple(p), p[None, :], np.ones(1), _repeated(v)) for p, v in m.atoms]
-    return atoms + _carrier_parts(m)
-
-
-def _atom_part(m):
-    """The atoms of ``m`` as one part of unit weights, points (K, dim) and
-    values (K, ...) in atom order; None without atoms."""
-    if not m.atoms:
-        return None
-    points, values = map(np.array, zip(*m.atoms))
-    return _part(m, "atom", None, points, np.ones(len(points)), lambda _: values)
+    """One part per carrier part of ``m`` (points, rows of ``m._points``, then
+    segments): the parts of :func:`measure_parts` after the cells."""
+    s, rows = m._points, []
+    for k, (cid, _) in enumerate(m.carrier_parts[: 0 if s is None else len(s.points)]):
+        rows.append(MeasurePart("atom", cid, s.points[k:k + 1], s.weights[k:k + 1], s.values[k:k + 1],
+                                None if m.shape else s.masses[k:k + 1]))
+    return rows + _carrier_parts(m)
 
 
 def _carrier_parts(m):
-    """The carrier parts of ``m``, in the order of ``m.carrier_parts``."""
-    res = m.domain.resolution
-    return [_part(m, "carrier", cid, *m.carrier(cid).rule(res), fn) for cid, fn in m.carrier_parts]
+    """The segment parts of ``m``, in the order of ``m.carrier_parts``."""
+    res, k = m.domain.resolution, 0 if m._points is None else len(m._points.points)
+    return [_part(m, "carrier", cid, *m.carrier(cid).rule(res), fn) for cid, fn in m.carrier_parts[k:]]
 
 
 def _integrate(measure, on_cells, on_singular):
     """Sum over the parts of ``measure`` of dot(weights, integrand(part)),
     where the integrand is ``on_cells`` on the cell part and
-    ``on_singular`` on atoms and carriers.  The atoms form one part (see
-    :func:`_atom_part`), its terms added in atom order: the bits of one part per atom."""
+    ``on_singular`` on points and segments.  The points form one stacked
+    part, its terms added in part order: the bits of one part per point."""
     total = 0.0
     cells = cell_part(measure)
     total += float(np.dot(cells.weights, on_cells(cells)))
-    atoms = _atom_part(measure)
-    if atoms is not None:
-        for term in on_singular(atoms).tolist():
+    if measure._points is not None:
+        for term in on_singular(measure._points).tolist():
             total += term
     for part in _carrier_parts(measure):
         total += float(np.dot(part.weights, on_singular(part)))
@@ -605,7 +639,7 @@ def _norm_of_values(part):
 
 def total_variation(gamma):
     """|gamma|(Omega): cell integral of the pointwise norm plus all
-    carrier/atom masses."""
+    carrier masses."""
     return _integrate(gamma, _norm_of_values, _norm_of_values)
 
 
@@ -619,34 +653,22 @@ def area_functional(gamma):
     return _integrate(gamma, area, _norm_of_values)
 
 
-def _same_support(a, b):
-    """Whether singular parts of two measures sit on one set: the same
-    carrier id, or atoms at coincident points."""
-    if a.kind != b.kind:
-        return False
-    if a.kind == "carrier":
-        return a.key == b.key
-    return np.linalg.norm(np.subtract(a.key, b.key)) <= _MATCH_TOL
-
-
 def matched_parts(parts1, parts2):
-    """Pair the singular parts of two measures on one domain by support.
+    """Pair the singular parts of two measures on one registry by carrier id.
 
-    Each part of ``parts1``, in order, is paired with the first unused part
-    of ``parts2`` on the same support, or with None; the parts of
-    ``parts2`` left over follow as (None, part).  Each part is used once.
+    Each part of ``parts1``, in order, is paired with the part of
+    ``parts2`` on the same id if it is still unused, or with None; the
+    parts of ``parts2`` left over follow as (None, part).  ``parts2`` holds
+    each id once, as the parts of one measure do.
     """
-    pairs, used = [], set()
-    for a in parts1:
-        j = next((j for j, b in enumerate(parts2) if j not in used and _same_support(a, b)), None)
-        used.add(j)
-        pairs.append((a, None if j is None else parts2[j]))
-    return pairs + [(None, b) for j, b in enumerate(parts2) if j not in used]
+    unused = {b.key: b for b in parts2}
+    pairs = [(a, unused.pop(a.key, None)) for a in parts1]
+    return pairs + [(None, b) for b in unused.values()]
 
 
 def mutually_singular(gamma1, gamma2):
     """Structural mutual singularity: no common cell node where both
-    densities are nonzero, no shared carrier id, no coincident atoms."""
+    densities are nonzero and no carrier id charged by both."""
     cells = cell_part(gamma1, gamma2.breaks)
     if np.any(
         (_magnitudes(cells.values) > _ZERO_TOL)
@@ -661,15 +683,15 @@ def mutually_singular(gamma1, gamma2):
 
 
 def charges_boundary(m, domain, tol):
-    """Whether ``m`` charges the boundary of ``domain``: an atom heavier
-    than ``tol`` on it, a point carrier on it or a segment along it."""
-    if any(w > tol and not domain.strictly_contains(p) for p, w in m.atoms):
-        return True
-    for cid, _ in m.carrier_parts:
+    """Whether ``m`` charges the boundary of ``domain``: a singular part
+    with a value above ``tol`` on a point of it or a segment along it."""
+    for cid, fn in m.carrier_parts:
         c = m.carrier(cid)
         at = c.point if c.kind == "point" else np.mean(np.asarray(c.endpoints), axis=0)
         if not domain.strictly_contains(at):
-            return True
+            values = np.asarray(fn(c.rule(m.domain.resolution)[0]), dtype=float)
+            if np.max(_magnitudes(values)) > tol:
+                return True
     return False
 
 
@@ -714,12 +736,9 @@ class MuDecomposition:
 
 def part_densities(m):
     """Density callables points -> values of every part of ``m``, keyed
-    like the parts of :func:`measure_parts`: None for the cells, the point
-    tuple for an atom, the id for a carrier."""
-    table = {None: m.density_at}
-    table.update((tuple(p), _repeated(v)) for p, v in m.atoms)
-    table.update(m.carrier_parts)
-    return table
+    like the parts of :func:`measure_parts`: None for the cells, the
+    carrier id for the others."""
+    return {None: m.density_at, **dict(m.carrier_parts)}
 
 
 def rn_decompose(gamma, mu):
@@ -730,7 +749,8 @@ def rn_decompose(gamma, mu):
     have the shape of gamma's values, () for a scalar measure.  Rejected
     when mu's cell density falls below its declared eps, or when a carrier
     density of mu vanishes at a node where gamma's does not (the pointwise
-    ratio is then ill-posed at this resolution).
+    ratio is then ill-posed at this resolution).  A point mass of mu is
+    never 0 there, as a weightless one is no part of mu.
     """
     if not mu.dominates_lebesgue:
         raise DecompositionError("mu must be flagged dominates-Lebesgue")
@@ -739,17 +759,10 @@ def rn_decompose(gamma, mu):
     shape = gamma.shape
     densities = {None: lambda pts: gamma.density_at(pts) / _per_node(mu.density_at(pts), shape)}
     mu_fns, gamma_fns = dict(mu.carrier_parts), dict(gamma.carrier_parts)
-    rem_atoms, rem_parts = [], []
+    rem_parts = []
     for mp, gp in matched_parts(singular_parts(mu), singular_parts(gamma)):
         if mp is None:  # a part of gamma that mu does not see
-            if gp.kind == "atom":
-                rem_atoms.append((gp.points[0], gp.values[0]))
-            else:
-                rem_parts.append((gp.key, gamma_fns[gp.key]))
-        elif mp.kind == "atom":
-            densities[mp.key] = _repeated(
-                np.zeros(shape) if gp is None else gp.values[0] / mp.values[0]
-            )
+            rem_parts.append((gp.key, gamma_fns[gp.key]))
         elif gp is None:
             densities[mp.key] = lambda p: np.zeros((len(p),) + shape)
         else:
@@ -767,7 +780,7 @@ def rn_decompose(gamma, mu):
 
             densities[mp.key] = ratio
 
-    singular = {"density": None, "carrier_parts": tuple(rem_parts), "atoms": tuple(rem_atoms)}
+    singular = {"density": None, "carrier_parts": tuple(rem_parts)}
     if not shape:  # a scalar remainder has no cell density to dominate Lebesgue with
         singular["dominates_lebesgue"] = False
     return MuDecomposition(densities, replace(gamma, **singular))

@@ -74,7 +74,8 @@ def oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0)):
     """Functional value integral F(x, dDu/dmu) dmu + recession term: the
     cell term by Gauss-Legendre quadrature on each smooth stretch, split at
     its kinks, plus the explicit ledger of jumps and atoms (atoms at one
-    point are one atom, their weights summed, in first-occurrence order).
+    point are one atom, their weights summed, in first-occurrence order; a
+    jump sees the summed weight of the atoms within ``_MATCH`` of it).
 
     ``u_desc``: {"breaks": [...], "slopes": [...], "jumps": [[pos, height]...]}
     ``mu_desc``: {"poly": [c0, c1, ...]} density coefficients, "atoms": [[pos, w]...]
@@ -123,7 +124,7 @@ def oracle_1d(u_desc, mu_desc, f_desc, domain=(0.0, 1.0)):
         )
 
     for pos, height in jumps:
-        atom_w = next((w for p, w in atoms.items() if abs(p - pos) <= _MATCH), 0.0)
+        atom_w = sum(w for p, w in atoms.items() if abs(p - pos) <= _MATCH)
         if atom_w > 0.0:
             total += float(F(pos, height / atom_w) * atom_w)
         else:

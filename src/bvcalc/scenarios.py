@@ -9,6 +9,7 @@ turns them into reports and an exit status.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -54,7 +55,9 @@ from .measures import (
     ScalarRadonMeasure,
     frobenius,
     lebesgue,
+    point_masses,
     rn_decompose,
+    singular_parts,
     total_variation,
 )
 from .oracle import oracle_1d
@@ -230,7 +233,7 @@ def scenario_ramp_concentration(config):
         d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg),
+        ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
         constant_field([(np.array([[1.0]]), 1.0)]),
         mu,
     )
@@ -285,7 +288,7 @@ def scenario_atom_absorbs_jump(config):
     mu = ScalarRadonMeasure(
         d,
         density=lambda n: 2.0 * np.ones(len(n)),
-        atoms=(((0.5,), 1.0),),
+        carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -339,7 +342,7 @@ def scenario_boundary_term(config):
 
     one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)
     De = derivative(zero_extension(one, d_out, carrier_prefix="bnd-one"))
-    atom_vals = {p[0]: v[0, 0] for p, v in De.atoms}
+    atom_vals = {part.points[0, 0]: part.values[0, 0, 0] for part in singular_parts(De)}
     unit_jumps_ok = (
         abs(atom_vals.get(0.0, 0.0) - 1.0) <= 1e-12
         and abs(atom_vals.get(1.0, 0.0) + 1.0) <= 1e-12
@@ -383,8 +386,7 @@ def scenario_boundary_term(config):
 def scenario_reshetnyak_ramp(config):
     d = Domain((0.0, 1.0), config.resolution)
     reg = CarrierRegistry()
-    reg.register_point("jump:0.5", (0.5,))
-    gamma = MatrixRadonMeasure(d, (1, 1), atoms=(((0.5,), [[1.0]]),), registry=reg)
+    gamma = MatrixRadonMeasure(d, (1, 1), carrier_parts=point_masses(d, reg, [((0.5,), [[1.0]])]), registry=reg)
 
     def gamma_j(j):
         w = 1.0 / (8 * j)
@@ -425,11 +427,12 @@ def scenario_reshetnyak_counter(config):
         d, (1, 1), density=lambda n: np.ones((len(n), 1, 1)), registry=reg
     )
 
+    @functools.cache  # the last one is read twice
     def atoms_j(j):
         return MatrixRadonMeasure(
             d,
             (1, 1),
-            atoms=tuple((np.array([(k + 0.5) / j]), [[1.0 / j]]) for k in range(j)),
+            carrier_parts=point_masses(d, reg, [(((k + 0.5) / j,), [[1.0 / j]]) for k in range(j)]),
             registry=reg,
         )
 
@@ -899,7 +902,7 @@ def build_case_1d(case, resolution=20000):
     mu = ScalarRadonMeasure(
         domain,
         density=density,
-        atoms=tuple(((p,), w) for p, w in case["mu"].get("atoms", ())),
+        carrier_parts=point_masses(domain, reg, [((p,), w) for p, w in case["mu"].get("atoms", ())]),
         registry=reg,
         dominates_lebesgue=True,
         eps=1e-6,

@@ -8,8 +8,8 @@ the oscillation part and the recession of f on the concentration part.
 
 A field is a callable (key, points) -> (weights (M, K), atoms (M, K, N, n)):
 ``key`` names the structural part of the measure it is sampled on (None
-for the cells, the point tuple of an atom, the id of a carrier), so the
-elementary Young measure of a decomposed derivative is exact.
+for the cells, else the carrier id of a point mass or segment part), so
+the elementary Young measure of a decomposed derivative is exact.
 """
 
 from __future__ import annotations
@@ -182,11 +182,9 @@ def elementary(gamma, mu):
         return np.ones((len(points), 1)), (vals / safe[:, None, None])[:, None, :, :]
 
     lam_parts = [(cid, lambda pts, _f=fn: frobenius(_f(pts))) for cid, fn in rem.carrier_parts]
-    lam_atoms = tuple((p, float(np.linalg.norm(v))) for p, v in rem.atoms)
     lam = ScalarRadonMeasure(
         gamma.domain,
         density=None,
-        atoms=lam_atoms,
         carrier_parts=tuple(lam_parts),
         registry=gamma.registry,
         breaks=gamma.breaks,
@@ -253,8 +251,8 @@ def pairing(f, nu):
 
 def barycenter(nu):
     """The measure mean(nu_x) mu + mean(nu_inf_x) lambda as a structured
-    matrix measure: on each part key of mu and lambda (cells, atom point,
-    carrier id), the sum of mean(field) x density over the fields there."""
+    matrix measure: on each part key of mu and lambda (cells, carrier id),
+    the sum of mean(field) x density over the fields there."""
     mu, lam = nu.reference_measure, nu.lam
     terms = {key: [(nu.nu, fn)] for key, fn in part_densities(mu).items()}  # [(field, density)]
     if nu.nu_inf is not None:
@@ -273,14 +271,11 @@ def barycenter(nu):
 
         return density
 
-    atoms = [key for key in terms if isinstance(key, tuple)] if mu.domain.dim == 1 else []
-    carriers = [key for key in terms if key is not None and not isinstance(key, tuple)]
     return MatrixRadonMeasure(
         mu.domain,
         nu.dims,
         density=on(None),
-        carrier_parts=tuple((key, on(key)) for key in carriers),
-        atoms=tuple((np.asarray(key), on(key)(np.asarray([key]))[0]) for key in atoms),
+        carrier_parts=tuple((key, on(key)) for key in terms if key is not None),
         registry=mu.registry if mu.registry is not None else lam.registry,
         breaks=merge_breaks(mu.domain.dim, mu.breaks, lam.breaks, nu.breaks),
     )
@@ -376,9 +371,9 @@ def _jensen_core(F, u, nu, mu, upper_slope):
             rhs = _field_pair(F, *nu.nu(part.key, pts), pts)
             check(part, lhs, rhs, np.asarray(dec_lam.densities[part.key](pts)), report.ac_violations)
 
-    # the mu-singular parts of Du (the atoms and carriers of its remainder)
-    # against the lambda density on the same atom or carrier, zero where
-    # lambda's remainder has none
+    # the mu-singular parts of Du (the carrier parts of its remainder)
+    # against the lambda density on the same carrier, zero where lambda's
+    # remainder has none
     lam_parts = singular_parts(dec_lam.remainder)
     for part, lam in matched_parts(singular_parts(dec_u.remainder), lam_parts):
         if part is not None:

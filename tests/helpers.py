@@ -16,6 +16,7 @@ from bvcalc.measures import (
     frobenius,
     merge_breaks,
     part_densities,
+    singular_parts,
 )
 
 
@@ -150,7 +151,25 @@ def validate_growth(f):
 
 def is_structurally_zero(m):
     """Whether the scalar or matrix measure ``m`` has no part at all."""
-    return m.density is None and not m.carrier_parts and not m.atoms
+    return m.density is None and not m.carrier_parts
+
+
+def atoms_of(m):
+    """The point masses of the scalar or matrix measure ``m`` as
+    {cid: (point, value)} in part order, the pairs as the measures' former
+    ``atoms`` field held them: the point a float array (dim,), the value a
+    float for a scalar measure and an (N, n) array for a matrix one."""
+    return {
+        part.key: (part.points[0], float(part.values[0]) if not m.shape else part.values[0])
+        for part in singular_parts(m)
+        if part.kind == "atom"
+    }
+
+
+def carriers_of(m):
+    """The carrier parts of ``m`` on segments, as (cid, density) pairs in
+    part order: its carrier parts less the point masses."""
+    return tuple((cid, fn) for cid, fn in m.carrier_parts if m.carrier(cid).kind != "point")
 
 
 def is_absolutely_continuous(decomp):
@@ -171,7 +190,6 @@ def absolutely_continuous_part(decomp, gamma, mu):
         gamma.shape,
         density=on(None),
         carrier_parts=tuple((cid, on(cid)) for cid, _ in mu.carrier_parts),
-        atoms=tuple((p, on(tuple(p))(p[None, :])[0]) for p, _ in mu.atoms),
         registry=gamma.registry,
         breaks=merge_breaks(gamma.domain.dim, gamma.breaks, mu.breaks),
     )

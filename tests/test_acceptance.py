@@ -40,6 +40,7 @@ from bvcalc.measures import (
     Domain,
     MatrixRadonMeasure,
     ScalarRadonMeasure,
+    point_masses,
 )
 from bvcalc.oracle import oracle_1d
 from bvcalc.scenarios import (
@@ -262,7 +263,7 @@ def test_criterion_08_jensen_suite():
         d2,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d2, atoms=(((0.0,), 1.0),), registry=reg2),
+        ScalarRadonMeasure(d2, carrier_parts=point_masses(d2, reg2, [((0.0,), 1.0)]), registry=reg2),
         constant_field([(np.array([[1.0]]), 1.0)]),
         mu2,
     )
@@ -321,7 +322,7 @@ def test_criterion_10_reshetnyak():
     d = Domain((0.0, 1.0), 512)
     reg = CarrierRegistry()
     reg.register_point("jump:0.5", (0.5,))
-    gamma = MatrixRadonMeasure(d, (1, 1), atoms=(((0.5,), [[1.0]]),), registry=reg)
+    gamma = MatrixRadonMeasure(d, (1, 1), carrier_parts=point_masses(d, reg, [((0.5,), [[1.0]])]), registry=reg)
 
     def gamma_j(j):
         w = 1.0 / (8 * j)
@@ -338,7 +339,7 @@ def test_criterion_10_reshetnyak():
         return MatrixRadonMeasure(
             d,
             (1, 1),
-            atoms=tuple((np.array([(k + 0.5) / j]), [[1.0 / j]]) for k in range(j)),
+            carrier_parts=point_masses(d, reg, [(np.array([(k + 0.5) / j]), [[1.0 / j]]) for k in range(j)]),
             registry=reg,
         )
 

@@ -30,7 +30,7 @@ from bvcalc.measures import (
     total_variation,
 )
 
-from helpers import SmoothTestFunction, random_polynomial_test, vertical_step_2d
+from helpers import SmoothTestFunction, atoms_of, random_polynomial_test, vertical_step_2d
 
 
 def interval(resolution=256):
@@ -66,14 +66,14 @@ def test_derivative_of_identity_1d():
     u = piecewise_affine_1d(interval(), slopes=(1.0,))
     Du = derivative(u)
     assert total_variation(Du) == pytest.approx(1.0, abs=1e-12)
-    assert not Du.atoms and not Du.carrier_parts
+    assert not atoms_of(Du) and not Du.carrier_parts
 
 
 def test_derivative_of_heaviside_is_unit_atom():
     u = heaviside_1d(interval(), 0.5)
     Du = derivative(u)
-    assert len(Du.atoms) == 1
-    p, v = Du.atoms[0]
+    assert len(atoms_of(Du)) == 1
+    ((p, v),) = atoms_of(Du).values()
     assert p[0] == 0.5 and v[0, 0] == pytest.approx(1.0)
     assert total_variation(Du) == pytest.approx(1.0, abs=1e-14)
 
@@ -189,7 +189,7 @@ def test_zero_extension_unit_constant_1d():
     u = piecewise_affine_1d(interval(), slopes=(0.0,), start_value=1.0)
     ext = zero_extension(u, Domain((-1.0, 2.0), 128))
     De = derivative(ext)
-    values = {p[0]: v[0, 0] for p, v in De.atoms}
+    values = {p[0]: v[0, 0] for p, v in atoms_of(De).values()}
     assert values[0.0] == pytest.approx(1.0)
     assert values[1.0] == pytest.approx(-1.0)
 
@@ -413,8 +413,8 @@ def _assert_same_profile(new, old, trace_tol=0.0):
             assert np.allclose(a, b, rtol=0, atol=trace_tol) if trace_tol else np.array_equal(a, b)
     Dn, Do = derivative(new), derivative(old)
     assert np.array_equal(Dn.density_at(nodes), Do.density_at(nodes))
-    assert len(Dn.atoms) == len(Do.atoms)
-    for (p, v), (q, w) in zip(Dn.atoms, Do.atoms):
+    assert len(atoms_of(Dn)) == len(atoms_of(Do))
+    for (p, v), (q, w) in zip(atoms_of(Dn).values(), atoms_of(Do).values()):
         assert np.array_equal(p, q)
         assert np.allclose(v, w, rtol=0.0, atol=trace_tol) if trace_tol else np.array_equal(v, w)
 
@@ -980,3 +980,16 @@ def test_a_jump_on_an_unregistered_carrier_is_rejected():
     with pytest.raises(BVError) as err:
         BVFunction(d, 1, [piece], jumps=[Jump("nowhere", zero, zero)])
     assert str(err.value) == "jump carrier 'nowhere' not registered"
+
+
+def test_a_profile_needs_one_slope_per_breakpoint_interval():
+    with pytest.raises(BVError, match="^need one slope per breakpoint interval$"):
+        piecewise_affine_1d(interval(), breakpoints=(0.5,), slopes=(1.0,))
+
+
+@pytest.mark.parametrize("position", [1e-9, 1e-7, 1.0 - 1e-7, 1.0 - 1e-9])
+def test_a_jump_next_to_an_end_of_the_interval_passes_the_trace_check(position):
+    # the probes of the trace check stop half-way to the box side, as they do at a break
+    u = piecewise_affine_1d(interval(), slopes=(1.0,), jumps=((position, (0.8,)),))
+    ((p, v),) = atoms_of(derivative(u)).values()
+    assert p.tolist() == [position] and v[0, 0] == pytest.approx(0.8, abs=1e-12)

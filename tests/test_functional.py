@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,12 +22,14 @@ from bvcalc.functional import (
     reshetnyak_experiment,
 )
 from bvcalc.integrands import make_area, make_norm, make_w_shape, sq_envelope, x_modulated
+from bvcalc.oracle import oracle_1d
 from bvcalc.measures import (
     CarrierRegistry,
     DecompositionError,
     Domain,
     MatrixRadonMeasure,
     ScalarRadonMeasure,
+    point_masses,
     total_variation,
 )
 
@@ -62,7 +67,7 @@ def test_evaluate_atom_absorbs_jump(setting):
     mu = ScalarRadonMeasure(
         d,
         density=lambda n: 2.0 * np.ones(len(n)),
-        atoms=(((0.5,), 1.0),),
+        carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -138,7 +143,7 @@ def test_evaluate_rejects_mu_charging_boundary(setting):
     mu_bad = ScalarRadonMeasure(
         d,
         density=lambda n: np.ones(len(n)),
-        atoms=(((0.0,), 1.0),),
+        carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -227,7 +232,7 @@ def test_admissibility_cases(setting):
     mu_atom = ScalarRadonMeasure(
         d,
         density=lambda n: np.ones(len(n)),
-        atoms=(((0.5,), 1.0),),
+        carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -386,7 +391,7 @@ def test_reshetnyak_identity_sequence(setting):
 def test_reshetnyak_ramp_first_order(setting):
     d, reg, mu = setting
     reg.register_point("jump:0.5", (0.5,))
-    gamma = MatrixRadonMeasure(d, (1, 1), atoms=(((0.5,), [[1.0]]),), registry=reg)
+    gamma = MatrixRadonMeasure(d, (1, 1), carrier_parts=point_masses(d, reg, [((0.5,), [[1.0]])]), registry=reg)
     js = geometric_js(256)
     rep = reshetnyak_experiment(ramp_derivative_sequence(d, reg), gamma, make_area(), js=js)
     assert rep.accepted
@@ -415,7 +420,7 @@ def test_reshetnyak_rejects_strict_but_not_area_strict(setting):
         return MatrixRadonMeasure(
             d,
             (1, 1),
-            atoms=tuple((np.array([(k + 0.5) / j]), [[1.0 / j]]) for k in range(j)),
+            carrier_parts=point_masses(d, reg, [(np.array([(k + 0.5) / j]), [[1.0 / j]]) for k in range(j)]),
             registry=reg,
         )
 
@@ -435,7 +440,8 @@ def test_reshetnyak_builds_only_the_last_measure_of_a_rejected_sequence(setting)
     def atoms_j(j):
         built.append(j)
         return MatrixRadonMeasure(
-            d, (1, 1), atoms=tuple((((k + 0.5) / j,), [[1.0 / j]]) for k in range(j)), registry=reg
+            d, (1, 1), carrier_parts=point_masses(d, reg, [(((k + 0.5) / j,), [[1.0 / j]]) for k in range(j)]),
+            registry=reg,
         )
 
     rep = reshetnyak_experiment(atoms_j, leb, make_area(), js=geometric_js(128))
@@ -475,3 +481,56 @@ def _old_geometric_js(jmax):
 def test_geometric_js_equals_the_kept_loop():
     for jmax in [*range(-3, 300), 1000, 1024, 1025, 2**20 - 1, 2**20, 64.0, 9.9]:
         assert geometric_js(jmax) == _old_geometric_js(jmax)
+
+
+def test_lsc_flags_a_violation_for_a_convex_integrand(setting):
+    # u(x) = x against u_j = 0 under norm: the values drop from 1 to 0, which
+    # no convex integrand allows, so the margin -1 is a violation, not expected
+    d, reg, mu = setting
+    identity = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
+    zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
+    rep = lsc_experiment(lambda j: zero, identity, FunctionalSpec(make_norm(), mu, d), js=(1, 2, 4))
+    assert rep.margin == pytest.approx(-1.0, abs=1e-12)
+    assert rep.flags == ["violation"]
+
+
+def test_a_spec_needs_a_positive_upper_growth_constant(setting):
+    d, reg, mu = setting
+    for growth_M in (0.0, -1.0):
+        with pytest.raises(FunctionalError, match="^integrand must declare a positive upper growth constant$"):
+            FunctionalSpec(replace(make_norm(), growth_M=growth_M), mu, d)
+
+
+@pytest.mark.parametrize("written_on", ["the jump carrier", "another id"])
+def test_a_point_mass_absorbs_the_jump_on_its_point_whatever_its_id(written_on):
+    # mu = L^1 + a point mass of 1 at 0.5 and a unit jump there, under area:
+    # dDu/dmu is 1 at the point, so the value is 1 + F(1) = 1 + sqrt 2
+    d = Domain((0.0, 1.0), 256)
+    reg = CarrierRegistry()
+    u = piecewise_affine_1d(d, slopes=(0.0,), jumps=((0.5, (1.0,)),), registry=reg)
+    cid = "jump:0.5" if written_on == "the jump carrier" else reg.register_point("mu-atom", (0.5,)).cid
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), carrier_parts=((cid, lambda p: np.ones(len(p))),),
+        registry=reg, dominates_lebesgue=True,
+    )
+    out = evaluate(u, FunctionalSpec(make_area(), mu, d))
+    ref = oracle_1d({"slopes": [0.0], "jumps": [[0.5, 1.0]]}, {"poly": [1.0], "atoms": [[0.5, 1.0]]}, {"kind": "area"})
+    assert ref == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
+    assert out.total == pytest.approx(ref, abs=1e-10) and out.singular == 0.0
+    assert out.ac_atoms == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert admissibility_check(u, mu)
+
+
+def test_a_weightless_point_mass_is_no_part_of_mu(setting):
+    # the jump it sits on is then mu-singular and counted by F^inf, as the oracle counts it
+    d, reg, _ = setting
+    u = piecewise_affine_1d(d, slopes=(0.0,), jumps=((0.5, (1.0,)),), registry=reg)
+    mu = ScalarRadonMeasure(
+        d, density=lambda n: np.ones(len(n)), carrier_parts=point_masses(d, reg, [((0.5,), 0.0)]),
+        registry=reg, dominates_lebesgue=True,
+    )
+    assert mu.carrier_parts == () and mu.mass() == pytest.approx(1.0, abs=1e-12)
+    out = evaluate(u, FunctionalSpec(make_norm(), mu, d))
+    assert (out.ac_atoms, out.singular) == (0.0, 1.0) and not admissibility_check(u, mu)
+    ref = oracle_1d({"slopes": [0.0], "jumps": [[0.5, 1.0]]}, {"poly": [1.0], "atoms": [[0.5, 0.0]]}, {"kind": "norm"})
+    assert out.total == pytest.approx(ref, abs=1e-12)

@@ -10,6 +10,7 @@ from bvcalc.integrands import (
     IntegrandError,
     QuasiconvexityWitness,
     RecessionError,
+    catalog_integrand,
     generalized_recession,
     laminate_field,
     make_area,
@@ -504,3 +505,14 @@ _NO_ANALYTIC_AREA = Integrand(
 def test_sq_radius_equals_the_kept_search(F):
     for i in (1, 2, 4, 8, 16, 32):
         assert sq_envelope(F, i).radius == _old_sq_radius(F, i)
+
+
+def test_catalog_integrand_rejects_an_unknown_name():
+    with pytest.raises(IntegrandError, match="^unknown catalog integrand 'cubic'$"):
+        catalog_integrand("cubic")
+
+
+@pytest.mark.parametrize("i", [0, -1])
+def test_sq_envelope_index_must_be_positive(i):
+    with pytest.raises(IntegrandError, match="^envelope index must be positive$"):
+        sq_envelope(make_norm(), i)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 
 import numpy as np
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvcalc.measures import (
+    _MATCH_TOL,
+    _POINT_CELL,
     Breaks,
     CarrierRegistry,
     DecompositionError,
@@ -21,11 +25,18 @@ from bvcalc.measures import (
     merge_breaks,
     mutually_singular,
     pair_with_test_function,
+    point_masses,
     rn_decompose,
     total_variation,
 )
 
-from helpers import absolutely_continuous_part, is_absolutely_continuous, is_structurally_zero
+from helpers import (
+    absolutely_continuous_part,
+    atoms_of,
+    carriers_of,
+    is_absolutely_continuous,
+    is_structurally_zero,
+)
 
 
 def interval(resolution=128):
@@ -58,7 +69,7 @@ def test_total_variation_direct_sum_1d():
         interval(),
         (1, 1),
         density=ones_density((1, 1)),
-        atoms=(((0.5,), [[2.0]]),),
+        carrier_parts=point_masses(interval(), reg, [((0.5,), [[2.0]])]),
         registry=reg,
     )
     assert total_variation(gamma) == pytest.approx(3.0, abs=1e-12)
@@ -116,19 +127,21 @@ def test_rn_decompose_atom_shared():
     mu = ScalarRadonMeasure(
         dom,
         density=lambda n: 2.0 * np.ones(len(n)),
-        atoms=(((0.5,), 1.0),),
+        carrier_parts=point_masses(dom, reg, [((0.5,), 1.0)]),
         registry=reg,
         dominates_lebesgue=True,
     )
     gamma = MatrixRadonMeasure(
-        dom, (1, 1), density=ones_density((1, 1)), atoms=(((0.5,), [[1.0]]),), registry=reg
+        dom, (1, 1), density=ones_density((1, 1)),
+        carrier_parts=point_masses(dom, reg, [((0.5,), [[1.0]])]), registry=reg
     )
     dec = rn_decompose(gamma, mu)
     nodes, _ = dom.cell_rule()
     assert np.allclose(dec.densities[None](nodes), 0.5)
-    assert list(dec.densities) == [None, (0.5,)]
-    v = dec.densities[(0.5,)](np.array([[0.5]]))[0]
-    assert mu.atoms[0][1] == 1.0 and v[0, 0] == pytest.approx(1.0)
+    (cid, _), = mu.carrier_parts
+    assert list(dec.densities) == [None, cid] and [c for c, _ in gamma.carrier_parts] == [cid]
+    v = dec.densities[cid](np.array([[0.5]]))[0]
+    assert atoms_of(mu)[cid][1] == 1.0 and v[0, 0] == pytest.approx(1.0)
     assert is_structurally_zero(dec.remainder)
 
 
@@ -160,8 +173,7 @@ def test_rn_decompose_proportional():
     mu = ScalarRadonMeasure(
         dom,
         density=lambda n: 1.0 + n[:, 0],
-        atoms=(((0.75,), 0.5),),
-        carrier_parts=(("pt", lambda p: 2.0 * np.ones(len(p))),),
+        carrier_parts=point_masses(dom, reg, [((0.75,), 0.5)]) + (("pt", lambda p: 2.0 * np.ones(len(p))),),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -170,15 +182,16 @@ def test_rn_decompose_proportional():
         dom,
         (1, 1),
         density=lambda n: c * (1.0 + n[:, 0])[:, None, None],
-        atoms=(((0.75,), [[c * 0.5]]),),
-        carrier_parts=(("pt", lambda p: c * 2.0 * np.ones(len(p))[:, None, None]),),
+        carrier_parts=point_masses(dom, reg, [((0.75,), [[c * 0.5]])])
+        + (("pt", lambda p: c * 2.0 * np.ones(len(p))[:, None, None]),),
         registry=reg,
     )
     dec = rn_decompose(gamma, mu)
     nodes, _ = dom.cell_rule()
     assert np.allclose(dec.densities[None](nodes), c, rtol=1e-13)
-    assert list(dec.densities) == [None, (0.75,), "pt"]
-    assert dec.densities[(0.75,)](np.array([[0.75]]))[0, 0, 0] == pytest.approx(c, rel=1e-13)
+    atom = mu.carrier_parts[0][0]
+    assert list(dec.densities) == [None, atom, "pt"]
+    assert dec.densities[atom](np.array([[0.75]]))[0, 0, 0] == pytest.approx(c, rel=1e-13)
     pts, _ = reg["pt"].rule(dom.resolution)
     assert np.allclose(dec.densities["pt"](pts), c, rtol=1e-13)
     assert is_structurally_zero(dec.remainder)
@@ -223,13 +236,12 @@ def _as_matrix(mu):
     def density(nodes):
         return np.asarray(mu.density_at(nodes))[:, None, None] * e[None]
 
-    parts = tuple(
+    parts = tuple(  # the point masses only in 1D
         (cid, (lambda p, _f=fn: np.asarray(_f(p))[:, None, None] * e[None]))
-        for cid, fn in mu.carrier_parts
+        for cid, fn in (mu.carrier_parts if dim == 1 else carriers_of(mu))
     )
-    atoms = tuple((p, w * e) for p, w in mu.atoms) if dim == 1 else ()
     return MatrixRadonMeasure(
-        mu.domain, (1, dim), density=density, carrier_parts=parts, atoms=atoms,
+        mu.domain, (1, dim), density=density, carrier_parts=parts,
         registry=mu.registry, breaks=mu.breaks,
     )
 
@@ -244,7 +256,7 @@ def test_rn_reconstruction_and_tv_additivity():
         mu = ScalarRadonMeasure(
             dom,
             density=lambda n, a=c0, b=c1: a + b * n[:, 0] ** 2,
-            atoms=(((0.3,), float(rng.uniform(0.5, 2.0))),),
+            carrier_parts=point_masses(dom, reg, [((0.3,), float(rng.uniform(0.5, 2.0)))]),
             registry=reg,
             dominates_lebesgue=True,
         )
@@ -253,10 +265,10 @@ def test_rn_reconstruction_and_tv_additivity():
             dom,
             (1, 1),
             density=lambda n, a=s0, b=s1: (a + b * n[:, 0])[:, None, None],
-            atoms=(
+            carrier_parts=point_masses(dom, reg, [
                 ((0.3,), [[float(rng.uniform(-1, 1))]]),
                 ((0.7,), [[float(rng.uniform(-1, 1))]]),
-            ),
+            ]),
             registry=reg,
         )
         dec = rn_decompose(gamma, mu)
@@ -300,6 +312,7 @@ def test_area_with_jump_segment():
 def test_area_bounds_against_tv():
     rng = np.random.default_rng(3)
     dom = interval()
+    reg = CarrierRegistry()
     for _ in range(5):
         coef = rng.uniform(-2, 2, size=3)
         gamma = MatrixRadonMeasure(
@@ -308,7 +321,8 @@ def test_area_bounds_against_tv():
             density=lambda n, c=coef: (c[0] + c[1] * n[:, 0] + c[2] * n[:, 0] ** 2)[
                 :, None, None
             ],
-            atoms=(((0.4,), [[float(rng.uniform(-1, 1))]]),),
+            carrier_parts=point_masses(dom, reg, [((0.4,), [[float(rng.uniform(-1, 1))]])]),
+            registry=reg,
         )
         tv = total_variation(gamma)
         vol = dom.volume()
@@ -325,7 +339,8 @@ def test_area_bounds_against_tv():
 def test_mutually_singular_cases():
     dom = interval()
     leb = MatrixRadonMeasure(dom, (1, 1), density=ones_density((1, 1)))
-    dirac = MatrixRadonMeasure(dom, (1, 1), atoms=(((0.0,), [[1.0]]),))
+    reg0 = CarrierRegistry()
+    dirac = MatrixRadonMeasure(dom, (1, 1), carrier_parts=point_masses(dom, reg0, [((0.0,), [[1.0]])]), registry=reg0)
     twol = MatrixRadonMeasure(dom, (1, 1), density=lambda n: 2 * np.ones((len(n), 1, 1)))
     assert mutually_singular(leb, dirac)
     assert not mutually_singular(leb, twol)
@@ -362,7 +377,10 @@ def test_pairing_zero_field():
 
 
 def test_pairing_single_atom():
-    gamma = MatrixRadonMeasure(interval(), (1, 1), atoms=(((0.25,), [[2.0]]),))
+    reg = CarrierRegistry()
+    gamma = MatrixRadonMeasure(
+        interval(), (1, 1), carrier_parts=point_masses(interval(), reg, [((0.25,), [[2.0]])]), registry=reg
+    )
     phi = bump_field([[1.0]])
     expected = 16.0 * 0.25 * 0.75 * 2.0
     assert pair_with_test_function(gamma, phi) == pytest.approx(expected, abs=1e-12)
@@ -376,11 +394,13 @@ def test_pairing_matches_direct_sum_oracle_1d():
     dom = Domain((0.0, 1.0), m)
     coef = rng.uniform(-1, 1, size=3)
     atom_x, atom_v = 0.6, 1.3
+    reg = CarrierRegistry()
     gamma = MatrixRadonMeasure(
         dom,
         (1, 1),
         density=lambda n, c=coef: (c[0] + c[1] * n[:, 0] + c[2] * n[:, 0] ** 2)[:, None, None],
-        atoms=(((atom_x,), [[atom_v]]),),
+        carrier_parts=point_masses(dom, reg, [((atom_x,), [[atom_v]])]),
+        registry=reg,
     )
     phi = bump_field([[1.0]])
 
@@ -448,10 +468,12 @@ def test_measure_distance_matched_parts():
     dom = interval()
     reg = CarrierRegistry()
     g1 = MatrixRadonMeasure(
-        dom, (1, 1), density=ones_density((1, 1)), atoms=(((0.5,), [[1.0]]),), registry=reg
+        dom, (1, 1), density=ones_density((1, 1)), carrier_parts=point_masses(dom, reg, [((0.5,), [[1.0]])]),
+        registry=reg,
     )
     g2 = MatrixRadonMeasure(
-        dom, (1, 1), density=ones_density((1, 1)), atoms=(((0.5,), [[3.0]]),), registry=reg
+        dom, (1, 1), density=ones_density((1, 1)), carrier_parts=point_masses(dom, reg, [((0.5,), [[3.0]])]),
+        registry=reg,
     )
     assert measure_distance(g1, g2) == pytest.approx(2.0, abs=1e-12)
     assert measure_distance(g1, g1) == pytest.approx(0.0, abs=1e-14)
@@ -494,11 +516,11 @@ def test_dominates_flag_enforced():
 def _old_mass(m):
     nodes, weights = m.domain.cell_rule(breaks=m.breaks)
     total = float(np.dot(weights, m.density_at(nodes)))
-    for cid, fn in m.carrier_parts:
+    for cid, fn in carriers_of(m):
         pts, w = m.registry[cid].rule(m.domain.resolution)
         if len(pts):
             total += float(np.dot(w, np.asarray(fn(pts))))
-    for p, w in m.atoms:
+    for p, w in atoms_of(m).values():
         total += w
     return total
 
@@ -513,11 +535,11 @@ def _old_tv_or_area(gamma, area=False):
     if cells is not None and area:
         cells = np.sqrt(1.0 + cells**2)
     total = float(np.dot(weights, cells)) if len(nodes) else 0.0
-    for cid, fn in gamma.carrier_parts:
+    for cid, fn in carriers_of(gamma):
         pts, w = gamma.carrier(cid).rule(gamma.domain.resolution)
         if len(pts):
             total += float(np.dot(w, _frob(np.asarray(fn(pts)))))
-    for p, v in gamma.atoms:
+    for p, v in atoms_of(gamma).values():
         total += float(np.linalg.norm(v))
     return total
 
@@ -527,12 +549,12 @@ def _old_pair(gamma, phi):
     total = float(
         np.dot(weights, np.sum(np.asarray(phi(nodes)) * gamma.density_at(nodes), axis=(1, 2)))
     )
-    for cid, fn in gamma.carrier_parts:
+    for cid, fn in carriers_of(gamma):
         pts, w = gamma.carrier(cid).rule(gamma.domain.resolution)
         total += float(
             np.dot(w, np.sum(np.asarray(phi(pts)) * np.asarray(fn(pts)), axis=(1, 2)))
         )
-    for p, v in gamma.atoms:
+    for p, v in atoms_of(gamma).values():
         total += float(np.sum(np.asarray(phi(p[None, :]))[0] * v))
     return total
 
@@ -549,10 +571,10 @@ def _old_evaluate(u, spec):
     a = np.asarray(mu.density_at(nodes))
     ac_cells = float(np.dot(weights * a, F(nodes, dec.densities[None](nodes))))
     ac_atoms = 0.0
-    for p, w in mu.atoms:
-        ac_atoms += w * F(p, dec.densities[tuple(p)](p[None, :])[0])
+    for cid, (p, w) in atoms_of(mu).items():
+        ac_atoms += w * F(p, dec.densities[cid](p[None, :])[0])
     ac_carriers = 0.0
-    for cid, mfn in mu.carrier_parts:
+    for cid, mfn in carriers_of(mu):
         pts, wts = mu.carrier(cid).rule(u.domain.resolution)
         ac_carriers += float(np.dot(wts * np.asarray(mfn(pts)), F(pts, dec.densities[cid](pts))))
     singular = _singular_term(F, dec.remainder)
@@ -571,19 +593,19 @@ def _old_scalar_rn_decompose(lam, mu):
 
     matched = set()
     atom_values = []
-    for p, w in mu.atoms:
+    for p, w in atoms_of(mu).values():
         value = 0.0
-        for i, (q, v) in enumerate(lam.atoms):
+        for i, (q, v) in enumerate(atoms_of(lam).values()):
             if np.linalg.norm(p - q) <= _MATCH_TOL:
                 value = v / w
                 matched.add(i)
                 break
         atom_values.append((p, w, value))
-    rem_atoms = [(p, v) for i, (p, v) in enumerate(lam.atoms) if i not in matched]
+    rem_atoms = [(p, v) for i, (p, v) in enumerate(atoms_of(lam).values()) if i not in matched]
 
-    mu_parts = dict(mu.carrier_parts)
+    mu_parts = dict(carriers_of(mu))
     carrier_fns, rem_parts = [], []
-    for cid, lfn in lam.carrier_parts:
+    for cid, lfn in carriers_of(lam):
         if cid in mu_parts:
             mfn = mu_parts[cid]
             pts, _ = lam.carrier(cid).rule(lam.domain.resolution)
@@ -601,11 +623,11 @@ def _old_scalar_rn_decompose(lam, mu):
         else:
             rem_parts.append((cid, lfn))
     charged = {cid for cid, _, _ in carrier_fns}
-    for cid, mfn in mu.carrier_parts:
+    for cid, mfn in carriers_of(mu):
         if cid not in charged:
             carrier_fns.append((cid, mfn, lambda p: np.zeros(len(p))))
     remainder = ScalarRadonMeasure(
-        lam.domain, atoms=tuple(rem_atoms), carrier_parts=tuple(rem_parts),
+        lam.domain, carrier_parts=point_masses(lam.domain, lam.registry, rem_atoms) + tuple(rem_parts),
         registry=lam.registry, breaks=lam.breaks,
     )
     return atom_values, cell_fn, carrier_fns, remainder
@@ -621,8 +643,8 @@ def _mixed_1d(resolution=96):
     mu = ScalarRadonMeasure(
         dom,
         density=lambda n: 1.0 + n[:, 0] ** 2,
-        atoms=(((0.3,), 0.7), ((0.9,), 1.1)),
-        carrier_parts=(("p1", lambda p: 2.0 + p[:, 0]), ("p3", lambda p: 0.5 + 0 * p[:, 0])),
+        carrier_parts=point_masses(dom, reg, [((0.3,), 0.7), ((0.9,), 1.1)])
+        + (("p1", lambda p: 2.0 + p[:, 0]), ("p3", lambda p: 0.5 + 0 * p[:, 0])),
         registry=reg,
         dominates_lebesgue=True,
         breaks=(0.5,),
@@ -630,8 +652,8 @@ def _mixed_1d(resolution=96):
     lam = ScalarRadonMeasure(
         dom,
         density=lambda n: 0.5 + np.sin(3.0 * n[:, 0]) ** 2,
-        atoms=(((0.3,), 0.4), ((0.6,), 1.3)),
-        carrier_parts=(("p1", lambda p: 0.25 + p[:, 0]), ("p2", lambda p: 3.0 + 0 * p[:, 0])),
+        carrier_parts=point_masses(dom, reg, [((0.3,), 0.4), ((0.6,), 1.3)])
+        + (("p1", lambda p: 0.25 + p[:, 0]), ("p2", lambda p: 3.0 + 0 * p[:, 0])),
         registry=reg,
         breaks=(1.0 / 3.0,),
     )
@@ -639,8 +661,8 @@ def _mixed_1d(resolution=96):
         dom,
         (1, 1),
         density=lambda n: np.cos(5.0 * n[:, 0])[:, None, None],
-        atoms=(((0.3,), [[-0.8]]), ((0.65,), [[1.7]])),
-        carrier_parts=(("p1", lambda p: (1.0 - 3.0 * p[:, 0])[:, None, None]),),
+        carrier_parts=point_masses(dom, reg, [((0.3,), [[-0.8]]), ((0.65,), [[1.7]])])
+        + (("p1", lambda p: (1.0 - 3.0 * p[:, 0])[:, None, None]),),
         registry=reg,
     )
     return dom, reg, mu, lam, gamma
@@ -650,31 +672,27 @@ def test_scalar_rn_decompose_is_the_shape_0_case():
     dom, reg, mu, lam, _ = _mixed_1d()
     old_atoms, old_cell_fn, old_carriers, old_rem = _old_scalar_rn_decompose(lam, mu)
     dec = rn_decompose(lam, mu)
-    atom_keys = [k for k in dec.densities if isinstance(k, tuple)]
-    assert len(atom_keys) == len(old_atoms) == 2
+    # in 1D every singular part is a point mass: the atoms and the point carriers p1 and p3 alike
+    atom_keys = [k for k in dec.densities if k is not None]
+    assert atom_keys == [c for c, _ in mu.carrier_parts] and len(old_atoms) == 4
     for key, (q, w0, v0) in zip(atom_keys, old_atoms):
         v = dec.densities[key](q[None, :])
-        assert key == tuple(q) and v.shape == (1,) and np.array_equal(v[0], v0)
-    assert [w for _, w in mu.atoms] == [w0 for _, w0, _ in old_atoms]
-    assert [v for _, _, v in old_atoms] == [0.4 / 0.7, 0.0]  # shared, then unshared
+        assert reg[key].point == tuple(q) and v.shape == (1,) and np.array_equal(v[0], v0)
+    assert [w for _, w in atoms_of(mu).values()] == [w0 for _, w0, _ in old_atoms]
+    values = [v for _, _, v in old_atoms]  # shared, unshared, shared (p1), unshared (p3)
+    assert values[:2] == [0.4 / 0.7, 0.0] and values[2] > 0.0 and values[3] == 0.0
     nodes, _ = dom.cell_rule(breaks=((0.5, 1.0 / 3.0),))
     assert np.array_equal(dec.densities[None](nodes), old_cell_fn(nodes))
-    carrier_keys = [k for k in dec.densities if isinstance(k, str)]
-    assert carrier_keys == [c for c, _, _ in old_carriers] == ["p1", "p3"]
-    for cid, (_, mfn0, ratio0) in zip(carrier_keys, old_carriers):
-        pts, _ = reg[cid].rule(dom.resolution)
-        assert dict(mu.carrier_parts)[cid] is mfn0
-        assert np.array_equal(dec.densities[cid](pts), ratio0(pts))
+    assert old_carriers == [] and carriers_of(mu) == ()
     rem = dec.remainder
     assert isinstance(rem, ScalarRadonMeasure) and rem.density is None
-    assert [(tuple(p), w) for p, w in rem.atoms] == [(tuple(p), w) for p, w in old_rem.atoms]
-    assert rem.carrier_parts == old_rem.carrier_parts
+    assert [(tuple(p), w) for p, w in atoms_of(rem).values()] == [(tuple(p), w) for p, w in atoms_of(old_rem).values()]
+    assert [c for c, _ in rem.carrier_parts] == [c for c, _ in old_rem.carrier_parts]
     assert rem.breaks == old_rem.breaks and rem.mass() == old_rem.mass()
     assert not is_absolutely_continuous(dec)
-    # without the unshared atom and carrier lambda is absolutely continuous
+    # without the unshared atom and carrier (0.6 and p2) lambda is absolutely continuous
     lam_ac = ScalarRadonMeasure(
-        dom, density=lam.density, atoms=lam.atoms[:1], carrier_parts=lam.carrier_parts[:1],
-        registry=reg,
+        dom, density=lam.density, carrier_parts=lam.carrier_parts[::2], registry=reg,
     )
     assert is_absolutely_continuous(rn_decompose(lam_ac, mu))
 
@@ -709,10 +727,10 @@ def test_scalar_rn_decompose_2d_segment_rejection_unchanged():
 def _integral_cases():
     """(measure, exact?) pairs: exact unless it has atoms and carriers."""
     dom, reg, mu, lam, gamma = _mixed_1d()
-    no_atoms = MatrixRadonMeasure(
-        dom, (1, 1), density=gamma.density, carrier_parts=gamma.carrier_parts, registry=reg
+    no_atoms = MatrixRadonMeasure(  # p1 only
+        dom, (1, 1), density=gamma.density, carrier_parts=gamma.carrier_parts[2:], registry=reg
     )
-    no_carriers = MatrixRadonMeasure(dom, (1, 1), density=gamma.density, atoms=gamma.atoms)
+    no_carriers = MatrixRadonMeasure(dom, (1, 1), density=gamma.density, carrier_parts=gamma.carrier_parts[:2], registry=reg)
     sq = unit_square(24)
     reg2 = CarrierRegistry()
     reg2.register_segment("a", (0.25, 0.0), (0.25, 1.0))
@@ -731,7 +749,7 @@ def _integral_cases():
     return [(gamma, False), (no_atoms, True), (no_carriers, True), (gamma2, True)], [
         (mu, False),
         (lam, False),
-        (ScalarRadonMeasure(dom, density=mu.density, atoms=mu.atoms), True),
+        (ScalarRadonMeasure(dom, density=mu.density, carrier_parts=mu.carrier_parts[:2], registry=reg), True),
     ]
 
 
@@ -779,15 +797,16 @@ def _measures_with_many_atoms(k=100):
     reg = CarrierRegistry()
     reg.register_point("c", (0.123,))
     reg.register_segment("s", (0.25, 0.0), (0.25, 1.0))
+    atoms = [((x,), rng.normal(size=(2, 1))) for x in rng.uniform(0.0, 1.0, k)]
     gamma = MatrixRadonMeasure(
         interval(64), (2, 1), density=lambda n: np.stack([np.sin(3.0 * n), n**2], 1),
-        atoms=tuple(((x,), rng.normal(size=(2, 1))) for x in rng.uniform(0.0, 1.0, k)),
-        carrier_parts=(("c", lambda p: np.full((len(p), 2, 1), 0.7)),), registry=reg,
+        carrier_parts=point_masses(interval(64), reg, atoms) + (("c", lambda p: np.full((len(p), 2, 1), 0.7)),),
+        registry=reg,
     )
+    atoms = list(zip(map(tuple, rng.uniform(0.0, 1.0, (k, 2))), rng.uniform(0.0, 3.0, k)))
     mu = ScalarRadonMeasure(
         unit_square(16), density=lambda n: 1.0 + n[:, 0] * n[:, 1],
-        atoms=tuple(zip(map(tuple, rng.uniform(0.0, 1.0, (k, 2))), rng.uniform(0.0, 3.0, k))),
-        carrier_parts=(("s", lambda p: 0.5 + p[:, 1]),), registry=reg,
+        carrier_parts=point_masses(unit_square(16), reg, atoms) + (("s", lambda p: 0.5 + p[:, 1]),), registry=reg,
     )
     return gamma, mu
 
@@ -797,7 +816,7 @@ def test_stacked_atoms_integrate_to_the_bits_of_one_part_per_atom():
     from bvcalc.measures import frobenius
 
     gamma, mu = _measures_with_many_atoms()
-    assert len(gamma.atoms) == len(mu.atoms) == 100
+    assert len(atoms_of(gamma)) == 101 and len(atoms_of(mu)) == 100  # gamma's carrier c is a point
     values = lambda part: part.values
     assert mu.mass() == _per_part_integral(mu, values, values)
     magnitude = lambda part: np.abs(part.values)
@@ -833,8 +852,8 @@ def test_evaluate_breakdown_matches_the_old_loops_2d_carriers():
     mu = ScalarRadonMeasure(
         dom,
         density=lambda n: 1.0 + n[:, 0] * n[:, 1],
-        atoms=(((0.7, 0.3), 0.5),),
-        carrier_parts=(("other", lambda p: 0.5 + p[:, 1]), ("jump", lambda p: 1.0 + p[:, 1] ** 2)),
+        carrier_parts=point_masses(dom, reg, [((0.7, 0.3), 0.5)])
+        + (("other", lambda p: 0.5 + p[:, 1]), ("jump", lambda p: 1.0 + p[:, 1] ** 2)),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -868,8 +887,8 @@ def test_decomposition_round_trip_preserves_total_variation(
     mu = ScalarRadonMeasure(
         dom,
         density=lambda n: 1.0 + n[:, 0],
-        atoms=tuple(((x,), 0.5 + x) for x in sorted(mu_atoms)),
-        carrier_parts=tuple((cid, lambda p: 0.75 + p[:, 0]) for cid in sorted(mu_carriers)),
+        carrier_parts=point_masses(dom, reg, [((x,), 0.5 + x) for x in sorted(mu_atoms)])
+        + tuple((cid, lambda p: 0.75 + p[:, 0]) for cid in sorted(mu_carriers)),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -877,8 +896,8 @@ def test_decomposition_round_trip_preserves_total_variation(
         dom,
         (1, 1),
         density=lambda n: (coef[0] + coef[1] * n[:, 0] + coef[2] * n[:, 0] ** 2)[:, None, None],
-        atoms=tuple(((x,), [[v]]) for x, v in sorted(gamma_atoms.items())),
-        carrier_parts=tuple(
+        carrier_parts=point_masses(dom, reg, [((x,), [[v]]) for x, v in sorted(gamma_atoms.items())])
+        + tuple(
             (cid, lambda p, _v=v: np.full((len(p), 1, 1), _v))
             for cid, v in sorted(gamma_carriers.items())
         ),
@@ -910,18 +929,18 @@ def _old_rn_decompose(gamma, mu):
     shape = gamma.shape
     matched_gamma_atoms = set()
     atom_values = []
-    for p, w in mu.atoms:
+    for p, w in atoms_of(mu).values():
         value = np.zeros(shape)
-        for i, (q, v) in enumerate(gamma.atoms):
+        for i, (q, v) in enumerate(atoms_of(gamma).values()):
             if np.linalg.norm(p - q) <= _MATCH_TOL:
                 value = v / w
                 matched_gamma_atoms.add(i)
                 break
         atom_values.append((p, w, value))
-    rem_atoms = [(p, v) for i, (p, v) in enumerate(gamma.atoms) if i not in matched_gamma_atoms]
-    mu_parts = dict(mu.carrier_parts)
+    rem_atoms = [(p, v) for i, (p, v) in enumerate(atoms_of(gamma).values()) if i not in matched_gamma_atoms]
+    mu_parts = dict(carriers_of(mu))
     carrier_fns, rem_parts = [], []
-    for cid, gfn in gamma.carrier_parts:
+    for cid, gfn in carriers_of(gamma):
         if cid in mu_parts:
             mfn = mu_parts[cid]
             pts, _ = gamma.carrier(cid).rule(gamma.domain.resolution)
@@ -940,7 +959,7 @@ def _old_rn_decompose(gamma, mu):
         else:
             rem_parts.append((cid, gfn))
     charged = {cid for cid, _, _ in carrier_fns}
-    for cid, mfn in mu.carrier_parts:
+    for cid, mfn in carriers_of(mu):
         if cid not in charged:
             carrier_fns.append((cid, mfn, lambda p: np.zeros((len(p),) + shape)))
     return atom_values, carrier_fns, rem_atoms, rem_parts
@@ -952,7 +971,8 @@ def _old_measure_distance(g1, g2):
     breaks = merge_breaks(g1.domain.dim, g1.breaks, g2.breaks)
     nodes, weights = g1.domain.cell_rule(breaks=breaks)
     total = float(np.dot(weights, _frob(g1.density_at(nodes) - g2.density_at(nodes))))
-    parts1, parts2 = dict(g1.carrier_parts), dict(g2.carrier_parts)
+    parts1, parts2 = dict(carriers_of(g1)), dict(carriers_of(g2))
+    atoms1, atoms2 = list(atoms_of(g1).values()), list(atoms_of(g2).values())
     for cid in sorted(set(parts1) | set(parts2)):
         carrier = (g1 if cid in parts1 else g2).carrier(cid)
         pts, w = carrier.rule(g1.domain.resolution)
@@ -960,9 +980,9 @@ def _old_measure_distance(g1, g2):
         v2 = np.asarray(parts2[cid](pts)) if cid in parts2 else 0.0
         total += float(np.dot(w, _frob(np.asarray(v1 - v2).reshape(len(pts), *g1.shape))))
     used = set()
-    for p, v in g1.atoms:
+    for p, v in atoms1:
         match = None
-        for i, (q, u) in enumerate(g2.atoms):
+        for i, (q, u) in enumerate(atoms2):
             if i not in used and np.linalg.norm(p - q) <= _MATCH_TOL:
                 match = i
                 break
@@ -970,15 +990,15 @@ def _old_measure_distance(g1, g2):
             total += float(np.linalg.norm(v))
         else:
             used.add(match)
-            total += float(np.linalg.norm(v - g2.atoms[match][1]))
-    for i, (q, u) in enumerate(g2.atoms):
+            total += float(np.linalg.norm(v - atoms2[match][1]))
+    for i, (q, u) in enumerate(atoms2):
         if i not in used:
             total += float(np.linalg.norm(u))
     return total
 
 
 def _old_mutually_singular(gamma1, gamma2):
-    from bvcalc.measures import _ZERO_TOL, _magnitudes, _same_support, measure_parts, merge_breaks
+    from bvcalc.measures import _ZERO_TOL, _magnitudes, measure_parts, merge_breaks
 
     breaks = merge_breaks(gamma1.domain.dim, gamma1.breaks, gamma2.breaks)
     cells, singular = [], []
@@ -988,7 +1008,19 @@ def _old_mutually_singular(gamma1, gamma2):
         singular.append([p for p in rest if np.any(_magnitudes(p.values) > _ZERO_TOL)])
     if np.any(cells[0] & cells[1]):
         return False
-    return not any(_same_support(a, b) for a in singular[0] for b in singular[1])
+    return not any(_old_same_support(a, b) for a in singular[0] for b in singular[1])
+
+
+def _old_same_support(a, b):
+    """The kept support test of the old matching: the same carrier id, or
+    atoms whose points (their keys then) coincide."""
+    from bvcalc.measures import _MATCH_TOL
+
+    if a.kind != b.kind:
+        return False
+    if a.kind == "carrier":
+        return a.key == b.key
+    return np.linalg.norm(np.subtract(a.points[0], b.points[0])) <= _MATCH_TOL
 
 
 def _old_admissibility_check(u, mu):
@@ -1002,8 +1034,8 @@ def _old_admissibility_check(u, mu):
     gmag = np.sqrt(np.sum(gamma.density_at(nodes) ** 2, axis=(1, 2)))
     if np.any((gmag > ztol) & (np.asarray(mu.density_at(nodes)) <= 0.0)):
         return False
-    mu_parts = dict(mu.carrier_parts)
-    for cid, gfn in gamma.carrier_parts:
+    mu_parts = dict(carriers_of(mu))
+    for cid, gfn in carriers_of(gamma):
         pts, _ = gamma.carrier(cid).rule(u.domain.resolution)
         gm = np.sqrt(np.sum(np.asarray(gfn(pts)) ** 2, axis=(1, 2)))
         if not np.any(gm > ztol):
@@ -1012,10 +1044,10 @@ def _old_admissibility_check(u, mu):
             return False
         if np.any((gm > ztol) & (np.asarray(mu_parts[cid](pts)) <= 0.0)):
             return False
-    for p, v in gamma.atoms:
+    for p, v in atoms_of(gamma).values():
         if np.linalg.norm(v) <= ztol:
             continue
-        if not any(w > 0 and np.linalg.norm(p - q) <= 1e-12 for q, w in mu.atoms):
+        if not any(w > 0 and np.linalg.norm(p - q) <= 1e-12 for q, w in atoms_of(mu).values()):
             return False
     return True
 
@@ -1024,7 +1056,7 @@ def _old_singular_term(F, remainder, domain):
     from bvcalc.integrands import recession_values
 
     total = 0.0
-    for cid, fn in remainder.carrier_parts:
+    for cid, fn in carriers_of(remainder):
         pts, wts = remainder.carrier(cid).rule(domain.resolution)
         vals = np.asarray(fn(pts))
         out = np.zeros(len(pts))
@@ -1032,7 +1064,7 @@ def _old_singular_term(F, remainder, domain):
         if np.any(charged):
             out[charged] = recession_values(F, pts[charged], vals[charged])
         total += float(np.dot(wts, out))
-    for p, v in remainder.atoms:
+    for p, v in atoms_of(remainder).values():
         if np.linalg.norm(v) > 1e-12:
             total += recession_values(F, p[None, :], v[None])[0]
     return total
@@ -1049,12 +1081,12 @@ def _old_verify_integration_by_parts(u, psi, comp_i=0, comp_j=0):
     rhs = float(
         np.dot(weights, np.asarray(psi.value(nodes)) * u.gradient_at(nodes)[:, comp_i, comp_j])
     )
-    for cid, fn in gamma.carrier_parts:
+    for cid, fn in carriers_of(gamma):
         pts, w = gamma.carrier(cid).rule(u.domain.resolution)
         rhs += float(
             np.dot(w, np.asarray(psi.value(pts)) * np.asarray(fn(pts))[:, comp_i, comp_j])
         )
-    for p, v in gamma.atoms:
+    for p, v in atoms_of(gamma).values():
         rhs += float(np.asarray(psi.value(p[None, :]))[0] * v[comp_i, comp_j])
     return abs(lhs + rhs)
 
@@ -1096,8 +1128,7 @@ def _reordered_1d():
         dom,
         (1, 1),
         density=lambda n: (n[:, 0] - 0.5)[:, None, None],
-        atoms=(((0.9,), [[0.4]]), ((0.3,), [[2.5]])),
-        carrier_parts=(
+        carrier_parts=point_masses(dom, reg, [((0.9,), [[0.4]]), ((0.3,), [[2.5]])]) + (
             ("p3", lambda p: np.full((len(p), 1, 1), -1.25)),
             ("p2", lambda p: np.full((len(p), 1, 1), 0.5)),
             ("p1", lambda p: (2.0 * p[:, 0])[:, None, None]),
@@ -1109,14 +1140,14 @@ def _reordered_1d():
 
 def _assert_same_decomposition(dec, mu, old, points_of):
     old_atoms, old_carriers, old_rem_atoms, old_rem_parts = old
-    atom_keys = [k for k in dec.densities if isinstance(k, tuple)]
+    atom_keys = [k for k in dec.densities if k is not None and mu.carrier(k).kind == "point"]
     assert len(atom_keys) == len(old_atoms)
     for key, (q, w0, v0) in zip(atom_keys, old_atoms):
         v = dec.densities[key](q[None, :])
-        assert key == tuple(q) and len(v) == 1 and np.array_equal(v[0], v0)
-    assert [w for _, w in mu.atoms] == [w0 for _, w0, _ in old_atoms]
-    carrier_keys = [k for k in dec.densities if isinstance(k, str)]
-    assert carrier_keys == [c for c, _ in mu.carrier_parts]
+        assert mu.carrier(key).point == tuple(q) and len(v) == 1 and np.array_equal(v[0], v0)
+    assert [w for _, w in atoms_of(mu).values()] == [w0 for _, w0, _ in old_atoms]
+    carrier_keys = [k for k in dec.densities if k is not None and mu.carrier(k).kind != "point"]
+    assert carrier_keys == [c for c, _ in carriers_of(mu)]
     old_by_id = {cid: (mfn, ratio) for cid, mfn, ratio in old_carriers}
     assert sorted(old_by_id) == sorted(carrier_keys)
     for cid in carrier_keys:
@@ -1124,9 +1155,9 @@ def _assert_same_decomposition(dec, mu, old, points_of):
         assert dict(mu.carrier_parts)[cid] is old_by_id[cid][0]
         assert np.array_equal(dec.densities[cid](pts), old_by_id[cid][1](pts))
     rem = dec.remainder
-    assert [tuple(p) for p, _ in rem.atoms] == [tuple(p) for p, _ in old_rem_atoms]
-    assert all(np.array_equal(v, v0) for (_, v), (_, v0) in zip(rem.atoms, old_rem_atoms))
-    assert rem.carrier_parts == tuple(old_rem_parts)
+    assert [tuple(p) for p, _ in atoms_of(rem).values()] == [tuple(p) for p, _ in old_rem_atoms]
+    assert all(np.array_equal(v, v0) for (_, v), (_, v0) in zip(atoms_of(rem).values(), old_rem_atoms))
+    assert carriers_of(rem) == tuple(old_rem_parts)
 
 
 def test_rn_decompose_matches_the_old_loops_1d():
@@ -1137,8 +1168,8 @@ def test_rn_decompose_matches_the_old_loops_1d():
 
     for g in (gamma, lam, other):
         _assert_same_decomposition(rn_decompose(g, mu), mu, _old_rn_decompose(g, mu), points_of)
-    # mu's carriers now come in mu's order: the old loop listed other's p1 first
-    assert [c for c, _, _ in _old_rn_decompose(other, mu)[1]] == ["p3", "p1"]
+    # the densities come in mu's part order, whatever the order of other's parts
+    assert list(rn_decompose(other, mu).densities) == [None, *(c for c, _ in mu.carrier_parts)]
 
 
 def test_rn_decompose_matches_the_old_loops_2d():
@@ -1160,7 +1191,7 @@ def test_measure_distance_matches_the_old_loops():
     matrix = [g for g, _ in _integral_cases()[0][:3]] + [other]
     for g1 in matrix:
         for g2 in matrix:
-            exact = not any(g.atoms and g.carrier_parts for g in (g1, g2))
+            exact = not any(atoms_of(g) and carriers_of(g) for g in (g1, g2))
             _same(measure_distance(g1, g2), _old_measure_distance(g1, g2), exact)
     _, _, _, gamma2 = _mixed_2d()
     (_, a_fn), b_part = gamma2.carrier_parts
@@ -1204,7 +1235,9 @@ def test_admissibility_check_matches_the_old_loop():
     atom_sets = [(), [(0.5, 0.7)], [(0.5, 0.0)], [(0.5 + 1e-13, 0.3)], [(0.2, 1.0)]]
     for atoms in [tuple(((x,), w) for x, w in a) for a in atom_sets]:
         for density in (lambda n: np.ones(len(n)), lambda n: np.where(n[:, 0] > 0.4, 0.0, 1.0)):
-            mu = ScalarRadonMeasure(dom, density=density, atoms=atoms, registry=reg, breaks=(0.4,))
+            mu = ScalarRadonMeasure(
+                dom, density=density, carrier_parts=point_masses(dom, reg, atoms), registry=reg, breaks=(0.4,)
+            )
             cases += [(jump, mu), (ramp, mu)]
     sq = unit_square(16)
     reg2 = CarrierRegistry()
@@ -1275,9 +1308,12 @@ def test_integration_by_parts_matches_the_old_loop():
 
 
 def test_area_of_atoms_only_measure_is_volume_plus_singular_mass():
-    gamma = MatrixRadonMeasure(interval(), (1, 1), atoms=(((0.3,), [[2.0]]), ((0.7,), [[-0.5]])))
-    assert area_functional(gamma) == pytest.approx(1.0 + 2.5, abs=1e-12)
     reg = CarrierRegistry()
+    gamma = MatrixRadonMeasure(
+        interval(), (1, 1), carrier_parts=point_masses(interval(), reg, [((0.3,), [[2.0]]), ((0.7,), [[-0.5]])]),
+        registry=reg,
+    )
+    assert area_functional(gamma) == pytest.approx(1.0 + 2.5, abs=1e-12)
     reg.register_segment("s", (0.5, 0.0), (0.5, 1.0))
     segment = MatrixRadonMeasure(
         unit_square(), (1, 2), carrier_parts=(("s", lambda p: np.full((len(p), 1, 2), 1.5)),),
@@ -1291,36 +1327,38 @@ def test_matched_parts_uses_each_part_once():
 
     dom, reg, mu, lam, gamma = _mixed_1d()
     # a measure merges the atoms it shares a point with, so the two atom
-    # parts at 0.3 come from two measures
-    once = ScalarRadonMeasure(dom, atoms=(((0.3,), 1.0),), registry=reg)
+    # parts at 0.3 come from two measures; the point 0.6 + 1e-13 is
+    # registered as lambda's point 0.6, and p1, p2 and p3 are points too
+    once = ScalarRadonMeasure(dom, carrier_parts=point_masses(dom, reg, [((0.3,), 1.0)]), registry=reg)
     rest = ScalarRadonMeasure(
         dom,
-        atoms=(((0.3,), 2.0), ((0.6 + 1e-13,), 4.0)),
-        carrier_parts=(("p2", lambda p: 1.0 + 0 * p[:, 0]), ("p3", lambda p: 1.0 + 0 * p[:, 0])),
+        carrier_parts=point_masses(dom, reg, [((0.3,), 2.0), ((0.6 + 1e-13,), 4.0)])
+        + (("p2", lambda p: 1.0 + 0 * p[:, 0]), ("p3", lambda p: 1.0 + 0 * p[:, 0])),
         registry=reg,
     )
     pairs = matched_parts(singular_parts(once) + singular_parts(rest), singular_parts(lam))
 
     def label(part):
-        return None if part is None else (part.kind, part.key)
+        return None if part is None else (part.kind, reg[part.key].point)
 
     assert [(label(a), label(b)) for a, b in pairs] == [
         (("atom", (0.3,)), ("atom", (0.3,))),
         (("atom", (0.3,)), None),
-        (("atom", (0.6 + 1e-13,)), ("atom", (0.6,))),
-        (("carrier", "p2"), ("carrier", "p2")),
-        (("carrier", "p3"), None),
-        (None, ("carrier", "p1")),
+        (("atom", (0.6,)), ("atom", (0.6,))),
+        (("atom", (0.8,)), ("atom", (0.8,))),
+        (("atom", (0.2,)), None),
+        (None, ("atom", (0.45,))),
     ]
     # two mu atoms at one point are one atom of the summed weight, so the
     # decomposition reads lambda's atom there once, as the old loop does
     # (which gave each of two unmerged atoms the whole ratio)
     mu_twice = ScalarRadonMeasure(
-        dom, density=mu.density, atoms=(((0.3,), 0.5), ((0.3,), 0.25)), registry=reg,
-        dominates_lebesgue=True,
+        dom, density=mu.density, carrier_parts=point_masses(dom, reg, [((0.3,), 0.5), ((0.3,), 0.25)]),
+        registry=reg, dominates_lebesgue=True,
     )
-    assert [w for _, w in mu_twice.atoms] == [0.75]
-    assert rn_decompose(lam, mu_twice).densities[(0.3,)](np.array([[0.3]])).tolist() == [0.4 / 0.75]
+    ((cid, (_, w)),) = atoms_of(mu_twice).items()
+    assert w == 0.75
+    assert rn_decompose(lam, mu_twice).densities[cid](np.array([[0.3]])).tolist() == [0.4 / 0.75]
     assert [v for _, _, v in _old_rn_decompose(lam, mu_twice)[0]] == [0.4 / 0.75]
 
 
@@ -1347,32 +1385,42 @@ def test_cell_part_is_the_first_of_the_measure_parts(extra):
         assert np.array_equal(part.values, m.density_at(nodes))
 
 
+def _with_segment_c():
+    """A registry holding the vertical segment "c" across the unit square
+    (a part on a point is a point mass, with the atom rules)."""
+    reg = CarrierRegistry()
+    reg.register_segment("c", (0.5, 0.0), (0.5, 1.0))
+    return reg
+
+
+def _atom_at_centre(weight):
+    return lambda reg: point_masses(unit_square(), reg, [((0.5, 0.5), weight)])
+
+
 @pytest.mark.parametrize(
     "parts, message",
     [
         (dict(density=lambda n: n[:, 0] - 0.5), "scalar density must be nonnegative"),
         (
-            dict(carrier_parts=(("c", lambda p: p[:, 0] - 0.6),)),
+            dict(carrier_parts=lambda reg: (("c", lambda p: p[:, 1] - 0.6),)),
             "carrier densities must be nonnegative",
         ),
-        (dict(atoms=(((0.5,), -1e-13),)), "atom weights must be nonnegative"),
+        (dict(carrier_parts=_atom_at_centre(-1e-13)), "atom weights must be nonnegative"),
     ],
     ids=["cells", "carrier", "atom"],
 )
 def test_negative_parts_are_rejected_with_their_message(parts, message):
-    reg = CarrierRegistry()
-    reg.register_point("c", (0.5,))
+    reg = _with_segment_c()
+    parts = {k: v(reg) if k == "carrier_parts" else v for k, v in parts.items()}
     with pytest.raises(MeasureError, match=f"^{message}$"):
-        ScalarRadonMeasure(interval(), registry=reg, **parts)
+        ScalarRadonMeasure(unit_square(), registry=reg, **parts)
 
 
 def test_densities_keep_their_slack():
     """Cell and carrier densities may dip to -1e-12; atom weights may not
     (a weight of -1e-13 is rejected above)."""
-    reg = CarrierRegistry()
-    reg.register_point("c", (0.5,))
     ScalarRadonMeasure(
-        interval(), density=lambda n: np.full(len(n), -1e-13), registry=reg,
+        unit_square(), density=lambda n: np.full(len(n), -1e-13), registry=_with_segment_c(),
         carrier_parts=(("c", lambda p: np.full(len(p), -1e-13)),),
     )
 
@@ -1381,17 +1429,20 @@ def test_densities_keep_their_slack():
     "parts, message",
     [
         (dict(density=lambda n: np.where(n[:, 0] < 0.5, 1.0, np.inf)), "a scalar measure's cells part must be finite"),
-        (dict(carrier_parts=(("c", lambda p: np.full(len(p), np.nan)),)), "a scalar measure's carrier part must be finite"),
-        (dict(atoms=(((0.5,), np.nan),)), "atom weights must be nonnegative"),
-        (dict(atoms=(((0.5,), np.inf),)), "a scalar measure's atom part must be finite"),
+        (
+            dict(carrier_parts=lambda reg: (("c", lambda p: np.full(len(p), np.nan)),)),
+            "a scalar measure's carrier part must be finite",
+        ),
+        (dict(carrier_parts=_atom_at_centre(np.nan)), "atom weights must be nonnegative"),
+        (dict(carrier_parts=_atom_at_centre(np.inf)), "a scalar measure's atom part must be finite"),
     ],
     ids=["cells", "carrier", "nan-atom", "inf-atom"],
 )
 def test_non_finite_parts_are_rejected_with_their_message(parts, message):
-    reg = CarrierRegistry()
-    reg.register_point("c", (0.5,))
+    reg = _with_segment_c()
+    parts = {k: v(reg) if k == "carrier_parts" else v for k, v in parts.items()}
     with pytest.raises(MeasureError, match=f"^{message}$"):
-        ScalarRadonMeasure(interval(), registry=reg, **parts)
+        ScalarRadonMeasure(unit_square(), registry=reg, **parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1401,17 +1452,21 @@ def test_non_finite_parts_are_rejected_with_their_message(parts, message):
 
 def test_coincident_atoms_are_merged_in_first_occurrence_order():
     dom = Domain((0.0, 1.0), 16)
-    m = ScalarRadonMeasure(dom, atoms=(((0.5,), 1.0), ((0.2,), 0.5), ((0.5,), 2.0)))
-    assert [(p.tolist(), w) for p, w in m.atoms] == [([0.5], 3.0), ([0.2], 0.5)]
+    reg = CarrierRegistry()
+    m = ScalarRadonMeasure(
+        dom, carrier_parts=point_masses(dom, reg, [((0.5,), 1.0), ((0.2,), 0.5), ((0.5,), 2.0)]), registry=reg
+    )
+    assert [(p.tolist(), w) for p, w in atoms_of(m).values()] == [([0.5], 3.0), ([0.2], 0.5)]
     assert m.mass() == 3.5
     atoms = (((0.5,), [[1.0], [0.0]]), ((0.2,), [[0.5], [0.5]]), ((0.5,), [[2.0], [-1.0]]))
-    g = MatrixRadonMeasure(dom, (2, 1), atoms=atoms)
-    assert [(p.tolist(), v.tolist()) for p, v in g.atoms] == [
+    g = MatrixRadonMeasure(dom, (2, 1), carrier_parts=point_masses(dom, reg, atoms), registry=reg)
+    assert [(p.tolist(), v.tolist()) for p, v in atoms_of(g).values()] == [
         ([0.5], [[3.0], [-1.0]]),
         ([0.2], [[0.5], [0.5]]),
     ]
-    with pytest.raises(MeasureError, match="nonnegative"):
-        ScalarRadonMeasure(dom, atoms=(((0.5,), 2.0), ((0.5,), -1.0)))
+    for weights in ((2.0, -1.0), (1.0, -1.0)):  # the second sums to a weightless point mass, which is dropped
+        with pytest.raises(MeasureError, match="nonnegative"):
+            ScalarRadonMeasure(dom, carrier_parts=point_masses(dom, reg, [((0.5,), w) for w in weights]), registry=reg)
 
 
 # ---------------------------------------------------------------------------
@@ -1525,15 +1580,17 @@ def test_boundary_rule_and_carriers_equal_the_kept_copies(dom):
 
 def test_construction_checks_report_the_carrier_before_the_atoms():
     """Both measures check the registry in one shared step, after merging the
-    atoms; a measure failing both checks names the unregistered carrier."""
+    parts; a measure failing both checks names the unregistered carrier."""
     dom, dom2 = interval(16), unit_square(8)
+    reg = CarrierRegistry()
     unregistered = (("c", lambda p: np.ones(len(p))),)
     with pytest.raises(MeasureError, match="^carrier 'c' not in registry$"):
-        ScalarRadonMeasure(dom, atoms=(((0.5,), -1.0),), carrier_parts=unregistered)
+        ScalarRadonMeasure(dom, carrier_parts=point_masses(dom, reg, [((0.5,), -1.0)]) + unregistered, registry=reg)
+    atom2 = point_masses(dom2, reg, [((0.5, 0.5), [[1.0, 0.0]])])
     with pytest.raises(MeasureError, match="^carrier 'c' not in registry$"):
-        MatrixRadonMeasure(dom2, (1, 2), atoms=(((0.5, 0.5), [[1.0, 0.0]]),), carrier_parts=unregistered)
+        MatrixRadonMeasure(dom2, (1, 2), carrier_parts=atom2 + unregistered, registry=reg)
     with pytest.raises(MeasureError, match="^atomic parts are only permitted in 1D$"):
-        MatrixRadonMeasure(dom2, (1, 2), atoms=(((0.5, 0.5), [[1.0, 0.0]]),))
+        MatrixRadonMeasure(dom2, (1, 2), carrier_parts=atom2, registry=reg)
 
 
 # ---------------------------------------------------------------------------
@@ -1842,7 +1899,7 @@ def test_a_nan_bound_is_rejected_in_a_box_and_in_a_region(bounds):
     "build, message",
     [
         (lambda: Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), 4), "only dimensions 1 and 2 are supported"),
-        (lambda: ScalarRadonMeasure(interval(8), atoms=(((0.5, 0.5), 1.0),)), "atom point dimension mismatch"),
+        (lambda: point_masses(interval(8), CarrierRegistry(), [((0.5, 0.5), 1.0)]), "atom point dimension mismatch"),
         (lambda: MatrixRadonMeasure(interval(8), (1, 2)), "matrix column count must equal the domain dimension"),
         (lambda: SingularCarrier("p", "point"), "point carrier needs a location"),
         (lambda: SingularCarrier("s", "segment", endpoints=((0.2, 0.2), (0.2, 0.2))),
@@ -1872,13 +1929,13 @@ _NAN, _INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda r: ScalarRadonMeasure(interval(8), atoms=(((_NAN,), 1.0),)),
+        (lambda r: ScalarRadonMeasure(interval(8), carrier_parts=point_masses(interval(8), r, [((_NAN,), 1.0)])),
          "atom point [nan] must be finite and in the domain"),
-        (lambda r: ScalarRadonMeasure(interval(8), atoms=(((0.5,), 1.0), ((_INF,), 1.0))),
+        (lambda r: point_masses(interval(8), r, [((0.5,), 1.0), ((_INF,), 1.0)]),
          "atom point [inf] must be finite and in the domain"),
-        (lambda r: ScalarRadonMeasure(interval(8), atoms=(((2.0,), 1.0),)),
+        (lambda r: point_masses(interval(8), r, [((2.0,), 1.0)]),
          "atom point [2.0] must be finite and in the domain"),
-        (lambda r: MatrixRadonMeasure(interval(8), (1, 1), atoms=(((-0.5,), [[1.0]]),)),
+        (lambda r: MatrixRadonMeasure(interval(8), (1, 1), carrier_parts=point_masses(interval(8), r, [((-0.5,), [[1.0]])])),
          "atom point [-0.5] must be finite and in the domain"),
         (lambda r: r.register_segment("s", (0.5, 0.0), (0.5, _NAN)),
          "carrier 's' endpoints must be finite, got [[0.5, 0.0], [0.5, nan]]"),
@@ -1895,7 +1952,11 @@ def test_non_finite_or_outside_geometry_is_rejected(build, message):
 
 
 def test_atoms_on_the_boundary_of_the_box_are_kept():
-    m = ScalarRadonMeasure(unit_square(8), atoms=(((0.0, 1.0), 1.0), ((1.0, 0.5), 2.0)))
+    reg = CarrierRegistry()
+    m = ScalarRadonMeasure(
+        unit_square(8), carrier_parts=point_masses(unit_square(8), reg, [((0.0, 1.0), 1.0), ((1.0, 0.5), 2.0)]),
+        registry=reg,
+    )
     assert m.mass() == 3.0
 
 
@@ -1904,3 +1965,37 @@ def test_registering_the_same_carrier_twice_returns_the_first():
     reg = CarrierRegistry()
     first = reg.register_point("jump:0.5", (0.5,))
     assert reg.register_point("jump:0.5", (0.5,)) is first
+    segment = reg.register_segment("s", (0.5, 0.0), (0.5, 1.0))
+    assert reg.register_segment("s", (0.5, 0.0), (0.5, 1.0)) is segment
+
+
+def test_a_second_id_at_a_registered_point_returns_that_carrier():
+    reg = CarrierRegistry()
+    first = reg.register_point("jump:0.5", (0.5,))
+    assert reg.register_point("mu-atom", (0.5,)) is first
+    assert reg.register_point("mu-atom", (0.5 + 0.9 * _MATCH_TOL,)) is first
+    assert "mu-atom" not in reg
+    other = reg.register_point("mu-atom", (0.5 + 2.0 * _MATCH_TOL,))
+    assert other is not first and other.cid == "mu-atom"
+    # within _MATCH_TOL across a side of the grid cells the lookup uses, and in 2D
+    side = 7 * _POINT_CELL
+    assert reg.register_point("a", (side - 0.4 * _MATCH_TOL,)) is reg.register_point("b", (side + 0.4 * _MATCH_TOL,))
+    corner = reg.register_point("c", (side - 0.3 * _MATCH_TOL, side - 0.3 * _MATCH_TOL))
+    assert reg.register_point("d", (side + 0.3 * _MATCH_TOL, side + 0.3 * _MATCH_TOL)) is corner
+    assert reg.register_point("e", (side + 0.8 * _MATCH_TOL, side + 0.8 * _MATCH_TOL)) is not corner
+
+
+def test_the_boundary_demo_registers_one_carrier_per_point():
+    """The two zero extensions of boundary-term-demo share one registry: the
+    second finds the first's carriers at 0 and 1 instead of adding its own."""
+    from bvcalc.bv import derivative, piecewise_affine_1d, zero_extension
+
+    reg = CarrierRegistry()
+    d, d_out = Domain((0.0, 1.0), 64), Domain((-0.5, 1.5), 64)
+    zero_extension(piecewise_affine_1d(d, slopes=(1.0,), start_value=0.5, registry=reg), d_out)
+    one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)
+    De = derivative(zero_extension(one, d_out, carrier_prefix="bnd-one"))
+    points = [c.point for c in reg._carriers.values() if c.kind == "point"]
+    assert len(points) == 2 and "bnd-one:left" not in reg and "bnd-one:right" not in reg
+    assert all(math.dist(p, q) > _MATCH_TOL for p, q in itertools.combinations(points, 2))
+    assert [(p.tolist(), v.tolist()) for p, v in atoms_of(De).values()] == [([0.0], [[1.0]]), ([1.0], [[-1.0]])]

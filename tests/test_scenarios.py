@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from hypothesis import strategies as st
 from bvcalc import reporting
 from bvcalc.cli import build_parser
 from bvcalc.cli import main as cli_main
-from bvcalc.functional import evaluate
+from bvcalc.bv import BVError
+from bvcalc.functional import FunctionalError, evaluate
+from bvcalc.integrands import IntegrandError
 from bvcalc.measures import (
     CarrierRegistry,
     Domain,
+    MeasureError,
     ScalarRadonMeasure,
+    point_masses,
 )
 from bvcalc.oracle import OracleError, oracle_1d, oracle_case
 from bvcalc.scenarios import (
@@ -657,6 +662,70 @@ def test_oracle_case_raises_only_oracle_error_on_a_corrupted_case(seed, data):
         pass
 
 
+def _a_jump(case, data):
+    """The position of a jump of ``case``, drawn; a case without jumps gets a unit jump at 0.5."""
+    if not case["u"]["jumps"]:
+        case["u"]["jumps"].append([0.5, 1.0])
+    return data.draw(st.sampled_from(case["u"]["jumps"]))[0]
+
+
+def _jump_on_a_slope_break(case, data):
+    u = case["u"]
+    if not u["breaks"]:
+        u["breaks"], u["slopes"] = [0.5], [*u["slopes"], -u["slopes"][0]]
+    u["jumps"].append([data.draw(st.sampled_from(u["breaks"])), 0.7])
+
+
+def _jump_next_to_an_end(case, data):
+    gap = data.draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    case["u"]["jumps"].append([gap if data.draw(st.booleans()) else 1.0 - gap, 0.8])
+
+
+# Edge mutations of a random 1D case: the oracle accepts each one, so the
+# pipeline must give its value, or both must reject the case.
+_EDGE_MUTATIONS = {
+    "weightless atom on a jump": lambda case, data: case["mu"]["atoms"].append([_a_jump(case, data), 0.0]),
+    "weightless atom alone": lambda case, data: case["mu"]["atoms"].append([data.draw(st.floats(0.05, 0.95)), 0.0]),
+    "atom of weight 1e-13 on a jump": lambda case, data: case["mu"]["atoms"].append([_a_jump(case, data), 1e-13]),
+    "w-shape": lambda case, data: case["F"].update(kind="w-shape"),
+    "jump on a slope break": _jump_on_a_slope_break,
+    "domain [-0.5, 1.5]": lambda case, data: case.update(domain=[-0.5, 1.5]),
+    "duplicated atom": lambda case, data: case["mu"]["atoms"].extend(
+        [list(data.draw(st.sampled_from(case["mu"]["atoms"])))] if case["mu"]["atoms"] else []
+    ),
+    "shifted-norm with A0 in [-3, 3]": lambda case, data: case["F"].update(
+        kind="shifted-norm", A0=data.draw(st.floats(-3.0, 3.0)), c=0.4
+    ),
+    "atom within _MATCH of a jump": lambda case, data: case["mu"]["atoms"].append(
+        [_a_jump(case, data) + data.draw(st.floats(-9e-13, 9e-13)), data.draw(st.floats(0.5, 2.0))]
+    ),
+    "jump next to a domain end": _jump_next_to_an_end,
+}
+_PIPELINE_ERRORS = (MeasureError, BVError, ScenarioError, IntegrandError, FunctionalError)
+
+
+def _value_or_error(compute, errors):
+    try:
+        return compute()
+    except errors as exc:
+        return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), mutation=st.sampled_from(sorted(_EDGE_MUTATIONS)), data=st.data())
+def test_the_pipeline_agrees_with_the_oracle_on_edge_cases(seed, mutation, data):
+    case = random_case_description(np.random.default_rng(seed))
+    _EDGE_MUTATIONS[mutation](case, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a failure, not a value
+        expected = _value_or_error(lambda: oracle_case(case), OracleError)
+        got = _value_or_error(lambda: evaluate(*build_case_1d(case, resolution=4096)).total, _PIPELINE_ERRORS)
+    if isinstance(expected, Exception) or isinstance(got, Exception):
+        assert isinstance(expected, Exception) and isinstance(got, Exception), (expected, got)
+    else:
+        assert got == pytest.approx(expected, rel=1e-6)
+
+
 def _pipeline_rejects(case):
     """Whether ``build_case_1d`` and ``evaluate`` raise a typed error on ``case``."""
     try:
@@ -867,8 +936,10 @@ def test_example1_bound_pinned_at_cli_defaults():
 
 def test_scalar_measure_from_json():
     d = Domain((0.0, 1.0), 128)
+    reg = CarrierRegistry()
     mu = ScalarRadonMeasure(
-        d, density=lambda n: 1.0 + n[:, 0], atoms=(((0.5,), 2.0),), dominates_lebesgue=True
+        d, density=lambda n: 1.0 + n[:, 0], carrier_parts=point_masses(d, reg, [((0.5,), 2.0)]), registry=reg,
+        dominates_lebesgue=True,
     )
     assert mu.mass() == pytest.approx(1.5 + 2.0, rel=1e-12)
 

@@ -27,6 +27,7 @@ from bvcalc.measures import (
     ScalarRadonMeasure,
     lebesgue,
     measure_distance,
+    point_masses,
     read_only,
     total_variation,
 )
@@ -43,6 +44,8 @@ from bvcalc.young import (
     pairing,
     pairings,
 )
+
+from helpers import atoms_of, carriers_of
 
 
 @pytest.fixture
@@ -99,7 +102,7 @@ def test_elementary_of_heaviside(setting):
     u = heaviside_1d(d, 0.5, registry=reg)
     eps = elementary(derivative(u), mu)
     assert eps.lam.mass() == pytest.approx(1.0, abs=1e-14)
-    assert eps.lam.atoms[0][0][0] == 0.5
+    assert [p[0] for p, _ in atoms_of(eps.lam).values()] == [0.5]
     # sphere dirac at +1: pairing of the positive part recovers full mass
     pos = Integrand(
         "pos",
@@ -118,7 +121,7 @@ def test_elementary_mixed_case_matches_decomposition(setting):
     mu = ScalarRadonMeasure(
         d,
         density=lambda n: 2.0 * np.ones(len(n)),
-        atoms=(((0.5,), 1.0),),
+        carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -128,7 +131,7 @@ def test_elementary_mixed_case_matches_decomposition(setting):
     eps = elementary(derivative(u), mu)
     # jump at 1/2 absorbed by the atom; the one at 1/4 concentrates
     assert eps.lam.mass() == pytest.approx(0.5, abs=1e-14)
-    assert eps.lam.atoms[0][0][0] == 0.25
+    assert [p[0] for p, _ in atoms_of(eps.lam).values()] == [0.25]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,7 @@ def test_pairing_linear_integrand_is_barycenter_pairing(setting):
     bar = barycenter(eps)
     nodes, weights = d.cell_rule(breaks=bar.breaks)
     direct = float(np.dot(weights, B0 * bar.density_at(nodes)[:, 0, 0]))
-    direct += sum(B0 * v[0, 0] for _, v in bar.atoms)
+    direct += sum(B0 * v[0, 0] for _, v in atoms_of(bar).values())
     assert pairing(lin, eps) == pytest.approx(direct, rel=1e-10)
 
 
@@ -214,7 +217,7 @@ def test_barycenter_reconstructs_elementary(setting):
     mu = ScalarRadonMeasure(
         d,
         density=lambda n: 1.0 + n[:, 0],
-        atoms=(((0.5,), 0.7),),
+        carrier_parts=point_masses(d, reg, [((0.5,), 0.7)]),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -243,7 +246,7 @@ def test_barycenter_of_concentration_is_step_derivative():
         d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg),
+        ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
         constant_field([(np.array([[1.0]]), 1.0)]),
         mu,
     )
@@ -276,7 +279,7 @@ def test_rejects_off_sphere_atoms(setting):
             d,
             (1, 1),
             constant_field([(np.array([[0.0]]), 1.0)]),
-            ScalarRadonMeasure(d, atoms=(((0.5,), 1.0),), registry=reg),
+            ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]), registry=reg),
             constant_field([(np.array([[2.0]]), 1.0)]),
             mu,
         )
@@ -307,7 +310,7 @@ def _dirac(value):
 )
 def test_validate_rejects_a_plain_callable_field(setting, nu, nu_inf, message):
     d, reg, mu = setting
-    lam = ScalarRadonMeasure(d, atoms=(((0.5,), 1.0),), registry=reg)
+    lam = ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]), registry=reg)
     with pytest.raises(YoungMeasureError) as err:
         GeneralizedYoungMeasure(d, (1, 1), nu, lam, nu_inf, mu)
     assert str(err.value) == message
@@ -355,7 +358,7 @@ def test_generation_ramp_concentration():
         d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg),
+        ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
         constant_field([(np.array([[1.0]]), 1.0)]),
         mu,
     )
@@ -419,7 +422,7 @@ def test_jensen_requires_matching_barycenter(setting):
 def test_jensen_rejects_concentration_on_the_boundary(setting, charge):
     d, reg, mu = setting
     if charge == "atom":
-        lam = ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg)
+        lam = ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg)
     else:
         reg.register_point("edge", (0.0,))
         edge = (("edge", lambda p: np.ones(len(p))),)
@@ -448,7 +451,7 @@ def test_jensen_lebesgue_ramp_concentration():
         d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg),
+        ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
         constant_field([(np.array([[1.0]]), 1.0)]),
         mu,
     )
@@ -491,7 +494,7 @@ def test_jensen_lebesgue_uses_the_upper_slope_without_analytic_recession(monkeyp
         d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d, atoms=(((0.0,), 1.0),), registry=reg),
+        ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
         constant_field([(np.array([[1.0]]), 1.0)]),
         mu,
     )
@@ -517,7 +520,7 @@ def test_jensen_lebesgue_reads_the_upper_slope_at_the_nodes(monkeypatch):
         d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d, atoms=(((0.5,), 1.0),), registry=reg),
+        ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]), registry=reg),
         constant_field([(np.array([[1.0]]), 1.0)]),
         lebesgue(d, reg),
     )
@@ -586,7 +589,7 @@ def mixed_elementary_setting(d, reg):
     mu = ScalarRadonMeasure(
         d,
         density=lambda n: 1.0 + n[:, 0],
-        atoms=(((0.5,), 0.7),),
+        carrier_parts=point_masses(d, reg, [((0.5,), 0.7)]),
         registry=reg,
         dominates_lebesgue=True,
     )
@@ -731,7 +734,7 @@ def _pairing_measures():
         d2,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
-        ScalarRadonMeasure(d2, atoms=(((0.0,), 1.0),), registry=reg2),
+        ScalarRadonMeasure(d2, carrier_parts=point_masses(d2, reg2, [((0.0,), 1.0)]), registry=reg2),
         constant_field([(np.array([[1.0]]), 1.0)]),
         ScalarRadonMeasure(d2, density=lambda n: np.ones(len(n)), registry=reg2),
     )
@@ -853,24 +856,23 @@ def _old_barycenter(nu):
         return out
 
     atom_acc = {}
-    for p, w in mu.atoms:
-        part = MeasurePart("atom", tuple(p), p[None, :])
-        atom_acc[tuple(p)] = (p, w * mean_osc(part, p[None, :])[0])
+    for key, (p, w) in atoms_of(mu).items():
+        part = MeasurePart("atom", key, p[None, :])
+        atom_acc[key] = (p, w * mean_osc(part, p[None, :])[0])
     if nu.nu_inf is not None:
-        for p, w in nu.lam.atoms:
-            part = MeasurePart("atom", tuple(p), p[None, :])
+        for key, (p, w) in atoms_of(nu.lam).items():
+            part = MeasurePart("atom", key, p[None, :])
             add = w * mean_inf(part, p[None, :])[0]
-            key = tuple(p)
             if key in atom_acc:
                 atom_acc[key] = (p, atom_acc[key][1] + add)
             else:
                 atom_acc[key] = (p, add)
 
     carrier_acc = {}
-    for cid, fn in mu.carrier_parts:
+    for cid, fn in carriers_of(mu):
         carrier_acc[cid] = [(fn, "osc")]
     if nu.nu_inf is not None:
-        for cid, fn in nu.lam.carrier_parts:
+        for cid, fn in carriers_of(nu.lam):
             carrier_acc.setdefault(cid, []).append((fn, "inf"))
     parts = []
     for cid, contribs in carrier_acc.items():
@@ -885,14 +887,14 @@ def _old_barycenter(nu):
 
         parts.append((cid, part_fn))
 
-    atoms = tuple(atom_acc.values()) if mu.domain.dim == 1 else ()
+    registry = mu.registry if mu.registry is not None else nu.lam.registry
+    atoms = point_masses(mu.domain, registry, atom_acc.values()) if mu.domain.dim == 1 else ()
     return MatrixRadonMeasure(
         mu.domain,
         (N, n),
         density=density,
-        carrier_parts=tuple(parts),
-        atoms=atoms,
-        registry=mu.registry if mu.registry is not None else nu.lam.registry,
+        carrier_parts=atoms + tuple(parts),
+        registry=registry,
         breaks=merge_breaks(mu.domain.dim, mu.breaks, nu.lam.breaks, nu.breaks),
     )
 
@@ -919,15 +921,15 @@ def barycenter_cases():
     mu = ScalarRadonMeasure(
         d,
         density=lambda n: 1.0 + n[:, 0] ** 2,
-        atoms=(((0.3,), 0.7), ((0.9,), 1.1)),
-        carrier_parts=(("p1", lambda p: 2.0 + p[:, 0]), ("p3", lambda p: 0.5 + 0 * p[:, 0])),
+        carrier_parts=point_masses(d, reg, [((0.3,), 0.7), ((0.9,), 1.1)])
+        + (("p1", lambda p: 2.0 + p[:, 0]), ("p3", lambda p: 0.5 + 0 * p[:, 0])),
         registry=reg,
         dominates_lebesgue=True,
         breaks=(0.5,),
     )
     singular = dict(
-        atoms=(((0.3,), 0.4), ((0.6,), 1.3)),
-        carrier_parts=(("p1", lambda p: 0.25 + p[:, 0]), ("p2", lambda p: 3.0 + 0 * p[:, 0])),
+        carrier_parts=point_masses(d, reg, [((0.3,), 0.4), ((0.6,), 1.3)])
+        + (("p1", lambda p: 0.25 + p[:, 0]), ("p2", lambda p: 3.0 + 0 * p[:, 0])),
         registry=reg,
         breaks=(1.0 / 3.0,),
     )
@@ -976,21 +978,21 @@ def test_barycenter_matches_the_old_loop(case):
     assert new.breaks == old.breaks and new.registry is old.registry
     nodes, _ = new.domain.cell_rule(breaks=new.breaks)
     assert np.array_equal(new.density_at(nodes), old.density_at(nodes))
-    assert len(new.atoms) == len(old.atoms)
-    for (p, v), (q, w) in zip(new.atoms, old.atoms):
+    assert list(atoms_of(new)) == list(atoms_of(old))
+    for (p, v), (q, w) in zip(atoms_of(new).values(), atoms_of(old).values()):
         assert np.array_equal(p, q) and np.array_equal(v, w)
-    assert [cid for cid, _ in new.carrier_parts] == [cid for cid, _ in old.carrier_parts]
-    for (cid, fn), (_, gn) in zip(new.carrier_parts, old.carrier_parts):
+    assert [cid for cid, _ in carriers_of(new)] == [cid for cid, _ in carriers_of(old)]
+    for (cid, fn), (_, gn) in zip(carriers_of(new), carriers_of(old)):
         pts, _ = new.carrier(cid).rule(new.domain.resolution)
         assert np.array_equal(fn(pts), gn(pts))
-    charged = {
-        "1d-atoms-on-and-off": (3, ["p1", "p3", "p2"]),
-        "1d-lambda-cells": (3, ["p1", "p3", "p2"]),
+    charged = {  # in 1D the point carriers p1, p2 and p3 are point masses like the atoms
+        "1d-atoms-on-and-off": (6, []),
+        "1d-lambda-cells": (6, []),
         "2d-segments": (0, ["c", "b", "a"]),
-        "no-nu-inf": (2, ["p1", "p3"]),
+        "no-nu-inf": (4, []),
         "elementary": (2, []),
     }[case]
-    assert (len(new.atoms), [cid for cid, _ in new.carrier_parts]) == charged
+    assert (len(atoms_of(new)), [cid for cid, _ in carriers_of(new)]) == charged
 
 
 # ---------------------------------------------------------------------------
@@ -1067,13 +1069,13 @@ def test_barycenter_sums_coincident_atoms():
     mu = ScalarRadonMeasure(
         d,
         density=lambda n: np.ones(len(n)),
-        atoms=(((0.5,), 1.0), ((0.5,), 2.0)),
+        carrier_parts=point_masses(d, reg, [((0.5,), 1.0), ((0.5,), 2.0)]),
         registry=reg,
         dominates_lebesgue=True,
     )
     field = constant_field([(np.array([[-0.5]]), 0.75), (np.array([[0.0]]), 0.25)])  # mean -0.375
     nu = GeneralizedYoungMeasure(d, (1, 1), field, ScalarRadonMeasure(d, registry=reg), None, mu)
-    ((point, value),) = barycenter(nu).atoms
+    ((point, value),) = atoms_of(barycenter(nu)).values()
     assert point.tolist() == [0.5] and value.tolist() == [[-1.125]]
 
 
