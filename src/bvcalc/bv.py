@@ -343,7 +343,7 @@ def scalar_bumps(domain, per_axis=12):
         axes.append([(c, width) for c in centers])
 
     def bump(nodes, centered):
-        s = [np.clip(np.abs(nodes[:, k] - c) / w, 0.0, 1.0) for k, (c, w) in enumerate(centered)]
+        s = [np.minimum(np.abs(nodes[:, k] - c) / w, 1.0) for k, (c, w) in enumerate(centered)]
         return functools.reduce(operator.mul, [(1.0 - t**2) ** 2 for t in s])
 
     return [functools.partial(bump, centered=centered) for centered in itertools.product(*axes)]

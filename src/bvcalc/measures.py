@@ -10,10 +10,10 @@ a part is a point mass.  Carriers live in a shared registry, which gives
 one point one id, so that mutual singularity is decidable structurally:
 two carrier parts interact only when they reference the same carrier id.
 
-Quadrature is deterministic: midpoint rule on cells (refined at declared
-breakpoints so piecewise-closed-form densities integrate cleanly),
-3-point Gauss-Legendre per segment sub-interval, fixed left-to-right
-summation order.
+Quadrature is deterministic: on cells (refined at declared breakpoints
+so piecewise-closed-form densities integrate cleanly) 2-point
+Gauss-Legendre in 1D and the midpoint rule in 2D, 3-point Gauss-Legendre
+per segment sub-interval, fixed left-to-right summation order.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from itertools import chain, compress, product
 
 import numpy as np
 
-# 3-point Gauss-Legendre on [-1, 1]
-_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
+# k-point Gauss-Legendre nodes and weights on [-1, 1]; k = 1 is the midpoint rule
+_GAUSS = {k: np.polynomial.legendre.leggauss(k) for k in (1, 2, 3)}
 
 _MATCH_TOL = 1e-12  # points this close are one point carrier
 _POINT_CELL = 1024 * _MATCH_TOL  # side of the grid cells that index point carriers
@@ -72,12 +72,13 @@ def _refined_edges(lo, hi, resolution, breaks):
     return np.unique(np.concatenate([edges, extra])) if len(extra) else edges
 
 
-def _gl3(edges):
-    """GL3 nodes and weights on each panel between consecutive ``edges``."""
+def _panels(edges, k):
+    """k-point Gauss-Legendre nodes and weights on each panel between
+    consecutive ``edges``, panel by panel."""
+    nodes, weights = _GAUSS[k]
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * _GL3_NODES[None, :]).ravel()
-    return nodes, (half[:, None] * _GL3_WEIGHTS[None, :]).ravel()
+    return (mid[:, None] + half[:, None] * nodes[None, :]).ravel(), (half[:, None] * weights[None, :]).ravel()
 
 
 def _tensor(axis_nodes, axis_weights):
@@ -125,7 +126,9 @@ class Domain:
     # -- cell quadrature ----------------------------------------------------
 
     def cell_rule(self, breaks=None):
-        """Midpoint nodes (M, dim) and weights (M,) tiling the box.
+        """Nodes (M, dim) and weights (M,) tiling the box: 2-point
+        Gauss-Legendre on each cell in 1D (exact for cubics per cell), the
+        midpoint rule in 2D.
 
         ``breaks`` refines the per-axis partition at declared discontinuity
         locations.  The arrays are read-only: a rule of at most
@@ -141,17 +144,15 @@ class Domain:
         return rule
 
     def _build_rule(self, axis_breaks):
-        axis_edges = self._axis_edges(axis_breaks)
-        nodes, weights = _tensor(
-            [0.5 * (e[1:] + e[:-1]) for e in axis_edges], [np.diff(e) for e in axis_edges]
-        )
+        k = 2 if self.dim == 1 else 1  # tensor GL2 would take 4x the nodes of a 256^2 grid
+        nodes, weights = _tensor(*zip(*(_panels(e, k) for e in self._axis_edges(axis_breaks))))
         keep = weights > 1e-300
         return (nodes, weights) if keep.all() else (nodes[keep], weights[keep])
 
     def gauss_cell_rule(self, breaks=None):
         """Per-cell 3-point Gauss rule (tensorized in 2D); exact for
         polynomials of degree 5 per axis on each refined cell."""
-        return _tensor(*zip(*map(_gl3, self._axis_edges(_normalize_breaks(breaks, self.dim)))))
+        return _tensor(*zip(*(_panels(e, 3) for e in self._axis_edges(_normalize_breaks(breaks, self.dim)))))
 
     def _axis_edges(self, axis_breaks):
         """Per axis, the cell edges refined at that axis's breaks."""
@@ -169,7 +170,7 @@ class Domain:
         for _, start, end, normal in _faces(self.box):
             p, w = np.array([start]), np.ones(1)
             for k in np.flatnonzero(np.not_equal(start, end)):  # the axis a side runs on
-                t, w = _gl3(np.linspace(start[k], end[k], self.resolution + 1))
+                t, w = _panels(np.linspace(start[k], end[k], self.resolution + 1), 3)
                 p = np.repeat(p, len(t), axis=0)
                 p[:, k] = t
             pts.append(p)
@@ -319,7 +320,7 @@ class SingularCarrier:
             return np.asarray(self.point, dtype=float)[None, :], np.ones(1)
         p = np.asarray(self.endpoints[0], dtype=float)
         q = np.asarray(self.endpoints[1], dtype=float)
-        t, w = _gl3(np.linspace(0.0, 1.0, resolution + 1))
+        t, w = _panels(np.linspace(0.0, 1.0, resolution + 1), 3)
         return p[None, :] + t[:, None] * (q - p)[None, :], w * float(np.linalg.norm(q - p))
 
 

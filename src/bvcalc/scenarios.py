@@ -162,7 +162,7 @@ def _sawtooth_setting(config):
         None,
         mu,
     )
-    seq = lambda j: sawtooth_1d(d, j, registry=reg)
+    seq = functools.cache(lambda j: sawtooth_1d(d, j, registry=reg))  # read by two checks
     return d, mu, zero, candidate, geometric_js(config.jmax), seq
 
 

@@ -149,6 +149,14 @@ def test_recession_nonstabilizing_raises():
         recession(wild, None, np.array([[1.0]]))
 
 
+def test_recession_without_an_analytic_recession_is_a_typed_error():
+    f = Integrand("area-no-rec", (1, 1), lambda x, A: np.sqrt(1.0 + np.sum(A * A, axis=(1, 2))),
+                  1.0, 1.0)
+    assert not f.has_analytic_recession()
+    with pytest.raises(IntegrandError, match=r"^integrand 'area-no-rec' has no analytic recession$"):
+        f.recession(None, np.array([[1.0]]))
+
+
 def test_recession_values_without_analytic_recession_runs_the_schedule():
     f = Integrand("area-no-rec", (1, 1), lambda x, A: np.sqrt(1.0 + np.sum(A * A, axis=(1, 2))),
                   1.0, 1.0)

@@ -387,8 +387,9 @@ def test_pairing_single_atom():
 
 
 def test_pairing_matches_direct_sum_oracle_1d():
-    # oracle: direct midpoint sum over the same partition plus the explicit
-    # atom term, sharing no quadrature code with the measures module
+    # oracle: the closed-form integral of the degree-4 polynomial
+    # 16 x (1 - x) (c0 + c1 x + c2 x^2) over [0, 1] plus the explicit atom
+    # term, sharing no quadrature code with the measures module
     rng = np.random.default_rng(11)
     m = 4096
     dom = Domain((0.0, 1.0), m)
@@ -404,10 +405,7 @@ def test_pairing_matches_direct_sum_oracle_1d():
     )
     phi = bump_field([[1.0]])
 
-    oracle = 0.0
-    for k in range(m):
-        x = (k + 0.5) / m
-        oracle += 16.0 * x * (1.0 - x) * (coef[0] + coef[1] * x + coef[2] * x * x) / m
+    oracle = 16.0 * (coef[0] / 6.0 + coef[1] / 12.0 + coef[2] / 20.0)
     oracle += 16.0 * atom_x * (1 - atom_x) * atom_v
 
     assert pair_with_test_function(gamma, phi) == pytest.approx(oracle, abs=1e-10)
@@ -1476,6 +1474,9 @@ def test_coincident_atoms_are_merged_in_first_occurrence_order():
 
 
 def _old_cell_rule(dom, breaks=None):
+    """The cell rule written out: in 1D the two Gauss-Legendre nodes
+    mid -+ half t of each cell (t = 1/sqrt(3) as ``leggauss(2)`` rounds
+    it), each weighted by half the cell width; in 2D the midpoint rule."""
     from bvcalc.measures import _normalize_breaks, _refined_edges
 
     axis_breaks = _normalize_breaks(breaks, dom.dim)
@@ -1485,8 +1486,9 @@ def _old_cell_rule(dom, breaks=None):
     mids = [0.5 * (e[1:] + e[:-1]) for e in axis_edges]
     widths = [np.diff(e) for e in axis_edges]
     if dom.dim == 1:
-        nodes = mids[0][:, None]
-        weights = widths[0]
+        half, t = 0.5 * widths[0], float.fromhex("0x1.279a74590331cp-1")
+        nodes = np.column_stack([mids[0] - half * t, mids[0] + half * t]).reshape(-1, 1)
+        weights = np.repeat(half, 2)
     else:
         gx, gy = np.meshgrid(mids[0], mids[1], indexing="ij")
         wx, wy = np.meshgrid(widths[0], widths[1], indexing="ij")
@@ -1497,11 +1499,11 @@ def _old_cell_rule(dom, breaks=None):
 
 
 def _old_gauss_cell_rule(dom, breaks=None):
-    from bvcalc.measures import _gl3, _normalize_breaks, _refined_edges
+    from bvcalc.measures import _normalize_breaks, _panels, _refined_edges
 
     axis_breaks = _normalize_breaks(breaks, dom.dim)
     axis_nodes, axis_weights = zip(*[
-        _gl3(_refined_edges(lo, hi, dom.resolution, axis_breaks[k]))
+        _panels(_refined_edges(lo, hi, dom.resolution, axis_breaks[k]), 3)
         for k, (lo, hi) in enumerate(dom.box)
     ])
     if dom.dim == 1:
@@ -1512,7 +1514,7 @@ def _old_gauss_cell_rule(dom, breaks=None):
 
 
 def _old_boundary_rule(dom):
-    from bvcalc.measures import _gl3
+    from bvcalc.measures import _panels
 
     if dom.dim == 1:
         (lo, hi), = dom.box
@@ -1526,7 +1528,7 @@ def _old_boundary_rule(dom):
         (1, by, (0.0, -1.0)),
     ):
         lo, hi = dom.box[1 - fixed_axis]
-        t, w = _gl3(np.linspace(lo, hi, dom.resolution + 1))
+        t, w = _panels(np.linspace(lo, hi, dom.resolution + 1), 3)
         p = np.empty((len(t), 2))
         p[:, fixed_axis] = fixed_val
         p[:, 1 - fixed_axis] = t
@@ -1695,10 +1697,32 @@ def test_a_breaks_is_never_scanned_again(monkeypatch):
     monkeypatch.setattr(measures, "operator", types.SimpleNamespace(lt=refuse, ne=operator.ne))
     assert merge_breaks(1, sawtooth) is sawtooth and merge_breaks(1, None, sawtooth) is sawtooth
     nodes, weights = Domain((0.0, 1.0), 64).cell_rule(breaks=sawtooth)
-    assert len(nodes) == 2048 and weights.sum() == pytest.approx(1.0)
+    assert len(nodes) == 4096 and weights.sum() == pytest.approx(1.0)
     for b in (x_only, y_only):
         got = square.cell_rule(breaks=b)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected[id(b)]))
+
+
+@pytest.mark.parametrize("dom", _FOLD_DOMAINS[:2], ids=["unit-interval", "interval"])
+def test_the_1d_cell_rule_integrates_cubics_exactly_on_each_cell(dom):
+    breaks = (0.3, 1.0 / 3.0, 0.55)
+    (lo, hi), = dom.box
+    edges = np.unique(np.concatenate([np.linspace(lo, hi, dom.resolution + 1), breaks]))
+    nodes, weights = dom.cell_rule(breaks)
+    x, w = nodes[:, 0].reshape(-1, 2), weights.reshape(-1, 2)  # two nodes per cell, cell by cell
+    a, b = edges[:-1, None], edges[1:, None]
+    assert len(x) == len(edges) - 1 and np.all((a < x) & (x < b))
+    coeffs = [0.7, -1.3, 2.1, -0.9]  # lowest degree first
+
+    def antiderivative(t):
+        return sum(c * t ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+
+    exact = (antiderivative(b) - antiderivative(a))[:, 0]
+    got = np.sum(w * np.polynomial.polynomial.polyval(x, coeffs), axis=1)
+    assert np.allclose(got, exact, rtol=1e-13, atol=1e-15)
+    # not exact beyond degree 3: x^4 leaves a gap on every cell
+    quartic = np.sum(w * x**4, axis=1) - ((b**5 - a**5) / 5)[:, 0]
+    assert np.all(np.abs(quartic) > 1e-13 * (b - a)[:, 0] ** 5)
 
 
 _RULE_CASES = {
@@ -1729,12 +1753,13 @@ def test_cell_rule_is_built_once_per_domain_and_read_only(dom):
 def test_cell_rules_above_the_cap_are_not_kept():
     from bvcalc.measures import _MEMO_NODES
 
-    at_cap, above = Domain((0.0, 1.0), _MEMO_NODES), Domain((0.0, 1.0), _MEMO_NODES + 1)
+    # two nodes per cell in 1D: the cap counts nodes, not cells
+    at_cap, above = Domain((0.0, 1.0), _MEMO_NODES // 2), Domain((0.0, 1.0), _MEMO_NODES // 2 + 1)
     assert at_cap.cell_rule()[0] is at_cap.cell_rule()[0] and len(at_cap._rules) == 1
     first, second = above.cell_rule(), above.cell_rule()
     assert first[0] is not second[0] and above._rules == {}
     assert np.array_equal(first[0], second[0]) and not first[1].flags.writeable
-    assert len(first[1]) == _MEMO_NODES + 1
+    assert len(first[1]) == _MEMO_NODES + 2
 
 
 def test_a_filled_memo_leaves_equality_hash_and_repr_alone():

@@ -238,6 +238,26 @@ def test_oracle_matches_evaluate_on_fifty_random_cases():
     assert time.time() - start < 30.0
 
 
+def test_norm_and_area_cases_meet_the_oracle_at_the_first_rung():
+    """At resolution 64, the first rung of the oracle ladder, GL2 cells
+    bring seeded ``norm`` and ``area`` cases within 1e-10 relative of
+    ``oracle_1d`` (the midpoint rule needed up to seven more rungs)."""
+    rng = np.random.default_rng(32)
+    cases = [c for c in (random_case_description(rng) for _ in range(60)) if c["F"]["kind"] != "shifted-norm"]
+    assert {c["F"]["kind"] for c in cases} == {"norm", "area"} and len(cases) >= 30
+    for case in cases:
+        ref = oracle_1d(case["u"], case["mu"], case["F"], domain=case["domain"])
+        got = evaluate(*build_case_1d(case, resolution=64)).total
+        assert abs(got - ref) <= 1e-10 * abs(ref), case
+
+
+def test_an_overflowing_cell_term_is_an_oracle_error():
+    # each term is finite, their sum 3e308 is not: fsum overflows, and the
+    # nan it gives fails the rule's self-check
+    with pytest.raises(OracleError, match=r"^the Gauss-Legendre cell term nan is not finite or not certified"):
+        oracle_1d({"slopes": [2.0]}, {"poly": [1.0]}, {"kind": "norm"}, domain=(0.0, 1.5e308))
+
+
 def test_oracle_cli_roundtrip(tmp_path):
     case = {
         "u": {"breaks": [], "slopes": [1.0], "jumps": [[0.5, 1.0]]},
