@@ -148,12 +148,12 @@ def boundary_term(u, F):
 def admissibility_check(u, mu):
     """Membership of u in the mu-Sobolev class: the derivative measure may
     only charge where mu does.  Structural, resolution-level check that
-    also works for degenerate mu (density vanishing on open sets)."""
+    also works for degenerate mu (density vanishing on open sets).  Du is
+    read only at the cell nodes where mu's density is at most 0, which
+    mu's own cell part keeps once its rule is the one mu was built on."""
     gamma = derivative(u)
-    cells = cell_part(gamma, mu.breaks)
-    charged = frobenius(cells.values) > CHARGE_TOL  # mu's density is read only where Du charges
-    points = cells.points if charged.all() else cells.points[charged]  # no copy of every node
-    if len(points) and np.any(mu.density_at(points) <= 0.0):
+    null = cell_part(mu, gamma.breaks).null_points
+    if len(null) and np.any(frobenius(gamma.density_at(null)) > CHARGE_TOL):
         return False
     for g, m in matched_parts(singular_parts(gamma), singular_parts(mu)):
         mu_there = 0.0 if m is None else m.values

@@ -14,6 +14,11 @@ Quadrature is deterministic: on cells (refined at declared breakpoints
 so piecewise-closed-form densities integrate cleanly) 2-point
 Gauss-Legendre in 1D and the midpoint rule in 2D, 3-point Gauss-Legendre
 per segment sub-interval, fixed left-to-right summation order.
+
+A scalar measure keeps the cell part its construction checked when its
+rule is one the domain keeps: ``cell_part`` returns that part (values and
+masses read-only) whenever the rule asked for is the same array, and the
+part's ``null_points``, where the density is at most 0, are found once.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, compress, product
 
 import numpy as np
@@ -395,6 +401,8 @@ class _StructuredMeasure:
     """What scalar and matrix measures share: carriers looked up in the
     registry, and their construction."""
 
+    _cells = None  # a scalar measure's checked cell part on its own memoised rule, else None
+
     def carrier(self, cid):
         return self.registry[cid]
 
@@ -467,7 +475,8 @@ class ScalarRadonMeasure(_StructuredMeasure):
         weights += [] if self._points is None else [self._points.values]
         if not all((np.asarray(w) >= 0).all() for w in weights):  # NaN fails too
             raise MeasureError("atom weights must be nonnegative")
-        for part in filter(None, (cell_part(self), self._points, *_carrier_parts(self))):
+        cells = cell_part(self)
+        for part in filter(None, (cells, self._points, *_carrier_parts(self))):
             if not np.isfinite(part.values).all():
                 raise MeasureError(f"a scalar measure's {part.kind} part must be finite")
             if part.kind == "cells" and np.any(part.values < -1e-12):
@@ -476,6 +485,9 @@ class ScalarRadonMeasure(_StructuredMeasure):
                 raise MeasureError("dominates-Lebesgue flag requires density >= eps at every node")
             if part.kind == "carrier" and np.any(part.values < -1e-12):
                 raise MeasureError("carrier densities must be nonnegative")
+        if len(cells.weights) <= _MEMO_NODES:  # its rule is the domain's kept one
+            read_only(cells.values, cells.masses)
+            object.__setattr__(self, "_cells", cells)
 
     def density_at(self, nodes):
         if self.density is None:
@@ -535,6 +547,11 @@ class MeasurePart:
     values: np.ndarray = None  # (M,) or (M, N, n): the measure's density there
     masses: np.ndarray = None  # (M,) weights x values, for scalar measures
 
+    @cached_property
+    def null_points(self):
+        """The points where a scalar density is at most 0, read-only."""
+        return read_only(np.compress(self.values <= 0.0, self.points, axis=0))[0]  # a mask index is 6x slower
+
 
 def point_masses(domain, registry, masses):
     """Carrier parts (cid, constant density) for the point masses
@@ -569,11 +586,14 @@ def measure_parts(m, extra_breaks=None):
 def cell_part(m, extra_breaks=None):
     """The cell part of :func:`measure_parts`: the cell rule on the breaks
     of ``m`` (merged with ``extra_breaks`` only when given), with the cell
-    density of ``m`` at its nodes."""
+    density of ``m`` at its nodes.  A scalar measure's own kept part, read
+    once at construction, is returned when the rule is that same array."""
     breaks = m.breaks
     if extra_breaks is not None:
         breaks = merge_breaks(m.domain.dim, m.breaks, extra_breaks)
     nodes, weights = m.domain.cell_rule(breaks=breaks)
+    if m._cells is not None and m._cells.points is nodes:
+        return m._cells
     return _part(m, "cells", None, nodes, weights, m.density_at)
 
 
@@ -748,10 +768,11 @@ def rn_decompose(gamma, mu):
     gamma is a matrix measure or a positive scalar measure (the
     concentration measure of a Young measure); densities and ratios then
     have the shape of gamma's values, () for a scalar measure.  Rejected
-    when mu's cell density falls below its declared eps, or when a carrier
-    density of mu vanishes at a node where gamma's does not (the pointwise
-    ratio is then ill-posed at this resolution).  A point mass of mu is
-    never 0 there, as a weightless one is no part of mu.
+    when mu's cell density falls below its declared eps, or when a segment
+    density of mu is at most ``_ZERO_TOL`` at a node where gamma's is not
+    (the pointwise ratio is then ill-posed at this resolution).  A point
+    mass of mu is an exact constant above 0, as a weightless one is no part
+    of mu, so on points the threshold is 0 and any positive mass divides.
     """
     if not mu.dominates_lebesgue:
         raise DecompositionError("mu must be flagged dominates-Lebesgue")
@@ -767,16 +788,17 @@ def rn_decompose(gamma, mu):
         elif gp is None:
             densities[mp.key] = lambda p: np.zeros((len(p),) + shape)
         else:
-            if np.any((_magnitudes(gp.values) > _ZERO_TOL) & (mp.values <= _ZERO_TOL)):
+            tol = 0.0 if mp.kind == "atom" else _ZERO_TOL
+            if np.any((_magnitudes(gp.values) > _ZERO_TOL) & (mp.values <= tol)):
                 raise DecompositionError(
                     f"mu density vanishes on carrier {mp.key!r} where gamma charges it"
                 )
 
-            def ratio(p, _g=gamma_fns[gp.key], _m=mu_fns[mp.key]):
+            def ratio(p, _g=gamma_fns[gp.key], _m=mu_fns[mp.key], _tol=tol):
                 m = np.asarray(_m(p))
-                safe = np.where(m > _ZERO_TOL, m, 1.0)
+                safe = np.where(m > _tol, m, 1.0)
                 out = np.asarray(_g(p)) / _per_node(safe, shape)
-                out[m <= _ZERO_TOL] = 0.0
+                out[m <= _tol] = 0.0
                 return out
 
             densities[mp.key] = ratio

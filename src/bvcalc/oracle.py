@@ -35,8 +35,13 @@ class OracleError(ValueError):
 
 def _real_roots(coeffs, lo, hi):
     """The real roots in [lo, hi], sorted, of the polynomial with
-    ``coeffs`` (lowest degree first)."""
-    roots = np.polynomial.polynomial.polyroots(coeffs)
+    ``coeffs`` (lowest degree first).  A leading coefficient of 0, or one
+    so small that the others divided by it overflow, is dropped first; the
+    roots only the latter adds lie past 1e100 up to degree 3."""
+    c = [float(x) for x in coeffs]
+    while len(c) > 1 and not max(map(abs, c[:-1])) <= abs(c[-1]) * _FLOAT_MAX:
+        c.pop()
+    roots = np.polynomial.polynomial.polyroots(c)
     return sorted(float(r.real) for r in roots if abs(r.imag) <= _REAL_TOL and lo <= r.real <= hi)
 
 

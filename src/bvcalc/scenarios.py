@@ -708,18 +708,22 @@ def carpet_holes(depth):
             cx, cy = x0 + cell / 2, y0 + cell / 2
             holes.append((cx - side / 2, cx + side / 2, cy - side / 2, cy + side / 2))
             third = cell / 3.0
-            nxt += [(x0 + ix * third, y0 + iy * third, third) for ix, iy in cells]
+            if m < depth:  # the last level's cells would have no holes
+                nxt += [(x0 + ix * third, y0 + iy * third, third) for ix, iy in cells]
         active = nxt
     return holes
 
 
-def carpet_lower_bound(depth):
+def carpet_lower_bound(depth, holes=None):
     """min over constants c of the integral over the depth-k carpet of
     |x - c|, via exact per-hole sums (holes are axis-aligned squares).
     The holes map onto themselves under x -> 1 - x, so the convex
-    integral is least at c = 1/2."""
+    integral is least at c = 1/2.  ``holes``, the holes of a deeper
+    carpet, saves rebuilding them: a depth-k carpet is its first
+    (8^k - 1) / 7, level by level."""
     c = 0.5
-    x0, x1, y0, y1 = np.array([(0.0, 1.0, 0.0, 1.0)] + carpet_holes(depth)).T
+    holes = carpet_holes(depth) if holes is None else holes[: (8**depth - 1) // 7]
+    x0, x1, y0, y1 = np.array([(0.0, 1.0, 0.0, 1.0)] + holes).T
     # integral of |x - c| over each square: (y1 - y0) [a|a|/2] from a0 to a1
     a0, a1 = x0 - c, x1 - c
     square, *hole_terms = ((y1 - y0) * (0.5 * a1 * np.abs(a1) - 0.5 * a0 * np.abs(a0))).tolist()
@@ -735,19 +739,22 @@ def carpet_indicator(holes):
     Along each axis a coordinate falls in class 2k on the open interval
     just below the k-th edge and in class 2k + 1 on that edge, so a 0/1
     table over pairs of classes reproduces the strict per-hole comparisons
-    exactly, nodes on edges and corners included."""
+    exactly, nodes on edges and corners included.  That class is the count
+    of the entries at or below the coordinate in the edges interleaved with
+    the next float above each: one search per axis."""
     x0, x1, y0, y1 = np.array(holes).reshape(-1, 4).T
     xb, yb = np.unique([x0, x1]), np.unique([y0, y1])
+    xs, ys = (np.column_stack([b, np.nextafter(b, np.inf)]).ravel() for b in (xb, yb))
 
-    def classes(edges, v):
-        return np.searchsorted(edges, v) + np.searchsorted(edges, v, "right")
+    def classes(steps, v):
+        return np.searchsorted(steps, v, "right")
 
     table = np.zeros((2 * len(xb) + 1, 2 * len(yb) + 1))
-    for i0, i1, j0, j1 in zip(*classes(xb, (x0, x1)), *classes(yb, (y0, y1))):
+    for i0, i1, j0, j1 in zip(*classes(xs, (x0, x1)), *classes(ys, (y0, y1))):
         table[i0 + 1 : i1, j0 + 1 : j1] = 1.0
 
     def weight(nodes):
-        return table[classes(xb, nodes[:, 0]), classes(yb, nodes[:, 1])]
+        return table[classes(xs, nodes[:, 0]), classes(ys, nodes[:, 1])]
 
     return weight, (xb, yb)
 
@@ -760,10 +767,10 @@ def scenario_example2(config):
     d = Domain(((0.0, 1.0), (0.0, 1.0)), config.resolution)
     reg = CarrierRegistry()
     max_depth = 4
-    bounds = [(k, *carpet_lower_bound(k)) for k in range(max_depth + 1)]
+    holes4 = carpet_holes(max_depth)
+    bounds = [(k, *carpet_lower_bound(k, holes4)) for k in range(max_depth + 1)]
     u = affine_2d(d, np.array([[1.0, 0.0]]), registry=reg)  # u(x, y) = x
 
-    holes4 = carpet_holes(max_depth)
     weight, breaks = carpet_indicator(holes4)
     mu_k = ScalarRadonMeasure(
         d, density=weight, registry=reg, breaks=breaks, dominates_lebesgue=False
@@ -881,8 +888,37 @@ def random_case_description(rng):
     }
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _integrand_kinks(domain, u_desc, coeffs, f_desc):
+    """Where F(x, s / rho(x)) rho(x) has kinks on each stretch of u of
+    slope s: the real roots there of alpha rho - beta, (alpha, beta) being
+    (A0, s) for ``shifted-norm`` and (1, |s|) for ``w-shape``; none for the
+    other kinds.  As breaks of mu they put every kink on a cell edge."""
+    kind = f_desc["kind"]
+    if kind not in ("shifted-norm", "w-shape"):
+        return ()
+    alpha = float(f_desc.get("A0", 0.3)) if kind == "shifted-norm" else 1.0
+    (lo, hi), = domain.box
+    edges = [lo, *map(float, u_desc.get("breaks", ())), hi]
+    rho = [alpha * float(c) for c in coeffs]
+    if not all(map(math.isfinite, rho)):  # mu rejects such a density
+        return ()
+    kinks = []
+    for a, b, s in zip(edges[:-1], edges[1:], map(float, u_desc.get("slopes", (0.0,)))):
+        poly = [rho[0] - (s if kind == "shifted-norm" else abs(s)), *rho[1:]]
+        while len(poly) > 1 and not max(map(abs, poly[:-1])) <= abs(poly[-1]) * _FLOAT_MAX:
+            poly.pop()  # a leading 0, or a term too small to divide the others by
+        roots = np.polynomial.polynomial.polyroots(poly)
+        kinks += [r.real for r in roots if abs(r.imag) <= 1e-6 and a < r.real < b]
+    return kinks
+
+
 def build_case_1d(case, resolution=20000):
-    """Instantiate a random case through the regular pipeline objects."""
+    """Instantiate a random case through the regular pipeline objects.
+    The breaks of mu are those of u and the kinks of the integrand, so mu,
+    u and the evaluation share one cell rule and mu's kept cell part."""
     domain = Domain(tuple(case.get("domain", (0.0, 1.0))), resolution)
     reg = CarrierRegistry()
     u = piecewise_affine_1d(
@@ -899,14 +935,6 @@ def build_case_1d(case, resolution=20000):
     def density(nodes):
         return np.polynomial.polynomial.polyval(nodes[:, 0], coeffs)
 
-    mu = ScalarRadonMeasure(
-        domain,
-        density=density,
-        carrier_parts=point_masses(domain, reg, [((p,), w) for p, w in case["mu"].get("atoms", ())]),
-        registry=reg,
-        dominates_lebesgue=True,
-        eps=1e-6,
-    )
     f_desc = case["F"]
     if f_desc["kind"] == "shifted-norm":
         F = make_shifted_norm(A0=f_desc.get("A0", 0.3), c=f_desc.get("c", 0.4))
@@ -914,6 +942,15 @@ def build_case_1d(case, resolution=20000):
         F = catalog_integrand(f_desc["kind"])
     if f_desc.get("modulated"):
         F = x_modulated(F)
+    mu = ScalarRadonMeasure(
+        domain,
+        density=density,
+        carrier_parts=point_masses(domain, reg, [((p,), w) for p, w in case["mu"].get("atoms", ())]),
+        registry=reg,
+        dominates_lebesgue=True,
+        eps=1e-6,
+        breaks=[*u.breaks[0], *_integrand_kinks(domain, case["u"], coeffs, f_desc)],
+    )
     return u, FunctionalSpec(F, mu, domain)
 
 

@@ -1248,9 +1248,102 @@ def test_admissibility_check_matches_the_old_loop():
             sq, density=lambda n: np.ones(len(n)), carrier_parts=parts, registry=reg2
         )
         cases.append((step, mu))
+    cases += _kept_part_admissibility_cases()
     results = [admissibility_check(u, mu) for u, mu in cases]
     assert results == [_old_admissibility_check(u, mu) for u, mu in cases]
     assert True in results and False in results
+
+
+def _kept_part_admissibility_cases():
+    """Cases where mu's kept cell part is read, is not the rule asked for,
+    or does not exist, each with an admissible and an inadmissible u."""
+    from bvcalc.bv import BVFunction, Piece, affine_2d, derivative, ramp_1d
+    from bvcalc.measures import _MEMO_NODES, cell_part
+    from bvcalc.scenarios import carpet_holes, carpet_indicator
+
+    cases = []
+    # a carpet weight on a 2D box: a constant, x, and a gradient only in the holes
+    weight, breaks = carpet_indicator(carpet_holes(2))
+    sq, reg = unit_square(32), CarrierRegistry()
+    carpet = ScalarRadonMeasure(sq, density=weight, registry=reg, breaks=breaks)
+    in_holes = BVFunction(sq, 1, [Piece(region=sq.box, u=lambda n: np.zeros((len(n), 1)),
+                                        grad=lambda n: weight(n)[:, None, None] * np.ones((1, 1, 2)))],
+                          registry=reg, validate=False)
+    for u in (affine_2d(sq, np.zeros((1, 2)), registry=reg), affine_2d(sq, [[1.0, 0.0]], registry=reg), in_holes):
+        assert cell_part(carpet, derivative(u).breaks) is carpet._cells
+        cases.append((u, carpet))
+    # 1D u whose breaks are not mu's: the rule asked for is not the kept one
+    dom, reg = interval(200), CarrierRegistry()
+    right_null = ScalarRadonMeasure(dom, density=lambda n: np.where(n[:, 0] > 0.4, 0.0, 1.0), registry=reg, breaks=(0.4,))
+    for u in (ramp_1d(dom, 0.1, 0.2, registry=reg), ramp_1d(dom, 0.45, 0.1, registry=reg)):
+        other = cell_part(right_null, derivative(u).breaks)
+        assert right_null._cells is not None and other is not right_null._cells
+        cases.append((u, right_null))
+    # mu's rule above the memo cap: nothing is kept
+    big, reg = Domain((0.0, 1.0), _MEMO_NODES // 2 + 1), CarrierRegistry()
+    hole = ScalarRadonMeasure(big, density=lambda n: np.where(np.abs(n[:, 0] - 0.5) < 0.1, 0.0, 1.0), registry=reg)
+    assert hole._cells is None
+    cases += [(ramp_1d(big, 0.1, 0.2, registry=reg), hole), (ramp_1d(big, 0.45, 0.1, registry=reg), hole)]
+    return cases
+
+
+def test_admissibility_reads_du_only_where_mu_vanishes():
+    from bvcalc.bv import BVFunction, Piece
+    from bvcalc.functional import admissibility_check
+
+    sq, reg = unit_square(32), CarrierRegistry()
+    mu_calls, du_points = [], []
+
+    def disc_hole(n):
+        mu_calls.append(len(n))
+        return np.where(np.hypot(n[:, 0] - 0.5, n[:, 1] - 0.5) < 0.25, 0.0, 1.0)
+
+    def grad(n):
+        du_points.append(n)
+        return np.tile([[[0.2, 0.1]]], (len(n), 1, 1))
+
+    u = BVFunction(sq, 1, [Piece(region=sq.box, u=lambda n: n @ [[0.2], [0.1]], grad=grad)],
+                   registry=reg, validate=False)
+    mu = ScalarRadonMeasure(sq, density=disc_hole, registry=reg)
+    assert mu_calls == [32 * 32]
+    assert not admissibility_check(u, mu) and not admissibility_check(u, mu)
+    mu.mass()
+    assert mu_calls == [32 * 32]  # construction read mu on its rule, and nothing since
+    null = mu._cells.null_points
+    assert 0 < len(null) < 32 * 32 and [p is null for p in du_points] == [True, True]
+    du_points.clear()
+    positive = ScalarRadonMeasure(sq, density=lambda n: np.ones(len(n)), registry=reg)
+    assert admissibility_check(u, positive) and du_points == []
+
+
+def test_a_scalar_measure_keeps_its_checked_cell_part():
+    from dataclasses import replace
+
+    from bvcalc.measures import _MEMO_NODES, cell_part
+
+    dom = unit_square(16)
+    mu = ScalarRadonMeasure(dom, density=lambda n: np.maximum(n[:, 0] - 0.5, 0.0), breaks=((0.25,), ()))
+    kept = mu._cells
+    assert kept.points is dom.cell_rule(mu.breaks)[0]
+    assert cell_part(mu) is kept and measure_parts(mu)[0] is kept and cell_part(mu, ((0.25,), ())) is kept
+    refined = cell_part(mu, ((0.3,), ()))
+    assert refined is not kept and refined.points is not kept.points
+    for a in (kept.values, kept.masses, kept.null_points):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        kept.values[0] = 1.0
+    assert kept.null_points is kept.null_points
+    assert np.array_equal(kept.null_points, kept.points[kept.points[:, 0] < 0.5])
+    # replace builds its own part, from its own density
+    doubled = replace(mu, density=lambda n: 2.0 * np.maximum(n[:, 0] - 0.5, 0.0))
+    assert doubled._cells is not kept and np.array_equal(doubled._cells.values, 2.0 * kept.values)
+    assert replace(mu) == mu and replace(mu)._cells is not kept
+    # kept up to the memo cap, in nodes; never for a matrix measure
+    at_cap = ScalarRadonMeasure(Domain((0.0, 1.0), _MEMO_NODES // 2), density=lambda n: np.ones(len(n)))
+    above = ScalarRadonMeasure(Domain((0.0, 1.0), _MEMO_NODES // 2 + 1), density=lambda n: np.ones(len(n)))
+    assert cell_part(at_cap) is at_cap._cells is not None
+    assert above._cells is None and cell_part(above) is not cell_part(above)
+    assert MatrixRadonMeasure(dom, (1, 2), density=ones_density((1, 2)))._cells is None
 
 
 def test_singular_term_matches_the_old_loop():

@@ -251,6 +251,52 @@ def test_norm_and_area_cases_meet_the_oracle_at_the_first_rung():
         assert abs(got - ref) <= 1e-10 * abs(ref), case
 
 
+@pytest.mark.parametrize("kind", ["shifted-norm", "w-shape"])
+def test_kinked_cases_meet_the_oracle_at_the_first_rung(kind):
+    """The kinks of ``shifted-norm`` and ``w-shape``, where dDu/dmu crosses
+    A0 or +-1, are breaks of mu in ``build_case_1d``, so seeded cases meet
+    1e-10 relative of ``oracle_1d`` at resolution 64.  With the kinks
+    inside cells, 2 of these 150 shifted-norm cases were 1e-8 off there,
+    and w-shape cases up to 3e-5."""
+    rng = np.random.default_rng(33)
+    for _ in range(150):
+        case = random_case_description(rng)
+        case["F"] = dict(case["F"], kind=kind)
+        ref = oracle_1d(case["u"], case["mu"], case["F"], domain=case["domain"])
+        got = evaluate(*build_case_1d(case, resolution=64)).total
+        assert abs(got - ref) <= 1e-10 * abs(ref), case
+
+
+def test_mu_breaks_are_those_of_u_and_of_the_kinks():
+    # rho(x) = 1 + x; u has slope 0.6 on (0, 0.5) and -1.75 on (0.5, 1), and a jump at 0.25
+    case = {"u": {"breaks": [0.5], "slopes": [0.6, -1.75], "jumps": [[0.25, 1.0]]}, "mu": {"poly": [1.0, 1.0]}}
+
+    def kinks(f_desc):
+        u, spec = build_case_1d(dict(case, F=f_desc), resolution=64)
+        assert u.breaks == ((0.25, 0.5),) and set(u.breaks[0]) <= set(spec.mu.breaks[0])
+        return sorted(set(spec.mu.breaks[0]) - set(u.breaks[0]))
+
+    assert kinks({"kind": "norm"}) == kinks({"kind": "area"}) == []
+    # A0 rho = s: 0.5 (1 + x) = 0.6 at x = 0.2; = -1.75 at no x in (0.5, 1)
+    assert kinks({"kind": "shifted-norm", "A0": 0.5}) == [pytest.approx(0.2, abs=1e-15)]
+    # rho = |s|: 1 + x = 0.6 at no x in (0, 0.5); = 1.75 at x = 0.75
+    assert kinks({"kind": "w-shape"}) == [0.75]
+    # A0 = 0 leaves no polynomial in x, and a tiny A0 none with a root in (0, 1)
+    assert kinks({"kind": "shifted-norm", "A0": 0.0}) == kinks({"kind": "shifted-norm", "A0": 2.2e-313}) == []
+
+
+@pytest.mark.parametrize("kind, expected", [("norm", 1.0), ("area", 2.0)])
+@pytest.mark.parametrize("weight", [1e-13, 1e-15])
+def test_a_tiny_point_mass_under_a_jump_meets_the_oracle(weight, kind, expected):
+    """A point mass of mu is an exact positive constant, so any weight above
+    0 divides the jump: a weight in (0, 1e-14] once raised DecompositionError."""
+    case = {"u": {"slopes": [0.0], "jumps": [[0.5, 1.0]]}, "mu": {"poly": [1.0], "atoms": [[0.5, weight]]},
+            "F": {"kind": kind}}
+    assert oracle_case(case) == expected
+    got = evaluate(*build_case_1d(case, resolution=64)).total
+    assert got == pytest.approx(expected, rel=1e-10)
+
+
 def test_an_overflowing_cell_term_is_an_oracle_error():
     # each term is finite, their sum 3e308 is not: fsum overflows, and the
     # nan it gives fails the rule's self-check
@@ -707,6 +753,9 @@ _EDGE_MUTATIONS = {
     "weightless atom on a jump": lambda case, data: case["mu"]["atoms"].append([_a_jump(case, data), 0.0]),
     "weightless atom alone": lambda case, data: case["mu"]["atoms"].append([data.draw(st.floats(0.05, 0.95)), 0.0]),
     "atom of weight 1e-13 on a jump": lambda case, data: case["mu"]["atoms"].append([_a_jump(case, data), 1e-13]),
+    "atom of weight in (0, 1e-14] on a jump": lambda case, data: case["mu"]["atoms"].append(
+        [_a_jump(case, data), data.draw(st.sampled_from([1e-14, 1e-15, 1e-16]))]
+    ),
     "w-shape": lambda case, data: case["F"].update(kind="w-shape"),
     "jump on a slope break": _jump_on_a_slope_break,
     "domain [-0.5, 1.5]": lambda case, data: case.update(domain=[-0.5, 1.5]),
@@ -908,6 +957,24 @@ def test_carpet_indicator_equals_hole_loop():
     for nodes in (rule_nodes, random_nodes, corners, on_x_edge, on_y_edge):
         assert set(weight(nodes).tolist()) == {0.0, 1.0}
     assert np.array_equal(carpet_indicator([])[0](random_nodes), np.zeros(len(random_nodes)))
+
+
+@pytest.mark.parametrize("holes", [[], [(0.25, 0.5, 0.125, 0.75)]], ids=["no hole", "one hole"])
+def test_carpet_indicator_classes_with_few_edges(holes):
+    weight, (xb, yb) = carpet_indicator(holes)
+    assert len(xb) == len(yb) == 2 * len(holes)
+    grid = np.array([0.0, 0.125, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0])
+    nodes = np.array(np.meshgrid(grid, grid, indexing="ij")).reshape(2, -1).T
+    nodes = np.vstack([nodes, np.nextafter(nodes, 2.0), np.nextafter(nodes, -1.0)])
+    got = weight(nodes)
+    assert np.array_equal(got, _hole_loop_weight(holes, nodes))
+    assert set(got.tolist()) == ({0.0, 1.0} if holes else {0.0})
+
+
+def test_carpet_lower_bound_from_the_depth_4_holes_is_bit_for_bit():
+    holes4 = carpet_holes(4)
+    for k in range(5):
+        assert carpet_lower_bound(k, holes4) == carpet_lower_bound(k)
 
 
 def _example1_old_search():
