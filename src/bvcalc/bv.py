@@ -68,7 +68,6 @@ class BVFunction:
         jumps=(),
         trace=None,
         registry=None,
-        breaks=None,
         validate=True,
     ):
         self.domain = domain
@@ -77,7 +76,7 @@ class BVFunction:
         self.jumps = list(jumps)
         self.registry = registry if registry is not None else CarrierRegistry()
         self.trace = trace
-        self.breaks = merge_breaks(domain.dim, breaks, *(p.breaks for p in self.pieces))
+        self.breaks = merge_breaks(domain.dim, *(p.breaks for p in self.pieces))
         self._covered = None  # weak reference to the last read-only node array found covered
         if validate:
             self._validate()
@@ -122,8 +121,8 @@ class BVFunction:
         out = np.empty((len(nodes),) + shape)
         for k, piece in enumerate(self.pieces):
             m = idx == k
-            if np.any(m):
-                out[m] = np.asarray(fn(piece, nodes[m])).reshape((-1,) + shape)
+            if np.any(m):  # rows taken by np.compress: a boolean mask index is slower
+                out[m] = np.asarray(fn(piece, np.compress(m, nodes, axis=0))).reshape((-1,) + shape)
         return out
 
     def value_at(self, nodes):
@@ -153,9 +152,11 @@ class BVFunction:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
-        nodes, _ = self.domain.cell_rule(breaks=self.breaks)
-        if not self._one_piece_covers(nodes) and np.any(self._piece_index(nodes) < 0):
-            raise BVError("pieces do not partition the domain at quadrature nodes")
+        # a single piece whose region holds the box holds every rule node: no rule is built
+        if not (len(self.pieces) == 1 and _holds_box(self.pieces[0].region, self.domain.box)):
+            nodes, _ = self.domain.cell_rule(breaks=self.breaks)
+            if not self._one_piece_covers(nodes) and np.any(self._piece_index(nodes) < 0):
+                raise BVError("pieces do not partition the domain at quadrature nodes")
         for jump in self.jumps:
             if jump.carrier_id not in self.registry:
                 raise BVError(f"jump carrier {jump.carrier_id!r} not registered")
@@ -290,6 +291,7 @@ def zero_extension(u, outer_domain, carrier_prefix=None):
         region=outer_domain.box,  # listed last: the inner pieces win on the old boundary
         u=zeros,
         grad=lambda nodes: np.zeros((len(nodes), u.N, outer_domain.dim)),
+        breaks=merge_breaks(outer_domain.dim, u.breaks, inner_box),
     )
     # the plus side of each boundary jump is the inner box: orientation +1
     # at an interval's left end, -1 at its right end, inward segment normals
@@ -305,9 +307,14 @@ def zero_extension(u, outer_domain, carrier_prefix=None):
         jumps=jumps,
         trace=lambda pts: zeros(np.atleast_2d(pts)),
         registry=u.registry,
-        breaks=merge_breaks(outer_domain.dim, u.breaks, inner_box),
         validate=False,  # nodes of the outer grid may probe across the old boundary
     )
+
+
+def _holds_box(region, box):
+    """Whether the closed box ``region`` holds ``box``, axis by axis (False for a NaN bound)."""
+    bounds = np.asarray(region, dtype=float).reshape(-1, 2).tolist()
+    return len(bounds) == len(box) and all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(bounds, box))
 
 
 def _restrict_region(region, box):

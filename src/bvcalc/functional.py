@@ -15,7 +15,7 @@ measure sequences.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -49,25 +49,24 @@ class FunctionalError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """Integrand + reference measure + domain (+ boundary-term flag).
+    """Integrand + reference measure (+ boundary-term flag); the domain is mu's.
 
-    The reference measure must not charge the boundary; structurally this
-    means no point masses on it and no charged segments along it.
+    mu must not charge the boundary of its domain; structurally this means
+    no point masses on it and no charged segments along it.
     """
 
     integrand: Integrand
     mu: ScalarRadonMeasure
-    domain: object
     include_boundary: bool = False
 
     def __post_init__(self):
         if self.integrand.growth_M <= 0:
             raise FunctionalError("integrand must declare a positive upper growth constant")
-        if charges_boundary(self.mu, self.domain, 0.0):
+        if charges_boundary(self.mu, 0.0):
             raise FunctionalError("mu must not charge the boundary")
 
     def without_boundary(self):
-        return FunctionalSpec(self.integrand, self.mu, self.domain, include_boundary=False)
+        return replace(self, include_boundary=False)
 
 
 @dataclass
@@ -126,8 +125,8 @@ def charged_recession(F, points, values):
     """F^inf(x, A) at the points where A is nonzero, 0 elsewhere."""
     out = np.zeros(len(points))
     charged = frobenius(values) > CHARGE_TOL
-    if np.any(charged):
-        out[charged] = recession_values(F, points[charged], values[charged])
+    if np.any(charged):  # rows taken by np.compress: a boolean mask index is slower
+        out[charged] = recession_values(F, *(np.compress(charged, a, axis=0) for a in (points, values)))
     return out
 
 
@@ -240,7 +239,6 @@ class LscReport:
     value_at_limit: float
     js: tuple
     values: tuple
-    liminf_estimate: float
     margin: float
     flags: list
 
@@ -256,8 +254,7 @@ def lsc_experiment(sequence, u, spec, js):
     js = tuple(js)
     value_u = evaluate(u, spec).total
     values = [evaluate(sequence(j), spec).total for j in js]
-    liminf = _tail_min(values)
-    margin = liminf - value_u
+    margin = _tail_min(values) - value_u
     flags = []
     if margin < -LSC_TOL:
         flags.append(
@@ -265,7 +262,7 @@ def lsc_experiment(sequence, u, spec, js):
             if spec.integrand.convexity == "not_quasiconvex"
             else "violation"
         )
-    return LscReport(value_u, js, tuple(values), liminf, margin, flags)
+    return LscReport(value_u, js, tuple(values), margin, flags)
 
 
 # ---------------------------------------------------------------------------

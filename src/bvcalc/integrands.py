@@ -92,9 +92,6 @@ class Integrand:
         vals = np.asarray(self.recession_analytic(x, A), dtype=float)
         return float(vals[0]) if scalar else vals
 
-    def has_analytic_recession(self):
-        return self.recession_analytic is not None
-
 
 @dataclass
 class SQIntegrand(Integrand):
@@ -277,7 +274,7 @@ def recession(f, x, A):
         raise RecessionError(
             f"recession did not stabilize: tail difference {diag:.3e} at |A|={mag:.3e}"
         )
-    if f.has_analytic_recession():
+    if f.recession_analytic is not None:
         ref = f.recession(x, A)
         if abs(values[-1] - ref) > CROSS_CHECK_TOL * (1.0 + mag):
             raise RecessionError(
@@ -297,7 +294,7 @@ def generalized_recession(f, x, A):
 def recession_values(f, x, A_batch):
     """Vectorized F^inf over a batch of matrices (x batched alike)."""
     A_batch = np.asarray(A_batch, dtype=float)
-    if f.has_analytic_recession():
+    if f.recession_analytic is not None:
         return np.asarray(f.recession(x, A_batch), dtype=float)
     out = np.empty(len(A_batch))
     for k, A in enumerate(A_batch):
@@ -310,7 +307,7 @@ def upper_slope_values(f, x, A_batch):
     """The upper asymptotic slope of f over a batch of matrices (x batched
     alike): the analytic recession if f has one, else the generalized
     recession of each matrix."""
-    if f.has_analytic_recession():
+    if f.recession_analytic is not None:
         return np.asarray(f.recession(x, A_batch), dtype=float)
     rows = [None] * len(A_batch) if x is None else np.asarray(x)
     return np.array([generalized_recession(f, xk, A).value for xk, A in zip(rows, A_batch)])
@@ -470,7 +467,6 @@ def quasiconvexity_refuter(F, A, trial_fields=None, grid=16):
 class RankOneReport:
     max_violation: float
     worst_triple: tuple
-    samples: int
 
 
 def rank_one_convexity_check(F, A, a, b):
@@ -498,7 +494,7 @@ def rank_one_convexity_check(F, A, a, b):
         residual = float(v[1] - 0.5 * (v[0] + v[2]))
         if residual > worst_val:
             worst_val, worst_triple = residual, (t1, tm, t2)
-    return RankOneReport(worst_val, worst_triple, len(triples))
+    return RankOneReport(worst_val, worst_triple)
 
 
 # ---------------------------------------------------------------------------

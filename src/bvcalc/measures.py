@@ -16,9 +16,9 @@ Gauss-Legendre in 1D and the midpoint rule in 2D, 3-point Gauss-Legendre
 per segment sub-interval, fixed left-to-right summation order.
 
 A scalar measure keeps the cell part its construction checked when its
-rule is one the domain keeps: ``cell_part`` returns that part (values and
-masses read-only) whenever the rule asked for is the same array, and the
-part's ``null_points``, where the density is at most 0, are found once.
+rule is one the domain keeps: ``cell_part`` returns that part (values read-only)
+whenever the rule asked for is the same array; its ``null_points``, where the
+density is at most 0, and ``masses`` are each found once, on first read.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class Domain:
         k = 2 if self.dim == 1 else 1  # tensor GL2 would take 4x the nodes of a 256^2 grid
         nodes, weights = _tensor(*zip(*(_panels(e, k) for e in self._axis_edges(axis_breaks))))
         keep = weights > 1e-300
-        return (nodes, weights) if keep.all() else (nodes[keep], weights[keep])
+        return (nodes, weights) if keep.all() else tuple(np.compress(keep, a, axis=0) for a in (nodes, weights))
 
     def gauss_cell_rule(self, breaks=None):
         """Per-cell 3-point Gauss rule (tensorized in 2D); exact for
@@ -433,7 +433,7 @@ class _StructuredMeasure:
             if points:
                 read_only(at, values)
                 points = [(cid, _constant(v)) for (cid, _), v in zip(points, values)]
-                stacked = MeasurePart("atom", None, at, np.ones(len(at)), values, None if self.shape else values)
+                stacked = MeasurePart("atom", None, at, np.ones(len(at)), values)
         object.__setattr__(self, "carrier_parts", (*points, *segments))
         object.__setattr__(self, "_points", stacked)
         return [(cid, fn) for cid, fns in merged.items() if len(fns) > 1 for fn in fns]
@@ -486,7 +486,7 @@ class ScalarRadonMeasure(_StructuredMeasure):
             if part.kind == "carrier" and np.any(part.values < -1e-12):
                 raise MeasureError("carrier densities must be nonnegative")
         if len(cells.weights) <= _MEMO_NODES:  # its rule is the domain's kept one
-            read_only(cells.values, cells.masses)
+            read_only(cells.values)
             object.__setattr__(self, "_cells", cells)
 
     def density_at(self, nodes):
@@ -545,7 +545,11 @@ class MeasurePart:
     points: np.ndarray  # (M, dim)
     weights: np.ndarray = None  # (M,) volume, H^1 or counting weights
     values: np.ndarray = None  # (M,) or (M, N, n): the measure's density there
-    masses: np.ndarray = None  # (M,) weights x values, for scalar measures
+
+    @cached_property
+    def masses(self):
+        """weights x values for a scalar part, read-only; None for a matrix part."""
+        return None if self.values.ndim == 3 else read_only(self.weights * self.values)[0]
 
     @cached_property
     def null_points(self):
@@ -571,7 +575,7 @@ def point_masses(domain, registry, masses):
 
 def _part(m, kind, key, points, weights, density):
     values = np.asarray(density(points), dtype=float) if len(points) else np.zeros((0,) + m.shape)
-    return MeasurePart(kind, key, points, weights, values, None if m.shape else weights * values)
+    return MeasurePart(kind, key, points, weights, values)
 
 
 def measure_parts(m, extra_breaks=None):
@@ -602,8 +606,7 @@ def singular_parts(m):
     segments): the parts of :func:`measure_parts` after the cells."""
     s, rows = m._points, []
     for k, (cid, _) in enumerate(m.carrier_parts[: 0 if s is None else len(s.points)]):
-        rows.append(MeasurePart("atom", cid, s.points[k:k + 1], s.weights[k:k + 1], s.values[k:k + 1],
-                                None if m.shape else s.masses[k:k + 1]))
+        rows.append(MeasurePart("atom", cid, s.points[k:k + 1], s.weights[k:k + 1], s.values[k:k + 1]))
     return rows + _carrier_parts(m)
 
 
@@ -703,13 +706,13 @@ def mutually_singular(gamma1, gamma2):
     return all(a is None or b is None for a, b in matched_parts(*charged))
 
 
-def charges_boundary(m, domain, tol):
-    """Whether ``m`` charges the boundary of ``domain``: a singular part
+def charges_boundary(m, tol):
+    """Whether ``m`` charges the boundary of its domain: a singular part
     with a value above ``tol`` on a point of it or a segment along it."""
     for cid, fn in m.carrier_parts:
         c = m.carrier(cid)
         at = c.point if c.kind == "point" else np.mean(np.asarray(c.endpoints), axis=0)
-        if not domain.strictly_contains(at):
+        if not m.domain.strictly_contains(at):
             values = np.asarray(fn(c.rule(m.domain.resolution)[0]), dtype=float)
             if np.max(_magnitudes(values)) > tol:
                 return True

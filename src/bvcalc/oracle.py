@@ -2,10 +2,11 @@
 
 Computes the two-term functional value for piecewise-affine profiles and
 polynomial-density reference measures: a Gauss-Legendre cell term plus an
-explicit jump/atom ledger.  Deliberately shares no code with the
-evaluation pipeline: it imports only ``math`` and ``numpy``, takes plain
-dicts and writes each integrand formula out inline.  Each stretch between
-slope breakpoints is split at the kinks of its integrand (the real roots
+explicit jump/atom ledger.  Deliberately uses no code of the evaluation
+pipeline (which borrows only its kink search, to place cell edges): it
+imports only ``math`` and ``numpy``, takes plain dicts and writes each
+integrand formula out inline.  Each stretch between slope breakpoints
+is split at the kinks of its integrand (the real roots
 of A0 rho - s for ``shifted-norm``, of rho - |s| for ``w-shape``), so every
 piece carries a polynomial, or an analytic function for ``area``, and
 gets a rule of 2 ``_NODES`` points.  The rule checks itself: the

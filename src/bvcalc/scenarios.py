@@ -60,7 +60,7 @@ from .measures import (
     singular_parts,
     total_variation,
 )
-from .oracle import oracle_1d
+from .oracle import _integrand, _real_roots, oracle_1d
 from .young import (
     GeneralizedYoungMeasure,
     constant_field,
@@ -147,7 +147,7 @@ def _clause(name, passed, value, target):
 
 
 def _sawtooth_setting(config):
-    """The unit interval with Lebesgue mu, the zero function, the two-well
+    """Lebesgue mu on the unit interval, the zero function, the two-well
     Young measure (gradients -1 and 1 with weight 1/2 each), the indices j
     and the sawtooth sequence u_j of slopes +-1 that generates it."""
     d = Domain((0.0, 1.0), config.resolution)
@@ -155,7 +155,6 @@ def _sawtooth_setting(config):
     mu = lebesgue(d, reg)
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     candidate = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
         ScalarRadonMeasure(d, registry=reg),
@@ -163,11 +162,11 @@ def _sawtooth_setting(config):
         mu,
     )
     seq = functools.cache(lambda j: sawtooth_1d(d, j, registry=reg))  # read by two checks
-    return d, mu, zero, candidate, geometric_js(config.jmax), seq
+    return mu, zero, candidate, geometric_js(config.jmax), seq
 
 
 def scenario_sawtooth(config):
-    d, mu, zero, candidate, js, seq = _sawtooth_setting(config)
+    mu, zero, candidate, js, seq = _sawtooth_setting(config)
     dictionary = [
         make_norm(),
         make_area(),
@@ -177,7 +176,7 @@ def scenario_sawtooth(config):
     ]
     gen = empirical_generation_check(seq, mu, candidate, dictionary, js=js, per_axis=12)
     fitted = [o for o in gen.orders.values() if o is not None]
-    lsc = lsc_experiment(seq, zero, FunctionalSpec(make_norm(), mu, d), js=js)
+    lsc = lsc_experiment(seq, zero, FunctionalSpec(make_norm(), mu), js=js)
     jensen_ok = {
         f.name: jensen_check_mu(f, zero, candidate, mu).ok
         for f in (make_norm(), make_area(), make_shifted_norm())
@@ -230,7 +229,6 @@ def scenario_ramp_concentration(config):
     mu = lebesgue(d, reg)
     u = heaviside_1d(d, 0.0, registry=reg)
     candidate = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
@@ -293,7 +291,7 @@ def scenario_atom_absorbs_jump(config):
         dominates_lebesgue=True,
     )
     u = piecewise_affine_1d(d, slopes=(1.0,), jumps=((0.5, (1.0,)),), registry=reg)
-    spec = FunctionalSpec(make_norm(), mu, d)
+    spec = FunctionalSpec(make_norm(), mu)
     out = evaluate(u, spec)
     remainder_tv = total_variation(rn_decompose(derivative(u), mu).remainder)
     case = {
@@ -332,12 +330,12 @@ def scenario_boundary_term(config):
     reg = CarrierRegistry()
     mu = lebesgue(d, reg)
     u = piecewise_affine_1d(d, slopes=(1.0,), start_value=0.5, registry=reg)
-    spec = FunctionalSpec(make_norm(), mu, d, include_boundary=True)
+    spec = FunctionalSpec(make_norm(), mu, include_boundary=True)
     val_inner = evaluate(u, spec).total
 
     d_out = Domain((-0.5, 1.5), config.resolution)
     ext = zero_extension(u, d_out)
-    val_outer = evaluate(ext, FunctionalSpec(make_norm(), lebesgue(d_out, reg), d_out)).total
+    val_outer = evaluate(ext, FunctionalSpec(make_norm(), lebesgue(d_out, reg))).total
     glue_gap = abs(val_inner - val_outer) / max(1.0, abs(val_inner))
 
     one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)
@@ -466,9 +464,9 @@ def scenario_reshetnyak_counter(config):
 
 
 def scenario_nonquasiconvex(config):
-    d, mu, zero, candidate, js, seq = _sawtooth_setting(config)
+    mu, zero, candidate, js, seq = _sawtooth_setting(config)
     F = make_w_shape()
-    lsc = lsc_experiment(seq, zero, FunctionalSpec(F, mu, d), js=js)
+    lsc = lsc_experiment(seq, zero, FunctionalSpec(F, mu), js=js)
     jensen = jensen_check_mu(F, zero, candidate, mu)
     witness = quasiconvexity_refuter(F, np.array([[0.0]]), grid=16)
     refined = witness.reevaluate(F, np.array([[0.0]])) if witness else 0.0
@@ -533,8 +531,8 @@ def scenario_sq_envelope(config):
     above = all(np.all(v >= base - 1e-12) for v in vals)
     identity_ok = all(G.validate_sq() for G in envs)
     u = piecewise_affine_1d(d, breakpoints=(0.5,), slopes=(3.0, -2.0), registry=reg)
-    evals = [evaluate(u, FunctionalSpec(G, mu, d)).total for G in envs]
-    base_eval = evaluate(u, FunctionalSpec(F, mu, d)).total
+    evals = [evaluate(u, FunctionalSpec(G, mu)).total for G in envs]
+    base_eval = evaluate(u, FunctionalSpec(F, mu)).total
     integrated_monotone = all(
         evals[k] >= evals[k + 1] - 1e-10 for k in range(len(evals) - 1)
     ) and all(v >= base_eval - 1e-10 for v in evals)
@@ -632,17 +630,18 @@ def scenario_example1(config):
         ("constant-mean", const_builder(0.25)),
         ("affine", lambda j: affine_2d(d, np.array([[0.2, 0.1]]), registry=reg)),
     ]
-    spec = FunctionalSpec(make_norm(N=1, n=2), mu, d)
+    spec = FunctionalSpec(make_norm(N=1, n=2), mu)
     relax = relaxation_upper_bound(u, spec, family, jmax=min(config.jmax, 32), l1_tol=0.01)
 
     # admissible candidates must be locally constant on the hole
     nodes, _ = d.cell_rule()
     in_hole = (nodes[:, 0] - center[0]) ** 2 + (nodes[:, 1] - center[1]) ** 2 < hole_radius**2
+    hole_nodes = np.compress(in_hole, nodes, axis=0)  # a boolean mask index is slower
     constant_on_hole = True
     for fid, builder in family:
         w = builder(config.jmax)
         if admissibility_check(w, mu):
-            gmag = frobenius(w.gradient_at(nodes[in_hole]))
+            gmag = frobenius(w.gradient_at(hole_nodes))
             if np.any(gmag > 1e-12):
                 constant_on_hole = False
 
@@ -814,7 +813,7 @@ def scenario_x_dependent_lsc(config):
     reg = CarrierRegistry()
     mu = lebesgue(d, reg)
     F = x_modulated(make_norm())
-    spec = FunctionalSpec(F, mu, d, include_boundary=True)
+    spec = FunctionalSpec(F, mu, include_boundary=True)
     one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)
     js = geometric_js(config.jmax)
     seq = lambda j: ramp_1d(d, 0.0, 1.0 / j, registry=reg)
@@ -888,30 +887,24 @@ def random_case_description(rng):
     }
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
 def _integrand_kinks(domain, u_desc, coeffs, f_desc):
-    """Where F(x, s / rho(x)) rho(x) has kinks on each stretch of u of
-    slope s: the real roots there of alpha rho - beta, (alpha, beta) being
-    (A0, s) for ``shifted-norm`` and (1, |s|) for ``w-shape``; none for the
-    other kinds.  As breaks of mu they put every kink on a cell edge."""
-    kind = f_desc["kind"]
-    if kind not in ("shifted-norm", "w-shape"):
-        return ()
-    alpha = float(f_desc.get("A0", 0.3)) if kind == "shifted-norm" else 1.0
+    """Where F(x, s / rho(x)) rho(x) has kinks inside each stretch of u of
+    slope s, as the oracle splits it: the real roots there of
+    alpha rho - beta, (alpha, beta) being the oracle's kink pair of the
+    integrand (none for ``norm`` and ``area``).  As breaks of mu they put
+    every kink on a cell edge; they place edges only, never a value."""
+    kink = _integrand(f_desc)[2]
     (lo, hi), = domain.box
     edges = [lo, *map(float, u_desc.get("breaks", ())), hi]
-    rho = [alpha * float(c) for c in coeffs]
-    if not all(map(math.isfinite, rho)):  # mu rejects such a density
-        return ()
     kinks = []
     for a, b, s in zip(edges[:-1], edges[1:], map(float, u_desc.get("slopes", (0.0,)))):
-        poly = [rho[0] - (s if kind == "shifted-norm" else abs(s)), *rho[1:]]
-        while len(poly) > 1 and not max(map(abs, poly[:-1])) <= abs(poly[-1]) * _FLOAT_MAX:
-            poly.pop()  # a leading 0, or a term too small to divide the others by
-        roots = np.polynomial.polynomial.polyroots(poly)
-        kinks += [r.real for r in roots if abs(r.imag) <= 1e-6 and a < r.real < b]
+        alpha, beta = kink(s)
+        if not alpha:  # alpha rho - beta is the constant -beta: no kink
+            continue
+        rho = [alpha * float(c) for c in coeffs]
+        if not all(map(math.isfinite, rho)):  # mu rejects such a density
+            return ()
+        kinks += [r for r in _real_roots([rho[0] - beta, *rho[1:]], a, b) if a < r < b]
     return kinks
 
 
@@ -951,7 +944,7 @@ def build_case_1d(case, resolution=20000):
         eps=1e-6,
         breaks=[*u.breaks[0], *_integrand_kinks(domain, case["u"], coeffs, f_desc)],
     )
-    return u, FunctionalSpec(F, mu, domain)
+    return u, FunctionalSpec(F, mu)
 
 
 # ---------------------------------------------------------------------------

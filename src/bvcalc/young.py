@@ -83,15 +83,16 @@ def _as_floats(value, what, shape=None):
 
 
 class GeneralizedYoungMeasure:
-    """The triple (nu, lam, nu_inf) relative to ``reference_measure``.
+    """The triple (nu, lam, nu_inf) relative to ``reference_measure``, on its domain.
 
     Immutable after construction: its quadrature parts and field values
     are computed once, on first use, and reused by every pairing.
     """
 
-    def __init__(self, domain, dims, nu, lam, nu_inf, reference_measure, breaks=None,
-                 validate=True):
-        self.domain = domain
+    def __init__(self, dims, nu, lam, nu_inf, reference_measure, breaks=None, validate=True):
+        if lam.domain != reference_measure.domain:
+            raise YoungMeasureError("concentration measure must live on the reference measure's domain")
+        self.domain = reference_measure.domain
         self.dims = tuple(dims)
         self.nu = nu
         self.lam = lam
@@ -155,7 +156,7 @@ class GeneralizedYoungMeasure:
 
 def _read_only_parts(parts):
     for part in parts:
-        read_only(part.points, part.weights, part.masses)
+        read_only(part.points, part.weights)
     return parts
 
 
@@ -190,7 +191,6 @@ def elementary(gamma, mu):
         breaks=gamma.breaks,
     )
     return GeneralizedYoungMeasure(
-        gamma.domain,
         gamma.shape,
         oscillation,
         lam,
@@ -325,7 +325,6 @@ def empirical_generation_check(sequence, mu, candidate, test_integrands, js, per
 class JensenReport:
     ac_violations: list  # (point, lhs, rhs)
     singular_violations: list
-    nodes_checked: int
 
     @property
     def ok(self):
@@ -341,12 +340,12 @@ def _check_barycenter(u, nu):
 
 
 def _jensen_core(F, u, nu, mu, upper_slope):
-    if charges_boundary(nu.lam, nu.domain, CHARGE_TOL):
+    if charges_boundary(nu.lam, CHARGE_TOL):
         raise YoungMeasureError("concentration measure charges the boundary")
     _check_barycenter(u, nu)
     dec_u = rn_decompose(derivative(u), mu)
     dec_lam = rn_decompose(nu.lam, mu)
-    report = JensenReport([], [], 0)
+    report = JensenReport([], [])
 
     def check(part, lhs, rhs, dlam, violations):
         """Flag the nodes of ``part`` where lhs exceeds rhs plus the
@@ -360,7 +359,6 @@ def _jensen_core(F, u, nu, mu, upper_slope):
                 _field_pair(F, w, S, pts[charged], sphere=True, upper=upper_slope)
                 * dlam[charged]
             )
-        report.nodes_checked += len(pts)
         for m in np.nonzero(lhs > rhs + JENSEN_TOL)[0]:
             violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
 

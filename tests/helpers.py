@@ -102,6 +102,7 @@ def vertical_step_2d(domain, threshold=0.5, registry=None, carrier_id=None):
         region=((ax, threshold), (ay, by)),
         u=lambda nodes: np.zeros((len(nodes), 1)),
         grad=lambda nodes: np.zeros((len(nodes), 1, 2)),
+        breaks=((threshold,), ()),
     )
     right = Piece(
         region=((threshold, bx), (ay, by)),
@@ -119,7 +120,6 @@ def vertical_step_2d(domain, threshold=0.5, registry=None, carrier_id=None):
         [left, right],
         jumps=[jump],
         registry=registry,
-        breaks=((threshold,), ()),
     )
 
 

@@ -200,7 +200,6 @@ def test_criterion_06_young_generation_sawtooth():
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
     candidate = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
         ScalarRadonMeasure(d, registry=reg),
@@ -246,7 +245,6 @@ def test_criterion_08_jensen_suite():
     )
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     sawtooth_cand = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
         ScalarRadonMeasure(d, registry=reg),
@@ -260,7 +258,6 @@ def test_criterion_08_jensen_suite():
     )
     conc_u = heaviside_1d(d2, 0.0, registry=reg2)
     conc_cand = GeneralizedYoungMeasure(
-        d2,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d2, carrier_parts=point_masses(d2, reg2, [((0.0,), 1.0)]), registry=reg2),
@@ -298,17 +295,17 @@ def test_criterion_09_lower_semicontinuity():
     sawtooth_seq = lambda j: sawtooth_1d(d, j, registry=reg)
     margins = {}
     for F in (make_norm(), make_area()):
-        rep = lsc_experiment(sawtooth_seq, zero, FunctionalSpec(F, mu, d), js=js)
+        rep = lsc_experiment(sawtooth_seq, zero, FunctionalSpec(F, mu), js=js)
         margins[F.name] = rep.margin
     ramp_seq = lambda j: ramp_1d(d, 0.0, 1.0 / j, registry=reg)
     xdep = lsc_experiment(
         ramp_seq,
         one,
-        FunctionalSpec(x_modulated(make_norm()), mu, d, include_boundary=True),
+        FunctionalSpec(x_modulated(make_norm()), mu, include_boundary=True),
         js=js,
     )
     margins["x-mod-norm+boundary"] = xdep.margin
-    wrep = lsc_experiment(sawtooth_seq, zero, FunctionalSpec(make_w_shape(), mu, d), js=js)
+    wrep = lsc_experiment(sawtooth_seq, zero, FunctionalSpec(make_w_shape(), mu), js=js)
     quasiconvex_ok = all(m >= -1e-6 for m in margins.values())
     report(
         9,

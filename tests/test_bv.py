@@ -634,12 +634,16 @@ def test_a_covered_one_piece_function_never_builds_a_mask(monkeypatch):
     u = affine_2d(unit_square(8), [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0])
     nodes, _ = u.domain.cell_rule(breaks=u.breaks)
     r = affine_2d(Domain(((0.0, 2.0), (-1.0, 0.5)), 8), [[1.0, -2.0], [0.5, 3.0]], offset=[0.25, -1.0])
+    assert not r.domain._rules  # validation builds no rule on a rectangle either
     r_nodes, _ = r.domain.cell_rule(breaks=r.breaks)
     monkeypatch.setattr(bv, "in_box", refuse)
     assert u.value_at(nodes).shape == (len(nodes), 2) and u.gradient_at(nodes).shape == (len(nodes), 2, 2)
     inward = u.domain.inward_normal(u.domain.boundary_rule()[0])
     assert u.value_from_inside(u.domain.boundary_rule()[0], inward).shape[1] == 2
     BVFunction(u.domain, 2, u.pieces)  # validation: coverage by bounds alone
+    fresh = unit_square(8)
+    BVFunction(fresh, 2, u.pieces)  # a piece whose region holds the box holds every node: no rule is built
+    assert not fresh._rules
     with pytest.raises(AssertionError, match="mask"):  # an uncovered node still takes the mask
         u.value_at([[0.5, 1.5]])
     # on a rectangle whose axes share no range the nodes take the mask, with the bits of the old lookup
@@ -780,7 +784,7 @@ def _outcome(check, u):
 
 def _with_jumps(u, jumps):
     return BVFunction(
-        u.domain, u.N, u.pieces, jumps=jumps, registry=u.registry, breaks=u.breaks, validate=False
+        u.domain, u.N, u.pieces, jumps=jumps, registry=u.registry, validate=False
     )
 
 

@@ -58,7 +58,7 @@ def lebesgue(domain, registry):
 def test_evaluate_linear_area(setting):
     d, reg, mu = setting
     u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d)
+    spec = FunctionalSpec(make_area(), mu)
     assert evaluate(u, spec).total == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_evaluate_atom_absorbs_jump(setting):
         dominates_lebesgue=True,
     )
     u = piecewise_affine_1d(d, slopes=(1.0,), jumps=((0.5, (1.0,)),), registry=reg)
-    out = evaluate(u, FunctionalSpec(make_norm(), mu, d))
+    out = evaluate(u, FunctionalSpec(make_norm(), mu))
     assert out.ac_cells == pytest.approx(1.0, rel=1e-12)
     assert out.ac_atoms == pytest.approx(1.0, rel=1e-12)
     assert out.singular == 0.0
@@ -82,7 +82,7 @@ def test_evaluate_atom_absorbs_jump(setting):
 def test_evaluate_heaviside_against_lebesgue(setting):
     d, reg, mu = setting
     u = heaviside_1d(d, 0.5, registry=reg)
-    out = evaluate(u, FunctionalSpec(make_area(), mu, d))
+    out = evaluate(u, FunctionalSpec(make_area(), mu))
     # oracle: F(0) * 1 + F^inf(1) * 1 = 1 + 1
     assert out.ac_cells == pytest.approx(1.0, rel=1e-12)
     assert out.singular == pytest.approx(1.0, rel=1e-12)
@@ -102,7 +102,7 @@ def test_evaluate_carrier_absorbed_jump_2d():
         registry=reg,
         dominates_lebesgue=True,
     )
-    out = evaluate(u, FunctionalSpec(make_norm(), mu, d))
+    out = evaluate(u, FunctionalSpec(make_norm(), mu))
     # jump density e1 of magnitude 1 against carrier density 2:
     # F(1/2) * 2 per unit length = 1, no singular remainder
     assert out.ac_carriers == pytest.approx(1.0, rel=1e-12)
@@ -112,7 +112,7 @@ def test_evaluate_carrier_absorbed_jump_2d():
 def test_evaluate_boundary_term_1d(setting):
     d, reg, mu = setting
     u = piecewise_affine_1d(d, slopes=(1.0,), start_value=0.0, registry=reg)
-    spec = FunctionalSpec(make_norm(), mu, d, include_boundary=True)
+    spec = FunctionalSpec(make_norm(), mu, include_boundary=True)
     out = evaluate(u, spec)
     # trace 0 at the left end contributes nothing; |u(1)| = 1 at the right
     assert out.boundary == pytest.approx(1.0, rel=1e-12)
@@ -126,7 +126,7 @@ def test_evaluate_boundary_equals_extension_interior(setting):
     from bvcalc.bv import zero_extension
 
     u = piecewise_affine_1d(d, slopes=(1.0,), start_value=0.5, registry=reg)
-    spec = FunctionalSpec(make_norm(), mu, d, include_boundary=True)
+    spec = FunctionalSpec(make_norm(), mu, include_boundary=True)
     val_inner = evaluate(u, spec).total
 
     d_out = Domain((-0.5, 1.5), 512)
@@ -134,7 +134,7 @@ def test_evaluate_boundary_equals_extension_interior(setting):
     mu_ext = ScalarRadonMeasure(
         d_out, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
-    val_outer = evaluate(ext, FunctionalSpec(make_norm(), mu_ext, d_out)).total
+    val_outer = evaluate(ext, FunctionalSpec(make_norm(), mu_ext)).total
     assert val_inner == pytest.approx(val_outer, rel=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_evaluate_rejects_mu_charging_boundary(setting):
         dominates_lebesgue=True,
     )
     with pytest.raises(FunctionalError):
-        FunctionalSpec(make_norm(), mu_bad, d)
+        FunctionalSpec(make_norm(), mu_bad)
 
 
 def test_evaluate_propagates_decomposition_failure(setting):
@@ -156,7 +156,7 @@ def test_evaluate_propagates_decomposition_failure(setting):
     mu_plain = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
     with pytest.raises(DecompositionError):
-        evaluate(u, FunctionalSpec(make_norm(), mu_plain, d))
+        evaluate(u, FunctionalSpec(make_norm(), mu_plain))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_growth_sandwich(setting):
         d, breakpoints=(0.3, 0.7), slopes=(2.0, -1.0, 0.5), jumps=((0.5, (1.0,)),), registry=reg
     )
     F = make_area()
-    out = evaluate(u, FunctionalSpec(F, mu, d))
+    out = evaluate(u, FunctionalSpec(F, mu))
     Du = derivative(u)
     tv = total_variation(Du)
     assert out.interior >= F.growth_m * tv - 1e-10
@@ -192,8 +192,8 @@ def test_scaling_in_integrand(setting):
         recession_analytic=lambda x, A: 2.0 * np.asarray(F.recession_analytic(x, A)),
         convexity="convex",
     )
-    v1 = evaluate(u, FunctionalSpec(F, mu, d)).total
-    v2 = evaluate(u, FunctionalSpec(twoF, mu, d)).total
+    v1 = evaluate(u, FunctionalSpec(F, mu)).total
+    v2 = evaluate(u, FunctionalSpec(twoF, mu)).total
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
@@ -201,7 +201,7 @@ def test_translation_changes_only_boundary(setting):
     d, reg, mu = setting
     base = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
     shifted = piecewise_affine_1d(d, slopes=(1.0,), start_value=2.0, registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d, include_boundary=True)
+    spec = FunctionalSpec(make_area(), mu, include_boundary=True)
     b1 = evaluate(base, spec)
     b2 = evaluate(shifted, spec)
     assert b1.interior == pytest.approx(b2.interior, rel=1e-12)
@@ -212,8 +212,8 @@ def test_sq_envelope_monotonicity_integrated(setting):
     d, reg, mu = setting
     u = piecewise_affine_1d(d, breakpoints=(0.5,), slopes=(3.0, -2.0), registry=reg)
     F = make_area()
-    vals = [evaluate(u, FunctionalSpec(sq_envelope(F, i), mu, d)).total for i in (1, 2, 4, 8)]
-    base = evaluate(u, FunctionalSpec(F, mu, d)).total
+    vals = [evaluate(u, FunctionalSpec(sq_envelope(F, i), mu)).total for i in (1, 2, 4, 8)]
+    base = evaluate(u, FunctionalSpec(F, mu)).total
     assert all(vals[k] >= vals[k + 1] - 1e-10 for k in range(len(vals) - 1))
     assert all(v >= base - 1e-10 for v in vals)
 
@@ -262,7 +262,7 @@ def test_admissibility_degenerate_mu(setting):
 def test_relaxation_constant_family(setting):
     d, reg, mu = setting
     u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d)
+    spec = FunctionalSpec(make_area(), mu)
     res = relaxation_upper_bound(u, spec, [("const", lambda j: u)], jmax=16)
     assert res.status == "ok"
     assert res.value <= evaluate(u, spec.without_boundary()).total + 1e-12
@@ -271,7 +271,7 @@ def test_relaxation_constant_family(setting):
 def test_relaxation_no_admissible_signal(setting):
     d, reg, mu = setting
     h = heaviside_1d(d, 0.5, registry=reg)
-    spec = FunctionalSpec(make_norm(), mu, d)
+    spec = FunctionalSpec(make_norm(), mu)
     res = relaxation_upper_bound(h, spec, [("itself", lambda j: h)], jmax=16)
     assert res.status == "no_admissible_sequence"
     assert res.value is None
@@ -285,7 +285,7 @@ def test_relaxation_status_when_mu_does_not_decompose(flagged, status):
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=flagged
     )
     u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d)
+    spec = FunctionalSpec(make_area(), mu)
     res = relaxation_upper_bound(u, spec, [("self", lambda j: u)])
     assert res.status == status
     if flagged:
@@ -298,7 +298,7 @@ def test_relaxation_status_when_mu_does_not_decompose(flagged, status):
 def test_relaxation_recovery_by_mollification(setting):
     d, reg, mu = setting
     h = heaviside_1d(d, 0.5, registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d)
+    spec = FunctionalSpec(make_area(), mu)
     # the jump spread into a ramp of width 1/j centred on it
     fam = [("mollify", lambda j: ramp_1d(d, 0.5 - 0.5 / j, 1.0 / j, registry=reg))]
     res = relaxation_upper_bound(h, spec, fam, jmax=64, l1_tol=0.05)
@@ -314,7 +314,7 @@ def test_relaxation_reports_the_l1_gap_of_the_last_admissible_index():
     reg = CarrierRegistry()
     mu = ScalarRadonMeasure(d, density=lambda n: 1.0 * (n[:, 0] < 0.5), registry=reg)
     h = heaviside_1d(d, 0.1, registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d)
+    spec = FunctionalSpec(make_area(), mu)
 
     def ramps(j):  # a ramp where mu charges up to j = 4, one where it does not from j = 8 on
         return ramp_1d(d, 0.1, 0.2 / j, registry=reg) if j < 8 else ramp_1d(d, 0.7, 0.1, registry=reg)
@@ -335,7 +335,7 @@ def test_relaxation_reports_the_l1_gap_of_the_last_admissible_index():
 def test_lsc_constant_sequence_zero_margin(setting):
     d, reg, mu = setting
     u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
-    spec = FunctionalSpec(make_area(), mu, d)
+    spec = FunctionalSpec(make_area(), mu)
     rep = lsc_experiment(lambda j: u, u, spec, js=(1, 2, 3, 4))
     assert rep.margin == pytest.approx(0.0, abs=1e-12)
     assert not rep.flags
@@ -346,10 +346,10 @@ def test_lsc_sawtooth_mass_drop(setting):
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     js = geometric_js(64)
     seq = lambda j: sawtooth_1d(d, j, registry=reg)
-    rep = lsc_experiment(seq, zero, FunctionalSpec(make_norm(), mu, d), js=js)
+    rep = lsc_experiment(seq, zero, FunctionalSpec(make_norm(), mu), js=js)
     assert rep.margin == pytest.approx(1.0, abs=1e-9)
     assert not rep.flags
-    rep_w = lsc_experiment(seq, zero, FunctionalSpec(make_w_shape(), mu, d), js=js)
+    rep_w = lsc_experiment(seq, zero, FunctionalSpec(make_w_shape(), mu), js=js)
     assert rep_w.margin == pytest.approx(-1.0, abs=1e-9)
     assert rep_w.flags == ["expected_violation"]
 
@@ -357,7 +357,7 @@ def test_lsc_sawtooth_mass_drop(setting):
 def test_lsc_boundary_term_x_dependent(setting):
     d, reg, mu = setting
     F = x_modulated(make_norm())
-    spec = FunctionalSpec(F, mu, d, include_boundary=True)
+    spec = FunctionalSpec(F, mu, include_boundary=True)
     one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)
     js = geometric_js(256)
     seq = lambda j: ramp_1d(d, 0.0, 1.0 / j, registry=reg)
@@ -489,16 +489,16 @@ def test_lsc_flags_a_violation_for_a_convex_integrand(setting):
     d, reg, mu = setting
     identity = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
-    rep = lsc_experiment(lambda j: zero, identity, FunctionalSpec(make_norm(), mu, d), js=(1, 2, 4))
+    rep = lsc_experiment(lambda j: zero, identity, FunctionalSpec(make_norm(), mu), js=(1, 2, 4))
     assert rep.margin == pytest.approx(-1.0, abs=1e-12)
     assert rep.flags == ["violation"]
 
 
 def test_a_spec_needs_a_positive_upper_growth_constant(setting):
-    d, reg, mu = setting
+    _, _, mu = setting
     for growth_M in (0.0, -1.0):
         with pytest.raises(FunctionalError, match="^integrand must declare a positive upper growth constant$"):
-            FunctionalSpec(replace(make_norm(), growth_M=growth_M), mu, d)
+            FunctionalSpec(replace(make_norm(), growth_M=growth_M), mu)
 
 
 @pytest.mark.parametrize("written_on", ["the jump carrier", "another id"])
@@ -513,7 +513,7 @@ def test_a_point_mass_absorbs_the_jump_on_its_point_whatever_its_id(written_on):
         d, density=lambda n: np.ones(len(n)), carrier_parts=((cid, lambda p: np.ones(len(p))),),
         registry=reg, dominates_lebesgue=True,
     )
-    out = evaluate(u, FunctionalSpec(make_area(), mu, d))
+    out = evaluate(u, FunctionalSpec(make_area(), mu))
     ref = oracle_1d({"slopes": [0.0], "jumps": [[0.5, 1.0]]}, {"poly": [1.0], "atoms": [[0.5, 1.0]]}, {"kind": "area"})
     assert ref == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
     assert out.total == pytest.approx(ref, abs=1e-10) and out.singular == 0.0
@@ -530,7 +530,7 @@ def test_a_weightless_point_mass_is_no_part_of_mu(setting):
         registry=reg, dominates_lebesgue=True,
     )
     assert mu.carrier_parts == () and mu.mass() == pytest.approx(1.0, abs=1e-12)
-    out = evaluate(u, FunctionalSpec(make_norm(), mu, d))
+    out = evaluate(u, FunctionalSpec(make_norm(), mu))
     assert (out.ac_atoms, out.singular) == (0.0, 1.0) and not admissibility_check(u, mu)
     ref = oracle_1d({"slopes": [0.0], "jumps": [[0.5, 1.0]]}, {"poly": [1.0], "atoms": [[0.5, 0.0]]}, {"kind": "norm"})
     assert out.total == pytest.approx(ref, abs=1e-12)

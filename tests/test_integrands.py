@@ -10,6 +10,7 @@ from bvcalc.integrands import (
     IntegrandError,
     QuasiconvexityWitness,
     RecessionError,
+    SQIntegrand,
     catalog_integrand,
     generalized_recession,
     laminate_field,
@@ -26,6 +27,7 @@ from bvcalc.integrands import (
     transform_T_inv,
     x_modulated,
 )
+from bvcalc.measures import frobenius
 
 from helpers import validate_growth
 
@@ -152,9 +154,17 @@ def test_recession_nonstabilizing_raises():
 def test_recession_without_an_analytic_recession_is_a_typed_error():
     f = Integrand("area-no-rec", (1, 1), lambda x, A: np.sqrt(1.0 + np.sum(A * A, axis=(1, 2))),
                   1.0, 1.0)
-    assert not f.has_analytic_recession()
+    assert f.recession_analytic is None
     with pytest.raises(IntegrandError, match=r"^integrand 'area-no-rec' has no analytic recession$"):
         f.recession(None, np.array([[1.0]]))
+
+
+def test_an_analytic_recession_that_disagrees_with_the_schedule_is_a_typed_error():
+    f = Integrand("twice-norm", (1, 1), lambda x, A: 2.0 * np.abs(A[:, 0, 0]), 2.0, 2.0,
+                  recession_analytic=lambda x, A: np.abs(A[:, 0, 0]))
+    message = r"^schedule limit 2.000000e\+00 disagrees with analytic recession 1.000000e\+00$"
+    with pytest.raises(RecessionError, match=message):
+        recession(f, None, np.array([[1.0]]))
 
 
 def test_recession_values_without_analytic_recession_runs_the_schedule():
@@ -441,7 +451,7 @@ def _old_fixed_directions(N, n, seed):
 def _old_sq_radius(F, i):
     from bvcalc.measures import frobenius
 
-    if F.has_analytic_recession():
+    if F.recession_analytic is not None:
         slope = lambda A: F.recession(None, A)
     else:
         slope = lambda A: generalized_recession(F, None, A).value
@@ -518,6 +528,29 @@ def test_sq_radius_equals_the_kept_search(F):
 def test_catalog_integrand_rejects_an_unknown_name():
     with pytest.raises(IntegrandError, match="^unknown catalog integrand 'cubic'$"):
         catalog_integrand("cubic")
+
+
+def test_sq_envelope_radius_budget_is_a_typed_error():
+    # F = 2|A| exceeds |A| + |A|/i - i at every magnitude for i = 1: no dyadic radius up to 2^20 serves
+    F = Integrand("twice-norm", (1, 1), lambda x, A: 2.0 * frobenius(A), 2.0, 2.0,
+                  recession_analytic=lambda x, A: frobenius(A), convexity="convex")
+    with pytest.raises(IntegrandError, match="^SQ parameters not found within the radius budget$"):
+        sq_envelope(F, 1)
+
+
+@pytest.mark.parametrize(
+    "fn, rec, message",
+    [
+        (lambda x, A: frobenius(A), lambda x, A: frobenius(A), r"^SQ identity F = F\^inf - i fails beyond r_i$"),
+        (lambda x, A: 0.5 * frobenius(A) - 1.0, lambda x, A: 0.5 * frobenius(A),
+         r"^SQ coercivity F\^inf >= \|A\|/i fails$"),
+    ],
+    ids=["identity", "coercivity"],
+)
+def test_validate_sq_rejects_a_broken_sq_integrand(fn, rec, message):
+    G = SQIntegrand("broken", (1, 1), fn, 0.0, 1.0, recession_analytic=rec, index=1.0, radius=1.0)
+    with pytest.raises(IntegrandError, match=message):
+        G.validate_sq()
 
 
 @pytest.mark.parametrize("i", [0, -1])

@@ -1065,7 +1065,7 @@ def test_sawtooth_scenario_cross_oracle():
     mu = ScalarRadonMeasure(
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
-    ours = evaluate(u, FunctionalSpec(make_norm(), mu, d)).total
+    ours = evaluate(u, FunctionalSpec(make_norm(), mu)).total
     breaks = [k / (2 * j) for k in range(1, 2 * j)]
     slopes = [1.0 if k % 2 == 0 else -1.0 for k in range(2 * j)]
     ref = oracle_1d(
@@ -1088,7 +1088,7 @@ def test_ramp_scenario_cross_oracle():
     mu = ScalarRadonMeasure(
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
-    ours = evaluate(u, FunctionalSpec(x_modulated(make_norm()), mu, d)).total
+    ours = evaluate(u, FunctionalSpec(x_modulated(make_norm()), mu)).total
     ref = oracle_1d(
         {"breaks": [0.0, 1.0 / j], "slopes": [0.0, float(j), 0.0], "jumps": []},
         {"poly": [1.0], "atoms": []},

@@ -71,7 +71,6 @@ def one_integrand():
 
 def sawtooth_candidate(d, reg, mu):
     return GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
         ScalarRadonMeasure(d, registry=reg),
@@ -185,10 +184,10 @@ def test_pairing_linear_in_weights(setting):
     lam0 = ScalarRadonMeasure(d, registry=reg)
     for theta in (0.0, 0.3, 1.0):
         cand = GeneralizedYoungMeasure(
-            d, (1, 1), constant_field([(A1, theta), (A2, 1.0 - theta)]), lam0, None, mu
+            (1, 1), constant_field([(A1, theta), (A2, 1.0 - theta)]), lam0, None, mu
         )
-        v1 = GeneralizedYoungMeasure(d, (1, 1), constant_field([(A1, 1.0)]), lam0, None, mu)
-        v2 = GeneralizedYoungMeasure(d, (1, 1), constant_field([(A2, 1.0)]), lam0, None, mu)
+        v1 = GeneralizedYoungMeasure((1, 1), constant_field([(A1, 1.0)]), lam0, None, mu)
+        v2 = GeneralizedYoungMeasure((1, 1), constant_field([(A2, 1.0)]), lam0, None, mu)
         lhs = pairing(f, cand)
         rhs = theta * pairing(f, v1) + (1 - theta) * pairing(f, v2)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -201,7 +200,7 @@ def test_pairing_matches_evaluate_interior(setting):
     )
     eps = elementary(derivative(u), mu)
     for f in (make_norm(), make_area(), make_shifted_norm()):
-        spec = FunctionalSpec(f, mu, d)
+        spec = FunctionalSpec(f, mu)
         assert pairing(f, eps) == pytest.approx(
             evaluate(u, spec).interior, rel=1e-10
         )
@@ -243,7 +242,6 @@ def test_barycenter_of_concentration_is_step_derivative():
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
     cand = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
@@ -263,7 +261,6 @@ def test_rejects_unnormalized_weights(setting):
     d, reg, mu = setting
     with pytest.raises(YoungMeasureError):
         GeneralizedYoungMeasure(
-            d,
             (1, 1),
             constant_field([(np.array([[1.0]]), 0.7)]),
             ScalarRadonMeasure(d, registry=reg),
@@ -276,7 +273,6 @@ def test_rejects_off_sphere_atoms(setting):
     d, reg, mu = setting
     with pytest.raises(YoungMeasureError):
         GeneralizedYoungMeasure(
-            d,
             (1, 1),
             constant_field([(np.array([[0.0]]), 1.0)]),
             ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]), registry=reg),
@@ -312,8 +308,27 @@ def test_validate_rejects_a_plain_callable_field(setting, nu, nu_inf, message):
     d, reg, mu = setting
     lam = ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]), registry=reg)
     with pytest.raises(YoungMeasureError) as err:
-        GeneralizedYoungMeasure(d, (1, 1), nu, lam, nu_inf, mu)
+        GeneralizedYoungMeasure((1, 1), nu, lam, nu_inf, mu)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("box, resolution", [((-1.0, 2.0), 512), ((0.0, 1.0), 16)], ids=["box", "resolution"])
+def test_a_concentration_measure_on_another_domain_is_rejected(setting, box, resolution):
+    # lambda's atom at 1.0 lies on the boundary of mu's box but inside the wider box
+    d, reg, mu = setting
+
+    def triple(where):
+        lam = ScalarRadonMeasure(where, carrier_parts=point_masses(where, reg, [((1.0,), 1.0)]), registry=reg)
+        return GeneralizedYoungMeasure(
+            (1, 1), constant_field([(np.array([[0.0]]), 1.0)]), lam, constant_field([(np.array([[1.0]]), 1.0)]), mu
+        )
+
+    with pytest.raises(YoungMeasureError, match="^concentration measure must live on the reference measure's domain$"):
+        triple(Domain(box, resolution))
+    nu = triple(Domain((0.0, 1.0), 512))  # an equal domain is mu's, and the Jensen check sees the atom on its boundary
+    assert nu.domain is d
+    with pytest.raises(YoungMeasureError, match="^concentration measure charges the boundary$"):
+        jensen_check_mu(make_norm(), piecewise_affine_1d(d, registry=reg), nu, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +370,6 @@ def test_generation_ramp_concentration():
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
     cand = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
@@ -428,7 +442,6 @@ def test_jensen_rejects_concentration_on_the_boundary(setting, charge):
         edge = (("edge", lambda p: np.ones(len(p))),)
         lam = ScalarRadonMeasure(d, carrier_parts=edge, registry=reg)
     cand = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         lam,
@@ -448,7 +461,6 @@ def test_jensen_lebesgue_ramp_concentration():
     )
     u = heaviside_1d(d, 0.0, registry=reg)
     cand = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
@@ -491,7 +503,6 @@ def test_jensen_lebesgue_uses_the_upper_slope_without_analytic_recession(monkeyp
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
     cand = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
@@ -517,7 +528,6 @@ def test_jensen_lebesgue_reads_the_upper_slope_at_the_nodes(monkeypatch):
     d = Domain((0.0, 1.0), 64)
     reg = CarrierRegistry()
     cand = GeneralizedYoungMeasure(
-        d,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]), registry=reg),
@@ -608,7 +618,6 @@ def concentration_candidate_2d():
         d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
     )
     cand = GeneralizedYoungMeasure(
-        d,
         (1, 2),
         constant_field([(np.array([[1.0, 0.5]]), 0.25), (np.array([[-0.5, 0.0]]), 0.75)]),
         ScalarRadonMeasure(d, carrier_parts=(("mid", lambda p: 1.0 + p[:, 1]),), registry=reg),
@@ -675,7 +684,7 @@ def test_parts_built_once_per_measure(setting, monkeypatch):
         return field(key, pts)
 
     cand = GeneralizedYoungMeasure(
-        d, (1, 1), counting_field, ScalarRadonMeasure(d, registry=reg), None, mu, validate=False
+        (1, 1), counting_field, ScalarRadonMeasure(d, registry=reg), None, mu, validate=False
     )
     assert built == [] and evaluated == []  # nothing is computed before first use
     for phi in scalar_bumps(d, per_axis=4):
@@ -731,7 +740,6 @@ def _pairing_measures():
     d2 = Domain((-1.0, 1.0), 256)
     reg2 = CarrierRegistry()
     ramp = GeneralizedYoungMeasure(
-        d2,
         (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d2, carrier_parts=point_masses(d2, reg2, [((0.0,), 1.0)]), registry=reg2),
@@ -767,7 +775,7 @@ def test_pairing_equals_fresh_recomputation_1d():
 def _old_field_pair(f, w, A, points, sphere=False, upper=False):
     """``young._field_pair`` as it was before it skipped the gather by mask
     when every weight of a column is active."""
-    slope = upper and not f.has_analytic_recession()
+    slope = upper and f.recession_analytic is None
     out = np.zeros(len(points))
     for k in range(w.shape[1]):
         active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
@@ -938,10 +946,10 @@ def barycenter_cases():
         d, density=lambda n: 0.5 + np.sin(3.0 * n[:, 0]) ** 2, **singular
     )
 
-    def triple(domain, dims, lam, mu, nu_inf=True, breaks=None):
+    def triple(dims, lam, mu, nu_inf=True, breaks=None):
         sphere = moving_field(dims, -0.5) if nu_inf else None
         return GeneralizedYoungMeasure(
-            domain, dims, moving_field(dims, 1.0), lam, sphere, mu, breaks=breaks, validate=False
+            dims, moving_field(dims, 1.0), lam, sphere, mu, breaks=breaks, validate=False
         )
 
     sq = Domain(((0.0, 1.0), (0.0, 1.0)), 16)
@@ -963,10 +971,10 @@ def barycenter_cases():
     )
     mixed_mu, u = mixed_elementary_setting(Domain((0.0, 1.0), 64), CarrierRegistry())
     return {
-        "1d-atoms-on-and-off": triple(d, (1, 1), lam, mu, breaks=(0.7,)),
-        "1d-lambda-cells": triple(d, (1, 1), lam_cells, mu),
-        "2d-segments": triple(sq, (1, 2), lam2, mu2, breaks=((0.4,), (0.3,))),
-        "no-nu-inf": triple(d, (1, 1), lam_cells, mu, nu_inf=False),
+        "1d-atoms-on-and-off": triple((1, 1), lam, mu, breaks=(0.7,)),
+        "1d-lambda-cells": triple((1, 1), lam_cells, mu),
+        "2d-segments": triple((1, 2), lam2, mu2, breaks=((0.4,), (0.3,))),
+        "no-nu-inf": triple((1, 1), lam_cells, mu, nu_inf=False),
         "elementary": elementary(derivative(u), mixed_mu),
     }
 
@@ -1074,7 +1082,7 @@ def test_barycenter_sums_coincident_atoms():
         dominates_lebesgue=True,
     )
     field = constant_field([(np.array([[-0.5]]), 0.75), (np.array([[0.0]]), 0.25)])  # mean -0.375
-    nu = GeneralizedYoungMeasure(d, (1, 1), field, ScalarRadonMeasure(d, registry=reg), None, mu)
+    nu = GeneralizedYoungMeasure((1, 1), field, ScalarRadonMeasure(d, registry=reg), None, mu)
     ((point, value),) = atoms_of(barycenter(nu)).values()
     assert point.tolist() == [0.5] and value.tolist() == [[-1.125]]
 
