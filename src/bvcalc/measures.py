@@ -9,6 +9,8 @@ likewise carries a matrix density plus carrier parts; on a point carrier
 a part is a point mass.  Carriers live in a shared registry, which gives
 one point one id, so that mutual singularity is decidable structurally:
 two carrier parts interact only when they reference the same carrier id.
+A measure's carriers lie in its closed box, and whether mu dominates the
+volume measure is read from its density (see :func:`rn_decompose`).
 
 Quadrature is deterministic: on cells (refined at declared breakpoints
 so piecewise-closed-form densities integrate cleanly) 2-point
@@ -411,7 +413,8 @@ class _StructuredMeasure:
         first-occurrence order, ids looked up, breaks merged.  Point parts
         come first, each read once at its point into a constant density and
         into ``_points``, one stacked part of kind "atom" (or None); a point
-        part of value 0 is no part.  Returns the summed parts as given."""
+        part of value 0 is no part.  Every point and segment end must lie in
+        the closed box.  Returns the summed parts as given."""
         merged = {}
         for cid, fn in self.carrier_parts:
             merged.setdefault(cid, []).append(fn)
@@ -422,9 +425,18 @@ class _StructuredMeasure:
             part = (cid, fns[0] if len(fns) == 1 else _summed(fns))
             (points if self.registry[cid].kind == "point" else segments).append(part)
         object.__setattr__(self, "breaks", merge_breaks(self.domain.dim, self.breaks))
+        ends = [self.registry[cid].point for cid, _ in points]
+        ends += [end for cid, _ in segments for end in self.registry[cid].endpoints]
+        inside = [len(end) == self.domain.dim for end in ends]  # a point of another dimension is outside
+        if ends and all(inside):
+            ends = np.array(ends, dtype=float)
+            inside = in_box(ends, self.domain.box)
+        if not all(inside):
+            owners = [cid for cid, _ in points] + [cid for cid, _ in segments for _ in range(2)]
+            raise MeasureError(f"carrier {owners[np.argmin(inside)]!r} lies outside the domain")
         stacked = None
         if points:
-            at = np.array([self.registry[cid].point for cid, _ in points], dtype=float)
+            at = ends[: len(points)]
             values = np.array([fn(p[None]) for p, (_, fn) in zip(at, points)], float)
             values = values.reshape(at.shape[:1] + self.shape)
             if not values.all():
@@ -454,16 +466,15 @@ class ScalarRadonMeasure(_StructuredMeasure):
     """Positive measure: nonnegative cell density + carrier parts, a point
     mass (a part on a point carrier) being at least 0 exactly.
 
-    ``dominates_lebesgue`` asserts a >= eps at every quadrature node, the
-    checkable surrogate for "the volume measure is absolutely continuous
-    with respect to mu"; it is verified at construction.
+    Whether the volume measure is absolutely continuous with respect to mu
+    is read from the density: :func:`rn_decompose` asks for a >= ``eps`` at
+    every node of the cell rule it uses, the checkable surrogate of L^n << mu.
     """
 
     domain: Domain
     density: object = None  # callable nodes -> (M,) or None for zero
     carrier_parts: tuple = ()  # ((cid, callable pts -> (M,)), ...); parts on one id are summed
     registry: CarrierRegistry | None = None
-    dominates_lebesgue: bool = False
     eps: float = 1e-12
     breaks: tuple = None
     shape = ()  # values are scalars: the shape-() case of a matrix measure
@@ -481,8 +492,6 @@ class ScalarRadonMeasure(_StructuredMeasure):
                 raise MeasureError(f"a scalar measure's {part.kind} part must be finite")
             if part.kind == "cells" and np.any(part.values < -1e-12):
                 raise MeasureError("scalar density must be nonnegative")
-            if part.kind == "cells" and self.dominates_lebesgue and np.any(part.values < self.eps):
-                raise MeasureError("dominates-Lebesgue flag requires density >= eps at every node")
             if part.kind == "carrier" and np.any(part.values < -1e-12):
                 raise MeasureError("carrier densities must be nonnegative")
         if len(cells.weights) <= _MEMO_NODES:  # its rule is the domain's kept one
@@ -500,10 +509,8 @@ class ScalarRadonMeasure(_StructuredMeasure):
 
 
 def lebesgue(domain, registry=None):
-    """The volume measure of ``domain``: density 1, flagged dominates-Lebesgue."""
-    return ScalarRadonMeasure(
-        domain, density=lambda n: np.ones(len(n)), registry=registry, dominates_lebesgue=True
-    )
+    """The volume measure of ``domain``: density 1."""
+    return ScalarRadonMeasure(domain, density=lambda n: np.ones(len(n)), registry=registry)
 
 
 @dataclass(frozen=True)
@@ -766,19 +773,19 @@ def part_densities(m):
 
 
 def rn_decompose(gamma, mu):
-    """Decompose gamma against a dominates-Lebesgue measure mu.
+    """Decompose gamma against a measure mu that dominates the volume measure.
 
     gamma is a matrix measure or a positive scalar measure (the
     concentration measure of a Young measure); densities and ratios then
     have the shape of gamma's values, () for a scalar measure.  Rejected
-    when mu's cell density falls below its declared eps, or when a segment
-    density of mu is at most ``_ZERO_TOL`` at a node where gamma's is not
-    (the pointwise ratio is then ill-posed at this resolution).  A point
-    mass of mu is an exact constant above 0, as a weightless one is no part
-    of mu, so on points the threshold is 0 and any positive mass divides.
+    when mu's cell density falls below its eps at a node of the cell rule
+    on gamma's breaks (mu does not dominate the volume measure there), or
+    when a segment density of mu is at most ``_ZERO_TOL`` at a node where
+    gamma's is not (the pointwise ratio is then ill-posed at this
+    resolution).  A point mass of mu is an exact constant above 0, as a
+    weightless one is no part of mu, so on points the threshold is 0 and
+    any positive mass divides.
     """
-    if not mu.dominates_lebesgue:
-        raise DecompositionError("mu must be flagged dominates-Lebesgue")
     if np.any(cell_part(mu, gamma.breaks).values < mu.eps):
         raise DecompositionError("mu cell density vanishes at a quadrature node")
     shape = gamma.shape
@@ -806,10 +813,7 @@ def rn_decompose(gamma, mu):
 
             densities[mp.key] = ratio
 
-    singular = {"density": None, "carrier_parts": tuple(rem_parts)}
-    if not shape:  # a scalar remainder has no cell density to dominate Lebesgue with
-        singular["dominates_lebesgue"] = False
-    return MuDecomposition(densities, replace(gamma, **singular))
+    return MuDecomposition(densities, replace(gamma, density=None, carrier_parts=tuple(rem_parts)))
 
 
 # The decomposition of a scalar measure is the shape-() case of rn_decompose;

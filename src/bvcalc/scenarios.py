@@ -155,7 +155,6 @@ def _sawtooth_setting(config):
     mu = lebesgue(d, reg)
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     candidate = GeneralizedYoungMeasure(
-        (1, 1),
         constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
         ScalarRadonMeasure(d, registry=reg),
         None,
@@ -174,11 +173,11 @@ def scenario_sawtooth(config):
         make_w_shape(),
         x_modulated(make_area()),
     ]
-    gen = empirical_generation_check(seq, mu, candidate, dictionary, js=js, per_axis=12)
+    gen = empirical_generation_check(seq, candidate, dictionary, js=js, per_axis=12)
     fitted = [o for o in gen.orders.values() if o is not None]
     lsc = lsc_experiment(seq, zero, FunctionalSpec(make_norm(), mu), js=js)
     jensen_ok = {
-        f.name: jensen_check_mu(f, zero, candidate, mu).ok
+        f.name: jensen_check_mu(f, zero, candidate).ok
         for f in (make_norm(), make_area(), make_shifted_norm())
     }
     clauses = [
@@ -229,7 +228,6 @@ def scenario_ramp_concentration(config):
     mu = lebesgue(d, reg)
     u = heaviside_1d(d, 0.0, registry=reg)
     candidate = GeneralizedYoungMeasure(
-        (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d, carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]), registry=reg),
         constant_field([(np.array([[1.0]]), 1.0)]),
@@ -288,7 +286,6 @@ def scenario_atom_absorbs_jump(config):
         density=lambda n: 2.0 * np.ones(len(n)),
         carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]),
         registry=reg,
-        dominates_lebesgue=True,
     )
     u = piecewise_affine_1d(d, slopes=(1.0,), jumps=((0.5, (1.0,)),), registry=reg)
     spec = FunctionalSpec(make_norm(), mu)
@@ -467,7 +464,7 @@ def scenario_nonquasiconvex(config):
     mu, zero, candidate, js, seq = _sawtooth_setting(config)
     F = make_w_shape()
     lsc = lsc_experiment(seq, zero, FunctionalSpec(F, mu), js=js)
-    jensen = jensen_check_mu(F, zero, candidate, mu)
+    jensen = jensen_check_mu(F, zero, candidate)
     witness = quasiconvexity_refuter(F, np.array([[0.0]]), grid=16)
     refined = witness.reevaluate(F, np.array([[0.0]])) if witness else 0.0
     r1 = rank_one_convexity_check(F, np.zeros((1, 1)), np.array([1.0]), np.array([1.0]))
@@ -606,7 +603,7 @@ def scenario_example1(config):
         rho2 = (nodes[:, 0] - center[0]) ** 2 + (nodes[:, 1] - center[1]) ** 2
         return np.where(rho2 < hole_radius**2, 0.0, 1.0)
 
-    mu = ScalarRadonMeasure(d, density=weight, registry=reg, dominates_lebesgue=False)
+    mu = ScalarRadonMeasure(d, density=weight, registry=reg)
     value, grad = _flat_top_bump(center, bump_radius)
     u = BVFunction(d, 1, [Piece(region=d.box, u=value, grad=grad)], registry=reg)
 
@@ -771,9 +768,7 @@ def scenario_example2(config):
     u = affine_2d(d, np.array([[1.0, 0.0]]), registry=reg)  # u(x, y) = x
 
     weight, breaks = carpet_indicator(holes4)
-    mu_k = ScalarRadonMeasure(
-        d, density=weight, registry=reg, breaks=breaks, dominates_lebesgue=False
-    )
+    mu_k = ScalarRadonMeasure(d, density=weight, registry=reg, breaks=breaks)
     u_admissible = admissibility_check(u, mu_k)
     c0 = bounds[0][1]
     clauses = [
@@ -940,7 +935,6 @@ def build_case_1d(case, resolution=20000):
         density=density,
         carrier_parts=point_masses(domain, reg, [((p,), w) for p, w in case["mu"].get("atoms", ())]),
         registry=reg,
-        dominates_lebesgue=True,
         eps=1e-6,
         breaks=[*u.breaks[0], *_integrand_kinks(domain, case["u"], coeffs, f_desc)],
     )

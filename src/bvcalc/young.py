@@ -10,6 +10,9 @@ A field is a callable (key, points) -> (weights (M, K), atoms (M, K, N, n)):
 ``key`` names the structural part of the measure it is sampled on (None
 for the cells, else the carrier id of a point mass or segment part), so
 the elementary Young measure of a decomposed derivative is exact.
+
+Each input is given once: the shape (N, n) is that of the field's atoms,
+and the checks below read the reference measure mu from the Young measure.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .measures import (
     ScalarRadonMeasure,
     charges_boundary,
     frobenius,
-    lebesgue,
     matched_parts,
     measure_distance,
     measure_parts,
@@ -89,11 +91,10 @@ class GeneralizedYoungMeasure:
     are computed once, on first use, and reused by every pairing.
     """
 
-    def __init__(self, dims, nu, lam, nu_inf, reference_measure, breaks=None, validate=True):
+    def __init__(self, nu, lam, nu_inf, reference_measure, breaks=None, validate=True):
         if lam.domain != reference_measure.domain:
             raise YoungMeasureError("concentration measure must live on the reference measure's domain")
         self.domain = reference_measure.domain
-        self.dims = tuple(dims)
         self.nu = nu
         self.lam = lam
         self.nu_inf = nu_inf
@@ -190,14 +191,7 @@ def elementary(gamma, mu):
         registry=gamma.registry,
         breaks=gamma.breaks,
     )
-    return GeneralizedYoungMeasure(
-        gamma.shape,
-        oscillation,
-        lam,
-        polar,
-        reference_measure=mu,
-        breaks=merge_breaks(gamma.domain.dim, gamma.breaks, mu.breaks),
-    )
+    return GeneralizedYoungMeasure(oscillation, lam, polar, reference_measure=mu, breaks=gamma.breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +246,8 @@ def pairing(f, nu):
 def barycenter(nu):
     """The measure mean(nu_x) mu + mean(nu_inf_x) lambda as a structured
     matrix measure: on each part key of mu and lambda (cells, carrier id),
-    the sum of mean(field) x density over the fields there."""
+    the sum of mean(field) x density over the fields there.  Its shape is
+    that of the atoms sampled on mu's cells."""
     mu, lam = nu.reference_measure, nu.lam
     terms = {key: [(nu.nu, fn)] for key, fn in part_densities(mu).items()}  # [(field, density)]
     if nu.nu_inf is not None:
@@ -273,7 +268,7 @@ def barycenter(nu):
 
     return MatrixRadonMeasure(
         mu.domain,
-        nu.dims,
+        nu.oscillation_values[0][2].shape[2:],  # (M, K, N, n) atoms on the cells
         density=on(None),
         carrier_parts=tuple((key, on(key)) for key in terms if key is not None),
         registry=mu.registry if mu.registry is not None else lam.registry,
@@ -294,16 +289,18 @@ class GenerationReport:
     orders: dict  # f label -> fitted order in 1/j (None if gap ~ 0)
 
 
-def empirical_generation_check(sequence, mu, candidate, test_integrands, js, per_axis=12):
-    """Compare pairings of the elementary Young measures of Du_j with a
-    candidate limit triple, over a dictionary of integrands and cut-off
-    localizations; reports per-probe gaps and fitted decay orders."""
+def empirical_generation_check(sequence, candidate, test_integrands, js, per_axis=12):
+    """Compare pairings of the elementary Young measures of Du_j relative to
+    the candidate's reference measure with the candidate limit triple, over
+    a dictionary of integrands and cut-off localizations; reports per-probe
+    gaps and fitted decay orders."""
     localizations = scalar_bumps(candidate.domain, per_axis=per_axis)
     js = tuple(js)
     refs = pairings(test_integrands, candidate, localizations)
     per_probe = {}
     for j in js:
-        emp = pairings(test_integrands, elementary(derivative(sequence(j)), mu), localizations)
+        eps_j = elementary(derivative(sequence(j)), candidate.reference_measure)
+        emp = pairings(test_integrands, eps_j, localizations)
         for fi, (emp_f, ref_f) in enumerate(zip(emp, refs)):
             for pi, (e, r) in enumerate(zip(emp_f, ref_f)):
                 per_probe.setdefault((fi, pi), []).append(abs(e - r) / max(1.0, abs(r)))
@@ -331,20 +328,15 @@ class JensenReport:
         return not self.ac_violations and not self.singular_violations
 
 
-def _check_barycenter(u, nu):
-    gap = measure_distance(barycenter(nu), derivative(u))
-    if gap > BARYCENTER_TOL * max(1.0, u.l1_norm()):
-        raise YoungMeasureError(
-            f"candidate barycenter differs from the derivative measure ({gap:.2e})"
-        )
-
-
-def _jensen_core(F, u, nu, mu, upper_slope):
+def _jensen_core(F, u, nu, upper_slope):
     if charges_boundary(nu.lam, CHARGE_TOL):
         raise YoungMeasureError("concentration measure charges the boundary")
-    _check_barycenter(u, nu)
-    dec_u = rn_decompose(derivative(u), mu)
-    dec_lam = rn_decompose(nu.lam, mu)
+    du = derivative(u)
+    gap = measure_distance(barycenter(nu), du)
+    if gap > BARYCENTER_TOL * max(1.0, u.l1_norm()):
+        raise YoungMeasureError(f"candidate barycenter differs from the derivative measure ({gap:.2e})")
+    dec_u = rn_decompose(du, nu.reference_measure)
+    dec_lam = rn_decompose(nu.lam, nu.reference_measure)
     report = JensenReport([], [])
 
     def check(part, lhs, rhs, dlam, violations):
@@ -362,12 +354,11 @@ def _jensen_core(F, u, nu, mu, upper_slope):
         for m in np.nonzero(lhs > rhs + JENSEN_TOL)[0]:
             violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
 
-    for part in measure_parts(mu, extra_breaks=nu.breaks):
+    for part, w, A in nu.oscillation_values:
         pts = part.points
-        if len(pts):
-            lhs = np.asarray(F(pts, dec_u.densities[part.key](pts)))
-            rhs = _field_pair(F, *nu.nu(part.key, pts), pts)
-            check(part, lhs, rhs, np.asarray(dec_lam.densities[part.key](pts)), report.ac_violations)
+        lhs = np.asarray(F(pts, dec_u.densities[part.key](pts)))
+        rhs = _field_pair(F, w, A, pts)
+        check(part, lhs, rhs, np.asarray(dec_lam.densities[part.key](pts)), report.ac_violations)
 
     # the mu-singular parts of Du (the carrier parts of its remainder)
     # against the lambda density on the same carrier, zero where lambda's
@@ -382,15 +373,21 @@ def _jensen_core(F, u, nu, mu, upper_slope):
     return report
 
 
-def jensen_check_mu(F, u, nu, mu):
-    """Jensen inequalities relative to mu for a nonnegative quasiconvex
-    integrand: pointwise at every mu node and density-wise on the
-    mu-singular carriers.  Violating nodes are listed, not raised: for an
-    integrand that is not quasiconvex they are the expected outcome."""
-    return _jensen_core(F, u, nu, mu, upper_slope=False)
+def jensen_check_mu(F, u, nu):
+    """Jensen inequalities relative to mu, the reference measure of ``nu``,
+    for a nonnegative quasiconvex integrand: pointwise at every mu node and
+    density-wise on the mu-singular carriers.  Violating nodes are listed,
+    not raised: for an integrand that is not quasiconvex they are the
+    expected outcome."""
+    return _jensen_core(F, u, nu, upper_slope=False)
 
 
 def jensen_check_lebesgue(F, u, nu):
     """Jensen inequalities relative to the volume measure, with the upper
-    asymptotic slope in place of the recession function."""
-    return _jensen_core(F, u, nu, lebesgue(u.domain, u.registry), upper_slope=True)
+    asymptotic slope in place of the recession function; ``nu`` must be
+    relative to the volume measure (density exactly 1 at its nodes, no
+    singular part), else a YoungMeasureError."""
+    parts = nu.reference_parts
+    if len(parts) != 1 or not np.all(parts[0].values == 1.0):
+        raise YoungMeasureError("the reference measure must be the volume measure")
+    return _jensen_core(F, u, nu, upper_slope=True)

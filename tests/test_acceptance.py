@@ -196,11 +196,8 @@ def test_criterion_06_young_generation_sawtooth():
     start = time.monotonic()
     d = Domain((0.0, 1.0), 512)
     reg = CarrierRegistry()
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     candidate = GeneralizedYoungMeasure(
-        (1, 1),
         constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
         ScalarRadonMeasure(d, registry=reg),
         None,
@@ -209,7 +206,6 @@ def test_criterion_06_young_generation_sawtooth():
     js = geometric_js(256)
     rep = empirical_generation_check(
         lambda j: sawtooth_1d(d, j, registry=reg),
-        mu,
         candidate,
         [make_norm(), make_area(), make_shifted_norm(), make_w_shape(), x_modulated(make_area())],
         js=js,
@@ -240,12 +236,9 @@ def test_criterion_07_young_generation_concentration():
 def test_criterion_08_jensen_suite():
     d = Domain((0.0, 1.0), 256)
     reg = CarrierRegistry()
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     sawtooth_cand = GeneralizedYoungMeasure(
-        (1, 1),
         constant_field([(np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)]),
         ScalarRadonMeasure(d, registry=reg),
         None,
@@ -253,12 +246,9 @@ def test_criterion_08_jensen_suite():
     )
     d2 = Domain((-1.0, 1.0), 256)
     reg2 = CarrierRegistry()
-    mu2 = ScalarRadonMeasure(
-        d2, density=lambda n: np.ones(len(n)), registry=reg2, dominates_lebesgue=True
-    )
+    mu2 = ScalarRadonMeasure(d2, density=lambda n: np.ones(len(n)), registry=reg2)
     conc_u = heaviside_1d(d2, 0.0, registry=reg2)
     conc_cand = GeneralizedYoungMeasure(
-        (1, 1),
         constant_field([(np.array([[0.0]]), 1.0)]),
         ScalarRadonMeasure(d2, carrier_parts=point_masses(d2, reg2, [((0.0,), 1.0)]), registry=reg2),
         constant_field([(np.array([[1.0]]), 1.0)]),
@@ -268,13 +258,13 @@ def test_criterion_08_jensen_suite():
     elem = elementary(derivative(h), mu)
     convex_violations = 0
     for F in (make_norm(), make_area(), make_shifted_norm()):
-        rep = jensen_check_mu(F, zero, sawtooth_cand, mu)
+        rep = jensen_check_mu(F, zero, sawtooth_cand)
         convex_violations += len(rep.ac_violations) + len(rep.singular_violations)
-        rep = jensen_check_mu(F, h, elem, mu)
+        rep = jensen_check_mu(F, h, elem)
         convex_violations += len(rep.ac_violations) + len(rep.singular_violations)
         rep = jensen_check_lebesgue(F, conc_u, conc_cand)
         convex_violations += len(rep.ac_violations) + len(rep.singular_violations)
-    w_rep = jensen_check_mu(make_w_shape(), zero, sawtooth_cand, mu)
+    w_rep = jensen_check_mu(make_w_shape(), zero, sawtooth_cand)
     report(
         8,
         convex_violations == 0 and len(w_rep.ac_violations) >= 1,
@@ -286,9 +276,7 @@ def test_criterion_08_jensen_suite():
 def test_criterion_09_lower_semicontinuity():
     d = Domain((0.0, 1.0), 512)
     reg = CarrierRegistry()
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     zero = piecewise_affine_1d(d, slopes=(0.0,), registry=reg)
     one = piecewise_affine_1d(d, slopes=(0.0,), start_value=1.0, registry=reg)
     js = geometric_js(256)

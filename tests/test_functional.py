@@ -29,7 +29,9 @@ from bvcalc.measures import (
     Domain,
     MatrixRadonMeasure,
     ScalarRadonMeasure,
+    lebesgue,
     point_masses,
+    rn_decompose,
     total_variation,
 )
 
@@ -38,16 +40,8 @@ from bvcalc.measures import (
 def setting():
     d = Domain((0.0, 1.0), 512)
     reg = CarrierRegistry()
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     return d, reg, mu
-
-
-def lebesgue(domain, registry):
-    return ScalarRadonMeasure(
-        domain, density=lambda n: np.ones(len(n)), registry=registry, dominates_lebesgue=True
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +63,6 @@ def test_evaluate_atom_absorbs_jump(setting):
         density=lambda n: 2.0 * np.ones(len(n)),
         carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]),
         registry=reg,
-        dominates_lebesgue=True,
     )
     u = piecewise_affine_1d(d, slopes=(1.0,), jumps=((0.5, (1.0,)),), registry=reg)
     out = evaluate(u, FunctionalSpec(make_norm(), mu))
@@ -100,7 +93,6 @@ def test_evaluate_carrier_absorbed_jump_2d():
         density=lambda n: np.ones(len(n)),
         carrier_parts=(("vline:0.5", lambda p: 2.0 * np.ones(len(p))),),
         registry=reg,
-        dominates_lebesgue=True,
     )
     out = evaluate(u, FunctionalSpec(make_norm(), mu))
     # jump density e1 of magnitude 1 against carrier density 2:
@@ -131,9 +123,7 @@ def test_evaluate_boundary_equals_extension_interior(setting):
 
     d_out = Domain((-0.5, 1.5), 512)
     ext = zero_extension(u, d_out)
-    mu_ext = ScalarRadonMeasure(
-        d_out, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu_ext = ScalarRadonMeasure(d_out, density=lambda n: np.ones(len(n)), registry=reg)
     val_outer = evaluate(ext, FunctionalSpec(make_norm(), mu_ext)).total
     assert val_inner == pytest.approx(val_outer, rel=1e-12)
 
@@ -145,7 +135,6 @@ def test_evaluate_rejects_mu_charging_boundary(setting):
         density=lambda n: np.ones(len(n)),
         carrier_parts=point_masses(d, reg, [((0.0,), 1.0)]),
         registry=reg,
-        dominates_lebesgue=True,
     )
     with pytest.raises(FunctionalError):
         FunctionalSpec(make_norm(), mu_bad)
@@ -153,10 +142,25 @@ def test_evaluate_rejects_mu_charging_boundary(setting):
 
 def test_evaluate_propagates_decomposition_failure(setting):
     d, reg, _ = setting
-    mu_plain = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
+    mu_plain = ScalarRadonMeasure(d, density=lambda n: 1.0 * (n[:, 0] >= 0.5), registry=reg)
     u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
     with pytest.raises(DecompositionError):
         evaluate(u, FunctionalSpec(make_norm(), mu_plain))
+
+
+def test_a_density_one_mu_is_the_volume_measure():
+    # domination is read from the density: no flag is needed to decompose
+    d = Domain((0.0, 1.0), 64)
+    reg = CarrierRegistry()
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
+    u = piecewise_affine_1d(
+        d, breakpoints=(0.3,), slopes=(2.0, -1.0), jumps=((0.6, (1.5,)),), registry=reg
+    )
+    dec = rn_decompose(derivative(u), mu)
+    assert [reg[cid].point for cid, _ in dec.remainder.carrier_parts] == [(0.6,)]
+    for F in (make_norm(), make_area(), x_modulated(make_area())):
+        got = evaluate(u, FunctionalSpec(F, mu)).as_dict()
+        assert got == evaluate(u, FunctionalSpec(F, lebesgue(d, reg))).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,6 @@ def test_admissibility_cases(setting):
         density=lambda n: np.ones(len(n)),
         carrier_parts=point_masses(d, reg, [((0.5,), 1.0)]),
         registry=reg,
-        dominates_lebesgue=True,
     )
     assert admissibility_check(h, mu_atom)
 
@@ -279,12 +282,16 @@ def test_relaxation_no_admissible_signal(setting):
 
 @pytest.mark.parametrize("flagged, status", [(False, "not_decomposable"), (True, "ok")])
 def test_relaxation_status_when_mu_does_not_decompose(flagged, status):
+    # flagged: mu of density 1; else density max(x - 0.5, 0), which vanishes
+    # on [0, 0.5] where u is flat, so u is admissible but cannot be decomposed
     d = Domain((0.0, 1.0), 64)
     reg = CarrierRegistry()
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=flagged
-    )
-    u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
+    if flagged:
+        mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
+        u = piecewise_affine_1d(d, slopes=(1.0,), registry=reg)
+    else:
+        mu = ScalarRadonMeasure(d, density=lambda n: np.maximum(n[:, 0] - 0.5, 0.0), registry=reg)
+        u = piecewise_affine_1d(d, breakpoints=(0.5,), slopes=(0.0, 1.0), registry=reg)
     spec = FunctionalSpec(make_area(), mu)
     res = relaxation_upper_bound(u, spec, [("self", lambda j: u)])
     assert res.status == status
@@ -511,7 +518,7 @@ def test_a_point_mass_absorbs_the_jump_on_its_point_whatever_its_id(written_on):
     cid = "jump:0.5" if written_on == "the jump carrier" else reg.register_point("mu-atom", (0.5,)).cid
     mu = ScalarRadonMeasure(
         d, density=lambda n: np.ones(len(n)), carrier_parts=((cid, lambda p: np.ones(len(p))),),
-        registry=reg, dominates_lebesgue=True,
+        registry=reg,
     )
     out = evaluate(u, FunctionalSpec(make_area(), mu))
     ref = oracle_1d({"slopes": [0.0], "jumps": [[0.5, 1.0]]}, {"poly": [1.0], "atoms": [[0.5, 1.0]]}, {"kind": "area"})
@@ -527,7 +534,7 @@ def test_a_weightless_point_mass_is_no_part_of_mu(setting):
     u = piecewise_affine_1d(d, slopes=(0.0,), jumps=((0.5, (1.0,)),), registry=reg)
     mu = ScalarRadonMeasure(
         d, density=lambda n: np.ones(len(n)), carrier_parts=point_masses(d, reg, [((0.5,), 0.0)]),
-        registry=reg, dominates_lebesgue=True,
+        registry=reg,
     )
     assert mu.carrier_parts == () and mu.mass() == pytest.approx(1.0, abs=1e-12)
     out = evaluate(u, FunctionalSpec(make_norm(), mu))

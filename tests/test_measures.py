@@ -129,7 +129,6 @@ def test_rn_decompose_atom_shared():
         density=lambda n: 2.0 * np.ones(len(n)),
         carrier_parts=point_masses(dom, reg, [((0.5,), 1.0)]),
         registry=reg,
-        dominates_lebesgue=True,
     )
     gamma = MatrixRadonMeasure(
         dom, (1, 1), density=ones_density((1, 1)),
@@ -149,9 +148,7 @@ def test_rn_decompose_jump_not_seen_by_mu():
     dom = unit_square()
     reg = CarrierRegistry()
     reg.register_segment("jump", (0.5, 0.0), (0.5, 1.0))
-    mu = ScalarRadonMeasure(
-        dom, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu = ScalarRadonMeasure(dom, density=lambda n: np.ones(len(n)), registry=reg)
     gamma = MatrixRadonMeasure(
         dom,
         (1, 2),
@@ -175,7 +172,6 @@ def test_rn_decompose_proportional():
         density=lambda n: 1.0 + n[:, 0],
         carrier_parts=point_masses(dom, reg, [((0.75,), 0.5)]) + (("pt", lambda p: 2.0 * np.ones(len(p))),),
         registry=reg,
-        dominates_lebesgue=True,
     )
     c = 3.0
     gamma = MatrixRadonMeasure(
@@ -198,8 +194,9 @@ def test_rn_decompose_proportional():
 
 
 def test_rn_decompose_requires_domination_flag():
+    # mu's density vanishes on [0, 0.5): it does not dominate the volume measure
     dom = interval()
-    mu = ScalarRadonMeasure(dom, density=lambda n: np.ones(len(n)))
+    mu = ScalarRadonMeasure(dom, density=lambda n: 1.0 * (n[:, 0] >= 0.5))
     gamma = MatrixRadonMeasure(dom, (1, 1), density=ones_density((1, 1)))
     with pytest.raises(DecompositionError):
         rn_decompose(gamma, mu)
@@ -214,7 +211,6 @@ def test_rn_decompose_rejects_vanishing_carrier_density():
         density=lambda n: np.ones(len(n)),
         carrier_parts=(("s", lambda p: np.maximum(p[:, 1] - 0.5, 0.0)),),
         registry=reg,
-        dominates_lebesgue=True,
     )
     gamma = MatrixRadonMeasure(
         dom,
@@ -258,7 +254,6 @@ def test_rn_reconstruction_and_tv_additivity():
             density=lambda n, a=c0, b=c1: a + b * n[:, 0] ** 2,
             carrier_parts=point_masses(dom, reg, [((0.3,), float(rng.uniform(0.5, 2.0)))]),
             registry=reg,
-            dominates_lebesgue=True,
         )
         s0, s1 = rng.uniform(-2.0, 2.0, size=2)
         gamma = MatrixRadonMeasure(
@@ -490,13 +485,12 @@ def test_domain_invariants():
 
 
 def test_dominates_flag_enforced():
+    # domination is read from the density: below eps at a node, mu constructs but does not decompose
     dom = interval()
-    with pytest.raises(
-        MeasureError, match="^dominates-Lebesgue flag requires density >= eps at every node$"
-    ):
-        ScalarRadonMeasure(
-            dom, density=lambda n: n[:, 0], dominates_lebesgue=True, eps=0.01
-        )
+    mu = ScalarRadonMeasure(dom, density=lambda n: n[:, 0], eps=0.01)
+    gamma = MatrixRadonMeasure(dom, (1, 1), density=ones_density((1, 1)))
+    with pytest.raises(DecompositionError, match="^mu cell density vanishes at a quadrature node$"):
+        rn_decompose(gamma, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +577,6 @@ def _old_evaluate(u, spec):
 def _old_scalar_rn_decompose(lam, mu):
     from bvcalc.measures import _MATCH_TOL, _ZERO_TOL
 
-    if not mu.dominates_lebesgue:
-        raise DecompositionError("mu must be flagged dominates-Lebesgue")
-
     def cell_fn(pts, _l=lam, _m=mu):
         return np.asarray(_l.density_at(pts)) / np.asarray(_m.density_at(pts))
 
@@ -644,7 +635,6 @@ def _mixed_1d(resolution=96):
         carrier_parts=point_masses(dom, reg, [((0.3,), 0.7), ((0.9,), 1.1)])
         + (("p1", lambda p: 2.0 + p[:, 0]), ("p3", lambda p: 0.5 + 0 * p[:, 0])),
         registry=reg,
-        dominates_lebesgue=True,
         breaks=(0.5,),
     )
     lam = ScalarRadonMeasure(
@@ -704,7 +694,6 @@ def test_scalar_rn_decompose_2d_segment_rejection_unchanged():
         density=lambda n: np.ones(len(n)),
         carrier_parts=(("s", lambda p: np.maximum(0.0, p[:, 1] - 0.5)),),
         registry=reg,
-        dominates_lebesgue=True,
     )
     lam = ScalarRadonMeasure(dom, carrier_parts=(("s", lambda p: 1.0 + p[:, 1]),), registry=reg)
     with pytest.raises(DecompositionError):
@@ -853,10 +842,9 @@ def test_evaluate_breakdown_matches_the_old_loops_2d_carriers():
         carrier_parts=point_masses(dom, reg, [((0.7, 0.3), 0.5)])
         + (("other", lambda p: 0.5 + p[:, 1]), ("jump", lambda p: 1.0 + p[:, 1] ** 2)),
         registry=reg,
-        dominates_lebesgue=True,
     )
     for F in (make_norm(1, 2), make_area(1, 2)):
-        for m in (mu, ScalarRadonMeasure(dom, density=mu.density, registry=reg, dominates_lebesgue=True)):
+        for m in (mu, ScalarRadonMeasure(dom, density=mu.density, registry=reg)):
             spec = FunctionalSpec(F, m)
             assert evaluate(u, spec).as_dict() == _old_evaluate(u, spec).as_dict()
 
@@ -888,7 +876,6 @@ def test_decomposition_round_trip_preserves_total_variation(
         carrier_parts=point_masses(dom, reg, [((x,), 0.5 + x) for x in sorted(mu_atoms)])
         + tuple((cid, lambda p: 0.75 + p[:, 0]) for cid in sorted(mu_carriers)),
         registry=reg,
-        dominates_lebesgue=True,
     )
     gamma = MatrixRadonMeasure(
         dom,
@@ -1108,7 +1095,6 @@ def _mixed_2d(resolution=24):
         density=lambda n: 1.0 + n[:, 0] * n[:, 1],
         carrier_parts=(("c", lambda p: 0.5 + p[:, 1]), ("b", lambda p: 1.0 + p[:, 0] ** 2)),
         registry=reg,
-        dominates_lebesgue=True,
     )
     (gamma, _), = _integral_cases()[0][3:]
     gamma = MatrixRadonMeasure(
@@ -1447,7 +1433,7 @@ def test_matched_parts_uses_each_part_once():
     # (which gave each of two unmerged atoms the whole ratio)
     mu_twice = ScalarRadonMeasure(
         dom, density=mu.density, carrier_parts=point_masses(dom, reg, [((0.3,), 0.5), ((0.3,), 0.25)]),
-        registry=reg, dominates_lebesgue=True,
+        registry=reg,
     )
     ((cid, (_, w)),) = atoms_of(mu_twice).items()
     assert w == 0.75
@@ -2027,8 +2013,7 @@ def test_a_nan_bound_is_rejected_in_a_box_and_in_a_region(bounds):
         # gamma's breaks put nodes at 0.495 and 0.505, inside the notch that mu's own nodes miss
         (lambda: rn_decompose(
             MatrixRadonMeasure(interval(8), (1, 1), breaks=[0.49, 0.51]),
-            ScalarRadonMeasure(interval(8), density=lambda n: 1.0 * (np.abs(n[:, 0] - 0.5) > 0.01),
-                               dominates_lebesgue=True),
+            ScalarRadonMeasure(interval(8), density=lambda n: 1.0 * (np.abs(n[:, 0] - 0.5) > 0.01)),
         ), "mu cell density vanishes at a quadrature node"),
     ],
 )
@@ -2073,6 +2058,49 @@ def test_atoms_on_the_boundary_of_the_box_are_kept():
         registry=reg,
     )
     assert m.mass() == 3.0
+
+
+def _point_far_outside():
+    reg = CarrierRegistry()
+    reg.register_point("far", (2.0,))
+    return ScalarRadonMeasure(
+        interval(8), density=lambda n: np.ones(len(n)), carrier_parts=(("far", lambda p: np.ones(len(p))),),
+        registry=reg,
+    )
+
+
+def _atom_of_a_wider_box():
+    reg = CarrierRegistry()
+    atoms = point_masses(interval(8), reg, [((0.8,), 1.0)])  # 0.8 is in [0, 1] but not in [0, 0.5]
+    return ScalarRadonMeasure(Domain((0.0, 0.5), 8), carrier_parts=atoms, registry=reg)
+
+
+def _segment_off_the_square():
+    reg = CarrierRegistry()
+    reg.register_segment("off", (3.0, 3.0), (4.0, 3.0))
+    return ScalarRadonMeasure(unit_square(8), carrier_parts=(("off", lambda p: np.ones(len(p))),), registry=reg)
+
+
+def _point_of_another_dimension():
+    reg = CarrierRegistry()
+    reg.register_point("line", (0.5,))
+    return ScalarRadonMeasure(unit_square(8), carrier_parts=(("line", lambda p: np.ones(len(p))),), registry=reg)
+
+
+@pytest.mark.parametrize(
+    "build, cid",
+    [
+        (_point_far_outside, "far"),
+        (_atom_of_a_wider_box, "atom:[0.8]"),
+        (_segment_off_the_square, "off"),
+        (_point_of_another_dimension, "line"),
+    ],
+    ids=["point", "atom", "segment", "dimension"],
+)
+def test_a_carrier_outside_the_box_is_rejected(build, cid):
+    with pytest.raises(MeasureError) as err:
+        build()
+    assert str(err.value) == f"carrier {cid!r} lies outside the domain"
 
 
 def test_registering_the_same_carrier_twice_returns_the_first():

@@ -1026,7 +1026,6 @@ def test_scalar_measure_from_json():
     reg = CarrierRegistry()
     mu = ScalarRadonMeasure(
         d, density=lambda n: 1.0 + n[:, 0], carrier_parts=point_masses(d, reg, [((0.5,), 2.0)]), registry=reg,
-        dominates_lebesgue=True,
     )
     assert mu.mass() == pytest.approx(1.5 + 2.0, rel=1e-12)
 
@@ -1062,9 +1061,7 @@ def test_sawtooth_scenario_cross_oracle():
 
     j = 32
     u = sawtooth_1d(d, j, registry=reg)
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     ours = evaluate(u, FunctionalSpec(make_norm(), mu)).total
     breaks = [k / (2 * j) for k in range(1, 2 * j)]
     slopes = [1.0 if k % 2 == 0 else -1.0 for k in range(2 * j)]
@@ -1085,9 +1082,7 @@ def test_ramp_scenario_cross_oracle():
 
     j = 64
     u = ramp_1d(d, 0.0, 1.0 / j, registry=reg)
-    mu = ScalarRadonMeasure(
-        d, density=lambda n: np.ones(len(n)), registry=reg, dominates_lebesgue=True
-    )
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     ours = evaluate(u, FunctionalSpec(x_modulated(make_norm()), mu)).total
     ref = oracle_1d(
         {"breaks": [0.0, 1.0 / j], "slopes": [0.0, float(j), 0.0], "jumps": []},

@@ -103,3 +103,51 @@ def test_every_tracer_target_still_resolves(monkeypatch):
         if not found:
             unresolved.append(row)
     assert unresolved == []
+
+
+_KNOB_SAMPLE = '''
+from dataclasses import dataclass, field
+
+
+def f(a, b=1, *, c=2):
+    def inner(p, q=0):
+        return p
+    return inner
+
+
+def _private(x, y=0):
+    return x
+
+
+@dataclass
+class Box:
+    width: float
+    height: float = 1.0
+    cache: dict = field(init=False, default=None)
+
+    def scale(self, k=1.0):
+        return k
+
+
+class Plain:
+    def __init__(self, x, y=0):
+        self.x = x
+'''
+
+
+def _canned_tree(root, source):
+    (root / "src" / "bvcalc").mkdir(parents=True)
+    (root / "src" / "bvcalc" / "sample.py").write_text(source)
+    (root / "tests").mkdir()
+    (root / "tests" / "test_knobs.py").write_text((ROOT / "tests" / "test_knobs.py").read_text())
+    return root
+
+
+def test_settable_inputs_are_counted_with_each_trees_collector(tmp_path):
+    # f: a, b, c; inner: p, q; Box: width, height; scale: k; Plain: x, y (its __init__ once)
+    before = _canned_tree(tmp_path / "before", _KNOB_SAMPLE)
+    after = _canned_tree(tmp_path / "after", _KNOB_SAMPLE.replace("def f(a, b=1, *, c=2)", "def f(a, *, c=2)"))
+    assert report_identity.settable_inputs(before) == 10
+    assert report_identity.settable_inputs(after) == 9
+    (after / "tests" / "test_knobs.py").unlink()
+    assert report_identity.settable_inputs(after) is None

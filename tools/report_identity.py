@@ -13,15 +13,20 @@ TREE_B`` (for example ``metrics.bounds[1].bound: 0.24 -> 0.25``).  Exits 1
 on any difference, 0 otherwise.  Standard library only; scenarios run one
 after another.
 
-It also prints each tree's total line count of ``src/bvcalc/*.py`` (as
-``wc -l`` counts them), for information: the totals are not compared, so
-a change that claims to shrink the package can be read off the same run
-that checks its output.
+It also prints, for information, each tree's total line count of
+``src/bvcalc/*.py`` (as ``wc -l`` counts them) and its settable inputs:
+the parameters and dataclass fields of the public names of the package, as
+the collector of that tree's ``tests/test_knobs.py`` finds them, a class's
+``__init__`` counted once.  Neither is compared, so a change that claims to
+shrink the package or its inputs can be read off the same run that checks
+its output.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -47,6 +52,24 @@ def scenario_ids(tree):
 def source_lines(tree):
     """Newlines in the package modules of ``tree``, summed like ``wc -l``."""
     return sum(p.read_bytes().count(b"\n") for p in Path(tree, "src", "bvcalc").glob("*.py"))
+
+
+def settable_inputs(tree):
+    """Parameters and dataclass fields of the public names of the package
+    modules of ``tree``, counted with the collector of its own
+    ``tests/test_knobs.py``; None when the tree has no such file."""
+    path = Path(tree, "tests", "test_knobs.py")
+    if not path.is_file():
+        return None
+    spec = importlib.util.spec_from_file_location("test_knobs_of_tree", path)
+    knobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(knobs)
+    count = 0
+    for module in sorted(Path(tree, "src", "bvcalc").glob("*.py")):
+        for name, signatures in knobs._collect(module.stem, ast.parse(module.read_text())).items():
+            if not name.startswith("_"):  # a class's __init__ is counted under the class name
+                count += sum(len({*s.positional, *s.defaulted}) for s in signatures)
+    return count
 
 
 def run_scenario(tree, sid, out):
@@ -114,7 +137,10 @@ def main(argv=None):
         print(f"scenario lists differ: {ids} vs {ids_b}")
         return 1
     for tree in (args.tree_a, args.tree_b):
-        print(f"lines {tree}: {source_lines(tree)} in src/bvcalc/*.py (not compared)")
+        print(
+            f"lines {tree}: {source_lines(tree)} in src/bvcalc/*.py, "
+            f"{settable_inputs(tree)} settable inputs (not compared)"
+        )
     failed = 0
     with tempfile.TemporaryDirectory(prefix="report-identity-") as tmp:
         for sid in ids:
