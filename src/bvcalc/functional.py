@@ -197,6 +197,11 @@ def relaxation_upper_bound(u, spec, family, jmax=64, l1_tol=0.05):
     the documented "no admissible sequence" signal is returned, or
     "not_decomposable" when members survived but the decomposition against
     mu rejected each of them (they are listed with no value).
+
+    A member's value is the tail minimum of its values, exact as their
+    liminf only for values that approach from above or are constant: on
+    values that rise to their limit, as along ramps to a jump, it can fall
+    below the relaxed functional (ROADMAP item 21).
     """
     js = geometric_js(jmax)
     interior = spec.without_boundary()
@@ -247,9 +252,12 @@ def lsc_experiment(sequence, u, spec, js):
     """Per-index functional values along u_j = sequence(j) -> u over ``js``
     and the semicontinuity margin: (tail minimum of F(u_j)) - F(u).
 
-    A margin below -LSC_TOL is flagged; for an integrand that is quasiconvex
-    (in particular convex) this is a genuine violation, for one flagged
-    not-quasiconvex it is the expected demonstration.
+    A margin below -LSC_TOL is flagged; for an integrand flagged
+    not-quasiconvex it is the expected demonstration.  The tail minimum is
+    exact as the liminf only for values that approach from above or are
+    constant: values that rise to F(u), as for area along ramps of width
+    1/j to a jump, are flagged "violation" although liminf F(u_j) = F(u)
+    (ROADMAP item 21).
     """
     js = tuple(js)
     value_u = evaluate(u, spec).total

@@ -109,6 +109,7 @@ class Domain:
     box: tuple
     resolution: int
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _edge_rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by edge bytes
 
     def __post_init__(self):
         object.__setattr__(self, "box", _as_bounds(self.box))
@@ -140,20 +141,22 @@ class Domain:
 
         ``breaks`` refines the per-axis partition at declared discontinuity
         locations.  The arrays are read-only: a rule of at most
-        ``_MEMO_NODES`` nodes is kept by the domain and returned again for
-        the same breaks.
+        ``_MEMO_NODES`` nodes is kept by the domain and returned again, the
+        same arrays for breaks that give the same cell edges.
         """
         key = _normalize_breaks(breaks, self.dim)
         rule = self._rules.get(key)
         if rule is None:
-            rule = read_only(*self._build_rule(key))
+            edges = self._axis_edges(key)
+            edge_key = tuple(e.tobytes() for e in edges)
+            rule = self._edge_rules.get(edge_key) or read_only(*self._build_rule(edges))
             if len(rule[1]) <= _MEMO_NODES:
-                self._rules[key] = rule
+                self._rules[key] = self._edge_rules[edge_key] = rule
         return rule
 
-    def _build_rule(self, axis_breaks):
+    def _build_rule(self, axis_edges):
         k = 2 if self.dim == 1 else 1  # tensor GL2 would take 4x the nodes of a 256^2 grid
-        nodes, weights = _tensor(*zip(*(_panels(e, k) for e in self._axis_edges(axis_breaks))))
+        nodes, weights = _tensor(*zip(*(_panels(e, k) for e in axis_edges)))
         keep = weights > 1e-300
         return (nodes, weights) if keep.all() else tuple(np.compress(keep, a, axis=0) for a in (nodes, weights))
 
@@ -359,14 +362,17 @@ class CarrierRegistry:
         return carrier
 
     def register_segment(self, cid, start, end, normal=None):
-        return self._register(
-            SingularCarrier(
-                cid,
-                "segment",
-                endpoints=(tuple(start), tuple(end)),
-                normal=None if normal is None else tuple(normal),
-            )
+        """The segment carrier ``cid``; a MeasureError if another id already
+        holds these endpoints within ``_MATCH_TOL``, in either order."""
+        carrier = SingularCarrier(
+            cid, "segment", endpoints=(tuple(start), tuple(end)), normal=None if normal is None else tuple(normal)
         )
+        for other in self._carriers.values():
+            if other.kind == "segment" and other.cid != cid:
+                for p, q in (other.endpoints, other.endpoints[::-1]):
+                    if max(map(math.dist, carrier.endpoints, (p, q))) <= _MATCH_TOL:
+                        raise MeasureError(f"segment {cid!r} has the endpoints of registered segment {other.cid!r}")
+        return self._register(carrier)
 
     def _register(self, carrier):
         existing = self._carriers.get(carrier.cid)

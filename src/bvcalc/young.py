@@ -289,12 +289,26 @@ class GenerationReport:
     orders: dict  # f label -> fitted order in 1/j (None if gap ~ 0)
 
 
+def _once_per_array(phi):
+    """``phi`` remembering its values on the last node array it was given,
+    returned again while that same (read-only) array is asked for."""
+    last = [None, None]
+
+    def memo(points):
+        if points is not last[0]:
+            last[:] = points, np.asarray(phi(points))
+        return last[1]
+
+    return memo
+
+
 def empirical_generation_check(sequence, candidate, test_integrands, js, per_axis=12):
     """Compare pairings of the elementary Young measures of Du_j relative to
     the candidate's reference measure with the candidate limit triple, over
     a dictionary of integrands and cut-off localizations; reports per-probe
-    gaps and fitted decay orders."""
-    localizations = scalar_bumps(candidate.domain, per_axis=per_axis)
+    gaps and fitted decay orders.  Each cut-off is evaluated once per node
+    array: grid-aligned breaks give every j the cells of the candidate."""
+    localizations = [_once_per_array(phi) for phi in scalar_bumps(candidate.domain, per_axis=per_axis)]
     js = tuple(js)
     refs = pairings(test_integrands, candidate, localizations)
     per_probe = {}

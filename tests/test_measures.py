@@ -1258,12 +1258,16 @@ def _kept_part_admissibility_cases():
     for u in (affine_2d(sq, np.zeros((1, 2)), registry=reg), affine_2d(sq, [[1.0, 0.0]], registry=reg), in_holes):
         assert cell_part(carpet, derivative(u).breaks) is carpet._cells
         cases.append((u, carpet))
-    # 1D u whose breaks are not mu's: the rule asked for is not the kept one
+    # 1D u whose breaks are off mu's grid: the rule asked for is not the kept one
     dom, reg = interval(200), CarrierRegistry()
     right_null = ScalarRadonMeasure(dom, density=lambda n: np.where(n[:, 0] > 0.4, 0.0, 1.0), registry=reg, breaks=(0.4,))
-    for u in (ramp_1d(dom, 0.1, 0.2, registry=reg), ramp_1d(dom, 0.45, 0.1, registry=reg)):
+    for u in (ramp_1d(dom, 0.1013, 0.2, registry=reg), ramp_1d(dom, 0.4513, 0.1, registry=reg)):
         other = cell_part(right_null, derivative(u).breaks)
         assert right_null._cells is not None and other is not right_null._cells
+        cases.append((u, right_null))
+    # breaks that are grid edges give mu's cell edges, so they reach the kept part
+    for u in (ramp_1d(dom, 0.05, 0.25, registry=reg), ramp_1d(dom, 0.45, 0.1, registry=reg)):
+        assert cell_part(right_null, derivative(u).breaks) is right_null._cells
         cases.append((u, right_null))
     # mu's rule above the memo cap: nothing is kept
     big, reg = Domain((0.0, 1.0), _MEMO_NODES // 2 + 1), CarrierRegistry()
@@ -1856,6 +1860,32 @@ def test_a_filled_memo_leaves_equality_hash_and_repr_alone():
     assert filled != unit_square(16)
 
 
+def test_breaks_that_give_the_same_cell_edges_share_one_rule():
+    from bvcalc.bv import derivative, sawtooth_1d
+    from bvcalc.measures import cell_part, lebesgue
+
+    dom = interval(64)
+    mu = lebesgue(dom)
+    js = (1, 2, 4, 8, 16, 32)  # breaks k/(2j), each a grid edge for j <= 64/2
+    for j in js:
+        assert cell_part(mu, derivative(sawtooth_1d(dom, j)).breaks) is mu._cells
+    assert dom.cell_rule((0.25, 0.5))[0] is mu._cells.points
+    assert len(dom._rules) == 2 + len(js) and len(dom._edge_rules) == 1  # every breaks key, one rule
+    off = derivative(sawtooth_1d(dom, 64)).breaks  # k/128: every other break is off the grid
+    nodes = dom.cell_rule(off)[0]
+    assert nodes is not mu._cells.points and len(nodes) == 2 * len(mu._cells.points)
+    assert cell_part(mu, off).points is nodes and len(dom._edge_rules) == 2
+
+
+def test_a_rule_above_the_cap_is_kept_in_neither_map():
+    from bvcalc.measures import _MEMO_NODES
+
+    above = Domain((0.0, 1.0), _MEMO_NODES // 2 + 1)
+    for breaks in (None, (0.5,), (0.5,)):
+        assert len(above.cell_rule(breaks)[1]) > _MEMO_NODES
+    assert above._rules == {} and above._edge_rules == {}
+
+
 @pytest.mark.parametrize("breaks", [[[0.5], [float("nan")]], [[float("-inf")], []]])
 def test_2d_breaks_must_be_finite_in_both_documents(breaks):
     from bvcalc.bv import BVFunction, Piece
@@ -2110,6 +2140,28 @@ def test_registering_the_same_carrier_twice_returns_the_first():
     assert reg.register_point("jump:0.5", (0.5,)) is first
     segment = reg.register_segment("s", (0.5, 0.0), (0.5, 1.0))
     assert reg.register_segment("s", (0.5, 0.0), (0.5, 1.0)) is segment
+
+
+def test_a_second_id_on_a_registered_segment_is_refused():
+    # read as a second carrier, the jump would be mu-singular: area 3 in place of 1 + sqrt 2
+    from bvcalc.functional import FunctionalSpec, evaluate
+    from bvcalc.integrands import make_area
+
+    from helpers import vertical_step_2d
+
+    sq, reg = unit_square(32), CarrierRegistry()
+    reg.register_segment("mu:line", (0.5, 0.0), (0.5, 1.0))
+    mu = ScalarRadonMeasure(sq, density=lambda n: np.ones(len(n)), registry=reg,
+                            carrier_parts=(("mu:line", lambda p: np.ones(len(p))),))
+    with pytest.raises(MeasureError) as err:
+        vertical_step_2d(sq, 0.5, registry=reg, carrier_id="jump:line")
+    assert str(err.value) == "segment 'jump:line' has the endpoints of registered segment 'mu:line'"
+    with pytest.raises(MeasureError, match="^segment 'flipped' has the endpoints of registered segment 'mu:line'$"):
+        reg.register_segment("flipped", (0.5, 1.0), (0.5 + 0.5 * _MATCH_TOL, 0.0))
+    assert "jump:line" not in reg and "flipped" not in reg
+    reg.register_segment("beside", (0.5 + 2 * _MATCH_TOL, 0.0), (0.5 + 2 * _MATCH_TOL, 1.0))
+    u = vertical_step_2d(sq, 0.5, registry=reg, carrier_id="mu:line")
+    assert evaluate(u, FunctionalSpec(make_area(), mu)).total == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
 
 
 def test_a_second_id_at_a_registered_point_returns_that_carrier():

@@ -1037,16 +1037,38 @@ def test_pairings_pair_each_part_once_for_every_cut_off(monkeypatch):
 
 
 def test_generation_report_equals_the_old_per_pair_loop():
+    from bvcalc.measures import cell_part
+
     d = Domain((0.0, 1.0), 128)
     reg = CarrierRegistry()
     mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
     cand = sawtooth_candidate(d, reg, mu)
     seq = lambda j: sawtooth_1d(d, j, registry=reg)
     fs = [make_norm(), make_area(), make_w_shape()]
-    js = geometric_js(64)
-    new = empirical_generation_check(seq, cand, fs, js=js, per_axis=5)
-    assert new == _old_generation_check(seq, mu, cand, fs, js=js, per_axis=5)
-    assert list(new.per_probe) == [(fi, pi) for fi in range(3) for pi in range(5)]
+    # jmax 64: every break k/(2j) is a cell edge, so every j pairs on mu's own
+    # nodes; jmax 128 adds breaks k/256, off the grid, and a fresh node array
+    assert cell_part(mu, derivative(seq(64)).breaks) is mu._cells
+    assert cell_part(mu, derivative(seq(128)).breaks) is not mu._cells
+    for js in (geometric_js(64), geometric_js(128)):
+        new = empirical_generation_check(seq, cand, fs, js=js, per_axis=5)
+        assert new == _old_generation_check(seq, mu, cand, fs, js=js, per_axis=5)
+        assert list(new.per_probe) == [(fi, pi) for fi in range(3) for pi in range(5)]
+
+
+def test_the_generation_check_evaluates_each_cut_off_once_per_node_array(monkeypatch):
+    d, reg = Domain((0.0, 1.0), 128), CarrierRegistry()
+    mu = ScalarRadonMeasure(d, density=lambda n: np.ones(len(n)), registry=reg)
+    seen = []
+
+    def counted(domain, per_axis):
+        return [lambda pts, _phi=phi: seen.append(pts) or _phi(pts) for phi in scalar_bumps(domain, per_axis)]
+
+    monkeypatch.setattr(young, "scalar_bumps", counted)
+    seq = lambda j: sawtooth_1d(d, j, registry=reg)
+    empirical_generation_check(seq, sawtooth_candidate(d, reg, mu), [make_norm()], js=geometric_js(128), per_axis=5)
+    # mu's own nodes (the candidate and j <= 64), then the fresh ones of j = 128
+    assert len(seen) == 2 * 5 and all(pts is mu._cells.points for pts in seen[:5])
+    assert all(pts is seen[5] for pts in seen[5:]) and seen[5] is not mu._cells.points
 
 
 # ---------------------------------------------------------------------------
