@@ -456,13 +456,16 @@ def sawtooth_1d(domain, j, registry=None):
     (a, b), = domain.box
     length = b - a
 
+    def phase(nodes):  # x - floor(x) is np.mod(x, 1.0), bit for bit, for x >= 0
+        x = (nodes[:, 0] - a) * j / length
+        return x - np.floor(x)
+
     def value(nodes):
-        t = np.mod((nodes[:, 0] - a) * j / length, 1.0)
+        t = phase(nodes)
         return (length / j) * np.minimum(t, 1.0 - t)[:, None]
 
     def grad(nodes):
-        t = np.mod((nodes[:, 0] - a) * j / length, 1.0)
-        return np.where(t < 0.5, 1.0, -1.0)[:, None, None]
+        return np.where(phase(nodes) < 0.5, 1.0, -1.0)[:, None, None]
 
     breaks = (tuple((a + length * np.arange(1, 2 * j) / (2 * j)).tolist()),)
     piece = Piece(region=domain.box, u=value, grad=grad, breaks=breaks)

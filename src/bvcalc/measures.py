@@ -37,6 +37,7 @@ import numpy as np
 _GAUSS = {k: np.polynomial.legendre.leggauss(k) for k in (1, 2, 3)}
 
 _MATCH_TOL = 1e-12  # points this close are one point carrier
+_EDGE_TOL = 1e-12  # a break this close to a grid edge, relative to the box length, is that edge
 _POINT_CELL = 1024 * _MATCH_TOL  # side of the grid cells that index point carriers
 _ZERO_TOL = 1e-14  # densities below this count as "not charging"
 _MEMO_NODES = 1 << 17  # larger cell rules are rebuilt on each call, never kept
@@ -74,9 +75,14 @@ def in_box(points, box):
 
 
 def _refined_edges(lo, hi, resolution, breaks):
+    """The grid edges of [lo, hi] with the breaks inside it added; a break
+    within ``_EDGE_TOL`` of the box length of a grid edge is that edge, so
+    grid-aligned breaks give the grid edges themselves."""
     edges = np.linspace(lo, hi, resolution + 1)
     extra = np.asarray(breaks, dtype=float)
     extra = extra[(extra > lo) & (extra < hi)]
+    k = np.searchsorted(edges, extra)  # edges[k - 1] < break <= edges[k]
+    extra = extra[np.minimum(extra - edges[k - 1], edges[k] - extra) > _EDGE_TOL * (hi - lo)]
     return np.unique(np.concatenate([edges, extra])) if len(extra) else edges
 
 
@@ -492,7 +498,7 @@ class ScalarRadonMeasure(_StructuredMeasure):
         weights += [] if self._points is None else [self._points.values]
         if not all((np.asarray(w) >= 0).all() for w in weights):  # NaN fails too
             raise MeasureError("atom weights must be nonnegative")
-        cells = cell_part(self)
+        cells = None if self.density is None else cell_part(self)  # no density: zero by definition
         for part in filter(None, (cells, self._points, *_carrier_parts(self))):
             if not np.isfinite(part.values).all():
                 raise MeasureError(f"a scalar measure's {part.kind} part must be finite")
@@ -500,7 +506,7 @@ class ScalarRadonMeasure(_StructuredMeasure):
                 raise MeasureError("scalar density must be nonnegative")
             if part.kind == "carrier" and np.any(part.values < -1e-12):
                 raise MeasureError("carrier densities must be nonnegative")
-        if len(cells.weights) <= _MEMO_NODES:  # its rule is the domain's kept one
+        if cells is not None and len(cells.weights) <= _MEMO_NODES:  # its rule is the domain's kept one
             read_only(cells.values)
             object.__setattr__(self, "_cells", cells)
 

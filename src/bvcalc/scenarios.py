@@ -176,10 +176,8 @@ def scenario_sawtooth(config):
     gen = empirical_generation_check(seq, candidate, dictionary, js=js, per_axis=12)
     fitted = [o for o in gen.orders.values() if o is not None]
     lsc = lsc_experiment(seq, zero, FunctionalSpec(make_norm(), mu), js=js)
-    jensen_ok = {
-        f.name: jensen_check_mu(f, zero, candidate).ok
-        for f in (make_norm(), make_area(), make_shifted_norm())
-    }
+    convex = [make_norm(), make_area(), make_shifted_norm()]
+    jensen_ok = {f.name: rep.ok for f, rep in zip(convex, jensen_check_mu(convex, zero, candidate))}
     clauses = [
         _clause("generation_tail_gap", gen.final_gap <= 0.02, gen.final_gap, "<= 0.02"),
         _clause(
@@ -198,10 +196,7 @@ def scenario_sawtooth(config):
             "jensen_convex_all_hold", all(jensen_ok.values()), jensen_ok, "no violating nodes"
         ),
     ]
-    gap_rows = [
-        (j, max(gaps[k] for gaps in gen.per_probe.values()))
-        for k, j in enumerate(js)
-    ]
+    gap_rows = list(zip(js, np.max(list(gen.per_probe.values()), axis=0).tolist()))
     return ScenarioResult(
         clauses,
         {
@@ -246,10 +241,8 @@ def scenario_ramp_concentration(config):
     )
     (lam_mass,), (w_plus,), (w_minus,) = pairings([make_norm(), pos, neg], eps_j, [plateau])
     jump_size = 1.0
-    jensen_ok = {
-        f.name: jensen_check_lebesgue(f, u, candidate).ok
-        for f in (make_norm(), make_area())
-    }
+    convex = [make_norm(), make_area()]
+    jensen_ok = {f.name: rep.ok for f, rep in zip(convex, jensen_check_lebesgue(convex, u, candidate))}
     clauses = [
         _clause(
             "lambda_mass_recovery",
@@ -464,7 +457,7 @@ def scenario_nonquasiconvex(config):
     mu, zero, candidate, js, seq = _sawtooth_setting(config)
     F = make_w_shape()
     lsc = lsc_experiment(seq, zero, FunctionalSpec(F, mu), js=js)
-    jensen = jensen_check_mu(F, zero, candidate)
+    (jensen,) = jensen_check_mu([F], zero, candidate)
     witness = quasiconvexity_refuter(F, np.array([[0.0]]), grid=16)
     refined = witness.reevaluate(F, np.array([[0.0]])) if witness else 0.0
     r1 = rank_one_convexity_check(F, np.zeros((1, 1)), np.array([1.0]), np.array([1.0]))

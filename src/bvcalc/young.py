@@ -126,30 +126,38 @@ class GeneralizedYoungMeasure:
 
     @cached_property
     def sphere_values(self):
-        """(part, w, S) of ``nu_inf`` on every charged concentration part."""
+        """(part, w, S) of ``nu_inf`` on every charged concentration part;
+        a lambda without a cell density charges no cell, so its cell part is
+        not built."""
         if self.nu_inf is None:
             return []
+        no_cells = self.lam.density is None
+        parts = _read_only_parts(singular_parts(self.lam)) if no_cells else self.concentration_parts
         return [
             (part, *read_only(*self.nu_inf(part.key, part.points)))
-            for part in self.concentration_parts
+            for part in parts
             if len(part.points) and np.max(np.abs(part.masses)) > CHARGE_TOL
         ]
 
     def validate(self):
+        """Probability weights (a Dirac field's are so by construction), unit
+        sphere atoms and a finite first moment of the oscillation part."""
         for _, w, _ in self.oscillation_values:
+            if _is_dirac(w):
+                continue
             if np.max(np.abs(np.sum(w, axis=1) - 1.0)) > _PROB_TOL:
                 raise YoungMeasureError("oscillation weights must sum to 1 at every node")
             if np.any(w < -_PROB_TOL):
                 raise YoungMeasureError("oscillation weights must be nonnegative")
         for _, w, S in self.sphere_values:
-            if np.max(np.abs(np.sum(w, axis=1) - 1.0)) > _PROB_TOL:
+            if not _is_dirac(w) and np.max(np.abs(np.sum(w, axis=1) - 1.0)) > _PROB_TOL:
                 raise YoungMeasureError("sphere weights must sum to 1")
             if np.max(np.abs(frobenius(S) - 1.0)) > _PROB_TOL:
                 raise YoungMeasureError("sphere atoms must have unit norm")
-        # finite first moment of the oscillation part
         total = 0.0
         for part, w, A in self.oscillation_values:
-            total += float(np.dot(part.masses, np.sum(w * frobenius(A), axis=1)))
+            moments = frobenius(A[:, 0]) if _is_dirac(w) else np.sum(w * frobenius(A), axis=1)
+            total += float(np.dot(part.masses, moments))
         if not np.isfinite(total):
             raise YoungMeasureError("oscillation part has infinite first moment")
         return True
@@ -175,13 +183,13 @@ def elementary(gamma, mu):
     rem_densities = part_densities(rem)
 
     def oscillation(key, points):  # Dirac at the mu-density
-        return np.ones((len(points), 1)), dec.densities[key](points)[:, None, :, :]
+        return _dirac(dec.densities[key](points))
 
     def polar(key, points):  # Dirac at the unit-norm direction of the remainder
         vals = np.asarray(rem_densities[key](points))
         mags = frobenius(vals)
         safe = np.where(mags > CHARGE_TOL, mags, 1.0)
-        return np.ones((len(points), 1)), (vals / safe[:, None, None])[:, None, :, :]
+        return _dirac(vals / safe[:, None, None])
 
     lam_parts = [(cid, lambda pts, _f=fn: frobenius(_f(pts))) for cid, fn in rem.carrier_parts]
     lam = ScalarRadonMeasure(
@@ -199,24 +207,44 @@ def elementary(gamma, mu):
 # ---------------------------------------------------------------------------
 
 
+def _dirac(atoms):
+    """A field's values with one atom, of weight exactly 1, at each of the
+    nodes of ``atoms`` (M, N, n): the weights (M, 1) are one read-only
+    value of stride 0, which is how :func:`_is_dirac` knows them."""
+    return np.broadcast_to(1.0, (len(atoms), 1)), atoms[:, None, :, :]
+
+
+def _is_dirac(w):
+    """Whether the weights ``w`` (M, K) are those of :func:`_dirac`: one
+    column of stride 0 holding exactly 1, known without a pass over them."""
+    return w.shape[1] == 1 and len(w) > 0 and w.strides[0] == 0 and w[0, 0] == 1.0
+
+
 def _field_pair(f, w, A, points, sphere=False, upper=False):
     """sum_k w_k f(x, A_k) at the given points, from a field's weights
     ``w`` (M, K) and atoms ``A`` (M, K, N, n) there (recession of f when
     ``sphere``; with ``upper`` too, the upper asymptotic slope of an f
-    without analytic recession)."""
+    without analytic recession).  A Dirac field (:func:`_dirac`) is one
+    call of f, with the bits of the weighted sum: 0.0 + 1.0 * value."""
+    if _is_dirac(w):
+        return 0.0 + _atom_values(f, points, A[:, 0], sphere, upper)
     out = np.zeros(len(points))
     for k in range(w.shape[1]):
         active = w[:, k] > 0 if sphere else np.abs(w[:, k]) > 0
         if not np.any(active):
             continue
         active = slice(None) if active.all() else active  # all active: no gather by mask
-        xk, Ak = points[active], A[active, k]
-        if sphere:
-            vals = upper_slope_values(f, xk, Ak) if upper else recession_values(f, xk, Ak)
-        else:
-            vals = np.asarray(f(xk, Ak))
-        out[active] += w[active, k] * vals
+        xk = points[active]
+        out[active] += w[active, k] * _atom_values(f, xk, A[active, k], sphere, upper)
     return out
+
+
+def _atom_values(f, x, A, sphere, upper):
+    """f, its recession (``sphere``) or upper slope (``upper`` too) at the
+    pairs (x, A)."""
+    if sphere:
+        return upper_slope_values(f, x, A) if upper else recession_values(f, x, A)
+    return np.asarray(f(x, A))
 
 
 def pairings(integrands, nu, localizations):
@@ -224,18 +252,22 @@ def pairings(integrands, nu, localizations):
     the reference measure and <f^inf(x, .), nu_inf_x> against the
     concentration measure, f = ``integrands[fi]``, both times the cut-off
     ``localizations[pi]`` (None: none).  Each part's field values are
-    paired once for every cut-off, and each sum adds the parts in order."""
-    totals = [[0.0] * len(localizations) for _ in integrands]
+    paired once for every cut-off: one ``np.vecdot`` of the part's (F, M)
+    integrand values with its (P, M) localized masses, a BLAS ``ddot`` per
+    pair as ``np.dot`` takes on two vectors, so each sum keeps the bits of
+    a pairing taken on its own; the parts are added in order."""
+    totals = np.zeros((len(integrands), len(localizations)))
+    if not totals.size:
+        return totals.tolist()
     for values, sphere in ((nu.oscillation_values, False), (nu.sphere_values, True)):
         for part, w, A in values:
-            vals = [_field_pair(f, w, A, part.points, sphere=sphere) for f in integrands]
-            for pi, phi in enumerate(localizations):
-                masses = part.masses
-                if phi is not None:
-                    masses = masses * np.asarray(phi(part.points))
-                for fi, v in enumerate(vals):
-                    totals[fi][pi] += float(np.dot(masses, v))
-    return totals
+            vals = np.stack([_field_pair(f, w, A, part.points, sphere=sphere) for f in integrands])
+            masses = np.stack([
+                part.masses if phi is None else part.masses * np.asarray(phi(part.points))
+                for phi in localizations
+            ])
+            totals += np.vecdot(vals[:, None, :], masses)
+    return totals.tolist()
 
 
 def pairing(f, nu):
@@ -310,15 +342,16 @@ def empirical_generation_check(sequence, candidate, test_integrands, js, per_axi
     array: grid-aligned breaks give every j the cells of the candidate."""
     localizations = [_once_per_array(phi) for phi in scalar_bumps(candidate.domain, per_axis=per_axis)]
     js = tuple(js)
-    refs = pairings(test_integrands, candidate, localizations)
-    per_probe = {}
-    for j in js:
-        eps_j = elementary(derivative(sequence(j)), candidate.reference_measure)
-        emp = pairings(test_integrands, eps_j, localizations)
-        for fi, (emp_f, ref_f) in enumerate(zip(emp, refs)):
-            for pi, (e, r) in enumerate(zip(emp_f, ref_f)):
-                per_probe.setdefault((fi, pi), []).append(abs(e - r) / max(1.0, abs(r)))
-    final_gap = max(gaps[-1] for gaps in per_probe.values())
+    refs = np.array(pairings(test_integrands, candidate, localizations))
+    emp = np.array([
+        pairings(test_integrands, elementary(derivative(sequence(j)), candidate.reference_measure), localizations)
+        for j in js
+    ])
+    gaps = np.abs(emp - refs) / np.maximum(1.0, np.abs(refs))  # (j, f, phi)
+    per_probe = {
+        (fi, pi): gaps[:, fi, pi].tolist() for fi in range(len(test_integrands)) for pi in range(len(localizations))
+    }
+    final_gap = float(np.max(gaps[-1]))
     orders = {}
     for fi, f in enumerate(test_integrands):
         fitted = [order_fit(js, per_probe[(fi, pi)], 1e-11, 3) for pi in range(len(localizations))]
@@ -342,7 +375,10 @@ class JensenReport:
         return not self.ac_violations and not self.singular_violations
 
 
-def _jensen_core(F, u, nu, upper_slope):
+def _jensen_core(integrands, u, nu, upper_slope):
+    """One report per integrand of ``integrands``, from one pass: the
+    boundary and barycenter checks, both decompositions, the density reads
+    and the sphere field values are taken once for all of them."""
     if charges_boundary(nu.lam, CHARGE_TOL):
         raise YoungMeasureError("concentration measure charges the boundary")
     du = derivative(u)
@@ -351,28 +387,32 @@ def _jensen_core(F, u, nu, upper_slope):
         raise YoungMeasureError(f"candidate barycenter differs from the derivative measure ({gap:.2e})")
     dec_u = rn_decompose(du, nu.reference_measure)
     dec_lam = rn_decompose(nu.lam, nu.reference_measure)
-    report = JensenReport([], [])
+    reports = [JensenReport([], []) for _ in integrands]
 
-    def check(part, lhs, rhs, dlam, violations):
-        """Flag the nodes of ``part`` where lhs exceeds rhs plus the
-        concentration term, ``dlam`` being the lambda density there."""
+    def check(part, dlam, kind, sides):
+        """Per integrand, flag the nodes of ``part`` where its lhs exceeds
+        its rhs plus the concentration term, in the report's list ``kind``;
+        ``sides`` gives (lhs, rhs) per integrand, ``dlam`` is the lambda
+        density at the nodes."""
         pts = part.points
         charged = dlam > CHARGE_TOL
+        sphere = None
         if np.any(charged) and nu.nu_inf is not None:
-            rhs = rhs.copy()
-            w, S = nu.nu_inf(part.key, pts[charged])
-            rhs[charged] += (
-                _field_pair(F, w, S, pts[charged], sphere=True, upper=upper_slope)
-                * dlam[charged]
-            )
-        for m in np.nonzero(lhs > rhs + JENSEN_TOL)[0]:
-            violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
+            at = pts[charged]
+            sphere = (*nu.nu_inf(part.key, at), at)
+        for F, report, (lhs, rhs) in zip(integrands, reports, sides):
+            if sphere is not None:
+                rhs = rhs.copy()
+                rhs[charged] += _field_pair(F, *sphere, sphere=True, upper=upper_slope) * dlam[charged]
+            violations = getattr(report, kind)
+            for m in np.nonzero(lhs > rhs + JENSEN_TOL)[0]:
+                violations.append((tuple(pts[m]), float(lhs[m]), float(rhs[m])))
 
     for part, w, A in nu.oscillation_values:
         pts = part.points
-        lhs = np.asarray(F(pts, dec_u.densities[part.key](pts)))
-        rhs = _field_pair(F, w, A, pts)
-        check(part, lhs, rhs, np.asarray(dec_lam.densities[part.key](pts)), report.ac_violations)
+        dens = dec_u.densities[part.key](pts)
+        sides = ((np.asarray(F(pts, dens)), _field_pair(F, w, A, pts)) for F in integrands)
+        check(part, np.asarray(dec_lam.densities[part.key](pts)), "ac_violations", sides)
 
     # the mu-singular parts of Du (the carrier parts of its remainder)
     # against the lambda density on the same carrier, zero where lambda's
@@ -381,27 +421,27 @@ def _jensen_core(F, u, nu, upper_slope):
     for part, lam in matched_parts(singular_parts(dec_u.remainder), lam_parts):
         if part is not None:
             zeros = np.zeros(len(part.points))
-            dlam = zeros if lam is None else lam.values
-            lhs = charged_recession(F, part.points, part.values)
-            check(part, lhs, zeros, dlam, report.singular_violations)
-    return report
+            sides = ((charged_recession(F, part.points, part.values), zeros) for F in integrands)
+            check(part, zeros if lam is None else lam.values, "singular_violations", sides)
+    return reports
 
 
-def jensen_check_mu(F, u, nu):
+def jensen_check_mu(integrands, u, nu):
     """Jensen inequalities relative to mu, the reference measure of ``nu``,
-    for a nonnegative quasiconvex integrand: pointwise at every mu node and
-    density-wise on the mu-singular carriers.  Violating nodes are listed,
-    not raised: for an integrand that is not quasiconvex they are the
-    expected outcome."""
-    return _jensen_core(F, u, nu, upper_slope=False)
+    for nonnegative quasiconvex integrands: pointwise at every mu node and
+    density-wise on the mu-singular carriers.  One report per integrand of
+    the list ``integrands``.  Violating nodes are listed, not raised: for
+    an integrand that is not quasiconvex they are the expected outcome."""
+    return _jensen_core(integrands, u, nu, upper_slope=False)
 
 
-def jensen_check_lebesgue(F, u, nu):
+def jensen_check_lebesgue(integrands, u, nu):
     """Jensen inequalities relative to the volume measure, with the upper
-    asymptotic slope in place of the recession function; ``nu`` must be
-    relative to the volume measure (density exactly 1 at its nodes, no
-    singular part), else a YoungMeasureError."""
+    asymptotic slope in place of the recession function, one report per
+    integrand of the list ``integrands``; ``nu`` must be relative to the
+    volume measure (density exactly 1 at its nodes, no singular part),
+    else a YoungMeasureError."""
     parts = nu.reference_parts
     if len(parts) != 1 or not np.all(parts[0].values == 1.0):
         raise YoungMeasureError("the reference measure must be the volume measure")
-    return _jensen_core(F, u, nu, upper_slope=True)
+    return _jensen_core(integrands, u, nu, upper_slope=True)

@@ -258,13 +258,13 @@ def test_criterion_08_jensen_suite():
     elem = elementary(derivative(h), mu)
     convex_violations = 0
     for F in (make_norm(), make_area(), make_shifted_norm()):
-        rep = jensen_check_mu(F, zero, sawtooth_cand)
+        (rep,) = jensen_check_mu([F], zero, sawtooth_cand)
         convex_violations += len(rep.ac_violations) + len(rep.singular_violations)
-        rep = jensen_check_mu(F, h, elem)
+        (rep,) = jensen_check_mu([F], h, elem)
         convex_violations += len(rep.ac_violations) + len(rep.singular_violations)
-        rep = jensen_check_lebesgue(F, conc_u, conc_cand)
+        (rep,) = jensen_check_lebesgue([F], conc_u, conc_cand)
         convex_violations += len(rep.ac_violations) + len(rep.singular_violations)
-    w_rep = jensen_check_mu(make_w_shape(), zero, sawtooth_cand)
+    (w_rep,) = jensen_check_mu([make_w_shape()], zero, sawtooth_cand)
     report(
         8,
         convex_violations == 0 and len(w_rep.ac_violations) >= 1,

@@ -1277,6 +1277,24 @@ def _kept_part_admissibility_cases():
     return cases
 
 
+def test_a_break_within_rounding_of_a_grid_edge_is_that_edge():
+    from bvcalc.bv import derivative, ramp_1d
+    from bvcalc.functional import admissibility_check
+    from bvcalc.measures import cell_part, lebesgue
+
+    dom, reg = Domain((0.0, 1.0), 200), CarrierRegistry()
+    plain = dom.cell_rule()
+    assert 0.1 + 0.2 != 0.3 and len(plain[1]) == 400
+    nodes, weights = dom.cell_rule((0.1 + 0.2,))
+    assert nodes is plain[0] and weights is plain[1]
+    off = dom.cell_rule((0.3 + 1e-9,))  # beyond rounding: an edge of its own
+    assert len(off[1]) == 402 and off[1].min() > 1e-10
+    mu = lebesgue(dom, reg)
+    u = ramp_1d(dom, 0.1, 0.2, registry=reg)
+    assert cell_part(mu, derivative(u).breaks) is mu._cells
+    assert admissibility_check(u, mu)
+
+
 def test_admissibility_reads_du_only_where_mu_vanishes():
     from bvcalc.bv import BVFunction, Piece
     from bvcalc.functional import admissibility_check

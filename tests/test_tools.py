@@ -3,6 +3,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
 
@@ -151,3 +153,82 @@ def test_settable_inputs_are_counted_with_each_trees_collector(tmp_path):
     assert report_identity.settable_inputs(after) == 9
     (after / "tests" / "test_knobs.py").unlink()
     assert report_identity.settable_inputs(after) is None
+
+
+bench_pairs = _load("bench_pairs")
+
+
+def _result_line(units_per_s, correct=True):
+    metrics = {
+        "setup_s": 0.1, "units_per_s": units_per_s, "unit_ms_p50": 1000.0 / units_per_s,
+        "unit_ms_tail": 2000.0 / units_per_s, "peak_rss_mb": 40.0,
+    }
+    return "details line\n" + json.dumps({
+        "correct": correct, "attempted": 30, "failed": 0,
+        "metrics": {name: {"value": value, "unit": "x"} for name, value in metrics.items()},
+    }) + "\n"
+
+
+def test_bench_pairs_alternates_sides_and_summarizes_canned_runs(tmp_path, capsys):
+    speed = {"parent": iter([80.0, 78.0, 82.0, 79.0]), "change": iter([90.0, 91.0, 89.0, 92.0])}
+    calls = []
+
+    def runner(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed, seconds))
+        return _result_line(next(speed[tree]))
+
+    out = tmp_path / "bench.json"
+    args = ["parent", "change", "--workload", "young-sawtooth", "--seeds", "1-3", "4",
+            "--seconds", "2", "--claim", "units_per_s", "--out", str(out)]
+    assert bench_pairs.main(args, runner=runner) == 0
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    assert {c[1:] for c in calls} == {("young-sawtooth", s, 2.0) for s in (1, 2, 3, 4)}
+    doc = json.loads(out.read_text())
+    pairs, summary = doc["pairs"]["young-sawtooth"], doc["summary"]["young-sawtooth"]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent", "change"]
+    assert [p["parent"]["units_per_s"] for p in pairs] == [80.0, 78.0, 82.0, 79.0]
+    row = summary["units_per_s"]
+    assert summary["pairs"] == 4 and row["change_wins"] == 4
+    assert row["median_ratio_change_over_parent"] == 90.5 / 79.5
+    assert row["median_worsening"] == 1.0 - 90.5 / 79.5 and row["within_bound"]
+    assert summary["unit_ms_p50"]["change_wins"] == 4 and summary["peak_rss_mb"]["change_wins"] == 0
+    assert "claim holds" in capsys.readouterr().out
+
+    # an A/A control joins the same file; a worse change is outside its bound
+    slow = iter([80.0, 50.0])
+    assert bench_pairs.main(["parent", "x", "--workload", "young-sawtooth", "--seeds", "7", "--aa",
+                             "--out", str(out)], runner=lambda *a: _result_line(next(slow))) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pairs"]["young-sawtooth"] == pairs
+    aa = doc["aa_control"]
+    assert aa["pairs"][0]["first"]["units_per_s"] == 80.0 and aa["pairs"][0]["second"]["units_per_s"] == 50.0
+    assert aa["summary"]["units_per_s"]["second_wins"] == 0
+    assert aa["summary"]["units_per_s"]["within_bound"] is False
+
+
+def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_iqr():
+    metrics = {"units_per_s": ("higher", 0.25)}
+
+    def pairs(parent, change):
+        return [{"parent": {"units_per_s": p}, "change": {"units_per_s": c}} for p, c in zip(parent, change)]
+
+    parent = [78.0, 80.0, 79.0, 81.0, 77.0, 80.0, 82.0, 79.0, 78.0, 80.0]
+    ahead = bench_pairs.summarize(pairs(parent, [p * 1.15 for p in parent]), metrics)
+    assert bench_pairs.claim_verdict(ahead, "units_per_s")[0]
+    eight = bench_pairs.summarize(pairs(parent, [p * 1.15 for p in parent[:8]] + parent[8:]), metrics)
+    assert not bench_pairs.claim_verdict(eight, "units_per_s")[0]
+    close = bench_pairs.summarize(pairs(parent, [p + 0.5 for p in parent]), metrics)
+    assert close["units_per_s"]["change_wins"] == 10
+    assert not bench_pairs.claim_verdict(close, "units_per_s")[0]
+
+
+def test_bench_pairs_rejects_a_run_without_a_result_line_or_not_correct():
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result("Traceback (most recent call last):\n  ...\n")
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result('{"metrics": {}}\n')
+    assert bench_pairs.parse_seeds(["1-3,5", "8"]) == [1, 2, 3, 5, 8]
+    # equal speeds but a run that failed its check: the exit status is 1
+    args = ["parent", "change", "--workload", "oracle-1d", "--seeds", "1"]
+    assert bench_pairs.main(args, runner=lambda tree, *a: _result_line(80.0, correct=tree == "parent")) == 1
+    assert bench_pairs.main(args, runner=lambda *a: _result_line(80.0)) == 0
